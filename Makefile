@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet fmt-check lint test race fuzz-smoke golden golden-update check bench bench-compare bench-gate bench-baseline obs-smoke screen-smoke qos-smoke serve-smoke figures ablations examples clean
+.PHONY: all build vet fmt-check lint test bench-check race fuzz-smoke golden golden-update check bench bench-compare bench-gate bench-baseline obs-smoke screen-smoke qos-smoke serve-smoke figures ablations examples clean
 
 all: build vet test
 
@@ -29,6 +29,12 @@ lint:
 
 test:
 	$(GO) test ./...
+
+# The repo benchmark (bench/, BENCHMARK.json) is a separate module built
+# against this tree, invisible to `./...`: vet it and run its tiny-scale
+# tests so an API change that breaks it fails here, not in a benchmark run.
+bench-check:
+	cd bench && $(GO) vet . && $(GO) test -count=1 .
 
 race:
 	$(GO) test -race ./...
@@ -95,7 +101,7 @@ serve-smoke:
 
 # Tier-1 gate: everything that must stay green. The golden regression
 # test runs as part of `test` (cmd/figures); `golden` re-runs it verbosely.
-check: build vet fmt-check lint test race obs-smoke screen-smoke qos-smoke serve-smoke
+check: build vet fmt-check lint test bench-check race obs-smoke screen-smoke qos-smoke serve-smoke
 
 # One testing.B per paper table/figure; each reports its headline metric.
 bench:

@@ -28,7 +28,6 @@ import (
 	"noceval/internal/cmp"
 	"noceval/internal/core"
 	"noceval/internal/network"
-	"noceval/internal/obs/export"
 	"noceval/internal/openloop"
 	"noceval/internal/routing"
 	"noceval/internal/stats"
@@ -39,39 +38,16 @@ import (
 
 func main() {
 	out := flag.String("out", "", "also write the report to this file")
-	cache := flag.Bool("cache", false, "reuse experiment results from the on-disk cache; cold points are computed and stored")
-	cacheDir := flag.String("cache-dir", ".expcache", "experiment cache directory (with -cache)")
-	ledgerPath := flag.String("ledger", "", "append one JSONL record per experiment run to this file")
-	serve := flag.String("serve", "", "serve live metrics on this address (e.g. :9500) while running")
-	screen := flag.Bool("screen", false, "analytically screen sweeps and saturation searches (output is bit-identical)")
+	sess := core.Session{Log: os.Stdout}
+	flag.BoolVar(&sess.Cache, "cache", false, "reuse experiment results from the on-disk cache; cold points are computed and stored")
+	flag.StringVar(&sess.CacheDir, "cache-dir", ".expcache", "experiment cache directory (with -cache)")
+	flag.StringVar(&sess.Ledger, "ledger", "", "append one JSONL record per experiment run to this file")
+	flag.StringVar(&sess.Serve, "serve", "", "serve live metrics on this address (e.g. :9500) while running")
+	flag.BoolVar(&sess.Screen, "screen", false, "analytically screen sweeps and saturation searches (output is bit-identical)")
 	flag.Parse()
-
-	// -serve installs the registry the other subsystems publish into, so it
-	// runs before the cache opens.
-	if *serve != "" {
-		srv, err := export.Enable(*serve)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		defer srv.Close()
-		fmt.Printf("serving live metrics on http://%s/metrics\n", srv.Addr())
-	}
-	if *ledgerPath != "" {
-		if err := core.EnableLedger(*ledgerPath); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		defer core.DisableLedger()
-	}
-	if *cache {
-		if err := core.EnableCache(*cacheDir); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-	}
-	if *screen {
-		core.EnableScreening()
+	if err := sess.Open(); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
 	}
 
 	var b strings.Builder
@@ -99,16 +75,12 @@ func main() {
 			os.Exit(1)
 		}
 	}
-	if s, ok := core.CacheStats(); ok {
-		fmt.Printf("\nexperiment cache: %s\n", s)
+	if sess.Cache {
+		fmt.Println() // the cache summary has always been set off by a blank line
 	}
-	if *screen {
-		s := core.ScreeningSummary()
-		fmt.Printf("screening: simulated %d of %d sweep points (skipped %d, refined %d)\n",
-			s.Simulated, s.Considered, s.Skipped, s.Refined)
-	}
-	if *ledgerPath != "" {
-		fmt.Printf("run ledger: %d records appended to %s\n", core.LedgerAppends(), *ledgerPath)
+	if err := sess.Close(os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
 	}
 }
 

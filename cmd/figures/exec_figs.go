@@ -9,6 +9,7 @@ import (
 
 	"noceval/internal/closedloop"
 	"noceval/internal/core"
+	"noceval/internal/par"
 	"noceval/internal/stats"
 	"noceval/internal/workload"
 )
@@ -153,7 +154,7 @@ func fig16(c *ctx) error {
 			theta float64
 		}
 		cells := make([]cell, len(trs)*len(nars))
-		if err := core.Parallel(len(cells), 0, func(idx int) error {
+		if err := par.Parallel(len(cells), 0, func(idx int) error {
 			ti, ni := idx/len(nars), idx%len(nars)
 			p := core.Baseline()
 			p.RouterDelay = trs[ti]

@@ -20,6 +20,7 @@ import (
 
 	"noceval/internal/core"
 	"noceval/internal/openloop"
+	"noceval/internal/par"
 	"noceval/internal/stats"
 )
 
@@ -55,7 +56,7 @@ func goldenIDs() []string {
 func goldenSweepFigure(title string, labels []string, vary func(i int) core.NetworkParams) (*stats.Figure, error) {
 	f := stats.NewFigure(title, "offered load (flits/cycle/node)", "average latency (cycles)")
 	sweeps := make([][]*openloop.Result, len(labels))
-	if err := core.Parallel(len(labels), 0, func(i int) error {
+	if err := par.Parallel(len(labels), 0, func(i int) error {
 		res, err := core.OpenLoopSweepWith(vary(i), goldenRates, goldenPhases)
 		sweeps[i] = res
 		return err
@@ -151,7 +152,7 @@ func goldenCorrSweep(vary func(i int) core.NetworkParams, nVariants int) (pearso
 	ms := []int{1, 4}
 	batchRaw := make([]float64, len(ms)*nVariants)
 	openRaw := make([]float64, len(ms)*nVariants)
-	err = core.Parallel(len(ms)*nVariants, 0, func(idx int) error {
+	err = par.Parallel(len(ms)*nVariants, 0, func(idx int) error {
 		mi, vi := idx/nVariants, idx%nVariants
 		p := vary(vi)
 		res, err := core.Batch(p, core.BatchParams{B: goldenB, M: ms[mi]})

@@ -23,7 +23,6 @@ import (
 	"time"
 
 	"noceval/internal/core"
-	"noceval/internal/obs/export"
 	"noceval/internal/stats"
 )
 
@@ -81,20 +80,21 @@ func register(id string, fn func(*ctx) error) { generators[id] = fn }
 
 func main() {
 	var (
-		fig      = flag.Int("fig", 0, "figure number to regenerate (1-22)")
-		table    = flag.Int("table", 0, "table number to regenerate (1-4)")
-		id       = flag.String("id", "", "generator id to regenerate (for ids outside the fig/table numbering, e.g. heatmap)")
-		all      = flag.Bool("all", false, "regenerate every figure and table")
-		golden   = flag.Bool("golden", false, "regenerate the golden regression subset (use -out results/golden)")
-		out      = flag.String("out", "results", "output directory")
-		full     = flag.Bool("full", false, "paper-scale parameters (slow)")
-		cache    = flag.Bool("cache", false, "reuse experiment results from the on-disk cache; cold points are computed and stored")
-		cacheDir = flag.String("cache-dir", ".expcache", "experiment cache directory (with -cache)")
-		ledger   = flag.String("ledger", "", "append one JSONL record per experiment run to this file")
-		serve    = flag.String("serve", "", "serve live metrics on this address (e.g. :9500) while generating")
-		report   = flag.String("report", "", "summarize a run ledger file into a dashboard table and exit")
-		screen   = flag.Bool("screen", false, "analytically screen sweeps: skip predicted deep-saturation simulations (output is bit-identical)")
+		fig    = flag.Int("fig", 0, "figure number to regenerate (1-22)")
+		table  = flag.Int("table", 0, "table number to regenerate (1-4)")
+		id     = flag.String("id", "", "generator id to regenerate (for ids outside the fig/table numbering, e.g. heatmap)")
+		all    = flag.Bool("all", false, "regenerate every figure and table")
+		golden = flag.Bool("golden", false, "regenerate the golden regression subset (use -out results/golden)")
+		out    = flag.String("out", "results", "output directory")
+		full   = flag.Bool("full", false, "paper-scale parameters (slow)")
+		report = flag.String("report", "", "summarize a run ledger file into a dashboard table and exit")
 	)
+	sess := core.Session{Log: os.Stdout}
+	flag.BoolVar(&sess.Cache, "cache", false, "reuse experiment results from the on-disk cache; cold points are computed and stored")
+	flag.StringVar(&sess.CacheDir, "cache-dir", ".expcache", "experiment cache directory (with -cache)")
+	flag.StringVar(&sess.Ledger, "ledger", "", "append one JSONL record per experiment run to this file")
+	flag.StringVar(&sess.Serve, "serve", "", "serve live metrics on this address (e.g. :9500) while generating")
+	flag.BoolVar(&sess.Screen, "screen", false, "analytically screen sweeps: skip predicted deep-saturation simulations (output is bit-identical)")
 	flag.Parse()
 
 	if *report != "" {
@@ -109,33 +109,9 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	// Order matters: -serve installs the process-wide registry that the
-	// cache, pool, engine and fault subsystems publish into, so it must be
-	// live before the cache opens.
-	if *serve != "" {
-		srv, err := export.Enable(*serve)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		defer srv.Close()
-		fmt.Printf("serving live metrics on http://%s/metrics\n", srv.Addr())
-	}
-	if *ledger != "" {
-		if err := core.EnableLedger(*ledger); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		defer core.DisableLedger()
-	}
-	if *cache {
-		if err := core.EnableCache(*cacheDir); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-	}
-	if *screen {
-		core.EnableScreening()
+	if err := sess.Open(); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
 	}
 	c := &ctx{out: *out, full: *full}
 
@@ -190,15 +166,8 @@ func main() {
 		}
 		fmt.Printf("  %s done in %v\n", id, time.Since(start).Round(time.Millisecond))
 	}
-	if s, ok := core.CacheStats(); ok {
-		fmt.Printf("experiment cache: %s\n", s)
-	}
-	if *screen {
-		s := core.ScreeningSummary()
-		fmt.Printf("screening: simulated %d of %d sweep points (skipped %d, refined %d)\n",
-			s.Simulated, s.Considered, s.Skipped, s.Refined)
-	}
-	if *ledger != "" {
-		fmt.Printf("run ledger: %d records appended to %s\n", core.LedgerAppends(), *ledger)
+	if err := sess.Close(os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
 	}
 }

@@ -9,6 +9,7 @@ import (
 
 	"noceval/internal/core"
 	"noceval/internal/openloop"
+	"noceval/internal/par"
 	"noceval/internal/stats"
 )
 
@@ -79,7 +80,7 @@ func fig02(c *ctx) error {
 	for i := range vals {
 		vals[i] = make([]float64, len(bs))
 	}
-	err := core.Parallel(len(batchMs)*len(bs), 0, func(idx int) error {
+	err := par.Parallel(len(batchMs)*len(bs), 0, func(idx int) error {
 		mi, bi := idx/len(bs), idx%len(bs)
 		res, err := core.Batch(core.Baseline(), core.BatchParams{B: bs[bi], M: batchMs[mi]})
 		if err != nil {
@@ -107,7 +108,7 @@ func fig03(c *ctx) error {
 		"offered load (flits/cycle/node)", "average latency (cycles)")
 	trs := []int64{1, 2, 4}
 	sweeps := make([][]*openloop.Result, len(trs))
-	if err := core.Parallel(len(trs), 0, func(i int) error {
+	if err := par.Parallel(len(trs), 0, func(i int) error {
 		p := core.Baseline()
 		p.RouterDelay = trs[i]
 		res, err := core.OpenLoopSweep(p, sweepRates(0.5))
@@ -133,7 +134,7 @@ func fig03(c *ctx) error {
 		"offered load (flits/cycle/node)", "average latency (cycles)")
 	qs := []int{4, 8, 16, 32}
 	qSweeps := make([][]*openloop.Result, len(qs))
-	if err := core.Parallel(len(qs), 0, func(i int) error {
+	if err := par.Parallel(len(qs), 0, func(i int) error {
 		p := core.Baseline()
 		p.BufDepth = qs[i]
 		res, err := core.OpenLoopSweep(p, sweepRates(0.5))
@@ -319,7 +320,7 @@ func fig06(c *ctx) error {
 	fa := stats.NewFigure("Fig 6a: impact of topology in open-loop (uniform random)",
 		"offered load (flits/cycle/node)", "average latency (cycles)")
 	topoSweeps := make([][]*openloop.Result, len(names))
-	if err := core.Parallel(len(names), 0, func(i int) error {
+	if err := par.Parallel(len(names), 0, func(i int) error {
 		res, err := core.OpenLoopSweep(vary(i), sweepRates(0.7))
 		topoSweeps[i] = res
 		return err
@@ -459,7 +460,7 @@ func fig09(c *ctx) error {
 			fmt.Sprintf("Fig 9%s: routing algorithms in open-loop (%s)", suffix, pattern),
 			"offered load (flits/cycle/node)", "average latency (cycles)")
 		algSweeps := make([][]*openloop.Result, len(names))
-		if err := core.Parallel(len(names), 0, func(i int) error {
+		if err := par.Parallel(len(names), 0, func(i int) error {
 			res, err := core.OpenLoopSweep(vary(i), sweepRates(0.5))
 			algSweeps[i] = res
 			return err

@@ -15,6 +15,7 @@ import (
 	"noceval/internal/core"
 	"noceval/internal/fault"
 	"noceval/internal/openloop"
+	"noceval/internal/par"
 	"noceval/internal/stats"
 )
 
@@ -58,7 +59,7 @@ func resilienceSweep(c *ctx) error {
 		bt float64 // batch runtime
 	}
 	pts := make([]point, len(resilienceRates))
-	if err := core.Parallel(len(resilienceRates), 0, func(i int) error {
+	if err := par.Parallel(len(resilienceRates), 0, func(i int) error {
 		p := resilienceParams(resilienceRates[i])
 		ol, err := core.OpenLoopWith(p, load, phases)
 		if err != nil {

@@ -18,6 +18,7 @@
 //	GET  /jobs/{id}/events   SSE stream of state transitions
 //	GET  /metrics            Prometheus text format
 //	GET  /metrics.json       metrics snapshot as JSON
+//	GET  /vars, /progress    expvar-style and progress views (obs/export)
 //	GET  /healthz            liveness (503 while draining)
 //
 // Shutdown is two-stage: the first SIGTERM/SIGINT drains (stop intake,
@@ -37,7 +38,6 @@ import (
 	"time"
 
 	"noceval/internal/core"
-	"noceval/internal/obs"
 	"noceval/internal/service"
 )
 
@@ -46,33 +46,18 @@ func main() {
 	workers := flag.Int("workers", 0, "concurrent simulation workers (0 = GOMAXPROCS)")
 	queue := flag.Int("queue", 64, "bounded job queue; submissions beyond it get 503")
 	jobTimeout := flag.Duration("job-timeout", 0, "per-job wall-clock timeout (0 = none)")
-	cache := flag.Bool("cache", false, "serve repeated specs from the on-disk experiment cache")
-	cacheDir := flag.String("cache-dir", ".expcache", "experiment cache directory (with -cache)")
-	ledgerPath := flag.String("ledger", "", "append one JSONL record per experiment run to this file")
-	screen := flag.Bool("screen", false, "analytically screen sweep jobs (output is bit-identical)")
-	flag.Parse()
-
 	// The service serves /metrics itself, so the registry is always on:
 	// job counters, per-endpoint HTTP metrics, engine and cache traffic
 	// all publish into it.
-	if obs.Default() == nil {
-		obs.SetDefault(obs.NewRegistry())
-	}
-	if *ledgerPath != "" {
-		if err := core.EnableLedger(*ledgerPath); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		defer core.DisableLedger()
-	}
-	if *cache {
-		if err := core.EnableCache(*cacheDir); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-	}
-	if *screen {
-		core.EnableScreening()
+	sess := core.Session{Registry: true}
+	flag.BoolVar(&sess.Cache, "cache", false, "serve repeated specs from the on-disk experiment cache")
+	flag.StringVar(&sess.CacheDir, "cache-dir", ".expcache", "experiment cache directory (with -cache)")
+	flag.StringVar(&sess.Ledger, "ledger", "", "append one JSONL record per experiment run to this file")
+	flag.BoolVar(&sess.Screen, "screen", false, "analytically screen sweep jobs (output is bit-identical)")
+	flag.Parse()
+	if err := sess.Open(); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
 	}
 
 	svc := service.New(service.Config{
@@ -108,5 +93,8 @@ func main() {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	httpSrv.Shutdown(ctx)
+	if err := sess.Close(os.Stderr); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+	}
 	fmt.Fprintln(os.Stderr, "nocd: shut down cleanly")
 }

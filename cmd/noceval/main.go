@@ -40,8 +40,10 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -167,7 +169,7 @@ func cmdRun(args []string) error {
 	if err != nil {
 		return err
 	}
-	report, err := spec.Run()
+	report, err := spec.RunContext(context.Background())
 	if err != nil {
 		return err
 	}
@@ -189,7 +191,7 @@ func cmdOpenLoop(args []string) error {
 	if err := co.apply(p); err != nil {
 		return err
 	}
-	if err := oo.setup(); err != nil {
+	if err := oo.sess.Open(); err != nil {
 		return err
 	}
 	defer oo.teardown()
@@ -197,7 +199,7 @@ func cmdOpenLoop(args []string) error {
 		return err
 	}
 	h := oo.hooks()
-	res, err := core.OpenLoopObserved(*p, *rate, h)
+	res, err := core.OpenLoopWith(*p, *rate, core.OpenLoopOpts{Hooks: h})
 	if err != nil {
 		return err
 	}
@@ -220,38 +222,48 @@ func cmdOpenLoop(args []string) error {
 	return nil
 }
 
+// sweepRates lists the offered loads step, 2*step, ... up to and
+// including hi. Each rate derives from its index, rounded to 1e-9:
+// accumulating step drifts (0.02 x 24 = 0.48000000000000015), which
+// dropped the hi point itself.
+func sweepRates(step, hi float64) []float64 {
+	if step <= 0 {
+		return nil
+	}
+	var rates []float64
+	for i := 1; ; i++ {
+		r := math.Round(float64(i)*step*1e9) / 1e9
+		if r > hi {
+			return rates
+		}
+		rates = append(rates, r)
+	}
+}
+
 func cmdSweep(args []string) error {
 	fs := flag.NewFlagSet("sweep", flag.ExitOnError)
 	p := netFlags(fs)
 	hi := fs.Float64("hi", 0.5, "highest offered load")
 	step := fs.Float64("step", 0.02, "load step")
-	screen := fs.Bool("screen", false, "analytically screen the sweep: skip predicted deep-saturation simulations (output is bit-identical)")
 	fo := faultFlags(fs)
 	co := classFlags(fs)
 	oo := obsFlags(fs, false)
+	fs.BoolVar(&oo.sess.Screen, "screen", false, "analytically screen the sweep: skip predicted deep-saturation simulations (output is bit-identical)")
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	if *screen {
-		core.EnableScreening()
-		defer core.DisableScreening()
 	}
 	p.Fault = fo.build()
 	if err := co.apply(p); err != nil {
 		return err
 	}
-	if err := oo.setup(); err != nil {
+	if err := oo.sess.Open(); err != nil {
 		return err
 	}
 	defer oo.teardown()
 	if err := oo.startProfiling(); err != nil {
 		return err
 	}
-	var rates []float64
-	for r := *step; r <= *hi; r += *step {
-		rates = append(rates, r)
-	}
-	results, err := core.OpenLoopSweep(*p, rates)
+	results, err := core.OpenLoopSweep(*p, sweepRates(*step, *hi))
 	if err != nil {
 		return err
 	}
@@ -277,11 +289,6 @@ func cmdSweep(args []string) error {
 			fmt.Println()
 		}
 	}
-	if *screen {
-		s := core.ScreeningSummary()
-		fmt.Printf("screening: simulated %d of %d sweep points (skipped %d, refined %d)\n",
-			s.Simulated, s.Considered, s.Skipped, s.Refined)
-	}
 	return nil
 }
 
@@ -305,7 +312,7 @@ func cmdBatch(args []string) error {
 	if err != nil {
 		return err
 	}
-	if err := oo.setup(); err != nil {
+	if err := oo.sess.Open(); err != nil {
 		return err
 	}
 	defer oo.teardown()
@@ -357,7 +364,7 @@ func cmdBarrier(args []string) error {
 		return err
 	}
 	p.Fault = fo.build()
-	if err := oo.setup(); err != nil {
+	if err := oo.sess.Open(); err != nil {
 		return err
 	}
 	defer oo.teardown()

@@ -50,3 +50,27 @@ func TestParseClock(t *testing.T) {
 		t.Error("bad clock accepted")
 	}
 }
+
+func TestSweepRates(t *testing.T) {
+	cases := []struct {
+		step, hi float64
+		n        int
+		last     float64
+	}{
+		{0.02, 0.5, 25, 0.5}, // accumulating 0.02 ends at 0.48000000000000015
+		{0.1, 0.3, 3, 0.3},
+		{0.05, 0.5, 10, 0.5},
+		{0.2, 0.5, 2, 0.4},
+		{0.5, 0.1, 0, 0},
+		{0, 0.5, 0, 0},
+	}
+	for _, tc := range cases {
+		got := sweepRates(tc.step, tc.hi)
+		if len(got) != tc.n || (tc.n > 0 && got[tc.n-1] != tc.last) {
+			t.Errorf("sweepRates(%g, %g) = %v, want %d rates ending at exactly %g", tc.step, tc.hi, got, tc.n, tc.last)
+		}
+	}
+	if got := sweepRates(0.02, 0.5); got[2] != 0.06 {
+		t.Errorf("third rate = %v, want the canonical 0.06", got[2])
+	}
+}

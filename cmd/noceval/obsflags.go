@@ -11,7 +11,6 @@ import (
 
 	"noceval/internal/core"
 	"noceval/internal/obs"
-	"noceval/internal/obs/export"
 	"noceval/internal/topology"
 )
 
@@ -25,11 +24,11 @@ type obsOpts struct {
 	out         string
 	cpuprofile  string
 	memprofile  string
-	ledger      string
-	serve       string
+	// sess holds the cross-run flags (-ledger, -serve, and sweep's
+	// -screen); its notices go to stderr, keeping stdout for the result.
+	sess core.Session
 
 	cpuFile *os.File
-	srv     *export.Server
 }
 
 // obsFlags registers the observability flags on a subcommand's flag set.
@@ -46,39 +45,17 @@ func obsFlags(fs *flag.FlagSet, full bool) *obsOpts {
 	fs.BoolVar(&o.progress, "progress", false, "print a heartbeat (cycles/sec, ETA) to stderr during the run")
 	fs.StringVar(&o.cpuprofile, "cpuprofile", "", "write a CPU profile to this file")
 	fs.StringVar(&o.memprofile, "memprofile", "", "write a heap profile to this file on exit")
-	fs.StringVar(&o.ledger, "ledger", "", "append one JSONL record per experiment run to this file")
-	fs.StringVar(&o.serve, "serve", "", "serve live metrics on this address (e.g. :9500) during the run")
+	fs.StringVar(&o.sess.Ledger, "ledger", "", "append one JSONL record per experiment run to this file")
+	fs.StringVar(&o.sess.Serve, "serve", "", "serve live metrics on this address (e.g. :9500) during the run")
 	return o
 }
 
-// setup starts the opt-in cross-run observability selected by the flags:
-// the live metrics endpoint (which installs the process-wide registry the
-// subsystems publish into) and the run ledger. Call teardown before
-// exiting. With neither flag set it does nothing.
-func (o *obsOpts) setup() error {
-	if o.serve != "" {
-		srv, err := export.Enable(o.serve)
-		if err != nil {
-			return err
-		}
-		o.srv = srv
-		fmt.Fprintf(os.Stderr, "serving live metrics on http://%s/metrics\n", srv.Addr())
-	}
-	if o.ledger != "" {
-		if err := core.EnableLedger(o.ledger); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// teardown closes the ledger and the metrics endpoint.
+// teardown prints the session summary and closes the session opened with
+// sess.Open.
 func (o *obsOpts) teardown() {
-	if o.ledger != "" {
-		fmt.Fprintf(os.Stderr, "run ledger: %d records appended to %s\n", core.LedgerAppends(), o.ledger)
-		core.DisableLedger()
+	if err := o.sess.Close(os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "noceval:", err)
 	}
-	o.srv.Close()
 }
 
 // hooks builds the run attachments selected by the flags. The observer is

@@ -3,9 +3,10 @@ package core
 // The experiment cache: every runner in this package is a pure function
 // of its parameter structs and seed, so results are memoized on disk and
 // reused across figure regenerations, ablation runs, and CI jobs. Lookups
-// happen inside the individual runners, which is where Parallel workers
-// land — a warm sweep stays parallel (all workers hit), and a cold sweep
-// still fans its misses out across cores.
+// happen per run inside execute, which is where par.Parallel workers land
+// — a warm sweep stays parallel (all workers hit), and a cold sweep still
+// fans its misses out across cores. Observed runs (Hooks set) skip the
+// cache in that same function.
 
 import (
 	"sync/atomic"
@@ -23,7 +24,7 @@ const CacheSchemaVersion = "noceval-core-v1"
 
 // expCache is the process-wide result cache; nil means caching is off.
 // It is an atomic pointer because lookups happen concurrently inside
-// Parallel workers while tests enable and disable caching around them.
+// par.Parallel workers while tests enable and disable caching around them.
 var expCache atomic.Pointer[expcache.Cache]
 
 // EnableCache turns on experiment-result caching for OpenLoop, Batch,
@@ -57,17 +58,11 @@ func CacheStats() (s expcache.Stats, ok bool) {
 	return c.Stats(), true
 }
 
-// cached memoizes compute under (kind, cfg) when the cache is enabled.
+// cachedInfo memoizes compute under (kind, cfg) when the cache is enabled.
 // Results are only stored on success, and a failed store never fails the
 // run — the cache can only trade disk for compute, not correctness.
-func cached[T any](kind string, cfg any, compute func() (*T, error)) (*T, error) {
-	res, _, _, err := cachedInfo(kind, cfg, compute)
-	return res, err
-}
-
-// cachedInfo is cached with the cache outcome exposed for the run ledger:
 // consulted reports whether an enabled cache was actually keyed and
-// queried, hit whether it served the result.
+// queried, hit whether it served the result (both feed the run ledger).
 func cachedInfo[T any](kind string, cfg any, compute func() (*T, error)) (res *T, consulted, hit bool, err error) {
 	c := expCache.Load()
 	if c == nil {

@@ -208,15 +208,3 @@ func TestCachedSweepMatchesUncached(t *testing.T) {
 		t.Error("expected the sweep to end on an unstable point (fix the test rates)")
 	}
 }
-
-func TestObservedRunsBypassCache(t *testing.T) {
-	withCache(t)
-	h := Hooks{Progress: nil, Obs: nil}
-	if _, err := OpenLoopObserved(fastParams(), 0.1, h); err != nil {
-		t.Fatal(err)
-	}
-	// Zero hooks route through the cache...
-	if s, _ := CacheStats(); s.Puts != 1 {
-		t.Fatalf("zero-hook observed run skipped the cache: %+v", s)
-	}
-}

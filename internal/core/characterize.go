@@ -46,20 +46,19 @@ type BenchmarkModel struct {
 // "after determining the rate of the periodic timer interrupt from the
 // execution-driven simulations".
 func Characterize(bench string, clock workload.Clock, seed uint64) (*BenchmarkModel, error) {
-	return CharacterizeCtx(nil, bench, clock, seed)
+	return characterize(nil, bench, clock, seed)
 }
 
-// CharacterizeCtx is Characterize with a cancellation context (nil
-// behaves like Characterize): both underlying execution-driven runs are
-// cancellable.
-func CharacterizeCtx(ctx context.Context, bench string, clock workload.Clock, seed uint64) (*BenchmarkModel, error) {
+// characterize is Characterize with a cancellation context (see barrier):
+// both underlying execution-driven runs are cancellable.
+func characterize(ctx context.Context, bench string, clock workload.Clock, seed uint64) (*BenchmarkModel, error) {
 	prof, err := workload.ByName(bench)
 	if err != nil {
 		return nil, err
 	}
 	base := ExecParams{Benchmark: bench, Clock: clock, Ideal: true, Seed: seed}
 
-	noTimer, err := ExecCtx(ctx, NetworkParams{}, base)
+	noTimer, err := exec(ctx, NetworkParams{}, base)
 	if err != nil {
 		return nil, fmt.Errorf("core: characterize %s (no timer): %w", bench, err)
 	}
@@ -68,7 +67,7 @@ func CharacterizeCtx(ctx context.Context, bench string, clock workload.Clock, se
 	if timerPeriod > 0 {
 		t := base
 		t.Timer = true
-		withTimer, err = ExecCtx(ctx, NetworkParams{}, t)
+		withTimer, err = exec(ctx, NetworkParams{}, t)
 		if err != nil {
 			return nil, fmt.Errorf("core: characterize %s (timer): %w", bench, err)
 		}

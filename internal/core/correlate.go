@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"noceval/internal/par"
 	"noceval/internal/stats"
 )
 
@@ -64,7 +65,7 @@ func CorrelateOpenBatch(ms []int, labels []string, vary func(i int) NetworkParam
 	openRaw := make([]float64, nm*nl)
 	// Every (m, variant) cell is an independent pair of simulations; run
 	// them across all cores.
-	err := Parallel(nm*nl, 0, func(idx int) error {
+	err := par.Parallel(nm*nl, 0, func(idx int) error {
 		mi, li := idx/nl, idx%nl
 		p := vary(li)
 		res, err := Batch(p, BatchParams{B: b, M: ms[mi]})
@@ -118,7 +119,7 @@ func CorrelateOpenBatch(ms []int, labels []string, vary func(i int) NetworkParam
 // normalized runtimes (normalized to the first delay).
 func ExecSweep(bench string, trs []int64, ep ExecParams) ([]float64, error) {
 	runtimes := make([]float64, len(trs))
-	err := Parallel(len(trs), 0, func(i int) error {
+	err := par.Parallel(len(trs), 0, func(i int) error {
 		e := ep
 		e.Benchmark = bench
 		res, err := Exec(Table2Network(trs[i]), e)
@@ -138,7 +139,7 @@ func ExecSweep(bench string, trs []int64, ep ExecParams) ([]float64, error) {
 // network and returns normalized runtimes.
 func BatchSweep(trs []int64, bp BatchParams) ([]float64, error) {
 	runtimes := make([]float64, len(trs))
-	err := Parallel(len(trs), 0, func(i int) error {
+	err := par.Parallel(len(trs), 0, func(i int) error {
 		res, err := Batch(Table2Network(trs[i]), bp)
 		if err != nil {
 			return err

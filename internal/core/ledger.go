@@ -1,11 +1,11 @@
 package core
 
-// The run ledger: every runner in this package appends one structured
-// record per execution — spec hash, cache outcome, wall time, simulated
-// cycles, the engine's stepped/fast-forwarded split, and fault counters —
-// when a ledger is enabled. The same scope also maintains the
-// core.runs_started/finished counters in the process-wide registry, so the
-// live export endpoint can show sweep progress even with the ledger off.
+// The run ledger: execute appends one structured record per run — spec
+// hash, cache outcome, wall time, simulated cycles, the engine's
+// stepped/fast-forwarded split, and fault counters — when a ledger is
+// enabled. The same scope also maintains the core.runs_started/finished
+// counters in the process-wide registry, so the live export endpoint can
+// show sweep progress even with the ledger off.
 
 import (
 	"runtime"
@@ -27,8 +27,9 @@ import (
 var runLedger atomic.Pointer[ledger.Ledger]
 
 // EnableLedger opens (creating if needed) the append-only run ledger at
-// path; every subsequent OpenLoop, Batch, Barrier and Exec run appends one
-// record. A torn final line from a crashed process is recovered on open.
+// path; every subsequent run — observed or not — appends one record
+// carrying its spec hash. A torn final line from a crashed process is
+// recovered on open.
 func EnableLedger(path string) error {
 	l, err := ledger.Open(path)
 	if err != nil {
@@ -51,7 +52,7 @@ func LedgerAppends() int64 {
 	return runLedger.Load().Appends()
 }
 
-// runScope collects one runner execution's telemetry. A nil scope (nothing
+// runScope collects one run's telemetry for execute. A nil scope (nothing
 // is observing: no ledger, no default registry) is a no-op on every
 // method, so the disabled path costs two atomic loads per run.
 type runScope struct {
@@ -61,105 +62,70 @@ type runScope struct {
 	rec   ledger.Record
 }
 
-// beginRun opens a scope for one execution of the given run mode, or nil
-// when neither a ledger nor a default registry is installed.
-func beginRun(kind string) *runScope {
+// summary is what a finished run contributes to its ledger record.
+type summary struct {
+	cycles  int64
+	faults  *fault.Stats           // nil for a fault-free run
+	classes []openloop.ClassResult // nil for a class-free run
+}
+
+// beginRun opens a scope for one run of the given mode, or nil when
+// neither a ledger nor a default registry is installed. The record is
+// stamped with the content hash of key — the same hash the experiment
+// cache addresses results by, so ledger lines join against cache entries —
+// but only when a ledger will actually store it.
+func beginRun(kind string, key any) *runScope {
 	led := runLedger.Load()
 	reg := obs.Default()
 	if led == nil && reg == nil {
 		return nil
 	}
 	reg.Counter("core.runs_started").Inc()
-	return &runScope{
+	s := &runScope{
 		led:   led,
 		reg:   reg,
 		start: time.Now(),
 		rec:   ledger.Record{Kind: kind, Engine: "activeset"},
 	}
+	if led != nil {
+		if k, err := expcache.KeyFor(CacheSchemaVersion, kind, key); err == nil {
+			s.rec.Spec = k.Hash()
+		}
+	}
+	return s
 }
 
-// spec stamps the record with the content hash of the run's configuration
-// — the same hash the experiment cache addresses results by, so ledger
-// lines join against cache entries. Hashing only happens when a ledger
-// will actually store the record.
-func (s *runScope) spec(key any) {
-	if s == nil || s.led == nil {
-		return
-	}
-	if k, err := expcache.KeyFor(CacheSchemaVersion, s.rec.Kind, key); err == nil {
-		s.rec.Spec = k.Hash()
-	}
-}
-
-// cache records whether the experiment cache was consulted and whether it
-// served the result.
-func (s *runScope) cache(consulted, hit bool) {
+// hooks returns the scope's OnEngine and Inspect hooks for a run config,
+// nil for a nil scope so the disabled path installs nothing.
+func (s *runScope) hooks() (func(engine.Outcome), func(*network.Network)) {
 	if s == nil {
-		return
+		return nil, nil
 	}
-	s.rec.Cached = consulted
-	s.rec.Hit = hit
+	return s.onEngine, s.shards
 }
 
-// onEngine is installed as the run config's OnEngine hook; it captures the
-// stepped/fast-forwarded split. Never called on a cache hit (no engine
-// runs).
+// onEngine captures the stepped/fast-forwarded split. Never called on a
+// cache hit (no engine runs).
 func (s *runScope) onEngine(eo engine.Outcome) {
-	if s == nil {
-		return
-	}
 	s.rec.Stepped = eo.Stepped
 	s.rec.Skipped = eo.Skipped
 	s.rec.SkipRatio = eo.SkipRatio()
 }
 
-// shards is installed as the run config's Inspect hook; it captures the
-// sharded-simulation shape (tile count, mean load imbalance) off the
-// network before the run mode releases it. Sequential runs leave the
-// fields zero so the record omits them.
+// shards captures the sharded-simulation shape (tile count, mean load
+// imbalance) off the network before the run mode releases it. Sequential
+// runs leave the fields zero so the record omits them.
 func (s *runScope) shards(net *network.Network) {
-	if s == nil {
-		return
-	}
 	if k, _, imb := net.ShardStats(); k > 1 {
 		s.rec.Shards = k
 		s.rec.ShardImbalance = imb
 	}
 }
 
-// faults copies a faulted run's injection/recovery counters; a nil Stats
-// (fault-free run) is a no-op.
-func (s *runScope) faults(fs *fault.Stats) {
-	if s == nil || fs == nil {
-		return
-	}
-	s.rec.FaultInjected = fs.CorruptInjected + fs.DropInjected
-	s.rec.FaultRetried = fs.Retried
-	s.rec.FaultDead = fs.Abandoned
-}
-
-// classes copies a multi-class run's per-QoS-class outcome into the
-// record's parallel arrays; a class-free run (nil PerClass) is a no-op so
-// its ledger line stays byte-identical to schema 1.
-func (s *runScope) classes(per []openloop.ClassResult) {
-	if s == nil || len(per) == 0 {
-		return
-	}
-	s.rec.ClassNames = make([]string, len(per))
-	s.rec.ClassInjected = make([]int64, len(per))
-	s.rec.ClassDelivered = make([]int64, len(per))
-	s.rec.ClassAvgLatency = make([]float64, len(per))
-	for i, cr := range per {
-		s.rec.ClassNames[i] = cr.Name
-		s.rec.ClassInjected[i] = cr.Injected
-		s.rec.ClassDelivered[i] = cr.Delivered
-		s.rec.ClassAvgLatency[i] = cr.AvgLatency
-	}
-}
-
-// finish completes the record — wall time, simulated cycles, pipeline
-// throughput, worker-pool snapshot — and appends it to the ledger.
-func (s *runScope) finish(cycles int64, err error) {
+// finish completes the record — cache outcome (as cachedInfo reports it),
+// wall time, simulated cycles, pipeline throughput, worker-pool snapshot,
+// fault and per-class counters — and appends it to the ledger.
+func (s *runScope) finish(sum summary, consulted, hit bool, err error) {
 	if s == nil {
 		return
 	}
@@ -167,17 +133,31 @@ func (s *runScope) finish(cycles int64, err error) {
 	if s.led == nil {
 		return
 	}
+	s.rec.Cached, s.rec.Hit = consulted, hit
 	wall := time.Since(s.start)
 	s.rec.Time = s.start.UTC().Format(time.RFC3339Nano)
 	s.rec.WallNS = wall.Nanoseconds()
-	s.rec.Cycles = cycles
-	if wall > 0 && cycles > 0 {
-		s.rec.CyclesPerSec = float64(cycles) / wall.Seconds()
+	s.rec.Cycles = sum.cycles
+	if wall > 0 && sum.cycles > 0 {
+		s.rec.CyclesPerSec = float64(sum.cycles) / wall.Seconds()
 	}
 	s.rec.Workers = runtime.GOMAXPROCS(0)
 	if s.reg != nil {
 		s.rec.ParWaves = s.reg.Counter("par.waves").Value()
 		s.rec.ParTasks = s.reg.Counter("par.tasks_done").Value()
+	}
+	if fs := sum.faults; fs != nil {
+		s.rec.FaultInjected = fs.CorruptInjected + fs.DropInjected
+		s.rec.FaultRetried = fs.Retried
+		s.rec.FaultDead = fs.Abandoned
+	}
+	// Class-free runs append nothing here, so their ledger lines stay
+	// byte-identical to schema 1.
+	for _, cr := range sum.classes {
+		s.rec.ClassNames = append(s.rec.ClassNames, cr.Name)
+		s.rec.ClassInjected = append(s.rec.ClassInjected, cr.Injected)
+		s.rec.ClassDelivered = append(s.rec.ClassDelivered, cr.Delivered)
+		s.rec.ClassAvgLatency = append(s.rec.ClassAvgLatency, cr.AvgLatency)
 	}
 	if err != nil {
 		s.rec.Err = err.Error()

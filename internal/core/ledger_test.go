@@ -104,15 +104,15 @@ func TestLedgerMatchesCacheStats(t *testing.T) {
 // TestLedgerDisabledIsFree checks that with no ledger and no default
 // registry installed, beginRun short-circuits to nil.
 func TestLedgerDisabledIsFree(t *testing.T) {
-	if s := beginRun("openloop"); s != nil {
+	if s := beginRun("openloop", struct{}{}); s != nil {
 		t.Fatal("beginRun should return nil with ledger and registry both off")
 	}
 	// And the nil scope is a no-op end to end.
 	var s *runScope
-	s.spec(struct{}{})
-	s.cache(true, true)
-	s.faults(nil)
-	s.finish(123, nil)
+	if onEngine, inspect := s.hooks(); onEngine != nil || inspect != nil {
+		t.Fatal("nil scope handed out run hooks")
+	}
+	s.finish(summary{cycles: 123}, true, true, nil)
 	if LedgerAppends() != 0 {
 		t.Fatal("nil scope appended to a ledger")
 	}

@@ -6,19 +6,6 @@ import (
 	"noceval/internal/par"
 )
 
-// Parallel runs n independent experiment closures across worker
-// goroutines and returns the first error encountered (remaining tasks are
-// still executed; simulations are cheap to finish and results stay
-// index-addressed). It is a thin wrapper over par.Parallel, kept here so
-// experiment code keeps a single entry point at the framework layer; the
-// pool itself lives in internal/par so methodology packages below core
-// (e.g. openloop's sweep) can share it.
-//
-// workers <= 0 selects GOMAXPROCS.
-func Parallel(n, workers int, task func(i int) error) error {
-	return par.Parallel(n, workers, task)
-}
-
 // BatchGrid runs the batch model over the cross product of network
 // parameter variants and m values in parallel, returning results indexed
 // [variant][m]. It is the workhorse behind the m-sweep figures.
@@ -28,7 +15,7 @@ func BatchGrid(variants []NetworkParams, ms []int, bp BatchParams) ([][]*BatchGr
 		out[i] = make([]*BatchGridCell, len(ms))
 	}
 	n := len(variants) * len(ms)
-	err := Parallel(n, 0, func(idx int) error {
+	err := par.Parallel(n, 0, func(idx int) error {
 		vi, mi := idx/len(ms), idx%len(ms)
 		p := bp
 		p.M = ms[mi]
@@ -69,7 +56,7 @@ func OpenLoopGrid(variants []NetworkParams, rates []float64) ([][]*OpenLoopGridC
 		out[i] = make([]*OpenLoopGridCell, len(rates))
 	}
 	n := len(variants) * len(rates)
-	err := Parallel(n, 0, func(idx int) error {
+	err := par.Parallel(n, 0, func(idx int) error {
 		vi, ri := idx/len(rates), idx%len(rates)
 		res, err := OpenLoop(variants[vi], rates[ri])
 		if err != nil {

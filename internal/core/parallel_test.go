@@ -1,56 +1,6 @@
 package core
 
-import (
-	"errors"
-	"sync/atomic"
-	"testing"
-)
-
-func TestParallelRunsAllTasks(t *testing.T) {
-	var count atomic.Int64
-	done := make([]atomic.Bool, 100)
-	err := Parallel(100, 8, func(i int) error {
-		count.Add(1)
-		done[i].Store(true)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if count.Load() != 100 {
-		t.Errorf("ran %d tasks", count.Load())
-	}
-	for i := range done {
-		if !done[i].Load() {
-			t.Fatalf("task %d skipped", i)
-		}
-	}
-}
-
-func TestParallelReportsFirstError(t *testing.T) {
-	boom := errors.New("boom")
-	err := Parallel(20, 4, func(i int) error {
-		if i == 7 {
-			return boom
-		}
-		return nil
-	})
-	if err == nil || !errors.Is(err, boom) {
-		t.Errorf("error not propagated: %v", err)
-	}
-	if err := Parallel(0, 4, func(int) error { return boom }); err != nil {
-		t.Errorf("zero tasks returned %v", err)
-	}
-}
-
-func TestParallelDefaultsWorkers(t *testing.T) {
-	if err := Parallel(3, 0, func(int) error { return nil }); err != nil {
-		t.Fatal(err)
-	}
-	if err := Parallel(3, 100, func(int) error { return nil }); err != nil {
-		t.Fatal(err)
-	}
-}
+import "testing"
 
 func TestBatchGridMatchesSerialRuns(t *testing.T) {
 	variants := []NetworkParams{Baseline()}

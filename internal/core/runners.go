@@ -14,10 +14,37 @@ import (
 	"noceval/internal/workload"
 )
 
-// Hooks carries the optional observability attachments of a run.
+// Hooks carries the optional observability attachments of a run. A run
+// with any hook set is observed and bypasses the experiment cache: its
+// value is the metric, telemetry and trace side effects a hit would skip.
 type Hooks struct {
 	Obs      *obs.Observer
 	Progress *obs.Progress
+}
+
+// execute is the one run path every run mode goes through: it opens the
+// run scope under key's content hash, runs compute — through the
+// experiment cache under (kind, key) unless the run is observed — and
+// writes the one ledger record. compute receives the scope to wire its
+// OnEngine/Inspect hooks from; summarize is only called on a non-nil
+// result.
+func execute[T any](kind string, key any, observed bool,
+	compute func(*runScope) (*T, error), summarize func(*T) summary) (*T, error) {
+	s := beginRun(kind, key)
+	var res *T
+	var consulted, hit bool
+	var err error
+	if observed {
+		res, err = compute(s)
+	} else {
+		res, consulted, hit, err = cachedInfo(kind, key, func() (*T, error) { return compute(s) })
+	}
+	var sum summary
+	if res != nil {
+		sum = summarize(res)
+	}
+	s.finish(sum, consulted, hit, err)
+	return res, err
 }
 
 // OpenLoop runs one open-loop measurement at the given offered load
@@ -37,46 +64,21 @@ type OpenLoopOpts struct {
 	// with an error wrapping the context's cause, and nothing is cached.
 	// Never part of the experiment-cache key.
 	Ctx context.Context
+	// Hooks attaches the observability layer to a single run; sweeps,
+	// whose points run concurrently, ignore it.
+	Hooks Hooks
 }
 
-// OpenLoopWith is OpenLoop with explicit phase lengths.
+// OpenLoopWith is OpenLoop with explicit options.
 func OpenLoopWith(p NetworkParams, rate float64, o OpenLoopOpts) (*openloop.Result, error) {
 	cfg, err := openLoopConfig(p, o)
 	if err != nil {
 		return nil, err
 	}
 	cfg.Rate = rate
-	return openLoopCached(p, cfg)
-}
-
-// OpenLoopObserved is OpenLoop with the observability layer attached.
-// Observed runs bypass the experiment cache: their value is the metric,
-// telemetry, and trace side effects, which a cache hit would skip.
-func OpenLoopObserved(p NetworkParams, rate float64, h Hooks) (*openloop.Result, error) {
-	if h == (Hooks{}) {
-		return OpenLoop(p, rate)
-	}
-	cfg, err := openLoopConfig(p, OpenLoopOpts{})
-	if err != nil {
-		return nil, err
-	}
-	cfg.Rate = rate
-	cfg.Obs = h.Obs
-	cfg.Progress = h.Progress
-	s := beginRun("openloop")
-	if s != nil {
-		cfg.OnEngine = s.onEngine
-		cfg.Inspect = s.shards
-	}
-	res, err := openloop.Run(cfg)
-	if res != nil {
-		s.faults(res.Faults)
-		s.classes(res.PerClass)
-		s.finish(res.EndCycle, err)
-	} else {
-		s.finish(0, err)
-	}
-	return res, err
+	cfg.Obs = o.Hooks.Obs
+	cfg.Progress = o.Hooks.Progress
+	return openLoopRun(p, cfg)
 }
 
 // openLoopConfig materializes the openloop configuration of p (without a
@@ -111,10 +113,10 @@ func openLoopConfig(p NetworkParams, o OpenLoopOpts) (openloop.Config, error) {
 	}, nil
 }
 
-// openLoopCached runs one open-loop point through the experiment cache.
-// The key is built from the plain parameter schema (not the materialized
-// config) with phase lengths normalized to their effective values.
-func openLoopCached(p NetworkParams, cfg openloop.Config) (*openloop.Result, error) {
+// openLoopRun executes one open-loop point. The key is built from the
+// plain parameter schema (not the materialized config) with phase lengths
+// normalized to their effective values.
+func openLoopRun(p NetworkParams, cfg openloop.Config) (*openloop.Result, error) {
 	key := openLoopKey{
 		Params:  p.cacheNorm(),
 		Rate:    cfg.Rate,
@@ -122,24 +124,14 @@ func openLoopCached(p NetworkParams, cfg openloop.Config) (*openloop.Result, err
 		Measure: defaulted(cfg.Measure, openloop.DefaultMeasure),
 		Drain:   defaulted(cfg.DrainLimit, openloop.DefaultDrainLimit),
 	}
-	s := beginRun("openloop")
-	s.spec(key)
-	if s != nil {
-		cfg.OnEngine = s.onEngine
-		cfg.Inspect = s.shards
-	}
-	res, consulted, hit, err := cachedInfo("openloop", key, func() (*openloop.Result, error) {
-		return openloop.Run(cfg)
-	})
-	s.cache(consulted, hit)
-	if res != nil {
-		s.faults(res.Faults)
-		s.classes(res.PerClass)
-		s.finish(res.EndCycle, err)
-	} else {
-		s.finish(0, err)
-	}
-	return res, err
+	return execute("openloop", key, cfg.Obs != nil || cfg.Progress != nil,
+		func(s *runScope) (*openloop.Result, error) {
+			cfg.OnEngine, cfg.Inspect = s.hooks()
+			return openloop.Run(cfg)
+		},
+		func(r *openloop.Result) summary {
+			return summary{cycles: r.EndCycle, faults: r.Faults, classes: r.PerClass}
+		})
 }
 
 // defaulted normalizes a zero "use the default" knob to its effective
@@ -184,7 +176,7 @@ func OpenLoopSweepWith(p NetworkParams, rates []float64, o OpenLoopOpts) ([]*ope
 		return nil, err
 	}
 	runner := func(c openloop.Config) (*openloop.Result, error) {
-		return openLoopCached(p, c)
+		return openLoopRun(p, c)
 	}
 	if scr := screenPlan(p); scr != nil {
 		res, err := openloop.SweepScreenedWith(cfg, rates, runner, scr)
@@ -228,61 +220,43 @@ func Batch(p NetworkParams, bp BatchParams) (*closedloop.BatchResult, error) {
 	if bp.M == 0 {
 		bp.M = 1
 	}
-	s := beginRun("batch")
-	run := func() (*closedloop.BatchResult, error) {
-		cfg := closedloop.BatchConfig{
-			Net:      netCfg,
-			Pattern:  pat,
-			B:        bp.B,
-			M:        bp.M,
-			NAR:      bp.NAR,
-			Reply:    bp.Reply,
-			Kernel:   bp.Kernel,
-			Seed:     p.Seed,
-			Obs:      bp.Hooks.Obs,
-			Progress: bp.Hooks.Progress,
-			Ctx:      bp.Ctx,
-		}
-		if s != nil {
-			cfg.OnEngine = s.onEngine
-			cfg.Inspect = s.shards
-		}
-		return closedloop.RunBatch(cfg)
-	}
-	record := func(res *closedloop.BatchResult, err error) (*closedloop.BatchResult, error) {
-		if res != nil {
-			s.faults(res.Faults)
-			s.finish(res.Runtime, err)
-		} else {
-			s.finish(0, err)
-		}
-		return res, err
-	}
-	// Observed runs bypass the cache: their side effects (metrics,
-	// telemetry, pf series) are the point.
-	if bp.Hooks != (Hooks{}) {
-		return record(run())
-	}
 	reply := ""
 	if bp.Reply != nil {
 		reply = bp.Reply.Name()
 	}
 	key := batchKey{Params: p.cacheNorm(), B: bp.B, M: bp.M, NAR: bp.NAR, Reply: reply, Kernel: bp.Kernel}
-	s.spec(key)
-	res, consulted, hit, err := cachedInfo("batch", key, run)
-	s.cache(consulted, hit)
-	return record(res, err)
+	return execute("batch", key, bp.Hooks != (Hooks{}),
+		func(s *runScope) (*closedloop.BatchResult, error) {
+			cfg := closedloop.BatchConfig{
+				Net:      netCfg,
+				Pattern:  pat,
+				B:        bp.B,
+				M:        bp.M,
+				NAR:      bp.NAR,
+				Reply:    bp.Reply,
+				Kernel:   bp.Kernel,
+				Seed:     p.Seed,
+				Obs:      bp.Hooks.Obs,
+				Progress: bp.Hooks.Progress,
+				Ctx:      bp.Ctx,
+			}
+			cfg.OnEngine, cfg.Inspect = s.hooks()
+			return closedloop.RunBatch(cfg)
+		},
+		func(r *closedloop.BatchResult) summary {
+			return summary{cycles: r.Runtime, faults: r.Faults}
+		})
 }
 
 // Barrier runs one closed-loop barrier-model measurement.
 func Barrier(p NetworkParams, b, phases int) (*closedloop.BarrierResult, error) {
-	return BarrierCtx(nil, p, b, phases)
+	return barrier(nil, p, b, phases)
 }
 
-// BarrierCtx is Barrier with a cancellation context (nil behaves like
-// Barrier). A cancelled run returns promptly with an error wrapping the
-// context's cause, and nothing is cached.
-func BarrierCtx(ctx context.Context, p NetworkParams, b, phases int) (*closedloop.BarrierResult, error) {
+// barrier is Barrier under RunContext's cancellation context (nil = not
+// cancellable): a cancelled run returns promptly with an error wrapping
+// the context's cause, and nothing is cached.
+func barrier(ctx context.Context, p NetworkParams, b, phases int) (*closedloop.BarrierResult, error) {
 	netCfg, err := p.Build()
 	if err != nil {
 		return nil, err
@@ -296,32 +270,23 @@ func BarrierCtx(ctx context.Context, p NetworkParams, b, phases int) (*closedloo
 		return nil, err
 	}
 	key := barrierKey{Params: p.cacheNorm(), B: b, Phases: phases}
-	s := beginRun("barrier")
-	s.spec(key)
-	res, consulted, hit, err := cachedInfo("barrier", key, func() (*closedloop.BarrierResult, error) {
-		cfg := closedloop.BarrierConfig{
-			Net:     netCfg,
-			Pattern: pat,
-			Sizes:   sizes,
-			B:       b,
-			Phases:  phases,
-			Seed:    p.Seed,
-			Ctx:     ctx,
-		}
-		if s != nil {
-			cfg.OnEngine = s.onEngine
-			cfg.Inspect = s.shards
-		}
-		return closedloop.RunBarrier(cfg)
-	})
-	s.cache(consulted, hit)
-	if res != nil {
-		s.faults(res.Faults)
-		s.finish(res.Runtime, err)
-	} else {
-		s.finish(0, err)
-	}
-	return res, err
+	return execute("barrier", key, false,
+		func(s *runScope) (*closedloop.BarrierResult, error) {
+			cfg := closedloop.BarrierConfig{
+				Net:     netCfg,
+				Pattern: pat,
+				Sizes:   sizes,
+				B:       b,
+				Phases:  phases,
+				Seed:    p.Seed,
+				Ctx:     ctx,
+			}
+			cfg.OnEngine, cfg.Inspect = s.hooks()
+			return closedloop.RunBarrier(cfg)
+		},
+		func(r *closedloop.BarrierResult) summary {
+			return summary{cycles: r.Runtime, faults: r.Faults}
+		})
 }
 
 // ExecParams configure one execution-driven run.
@@ -343,37 +308,26 @@ type ExecParams struct {
 // network parameters select the interconnect; the paper's Table II setup is
 // a 4x4 mesh with 8 VCs and 4-flit buffers.
 func Exec(p NetworkParams, ep ExecParams) (*cmp.Result, error) {
-	return ExecCtx(nil, p, ep)
+	return exec(nil, p, ep)
 }
 
-// ExecCtx is Exec with a cancellation context (nil behaves like Exec). A
-// cancelled run returns promptly with an error wrapping the context's
-// cause, and nothing is cached. The context never enters the cache key.
-func ExecCtx(ctx context.Context, p NetworkParams, ep ExecParams) (*cmp.Result, error) {
+// exec is Exec under a cancellation context (see barrier).
+func exec(ctx context.Context, p NetworkParams, ep ExecParams) (*cmp.Result, error) {
 	prof, err := workload.ByName(ep.Benchmark)
 	if err != nil {
 		return nil, err
 	}
-	// Normalize the effective seed (execProfile falls back to the network
-	// seed) so both spellings share a cache entry.
-	key := execKey{Params: p.cacheNorm(), Exec: ep}
-	if key.Exec.Seed == 0 {
-		key.Exec.Seed = p.Seed
+	// A zero seed means the network seed; normalize it so both spellings
+	// share a cache entry.
+	if ep.Seed == 0 {
+		ep.Seed = p.Seed
 	}
-	s := beginRun("exec")
-	s.spec(key)
-	res, consulted, hit, err := cachedInfo("exec", key, func() (*cmp.Result, error) {
-		return execProfile(ctx, p, ep, prof)
-	})
-	s.cache(consulted, hit)
+	key := execKey{Params: p.cacheNorm(), Exec: ep}
 	// The CMP system owns its own engine loop, so exec records carry no
 	// stepped/fast-forwarded split.
-	if res != nil {
-		s.finish(res.Cycles, err)
-	} else {
-		s.finish(0, err)
-	}
-	return res, err
+	return execute("exec", key, false,
+		func(*runScope) (*cmp.Result, error) { return execProfile(ctx, p, ep, prof) },
+		func(r *cmp.Result) summary { return summary{cycles: r.Cycles} })
 }
 
 func execProfile(ctx context.Context, p NetworkParams, ep ExecParams, prof workload.Profile) (*cmp.Result, error) {
@@ -400,11 +354,7 @@ func execProfile(ctx context.Context, p NetworkParams, ep ExecParams, prof workl
 		}
 		fab = cmp.NetFabric{Network: network.New(netCfg)}
 	}
-	seed := ep.Seed
-	if seed == 0 {
-		seed = p.Seed
-	}
-	sys, err := cmp.NewSystem(cfg, fab, workload.Programs(prof, cfg.Tiles, seed))
+	sys, err := cmp.NewSystem(cfg, fab, workload.Programs(prof, cfg.Tiles, ep.Seed))
 	if err != nil {
 		return nil, err
 	}

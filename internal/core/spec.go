@@ -129,9 +129,9 @@ func (s *ExperimentSpec) Hash() (string, error) {
 
 // Validate materializes everything the spec names — kind, network,
 // pattern, sizes, QoS classes, reply model, clock, benchmark — without
-// running anything, returning exactly the error Run would fail with. The
-// experiment service calls it at submission time so a bad spec is a
-// synchronous 400 instead of a job that fails minutes later.
+// running anything, returning exactly the error RunContext would fail
+// with. The experiment service calls it at submission time so a bad spec
+// is a synchronous 400 instead of a job that fails minutes later.
 func (s *ExperimentSpec) Validate() error {
 	switch s.Kind {
 	case "openloop":
@@ -167,15 +167,11 @@ func (s *ExperimentSpec) Validate() error {
 	return nil
 }
 
-// Run executes the experiment and returns a human-readable report.
-func (s *ExperimentSpec) Run() (string, error) {
-	return s.RunContext(nil)
-}
-
-// RunContext is Run with a cancellation context (nil behaves like Run):
-// the context is threaded into the engine's cycle loop, so a cancelled
-// experiment — even a multi-point sweep — returns promptly with an error
-// wrapping the context's cause, and no partial result is cached.
+// RunContext executes the experiment and returns a human-readable report.
+// The context (nil = not cancellable) is threaded into the engine's cycle
+// loop, so a cancelled experiment — even a multi-point sweep — returns
+// promptly with an error wrapping the context's cause, and no partial
+// result is cached.
 func (s *ExperimentSpec) RunContext(ctx context.Context) (string, error) {
 	var b strings.Builder
 	opts := OpenLoopOpts{Warmup: s.Warmup, Measure: s.Measure, DrainLimit: s.DrainLimit, Ctx: ctx}
@@ -223,7 +219,7 @@ func (s *ExperimentSpec) RunContext(ctx context.Context) (string, error) {
 		if phases == 0 {
 			phases = 1
 		}
-		res, err := BarrierCtx(ctx, s.Network, s.B, phases)
+		res, err := barrier(ctx, s.Network, s.B, phases)
 		if err != nil {
 			return "", err
 		}
@@ -234,7 +230,7 @@ func (s *ExperimentSpec) RunContext(ctx context.Context) (string, error) {
 		if err != nil {
 			return "", err
 		}
-		res, err := ExecCtx(ctx, s.Network, ExecParams{
+		res, err := exec(ctx, s.Network, ExecParams{
 			Benchmark: s.Benchmark, Clock: clock, Timer: s.Timer, Ideal: s.Ideal, Seed: s.Seed,
 		})
 		if err != nil {
@@ -248,7 +244,7 @@ func (s *ExperimentSpec) RunContext(ctx context.Context) (string, error) {
 		if err != nil {
 			return "", err
 		}
-		m, err := CharacterizeCtx(ctx, s.Benchmark, clock, s.Seed)
+		m, err := characterize(ctx, s.Benchmark, clock, s.Seed)
 		if err != nil {
 			return "", err
 		}

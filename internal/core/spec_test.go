@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -66,7 +67,7 @@ func TestSpecRunBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	report, err := spec.Run()
+	report, err := spec.RunContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,20 +78,20 @@ func TestSpecRunBatch(t *testing.T) {
 
 func TestSpecRunOpenLoopAndErrors(t *testing.T) {
 	spec := &ExperimentSpec{Kind: "openloop", Network: Baseline(), Rate: 0.1}
-	report, err := spec.Run()
+	report, err := spec.RunContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(report, "avg latency") {
 		t.Errorf("report: %q", report)
 	}
-	if _, err := (&ExperimentSpec{Kind: "openloop", Network: Baseline()}).Run(); err == nil {
+	if _, err := (&ExperimentSpec{Kind: "openloop", Network: Baseline()}).RunContext(context.Background()); err == nil {
 		t.Error("zero-rate openloop accepted")
 	}
-	if _, err := (&ExperimentSpec{Kind: "teleport", Network: Baseline()}).Run(); err == nil {
+	if _, err := (&ExperimentSpec{Kind: "teleport", Network: Baseline()}).RunContext(context.Background()); err == nil {
 		t.Error("unknown kind accepted")
 	}
-	if _, err := (&ExperimentSpec{Kind: "exec", Network: Baseline(), Clock: "9ghz"}).Run(); err == nil {
+	if _, err := (&ExperimentSpec{Kind: "exec", Network: Baseline(), Clock: "9ghz"}).RunContext(context.Background()); err == nil {
 		t.Error("unknown clock accepted")
 	}
 }
@@ -108,7 +109,7 @@ func TestSpecKernelConfigRoundTrip(t *testing.T) {
 	if *spec.Kernel != want {
 		t.Errorf("kernel config = %+v, want %+v", spec.Kernel, want)
 	}
-	report, err := spec.Run()
+	report, err := spec.RunContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

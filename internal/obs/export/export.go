@@ -6,11 +6,10 @@
 // terminal.
 //
 // The server is opt-in (`-serve :9500` on cmd/figures, cmd/ablations and
-// the cmd/noceval subcommands) and fully inert when disabled: nothing in
-// this package runs unless Serve is called, and the instrumented
-// subsystems publish through nil instruments (pure nil checks) until a
-// default registry is installed. Enabling wires everything: it installs
-// the default registry and starts the listener.
+// the cmd/noceval subcommands, wired by core.Session) and fully inert when
+// disabled: nothing in this package runs unless Serve or Handler is
+// called, and the instrumented subsystems publish through nil instruments
+// (pure nil checks) until a default registry is installed.
 //
 // Endpoints:
 //
@@ -37,24 +36,8 @@ import (
 // method, so callers can hold the result of a disabled flag without
 // branching.
 type Server struct {
-	reg   *obs.Registry
-	ln    net.Listener
-	srv   *http.Server
-	start time.Time
-}
-
-// Enable installs a process-wide default registry (creating one if none
-// is installed yet) and serves it on addr. This is the one-call wiring
-// used by the commands' -serve flag: after it returns, the experiment
-// cache, worker pool, engine and fault subsystems all publish into the
-// served registry.
-func Enable(addr string) (*Server, error) {
-	reg := obs.Default()
-	if reg == nil {
-		reg = obs.NewRegistry()
-		obs.SetDefault(reg)
-	}
-	return Serve(addr, reg)
+	ln  net.Listener
+	srv *http.Server
 }
 
 // Serve starts an HTTP server for reg on addr (host:port; ":0" picks a
@@ -65,18 +48,32 @@ func Serve(addr string, reg *obs.Registry) (*Server, error) {
 	if err != nil {
 		return nil, fmt.Errorf("export: %w", err)
 	}
-	s := &Server{reg: reg, ln: ln, start: time.Now()}
+	s := &Server{ln: ln, srv: &http.Server{Handler: Handler(reg)}}
+	go s.srv.Serve(ln)
+	return s, nil
+}
+
+// Handler builds the endpoint set listed in the package comment over reg.
+// It is the one HTTP rendering of a registry: Serve listens with it, and
+// the experiment service mounts it for its own /metrics. Uptime counts
+// from this call.
+func Handler(reg *obs.Registry) http.Handler {
+	h := &handler{reg: reg, start: time.Now()}
 	mux := http.NewServeMux()
-	mux.HandleFunc("/metrics", s.handleMetrics)
-	mux.HandleFunc("/metrics.json", s.handleMetricsJSON)
-	mux.HandleFunc("/vars", s.handleVars)
-	mux.HandleFunc("/progress", s.handleProgress)
+	mux.HandleFunc("/metrics", h.handleMetrics)
+	mux.HandleFunc("/metrics.json", h.handleMetricsJSON)
+	mux.HandleFunc("/vars", h.handleVars)
+	mux.HandleFunc("/progress", h.handleProgress)
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
 		fmt.Fprintln(w, "ok")
 	})
-	s.srv = &http.Server{Handler: mux}
-	go s.srv.Serve(ln)
-	return s, nil
+	return mux
+}
+
+// handler is the state behind Handler's endpoints.
+type handler struct {
+	reg   *obs.Registry
+	start time.Time
 }
 
 // Addr returns the listener's address (useful with ":0"), "" for a nil
@@ -141,13 +138,13 @@ func PromText(reg *obs.Registry) string {
 	return b.String()
 }
 
-func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
+func (h *handler) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	fmt.Fprint(w, PromText(s.reg))
+	fmt.Fprint(w, PromText(h.reg))
 }
 
-func (s *Server) handleMetricsJSON(w http.ResponseWriter, _ *http.Request) {
-	data, err := s.reg.JSON()
+func (h *handler) handleMetricsJSON(w http.ResponseWriter, _ *http.Request) {
+	data, err := h.reg.JSON()
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
@@ -158,9 +155,9 @@ func (s *Server) handleMetricsJSON(w http.ResponseWriter, _ *http.Request) {
 
 // handleVars serves the snapshot as an expvar-style flat object; the
 // histogram summary fields get dotted suffixes.
-func (s *Server) handleVars(w http.ResponseWriter, _ *http.Request) {
+func (h *handler) handleVars(w http.ResponseWriter, _ *http.Request) {
 	vars := make(map[string]float64)
-	for _, m := range s.reg.Snapshot() {
+	for _, m := range h.reg.Snapshot() {
 		switch m.Kind {
 		case "histogram":
 			vars[m.Name+".mean"] = m.Value
@@ -171,7 +168,7 @@ func (s *Server) handleVars(w http.ResponseWriter, _ *http.Request) {
 			vars[m.Name] = m.Value
 		}
 	}
-	vars["uptime_seconds"] = time.Since(s.start).Seconds()
+	vars["uptime_seconds"] = time.Since(h.start).Seconds()
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
@@ -195,14 +192,14 @@ type progressView struct {
 	ParTasks      int64   `json:"par_tasks"`
 }
 
-func (s *Server) handleProgress(w http.ResponseWriter, _ *http.Request) {
+func (h *handler) handleProgress(w http.ResponseWriter, _ *http.Request) {
 	get := func(name string) int64 {
 		// Counter is get-or-create, so probing a name that no subsystem
 		// has published yet just materializes a zero counter.
-		return s.reg.Counter(name).Value()
+		return h.reg.Counter(name).Value()
 	}
 	v := progressView{
-		UptimeSec:     time.Since(s.start).Seconds(),
+		UptimeSec:     time.Since(h.start).Seconds(),
 		RunsStarted:   get("core.runs_started"),
 		RunsFinished:  get("core.runs_finished"),
 		CacheHits:     get("expcache.hits"),

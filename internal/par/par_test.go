@@ -61,6 +61,7 @@ func TestParallelStopSemantics(t *testing.T) {
 			return nil
 		}, 15, boom},
 		{"more workers than tasks", 3, 64, func(int) error { return boom }, 3, boom},
+		{"default worker count", 20, 0, func(int) error { return nil }, 20, nil},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -2,6 +2,7 @@ package service
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -92,8 +93,8 @@ type SubmitResponse struct {
 //	GET  /jobs/{id}          one job's state and result
 //	POST /jobs/{id}/cancel   cancel (idempotent)
 //	GET  /jobs/{id}/events   SSE stream of state transitions
-//	GET  /metrics            Prometheus text exposition of the registry
-//	GET  /metrics.json       registry snapshot as JSON
+//	GET  /metrics, /metrics.json, /vars, /progress
+//	                         the registry, rendered by export.Handler
 //	GET  /healthz            liveness ("draining" while shutting down)
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
@@ -102,8 +103,10 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /jobs/{id}", instrument(NewEndpointMetrics(s.reg, "job_get"), s.handleGet))
 	mux.HandleFunc("POST /jobs/{id}/cancel", instrument(NewEndpointMetrics(s.reg, "job_cancel"), s.handleCancel))
 	mux.HandleFunc("GET /jobs/{id}/events", instrument(NewEndpointMetrics(s.reg, "job_events"), s.handleEvents))
-	mux.HandleFunc("GET /metrics", instrument(NewEndpointMetrics(s.reg, "metrics"), s.handleMetrics))
-	mux.HandleFunc("GET /metrics.json", instrument(NewEndpointMetrics(s.reg, "metrics"), s.handleMetricsJSON))
+	metrics := instrument(NewEndpointMetrics(s.reg, "metrics"), export.Handler(s.reg).ServeHTTP)
+	for _, path := range []string{"/metrics", "/metrics.json", "/vars", "/progress"} {
+		mux.HandleFunc("GET "+path, metrics)
+	}
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	return mux
 }
@@ -122,7 +125,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	view, coalesced, err := s.Submit(body)
 	if err != nil {
 		status := http.StatusInternalServerError
-		if se, ok := err.(*submitError); ok {
+		var se *submitError
+		if errors.As(err, &se) {
 			status = se.status
 		}
 		writeError(w, status, err.Error())
@@ -191,21 +195,6 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-}
-
-func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	fmt.Fprint(w, export.PromText(s.reg))
-}
-
-func (s *Server) handleMetricsJSON(w http.ResponseWriter, _ *http.Request) {
-	data, err := s.reg.JSON()
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, err.Error())
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(data)
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {

@@ -7,11 +7,13 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"noceval/internal/obs"
+	"noceval/internal/obs/export"
 )
 
 // withObs installs a fresh process-wide registry for one test, so counter
@@ -376,6 +378,71 @@ func TestMetricsEndpointExposesServiceCounters(t *testing.T) {
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("/metrics missing %q\n%s", want, text)
+		}
+	}
+}
+
+// TestMetricsMountedFromExport: nocd has no metrics rendering of its own —
+// /metrics and /metrics.json are export.Handler's bodies for the same
+// registry. Only the http.metrics.* instruments differ between the two
+// fetches, because the service's wrapper counts the scrape itself.
+func TestMetricsMountedFromExport(t *testing.T) {
+	reg := withObs(t)
+	s, ts := newTestServer(t, Config{Workers: 1})
+	_, sr := postSpec(t, ts.URL, quickSpec(31))
+	waitTerminal(t, ts.URL, sr.ID, 30*time.Second)
+	s.Drain() // the pool's own counters settle only once its workers exit
+	direct := httptest.NewServer(export.Handler(reg))
+	defer direct.Close()
+
+	fetch := func(url string) (string, string) {
+		t.Helper()
+		resp, err := http.Get(url)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s: status %d, err %v", url, resp.StatusCode, err)
+		}
+		return resp.Header.Get("Content-Type"), string(body)
+	}
+	scrapeFree := func(body string) string {
+		var keep []string
+		for _, line := range strings.Split(body, "\n") {
+			if !strings.Contains(line, "http_metrics_") {
+				keep = append(keep, line)
+			}
+		}
+		return strings.Join(keep, "\n")
+	}
+	gotType, got := fetch(ts.URL + "/metrics")
+	wantType, want := fetch(direct.URL + "/metrics")
+	if gotType != wantType || scrapeFree(got) != scrapeFree(want) {
+		t.Errorf("/metrics differs from export.Handler:\n%s %s\n--- want\n%s %s", gotType, got, wantType, want)
+	}
+
+	jsonBody := func(url string) []obs.MetricPoint {
+		t.Helper()
+		_, body := fetch(url)
+		var all, keep []obs.MetricPoint
+		if err := json.Unmarshal([]byte(body), &all); err != nil {
+			t.Fatalf("%s: %v", url, err)
+		}
+		for _, m := range all {
+			if !strings.HasPrefix(m.Name, "http.metrics.") {
+				keep = append(keep, m)
+			}
+		}
+		return keep
+	}
+	if got, want := jsonBody(ts.URL+"/metrics.json"), jsonBody(direct.URL+"/metrics.json"); !reflect.DeepEqual(got, want) {
+		t.Errorf("/metrics.json differs from export.Handler:\n%+v\n--- want\n%+v", got, want)
+	}
+	for _, path := range []string{"/vars", "/progress"} {
+		if _, body := fetch(ts.URL + path); !strings.Contains(body, "{") {
+			t.Errorf("%s body %q is not JSON", path, body)
 		}
 	}
 }
