@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet fmt-check lint test bench-check race fuzz-smoke golden golden-update check bench bench-compare bench-gate bench-baseline obs-smoke screen-smoke qos-smoke serve-smoke figures ablations examples clean
+.PHONY: all build vet fmt-check lint test bench-check bench-digest race fuzz-smoke golden golden-update check bench bench-compare bench-gate bench-baseline obs-smoke screen-smoke qos-smoke serve-smoke figures ablations examples clean
 
 all: build vet test
 
@@ -35,6 +35,22 @@ test:
 # tests so an API change that breaks it fails here, not in a benchmark run.
 bench-check:
 	cd bench && $(GO) vet . && $(GO) test -count=1 .
+
+# Simulated-result gate: one short untraced pass of each simulation
+# workload of the repo benchmark at seed 1, failing when a result digest
+# differs from bench/expected_digests.json or an operation fails — a
+# speed-up that moved a simulated number stops here, before the benchmark
+# driver sees it. ~1 min; service_mix has no digest of its own (its cold
+# jobs are these simulations).
+DIGEST_WORKLOADS = sat_mesh8x8 sat_mesh16x16 idle_openloop idle_batch_tail exec_canneal sweep_knee
+bench-digest:
+	@for w in $(DIGEST_WORKLOADS); do \
+		out="$$(bash bench/run.sh --workload $$w --seed 1 --seconds 1 --trace 0 2>&1)" || { echo "$$out"; exit 1; }; \
+		if echo "$$out" | grep -q -e 'DIGEST_CHANGED: true' -e '"correct":false'; then \
+			echo "$$out"; echo "bench-digest: $$w moved a simulated result"; exit 1; \
+		fi; \
+		echo "bench-digest: $$w $$(echo "$$out" | grep result_digest)"; \
+	done
 
 race:
 	$(GO) test -race ./...
@@ -101,7 +117,7 @@ serve-smoke:
 
 # Tier-1 gate: everything that must stay green. The golden regression
 # test runs as part of `test` (cmd/figures); `golden` re-runs it verbosely.
-check: build vet fmt-check lint test bench-check race obs-smoke screen-smoke qos-smoke serve-smoke
+check: build vet fmt-check lint test bench-check bench-digest race obs-smoke screen-smoke qos-smoke serve-smoke
 
 # One testing.B per paper table/figure; each reports its headline metric.
 bench:
@@ -141,13 +157,14 @@ bench-compare:
 	fi
 
 # Engine-benchmark set fed to the performance gate: the two idle-heavy
-# engine comparisons plus the analytic estimator path (it runs before
-# every screened sweep, so it must stay cheap). ShardScaling and
+# engine comparisons, the saturated cycle loop (network.Step on 8x8 and
+# 16x16, router.Step at three occupancies) and the analytic estimator path
+# (it runs before every screened sweep, so it must stay cheap). ShardScaling and
 # SweepScreening are deliberately NOT gated — their wall time tracks the
 # host's parallel capacity, which shared runners do not hold constant
 # (observed ~2x window-to-window swings); measure them with bench-compare
 # instead.
-BENCH_ENGINES = IdleOpenLoopLowLoad|IdleBatchTail|AnalyticCurve
+BENCH_ENGINES = IdleOpenLoopLowLoad|IdleBatchTail|AnalyticCurve|NetworkStepSaturated|RouterStep
 TOLERANCE ?= 0.15
 
 # Performance gate: run the engine benchmarks, archive the JSON, and fail

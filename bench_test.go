@@ -13,8 +13,14 @@ import (
 
 	"noceval/internal/closedloop"
 	"noceval/internal/core"
+	"noceval/internal/network"
 	"noceval/internal/openloop"
+	"noceval/internal/router"
+	"noceval/internal/routing"
+	"noceval/internal/sim"
 	"noceval/internal/stats"
+	"noceval/internal/topology"
+	"noceval/internal/traffic"
 	"noceval/internal/workload"
 )
 
@@ -666,4 +672,116 @@ func benchSweepScreening(b *testing.B, screened bool) {
 func BenchmarkSweepScreening(b *testing.B) {
 	b.Run("screen=off", func(b *testing.B) { benchSweepScreening(b, false) })
 	b.Run("screen=on", func(b *testing.B) { benchSweepScreening(b, true) })
+}
+
+// stepBlock and routerBlock are how many cycles one op of the network and
+// router Step benchmarks covers: the perf gate runs at -benchtime=3x, so an
+// op has to be long enough to time (an empty router cycle is ~20 ns).
+const (
+	stepBlock   = 1024
+	routerBlock = 64 * 1024
+)
+
+// BenchmarkNetworkStepSaturated is the saturated cycle loop with no run
+// methodology around it: seeded Bernoulli injection of single-flit uniform
+// traffic on the Table I network, NewPacket + Send + Step. One op is
+// stepBlock cycles at steady state; ns/flit-hop divides the same time by
+// the channel traversals made, the unit simulators are compared in.
+func BenchmarkNetworkStepSaturated(b *testing.B) {
+	for _, c := range []struct {
+		topo string
+		rate float64
+	}{{"mesh8x8", 0.40}, {"mesh16x16", 0.20}} {
+		b.Run(fmt.Sprintf("%s@%.2f", c.topo, c.rate), func(b *testing.B) {
+			p := core.Baseline()
+			p.Topology, p.Shards = c.topo, 0
+			cfg, err := p.Build()
+			if err != nil {
+				b.Fatal(err)
+			}
+			n := network.New(cfg)
+			defer n.Close()
+			rng, pat, nodes := sim.NewRNG(1), traffic.Uniform{}, n.Nodes()
+			block := func() {
+				for i := 0; i < stepBlock; i++ {
+					for node := 0; node < nodes; node++ {
+						if rng.Bernoulli(c.rate) {
+							n.Send(n.NewPacket(node, pat.Dest(rng, node, nodes), 1, router.KindData))
+						}
+					}
+					n.Step()
+				}
+			}
+			hops := func() (h int64) {
+				for _, cl := range n.ChannelLoads() {
+					h += cl.Flits
+				}
+				return h
+			}
+			for i := 0; i < 4; i++ { // reach the steady occupancy
+				block()
+			}
+			h0 := hops()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				block()
+			}
+			b.StopTimer()
+			if err := n.CheckConservation(); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(hops()-h0), "ns/flit-hop")
+			b.ReportMetric(float64(b.N*stepBlock)/b.Elapsed().Seconds(), "sim-cycles/s")
+		})
+	}
+}
+
+// BenchmarkRouterStep holds one five-port router (a 4x4 mesh's centre) at
+// a fixed occupancy: the harness plays the four neighbours and the
+// terminal, popping deliveries, bouncing credits and topping the first vcs
+// VCs of every input port up to depth flits before each Step. One op is
+// routerBlock such router cycles, harness included — the harness is the
+// router's own accept/pop/credit entry points.
+func BenchmarkRouterStep(b *testing.B) {
+	const id = 5
+	topo := topology.NewMesh(4, 4)
+	cfg := router.Config{VCs: 2, BufDepth: 16, Delay: 1}
+	for _, c := range []struct {
+		name       string
+		vcs, depth int
+	}{{"empty", 0, 0}, {"1flit_per_port", 1, 1}, {"full", cfg.VCs, cfg.BufDepth}} {
+		b.Run(c.name, func(b *testing.B) {
+			r := router.New(id, topo, routing.DOR{}, cfg)
+			rng := sim.NewRNG(1)
+			pool := make([]router.Packet, 8192) // recycled long after delivery
+			next := 0
+			var now int64
+			block := func() {
+				for i := 0; i < routerBlock; i++ {
+					for p := 0; p < topo.Ports(); p++ {
+						if f, ok := r.PopDelivery(now, p); ok && p != topo.LocalPort() {
+							r.ReturnCredit(now, p, int(f.VC))
+						}
+						for v := 0; v < c.vcs; v++ {
+							for r.InBufLen(p, v) < c.depth {
+								pkt := &pool[next%len(pool)]
+								next++
+								*pkt = router.Packet{ID: uint64(next), Src: id, Dst: rng.Intn(topo.N), Size: 1, Route: routing.NewState(-1)}
+								r.AcceptFlit(p, v, router.Flit{P: pkt})
+							}
+						}
+					}
+					r.Step(now)
+					now++
+				}
+			}
+			block()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				block()
+			}
+		})
+	}
 }

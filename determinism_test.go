@@ -13,7 +13,8 @@ import (
 )
 
 // These tests are the regression gate for the activity-tracked cycle loop:
-// the legacy full-scan path (kept for one release behind FullScan) and the
+// the legacy full-scan path (behind FullScan: the reference oracle until
+// ROADMAP item 2's event-digest golden replaces it) and the
 // default active-set + fast-forward path must produce identical Result
 // structs and identical telemetry, cycle for cycle. They pin the refactor's
 // central claim — the optimization changes how idle work is skipped, never

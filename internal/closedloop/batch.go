@@ -92,7 +92,8 @@ type BatchConfig struct {
 	// FullScan runs the legacy per-cycle full scans and disables the
 	// engine's quiescence fast-forward. Bit-identical to the default
 	// activity-tracked path (the determinism regression test proves it);
-	// kept for one release as that test's reference side.
+	// the reference oracle until ROADMAP item 2's event-digest golden
+	// replaces it.
 	FullScan bool
 
 	// Inspect, when non-nil, receives the run's network after the engine

@@ -110,8 +110,8 @@ type Config struct {
 	// unknown.
 	Horizon func(now int64) int64
 	// FullScan disables fast-forward, pairing with the network's full-scan
-	// mode to reproduce the legacy cycle loop exactly. Kept for one
-	// release as the determinism regression baseline.
+	// mode to reproduce the legacy cycle loop exactly: the reference
+	// oracle until ROADMAP item 2's event-digest golden replaces it.
 	FullScan bool
 	// OnStall, when non-nil, arms the deadlock watchdog: when the engine
 	// proves the run can never finish — the driver is not done yet idle

@@ -1,6 +1,7 @@
 package network
 
 import (
+	"fmt"
 	"testing"
 
 	"noceval/internal/router"
@@ -34,7 +35,11 @@ func driveBursty(t *testing.T, n *Network, cycles int64, seed uint64, check func
 				if trng.Bernoulli(0.2) {
 					dst := trng.Intn(n.Nodes())
 					size := 1 + trng.Intn(4)
-					n.Send(n.NewPacket(node, dst, size, router.KindData))
+					p := n.NewPacket(node, dst, size, router.KindData)
+					if n.Classes() > 1 {
+						p.Class = trng.Intn(n.Classes())
+					}
+					n.Send(p)
 				}
 			}
 		}
@@ -47,47 +52,99 @@ func driveBursty(t *testing.T, n *Network, cycles int64, seed uint64, check func
 }
 
 // TestActiveSetMatchesFullScan drives two identically seeded networks —
-// one on the legacy full-scan path, one on the activity-tracked path —
-// with the same bursty load and requires bit-identical behaviour: every
-// delivery at the same cycle, the same aggregate stats, and the same
-// network RNG end-state (Valiant routing draws an intermediate per packet,
-// so any divergence in draw order shows up immediately).
+// one on the legacy full-scan path (network scans and the routers' nested
+// reference loops), one on the activity-tracked mask path — with the same
+// bursty multi-flit load and requires bit-identical behaviour: every
+// delivery at the same cycle, the same aggregate stats, the same network
+// RNG end-state (Valiant draws an intermediate per packet, so a divergence
+// in draw order shows immediately), conservation on both, and the same
+// buffer fill, credit count and ownership of every VC of every router when
+// the load stops mid-flight. The table walks the router's memory layout:
+// power-of-two and odd VC counts (the flat index p*VCs+v), 16 VCs (5x16 >
+// 64: the non-mask fallback; 3x16 on a ring: the mask path at full width),
+// one-slot and four-slot flit rings, dateline and adaptive class ranges,
+// both arbiters, iSLIP iterations and strict-priority partitions.
 func TestActiveSetMatchesFullScan(t *testing.T) {
-	topo := topology.NewMesh(8, 8)
-	mk := func() *Network {
-		return New(Config{
-			Topo:    topo,
-			Routing: routing.Valiant{},
-			Router:  router.Config{VCs: 4, BufDepth: 4, Delay: 1},
-			Seed:    7,
+	mesh, torus, ring := topology.NewMesh(8, 8), topology.NewTorus(4, 4), topology.NewRing(8)
+	rr, age := router.RoundRobin, router.AgeBased
+	cases := []struct {
+		topo *topology.Topology
+		alg  routing.Algorithm
+		rc   router.Config
+	}{
+		{mesh, routing.Valiant{}, router.Config{VCs: 4, BufDepth: 4, Arb: rr}},
+		{mesh, routing.DOR{}, router.Config{VCs: 2, BufDepth: 1, Arb: rr}},
+		{mesh, routing.DOR{}, router.Config{VCs: 3, BufDepth: 4, Arb: age, SAIterations: 2, Classes: 3}},
+		{mesh, routing.DOR{}, router.Config{VCs: 3, BufDepth: 1, Arb: rr, Classes: 3}},
+		{mesh, routing.MinimalAdaptive{}, router.Config{VCs: 3, BufDepth: 1, Arb: rr, SAIterations: 2}},
+		{mesh, routing.DOR{}, router.Config{VCs: 16, BufDepth: 4, Arb: rr}},
+		{mesh, routing.Valiant{}, router.Config{VCs: 16, BufDepth: 1, Arb: age, SAIterations: 2, Classes: 3}},
+		{mesh, routing.MinimalAdaptive{}, router.Config{VCs: 16, BufDepth: 4, Arb: age, Classes: 3}},
+		{torus, routing.DOR{}, router.Config{VCs: 2, BufDepth: 4, Arb: rr}},
+		{torus, routing.DOR{}, router.Config{VCs: 3, BufDepth: 1, Arb: rr, SAIterations: 2}},
+		{torus, routing.DOR{}, router.Config{VCs: 6, BufDepth: 4, Arb: rr, Classes: 3}},
+		{torus, routing.MinimalAdaptive{}, router.Config{VCs: 3, BufDepth: 4, Arb: age}},
+		{torus, routing.Valiant{}, router.Config{VCs: 16, BufDepth: 4, Arb: rr, SAIterations: 2, Classes: 3}},
+		{ring, routing.DOR{}, router.Config{VCs: 2, BufDepth: 1, Arb: age}},
+		{ring, routing.MinimalAdaptive{}, router.Config{VCs: 3, BufDepth: 4, Arb: rr, SAIterations: 2}},
+		{ring, routing.Valiant{}, router.Config{VCs: 16, BufDepth: 4, Arb: rr, Classes: 3}},
+	}
+	for _, c := range cases {
+		c.rc.Delay = 1
+		name := fmt.Sprintf("%s/%s/v%d/q%d/%s/sa%d/c%d", c.topo.Name, c.alg.Name(),
+			c.rc.VCs, c.rc.BufDepth, c.rc.Arb, c.rc.SAIterations, c.rc.Classes)
+		t.Run(name, func(t *testing.T) {
+			cfg := Config{Topo: c.topo, Routing: c.alg, Router: c.rc, Seed: 7}
+			if err := cfg.Validate(); err != nil {
+				t.Fatal(err)
+			}
+			full, active := New(cfg), New(cfg)
+			full.SetFullScan(true)
+
+			logFull := driveBursty(t, full, 1480, 99, nil) // stops eight cycles into a burst
+			logActive := driveBursty(t, active, 1480, 99, nil)
+
+			if len(logFull) == 0 || len(logFull) != len(logActive) {
+				t.Fatalf("deliveries: fullscan %d, activeset %d", len(logFull), len(logActive))
+			}
+			for i := range logFull {
+				if logFull[i] != logActive[i] {
+					t.Fatalf("delivery %d differs: fullscan %+v, activeset %+v", i, logFull[i], logActive[i])
+				}
+			}
+			fs, fa, ffi, ffe := full.Stats()
+			as, aa, afi, afe := active.Stats()
+			if fs != as || fa != aa || ffi != afi || ffe != afe {
+				t.Fatalf("stats differ: fullscan (%d %d %d %d), activeset (%d %d %d %d)",
+					fs, fa, ffi, ffe, as, aa, afi, afe)
+			}
+			if g, w := active.RNG().Uint64(), full.RNG().Uint64(); g != w {
+				t.Fatalf("network RNG diverged: activeset next draw %d, fullscan %d", g, w)
+			}
+			for _, n := range []*Network{full, active} {
+				if err := n.CheckConservation(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			inside := 0
+			for id := 0; id < c.topo.N; id++ {
+				rf, ra := full.Router(id), active.Router(id)
+				for p := 0; p < c.topo.Ports(); p++ {
+					for v := 0; v < c.rc.VCs; v++ {
+						inside += ra.InBufLen(p, v)
+						if rf.InBufLen(p, v) != ra.InBufLen(p, v) || rf.OutCredits(p, v) != ra.OutCredits(p, v) ||
+							rf.OutOwned(p, v) != ra.OutOwned(p, v) {
+							t.Fatalf("router %d port %d vc %d: fullscan buf %d credits %d owned %v, activeset buf %d credits %d owned %v",
+								id, p, v, rf.InBufLen(p, v), rf.OutCredits(p, v), rf.OutOwned(p, v),
+								ra.InBufLen(p, v), ra.OutCredits(p, v), ra.OutOwned(p, v))
+						}
+					}
+				}
+			}
+			if inside == 0 {
+				t.Fatal("the load stopped on an empty network: the per-VC comparison compared nothing")
+			}
 		})
-	}
-	full := mk()
-	full.SetFullScan(true)
-	active := mk()
-
-	logFull := driveBursty(t, full, 4000, 99, nil)
-	logActive := driveBursty(t, active, 4000, 99, nil)
-
-	if len(logFull) != len(logActive) {
-		t.Fatalf("deliveries: fullscan %d, activeset %d", len(logFull), len(logActive))
-	}
-	for i := range logFull {
-		if logFull[i] != logActive[i] {
-			t.Fatalf("delivery %d differs: fullscan %+v, activeset %+v", i, logFull[i], logActive[i])
-		}
-	}
-	fs, fa, ffi, ffe := full.Stats()
-	as, aa, afi, afe := active.Stats()
-	if fs != as || fa != aa || ffi != afi || ffe != afe {
-		t.Fatalf("stats differ: fullscan (%d %d %d %d), activeset (%d %d %d %d)",
-			fs, fa, ffi, ffe, as, aa, afi, afe)
-	}
-	if g, w := active.RNG().Uint64(), full.RNG().Uint64(); g != w {
-		t.Fatalf("network RNG diverged: activeset next draw %d, fullscan %d", g, w)
-	}
-	if err := active.CheckConservation(); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -119,7 +176,7 @@ func checkActiveInvariant(t *testing.T, n *Network) {
 	if count != n.ActiveCount() {
 		t.Fatalf("cycle %d: ActiveCount = %d, bitmaps have %d", n.Now(), n.ActiveCount(), count)
 	}
-	for node := range n.srcQ {
+	for node := range n.routers {
 		tl := &n.tiles[n.tileOf[node]]
 		bit := node - tl.lo
 		if n.SourceQueueLen(node) > 0 && tl.srcPending[bit>>6]&(1<<uint(bit&63)) == 0 {

@@ -71,10 +71,11 @@ type Network struct {
 	routers []*router.Router
 	// classes is the QoS class count (>= 1, from Router.Classes); srcQ
 	// holds one source queue per node per class, so a backed-up
-	// low-priority queue never blocks high-priority injection. Single-class
-	// networks use srcQ[node][0] exactly as the classic single queue.
+	// low-priority queue never blocks high-priority injection: the queue of
+	// (node, class qc) is srcQ[node*classes+qc], held by value. Single-class
+	// networks use srcQ[node] exactly as the classic single queue.
 	classes int
-	srcQ    [][]*sim.FIFO[router.Flit]
+	srcQ    []sim.FIFO[router.Flit]
 
 	// OnReceive, when non-nil, is invoked for every packet that fully
 	// arrives at its destination terminal.
@@ -115,11 +116,11 @@ type Network struct {
 	// for a sequential (Shards <= 1) network.
 	gang *par.Gang
 	// fullScan restores the pre-activity-tracking per-cycle full scans of
-	// every router and source queue. It exists for one release as the
-	// reference path of the determinism regression test; the bitsets are
-	// still maintained but not consulted. Full scan also forces the
-	// sequential cycle loop, so it doubles as the reference side of the
-	// sharded determinism tests.
+	// every router and source queue: the reference oracle of the
+	// determinism regression tests until ROADMAP item 2's event-digest
+	// golden replaces it. The bitsets are still maintained but not
+	// consulted. Full scan also forces the sequential cycle loop, so it
+	// doubles as the reference side of the sharded determinism tests.
 	fullScan bool
 
 	// Conservation accounting. Every packet object handed to Send ends in
@@ -217,7 +218,7 @@ func New(cfg Config) *Network {
 		rng:     sim.NewRNG(cfg.Seed),
 		routers: make([]*router.Router, t.N),
 		classes: classes,
-		srcQ:    make([][]*sim.FIFO[router.Flit], t.N),
+		srcQ:    make([]sim.FIFO[router.Flit], t.N*classes),
 	}
 	parts := t.Partition(max(cfg.Shards, 1))
 	n.tiles = make([]netTile, len(parts))
@@ -236,10 +237,6 @@ func New(cfg Config) *Network {
 	}
 	for i := 0; i < t.N; i++ {
 		n.routers[i] = router.New(i, t, cfg.Routing, cfg.Router)
-		n.srcQ[i] = make([]*sim.FIFO[router.Flit], classes)
-		for qc := range n.srcQ[i] {
-			n.srcQ[i][qc] = sim.NewFIFO[router.Flit](16)
-		}
 		id := i
 		n.routers[i].SetWake(func() { n.markActive(id) })
 	}
@@ -301,8 +298,8 @@ func (n *Network) Config() Config { return n.cfg }
 // and source queue; it also flips the routers to the matching mode, so a
 // full-scan network runs the reference nested-loop compute phases rather
 // than the state-bitmask ones. Both modes are cycle- and bit-identical;
-// full-scan is kept for one release as the reference side of the
-// determinism regression test and will be removed.
+// full-scan is the reference oracle of the determinism regression tests
+// until ROADMAP item 2's event-digest golden replaces it.
 func (n *Network) SetFullScan(v bool) {
 	n.fullScan = v
 	for _, r := range n.routers {
@@ -469,9 +466,9 @@ func (n *Network) send(p *router.Packet) {
 		n.notePacketDead(p)
 		return
 	}
-	q := n.srcQ[p.Src][n.clampClass(p.Class)]
-	for _, f := range router.Flits(p) {
-		q.Push(f)
+	q := &n.srcQ[p.Src*n.classes+n.clampClass(p.Class)]
+	for i := 0; i < p.Size; i++ {
+		q.Push(router.Flit{P: p, Seq: int32(i)})
 	}
 	t := &n.tiles[n.tileOf[p.Src]]
 	bit := p.Src - t.lo
@@ -497,8 +494,8 @@ func (n *Network) Classes() int { return n.classes }
 // queues (not yet inside the network), summed across classes.
 func (n *Network) SourceQueueLen(node int) int {
 	l := 0
-	for _, q := range n.srcQ[node] {
-		l += q.Len()
+	for qc := 0; qc < n.classes; qc++ {
+		l += n.srcQ[node*n.classes+qc].Len()
 	}
 	return l
 }
@@ -674,7 +671,7 @@ func (n *Network) ejectFlit(now int64, id int, f router.Flit) {
 // remains. The active-set path visits only nodes with queued flits.
 func (n *Network) inject(now int64) {
 	if n.fullScan {
-		for node := range n.srcQ {
+		for node := range n.routers {
 			n.injectNode(now, &n.tiles[n.tileOf[node]], node)
 		}
 		return
@@ -710,7 +707,7 @@ func (n *Network) injectNode(now int64, t *netTile, node int) {
 	r := n.routers[node]
 	pending := 0
 	for qc := 0; qc < n.classes; qc++ {
-		q := n.srcQ[node][qc]
+		q := &n.srcQ[node*n.classes+qc]
 		for q.Len() > 0 && r.CanAcceptInjectionClass(qc) {
 			f, _ := q.Pop()
 			if f.Head() {
@@ -920,12 +917,9 @@ func (n *Network) killRouter(now int64, node int) {
 		n.notePacketDead(f.P)
 	})
 	t := &n.tiles[n.tileOf[node]]
-	for _, q := range n.srcQ[node] {
-		for {
-			f, ok := q.Pop()
-			if !ok {
-				break
-			}
+	for qc := 0; qc < n.classes; qc++ {
+		q := &n.srcQ[node*n.classes+qc]
+		for f, ok := q.Pop(); ok; f, ok = q.Pop() {
 			t.queuedFlits--
 			n.notePacketDead(f.P)
 		}

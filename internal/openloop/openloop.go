@@ -15,6 +15,7 @@ package openloop
 import (
 	"context"
 	"fmt"
+	"math"
 	"runtime"
 
 	"noceval/internal/engine"
@@ -67,8 +68,8 @@ type Config struct {
 	// FullScan runs the legacy per-cycle full scans over every router and
 	// source queue instead of the activity-tracked engine paths. The two
 	// are bit-identical (the determinism regression test proves it);
-	// FullScan exists for one release as that test's reference side and
-	// will then be removed.
+	// FullScan is that test's reference oracle until ROADMAP item 2's
+	// event-digest golden replaces it.
 	FullScan bool
 
 	// Inspect, when non-nil, receives the run's network after the engine
@@ -270,6 +271,16 @@ func (d *driver) Idle(int64) bool { return false }
 // NextEvent implements engine.Driver.
 func (d *driver) NextEvent(int64) int64 { return engine.NoEvent }
 
+// sampleHint returns the capacity that holds the measured packets of a
+// Bernoulli run without growing: the expected count of nodes*measure draws
+// at probability prob, plus four standard deviations of slack (a few
+// percent at any run length worth measuring; the 1-in-30000 run beyond it
+// grows by append like any other).
+func sampleHint(prob float64, nodes int, measure int64) int {
+	mean := math.Min(prob, 1) * float64(nodes) * float64(measure)
+	return int(mean + 4*math.Sqrt(mean) + 1)
+}
+
 // Run executes one open-loop simulation.
 func Run(cfg Config) (*Result, error) {
 	cfg.fillDefaults()
@@ -328,10 +339,18 @@ func Run(cfg Config) (*Result, error) {
 		}
 	}
 
+	// A plain Bernoulli process fixes the measured-packet count in advance
+	// (n*Measure draws at a known probability), so the three per-packet
+	// sample slices are sized once instead of doubling their way up; any
+	// other process starts empty and grows by append.
+	var hint int
+	if b, ok := proc.(traffic.Bernoulli); ok {
+		hint = sampleHint(b.Rate/b.Sizes.Mean(), n, cfg.Measure)
+	}
 	var (
-		latencies    []float64
-		netLatencies []float64
-		hops         []float64
+		latencies    = make([]float64, 0, hint)
+		netLatencies = make([]float64, 0, hint)
+		hops         = make([]float64, 0, hint)
 		perNodeSum   = make([]float64, n)
 		perNodeCnt   = make([]int, n)
 		outstanding  int

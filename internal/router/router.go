@@ -6,7 +6,6 @@ import (
 
 	"noceval/internal/obs"
 	"noceval/internal/routing"
-	"noceval/internal/sim"
 	"noceval/internal/topology"
 )
 
@@ -115,16 +114,20 @@ func (c Config) Validate(t *topology.Topology, alg routing.Algorithm) error {
 	return nil
 }
 
-// inVC is one input virtual channel: a bounded flit FIFO plus the
-// allocation state of the packet currently at its front.
+// inVC is one input virtual channel: a bounded flit ring over the VC's
+// BufDepth-slot window of the router's slab, plus the allocation state of
+// the packet currently at its front. port and qos are fixed at construction.
 type inVC struct {
-	buf      *sim.FIFO[Flit]
-	routed   bool
-	cands    []routing.Candidate
-	granted  bool
-	outPort  int
-	outVC    int
-	outClass int // routing class of the granted output VC
+	base, head, n int32 // ring window slab[base:base+BufDepth], cursor, fill
+	port          int32 // input port this VC belongs to
+	outPort       int32
+	outVC         int32
+	outClass      int32 // routing class of the granted output VC
+	out           int32 // flat index outPort*VCs+outVC into Router.out
+	qos           int8  // QoS class of the VC's partition (see vcQoS)
+	routed        bool
+	granted       bool
+	cands         []routing.Candidate
 }
 
 // reset clears the front packet's allocation after its tail departs.
@@ -137,9 +140,12 @@ func (v *inVC) reset() {
 // (set at VC allocation, cleared when the owner's tail flit departs) and
 // the credit count mirroring free downstream buffer slots.
 type outVC struct {
+	credits int32
 	owned   bool
-	credits int
 }
+
+// vcSpan is a half-open VC index range [lo, hi).
+type vcSpan struct{ lo, hi int32 }
 
 // upstreamRef identifies who to send credits to when a flit leaves one of
 // our input buffers.
@@ -160,9 +166,16 @@ type Router struct {
 	alg   routing.Algorithm
 	cfg   Config
 	ports int
-	// numClasses caches alg.NumClasses(topo); classRange sits on the
-	// per-candidate routing path and must not pay an interface call.
+	vcs   int // cfg.VCs
+	local int // topo.LocalPort()
+	// numClasses caches alg.NumClasses(topo), the routing VC class count.
 	numClasses int
+	// spans is the (QoS class, routing class) -> VC range table, built once
+	// in New from the classRange formula: entry qc*spanStride+class+1, with
+	// routing.AnyClass (-1) in column 0. VC allocation looks a candidate's
+	// range up here instead of dividing per candidate.
+	spans      []vcSpan
+	spanStride int
 	// qos is the number of QoS traffic classes (>= 1); strict is true
 	// when qos > 1 under StrictPriority, enabling the priority branches
 	// in the allocators. Single-class routers keep qos == 1 and strict
@@ -180,16 +193,21 @@ type Router struct {
 	// belongs to class c, for the bitmask allocator paths.
 	qosMasks []uint64
 
-	in  [][]*inVC
-	out [][]outVC
+	// The router's state block, private to this router (under sharding a
+	// tile's worker writes only its own routers' blocks). in and out are
+	// indexed by the flat VC index p*VCs+v that the state masks below use;
+	// slab backs every input VC's flit ring.
+	in   []inVC
+	out  []outVC
+	slab []Flit
 
 	// pipes[p] models the router pipeline plus the outgoing link of output
 	// port p: SA winners land here and emerge tr+linkDelay cycles later
-	// (tr only, for the ejection port).
-	pipes []*sim.DelayLine[Flit]
-	// creditPipes[p] carries credits returning from the downstream router
-	// attached to output port p (nil for ejection).
-	creditPipes []*sim.DelayLine[int]
+	// (tr only, for the ejection port). creditPipes[p] carries credits
+	// returning from the downstream router attached to output port p.
+	// Unconnected ports keep empty rings that are never pushed.
+	pipes       []delayRing
+	creditPipes []delayRing
 
 	up []upstreamRef
 
@@ -251,11 +269,15 @@ type Router struct {
 	saInPtr  []int
 	saOutPtr []int
 
-	// Per-cycle scratch, reused to avoid allocation.
-	saInWin    []int // per input port: winning VC index or -1
+	// Per-cycle scratch, allocated in New and never grown.
+	saInWin []int // per input port: the VC nominated this SA iteration
+	// saNom[o] has bit p set while input port p's live nomination targets
+	// output port o; stage 2 consumes (and zeroes) it.
+	saNom      []uint64
 	saInMatch  []bool
 	saOutMatch []bool
 	vaScratch  []int
+	vaReqs     []vaReq
 
 	// Stats.
 	FlitsRouted int64
@@ -282,34 +304,43 @@ type Router struct {
 // network via SetUpstream.
 func New(id int, t *topology.Topology, alg routing.Algorithm, cfg Config) *Router {
 	ports := t.Ports()
+	total := ports * cfg.VCs
 	r := &Router{
 		ID:          id,
 		topo:        t,
 		alg:         alg,
 		cfg:         cfg,
 		ports:       ports,
-		in:          make([][]*inVC, ports),
-		out:         make([][]outVC, ports),
-		pipes:       make([]*sim.DelayLine[Flit], ports),
-		creditPipes: make([]*sim.DelayLine[int], ports),
+		vcs:         cfg.VCs,
+		local:       t.LocalPort(),
+		in:          make([]inVC, total),
+		out:         make([]outVC, total),
+		slab:        make([]Flit, total*cfg.BufDepth),
+		pipes:       make([]delayRing, ports),
+		creditPipes: make([]delayRing, ports),
 		up:          make([]upstreamRef, ports),
 		saInPtr:     make([]int, ports),
 		saOutPtr:    make([]int, ports),
 		saInWin:     make([]int, ports),
+		saNom:       make([]uint64, ports),
 		saInMatch:   make([]bool, ports),
 		saOutMatch:  make([]bool, ports),
+		vaScratch:   make([]int, 0, total),
 		portFlits:   make([]int64, ports),
 	}
-	r.maskHot = ports*cfg.VCs <= 64
+	r.maskHot = total <= 64
 	r.numClasses = alg.NumClasses(t)
-	r.qos = cfg.Classes
-	if r.qos < 1 {
-		r.qos = 1
-	}
+	r.qos = max(cfg.Classes, 1)
 	r.strict = r.qos > 1 && cfg.ClassArb == StrictPriority
 	r.vcQoS = make([]int8, cfg.VCs)
 	r.qosMasks = make([]uint64, r.qos)
+	r.spanStride = r.numClasses + 1
+	r.spans = make([]vcSpan, r.qos*r.spanStride)
 	for qc := 0; qc < r.qos; qc++ {
+		for class := routing.AnyClass; class < r.numClasses; class++ {
+			lo, hi := r.classRange(qc, class)
+			r.spans[qc*r.spanStride+class+1] = vcSpan{int32(lo), int32(hi)}
+		}
 		lo, hi := r.qosRange(qc)
 		for v := lo; v < hi; v++ {
 			r.vcQoS[v] = int8(qc)
@@ -318,30 +349,25 @@ func New(id int, t *topology.Topology, alg routing.Algorithm, cfg Config) *Route
 			}
 		}
 	}
-	local := t.LocalPort()
+	if cfg.Arb == AgeBased {
+		r.vaReqs = make([]vaReq, 0, total)
+	}
 	for p := 0; p < ports; p++ {
-		r.in[p] = make([]*inVC, cfg.VCs)
-		r.out[p] = make([]outVC, cfg.VCs)
-		for v := 0; v < cfg.VCs; v++ {
-			r.in[p][v] = &inVC{buf: sim.NewBoundedFIFO[Flit](cfg.BufDepth)}
+		var credits int32
+		if p == r.local {
+			credits = ejectionCredits
+			r.pipes[p] = newDelayRing(cfg.Delay)
+		} else if link := t.LinkAt(id, p); link.Connected() {
+			credits = int32(cfg.BufDepth)
+			r.pipes[p] = newDelayRing(cfg.Delay + link.Delay)
+			// Credits pay the reverse link plus one credit-processing
+			// cycle at the receiving router.
+			r.creditPipes[p] = newDelayRing(link.Delay + 1)
 		}
-		switch {
-		case p == local:
-			for v := range r.out[p] {
-				r.out[p][v].credits = ejectionCredits
-			}
-			r.pipes[p] = sim.NewDelayLine[Flit](cfg.Delay)
-		default:
-			link := t.LinkAt(id, p)
-			if link.Connected() {
-				for v := range r.out[p] {
-					r.out[p][v].credits = cfg.BufDepth
-				}
-				r.pipes[p] = sim.NewDelayLine[Flit](cfg.Delay + link.Delay)
-				// Credits pay the reverse link plus one credit-processing
-				// cycle at the receiving router.
-				r.creditPipes[p] = sim.NewDelayLine[int](link.Delay + 1)
-			}
+		for v := 0; v < cfg.VCs; v++ {
+			flat := p*cfg.VCs + v
+			r.in[flat] = inVC{base: int32(flat * cfg.BufDepth), port: int32(p), qos: r.vcQoS[v]}
+			r.out[flat].credits = credits
 		}
 	}
 	return r
@@ -381,18 +407,13 @@ func (r *Router) SetWake(f func()) { r.wake = f }
 // flits across every input VC. It walks all buffers, so it is meant for
 // sampling-time use, not the per-cycle path.
 func (r *Router) SampleVCOccupancy() (avg float64, max int) {
-	vcs := 0
-	for p := 0; p < r.ports; p++ {
-		for v := 0; v < r.cfg.VCs; v++ {
-			n := r.in[p][v].buf.Len()
-			if n > max {
-				max = n
-			}
-			vcs++
+	for i := range r.in {
+		if n := int(r.in[i].n); n > max {
+			max = n
 		}
 	}
-	if vcs > 0 {
-		avg = float64(r.occupancy) / float64(vcs)
+	if len(r.in) > 0 {
+		avg = float64(r.occupancy) / float64(len(r.in))
 	}
 	return avg, max
 }
@@ -407,7 +428,8 @@ func (r *Router) qosRange(qc int) (lo, hi int) {
 
 // classRange maps a routing VC class to its VC index range [lo, hi) within
 // QoS class qc's partition. With one QoS class the partition is the whole
-// VC space and the formula reduces to the classic routing-class split.
+// VC space and the formula reduces to the classic routing-class split. New
+// tabulates it into spans; nothing on the per-cycle path divides.
 func (r *Router) classRange(qc, class int) (lo, hi int) {
 	qlo, qhi := r.qosRange(qc)
 	if class == routing.AnyClass {
@@ -418,6 +440,19 @@ func (r *Router) classRange(qc, class int) (lo, hi int) {
 	lo = qlo + class*w/c
 	hi = qlo + (class+1)*w/c
 	return lo, hi
+}
+
+// front returns the oldest flit of a non-empty input VC.
+func (r *Router) front(v *inVC) Flit { return r.slab[v.base+v.head] }
+
+// popFront removes and returns the oldest flit of a non-empty input VC.
+func (r *Router) popFront(v *inVC) Flit {
+	f := r.slab[v.base+v.head]
+	if v.head++; int(v.head) == r.cfg.BufDepth {
+		v.head = 0
+	}
+	v.n--
+	return f
 }
 
 // AcceptFlit places a delivered flit into the input buffer (port, vc). It
@@ -431,18 +466,25 @@ func (r *Router) AcceptFlit(port, vc int, f Flit) {
 		r.awake = true
 		r.wake()
 	}
-	if !r.in[port][vc].buf.Push(f) {
+	flat := port*r.vcs + vc
+	v := &r.in[flat]
+	depth := int32(r.cfg.BufDepth)
+	if v.n == depth {
 		panic(fmt.Sprintf("router %d: input buffer overflow at port %d vc %d", r.ID, port, vc))
 	}
+	i := v.head + v.n
+	if i >= depth {
+		i -= depth
+	}
+	r.slab[v.base+i] = f
+	v.n++
 	r.occupancy++
-	r.occMask |= 1 << uint(port*r.cfg.VCs+vc)
+	r.occMask |= 1 << uint(flat)
 }
 
 // CanAcceptInjection reports whether the injection buffer (local port,
 // VC 0) has space for another flit.
-func (r *Router) CanAcceptInjection() bool {
-	return !r.in[r.topo.LocalPort()][0].buf.Full()
-}
+func (r *Router) CanAcceptInjection() bool { return r.CanAcceptInjectionClass(0) }
 
 // InjectionVC returns the VC index injected flits enter: a single FIFO
 // source-queue model per the open-loop methodology.
@@ -453,16 +495,12 @@ func (r *Router) InjectionVC() int { return 0 }
 // its own partition, so a backed-up low-priority class never blocks
 // high-priority injection. With one class this is CanAcceptInjection.
 func (r *Router) CanAcceptInjectionClass(qc int) bool {
-	lo, _ := r.qosRange(qc)
-	return !r.in[r.topo.LocalPort()][lo].buf.Full()
+	return int(r.in[r.local*r.vcs+r.InjectionVCClass(qc)].n) < r.cfg.BufDepth
 }
 
 // InjectionVCClass returns the VC index class qc's injected flits enter:
 // the first VC of the class's partition (VC 0 for a single class).
-func (r *Router) InjectionVCClass(qc int) int {
-	lo, _ := r.qosRange(qc)
-	return lo
-}
+func (r *Router) InjectionVCClass(qc int) int { return int(r.spans[qc*r.spanStride].lo) }
 
 // SetLegacyScan toggles the reference nested-loop compute paths. With v
 // true the router ignores its state bitmasks and scans every port and VC
@@ -472,7 +510,7 @@ func (r *Router) InjectionVCClass(qc int) int {
 // baseline and the determinism tests a reference-vs-optimized oracle.
 func (r *Router) SetLegacyScan(v bool) {
 	r.legacyScan = v
-	r.maskHot = !v && r.ports*r.cfg.VCs <= 64
+	r.maskHot = !v && len(r.in) <= 64
 }
 
 // receiveCredit schedules a credit return for output VC (port, vc); it
@@ -487,7 +525,7 @@ func (r *Router) receiveCredit(now int64, port, vc int) {
 		r.awake = true
 		r.wake()
 	}
-	r.creditPipes[port].Push(now, vc)
+	r.creditPipes[port].push(now, Flit{VC: int32(vc)})
 	r.pendingCredits++
 	r.creditMask |= 1 << uint(port)
 }
@@ -495,13 +533,13 @@ func (r *Router) receiveCredit(now int64, port, vc int) {
 // PopDelivery removes the flit, if any, emerging from output port p's
 // pipeline at cycle now.
 func (r *Router) PopDelivery(now int64, p int) (Flit, bool) {
-	if r.pipes[p] == nil || r.linkDown&(1<<uint(p)) != 0 {
+	if r.linkDown&(1<<uint(p)) != 0 {
 		return Flit{}, false
 	}
-	f, ok := r.pipes[p].PopReady(now)
+	f, ok := r.pipes[p].popReady(now)
 	if ok {
 		r.inFlight--
-		if r.pipes[p].Len() == 0 {
+		if r.pipes[p].n == 0 {
 			r.pipeMask &^= 1 << uint(p)
 		}
 	}
@@ -543,75 +581,56 @@ func (r *Router) Step(now int64) {
 	r.switchAllocate(now)
 }
 
+// drainCredits applies every credit that finished its return path. The mask
+// path touches only ports with credits in flight; the legacy path polls
+// every port.
 func (r *Router) drainCredits(now int64) {
 	if r.pendingCredits == 0 {
 		return
 	}
+	m := r.creditMask
 	if !r.maskHot {
-		for p := 0; p < r.ports; p++ {
-			cp := r.creditPipes[p]
-			if cp == nil || r.linkDown&(1<<uint(p)) != 0 {
-				continue
-			}
-			for {
-				vc, ok := cp.PopReady(now)
-				if !ok {
-					break
-				}
-				r.out[p][vc].credits++
-				r.pendingCredits--
-			}
-			if cp.Len() == 0 {
-				r.creditMask &^= 1 << uint(p)
-			}
-		}
-		return
+		m = uint64(1)<<uint(r.ports) - 1
 	}
-	for m := r.creditMask &^ r.linkDown; m != 0; m &= m - 1 {
+	for m &^= r.linkDown; m != 0; m &= m - 1 {
 		p := bits.TrailingZeros64(m)
-		cp := r.creditPipes[p]
-		for {
-			vc, ok := cp.PopReady(now)
-			if !ok {
-				break
-			}
-			r.out[p][vc].credits++
+		cp := &r.creditPipes[p]
+		for c, ok := cp.popReady(now); ok; c, ok = cp.popReady(now) {
+			r.out[p*r.vcs+int(c.VC)].credits++
 			r.pendingCredits--
 		}
-		if cp.Len() == 0 {
+		if cp.n == 0 {
 			r.creditMask &^= 1 << uint(p)
 		}
 	}
 }
 
 // routeCompute fills in candidates for every input VC whose front flit is
-// an unrouted head. Only non-empty VCs can hold one, so the mask path
-// visits exactly the occupied VCs, in the same ascending (port, vc) order
-// as the full scan.
+// an unrouted head. A VC's front packet is unrouted exactly while the VC is
+// in neither reqMask nor gntMask, so the mask path visits just the occupied
+// VCs with routing left to do, in the same ascending (port, vc) order as
+// the full scan.
 func (r *Router) routeCompute(now int64) {
 	if r.maskHot {
-		for m := r.occMask; m != 0; m &= m - 1 {
-			flat := bits.TrailingZeros64(m)
-			r.routeVC(now, flat/r.cfg.VCs, flat%r.cfg.VCs)
+		for m := r.occMask &^ (r.reqMask | r.gntMask); m != 0; m &= m - 1 {
+			r.routeVC(now, bits.TrailingZeros64(m))
 		}
 		return
 	}
-	for p := 0; p < r.ports; p++ {
-		for v := 0; v < r.cfg.VCs; v++ {
-			r.routeVC(now, p, v)
-		}
+	for flat := range r.in {
+		r.routeVC(now, flat)
 	}
 }
 
-// routeVC routes the front packet of input VC (p, v) if it is an unrouted
+// routeVC routes the front packet of input VC flat if it is an unrouted
 // head flit.
-func (r *Router) routeVC(now int64, p, v int) {
-	ivc := r.in[p][v]
-	if ivc.routed {
+func (r *Router) routeVC(now int64, flat int) {
+	ivc := &r.in[flat]
+	if ivc.routed || ivc.n == 0 {
 		return
 	}
-	f, ok := ivc.buf.Peek()
-	if !ok || !f.Head() {
+	f := r.front(ivc)
+	if !f.Head() {
 		return
 	}
 	ivc.cands = r.alg.Candidates(r.topo, r.ID, f.P.Dst, &f.P.Route, ivc.cands[:0])
@@ -619,7 +638,7 @@ func (r *Router) routeVC(now int64, p, v int) {
 		panic(fmt.Sprintf("router %d: no route for packet %d (dst %d)", r.ID, f.P.ID, f.P.Dst))
 	}
 	ivc.routed = true
-	r.reqMask |= 1 << uint(p*r.cfg.VCs+v)
+	r.reqMask |= 1 << uint(flat)
 	if r.tracer != nil {
 		r.tracer.Record(now, f.P.ID, r.ID, obs.PhaseRoute)
 	}
@@ -630,7 +649,7 @@ func (r *Router) routeVC(now int64, p, v int) {
 // free VC with the most credits among its candidates, which doubles as the
 // congestion-sensitive output selection of adaptive routing.
 func (r *Router) vcAllocate(now int64) {
-	total := r.ports * r.cfg.VCs
+	total := len(r.in)
 	if r.maskHot && r.cfg.Arb != AgeBased {
 		// Round robin over the request mask: bits >= vaPtr in ascending
 		// order, then the wrap-around below it — exactly the (vaPtr+i)%total
@@ -665,8 +684,7 @@ func (r *Router) vcAllocate(now int64) {
 		}
 		return
 	}
-	order := r.vaOrder()
-	for _, flat := range order {
+	for _, flat := range r.vaOrder() {
 		r.vaTryGrant(now, flat)
 	}
 	r.vaPtr = (r.vaPtr + 1) % total
@@ -675,74 +693,68 @@ func (r *Router) vcAllocate(now int64) {
 // vaTryGrant gives input VC flat the free candidate output VC with the
 // most credits, if it is requesting and one is available.
 func (r *Router) vaTryGrant(now int64, flat int) {
-	p, v := flat/r.cfg.VCs, flat%r.cfg.VCs
-	ivc := r.in[p][v]
+	ivc := &r.in[flat]
 	if !ivc.routed || ivc.granted {
 		return
 	}
 	// The packet's QoS class is static per input VC (see vcQoS); its
 	// output-VC candidates come from the matching partition downstream.
-	qc := int(r.vcQoS[v])
-	bestPort, bestVC, bestClass, bestCred := -1, -1, routing.AnyClass, -1
+	row := int(ivc.qos)*r.spanStride + 1
+	best, bestCred := -1, int32(-1)
+	var bestCand routing.Candidate
 	for _, c := range ivc.cands {
-		lo, hi := r.classRange(qc, c.Class)
-		for ov := lo; ov < hi; ov++ {
-			o := &r.out[c.Port][ov]
-			if o.owned {
-				continue
-			}
-			if o.credits > bestCred {
-				bestPort, bestVC, bestClass, bestCred = c.Port, ov, c.Class, o.credits
+		span := r.spans[row+c.Class]
+		base := c.Port * r.vcs
+		for o := base + int(span.lo); o < base+int(span.hi); o++ {
+			if ov := &r.out[o]; !ov.owned && ov.credits > bestCred {
+				best, bestCred, bestCand = o, ov.credits, c
 			}
 		}
 	}
-	if bestPort >= 0 {
-		ivc.granted = true
-		ivc.outPort, ivc.outVC, ivc.outClass = bestPort, bestVC, bestClass
-		r.out[bestPort][bestVC].owned = true
-		r.reqMask &^= 1 << uint(flat)
-		r.gntMask |= 1 << uint(flat)
-		r.gntPorts |= 1 << uint(p)
-		if r.tracer != nil {
-			if f, ok := ivc.buf.Peek(); ok {
-				r.tracer.Record(now, f.P.ID, r.ID, obs.PhaseVCAlloc)
-			}
-		}
+	if best < 0 {
+		return
+	}
+	ivc.granted = true
+	ivc.out, ivc.outPort, ivc.outClass = int32(best), int32(bestCand.Port), int32(bestCand.Class)
+	ivc.outVC = int32(best - bestCand.Port*r.vcs)
+	r.out[best].owned = true
+	r.reqMask &^= 1 << uint(flat)
+	r.gntMask |= 1 << uint(flat)
+	r.gntPorts |= 1 << uint(ivc.port)
+	if r.tracer != nil {
+		r.tracer.Record(now, r.front(ivc).P.ID, r.ID, obs.PhaseVCAlloc)
 	}
 }
 
-// vaOrder returns the order in which VC allocation requests are served.
-// The returned slice is scratch storage reused across cycles.
+// vaReq is one age-ordered VC allocation request (see vaOrder).
+type vaReq struct {
+	flat int
+	qc   int8
+	age  int64
+}
+
+// vaOrder returns the order in which VC allocation requests are served on
+// the full-scan path. The returned slice and the age-sort scratch are
+// router-owned storage sized in New, so a call allocates nothing.
 func (r *Router) vaOrder() []int {
-	total := r.ports * r.cfg.VCs
+	total := len(r.in)
 	order := r.vaScratch[:0]
-	defer func() { r.vaScratch = order[:0] }()
-	if r.cfg.Arb == AgeBased {
+	switch {
+	case r.cfg.Arb == AgeBased:
 		// Oldest front packet first (insertion sort; total is small).
 		// Under strict priority the key is (class, age): all class-0
 		// requests precede class 1, age ordering within each class.
-		type req struct {
-			flat int
-			qc   int8
-			age  int64
-		}
-		reqs := make([]req, 0, total)
-		for p := 0; p < r.ports; p++ {
-			for v := 0; v < r.cfg.VCs; v++ {
-				ivc := r.in[p][v]
-				if !ivc.routed || ivc.granted {
-					continue
-				}
-				f, ok := ivc.buf.Peek()
-				if !ok {
-					continue
-				}
-				q := req{flat: p*r.cfg.VCs + v, age: f.P.CreateTime}
-				if r.strict {
-					q.qc = r.vcQoS[v]
-				}
-				reqs = append(reqs, q)
+		reqs := r.vaReqs[:0]
+		for flat := range r.in {
+			ivc := &r.in[flat]
+			if !ivc.routed || ivc.granted || ivc.n == 0 {
+				continue
 			}
+			q := vaReq{flat: flat, age: r.front(ivc).P.CreateTime}
+			if r.strict {
+				q.qc = ivc.qos
+			}
+			reqs = append(reqs, q)
 		}
 		for i := 1; i < len(reqs); i++ {
 			for j := i; j > 0 && (reqs[j].qc < reqs[j-1].qc ||
@@ -753,23 +765,20 @@ func (r *Router) vaOrder() []int {
 		for _, q := range reqs {
 			order = append(order, q.flat)
 		}
-		return order
-	}
-	if r.strict {
+	case r.strict:
 		// Class-major rotation: class 0's requests in (vaPtr+i)%total
 		// order, then class 1's, and so on.
 		for qc := int8(0); int(qc) < r.qos; qc++ {
 			for i := 0; i < total; i++ {
-				flat := (r.vaPtr + i) % total
-				if r.vcQoS[flat%r.cfg.VCs] == qc {
+				if flat := (r.vaPtr + i) % total; r.in[flat].qos == qc {
 					order = append(order, flat)
 				}
 			}
 		}
-		return order
-	}
-	for i := 0; i < total; i++ {
-		order = append(order, (r.vaPtr+i)%total)
+	default:
+		for i := 0; i < total; i++ {
+			order = append(order, (r.vaPtr+i)%total)
+		}
 	}
 	return order
 }
@@ -783,10 +792,7 @@ func (r *Router) switchAllocate(now int64) {
 		// full allocation would match nothing and change no state.
 		return
 	}
-	iters := r.cfg.SAIterations
-	if iters < 1 {
-		iters = 1
-	}
+	iters := max(r.cfg.SAIterations, 1)
 	if r.maskHot {
 		r.switchAllocateMask(now, iters)
 		return
@@ -798,21 +804,22 @@ func (r *Router) switchAllocate(now int64) {
 	for it := 0; it < iters; it++ {
 		// Stage 1: each unmatched input port nominates one ready VC.
 		for p := 0; p < r.ports; p++ {
-			if r.saInMatch[p] {
-				r.saInWin[p] = -1
-				continue
+			if !r.saInMatch[p] {
+				r.nominate(p)
 			}
-			r.saInWin[p] = r.pickInputVC(p)
 		}
-		// Stage 2: each unmatched output port picks one requesting input,
+		// Stage 2: each output port picks one of the inputs nominating it,
 		// visiting every port in ascending order as the reference
-		// implementation did.
+		// implementation did. Nominations at an already matched output are
+		// dropped.
 		progress := false
 		for outP := 0; outP < r.ports; outP++ {
+			nom := r.saNom[outP]
+			r.saNom[outP] = 0
 			if r.saOutMatch[outP] {
 				continue
 			}
-			win := r.pickInputPort(outP)
+			win := r.pickInputPort(outP, nom)
 			if win < 0 {
 				continue
 			}
@@ -828,41 +835,34 @@ func (r *Router) switchAllocate(now int64) {
 }
 
 // switchAllocateMask is the bitmask fast path of switchAllocate. It tracks
-// matched inputs/outputs and current nominations in port masks instead of
-// the per-cycle scratch arrays, so stage 1 touches only ports holding a VC
-// grant (gntPorts) and stage 2 only the outputs those nominations target.
-// Both stages visit ports in the same order as the reference scans minus
-// ports that could not match, so matching — and therefore every forward —
-// is bit-identical to the legacy path.
+// matched inputs/outputs in port masks instead of the per-cycle scratch
+// arrays, so stage 1 touches only ports holding a VC grant (gntPorts) and
+// stage 2 only the outputs those nominations target. Both stages visit
+// ports in the same order as the reference scans minus ports that could not
+// match, so matching — and therefore every forward — is bit-identical to
+// the legacy path.
 func (r *Router) switchAllocateMask(now int64, iters int) {
 	var inMatched, outMatched uint64
 	for it := 0; it < iters; it++ {
 		// Stage 1: each unmatched input port with a granted VC nominates
-		// one ready VC. nom records which saInWin entries are live this
-		// iteration; entries of non-nominating ports are stale and must
-		// never be read.
-		var targets, nom uint64
+		// one ready VC.
+		var targets uint64
 		for m := r.gntPorts &^ inMatched; m != 0; m &= m - 1 {
-			p := bits.TrailingZeros64(m)
-			v := r.pickInputVC(p)
-			if v >= 0 {
-				r.saInWin[p] = v
-				nom |= 1 << uint(p)
-				targets |= 1 << uint(r.in[p][v].outPort)
-			}
+			targets |= r.nominate(bits.TrailingZeros64(m))
 		}
-		// Stage 2: each unmatched targeted output picks one nominating
-		// input, in ascending output-port order.
+		// Stage 2: each targeted output picks one nominating input, in
+		// ascending output-port order.
 		progress := false
-		for t := targets &^ outMatched; t != 0; t &= t - 1 {
+		for t := targets; t != 0; t &= t - 1 {
 			outP := bits.TrailingZeros64(t)
-			win := r.pickInputPortMask(outP, nom)
-			if win < 0 {
+			nom := r.saNom[outP]
+			r.saNom[outP] = 0
+			if outMatched&(1<<uint(outP)) != 0 {
 				continue
 			}
+			win := r.pickInputPort(outP, nom)
 			r.forward(now, win, r.saInWin[win])
 			inMatched |= 1 << uint(win)
-			nom &^= 1 << uint(win)
 			outMatched |= 1 << uint(outP)
 			progress = true
 		}
@@ -872,180 +872,109 @@ func (r *Router) switchAllocateMask(now int64, iters int) {
 	}
 }
 
+// nominate runs stage 1 of switch allocation for input port p: if one of
+// its VCs is ready, the VC is recorded in saInWin[p], p's bit is raised in
+// the targeted output's saNom mask, and that output's bit is returned.
+func (r *Router) nominate(p int) uint64 {
+	v := r.pickInputVC(p)
+	if v < 0 {
+		return 0
+	}
+	r.saInWin[p] = v
+	outP := uint(r.in[p*r.vcs+v].outPort)
+	r.saNom[outP] |= 1 << uint(p)
+	return 1 << outP
+}
+
 // pickInputVC returns the index of the VC at input port p that wins the
-// port's crossbar input this cycle, or -1. Under strict priority the
-// lowest-class ready VC wins; the configured policy (rotation order or
-// age) breaks ties within the winning class.
+// port's crossbar input this cycle, or -1: the ready VC with the lowest
+// arbKey, the first in rotation order from saInPtr[p] among equals.
 func (r *Router) pickInputVC(p int) int {
-	v := r.cfg.VCs
+	v := r.vcs
 	if r.maskHot && r.gntMask>>uint(p*v)&(uint64(1)<<uint(v)-1) == 0 {
 		return -1 // no VC of this port holds a grant, so none is ready
 	}
-	best := -1
-	bestClass := int8(127)
-	var bestAge int64
+	best, bestKey := -1, int64(0)
 	for i := 0; i < v; i++ {
 		cand := r.saInPtr[p] + i
 		if cand >= v {
 			cand -= v
 		}
-		ivc := r.in[p][cand]
-		if !ivc.granted {
+		ivc := &r.in[p*v+cand]
+		if !ivc.granted || ivc.n == 0 || r.out[ivc.out].credits <= 0 {
 			continue
 		}
-		f, ok := ivc.buf.Peek()
-		if !ok {
-			continue
+		key := r.arbKey(ivc)
+		if key == 0 {
+			return cand
 		}
-		if r.out[ivc.outPort][ivc.outVC].credits <= 0 {
-			continue
-		}
-		if r.strict {
-			qc := r.vcQoS[cand]
-			switch {
-			case r.cfg.Arb == AgeBased:
-				if best < 0 || qc < bestClass || (qc == bestClass && f.P.CreateTime < bestAge) {
-					best, bestClass, bestAge = cand, qc, f.P.CreateTime
-				}
-			case qc < bestClass:
-				// First ready VC of the lowest class in rotation order.
-				best, bestClass = cand, qc
-				if qc == 0 {
-					return best
-				}
-			}
-			continue
-		}
-		if r.cfg.Arb == AgeBased {
-			if best < 0 || f.P.CreateTime < bestAge {
-				best, bestAge = cand, f.P.CreateTime
-			}
-		} else {
-			return cand // first in round-robin order wins
+		if best < 0 || key < bestKey {
+			best, bestKey = cand, key
 		}
 	}
 	return best
 }
 
 // pickInputPort returns the input port whose nominated flit wins output
-// port outP this cycle, or -1.
-// pickInputPortMask is pickInputPort for the mask fast path: nom marks the
-// input ports whose saInWin entry is a live nomination from the current
-// stage 1; all other entries are stale and skipped. The round-robin visit
-// order is unchanged.
-func (r *Router) pickInputPortMask(outP int, nom uint64) int {
-	best := -1
-	bestClass := int8(127)
-	var bestAge int64
-	for i := 0; i < r.ports; i++ {
-		cand := r.saOutPtr[outP] + i
-		if cand >= r.ports {
-			cand -= r.ports
-		}
-		if nom&(1<<uint(cand)) == 0 {
-			continue
-		}
-		ivc := r.in[cand][r.saInWin[cand]]
-		if ivc.outPort != outP {
-			continue
-		}
-		if r.strict {
-			qc := r.vcQoS[r.saInWin[cand]]
-			switch {
-			case r.cfg.Arb == AgeBased:
-				f, _ := ivc.buf.Peek()
-				if best < 0 || qc < bestClass || (qc == bestClass && f.P.CreateTime < bestAge) {
-					best, bestClass, bestAge = cand, qc, f.P.CreateTime
-				}
-			case qc < bestClass:
-				best, bestClass = cand, qc
-				if qc == 0 {
-					return best
-				}
-			}
-			continue
-		}
-		if r.cfg.Arb == AgeBased {
-			f, _ := ivc.buf.Peek()
-			if best < 0 || f.P.CreateTime < bestAge {
-				best, bestAge = cand, f.P.CreateTime
-			}
-		} else {
+// port outP this cycle, or -1 when nom — the ports nominating outP — is
+// empty: the lowest arbKey, the first in round-robin order from
+// saOutPtr[outP] among equals. Rotating nom right by the pointer puts that
+// port at bit 0 and wraps the ports below it to the top, so ascending set
+// bits are the round-robin order.
+func (r *Router) pickInputPort(outP int, nom uint64) int {
+	ptr := r.saOutPtr[outP]
+	best, bestKey := -1, int64(0)
+	for m := bits.RotateLeft64(nom, -ptr); m != 0; m &= m - 1 {
+		cand := (bits.TrailingZeros64(m) + ptr) & 63
+		key := r.arbKey(&r.in[cand*r.vcs+r.saInWin[cand]])
+		if key == 0 {
 			return cand
+		}
+		if best < 0 || key < bestKey {
+			best, bestKey = cand, key
 		}
 	}
 	return best
 }
 
-func (r *Router) pickInputPort(outP int) int {
-	best := -1
-	bestClass := int8(127)
-	var bestAge int64
-	for i := 0; i < r.ports; i++ {
-		cand := r.saOutPtr[outP] + i
-		if cand >= r.ports {
-			cand -= r.ports
-		}
-		v := r.saInWin[cand]
-		if v < 0 {
-			continue
-		}
-		ivc := r.in[cand][v]
-		if ivc.outPort != outP {
-			continue
-		}
-		if r.strict {
-			qc := r.vcQoS[v]
-			switch {
-			case r.cfg.Arb == AgeBased:
-				f, _ := ivc.buf.Peek()
-				if best < 0 || qc < bestClass || (qc == bestClass && f.P.CreateTime < bestAge) {
-					best, bestClass, bestAge = cand, qc, f.P.CreateTime
-				}
-			case qc < bestClass:
-				best, bestClass = cand, qc
-				if qc == 0 {
-					return best
-				}
-			}
-			continue
-		}
-		if r.cfg.Arb == AgeBased {
-			f, _ := ivc.buf.Peek()
-			if best < 0 || f.P.CreateTime < bestAge {
-				best, bestAge = cand, f.P.CreateTime
-			}
-		} else {
-			best = cand
-			break
-		}
+// arbKey orders the candidates of both switch-allocation stages; the lowest
+// key wins. It is the front packet's QoS class under strict priority, then
+// its creation cycle under age-based arbitration — so plain round robin
+// gives every candidate key 0, which nothing can beat, and the first one
+// visited wins outright.
+func (r *Router) arbKey(ivc *inVC) (key int64) {
+	if r.strict {
+		key = int64(ivc.qos) << 56
 	}
-	return best
+	if r.cfg.Arb == AgeBased {
+		key += r.front(ivc).P.CreateTime
+	}
+	return key
 }
 
 // forward moves the winning flit from input (p, v) into its output
 // pipeline, maintaining credits, ownership and routing state.
 func (r *Router) forward(now int64, p, v int) {
-	ivc := r.in[p][v]
-	f, _ := ivc.buf.Pop()
+	flat := p*r.vcs + v
+	ivc := &r.in[flat]
+	f := r.popFront(ivc)
 	r.occupancy--
-	if ivc.buf.Len() == 0 {
-		r.occMask &^= 1 << uint(p*r.cfg.VCs+v)
+	if ivc.n == 0 {
+		r.occMask &^= 1 << uint(flat)
 	}
 	r.FlitsRouted++
-	outP, outV := ivc.outPort, ivc.outVC
+	outP := int(ivc.outPort)
 
-	local := r.topo.LocalPort()
-	if outP != local {
-		r.out[outP][outV].credits--
+	if outP != r.local {
+		r.out[ivc.out].credits--
 		if f.Head() {
-			r.alg.Committed(r.topo, &f.P.Route, ivc.outClass)
+			r.alg.Committed(r.topo, &f.P.Route, int(ivc.outClass))
 			f.P.Route.Traverse(r.topo.LinkAt(r.ID, outP))
 			f.P.Hops++
 		}
 	}
-	f.VC = int32(outV)
-	r.pipes[outP].Push(now, f)
+	f.VC = ivc.outVC
+	r.pipes[outP].push(now, f)
 	r.inFlight++
 	r.pipeMask |= 1 << uint(outP)
 	r.portFlits[outP]++
@@ -1066,15 +995,15 @@ func (r *Router) forward(now int64, p, v int) {
 	}
 
 	if f.Tail() {
-		r.out[outP][outV].owned = false
+		r.out[ivc.out].owned = false
 		ivc.reset()
-		r.gntMask &^= 1 << uint(p*r.cfg.VCs+v)
-		if r.gntMask>>uint(p*r.cfg.VCs)&(uint64(1)<<uint(r.cfg.VCs)-1) == 0 {
+		r.gntMask &^= 1 << uint(flat)
+		if r.gntMask>>uint(p*r.vcs)&(uint64(1)<<uint(r.vcs)-1) == 0 {
 			r.gntPorts &^= 1 << uint(p)
 		}
 	}
 	// Advance round-robin pointers past the winners.
-	if v+1 == r.cfg.VCs {
+	if v+1 == r.vcs {
 		r.saInPtr[p] = 0
 	} else {
 		r.saInPtr[p] = v + 1
@@ -1084,8 +1013,6 @@ func (r *Router) forward(now int64, p, v int) {
 	} else {
 		r.saOutPtr[outP] = p + 1
 	}
-	// The winner consumed this input port's nomination.
-	r.saInWin[p] = -1
 }
 
 // --- Fault-injection support ----------------------------------------------
@@ -1126,30 +1053,20 @@ func (r *Router) Kill(now int64, onFlit func(f Flit)) {
 		return
 	}
 	r.dead = true
-	for p := 0; p < r.ports; p++ {
-		for v := 0; v < r.cfg.VCs; v++ {
-			ivc := r.in[p][v]
-			for {
-				f, ok := ivc.buf.Pop()
-				if !ok {
-					break
-				}
-				onFlit(f)
-				if up := r.up[p]; up.r != nil {
-					up.r.receiveCredit(now, up.port, v)
-				}
+	for flat := range r.in {
+		ivc := &r.in[flat]
+		for ivc.n > 0 {
+			onFlit(r.popFront(ivc))
+			if up := r.up[ivc.port]; up.r != nil {
+				up.r.receiveCredit(now, up.port, flat%r.vcs)
 			}
-			ivc.reset()
 		}
-		if pp := r.pipes[p]; pp != nil {
-			pp.Drain(func(f Flit) { onFlit(f) })
-		}
-		if cp := r.creditPipes[p]; cp != nil {
-			cp.Drain(func(int) {})
-		}
-		for v := range r.out[p] {
-			r.out[p][v].owned = false
-		}
+		ivc.reset()
+		r.out[flat].owned = false
+	}
+	for p := range r.pipes {
+		r.pipes[p].each(onFlit)
+		r.pipes[p].n, r.creditPipes[p].n = 0, 0
 	}
 	r.occupancy, r.inFlight, r.pendingCredits = 0, 0, 0
 	r.occMask, r.reqMask, r.gntMask, r.gntPorts = 0, 0, 0, 0
@@ -1164,39 +1081,27 @@ func (r *Router) ReturnCredit(now int64, port, vc int) { r.receiveCredit(now, po
 
 // OutCredits returns the credit count of output VC (p, vc); invariant
 // checking compares it against the downstream buffer state.
-func (r *Router) OutCredits(p, vc int) int { return r.out[p][vc].credits }
+func (r *Router) OutCredits(p, vc int) int { return int(r.out[p*r.vcs+vc].credits) }
 
 // OutOwned reports whether output VC (p, vc) is currently allocated to an
 // in-flight packet.
-func (r *Router) OutOwned(p, vc int) bool { return r.out[p][vc].owned }
+func (r *Router) OutOwned(p, vc int) bool { return r.out[p*r.vcs+vc].owned }
 
 // InBufLen returns the number of flits buffered in input VC (p, vc).
-func (r *Router) InBufLen(p, vc int) int { return r.in[p][vc].buf.Len() }
+func (r *Router) InBufLen(p, vc int) int { return int(r.in[p*r.vcs+vc].n) }
 
 // PipeFlitsVC counts the flits in output port p's pipeline traveling on
 // VC vc.
-func (r *Router) PipeFlitsVC(p, vc int) int {
-	if r.pipes[p] == nil {
-		return 0
-	}
-	n := 0
-	r.pipes[p].ForEach(func(f Flit) {
-		if int(f.VC) == vc {
-			n++
-		}
-	})
-	return n
-}
+func (r *Router) PipeFlitsVC(p, vc int) int { return countVC(&r.pipes[p], vc) }
 
 // CreditsInFlight counts the credits for VC vc queued in output port p's
 // credit pipe.
-func (r *Router) CreditsInFlight(p, vc int) int {
-	if r.creditPipes[p] == nil {
-		return 0
-	}
-	n := 0
-	r.creditPipes[p].ForEach(func(v int) {
-		if v == vc {
+func (r *Router) CreditsInFlight(p, vc int) int { return countVC(&r.creditPipes[p], vc) }
+
+// countVC counts the ring's entries traveling on (or crediting) VC vc.
+func countVC(d *delayRing, vc int) (n int) {
+	d.each(func(f Flit) {
+		if int(f.VC) == vc {
 			n++
 		}
 	})
@@ -1212,22 +1117,20 @@ func (r *Router) PendingCredits() int { return r.pendingCredits }
 // depth, and the granted output if any.
 func (r *Router) StuckVCs() []StuckVC {
 	var out []StuckVC
-	for p := 0; p < r.ports; p++ {
-		for v := 0; v < r.cfg.VCs; v++ {
-			ivc := r.in[p][v]
-			if ivc.buf.Len() == 0 && !ivc.granted {
-				continue
-			}
-			s := StuckVC{Port: p, VC: v, Buffered: ivc.buf.Len(), Granted: ivc.granted}
-			if ivc.granted {
-				s.OutPort, s.OutVC = ivc.outPort, ivc.outVC
-				s.OutCredits = r.out[ivc.outPort][ivc.outVC].credits
-			}
-			if f, ok := ivc.buf.Peek(); ok {
-				s.PacketID = f.P.ID
-			}
-			out = append(out, s)
+	for flat := range r.in {
+		ivc := &r.in[flat]
+		if ivc.n == 0 && !ivc.granted {
+			continue
 		}
+		s := StuckVC{Port: int(ivc.port), VC: flat % r.vcs, Buffered: int(ivc.n), Granted: ivc.granted}
+		if ivc.granted {
+			s.OutPort, s.OutVC = int(ivc.outPort), int(ivc.outVC)
+			s.OutCredits = int(r.out[ivc.out].credits)
+		}
+		if ivc.n > 0 {
+			s.PacketID = r.front(ivc).P.ID
+		}
+		out = append(out, s)
 	}
 	return out
 }

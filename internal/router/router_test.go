@@ -254,3 +254,93 @@ func TestInjectionBackpressure(t *testing.T) {
 		t.Error("injection buffer of depth 2 not full after 2 flits")
 	}
 }
+
+// TestClassRangeTableMatchesFormula pins the range table New builds, read
+// the way VC allocation reads it, against the arithmetic classRange for
+// every (QoS class, routing class) pair including routing.AnyClass — over
+// even, uneven (MA on a torus: 3 classes over 4 VCs) and multi-class
+// partitions.
+func TestClassRangeTableMatchesFormula(t *testing.T) {
+	mesh, torus := topology.NewMesh(4, 4), topology.NewTorus(4, 4)
+	cases := []struct {
+		topo *topology.Topology
+		alg  routing.Algorithm
+		cfg  Config
+	}{
+		{mesh, routing.DOR{}, Config{VCs: 2, BufDepth: 2, Delay: 1}},
+		{mesh, routing.Valiant{}, Config{VCs: 4, BufDepth: 2, Delay: 1}},
+		{torus, routing.MinimalAdaptive{}, Config{VCs: 4, BufDepth: 2, Delay: 1}},
+		{torus, routing.MinimalAdaptive{}, Config{VCs: 5, BufDepth: 2, Delay: 1}},
+		{torus, routing.Valiant{}, Config{VCs: 8, BufDepth: 2, Delay: 1, Classes: 2}},
+		{torus, routing.Valiant{}, Config{VCs: 16, BufDepth: 2, Delay: 1, Classes: 3}},
+		{mesh, routing.DOR{}, Config{VCs: 4, BufDepth: 2, Delay: 1, Classes: 3}},
+	}
+	for _, c := range cases {
+		if err := c.cfg.Validate(c.topo, c.alg); err != nil {
+			t.Fatalf("%s/%s %+v: %v", c.topo.Name, c.alg.Name(), c.cfg, err)
+		}
+		r := New(0, c.topo, c.alg, c.cfg)
+		for qc := 0; qc < r.qos; qc++ {
+			for class := routing.AnyClass; class < r.numClasses; class++ {
+				lo, hi := r.classRange(qc, class)
+				if got := r.spans[qc*r.spanStride+1+class]; int(got.lo) != lo || int(got.hi) != hi {
+					t.Errorf("%s/%s VCs=%d Classes=%d: table(qos %d, class %d) = [%d,%d), formula [%d,%d)",
+						c.topo.Name, c.alg.Name(), c.cfg.VCs, c.cfg.Classes, qc, class, got.lo, got.hi, lo, hi)
+				}
+			}
+			if lo, _ := r.qosRange(qc); r.InjectionVCClass(qc) != lo {
+				t.Errorf("InjectionVCClass(%d) = %d, want %d", qc, r.InjectionVCClass(qc), lo)
+			}
+		}
+	}
+}
+
+// TestStepAllocatesNothing holds a router at full occupancy and requires
+// zero allocations per Step, harness included, for every allocator flavour:
+// the age order used to build its request list afresh every cycle.
+func TestStepAllocatesNothing(t *testing.T) {
+	const id = 5
+	topo := topology.NewMesh(4, 4)
+	for _, arb := range []ArbPolicy{RoundRobin, AgeBased} {
+		for _, qos := range []struct {
+			classes int
+			arb     ClassArbPolicy
+		}{{1, StrictPriority}, {3, StrictPriority}, {3, ClassRoundRobin}} {
+			for _, legacy := range []bool{false, true} {
+				cfg := Config{VCs: 3, BufDepth: 4, Delay: 1, Arb: arb, Classes: qos.classes, ClassArb: qos.arb}
+				r := New(id, topo, routing.DOR{}, cfg)
+				r.SetLegacyScan(legacy)
+				pool := make([]Packet, 4096)
+				next, now := 0, int64(0)
+				cycle := func() {
+					for p := 0; p < r.ports; p++ {
+						if f, ok := r.PopDelivery(now, p); ok && p != topo.LocalPort() {
+							r.ReturnCredit(now, p, int(f.VC))
+						}
+						for v := 0; v < cfg.VCs; v++ {
+							for r.InBufLen(p, v)+2 <= cfg.BufDepth { // two-flit packets: heads and tails
+								pkt := &pool[next%len(pool)]
+								next++
+								*pkt = Packet{ID: uint64(next), Src: id, Dst: (next * 7) % topo.N, Size: 2,
+									Class: int(r.vcQoS[v]), CreateTime: now, Route: routing.NewState(-1)}
+								r.AcceptFlit(p, v, Flit{P: pkt, Seq: 0})
+								r.AcceptFlit(p, v, Flit{P: pkt, Seq: 1})
+							}
+						}
+					}
+					r.Step(now)
+					now++
+				}
+				for i := 0; i < 256; i++ { // every VC has routed once: candidate slices exist
+					cycle()
+				}
+				if r.FlitsRouted == 0 {
+					t.Fatalf("arb=%s classes=%d/%s legacy=%v: harness moved no flits", arb, qos.classes, qos.arb, legacy)
+				}
+				if a := testing.AllocsPerRun(200, cycle); a != 0 {
+					t.Errorf("arb=%s classes=%d/%s legacy=%v: %.1f allocs per Step, want 0", arb, qos.classes, qos.arb, legacy, a)
+				}
+			}
+		}
+	}
+}

@@ -1,17 +1,15 @@
 package sim
 
-// FIFO is a generic ring-buffer queue. It grows on demand when constructed
-// unbounded, or rejects pushes past a fixed capacity when bounded. It is the
-// building block for router VC buffers (bounded) and source queues
-// (unbounded).
+// FIFO is a generic ring-buffer queue that grows on demand. The zero value
+// is an empty FIFO that allocates on its first push; the network holds its
+// source queues that way, by value.
 type FIFO[T any] struct {
-	buf     []T
-	head    int
-	n       int
-	bounded bool
+	buf  []T
+	head int
+	n    int
 }
 
-// NewFIFO returns an unbounded FIFO with the given initial capacity hint.
+// NewFIFO returns a FIFO with the given initial capacity hint.
 func NewFIFO[T any](hint int) *FIFO[T] {
 	if hint < 4 {
 		hint = 4
@@ -19,31 +17,15 @@ func NewFIFO[T any](hint int) *FIFO[T] {
 	return &FIFO[T]{buf: make([]T, hint)}
 }
 
-// NewBoundedFIFO returns a FIFO that holds at most cap items.
-func NewBoundedFIFO[T any](capacity int) *FIFO[T] {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &FIFO[T]{buf: make([]T, capacity), bounded: true}
-}
-
 // Len returns the number of queued items.
 func (q *FIFO[T]) Len() int { return q.n }
 
-// Cap returns the capacity for a bounded FIFO, or the current backing size
-// for an unbounded one.
+// Cap returns the current backing size.
 func (q *FIFO[T]) Cap() int { return len(q.buf) }
 
-// Full reports whether a bounded FIFO cannot accept another item.
-func (q *FIFO[T]) Full() bool { return q.bounded && q.n == len(q.buf) }
-
-// Push appends an item, reporting whether it was accepted. Unbounded FIFOs
-// always accept and grow as needed.
-func (q *FIFO[T]) Push(v T) bool {
+// Push appends an item, growing the queue as needed.
+func (q *FIFO[T]) Push(v T) {
 	if q.n == len(q.buf) {
-		if q.bounded {
-			return false
-		}
 		q.grow()
 	}
 	// head < len and n <= len, so a compare-and-subtract wraps the index
@@ -54,11 +36,10 @@ func (q *FIFO[T]) Push(v T) bool {
 	}
 	q.buf[i] = v
 	q.n++
-	return true
 }
 
 func (q *FIFO[T]) grow() {
-	nb := make([]T, 2*len(q.buf))
+	nb := make([]T, max(2*len(q.buf), 16))
 	for i := 0; i < q.n; i++ {
 		nb[i] = q.buf[(q.head+i)%len(q.buf)]
 	}
@@ -112,16 +93,17 @@ func (q *FIFO[T]) Clear() {
 	q.head, q.n = 0, 0
 }
 
-// DelayLine models a fixed-latency pipeline (a link or a router's internal
-// stages): items pushed at cycle c become visible exactly c+delay cycles
-// later. A zero delay makes items visible the same cycle they are pushed.
+// DelayLine models a fixed-latency pipeline: items pushed at cycle c become
+// visible exactly c+delay cycles later. A zero delay makes items visible
+// the same cycle they are pushed. The router keeps its own inline rings
+// (internal/router/ring.go); this generic form is what the repo benchmark's
+// sim.delayline_ns_per_op times.
 type DelayLine[T any] struct {
 	delay int64
 	q     *FIFO[delayed[T]]
 	// headAt caches the delivery time of the head item (meaningless while
 	// empty), so polling a not-yet-ready line is a comparison rather than
-	// a queue peek. PopReady runs once per port per cycle on the
-	// simulator's hottest loop.
+	// a queue peek.
 	headAt int64
 }
 
@@ -165,35 +147,4 @@ func (d *DelayLine[T]) PopReady(now int64) (v T, ok bool) {
 		d.headAt = next.at
 	}
 	return head.v, true
-}
-
-// NextReadyAt returns the cycle at which the head item becomes deliverable,
-// or -1 when the line is empty.
-func (d *DelayLine[T]) NextReadyAt() int64 {
-	if d.q.Len() == 0 {
-		return -1
-	}
-	return d.headAt
-}
-
-// ForEach visits every in-flight item oldest-first without removing any.
-// It is meant for inspection (invariant checking, stuck-state dumps), not
-// the per-cycle path.
-func (d *DelayLine[T]) ForEach(fn func(v T)) {
-	for i := 0; i < d.q.Len(); i++ {
-		fn(d.q.At(i).v)
-	}
-}
-
-// Drain removes every in-flight item, ready or not, invoking fn on each in
-// delivery order. Fault injection uses it to purge the pipelines of a
-// killed router.
-func (d *DelayLine[T]) Drain(fn func(v T)) {
-	for {
-		it, ok := d.q.Pop()
-		if !ok {
-			return
-		}
-		fn(it.v)
-	}
 }

@@ -198,28 +198,6 @@ func TestFIFOInterleavedPushPop(t *testing.T) {
 	}
 }
 
-func TestBoundedFIFO(t *testing.T) {
-	q := NewBoundedFIFO[int](3)
-	for i := 0; i < 3; i++ {
-		if !q.Push(i) {
-			t.Fatalf("push %d rejected", i)
-		}
-	}
-	if q.Push(99) {
-		t.Error("push beyond capacity accepted")
-	}
-	if !q.Full() {
-		t.Error("Full() false at capacity")
-	}
-	v, _ := q.Pop()
-	if v != 0 {
-		t.Errorf("pop = %d, want 0", v)
-	}
-	if !q.Push(3) {
-		t.Error("push after pop rejected")
-	}
-}
-
 func TestFIFOPeekAtClear(t *testing.T) {
 	q := NewFIFO[string](4)
 	q.Push("a")
