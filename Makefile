@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet fmt-check lint test bench-check bench-digest race fuzz-smoke golden golden-update check bench bench-compare bench-gate bench-baseline obs-smoke screen-smoke qos-smoke serve-smoke figures ablations examples clean
+.PHONY: all build vet fmt-check lint test bench-check bench-digest race fuzz-smoke golden golden-update results-check check bench bench-compare bench-gate bench-baseline obs-smoke screen-smoke qos-smoke serve-smoke figures ablations examples clean
 
 all: build vet test
 
@@ -76,6 +76,28 @@ golden:
 # Review the resulting diff before committing.
 golden-update:
 	$(GO) run ./cmd/figures -golden -out results/golden
+
+# Committed-results gate: regenerate the paper figures that go through the
+# shared plotters and core.CorrelateOpenBatch (cmd/figures/plotters.go) into
+# a temp dir and cmp every produced file against its committed copy under
+# results/. -screen is bit-identical by the screen-smoke contract and about
+# halves the wall time; still minutes of simulation, so this is run by hand
+# after touching cmd/figures or the methodology code, not by `check` or CI.
+# RESULTS_FIGS="3 4" make results-check for a subset.
+RESULTS_FIGS ?= 3 4 5 6 8 9 10 16 17
+results-check:
+	@tmp="$$(mktemp -d)"; trap 'rm -rf "$$tmp"' EXIT; mkdir "$$tmp/out"; \
+	$(GO) build -o "$$tmp/figures" ./cmd/figures || exit 1; \
+	for n in $(RESULTS_FIGS); do \
+		"$$tmp/figures" -fig $$n -screen -out "$$tmp/out" >/dev/null || exit 1; \
+	done; \
+	fail=0; \
+	for f in "$$tmp"/out/*; do \
+		name="$$(basename "$$f")"; \
+		if cmp -s "$$f" "results/$$name"; then echo "results-check: $$name identical"; \
+		else echo "results-check: $$name DIFFERS from results/$$name"; fail=1; fi; \
+	done; \
+	exit $$fail
 
 # Metrics-endpoint smoke: start the live exporter against a real cached
 # sweep, scrape /metrics, and validate the Prometheus exposition format

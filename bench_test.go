@@ -111,7 +111,7 @@ func BenchmarkFig05_OpenBatchCorrelation(b *testing.B) {
 				p := core.Baseline()
 				p.RouterDelay = []int64{1, 2, 4}[j]
 				return p
-			}, 150, false)
+			}, 150, false, core.OpenLoopOpts{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -158,7 +158,7 @@ func BenchmarkFig08_TopologyCorrelation(b *testing.B) {
 				p := core.Baseline()
 				p.Topology = names[j]
 				return p
-			}, 150, true)
+			}, 150, true, core.OpenLoopOpts{})
 		if err != nil {
 			b.Fatal(err)
 		}

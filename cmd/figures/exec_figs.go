@@ -126,63 +126,31 @@ func fig15(c *ctx) error {
 	return c.writeFigure("fig15", f)
 }
 
-func scatterFigure(title, xl, yl string, corr core.Correlation) *stats.Figure {
-	f := stats.NewFigure(title, xl, yl)
-	byGroup := map[string]*stats.Series{}
-	for _, pt := range corr.Pairs {
-		s := byGroup[pt.Group]
-		if s == nil {
-			s = f.AddSeries(pt.Group)
-			byGroup[pt.Group] = s
-		}
-		s.Add(pt.X, pt.Y)
-	}
-	return f
-}
-
-// fig16 evaluates the NAR-enhanced injection model.
+// fig16 evaluates the NAR-enhanced injection model. Its x axis is the
+// NAR, not m, so it fills the [tr][NAR] grid itself and shares only the
+// grid plotter with the m-sweep figures.
 func fig16(c *ctx) error {
 	b := c.scale(300, 1000)
 	nars := []float64{0.04, 0.12, 0.2, 0.28, 0.36, 1}
-	trs := []int64{1, 2, 4}
+	labels, vary := routerDelayParams(1, 2, 4)
 	for _, m := range []int{1, 4, 16} {
-		f := stats.NewFigure(
-			fmt.Sprintf("Fig 16 (m=%d): batch model with enhanced injection model", m),
-			"network access rate (NAR)", "normalized runtime / achieved throughput")
-		type cell struct {
-			T     float64
-			theta float64
+		grid := make([][]*core.BatchGridCell, len(labels))
+		for ti := range grid {
+			grid[ti] = make([]*core.BatchGridCell, len(nars))
 		}
-		cells := make([]cell, len(trs)*len(nars))
-		if err := par.Parallel(len(cells), 0, func(idx int) error {
+		if err := par.Parallel(len(labels)*len(nars), 0, func(idx int) error {
 			ti, ni := idx/len(nars), idx%len(nars)
-			p := core.Baseline()
-			p.RouterDelay = trs[ti]
-			res, err := core.Batch(p, core.BatchParams{B: b, M: m, NAR: nars[ni]})
+			res, err := core.Batch(vary(ti), core.BatchParams{B: b, M: m, NAR: nars[ni]})
 			if err != nil {
 				return err
 			}
-			cells[idx] = cell{T: float64(res.Runtime), theta: res.Throughput}
+			grid[ti][ni] = &core.BatchGridCell{Runtime: res.Runtime, Throughput: res.Throughput}
 			return nil
 		}); err != nil {
 			return err
 		}
-		baseT := cells[len(nars)-1].T // tr=1, NAR=1
-		for ti, tr := range trs {
-			st := f.AddSeries(fmt.Sprintf("tr=%d (T)", tr))
-			sth := f.AddSeries(fmt.Sprintf("tr=%d (theta)", tr))
-			for ni, nar := range nars {
-				st.Add(nar, cells[ti*len(nars)+ni].T)
-				sth.Add(nar, cells[ti*len(nars)+ni].theta)
-			}
-		}
-		for _, s := range f.Series {
-			if strings.Contains(s.Name, "(T)") && baseT > 0 {
-				for i := range s.Ys {
-					s.Ys[i] /= baseT
-				}
-			}
-		}
+		f := plotGrid(fmt.Sprintf("Fig 16 (m=%d): batch model with enhanced injection model", m),
+			"network access rate (NAR)", labels, nars, grid, 0, len(nars)-1) // T / T(tr=1, NAR=1)
 		f.Note("low NAR hides router-delay differences even at large m (paper SIV-C1)")
 		if err := c.writeFigure(fmt.Sprintf("fig16m%d", m), f); err != nil {
 			return err
@@ -203,36 +171,13 @@ func fig17(c *ctx) error {
 		{"b", "memory latency = 50", closedloop.FixedReply{Latency: 50}},
 		{"c", "memory latency = 20 + 0.1*300", closedloop.ProbabilisticReply{L2Latency: 20, MemoryLatency: 300, MissRate: 0.1}},
 	}
+	labels, vary := routerDelayParams(1, 2, 4)
 	for _, mconf := range models {
-		f := stats.NewFigure(
+		f, err := gridFigure(
 			fmt.Sprintf("Fig 17%s: batch model with enhanced reply model (%s)", mconf.suffix, mconf.title),
-			"max outstanding requests (m)", "normalized runtime / achieved throughput")
-		trs := []int64{1, 2, 4}
-		var variants []core.NetworkParams
-		for _, tr := range trs {
-			p := core.Baseline()
-			p.RouterDelay = tr
-			variants = append(variants, p)
-		}
-		grid, err := core.BatchGrid(variants, batchMs, core.BatchParams{B: b, Reply: mconf.reply})
+			labels, vary, batchMs, core.BatchParams{B: b, Reply: mconf.reply}, 0) // T / T(tr=1, m=1)
 		if err != nil {
 			return err
-		}
-		baseT := float64(grid[0][0].Runtime) // tr=1, m=1
-		for vi, tr := range trs {
-			st := f.AddSeries(fmt.Sprintf("tr=%d (T)", tr))
-			sth := f.AddSeries(fmt.Sprintf("tr=%d (theta)", tr))
-			for mi, m := range batchMs {
-				st.Add(float64(m), float64(grid[vi][mi].Runtime))
-				sth.Add(float64(m), grid[vi][mi].Throughput)
-			}
-		}
-		for _, s := range f.Series {
-			if strings.Contains(s.Name, "(T)") && baseT > 0 {
-				for i := range s.Ys {
-					s.Ys[i] /= baseT
-				}
-			}
 		}
 		f.Note("memory latency dominates remote access: router delay impact shrinks (SIV-C2)")
 		if err := c.writeFigure("fig17"+mconf.suffix, f); err != nil {

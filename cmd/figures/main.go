@@ -118,9 +118,9 @@ func main() {
 	var ids []string
 	switch {
 	case *all:
-		// The golden subset is excluded: it regenerates scaled-down copies
-		// of curves -all already produces, and its output belongs under
-		// results/golden (see -golden / make golden-update).
+		// The golden subset is excluded: it is the same generators' code
+		// at golden scale, and its output belongs under results/golden
+		// (see -golden / make golden-update).
 		for id := range generators {
 			if !strings.HasPrefix(id, "golden") {
 				ids = append(ids, id)

@@ -8,7 +8,6 @@ import (
 	"strings"
 
 	"noceval/internal/core"
-	"noceval/internal/openloop"
 	"noceval/internal/par"
 	"noceval/internal/stats"
 )
@@ -104,115 +103,37 @@ func fig02(c *ctx) error {
 
 // fig03 shows open-loop impact of router delay (a) and buffer depth (b).
 func fig03(c *ctx) error {
-	fa := stats.NewFigure("Fig 3a: impact of router delay in open-loop",
-		"offered load (flits/cycle/node)", "average latency (cycles)")
-	trs := []int64{1, 2, 4}
-	sweeps := make([][]*openloop.Result, len(trs))
-	if err := par.Parallel(len(trs), 0, func(i int) error {
-		p := core.Baseline()
-		p.RouterDelay = trs[i]
-		res, err := core.OpenLoopSweep(p, sweepRates(0.5))
-		sweeps[i] = res
+	labels, vary := routerDelayParams(1, 2, 4)
+	fa, err := sweepFigure("Fig 3a: impact of router delay in open-loop", labels, vary, sweepRates(0.5), core.OpenLoopOpts{})
+	if err != nil {
 		return err
-	}); err != nil {
-		return err
-	}
-	for i, tr := range trs {
-		s := fa.AddSeries(fmt.Sprintf("tr=%d", tr))
-		for _, r := range sweeps[i] {
-			if !r.Stable {
-				break
-			}
-			s.Add(r.Rate, r.AvgLatency)
-		}
 	}
 	if err := c.writeFigure("fig03a", fa); err != nil {
 		return err
 	}
-
-	fb := stats.NewFigure("Fig 3b: impact of VC buffer depth in open-loop",
-		"offered load (flits/cycle/node)", "average latency (cycles)")
-	qs := []int{4, 8, 16, 32}
-	qSweeps := make([][]*openloop.Result, len(qs))
-	if err := par.Parallel(len(qs), 0, func(i int) error {
-		p := core.Baseline()
-		p.BufDepth = qs[i]
-		res, err := core.OpenLoopSweep(p, sweepRates(0.5))
-		qSweeps[i] = res
+	labels, vary = bufDepthParams(4, 8, 16, 32)
+	fb, err := sweepFigure("Fig 3b: impact of VC buffer depth in open-loop", labels, vary, sweepRates(0.5), core.OpenLoopOpts{})
+	if err != nil {
 		return err
-	}); err != nil {
-		return err
-	}
-	for i, q := range qs {
-		s := fb.AddSeries(fmt.Sprintf("q=%d", q))
-		for _, r := range qSweeps[i] {
-			if !r.Stable {
-				break
-			}
-			s.Add(r.Rate, r.AvgLatency)
-		}
 	}
 	return c.writeFigure("fig03b", fb)
 }
 
 // fig04 shows the same two parameters in the batch model across m.
 func fig04(c *ctx) error {
-	b := c.scale(300, 1000)
-
-	fa := stats.NewFigure("Fig 4a: impact of router delay in batch model",
-		"max outstanding requests (m)", "normalized runtime / achieved throughput")
-	var trVariants []core.NetworkParams
-	for _, tr := range []int64{1, 2, 4} {
-		p := core.Baseline()
-		p.RouterDelay = tr
-		trVariants = append(trVariants, p)
-	}
-	grid, err := core.BatchGrid(trVariants, batchMs, core.BatchParams{B: b})
+	bp := core.BatchParams{B: c.scale(300, 1000)}
+	labels, vary := routerDelayParams(1, 2, 4)
+	fa, err := gridFigure("Fig 4a: impact of router delay in batch model", labels, vary, batchMs, bp, 0) // T / T(tr=1, m=1)
 	if err != nil {
 		return err
-	}
-	baseT := float64(grid[0][0].Runtime) // tr=1, m=1 baseline
-	for vi, tr := range []int64{1, 2, 4} {
-		st := fa.AddSeries(fmt.Sprintf("tr=%d (T)", tr))
-		sth := fa.AddSeries(fmt.Sprintf("tr=%d (theta)", tr))
-		for mi, m := range batchMs {
-			st.Add(float64(m), float64(grid[vi][mi].Runtime)/baseT)
-			sth.Add(float64(m), grid[vi][mi].Throughput)
-		}
 	}
 	if err := c.writeFigure("fig04a", fa); err != nil {
 		return err
 	}
-
-	fb := stats.NewFigure("Fig 4b: impact of buffer depth in batch model",
-		"max outstanding requests (m)", "normalized runtime / achieved throughput")
-	qVals4 := []int{4, 8, 16, 32}
-	var qVariants []core.NetworkParams
-	for _, q := range qVals4 {
-		p := core.Baseline()
-		p.BufDepth = q
-		qVariants = append(qVariants, p)
-	}
-	qGrid, err := core.BatchGrid(qVariants, batchMs, core.BatchParams{B: b})
+	labels, vary = bufDepthParams(4, 8, 16, 32)
+	fb, err := gridFigure("Fig 4b: impact of buffer depth in batch model", labels, vary, batchMs, bp, 3) // T / T(q=32, m=1) per the paper
 	if err != nil {
 		return err
-	}
-	baseT = float64(qGrid[3][0].Runtime) // q=32, m=1 per the paper
-	for vi, q := range qVals4 {
-		st := fb.AddSeries(fmt.Sprintf("q=%d (T)", q))
-		sth := fb.AddSeries(fmt.Sprintf("q=%d (theta)", q))
-		for mi, m := range batchMs {
-			st.Add(float64(m), float64(qGrid[vi][mi].Runtime))
-			sth.Add(float64(m), qGrid[vi][mi].Throughput)
-		}
-	}
-	// Normalize runtimes to q=32, m=1 per the paper.
-	for _, s := range fb.Series {
-		if strings.Contains(s.Name, "(T)") && baseT > 0 {
-			for i := range s.Ys {
-				s.Ys[i] /= baseT
-			}
-		}
 	}
 	return c.writeFigure("fig04b", fb)
 }
@@ -221,51 +142,34 @@ func fig04(c *ctx) error {
 func fig05(c *ctx) error {
 	b := c.scale(300, 1000)
 	write := func(name, param string, labels []string, vary func(int) core.NetworkParams) error {
-		corr, err := core.CorrelateOpenBatch(batchMs, labels, vary, b, false)
+		corr, err := core.CorrelateOpenBatch(batchMs, labels, vary, b, false, core.OpenLoopOpts{})
 		if err != nil {
 			return err
 		}
-		f := stats.NewFigure(
+		f := scatterFigure(
 			fmt.Sprintf("Fig 5%s: open-loop vs batch correlation (%s sweep)", name, param),
-			"open-loop normalized avg latency", "batch model normalized runtime")
-		byGroup := map[string]*stats.Series{}
-		for _, pt := range corr.Pairs {
-			s := byGroup[pt.Group]
-			if s == nil {
-				s = f.AddSeries(pt.Group)
-				byGroup[pt.Group] = s
-			}
-			s.Add(pt.X, pt.Y)
-		}
+			"open-loop normalized avg latency", "batch model normalized runtime", corr)
 		f.Note("correlation coefficient (all m) = %.4f +/- %.4f (rank %.4f)", corr.Coefficient, corr.CI95, corr.Rank)
 		// The paper notes poor correlation near saturation (m=16, 32).
 		lowM := []int{1, 2, 4, 8}
-		corrLow, err := core.CorrelateOpenBatch(lowM, labels, vary, b, false)
+		corrLow, err := core.CorrelateOpenBatch(lowM, labels, vary, b, false, core.OpenLoopOpts{})
 		if err != nil {
 			return err
 		}
 		f.Note("correlation coefficient (m<=8) = %.4f +/- %.4f (paper: 0.9953 for tr, 0.9935 for q)", corrLow.Coefficient, corrLow.CI95)
 		return c.writeFigure("fig05"+name, f)
 	}
-	trLabels := []string{"tr=1", "tr=2", "tr=4"}
-	if err := write("a", "router delay", trLabels, func(i int) core.NetworkParams {
-		p := core.Baseline()
-		p.RouterDelay = []int64{1, 2, 4}[i]
-		return p
-	}); err != nil {
+	trLabels, trVary := routerDelayParams(1, 2, 4)
+	if err := write("a", "router delay", trLabels, trVary); err != nil {
 		return err
 	}
 	// The q sweep reaches down to q=2: with this router's short credit
 	// round trip, buffers of 4+ flits only matter at saturation, so the
 	// correlation signal lives in the small-buffer half of Table I's
 	// {1..32} range.
-	qLabels := []string{"q=16", "q=8", "q=4", "q=2"}
 	qVals := []int{16, 8, 4, 2}
-	if err := write("b", "buffer depth", qLabels, func(i int) core.NetworkParams {
-		p := core.Baseline()
-		p.BufDepth = qVals[i]
-		return p
-	}); err != nil {
+	qLabels, qVary := bufDepthParams(qVals...)
+	if err := write("b", "buffer depth", qLabels, qVary); err != nil {
 		return err
 	}
 	// Buffer depth is a throughput parameter on this router: the
@@ -274,9 +178,8 @@ func fig05(c *ctx) error {
 	// report the throughput-domain correlation: batch achieved throughput
 	// vs open-loop capacity across q.
 	var batchTheta, olCap []float64
-	for _, q := range qVals {
-		p := core.Baseline()
-		p.BufDepth = q
+	for i := range qVals {
+		p := qVary(i)
 		res, err := core.Batch(p, core.BatchParams{B: b, M: 16})
 		if err != nil {
 			return err
@@ -316,56 +219,17 @@ func topologyParams() ([]string, func(int) core.NetworkParams) {
 // fig06 compares topologies in open-loop (a) and batch model (b).
 func fig06(c *ctx) error {
 	names, vary := topologyParams()
-
-	fa := stats.NewFigure("Fig 6a: impact of topology in open-loop (uniform random)",
-		"offered load (flits/cycle/node)", "average latency (cycles)")
-	topoSweeps := make([][]*openloop.Result, len(names))
-	if err := par.Parallel(len(names), 0, func(i int) error {
-		res, err := core.OpenLoopSweep(vary(i), sweepRates(0.7))
-		topoSweeps[i] = res
+	fa, err := sweepFigure("Fig 6a: impact of topology in open-loop (uniform random)", names, vary, sweepRates(0.7), core.OpenLoopOpts{})
+	if err != nil {
 		return err
-	}); err != nil {
-		return err
-	}
-	for i, name := range names {
-		s := fa.AddSeries(name)
-		for _, r := range topoSweeps[i] {
-			if !r.Stable {
-				break
-			}
-			s.Add(r.Rate, r.AvgLatency)
-		}
 	}
 	if err := c.writeFigure("fig06a", fa); err != nil {
 		return err
 	}
-
-	b := c.scale(300, 1000)
-	fb := stats.NewFigure("Fig 6b: impact of topology in batch model",
-		"max outstanding requests (m)", "normalized runtime / achieved throughput")
-	var variants []core.NetworkParams
-	for i := range names {
-		variants = append(variants, vary(i))
-	}
-	grid, err := core.BatchGrid(variants, batchMs, core.BatchParams{B: b})
+	fb, err := gridFigure("Fig 6b: impact of topology in batch model", names, vary, batchMs,
+		core.BatchParams{B: c.scale(300, 1000)}, 0) // T / T(mesh, m=1)
 	if err != nil {
 		return err
-	}
-	baseT := float64(grid[0][0].Runtime) // mesh, m=1
-	for vi, name := range names {
-		st := fb.AddSeries(name + " (T)")
-		sth := fb.AddSeries(name + " (theta)")
-		for mi, m := range batchMs {
-			st.Add(float64(m), float64(grid[vi][mi].Runtime))
-			sth.Add(float64(m), grid[vi][mi].Throughput)
-		}
-	}
-	for _, s := range fb.Series {
-		if strings.Contains(s.Name, "(T)") && baseT > 0 {
-			for i := range s.Ys {
-				s.Ys[i] /= baseT
-			}
-		}
 	}
 	return c.writeFigure("fig06b", fb)
 }
@@ -416,33 +280,32 @@ func fig08(c *ctx) error {
 	b := c.scale(300, 1000)
 	names, vary := topologyParams()
 	ms := []int{1, 2, 4, 8}
-	corr, err := core.CorrelateOpenBatch(ms, names, vary, b, true)
+	corr, err := core.CorrelateOpenBatch(ms, names, vary, b, true, core.OpenLoopOpts{})
 	if err != nil {
 		return err
 	}
-	f := stats.NewFigure("Fig 8: open-loop (worst-case latency) vs batch across topologies",
-		"open-loop normalized worst-case latency", "batch model normalized runtime")
-	byGroup := map[string]*stats.Series{}
-	for _, pt := range corr.Pairs {
-		s := byGroup[pt.Group]
-		if s == nil {
-			s = f.AddSeries(pt.Group)
-			byGroup[pt.Group] = s
-		}
-		s.Add(pt.X, pt.Y)
-	}
+	f := scatterFigure("Fig 8: open-loop (worst-case latency) vs batch across topologies",
+		"open-loop normalized worst-case latency", "batch model normalized runtime", corr)
 	f.Note("correlation coefficient = %.4f +/- %.4f, rank %.4f (paper: 0.999 using worst-case latency)", corr.Coefficient, corr.CI95, corr.Rank)
-	avg, err := core.CorrelateOpenBatch(ms, names, vary, b, false)
+	avg, err := core.CorrelateOpenBatch(ms, names, vary, b, false, core.OpenLoopOpts{})
 	if err == nil {
 		f.Note("with average latency instead: %.4f (mesh/torus inversion at low m)", avg.Coefficient)
 	}
 	return c.writeFigure("fig08", f)
 }
 
+// routingPanels are the two traffic patterns Figs 9 and 10 compare the
+// routing algorithms under, in panel order.
+var routingPanels = []struct{ suffix, pattern string }{{"a", "uniform"}, {"b", "transpose"}}
+
 // routingParams returns the four Table I routing algorithms with 4 VCs.
 func routingParams(pattern string) ([]string, func(int) core.NetworkParams) {
 	algs := []string{"dor", "ma", "romm", "val"}
-	return algs, func(i int) core.NetworkParams {
+	labels := make([]string, len(algs))
+	for i, alg := range algs {
+		labels[i] = strings.ToUpper(alg)
+	}
+	return labels, func(i int) core.NetworkParams {
 		p := core.Baseline()
 		p.Routing = algs[i]
 		p.VCs = 4
@@ -454,29 +317,15 @@ func routingParams(pattern string) ([]string, func(int) core.NetworkParams) {
 // fig09 compares routing algorithms in open-loop under uniform and
 // transpose traffic.
 func fig09(c *ctx) error {
-	for suffix, pattern := range map[string]string{"a": "uniform", "b": "transpose"} {
-		names, vary := routingParams(pattern)
-		f := stats.NewFigure(
-			fmt.Sprintf("Fig 9%s: routing algorithms in open-loop (%s)", suffix, pattern),
-			"offered load (flits/cycle/node)", "average latency (cycles)")
-		algSweeps := make([][]*openloop.Result, len(names))
-		if err := par.Parallel(len(names), 0, func(i int) error {
-			res, err := core.OpenLoopSweep(vary(i), sweepRates(0.5))
-			algSweeps[i] = res
-			return err
-		}); err != nil {
+	for _, panel := range routingPanels {
+		labels, vary := routingParams(panel.pattern)
+		f, err := sweepFigure(
+			fmt.Sprintf("Fig 9%s: routing algorithms in open-loop (%s)", panel.suffix, panel.pattern),
+			labels, vary, sweepRates(0.5), core.OpenLoopOpts{})
+		if err != nil {
 			return err
 		}
-		for i, name := range names {
-			s := f.AddSeries(strings.ToUpper(name))
-			for _, r := range algSweeps[i] {
-				if !r.Stable {
-					break
-				}
-				s.Add(r.Rate, r.AvgLatency)
-			}
-		}
-		if err := c.writeFigure("fig09"+suffix, f); err != nil {
+		if err := c.writeFigure("fig09"+panel.suffix, f); err != nil {
 			return err
 		}
 	}
@@ -485,37 +334,16 @@ func fig09(c *ctx) error {
 
 // fig10 compares routing algorithms in the batch model.
 func fig10(c *ctx) error {
-	b := c.scale(300, 1000)
-	for suffix, pattern := range map[string]string{"a": "uniform", "b": "transpose"} {
-		names, vary := routingParams(pattern)
-		f := stats.NewFigure(
-			fmt.Sprintf("Fig 10%s: routing algorithms in batch model (%s)", suffix, pattern),
-			"max outstanding requests (m)", "normalized runtime / achieved throughput")
-		var variants []core.NetworkParams
-		for i := range names {
-			variants = append(variants, vary(i))
-		}
-		grid, err := core.BatchGrid(variants, batchMs, core.BatchParams{B: b})
+	bp := core.BatchParams{B: c.scale(300, 1000)}
+	for _, panel := range routingPanels {
+		labels, vary := routingParams(panel.pattern)
+		f, err := gridFigure(
+			fmt.Sprintf("Fig 10%s: routing algorithms in batch model (%s)", panel.suffix, panel.pattern),
+			labels, vary, batchMs, bp, 0) // T / T(dor, m=1)
 		if err != nil {
 			return err
 		}
-		baseT := float64(grid[0][0].Runtime) // dor, m=1
-		for vi, name := range names {
-			st := f.AddSeries(strings.ToUpper(name) + " (T)")
-			sth := f.AddSeries(strings.ToUpper(name) + " (theta)")
-			for mi, m := range batchMs {
-				st.Add(float64(m), float64(grid[vi][mi].Runtime))
-				sth.Add(float64(m), grid[vi][mi].Throughput)
-			}
-		}
-		for _, s := range f.Series {
-			if strings.Contains(s.Name, "(T)") && baseT > 0 {
-				for i := range s.Ys {
-					s.Ys[i] /= baseT
-				}
-			}
-		}
-		if err := c.writeFigure("fig10"+suffix, f); err != nil {
+		if err := c.writeFigure("fig10"+panel.suffix, f); err != nil {
 			return err
 		}
 	}

@@ -1,6 +1,9 @@
 package core
 
 import (
+	"encoding/json"
+	"os"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -104,7 +107,7 @@ func TestCorrelateOpenBatchRouterDelay(t *testing.T) {
 		p.RouterDelay = []int64{1, 2, 4}[i]
 		return p
 	}
-	corr, err := CorrelateOpenBatch([]int{1, 4}, labels, vary, 200, false)
+	corr, err := CorrelateOpenBatch([]int{1, 4}, labels, vary, 200, false, OpenLoopOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,6 +116,51 @@ func TestCorrelateOpenBatchRouterDelay(t *testing.T) {
 	}
 	if corr.Coefficient < 0.95 {
 		t.Errorf("tr correlation = %.4f, want > 0.95 (paper: 0.9953)", corr.Coefficient)
+	}
+	// Zero OpenLoopOpts means the default phases of the paper figures: the
+	// fixture holds what the procedure returned for these inputs before it
+	// took options.
+	data, err := os.ReadFile("testdata/correlate_open_batch_tr.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want Correlation
+	if err := json.Unmarshal(data, &want); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(corr, want) {
+		t.Errorf("correlation moved:\n got %+v\nwant %+v", corr, want)
+	}
+}
+
+// Shortened phases reach the open-loop half of every cell: the golden
+// gate's scale must not silently fall back to the defaults.
+func TestCorrelateOpenBatchHonoursOpts(t *testing.T) {
+	labels := []string{"tr=1", "tr=2"}
+	vary := func(i int) NetworkParams {
+		p := Baseline()
+		p.RouterDelay = []int64{1, 2}[i]
+		return p
+	}
+	short := OpenLoopOpts{Warmup: 500, Measure: 1000, DrainLimit: 20000}
+	got, err := CorrelateOpenBatch([]int{4}, labels, vary, 100, false, short)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var lat [2]float64 // the two cells rerun by hand, open-loop at the short phases
+	for i := range lat {
+		res, err := Batch(vary(i), BatchParams{B: 100, M: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ol, err := OpenLoopWith(vary(i), res.Throughput, short)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lat[i] = ol.AvgLatency
+	}
+	if want := lat[1] / lat[0]; got.Pairs[1].X != want {
+		t.Errorf("tr=2 normalized latency = %v, want %v from the short-phase runs", got.Pairs[1].X, want)
 	}
 }
 

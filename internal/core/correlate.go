@@ -58,8 +58,12 @@ func NormalizeGroup(values []float64) ([]float64, error) {
 // 0 within each m-group, and the Pearson coefficient is computed over all
 // points. vary(i) must return the network parameters of variant i; labels
 // name the variants. worstCase selects the open-loop worst-case per-node
-// latency instead of the average (the Fig 8 topology methodology).
-func CorrelateOpenBatch(ms []int, labels []string, vary func(i int) NetworkParams, b int, worstCase bool) (Correlation, error) {
+// latency instead of the average (the Fig 8 topology methodology). o sets
+// the open-loop phase lengths and cancellation of every cell (zero = the
+// defaults the paper figures use; the golden gate passes shortened
+// phases); like a sweep, the concurrent cells ignore o.Hooks.
+func CorrelateOpenBatch(ms []int, labels []string, vary func(i int) NetworkParams, b int, worstCase bool, o OpenLoopOpts) (Correlation, error) {
+	o.Hooks = Hooks{}
 	nm, nl := len(ms), len(labels)
 	batchRaw := make([]float64, nm*nl)
 	openRaw := make([]float64, nm*nl)
@@ -68,7 +72,7 @@ func CorrelateOpenBatch(ms []int, labels []string, vary func(i int) NetworkParam
 	err := par.Parallel(nm*nl, 0, func(idx int) error {
 		mi, li := idx/nl, idx%nl
 		p := vary(li)
-		res, err := Batch(p, BatchParams{B: b, M: ms[mi]})
+		res, err := Batch(p, BatchParams{B: b, M: ms[mi], Ctx: o.Ctx})
 		if err != nil {
 			return fmt.Errorf("core: batch %s m=%d: %w", labels[li], ms[mi], err)
 		}
@@ -77,7 +81,7 @@ func CorrelateOpenBatch(ms []int, labels []string, vary func(i int) NetworkParam
 		}
 		batchRaw[idx] = float64(res.Runtime)
 
-		ol, err := OpenLoop(p, res.Throughput)
+		ol, err := OpenLoopWith(p, res.Throughput, o)
 		if err != nil {
 			return fmt.Errorf("core: open-loop %s m=%d: %w", labels[li], ms[mi], err)
 		}

@@ -46,41 +46,3 @@ type BatchGridCell struct {
 	Throughput float64
 	NodeFinish []int64
 }
-
-// OpenLoopGrid runs open-loop sweeps for several network variants in
-// parallel, returning results indexed [variant][rate]. Unstable points are
-// preserved (not truncated) so callers can decide how to plot them.
-func OpenLoopGrid(variants []NetworkParams, rates []float64) ([][]*OpenLoopGridCell, error) {
-	out := make([][]*OpenLoopGridCell, len(variants))
-	for i := range out {
-		out[i] = make([]*OpenLoopGridCell, len(rates))
-	}
-	n := len(variants) * len(rates)
-	err := par.Parallel(n, 0, func(idx int) error {
-		vi, ri := idx/len(rates), idx%len(rates)
-		res, err := OpenLoop(variants[vi], rates[ri])
-		if err != nil {
-			return err
-		}
-		out[vi][ri] = &OpenLoopGridCell{
-			Params:     variants[vi],
-			Rate:       rates[ri],
-			AvgLatency: res.AvgLatency,
-			Worst:      res.WorstLatency,
-			Accepted:   res.Accepted,
-			Stable:     res.Stable,
-		}
-		return nil
-	})
-	return out, err
-}
-
-// OpenLoopGridCell is one point of an open-loop parameter grid.
-type OpenLoopGridCell struct {
-	Params     NetworkParams
-	Rate       float64
-	AvgLatency float64
-	Worst      float64
-	Accepted   float64
-	Stable     bool
-}

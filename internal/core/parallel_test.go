@@ -31,20 +31,6 @@ func TestBatchGridMatchesSerialRuns(t *testing.T) {
 	}
 }
 
-func TestOpenLoopGrid(t *testing.T) {
-	grid, err := OpenLoopGrid([]NetworkParams{Baseline()}, []float64{0.05, 0.2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if grid[0][0].AvgLatency >= grid[0][1].AvgLatency {
-		t.Errorf("latency did not rise with load: %.2f -> %.2f",
-			grid[0][0].AvgLatency, grid[0][1].AvgLatency)
-	}
-	if !grid[0][0].Stable || !grid[0][1].Stable {
-		t.Error("low loads reported unstable")
-	}
-}
-
 func TestBatchGridPropagatesErrors(t *testing.T) {
 	bad := Baseline()
 	bad.Routing = "zigzag"

@@ -116,11 +116,17 @@ func (s *ExperimentSpec) clock() (workload.Clock, error) {
 // Hash returns the spec's content address: the SHA-256 over the
 // canonical JSON encoding, salted with the cache schema version — the key
 // the experiment service coalesces identical in-flight submissions by and
-// stamps job records with. Two specs hash equal iff a ParseSpec round
-// trip leaves them identical, so the hash is stable across processes and
-// sessions the same way experiment-cache keys are.
+// stamps job records with. The network enters it the way it enters
+// experiment-cache keys (cacheNorm): the shard count — which ParseSpec's
+// Baseline reads from the server's NOCEVAL_SHARDS — never changes a
+// result, so it must not change the address either. Otherwise two specs
+// hash equal iff a ParseSpec round trip leaves them identical, so the
+// hash is stable across processes, environments and sessions the same way
+// experiment-cache keys are.
 func (s *ExperimentSpec) Hash() (string, error) {
-	k, err := expcache.KeyFor(CacheSchemaVersion, "spec", s)
+	norm := *s
+	norm.Network = s.Network.cacheNorm()
+	k, err := expcache.KeyFor(CacheSchemaVersion, "spec", &norm)
 	if err != nil {
 		return "", err
 	}

@@ -177,3 +177,43 @@ func TestSpecErrorMessages(t *testing.T) {
 		})
 	}
 }
+
+// The spec hash is the service's coalescing key and must address the
+// result, not the server: the shard count — explicit in the body or
+// inherited from NOCEVAL_SHARDS through ParseSpec's Baseline — never
+// changes a simulated number, so it must not change the hash.
+func TestSpecHashIgnoresShards(t *testing.T) {
+	const body = `{"kind":"batch","b":50,"m":2}`
+	// Recorded before Hash normalized the network: shard-free specs keep
+	// their address.
+	const want = "ba4a5647a79ad32f77e127c9c9aa1df291351cb22b1aab58e4e20f8595e1a61a"
+	hash := func(body string) string {
+		t.Helper()
+		spec, err := ParseSpec([]byte(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		h, err := spec.Hash()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return h
+	}
+	t.Setenv("NOCEVAL_SHARDS", "")
+	if got := hash(body); got != want {
+		t.Errorf("shard-free hash = %s, want %s", got, want)
+	}
+	sharded := `{"kind":"batch","b":50,"m":2,"network":{"Topology":"mesh8x8","VCs":2,"BufDepth":16,"RouterDelay":1,"Routing":"dor","Arb":"rr","Pattern":"uniform","Sizes":"single","Seed":1,"Shards":2}}`
+	if got := hash(sharded); got != want {
+		t.Errorf("Shards:2 hash = %s, want the shard-free %s", got, want)
+	}
+	t.Setenv("NOCEVAL_SHARDS", "2")
+	if got := hash(body); got != want {
+		t.Errorf("hash under NOCEVAL_SHARDS=2 = %s, want %s", got, want)
+	}
+	// Hash normalizes a copy: the spec still runs at the requested count.
+	spec, _ := ParseSpec([]byte(body))
+	if _, err := spec.Hash(); err != nil || spec.Network.Shards != 2 {
+		t.Errorf("Hash changed the spec: Shards = %d (err %v), want 2", spec.Network.Shards, err)
+	}
+}

@@ -241,16 +241,12 @@ type Router struct {
 	// state bitmasks below. The compute phases then iterate only VCs that
 	// can make progress, in the same ascending/rotated order as the full
 	// scans, so the fast path is bit-identical to the fallback. Bit p*VCs+v
-	// denotes input VC (p, v).
+	// denotes input VC (p, v). SetLegacyScan clears it to restore the
+	// pre-mask nested-loop compute phases.
 	maskHot bool
-	// legacyScan, set via SetLegacyScan, restores the pre-mask nested-loop
-	// compute phases. The network's full-scan mode enables it so the legacy
-	// path keeps the reference implementation's cost model and exercises
-	// the original scan order as a determinism oracle for the mask paths.
-	legacyScan bool
-	occMask    uint64 // input VC holds at least one flit
-	reqMask    uint64 // front packet routed but not yet granted an output VC
-	gntMask    uint64 // front packet holds an output VC grant
+	occMask uint64 // input VC holds at least one flit
+	reqMask uint64 // front packet routed but not yet granted an output VC
+	gntMask uint64 // front packet holds an output VC grant
 	// gntPorts folds gntMask per input port: bit p is set while any VC of
 	// input port p holds a grant. Switch allocation's stage 1 nominates
 	// only from these ports.
@@ -509,7 +505,6 @@ func (r *Router) InjectionVCClass(qc int) int { return int(r.spans[qc*r.spanStri
 // network's full-scan mode uses this to keep the legacy path an honest
 // baseline and the determinism tests a reference-vs-optimized oracle.
 func (r *Router) SetLegacyScan(v bool) {
-	r.legacyScan = v
 	r.maskHot = !v && len(r.in) <= 64
 }
 

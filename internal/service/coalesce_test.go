@@ -3,6 +3,7 @@ package service
 import (
 	"net/http"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -111,6 +112,37 @@ func TestCoalescingSingleFlight(t *testing.T) {
 	}
 	if got := reg.Counter("core.runs_started").Value(); got != 1 {
 		t.Fatalf("core.runs_started = %d, want 1", got)
+	}
+}
+
+// TestShardedTwinCoalesces: the shard count is not part of a spec's
+// content address (results are bit-identical at any count), so a Shards:2
+// submission joins its in-flight shard-free twin instead of simulating
+// the same numbers a second time.
+func TestShardedTwinCoalesces(t *testing.T) {
+	reg := withObs(t)
+	t.Setenv("NOCEVAL_SHARDS", "")
+	_, ts := newTestServer(t, Config{Workers: 2})
+	plain := slowSpec(9)
+	sharded := strings.Replace(plain, `"Seed":9`, `"Seed":9,"Shards":2`, 1)
+	if sharded == plain {
+		t.Fatal("spec body has no Seed field to extend")
+	}
+
+	code, first := postSpec(t, ts.URL, plain)
+	if code != http.StatusAccepted {
+		t.Fatalf("first submit = %d, want 202", code)
+	}
+	code, twin := postSpec(t, ts.URL, sharded)
+	if code != http.StatusOK || !twin.CoalescedOnto || twin.ID != first.ID {
+		t.Fatalf("Shards:2 twin = %d coalesced=%v id=%s, want 200 coalesced onto %s",
+			code, twin.CoalescedOnto, twin.ID, first.ID)
+	}
+	if twin.SpecHash != first.SpecHash {
+		t.Fatalf("spec hashes differ: %s vs %s", twin.SpecHash, first.SpecHash)
+	}
+	if got := reg.Counter("service.jobs_coalesced").Value(); got != 1 {
+		t.Fatalf("jobs_coalesced = %d, want 1", got)
 	}
 }
 
