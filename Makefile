@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet fmt-check lint test bench-check bench-digest race fuzz-smoke golden golden-update results-check check bench bench-compare bench-gate bench-baseline obs-smoke screen-smoke qos-smoke serve-smoke figures ablations examples clean
+.PHONY: all build vet fmt-check lint test bench-check bench-digest race fuzz-smoke golden golden-update results-check check bench bench-compare bench-pair obs-smoke screen-smoke qos-smoke serve-smoke figures ablations examples clean
 
 all: build vet test
 
@@ -153,7 +153,6 @@ bench:
 bench-compare:
 	@mkdir -p results
 	$(GO) test -run '^$$' -bench 'IdleOpenLoopLowLoad|IdleBatchTail' -benchtime=10x -count=5 . | tee results/bench-engines.txt
-	$(GO) run ./cmd/benchjson -in results/bench-engines.txt -out results/bench-engines.json
 	@grep 'engine=fullscan' results/bench-engines.txt | sed 's|/engine=fullscan||' > results/bench-fullscan.txt
 	@grep 'engine=activeset' results/bench-engines.txt | sed 's|/engine=activeset||' > results/bench-activeset.txt
 	@if command -v benchstat >/dev/null 2>&1; then \
@@ -178,34 +177,27 @@ bench-compare:
 		echo "benchstat not installed: raw runs left in results/bench-screen-off.txt and results/bench-screen-on.txt"; \
 	fi
 
-# Engine-benchmark set fed to the performance gate: the two idle-heavy
-# engine comparisons, the saturated cycle loop (network.Step on 8x8 and
-# 16x16, router.Step at three occupancies) and the analytic estimator path
-# (it runs before every screened sweep, so it must stay cheap). ShardScaling and
-# SweepScreening are deliberately NOT gated — their wall time tracks the
-# host's parallel capacity, which shared runners do not hold constant
-# (observed ~2x window-to-window swings); measure them with bench-compare
-# instead.
-BENCH_ENGINES = IdleOpenLoopLowLoad|IdleBatchTail|AnalyticCurve|NetworkStepSaturated|RouterStep
-TOLERANCE ?= 0.15
-
-# Performance gate: run the engine benchmarks, archive the JSON, and fail
-# if any benchmark's ns/op regressed more than TOLERANCE (a fraction; CI
-# passes a looser value because shared runners are noisy). The committed
-# baseline tracks whatever machine last ran bench-baseline — compare
-# like with like.
-bench-gate:
-	@mkdir -p results
-	$(GO) test -run '^$$' -bench '$(BENCH_ENGINES)' -benchtime=3x -count=3 . | tee results/bench-engines.txt
-	$(GO) run ./cmd/benchjson -in results/bench-engines.txt -out results/bench-engines.json \
-		-baseline results/bench-baseline.json -tolerance $(TOLERANCE)
-
-# Rewrite the committed performance baseline after a deliberate engine
-# change. Review the resulting diff before committing.
-bench-baseline:
-	@mkdir -p results
-	$(GO) test -run '^$$' -bench '$(BENCH_ENGINES)' -benchtime=3x -count=3 . | tee results/bench-engines.txt
-	$(GO) run ./cmd/benchjson -in results/bench-engines.txt -out results/bench-baseline.json
+# The performance gate: the repo benchmark (bench/, BENCHMARK.json), all
+# seven workloads, on the base ref and then on the working tree, back to
+# back on this host, judged by bench/'s own -compare (bench/compare.go).
+# Nothing is compared with a number measured on another host or at another
+# time. The recipe ends with -compare's status: 0 all ok, 1 regressed,
+# 3 unresolved at worst; 2 = a side did not build or run (a run that only
+# fails an operation still leaves its result file for -compare to count).
+# The base ref is a git worktree under .bench_build/base, removed on exit,
+# also on failure; the two result files and the verdict table stay in
+# .bench_build/. Minutes long and host-bound, so not part of `check`.
+# `make bench-pair BASE=HEAD` judges uncommitted work against the last commit.
+BASE ?= HEAD~1
+bench-pair:
+	@out="$(CURDIR)/.bench_build"; base="$$out/base"; mkdir -p "$$out"; \
+	rm -f "$$out/pair-base.json" "$$out/pair-head.json" "$$out/pair-verdict.txt"; \
+	trap 'git worktree remove --force "$$base"' EXIT; trap 'exit 130' INT TERM; \
+	git worktree add --detach "$$base" "$(BASE)" >/dev/null || exit 2; \
+	(cd "$$base" && bash bench/run.sh -seed 1 -out "$$out/pair-base.json") || [ -s "$$out/pair-base.json" ] || exit 2; \
+	bash bench/run.sh -seed 1 -out "$$out/pair-head.json" || [ -s "$$out/pair-head.json" ] || exit 2; \
+	st=0; bash bench/run.sh -compare "$$out/pair-base.json" "$$out/pair-head.json" > "$$out/pair-verdict.txt" || st=$$?; \
+	cat "$$out/pair-verdict.txt"; exit $$st
 
 # Regenerate every paper figure and table into results/.
 figures:

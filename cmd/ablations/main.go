@@ -318,7 +318,7 @@ func ablationAnalytic(w *strings.Builder) error {
 		}
 		simSat, err = openloop.SaturationScreenedWith(satCfg, 0.1, 0.6, 3, est.Knee(3), openloop.Run)
 	} else {
-		simSat, err = openloop.Saturation(satCfg, 0.1, 0.6, 3)
+		simSat, err = openloop.SaturationWith(satCfg, 0.1, 0.6, 3, openloop.Run)
 	}
 	if err != nil {
 		return err

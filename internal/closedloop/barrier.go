@@ -64,10 +64,22 @@ type BarrierResult struct {
 	Faults *fault.Stats `json:",omitempty"`
 }
 
+// CheckBarrier is CheckBatch for RunBarrier: zero phases take the default
+// of one, a negative count would never equal the driver's phase counter.
+func CheckBarrier(b, phases int) error {
+	if b < 1 {
+		return fmt.Errorf("closedloop: barrier batch size B must be >= 1, got %d", b)
+	}
+	if phases < 0 {
+		return fmt.Errorf("closedloop: barrier phase count must be >= 0, got %d", phases)
+	}
+	return nil
+}
+
 // RunBarrier executes a barrier-model simulation.
 func RunBarrier(cfg BarrierConfig) (*BarrierResult, error) {
-	if cfg.B < 1 {
-		return nil, fmt.Errorf("closedloop: barrier batch size B must be >= 1, got %d", cfg.B)
+	if err := CheckBarrier(cfg.B, cfg.Phases); err != nil {
+		return nil, err
 	}
 	if cfg.Phases == 0 {
 		cfg.Phases = 1

@@ -377,14 +377,23 @@ func (d *batchDriver) NextEvent(int64) int64 {
 // auxKernel marks kernel-class transactions in Packet.Aux.
 const auxKernel = 1
 
+// CheckBatch rejects a batch size or outstanding limit RunBatch cannot run;
+// internal/core applies it to a spec before anything simulates.
+func CheckBatch(b, m int) error {
+	if b < 1 {
+		return fmt.Errorf("closedloop: batch size B must be >= 1, got %d", b)
+	}
+	if m < 1 {
+		return fmt.Errorf("closedloop: outstanding limit M must be >= 1, got %d", m)
+	}
+	return nil
+}
+
 // RunBatch executes one batch-model simulation.
 func RunBatch(cfg BatchConfig) (*BatchResult, error) {
 	cfg.fillDefaults()
-	if cfg.B < 1 {
-		return nil, fmt.Errorf("closedloop: batch size B must be >= 1, got %d", cfg.B)
-	}
-	if cfg.M < 1 {
-		return nil, fmt.Errorf("closedloop: outstanding limit M must be >= 1, got %d", cfg.M)
+	if err := CheckBatch(cfg.B, cfg.M); err != nil {
+		return nil, err
 	}
 	if err := cfg.Net.Validate(); err != nil {
 		return nil, err

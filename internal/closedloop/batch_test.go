@@ -296,6 +296,12 @@ func TestBatchValidation(t *testing.T) {
 	if _, err := RunBarrier(BarrierConfig{Net: smallMeshConfig(), B: 0}); err == nil {
 		t.Error("barrier B=0 accepted")
 	}
+	// A negative phase count can never equal the driver's phase counter:
+	// unchecked, the run spins to MaxCycles (bounded here so that shows up
+	// as a missing error, not a hung test).
+	if _, err := RunBarrier(BarrierConfig{Net: smallMeshConfig(), B: 10, Phases: -1, MaxCycles: 10_000}); err == nil {
+		t.Error("barrier Phases=-1 accepted")
+	}
 }
 
 func TestThroughputDefinitionsAgree(t *testing.T) {

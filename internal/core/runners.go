@@ -81,8 +81,9 @@ func OpenLoopWith(p NetworkParams, rate float64, o OpenLoopOpts) (*openloop.Resu
 	return openLoopRun(p, cfg)
 }
 
-// openLoopConfig materializes the openloop configuration of p (without a
-// rate, which sweeps fill per point).
+// openLoopConfig materializes everything p names into an openloop
+// configuration (without a rate, which sweeps fill per point); Batch and
+// barrier take its network, pattern and sizes, Validate fails where it does.
 func openLoopConfig(p NetworkParams, o OpenLoopOpts) (openloop.Config, error) {
 	netCfg, err := p.Build()
 	if err != nil {
@@ -136,7 +137,7 @@ func openLoopRun(p NetworkParams, cfg openloop.Config) (*openloop.Result, error)
 
 // defaulted normalizes a zero "use the default" knob to its effective
 // value so both spellings share a cache entry.
-func defaulted(v, def int64) int64 {
+func defaulted[T int | int64 | uint64](v, def T) T {
 	if v == 0 {
 		return def
 	}
@@ -204,22 +205,16 @@ type BatchParams struct {
 	Ctx context.Context
 }
 
+// Batch's values for a zero B and M.
+const defaultB, defaultM = 1000, 1
+
 // Batch runs one closed-loop batch-model measurement.
 func Batch(p NetworkParams, bp BatchParams) (*closedloop.BatchResult, error) {
-	netCfg, err := p.Build()
+	built, err := openLoopConfig(p, OpenLoopOpts{})
 	if err != nil {
 		return nil, err
 	}
-	pat, err := p.BuildPattern()
-	if err != nil {
-		return nil, err
-	}
-	if bp.B == 0 {
-		bp.B = 1000
-	}
-	if bp.M == 0 {
-		bp.M = 1
-	}
+	bp.B, bp.M = defaulted(bp.B, defaultB), defaulted(bp.M, defaultM)
 	reply := ""
 	if bp.Reply != nil {
 		reply = bp.Reply.Name()
@@ -228,8 +223,8 @@ func Batch(p NetworkParams, bp BatchParams) (*closedloop.BatchResult, error) {
 	return execute("batch", key, bp.Hooks != (Hooks{}),
 		func(s *runScope) (*closedloop.BatchResult, error) {
 			cfg := closedloop.BatchConfig{
-				Net:      netCfg,
-				Pattern:  pat,
+				Net:      built.Net,
+				Pattern:  built.Pattern,
 				B:        bp.B,
 				M:        bp.M,
 				NAR:      bp.NAR,
@@ -257,15 +252,7 @@ func Barrier(p NetworkParams, b, phases int) (*closedloop.BarrierResult, error) 
 // cancellable): a cancelled run returns promptly with an error wrapping
 // the context's cause, and nothing is cached.
 func barrier(ctx context.Context, p NetworkParams, b, phases int) (*closedloop.BarrierResult, error) {
-	netCfg, err := p.Build()
-	if err != nil {
-		return nil, err
-	}
-	pat, err := p.BuildPattern()
-	if err != nil {
-		return nil, err
-	}
-	sizes, err := p.BuildSizes()
+	built, err := openLoopConfig(p, OpenLoopOpts{})
 	if err != nil {
 		return nil, err
 	}
@@ -273,9 +260,9 @@ func barrier(ctx context.Context, p NetworkParams, b, phases int) (*closedloop.B
 	return execute("barrier", key, false,
 		func(s *runScope) (*closedloop.BarrierResult, error) {
 			cfg := closedloop.BarrierConfig{
-				Net:     netCfg,
-				Pattern: pat,
-				Sizes:   sizes,
+				Net:     built.Net,
+				Pattern: built.Pattern,
+				Sizes:   built.Sizes,
 				B:       b,
 				Phases:  phases,
 				Seed:    p.Seed,
@@ -317,17 +304,22 @@ func exec(ctx context.Context, p NetworkParams, ep ExecParams) (*cmp.Result, err
 	if err != nil {
 		return nil, err
 	}
-	// A zero seed means the network seed; normalize it so both spellings
-	// share a cache entry.
-	if ep.Seed == 0 {
-		ep.Seed = p.Seed
-	}
+	// A zero seed means the network seed.
+	ep.Seed = defaulted(ep.Seed, p.Seed)
 	key := execKey{Params: p.cacheNorm(), Exec: ep}
 	// The CMP system owns its own engine loop, so exec records carry no
 	// stepped/fast-forwarded split.
 	return execute("exec", key, false,
 		func(*runScope) (*cmp.Result, error) { return execProfile(ctx, p, ep, prof) },
 		func(r *cmp.Result) summary { return summary{cycles: r.Cycles} })
+}
+
+// checkExecTopology rejects an interconnect without one node per CMP tile.
+func checkExecTopology(topo *topology.Topology) error {
+	if tiles := cmp.DefaultConfig().Tiles; topo.N != tiles {
+		return fmt.Errorf("core: execution-driven runs need a %d-node topology, got %s", tiles, topo.Name)
+	}
+	return nil
 }
 
 func execProfile(ctx context.Context, p NetworkParams, ep ExecParams, prof workload.Profile) (*cmp.Result, error) {
@@ -348,9 +340,8 @@ func execProfile(ctx context.Context, p NetworkParams, ep ExecParams, prof workl
 		if err != nil {
 			return nil, err
 		}
-		if netCfg.Topo.N != cfg.Tiles {
-			return nil, fmt.Errorf("core: execution-driven runs need a %d-node topology, got %s",
-				cfg.Tiles, netCfg.Topo.Name)
+		if err := checkExecTopology(netCfg.Topo); err != nil {
+			return nil, err
 		}
 		fab = cmp.NetFabric{Network: network.New(netCfg)}
 	}

@@ -8,6 +8,7 @@ import (
 
 	"noceval/internal/closedloop"
 	"noceval/internal/expcache"
+	"noceval/internal/openloop"
 	"noceval/internal/workload"
 )
 
@@ -134,10 +135,10 @@ func (s *ExperimentSpec) Hash() (string, error) {
 }
 
 // Validate materializes everything the spec names — kind, network,
-// pattern, sizes, QoS classes, reply model, clock, benchmark — without
-// running anything, returning exactly the error RunContext would fail
-// with. The experiment service calls it at submission time so a bad spec
-// is a synchronous 400 instead of a job that fails minutes later.
+// pattern, sizes, QoS classes, reply model, clock, benchmark — and applies
+// the runners' own validators to the per-kind numbers, without running
+// anything. RunContext starts with it, so its error is exactly a run's; the
+// experiment service calls it so a bad spec is a synchronous 400, not a job.
 func (s *ExperimentSpec) Validate() error {
 	switch s.Kind {
 	case "openloop":
@@ -155,20 +156,24 @@ func (s *ExperimentSpec) Validate() error {
 	default:
 		return fmt.Errorf("core: unknown experiment kind %q", s.Kind)
 	}
-	if _, err := s.Network.Build(); err != nil {
-		return err
-	}
-	if _, err := s.Network.BuildPattern(); err != nil {
-		return err
-	}
-	if _, err := s.Network.BuildSizes(); err != nil {
-		return err
-	}
-	if _, err := s.Network.BuildClasses(); err != nil {
+	cfg, err := openLoopConfig(s.Network, OpenLoopOpts{})
+	if err != nil {
 		return err
 	}
 	if _, err := s.Reply.Build(); err != nil {
 		return err
+	}
+	switch s.Kind {
+	case "sweep":
+		return openloop.CheckRate(s.Rates...)
+	case "batch":
+		return closedloop.CheckBatch(defaulted(s.B, defaultB), defaulted(s.M, defaultM))
+	case "barrier":
+		return closedloop.CheckBarrier(s.B, s.Phases)
+	case "exec":
+		if !s.Ideal {
+			return checkExecTopology(cfg.Net.Topo)
+		}
 	}
 	return nil
 }
@@ -179,13 +184,16 @@ func (s *ExperimentSpec) Validate() error {
 // promptly with an error wrapping the context's cause, and no partial
 // result is cached.
 func (s *ExperimentSpec) RunContext(ctx context.Context) (string, error) {
+	if err := s.Validate(); err != nil {
+		return "", err
+	}
+	// Validate has built both already; neither can fail here.
+	clock, _ := s.clock()
+	reply, _ := s.Reply.Build()
 	var b strings.Builder
 	opts := OpenLoopOpts{Warmup: s.Warmup, Measure: s.Measure, DrainLimit: s.DrainLimit, Ctx: ctx}
 	switch s.Kind {
 	case "openloop":
-		if s.Rate <= 0 {
-			return "", fmt.Errorf("core: openloop spec needs a positive rate")
-		}
 		res, err := OpenLoopWith(s.Network, s.Rate, opts)
 		if err != nil {
 			return "", err
@@ -209,10 +217,6 @@ func (s *ExperimentSpec) RunContext(ctx context.Context) (string, error) {
 			fmt.Fprintf(&b, "%10.3f %12.2f %8v\n", r.Rate, r.AvgLatency, r.Stable)
 		}
 	case "batch":
-		reply, err := s.Reply.Build()
-		if err != nil {
-			return "", err
-		}
 		res, err := Batch(s.Network, BatchParams{B: s.B, M: s.M, NAR: s.NAR, Reply: reply, Kernel: s.Kernel, Ctx: ctx})
 		if err != nil {
 			return "", err
@@ -221,10 +225,7 @@ func (s *ExperimentSpec) RunContext(ctx context.Context) (string, error) {
 		fmt.Fprintf(&b, "runtime %d, throughput %.4f, packets %d (kernel %d)\n",
 			res.Runtime, res.Throughput, res.TotalPackets, res.KernelPackets)
 	case "barrier":
-		phases := s.Phases
-		if phases == 0 {
-			phases = 1
-		}
+		phases := defaulted(s.Phases, 1)
 		res, err := barrier(ctx, s.Network, s.B, phases)
 		if err != nil {
 			return "", err
@@ -232,10 +233,6 @@ func (s *ExperimentSpec) RunContext(ctx context.Context) (string, error) {
 		fmt.Fprintf(&b, "barrier %s b=%d phases=%d\n", s.Network, s.B, phases)
 		fmt.Fprintf(&b, "runtime %d, throughput %.4f\n", res.Runtime, res.Throughput)
 	case "exec":
-		clock, err := s.clock()
-		if err != nil {
-			return "", err
-		}
 		res, err := exec(ctx, s.Network, ExecParams{
 			Benchmark: s.Benchmark, Clock: clock, Timer: s.Timer, Ideal: s.Ideal, Seed: s.Seed,
 		})
@@ -246,10 +243,6 @@ func (s *ExperimentSpec) RunContext(ctx context.Context) (string, error) {
 		fmt.Fprintf(&b, "cycles %d, NAR %.4f (user %.4f kernel %.4f), L2 miss %.3f/%.3f\n",
 			res.Cycles, res.NAR, res.UserNAR, res.KernelNAR, res.L2MissRate[0], res.L2MissRate[1])
 	case "characterize":
-		clock, err := s.clock()
-		if err != nil {
-			return "", err
-		}
 		m, err := characterize(ctx, s.Benchmark, clock, s.Seed)
 		if err != nil {
 			return "", err
@@ -257,8 +250,6 @@ func (s *ExperimentSpec) RunContext(ctx context.Context) (string, error) {
 		fmt.Fprintf(&b, "characterize %s @ %s\n", m.Name, m.Clock)
 		fmt.Fprintf(&b, "NAR %.4f (user %.4f kernel %.4f), L2 miss %.3f, static kernel %.3f, timer %d x %d\n",
 			m.NAR, m.UserNAR, m.KernelNAR, m.L2Miss, m.StaticKernelFrac, m.TimerPeriod, m.TimerBatch)
-	default:
-		return "", fmt.Errorf("core: unknown experiment kind %q", s.Kind)
 	}
 	return b.String(), nil
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"testing"
 
@@ -173,6 +174,67 @@ func TestSpecErrorMessages(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			if got := check(tc.body); got != tc.want {
 				t.Errorf("error = %q\n      want %q", got, tc.want)
+			}
+		})
+	}
+}
+
+// TestValidateAgreesWithRun holds Validate to its contract: it fails iff
+// RunContext would fail before simulating, with the same text. The run
+// side gets a cancelled context, so a spec that is runnable stops at the
+// engine's first poll with the context's error instead of simulating.
+func TestValidateAgreesWithRun(t *testing.T) {
+	cases := []struct {
+		name string
+		body string
+		want string // "" = runnable
+	}{
+		// ParseSpec fills the 64-node baseline; the CMP model has 16 tiles.
+		{"exec on 64 nodes", `{"kind":"exec","benchmark":"lu"}`,
+			"core: execution-driven runs need a 16-node topology, got 8x8 mesh"},
+		{"barrier without b", `{"kind":"barrier","b":0}`,
+			"closedloop: barrier batch size B must be >= 1, got 0"},
+		{"batch negative m", `{"kind":"batch","b":50,"m":-1}`,
+			"closedloop: outstanding limit M must be >= 1, got -1"},
+		{"batch negative b", `{"kind":"batch","b":-5,"m":1}`,
+			"closedloop: batch size B must be >= 1, got -5"},
+		{"sweep with a negative rate", `{"kind":"sweep","rates":[0.1,-0.2]}`,
+			"openloop: offered load must be positive, got -0.2"},
+		// Ran until MaxCycles before: the driver waits for phase == Phases.
+		{"barrier negative phases", `{"kind":"barrier","b":10,"phases":-1}`,
+			"closedloop: barrier phase count must be >= 0, got -1"},
+
+		{"openloop", `{"kind":"openloop","rate":0.1}`, ""},
+		{"sweep", `{"kind":"sweep","rates":[0.1,0.2]}`, ""},
+		{"batch", `{"kind":"batch","b":50,"m":2}`, ""},
+		{"batch defaults", `{"kind":"batch"}`, ""}, // zero b and m take Batch's defaults
+		{"barrier", `{"kind":"barrier","b":10}`, ""},
+		{"exec", `{"kind":"exec","benchmark":"lu","network":{"Topology":"mesh4x4"}}`, ""},
+		{"exec ideal", `{"kind":"exec","benchmark":"lu","ideal":true}`, ""}, // no network under the ideal fabric
+		{"characterize", `{"kind":"characterize","benchmark":"lu"}`, ""},
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			spec, err := ParseSpec([]byte(tc.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := ""
+			if err := spec.Validate(); err != nil {
+				got = err.Error()
+			}
+			if got != tc.want {
+				t.Errorf("Validate = %q, want %q", got, tc.want)
+			}
+			_, runErr := spec.RunContext(ctx)
+			if tc.want == "" {
+				if !errors.Is(runErr, context.Canceled) {
+					t.Errorf("RunContext = %v, want it to get as far as the cancelled context", runErr)
+				}
+			} else if runErr == nil || runErr.Error() != tc.want {
+				t.Errorf("RunContext = %v, want %q", runErr, tc.want)
 			}
 		})
 	}

@@ -281,17 +281,30 @@ func sampleHint(prob float64, nodes int, measure int64) int {
 	return int(mean + 4*math.Sqrt(mean) + 1)
 }
 
+// CheckRate rejects offered loads no Bernoulli source can inject at;
+// internal/core applies it to every rate of a sweep spec up front.
+func CheckRate(rates ...float64) error {
+	for _, rate := range rates {
+		if rate <= 0 {
+			return fmt.Errorf("openloop: offered load must be positive, got %g", rate)
+		}
+	}
+	return nil
+}
+
 // Run executes one open-loop simulation.
 func Run(cfg Config) (*Result, error) {
 	cfg.fillDefaults()
+	if cfg.Proc == nil {
+		if err := CheckRate(cfg.Rate); err != nil {
+			return nil, err
+		}
+	}
 	var proc traffic.Process
 	switch {
 	case len(cfg.Classes) > 0:
 		if cfg.Proc != nil {
 			return nil, fmt.Errorf("openloop: Classes and Proc are mutually exclusive")
-		}
-		if cfg.Rate <= 0 {
-			return nil, fmt.Errorf("openloop: offered load must be positive, got %g", cfg.Rate)
 		}
 		// Copy before filling per-class defaults so the caller's slice is
 		// never mutated.
@@ -311,9 +324,6 @@ func Run(cfg Config) (*Result, error) {
 		proc = cfg.Proc
 		cfg.Rate = proc.OfferedLoad()
 	default:
-		if cfg.Rate <= 0 {
-			return nil, fmt.Errorf("openloop: offered load must be positive, got %g", cfg.Rate)
-		}
 		proc = traffic.Bernoulli{Rate: cfg.Rate, Sizes: cfg.Sizes}
 	}
 	if err := cfg.Net.Validate(); err != nil {
@@ -340,22 +350,21 @@ func Run(cfg Config) (*Result, error) {
 	}
 
 	// A plain Bernoulli process fixes the measured-packet count in advance
-	// (n*Measure draws at a known probability), so the three per-packet
-	// sample slices are sized once instead of doubling their way up; any
-	// other process starts empty and grows by append.
+	// (n*Measure draws at a known probability), so the per-packet latency
+	// slice is sized once instead of doubling its way up; any other process
+	// starts empty and grows by append.
 	var hint int
 	if b, ok := proc.(traffic.Bernoulli); ok {
 		hint = sampleHint(b.Rate/b.Sizes.Mean(), n, cfg.Measure)
 	}
 	var (
-		latencies    = make([]float64, 0, hint)
-		netLatencies = make([]float64, 0, hint)
-		hops         = make([]float64, 0, hint)
-		perNodeSum   = make([]float64, n)
-		perNodeCnt   = make([]int, n)
-		outstanding  int
-		ejectedFlits int64
-		lostPackets  int
+		latencies             = make([]float64, 0, hint)
+		perNodeSum            = make([]float64, n)
+		perNodeCnt            = make([]int, n)
+		netLatencySum, hopSum float64 // over the measured packets, in arrival order
+		outstanding           int
+		ejectedFlits          int64
+		lostPackets           int
 
 		// Per-class accounting, allocated only for multi-class runs so the
 		// classic path's receive callback stays unchanged.
@@ -402,8 +411,8 @@ func Run(cfg Config) (*Result, error) {
 		latencyHist.Observe(l)
 		measuredCtr.Inc()
 		latencies = append(latencies, l)
-		netLatencies = append(netLatencies, float64(p.NetworkLatency()))
-		hops = append(hops, float64(p.Hops))
+		netLatencySum += float64(p.NetworkLatency())
+		hopSum += float64(p.Hops)
 		perNodeSum[p.Src] += l
 		perNodeCnt[p.Src]++
 		outstanding--
@@ -478,8 +487,8 @@ func Run(cfg Config) (*Result, error) {
 		res.AvgLatency = sum.Mean
 		res.LatencyCI95 = stats.BatchMeansCI95(latencies, 10)
 		res.P95, res.P99 = sum.P95, sum.P99
-		res.AvgNetLatency = stats.Mean(netLatencies)
-		res.AvgHops = stats.Mean(hops)
+		res.AvgNetLatency = netLatencySum / float64(len(latencies))
+		res.AvgHops = hopSum / float64(len(latencies))
 	}
 	worst := 0.0
 	for i := 0; i < n; i++ {
@@ -532,7 +541,7 @@ func Run(cfg Config) (*Result, error) {
 	return res, nil
 }
 
-// Sweep runs the load sweep producing a latency-vs-offered-load curve
+// SweepWith runs the load sweep producing a latency-vs-offered-load curve
 // (Fig 1, Fig 3, Fig 6a, Fig 9). It stops early once a load is unstable,
 // since every higher load saturates too. Rates are in flits/cycle/node.
 //
@@ -540,14 +549,9 @@ func Run(cfg Config) (*Result, error) {
 // the serial early-stop contract is preserved exactly: the returned slice
 // is the ordered prefix of rates up to and including the first unstable
 // point, and every result is identical to what a serial loop would have
-// produced (each run is deterministic given its seed).
-func Sweep(cfg Config, rates []float64) ([]*Result, error) {
-	return SweepWith(cfg, rates, Run)
-}
-
-// SweepWith is Sweep with a pluggable runner for the individual rates,
-// letting callers layer caching or instrumentation over the per-point
-// simulation (internal/core routes its experiment cache through here).
+// produced (each run is deterministic given its seed). run simulates one
+// rate: Run itself, or a wrapper layering caching or instrumentation over
+// it (internal/core routes its experiment cache through here).
 func SweepWith(cfg Config, rates []float64, run func(Config) (*Result, error)) ([]*Result, error) {
 	var out []*Result
 	wave := runtime.GOMAXPROCS(0)
@@ -584,13 +588,9 @@ func SweepWith(cfg Config, rates []float64, run func(Config) (*Result, error)) (
 	return out, nil
 }
 
-// ZeroLoad measures the zero-load latency T0: the average latency at a
-// vanishing offered load where queueing is negligible.
-func ZeroLoad(cfg Config) (float64, error) {
-	return ZeroLoadWith(cfg, Run)
-}
-
-// ZeroLoadWith is ZeroLoad with a pluggable runner (see SweepWith).
+// ZeroLoadWith measures the zero-load latency T0: the average latency at a
+// vanishing offered load where queueing is negligible. run is the per-rate
+// runner (see SweepWith).
 func ZeroLoadWith(cfg Config, run func(Config) (*Result, error)) (float64, error) {
 	c := cfg
 	c.Rate = 0.005
@@ -604,16 +604,12 @@ func ZeroLoadWith(cfg Config, run func(Config) (*Result, error)) (float64, error
 	return res.AvgLatency, nil
 }
 
-// Saturation estimates the saturation throughput by bisection over the
+// SaturationWith estimates the saturation throughput by bisection over the
 // offered load in [lo, hi]: the largest stable load whose average latency
 // stays below latencyCap times the zero-load latency. The paper defines
 // saturation as the load where latency approaches infinity; a finite
-// multiple (conventionally 3x) makes the measurement robust.
-func Saturation(cfg Config, lo, hi, latencyCap float64) (float64, error) {
-	return SaturationWith(cfg, lo, hi, latencyCap, Run)
-}
-
-// SaturationWith is Saturation with a pluggable runner (see SweepWith).
+// multiple (conventionally 3x) makes the measurement robust. run is the
+// per-rate runner (see SweepWith).
 func SaturationWith(cfg Config, lo, hi, latencyCap float64, run func(Config) (*Result, error)) (float64, error) {
 	stableAt, err := stableProbe(cfg, latencyCap, run)
 	if err != nil {

@@ -80,11 +80,11 @@ func TestOverloadIsUnstable(t *testing.T) {
 func TestRouterDelayRaisesZeroLoadNotThroughput(t *testing.T) {
 	// Fig 3a: tr scales zero-load latency ~1.5x for tr=2 but saturation
 	// stays put.
-	z1, err := ZeroLoad(Config{Net: meshConfig(1, 16), Seed: 4})
+	z1, err := ZeroLoadWith(Config{Net: meshConfig(1, 16), Seed: 4}, Run)
 	if err != nil {
 		t.Fatal(err)
 	}
-	z2, err := ZeroLoad(Config{Net: meshConfig(2, 16), Seed: 4})
+	z2, err := ZeroLoadWith(Config{Net: meshConfig(2, 16), Seed: 4}, Run)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestSmallBuffersCutThroughput(t *testing.T) {
 
 func TestSweepStopsAfterUnstable(t *testing.T) {
 	cfg := quick(Config{Net: meshConfig(1, 16), Seed: 6})
-	results, err := Sweep(cfg, []float64{0.1, 0.9, 0.95})
+	results, err := SweepWith(cfg, []float64{0.1, 0.9, 0.95}, Run)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +170,7 @@ func TestSweepMatchesSerialRuns(t *testing.T) {
 	// point bit-identical to an isolated serial run of the same rate.
 	cfg := quick(Config{Net: meshConfig(1, 16), Seed: 9})
 	rates := []float64{0.05, 0.15, 0.25}
-	sweep, err := Sweep(cfg, rates)
+	sweep, err := SweepWith(cfg, rates, Run)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +215,7 @@ func TestSaturationEstimateMesh(t *testing.T) {
 		t.Skip("saturation bisection is slow")
 	}
 	cfg := Config{Net: meshConfig(1, 16), Seed: 8, Warmup: 2000, Measure: 3000, DrainLimit: 20000}
-	sat, err := Saturation(cfg, 0.05, 0.7, 3)
+	sat, err := SaturationWith(cfg, 0.05, 0.7, 3, Run)
 	if err != nil {
 		t.Fatal(err)
 	}

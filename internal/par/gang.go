@@ -116,9 +116,6 @@ func NewGang(members int) *Gang {
 	return g
 }
 
-// Members returns the gang size.
-func (g *Gang) Members() int { return g.s.n }
-
 // Run executes fn(0) .. fn(n-1) concurrently, one call per member, and
 // returns when all have finished. The caller runs member 0. fn may call
 // Barrier to synchronize phases across members.

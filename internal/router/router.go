@@ -482,10 +482,6 @@ func (r *Router) AcceptFlit(port, vc int, f Flit) {
 // VC 0) has space for another flit.
 func (r *Router) CanAcceptInjection() bool { return r.CanAcceptInjectionClass(0) }
 
-// InjectionVC returns the VC index injected flits enter: a single FIFO
-// source-queue model per the open-loop methodology.
-func (r *Router) InjectionVC() int { return 0 }
-
 // CanAcceptInjectionClass reports whether QoS class qc's injection buffer
 // has space for another flit. Each class injects through the first VC of
 // its own partition, so a backed-up low-priority class never blocks

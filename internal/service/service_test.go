@@ -168,16 +168,31 @@ func TestJobLifecycle(t *testing.T) {
 }
 
 func TestSubmitRejectsBadSpecs(t *testing.T) {
-	withObs(t)
+	reg := withObs(t)
 	_, ts := newTestServer(t, Config{Workers: 1})
 	for _, tc := range []struct {
 		name, body string
 		wantStatus int
+		wantError  string // "" = any message
 	}{
-		{"invalid json", "not json", 400},
-		{"unknown kind", `{"kind":"warp","rate":0.1}`, 400},
-		{"unknown field", `{"kind":"openloop","rate":0.1,"bogus":1}`, 400},
-		{"missing rate", `{"kind":"openloop"}`, 400},
+		{"invalid json", "not json", 400, ""},
+		{"unknown kind", `{"kind":"warp","rate":0.1}`, 400, ""},
+		{"unknown field", `{"kind":"openloop","rate":0.1,"bogus":1}`, 400, ""},
+		{"missing rate", `{"kind":"openloop"}`, 400, ""},
+		// Each of these used to be a 202 and a job that failed at run time;
+		// the last one held its worker for 50M simulated cycles.
+		{"exec on 64 nodes", `{"kind":"exec","benchmark":"lu"}`, 400,
+			"core: execution-driven runs need a 16-node topology, got 8x8 mesh"},
+		{"barrier without b", `{"kind":"barrier","b":0}`, 400,
+			"closedloop: barrier batch size B must be >= 1, got 0"},
+		{"batch negative m", `{"kind":"batch","b":50,"m":-1}`, 400,
+			"closedloop: outstanding limit M must be >= 1, got -1"},
+		{"batch negative b", `{"kind":"batch","b":-5,"m":1}`, 400,
+			"closedloop: batch size B must be >= 1, got -5"},
+		{"sweep with a negative rate", `{"kind":"sweep","rates":[0.1,-0.2]}`, 400,
+			"openloop: offered load must be positive, got -0.2"},
+		{"barrier negative phases", `{"kind":"barrier","b":10,"phases":-1}`, 400,
+			"closedloop: barrier phase count must be >= 0, got -1"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(tc.body))
@@ -192,7 +207,13 @@ func TestSubmitRejectsBadSpecs(t *testing.T) {
 			if err := json.NewDecoder(resp.Body).Decode(&eb); err != nil || eb.Error == "" {
 				t.Fatalf("error body = %+v (decode err %v), want an error message", eb, err)
 			}
+			if tc.wantError != "" && eb.Error != tc.wantError {
+				t.Fatalf("error = %q, want %q", eb.Error, tc.wantError)
+			}
 		})
+	}
+	if got := reg.Counter("service.jobs_submitted").Value(); got != 0 {
+		t.Fatalf("service.jobs_submitted = %d after only rejected specs, want 0", got)
 	}
 }
 

@@ -58,9 +58,6 @@ func (t *Ticker) Fire(now int64) bool {
 	return true
 }
 
-// Period returns the ticker period in cycles.
-func (t *Ticker) Period() int64 { return t.period }
-
 // Next returns the next cycle at which Fire will report true, or -1 for a
 // ticker that never fires. It lets idle drivers schedule a wakeup at the
 // next tick instead of polling Fire every cycle.

@@ -20,9 +20,6 @@ func NewFIFO[T any](hint int) *FIFO[T] {
 // Len returns the number of queued items.
 func (q *FIFO[T]) Len() int { return q.n }
 
-// Cap returns the current backing size.
-func (q *FIFO[T]) Cap() int { return len(q.buf) }
-
 // Push appends an item, growing the queue as needed.
 func (q *FIFO[T]) Push(v T) {
 	if q.n == len(q.buf) {
