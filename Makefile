@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet fmt-check lint test bench-check bench-digest race fuzz-smoke golden golden-update results-check check bench bench-compare bench-pair obs-smoke screen-smoke qos-smoke serve-smoke figures ablations examples clean
+.PHONY: all build vet fmt-check lint test bench-check bench-digest race fuzz-smoke golden golden-update results-check check bench bench-compare bench-pair bench-claim obs-smoke screen-smoke qos-smoke serve-smoke figures ablations examples clean
 
 all: build vet test
 
@@ -198,6 +198,18 @@ bench-pair:
 	bash bench/run.sh -seed 1 -out "$$out/pair-head.json" || [ -s "$$out/pair-head.json" ] || exit 2; \
 	st=0; bash bench/run.sh -compare "$$out/pair-base.json" "$$out/pair-head.json" > "$$out/pair-verdict.txt" || st=$$?; \
 	cat "$$out/pair-verdict.txt"; exit $$st
+
+# The runs a speed claim rests on: PAIRS alternating pairs of BASE and the
+# working tree on one workload of the repo benchmark, unseen seeds 101…, each
+# run the benchmark's own ten seconds; per pair the five end-to-end metrics,
+# then wins, medians and quartiles per side (scripts/bench-claim.sh). The
+# report stays in .bench_build/claim-$(WORKLOAD).txt. About 25 s a pair and
+# host-bound, so not part of `check`.
+#   make bench-claim WORKLOAD=idle_batch_tail
+PAIRS ?= 10
+bench-claim:
+	@[ -n "$(WORKLOAD)" ] || { echo "usage: make bench-claim WORKLOAD=<a BENCHMARK.json workload> [PAIRS=10] [BASE=HEAD~1]"; exit 2; }
+	./scripts/bench-claim.sh "$(WORKLOAD)" "$(PAIRS)" "$(BASE)"
 
 # Regenerate every paper figure and table into results/.
 figures:

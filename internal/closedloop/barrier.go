@@ -91,7 +91,7 @@ func RunBarrier(cfg BarrierConfig) (*BarrierResult, error) {
 		cfg.Pattern = traffic.Uniform{}
 	}
 	if cfg.MaxCycles == 0 {
-		cfg.MaxCycles = 50_000_000
+		cfg.MaxCycles = defaultMaxCycles
 	}
 	if err := cfg.Net.Validate(); err != nil {
 		return nil, err

@@ -1,9 +1,9 @@
 package closedloop
 
 import (
-	"container/heap"
 	"context"
 	"fmt"
+	"math/bits"
 	"strings"
 
 	"noceval/internal/engine"
@@ -121,7 +121,7 @@ func (c *BatchConfig) fillDefaults() {
 		c.Pattern = traffic.Uniform{}
 	}
 	if c.MaxCycles == 0 {
-		c.MaxCycles = 50_000_000
+		c.MaxCycles = defaultMaxCycles
 	}
 }
 
@@ -172,23 +172,14 @@ type BatchResult struct {
 	Matrix   *stats.Heatmap
 }
 
-// replyEvent is a scheduled reply injection.
+// replyEvent is a scheduled reply injection; batchDriver.replies keys it by
+// the cycle the reply is ready.
 type replyEvent struct {
-	ready  int64
 	from   int // responder (request destination)
 	to     int // requester
 	size   int
 	kernel bool
 }
-
-// replyHeap is a min-heap of replyEvents ordered by ready time.
-type replyHeap []replyEvent
-
-func (h replyHeap) Len() int           { return len(h) }
-func (h replyHeap) Less(i, j int) bool { return h[i].ready < h[j].ready }
-func (h replyHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *replyHeap) Push(x any)        { *h = append(*h, x.(replyEvent)) }
-func (h *replyHeap) Pop() any          { old := *h; n := len(old); v := old[n-1]; *h = old[:n-1]; return v }
 
 // nodeState tracks one terminal's progress through its batch.
 type nodeState struct {
@@ -209,6 +200,11 @@ type nodeState struct {
 // requests or scheduled replies — the driver is idle and the engine can
 // fast-forward to the next reply ready time, timer tick, timeline bucket
 // boundary, or telemetry sample.
+//
+// Most stepped cycles of a reply-latency run have no eligible node, so the
+// driver never looks for one: ready is the set of eligible nodes, kept
+// current by refresh at the only places eligibility can change, and the
+// request loop and Idle read it.
 type batchDriver struct {
 	cfg   *BatchConfig
 	net   *network.Network
@@ -216,9 +212,16 @@ type batchDriver struct {
 	n     int
 	nodes []nodeState
 
-	timer   *sim.Ticker
-	replies *replyHeap
-	res     *BatchResult
+	// ready has bit i set iff eligible(i); readyCount is its population.
+	ready      []uint64
+	readyCount int
+
+	timer *sim.Ticker
+	// replies pops replies with equal ready cycles in the order
+	// sim.EventHeap's sift leaves them; there is no other tie-break.
+	replies  sim.EventHeap[replyEvent]
+	replyRNG *sim.RNG
+	res      *BatchResult
 
 	userNAR, kernelNAR float64
 
@@ -229,8 +232,88 @@ type batchDriver struct {
 	bucketUser, bucketKernel int64
 	bucketStart              int64
 
+	latencyHist   *obs.Histogram
 	finishedGauge *obs.Gauge
 	kernelCtr     *obs.Counter
+}
+
+// eligible is the request loop's condition on one node: unfinished, below
+// the MSHR limit, and with kernel or user work left to send.
+func (d *batchDriver) eligible(st *nodeState) bool {
+	return !st.finished && st.pf < d.cfg.M &&
+		(st.kernelTarget > st.sentKernel || st.target-st.kernelTarget > st.sentUser)
+}
+
+// refresh re-evaluates one node's membership of the ready set. Every
+// change to a field eligible reads is followed by a refresh of that node.
+func (d *batchDriver) refresh(node int) {
+	w, bit := node>>6, uint64(1)<<(uint(node)&63)
+	was := d.ready[w]&bit != 0
+	if d.eligible(&d.nodes[node]) == was {
+		return
+	}
+	d.ready[w] ^= bit
+	if was {
+		d.readyCount--
+	} else {
+		d.readyCount++
+	}
+}
+
+// newBatchDriver builds the network and the driver state of one run, wired
+// to the network's delivery and abandonment callbacks. cfg has its defaults
+// filled and has been validated.
+func newBatchDriver(cfg *BatchConfig) *batchDriver {
+	net := network.New(cfg.Net)
+	n := net.Nodes()
+	rng := sim.NewRNG(cfg.Seed ^ 0xb5297a4d3f84d5b5)
+	d := &batchDriver{
+		cfg:      cfg,
+		net:      net,
+		rng:      rng,
+		n:        n,
+		nodes:    make([]nodeState, n),
+		ready:    make([]uint64, (n+63)/64),
+		replyRNG: rng.Split(),
+		res:      &BatchResult{NodeFinish: make([]int64, n)},
+	}
+
+	net.AttachObserver(cfg.Obs)
+	if cfg.Obs != nil {
+		d.latencyHist = cfg.Obs.Registry.Histogram("batch.packet_latency_cycles", 0, 1024, 64)
+		d.finishedGauge = cfg.Obs.Registry.Gauge("batch.finished_nodes")
+		d.kernelCtr = cfg.Obs.Registry.Counter("batch.kernel_packets")
+	}
+
+	staticKernel := 0
+	if cfg.Kernel != nil && cfg.Kernel.StaticFraction > 0 {
+		staticKernel = int(cfg.Kernel.StaticFraction*float64(cfg.B) + 0.999999)
+	}
+	for i := range d.nodes {
+		d.nodes[i].target = cfg.B + staticKernel
+		d.nodes[i].kernelTarget = staticKernel
+		d.refresh(i)
+	}
+	if cfg.Kernel != nil && cfg.Kernel.TimerPeriod > 0 && cfg.Kernel.TimerBatch > 0 {
+		d.timer = sim.NewTicker(cfg.Kernel.TimerPeriod, cfg.Kernel.TimerPeriod)
+	}
+	if cfg.CollectMatrix {
+		d.res.Matrix = stats.NewHeatmap(n, n)
+	}
+
+	d.userNAR = cfg.NAR
+	if d.userNAR <= 0 || d.userNAR > 1 {
+		d.userNAR = 1
+	}
+	d.kernelNAR = d.userNAR
+	if cfg.Kernel != nil && cfg.Kernel.KernelNAR > 0 {
+		d.kernelNAR = cfg.Kernel.KernelNAR
+	}
+
+	net.OnReceive = d.onReceive
+	net.OnDeadDrop = d.onDeadDrop
+	net.SetFullScan(cfg.FullScan)
+	return d
 }
 
 // countInjection accrues the per-class packet/flit accounting for one
@@ -257,12 +340,67 @@ func (d *batchDriver) sendRequest(node int, kernel bool) {
 	dst := d.cfg.Pattern.Dest(d.rng, node, d.n)
 	p := d.net.NewPacket(node, dst, d.cfg.ReqSize, router.KindRequest)
 	p.Class = d.cfg.ReqClass
+	st := &d.nodes[node]
 	if kernel {
 		p.Aux = auxKernel
+		st.sentKernel++
+	} else {
+		st.sentUser++
 	}
 	d.net.Send(p)
 	d.countInjection(p)
-	d.nodes[node].pf++
+	st.pf++
+	d.refresh(node)
+}
+
+// closeTransaction retires one of node's outstanding requests — its reply
+// arrived, or the NIC gave it up — and finishes the node when that was the
+// last transaction of its batch.
+func (d *batchDriver) closeTransaction(node int, now int64) {
+	st := &d.nodes[node]
+	st.pf--
+	st.done++
+	if !st.finished && st.done >= st.target {
+		st.finished = true
+		st.finish = now
+		d.finished++
+	}
+	d.refresh(node)
+}
+
+// onReceive is the network's delivery callback: a request schedules its
+// reply after the memory-model delay, a reply closes its transaction.
+func (d *batchDriver) onReceive(now int64, p *router.Packet) {
+	d.latencySum += float64(p.Latency())
+	d.latencyCnt++
+	d.latencyHist.Observe(float64(p.Latency()))
+	switch p.Kind {
+	case router.KindRequest:
+		d.replies.Push(now+d.cfg.Reply.Delay(d.replyRNG), replyEvent{
+			from:   p.Dst,
+			to:     p.Src,
+			size:   d.cfg.ReplySize,
+			kernel: p.Aux&auxKernel != 0,
+		})
+	case router.KindReply:
+		d.closeTransaction(p.Dst, now)
+	}
+}
+
+// onDeadDrop is the NIC's abandonment callback. A transaction whose request
+// or reply the NIC abandons will never see its reply: close it as failed so
+// the requester's MSHR slot frees and the batch can still complete
+// (gracefully degraded).
+func (d *batchDriver) onDeadDrop(now int64, p *router.Packet) {
+	switch p.Kind {
+	case router.KindRequest:
+		d.closeTransaction(p.Src, now)
+	case router.KindReply:
+		d.closeTransaction(p.Dst, now)
+	default:
+		return
+	}
+	d.res.FailedTransactions++
 }
 
 // Cycle implements engine.Driver: timer interrupts, ready replies, request
@@ -276,12 +414,13 @@ func (d *batchDriver) Cycle(now int64) {
 			if !d.nodes[i].finished {
 				d.nodes[i].target += cfg.Kernel.TimerBatch
 				d.nodes[i].kernelTarget += cfg.Kernel.TimerBatch
+				d.refresh(i)
 			}
 		}
 	}
 	// Inject ready replies.
-	for d.replies.Len() > 0 && (*d.replies)[0].ready <= now {
-		ev := heap.Pop(d.replies).(replyEvent)
+	for d.replies.Len() > 0 && d.replies.NextAt() <= now {
+		_, ev := d.replies.Pop()
 		p := d.net.NewPacket(ev.from, ev.to, ev.size, router.KindReply)
 		p.Class = d.cfg.ReplyClass
 		if ev.kernel {
@@ -292,24 +431,21 @@ func (d *batchDriver) Cycle(now int64) {
 	}
 	// Generate requests: kernel work preempts user work, at most one
 	// new request per node per cycle, subject to the MSHR limit and
-	// the injection-model throttle.
-	for i := range d.nodes {
-		st := &d.nodes[i]
-		if st.finished || st.pf >= cfg.M {
-			continue
-		}
-		kernelRemaining := st.kernelTarget - st.sentKernel
-		userRemaining := (st.target - st.kernelTarget) - st.sentUser
-		switch {
-		case kernelRemaining > 0:
-			if d.rng.Bernoulli(d.kernelNAR) {
-				d.sendRequest(i, true)
-				st.sentKernel++
-			}
-		case userRemaining > 0:
-			if d.rng.Bernoulli(d.userNAR) {
+	// the injection-model throttle. Ready nodes are visited in ascending
+	// order, so RNG draws, packet ids and Send order are those of a scan
+	// over all nodes. A request changes only its own node's eligibility
+	// (Send never calls back into node state), so iterating a copy of each
+	// word is exact.
+	for w, word := range d.ready {
+		for word != 0 {
+			i := w<<6 | bits.TrailingZeros64(word)
+			word &= word - 1
+			if st := &d.nodes[i]; st.kernelTarget > st.sentKernel {
+				if d.rng.Bernoulli(d.kernelNAR) {
+					d.sendRequest(i, true)
+				}
+			} else if d.rng.Bernoulli(d.userNAR) {
 				d.sendRequest(i, false)
-				st.sentUser++
 			}
 		}
 	}
@@ -338,20 +474,8 @@ func (d *batchDriver) Done(int64) bool { return d.finished == d.n }
 
 // Idle implements engine.Driver: no node can attempt a request this cycle,
 // so Cycle draws nothing from the RNG and injects nothing until the next
-// scheduled event. This is exactly the eligibility condition of the
-// request-generation loop.
-func (d *batchDriver) Idle(int64) bool {
-	for i := range d.nodes {
-		st := &d.nodes[i]
-		if st.finished || st.pf >= d.cfg.M {
-			continue
-		}
-		if st.kernelTarget > st.sentKernel || (st.target-st.kernelTarget) > st.sentUser {
-			return false
-		}
-	}
-	return true
-}
+// scheduled event. The request loop iterates the same set.
+func (d *batchDriver) Idle(int64) bool { return d.readyCount == 0 }
 
 // NextEvent implements engine.Driver: the earliest of the next scheduled
 // reply, the next kernel timer tick, and the next timeline bucket
@@ -359,7 +483,7 @@ func (d *batchDriver) Idle(int64) bool {
 func (d *batchDriver) NextEvent(int64) int64 {
 	next := engine.NoEvent
 	if d.replies.Len() > 0 {
-		next = (*d.replies)[0].ready
+		next = d.replies.NextAt()
 	}
 	if d.timer != nil {
 		if t := d.timer.Next(); t >= 0 && (next == engine.NoEvent || t < next) {
@@ -395,118 +519,15 @@ func RunBatch(cfg BatchConfig) (*BatchResult, error) {
 	if err := CheckBatch(cfg.B, cfg.M); err != nil {
 		return nil, err
 	}
+	if err := CheckReply(cfg.Reply, cfg.MaxCycles); err != nil {
+		return nil, err
+	}
 	if err := cfg.Net.Validate(); err != nil {
 		return nil, err
 	}
+	d := newBatchDriver(&cfg)
+	net, n, nodes, res := d.net, d.n, d.nodes, d.res
 
-	net := network.New(cfg.Net)
-	n := net.Nodes()
-	rng := sim.NewRNG(cfg.Seed ^ 0xb5297a4d3f84d5b5)
-	replyRNG := rng.Split()
-
-	net.AttachObserver(cfg.Obs)
-	var latencyHist *obs.Histogram
-	var finishedGauge *obs.Gauge
-	var kernelCtr *obs.Counter
-	if cfg.Obs != nil {
-		latencyHist = cfg.Obs.Registry.Histogram("batch.packet_latency_cycles", 0, 1024, 64)
-		finishedGauge = cfg.Obs.Registry.Gauge("batch.finished_nodes")
-		kernelCtr = cfg.Obs.Registry.Counter("batch.kernel_packets")
-	}
-
-	nodes := make([]nodeState, n)
-	staticKernel := 0
-	if cfg.Kernel != nil && cfg.Kernel.StaticFraction > 0 {
-		staticKernel = int(cfg.Kernel.StaticFraction*float64(cfg.B) + 0.999999)
-	}
-	for i := range nodes {
-		nodes[i].target = cfg.B + staticKernel
-		nodes[i].kernelTarget = staticKernel
-	}
-
-	var timer *sim.Ticker
-	if cfg.Kernel != nil && cfg.Kernel.TimerPeriod > 0 && cfg.Kernel.TimerBatch > 0 {
-		timer = sim.NewTicker(cfg.Kernel.TimerPeriod, cfg.Kernel.TimerPeriod)
-	}
-
-	res := &BatchResult{NodeFinish: make([]int64, n)}
-	if cfg.CollectMatrix {
-		res.Matrix = stats.NewHeatmap(n, n)
-	}
-
-	userNAR := cfg.NAR
-	if userNAR <= 0 || userNAR > 1 {
-		userNAR = 1
-	}
-	kernelNAR := userNAR
-	if cfg.Kernel != nil && cfg.Kernel.KernelNAR > 0 {
-		kernelNAR = cfg.Kernel.KernelNAR
-	}
-
-	d := &batchDriver{
-		cfg:           &cfg,
-		net:           net,
-		rng:           rng,
-		n:             n,
-		nodes:         nodes,
-		timer:         timer,
-		replies:       &replyHeap{},
-		res:           res,
-		userNAR:       userNAR,
-		kernelNAR:     kernelNAR,
-		finishedGauge: finishedGauge,
-		kernelCtr:     kernelCtr,
-	}
-
-	net.OnReceive = func(now int64, p *router.Packet) {
-		d.latencySum += float64(p.Latency())
-		d.latencyCnt++
-		latencyHist.Observe(float64(p.Latency()))
-		switch p.Kind {
-		case router.KindRequest:
-			// Schedule the reply after the memory-model delay.
-			heap.Push(d.replies, replyEvent{
-				ready:  now + cfg.Reply.Delay(replyRNG),
-				from:   p.Dst,
-				to:     p.Src,
-				size:   cfg.ReplySize,
-				kernel: p.Aux&auxKernel != 0,
-			})
-		case router.KindReply:
-			st := &d.nodes[p.Dst]
-			st.pf--
-			st.done++
-			if !st.finished && st.done >= st.target {
-				st.finished = true
-				st.finish = now
-				d.finished++
-			}
-		}
-	}
-	// A transaction whose request or reply the NIC abandons will never see
-	// its reply: close it as failed so the requester's MSHR slot frees and
-	// the batch can still complete (gracefully degraded).
-	net.OnDeadDrop = func(now int64, p *router.Packet) {
-		var st *nodeState
-		switch p.Kind {
-		case router.KindRequest:
-			st = &d.nodes[p.Src]
-		case router.KindReply:
-			st = &d.nodes[p.Dst]
-		default:
-			return
-		}
-		st.pf--
-		st.done++
-		res.FailedTransactions++
-		if !st.finished && st.done >= st.target {
-			st.finished = true
-			st.finish = now
-			d.finished++
-		}
-	}
-
-	net.SetFullScan(cfg.FullScan)
 	eo := engine.RunOutcome(engine.Config{
 		Net:      net,
 		Ctx:      cfg.Ctx,

@@ -1,6 +1,7 @@
 package closedloop
 
 import (
+	"math"
 	"testing"
 
 	"noceval/internal/network"
@@ -301,6 +302,59 @@ func TestBatchValidation(t *testing.T) {
 	// as a missing error, not a hung test).
 	if _, err := RunBarrier(BarrierConfig{Net: smallMeshConfig(), B: 10, Phases: -1, MaxCycles: 10_000}); err == nil {
 		t.Error("barrier Phases=-1 accepted")
+	}
+}
+
+// TestCheckReply: RunBatch refuses the reply models it cannot run, with
+// CheckReply's text, and the latency bound is the run's own cycle limit.
+func TestCheckReply(t *testing.T) {
+	const limit = "(the run's cycle limit)"
+	for _, tc := range []struct {
+		name      string
+		reply     ReplyModel
+		maxCycles int64
+		want      string // "" = accepted
+	}{
+		{"nil", nil, 0, ""},
+		{"immediate", ImmediateReply{}, 0, ""},
+		{"fixed", FixedReply{Latency: 20000}, 0, ""},
+		{"fixed at the default limit", FixedReply{Latency: 50_000_000}, 0, ""},
+		{"fixed beyond the default limit", FixedReply{Latency: 50_000_001}, 0,
+			"closedloop: reply latency 50000001 outside [0, 50000000] " + limit},
+		{"fixed within a longer run", FixedReply{Latency: 60_000_000}, 80_000_000, ""},
+		{"fixed beyond a shorter run", FixedReply{Latency: 20000}, 10_000,
+			"closedloop: reply latency 20000 outside [0, 10000] " + limit},
+		{"fixed negative", FixedReply{Latency: -100}, 0,
+			"closedloop: reply latency -100 outside [0, 50000000] " + limit},
+		{"fixed overflowing", FixedReply{Latency: math.MaxInt64}, 0,
+			"closedloop: reply latency 9223372036854775807 outside [0, 50000000] " + limit},
+		{"fixed overflowing an unbounded run", FixedReply{Latency: math.MaxInt64}, math.MaxInt64,
+			"closedloop: reply latency 9223372036854775807 outside [0, 2305843009213693951] " + limit},
+		{"probabilistic", ProbabilisticReply{L2Latency: 20, MemoryLatency: 300, MissRate: 0.1}, 0, ""},
+		{"probabilistic always missing", ProbabilisticReply{L2Latency: 20, MemoryLatency: 300, MissRate: 1}, 0, ""},
+		{"probabilistic negative L2", ProbabilisticReply{L2Latency: -20, MemoryLatency: -300, MissRate: -0.5}, 0,
+			"closedloop: reply L2 latency -20 outside [0, 50000000] " + limit},
+		{"probabilistic negative memory", ProbabilisticReply{L2Latency: 20, MemoryLatency: -300, MissRate: 0.1}, 0,
+			"closedloop: reply memory latency -300 outside [0, 50000000] " + limit},
+		{"probabilistic miss rate above one", ProbabilisticReply{L2Latency: 20, MemoryLatency: 300, MissRate: 1.5}, 0,
+			"closedloop: reply miss rate 1.5 outside [0, 1]"},
+		{"probabilistic miss rate NaN", ProbabilisticReply{L2Latency: 20, MemoryLatency: 300, MissRate: math.NaN()}, 0,
+			"closedloop: reply miss rate NaN outside [0, 1]"},
+	} {
+		got := ""
+		if err := CheckReply(tc.reply, tc.maxCycles); err != nil {
+			got = err.Error()
+		}
+		if got != tc.want {
+			t.Errorf("%s: CheckReply = %q, want %q", tc.name, got, tc.want)
+		}
+		if tc.want == "" {
+			continue
+		}
+		_, err := RunBatch(BatchConfig{Net: smallMeshConfig(), B: 10, M: 1, Reply: tc.reply, MaxCycles: tc.maxCycles})
+		if err == nil || err.Error() != tc.want {
+			t.Errorf("%s: RunBatch = %v, want %q", tc.name, err, tc.want)
+		}
 	}
 }
 

@@ -13,6 +13,7 @@ package closedloop
 
 import (
 	"fmt"
+	"math"
 
 	"noceval/internal/sim"
 )
@@ -74,4 +75,43 @@ func (p ProbabilisticReply) Delay(rng *sim.RNG) int64 {
 // Mean returns the expected reply latency of the model.
 func (p ProbabilisticReply) Mean() float64 {
 	return float64(p.L2Latency) + p.MissRate*float64(p.MemoryLatency)
+}
+
+// defaultMaxCycles is the deadline of a closed-loop run that sets none.
+const defaultMaxCycles = 50_000_000
+
+// CheckReply rejects a reply model RunBatch cannot run: a negative latency,
+// a latency beyond the run's deadline maxCycles (zero or negative takes the
+// 50M default) — no such reply could be injected before the run is aborted,
+// and bounding it keeps "arrival cycle + latency" from overflowing into a
+// reply that is ready at once — or a miss rate that is not a probability.
+// internal/core applies it to a spec before anything simulates. A nil model
+// (immediate replies) and models defined outside this package pass.
+func CheckReply(r ReplyModel, maxCycles int64) error {
+	if maxCycles <= 0 {
+		maxCycles = defaultMaxCycles
+	}
+	// now < maxCycles and a probabilistic delay is at most two latencies.
+	maxCycles = min(maxCycles, math.MaxInt64/4)
+	latency := func(what string, l int64) error {
+		if l < 0 || l > maxCycles {
+			return fmt.Errorf("closedloop: reply %s %d outside [0, %d] (the run's cycle limit)", what, l, maxCycles)
+		}
+		return nil
+	}
+	switch m := r.(type) {
+	case FixedReply:
+		return latency("latency", m.Latency)
+	case ProbabilisticReply:
+		if err := latency("L2 latency", m.L2Latency); err != nil {
+			return err
+		}
+		if err := latency("memory latency", m.MemoryLatency); err != nil {
+			return err
+		}
+		if !(m.MissRate >= 0 && m.MissRate <= 1) {
+			return fmt.Errorf("closedloop: reply miss rate %g outside [0, 1]", m.MissRate)
+		}
+	}
+	return nil
 }

@@ -1,7 +1,6 @@
 package cmp
 
 import (
-	"container/heap"
 	"testing"
 
 	"noceval/internal/network"
@@ -72,8 +71,8 @@ func find(t *testing.T, pkts []*router.Packet, mt MsgType) *router.Packet {
 
 // drainEvents completes all scheduled home accesses immediately.
 func drainEvents(s *System) {
-	for len(s.events) > 0 {
-		ev := heap.Pop(&s.events).(homeEvent)
+	for s.events.Len() > 0 {
+		_, ev := s.events.Pop()
 		s.homes[ev.tile].dataArrived(ev.line)
 	}
 }
@@ -249,7 +248,7 @@ func TestEvictedOwnerAckTriggersL2Fallback(t *testing.T) {
 	find(t, fab.take(), MsgDowngrade)
 	// Owner already evicted the line: replies InvAck without data.
 	h.handle(Msg{Type: MsgInvAck, Line: testLine, Node: 2}, 1)
-	if len(sys.events) == 0 {
+	if sys.events.Len() == 0 {
 		t.Fatal("no L2 fallback scheduled")
 	}
 	drainEvents(sys)

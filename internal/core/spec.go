@@ -60,25 +60,31 @@ type ReplySpec struct {
 	MissRate float64 `json:"missRate,omitempty"`
 }
 
-// Build converts the spec to a ReplyModel.
+// Build converts the spec to a ReplyModel, checked the way RunBatch checks
+// it (a spec carries no cycle limit, so against the run's default one).
 func (r *ReplySpec) Build() (closedloop.ReplyModel, error) {
 	if r == nil {
 		return nil, nil
 	}
+	var m closedloop.ReplyModel
 	switch r.Type {
 	case "", "immediate":
-		return closedloop.ImmediateReply{}, nil
+		m = closedloop.ImmediateReply{}
 	case "fixed":
-		return closedloop.FixedReply{Latency: r.Latency}, nil
+		m = closedloop.FixedReply{Latency: r.Latency}
 	case "probabilistic":
-		return closedloop.ProbabilisticReply{
+		m = closedloop.ProbabilisticReply{
 			L2Latency:     r.L2,
 			MemoryLatency: r.Memory,
 			MissRate:      r.MissRate,
-		}, nil
+		}
 	default:
 		return nil, fmt.Errorf("core: unknown reply model %q", r.Type)
 	}
+	if err := closedloop.CheckReply(m, 0); err != nil {
+		return nil, err
+	}
+	return m, nil
 }
 
 // ParseSpec decodes a JSON experiment spec, filling network defaults from

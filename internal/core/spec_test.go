@@ -203,11 +203,22 @@ func TestValidateAgreesWithRun(t *testing.T) {
 		// Ran until MaxCycles before: the driver waits for phase == Phases.
 		{"barrier negative phases", `{"kind":"barrier","b":10,"phases":-1}`,
 			"closedloop: barrier phase count must be >= 0, got -1"},
+		// All four validated, ran and were cached before; the last one
+		// overflowed "now + latency" and ran as an immediate reply.
+		{"reply negative latency", `{"kind":"batch","b":10,"m":1,"reply":{"type":"fixed","latency":-100}}`,
+			"closedloop: reply latency -100 outside [0, 50000000] (the run's cycle limit)"},
+		{"reply miss rate above one", `{"kind":"batch","b":10,"m":1,"reply":{"type":"probabilistic","l2":20,"memory":300,"missRate":1.5}}`,
+			"closedloop: reply miss rate 1.5 outside [0, 1]"},
+		{"reply all negative", `{"kind":"batch","b":10,"m":1,"reply":{"type":"probabilistic","l2":-20,"memory":-300,"missRate":-0.5}}`,
+			"closedloop: reply L2 latency -20 outside [0, 50000000] (the run's cycle limit)"},
+		{"reply latency overflows", `{"kind":"batch","b":10,"m":1,"reply":{"type":"fixed","latency":9223372036854775807}}`,
+			"closedloop: reply latency 9223372036854775807 outside [0, 50000000] (the run's cycle limit)"},
 
 		{"openloop", `{"kind":"openloop","rate":0.1}`, ""},
 		{"sweep", `{"kind":"sweep","rates":[0.1,0.2]}`, ""},
 		{"batch", `{"kind":"batch","b":50,"m":2}`, ""},
 		{"batch defaults", `{"kind":"batch"}`, ""}, // zero b and m take Batch's defaults
+		{"batch with a reply model", `{"kind":"batch","b":10,"m":1,"reply":{"type":"probabilistic","l2":20,"memory":300,"missRate":0.1}}`, ""},
 		{"barrier", `{"kind":"barrier","b":10}`, ""},
 		{"exec", `{"kind":"exec","benchmark":"lu","network":{"Topology":"mesh4x4"}}`, ""},
 		{"exec ideal", `{"kind":"exec","benchmark":"lu","ideal":true}`, ""}, // no network under the ideal fabric

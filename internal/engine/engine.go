@@ -28,9 +28,10 @@ import (
 const NoEvent = int64(-1)
 
 // Driver is one run methodology's per-cycle behaviour. Run calls, in
-// order and once per simulated cycle: Done (stop check), Cycle (timer
+// order and once per iteration: Done (stop check), Idle (fast-forward and
+// stall check), and then either jumps the clock or calls Cycle (timer
 // ticks, reply injection, request generation — everything the run mode
-// does before the network computes), then Network.Step. Idle and
+// does before the network computes) and Network.Step. Idle and
 // NextEvent exist only to enable fast-forward and are never required for
 // correctness: a driver may conservatively return false/NoEvent.
 type Driver interface {
@@ -42,7 +43,10 @@ type Driver interface {
 	Done(now int64) bool
 	// Idle reports that Cycle would be a strict no-op — no injections, no
 	// RNG draws, no state changes — for every cycle from now until
-	// NextEvent(now). Only consulted when the network is quiescent.
+	// NextEvent(now). It is called first on every iteration, stepped or
+	// skipped, before the network is asked whether it is quiescent, so it
+	// must be O(1): a driver keeps a count of the work it has (the batch
+	// driver's ready set) instead of looking for it here.
 	Idle(now int64) bool
 	// NextEvent returns the earliest future cycle at which Cycle must run
 	// again while idle (scheduled reply, timer tick, timeline bucket

@@ -193,6 +193,16 @@ func TestSubmitRejectsBadSpecs(t *testing.T) {
 			"openloop: offered load must be positive, got -0.2"},
 		{"barrier negative phases", `{"kind":"barrier","b":10,"phases":-1}`, 400,
 			"closedloop: barrier phase count must be >= 0, got -1"},
+		// Reply models were not validated at all: these four were 202s whose
+		// results were cached, the last one as an immediate-reply run.
+		{"reply negative latency", `{"kind":"batch","b":10,"m":1,"reply":{"type":"fixed","latency":-100}}`, 400,
+			"closedloop: reply latency -100 outside [0, 50000000] (the run's cycle limit)"},
+		{"reply miss rate above one", `{"kind":"batch","b":10,"m":1,"reply":{"type":"probabilistic","l2":20,"memory":300,"missRate":1.5}}`, 400,
+			"closedloop: reply miss rate 1.5 outside [0, 1]"},
+		{"reply all negative", `{"kind":"batch","b":10,"m":1,"reply":{"type":"probabilistic","l2":-20,"memory":-300,"missRate":-0.5}}`, 400,
+			"closedloop: reply L2 latency -20 outside [0, 50000000] (the run's cycle limit)"},
+		{"reply latency overflows", `{"kind":"batch","b":10,"m":1,"reply":{"type":"fixed","latency":9223372036854775807}}`, 400,
+			"closedloop: reply latency 9223372036854775807 outside [0, 50000000] (the run's cycle limit)"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(tc.body))
