@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet fmt-check lint test bench-check bench-digest race fuzz-smoke golden golden-update results-check check bench bench-compare bench-pair bench-claim obs-smoke screen-smoke qos-smoke serve-smoke figures ablations examples clean
+.PHONY: all build vet fmt-check lint test bench-check bench-digest race fuzz-smoke golden golden-update digests-update results-check check bench bench-compare bench-pair bench-claim obs-smoke screen-smoke qos-smoke serve-smoke figures ablations examples clean
 
 all: build vet test
 
@@ -77,6 +77,17 @@ golden:
 golden-update:
 	$(GO) run ./cmd/figures -golden -out results/golden
 
+# Re-record the three committed digest files (root testdata/event_digests.json,
+# internal/network/testdata/stepping_digests.json,
+# internal/closedloop/testdata/batch_digests.json) from this tree, after a
+# deliberate change to what the simulator computes. They are checked by
+# `go test ./...`; a refactor of the cycle loop must leave them untouched.
+# Review the resulting diff before committing.
+digests-update:
+	$(GO) test -count=1 -run 'TestEventDigests|ActiveSetDeterminism|TestQoSCrossEngineDeterminism|TestQoSFaultInvariants' . -update-event-digests
+	$(GO) test -count=1 -run TestActiveSetMatchesFullScan ./internal/network -update-stepping-digests
+	$(GO) test -count=1 -run TestBatchDigestsAcrossCommits ./internal/closedloop -update-batch-digests
+
 # Committed-results gate: regenerate the paper figures that go through the
 # shared plotters and core.CorrelateOpenBatch (cmd/figures/plotters.go) into
 # a temp dir and cmp every produced file against its committed copy under
@@ -145,21 +156,15 @@ check: build vet fmt-check lint test bench-check bench-digest race obs-smoke scr
 bench:
 	$(GO) test -bench=. -benchmem -run '^$$' .
 
-# Compare the legacy full-scan cycle loop against the activity-tracked
-# engine on the idle-heavy benchmarks, 5 runs each. The engine=fullscan /
-# engine=activeset sub-benchmark results are split into two files with a
-# common benchmark name so benchstat can pair them; when benchstat is not
-# installed the raw per-run numbers are still left in results/.
+# Mode-vs-mode comparisons inside one commit, 5 runs each: the idle-heavy
+# benchmarks (raw runs only — the full-scan loop they were once paired with
+# is gone), 1 vs 4 shards, screening off vs on. Sub-benchmark results are
+# split into two files with a common benchmark name so benchstat can pair
+# them; when benchstat is not installed the raw per-run numbers are still
+# left in results/.
 bench-compare:
 	@mkdir -p results
-	$(GO) test -run '^$$' -bench 'IdleOpenLoopLowLoad|IdleBatchTail' -benchtime=10x -count=5 . | tee results/bench-engines.txt
-	@grep 'engine=fullscan' results/bench-engines.txt | sed 's|/engine=fullscan||' > results/bench-fullscan.txt
-	@grep 'engine=activeset' results/bench-engines.txt | sed 's|/engine=activeset||' > results/bench-activeset.txt
-	@if command -v benchstat >/dev/null 2>&1; then \
-		benchstat results/bench-fullscan.txt results/bench-activeset.txt; \
-	else \
-		echo "benchstat not installed: raw runs left in results/bench-fullscan.txt and results/bench-activeset.txt"; \
-	fi
+	$(GO) test -run '^$$' -bench 'IdleOpenLoopLowLoad|IdleBatchTail' -benchtime=10x -count=5 . | tee results/bench-idle.txt
 	$(GO) test -run '^$$' -bench 'ShardScaling' -benchtime=3x -count=5 . | tee results/bench-shards.txt
 	@grep 'shards=1-' results/bench-shards.txt | sed 's|/shards=1||' > results/bench-shards-seq.txt
 	@grep 'shards=4-' results/bench-shards.txt | sed 's|/shards=4||' > results/bench-shards-par.txt

@@ -489,11 +489,12 @@ func BenchmarkNetworkThroughput(b *testing.B) {
 	b.ReportMetric(float64(cycles)/b.Elapsed().Seconds(), "sim-cycles/s")
 }
 
-// benchIdleOpenLoop runs an open-loop measurement at ~5% of the 8x8 mesh's
-// saturation load: the network is almost entirely idle, so wall-clock is
-// dominated by how cheaply empty routers are skipped.
-func benchIdleOpenLoop(b *testing.B, fullScan bool) {
-	b.Helper()
+// BenchmarkIdleOpenLoopLowLoad runs an open-loop measurement at ~5% of the
+// 8x8 mesh's saturation load: the network is almost entirely idle, so
+// wall-clock is dominated by how cheaply empty routers are skipped.
+// Open-loop sources draw from the RNG every cycle, so no cycle can be
+// skipped outright; the time goes into stepping only active routers.
+func BenchmarkIdleOpenLoopLowLoad(b *testing.B) {
 	p := core.Baseline()
 	cfg, err := p.Build()
 	if err != nil {
@@ -507,7 +508,6 @@ func benchIdleOpenLoop(b *testing.B, fullScan bool) {
 		res, err := openloop.Run(openloop.Config{
 			Net: cfg, Pattern: pat, Sizes: sizes, Rate: 0.02,
 			Warmup: 500, Measure: 5000, DrainLimit: 10000, Seed: 1,
-			FullScan: fullScan,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -518,21 +518,11 @@ func benchIdleOpenLoop(b *testing.B, fullScan bool) {
 	b.ReportMetric(float64(cycles)/b.Elapsed().Seconds(), "sim-cycles/s")
 }
 
-// BenchmarkIdleOpenLoopLowLoad compares the legacy full-scan cycle loop
-// against the activity-tracked loop on a low-load (5% of saturation) 8x8
-// mesh. Open-loop sources draw from the RNG every cycle, so no cycles can
-// be skipped outright; the speedup comes purely from stepping only active
-// routers.
-func BenchmarkIdleOpenLoopLowLoad(b *testing.B) {
-	b.Run("engine=fullscan", func(b *testing.B) { benchIdleOpenLoop(b, true) })
-	b.Run("engine=activeset", func(b *testing.B) { benchIdleOpenLoop(b, false) })
-}
-
-// benchIdleBatchTail runs a batch workload whose runtime is dominated by
-// idle waiting: a tight MSHR limit and a long fixed reply latency leave the
-// network empty for most of each ~1000-cycle request/reply round trip.
-func benchIdleBatchTail(b *testing.B, fullScan bool) {
-	b.Helper()
+// BenchmarkIdleBatchTail runs a batch workload whose runtime is dominated
+// by idle waiting: with m=1 and a 1000-cycle reply latency every node
+// spends ~99% of each request/reply round trip waiting on an empty network,
+// which the engine skips in O(1) jumps.
+func BenchmarkIdleBatchTail(b *testing.B) {
 	p := core.Baseline()
 	cfg, err := p.Build()
 	if err != nil {
@@ -545,7 +535,6 @@ func benchIdleBatchTail(b *testing.B, fullScan bool) {
 			Net: cfg, B: 32, M: 1, Seed: 1,
 			Reply:     closedloop.FixedReply{Latency: 1000},
 			MaxCycles: 5_000_000,
-			FullScan:  fullScan,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -556,15 +545,6 @@ func benchIdleBatchTail(b *testing.B, fullScan bool) {
 		cycles += res.Runtime
 	}
 	b.ReportMetric(float64(cycles)/b.Elapsed().Seconds(), "sim-cycles/s")
-}
-
-// BenchmarkIdleBatchTail compares full-scan against active-set + quiescence
-// fast-forward on an idle-heavy closed-loop run: with m=1 and a 1000-cycle
-// reply latency every node spends ~99% of its time waiting, which the
-// engine skips in O(1) jumps.
-func BenchmarkIdleBatchTail(b *testing.B) {
-	b.Run("engine=fullscan", func(b *testing.B) { benchIdleBatchTail(b, true) })
-	b.Run("engine=activeset", func(b *testing.B) { benchIdleBatchTail(b, false) })
 }
 
 // benchShardScaling runs a heavily loaded 16x16 mesh open-loop measurement

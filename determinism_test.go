@@ -12,119 +12,58 @@ import (
 	"noceval/internal/openloop"
 )
 
-// These tests are the regression gate for the activity-tracked cycle loop:
-// the legacy full-scan path (behind FullScan: the reference oracle until
-// ROADMAP item 2's event-digest golden replaces it) and the
-// default active-set + fast-forward path must produce identical Result
-// structs and identical telemetry, cycle for cycle. They pin the refactor's
-// central claim — the optimization changes how idle work is skipped, never
-// what the simulation computes.
+// These tests are the regression gate for the cycle loop under the three
+// network-level run modes: each runs one configuration end to end — active
+// sets, quiescence fast-forward, telemetry sampling, result assembly — and
+// compares the tracer's event stream, the Result struct and the telemetry
+// with testdata/event_digests.json (see event_digest_test.go), recorded
+// from the full-scan, never-skipping reference before it was removed. The
+// CI matrix re-runs them at 1, 2 and 4 shards against the same file.
 
 func TestOpenLoopActiveSetDeterminism(t *testing.T) {
 	p := core.Baseline()
-	p.Shards = core.EnvShards() // CI matrix re-runs the gate at 1, 2, 4 shards
 	cfg, err := p.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
 	pat, _ := p.BuildPattern()
 	sizes, _ := p.BuildSizes()
-
-	run := func(fullScan bool) (*openloop.Result, *obs.Telemetry) {
-		o := obs.NewObserver(obs.Options{Metrics: true, SampleEvery: 250})
-		res, err := openloop.Run(openloop.Config{
-			Net: cfg, Pattern: pat, Sizes: sizes, Rate: 0.1,
-			Warmup: 500, Measure: 2000, DrainLimit: 10000, Seed: 42,
-			Obs: o, FullScan: fullScan,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res, o.Telemetry
-	}
-
-	resFull, telFull := run(true)
-	resActive, telActive := run(false)
-
-	if !reflect.DeepEqual(resFull, resActive) {
-		t.Errorf("open-loop results diverge:\nfullscan:  %+v\nactiveset: %+v", resFull, resActive)
-	}
-	if !reflect.DeepEqual(telFull, telActive) {
-		t.Errorf("open-loop telemetry diverges: fullscan %d router / %d node samples, activeset %d / %d",
-			len(telFull.Routers), len(telFull.Nodes), len(telActive.Routers), len(telActive.Nodes))
-	}
+	d, _ := openLoopDigest(t, openloop.Config{
+		Net: cfg, Pattern: pat, Sizes: sizes, Rate: 0.1,
+		Warmup: 500, Measure: 2000, DrainLimit: 10000, Seed: 42,
+	})
+	checkEventDigest(t, d)
 }
 
 func TestBatchActiveSetDeterminism(t *testing.T) {
 	p := core.Baseline()
-	p.Shards = core.EnvShards()
 	cfg, err := p.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-
 	// A long reply latency with a tight MSHR limit makes the run mostly
-	// idle, so the active-set side exercises the quiescence fast-forward
-	// heavily; the kernel timer and timeline buckets add scheduled events
-	// the skip must land on exactly.
-	run := func(fullScan bool) (*closedloop.BatchResult, *obs.Telemetry) {
-		o := obs.NewObserver(obs.Options{Metrics: true, SampleEvery: 250})
-		res, err := closedloop.RunBatch(closedloop.BatchConfig{
-			Net: cfg, B: 24, M: 2, Seed: 42,
-			Reply:          closedloop.FixedReply{Latency: 300},
-			Kernel:         &closedloop.KernelConfig{StaticFraction: 0.1, TimerPeriod: 700, TimerBatch: 2},
-			SampleInterval: 500,
-			CollectMatrix:  true,
-			MaxCycles:      2_000_000,
-			Obs:            o, FullScan: fullScan,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !res.Completed {
-			t.Fatal("batch run did not complete")
-		}
-		return res, o.Telemetry
-	}
-
-	resFull, telFull := run(true)
-	resActive, telActive := run(false)
-
-	if !reflect.DeepEqual(resFull, resActive) {
-		t.Errorf("batch results diverge:\nfullscan:  runtime=%d packets=%d flits=%d avglat=%v timeline=%d\nactiveset: runtime=%d packets=%d flits=%d avglat=%v timeline=%d",
-			resFull.Runtime, resFull.TotalPackets, resFull.TotalFlits, resFull.AvgPacketLatency, len(resFull.Timeline),
-			resActive.Runtime, resActive.TotalPackets, resActive.TotalFlits, resActive.AvgPacketLatency, len(resActive.Timeline))
-	}
-	if !reflect.DeepEqual(telFull, telActive) {
-		t.Errorf("batch telemetry diverges: fullscan %d router / %d node samples, activeset %d / %d",
-			len(telFull.Routers), len(telFull.Nodes), len(telActive.Routers), len(telActive.Nodes))
-	}
+	// idle, so it exercises the quiescence fast-forward heavily; the kernel
+	// timer, the timeline buckets and the telemetry samples add scheduled
+	// events the skip must land on exactly.
+	d := batchDigest(t, closedloop.BatchConfig{
+		Net: cfg, B: 24, M: 2, Seed: 42,
+		Reply:          closedloop.FixedReply{Latency: 300},
+		Kernel:         &closedloop.KernelConfig{StaticFraction: 0.1, TimerPeriod: 700, TimerBatch: 2},
+		SampleInterval: 500,
+		CollectMatrix:  true,
+		MaxCycles:      2_000_000,
+	})
+	checkEventDigest(t, d)
 }
 
 func TestBarrierActiveSetDeterminism(t *testing.T) {
 	p := core.Baseline()
-	p.Shards = core.EnvShards()
 	cfg, err := p.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func(fullScan bool) *closedloop.BarrierResult {
-		res, err := closedloop.RunBarrier(closedloop.BarrierConfig{
-			Net: cfg, B: 50, Phases: 3, Seed: 42, FullScan: fullScan,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !res.Completed {
-			t.Fatal("barrier run did not complete")
-		}
-		return res
-	}
-	resFull := run(true)
-	resActive := run(false)
-	if !reflect.DeepEqual(resFull, resActive) {
-		t.Errorf("barrier results diverge:\nfullscan:  %+v\nactiveset: %+v", resFull, resActive)
-	}
+	d := barrierDigest(t, closedloop.BarrierConfig{Net: cfg, B: 50, Phases: 3, Seed: 42})
+	checkEventDigest(t, d)
 }
 
 // TestShardedRunModeDeterminism is the run-mode-level gate for the sharded

@@ -36,9 +36,6 @@ type BarrierConfig struct {
 	MaxCycles int64
 	Seed      uint64
 
-	// FullScan runs the legacy per-cycle full scans (see BatchConfig).
-	FullScan bool
-
 	// Inspect, when non-nil, receives the run's network after the engine
 	// finishes (see BatchConfig.Inspect).
 	Inspect func(*network.Network)
@@ -111,12 +108,10 @@ func RunBarrier(cfg BarrierConfig) (*BarrierResult, error) {
 		res.FailedPackets++
 	}
 
-	net.SetFullScan(cfg.FullScan)
 	eo := engine.RunOutcome(engine.Config{
 		Net:      net,
 		Ctx:      cfg.Ctx,
 		Deadline: cfg.MaxCycles,
-		FullScan: cfg.FullScan,
 	}, d)
 	completed := eo.Completed
 	if cfg.OnEngine != nil {

@@ -89,13 +89,6 @@ type BatchConfig struct {
 	// Progress, when non-nil, prints run heartbeats.
 	Progress *obs.Progress
 
-	// FullScan runs the legacy per-cycle full scans and disables the
-	// engine's quiescence fast-forward. Bit-identical to the default
-	// activity-tracked path (the determinism regression test proves it);
-	// the reference oracle until ROADMAP item 2's event-digest golden
-	// replaces it.
-	FullScan bool
-
 	// Inspect, when non-nil, receives the run's network after the engine
 	// finishes and before RunBatch returns — the invariant harness hooks
 	// here to check conservation on the final state.
@@ -312,7 +305,6 @@ func newBatchDriver(cfg *BatchConfig) *batchDriver {
 
 	net.OnReceive = d.onReceive
 	net.OnDeadDrop = d.onDeadDrop
-	net.SetFullScan(cfg.FullScan)
 	return d
 }
 
@@ -533,7 +525,6 @@ func RunBatch(cfg BatchConfig) (*BatchResult, error) {
 		Ctx:      cfg.Ctx,
 		Deadline: cfg.MaxCycles,
 		Progress: cfg.Progress,
-		FullScan: cfg.FullScan,
 		OnStall: func(now int64) {
 			res.Stalled = true
 			res.StallDump = d.stallDump(now)

@@ -2,10 +2,12 @@ package closedloop
 
 import (
 	"math/bits"
+	"reflect"
 	"runtime"
 	"testing"
 
 	"noceval/internal/engine"
+	"noceval/internal/fault"
 )
 
 // scanChecked is a batchDriver whose ready set is compared with a scan of
@@ -80,6 +82,69 @@ func TestReadySetMatchesScan(t *testing.T) {
 		if d.readyCount != 0 {
 			t.Errorf("%s: %d nodes still ready after every node finished", name, d.readyCount)
 		}
+	}
+}
+
+// neverIdle is a batchDriver that denies the engine every fast-forward:
+// Idle is a hint the engine may act on only when Cycle would be a no-op, so
+// stepping every cycle instead must not change the run.
+type neverIdle struct{ *batchDriver }
+
+func (neverIdle) Idle(int64) bool { return false }
+
+// batchEnd is everything RunBatch assembles a BatchResult from once the
+// engine returns, plus where the run left its random streams.
+type batchEnd struct {
+	End        int64
+	Completed  bool
+	Res        BatchResult
+	Nodes      []nodeState
+	LatencySum float64
+	LatencyCnt int64
+	Bucket     [3]int64
+	Faults     *fault.Stats
+	Stats      [4]int64
+	Draws      [3]uint64
+}
+
+// TestFastForwardMatchesFullStepping runs every case of the matrix twice,
+// once as RunBatch does and once with every cycle stepped, and requires the
+// same end state: the engine's jumps over idle stretches — to reply ready
+// times, timer ticks, timeline bucket boundaries and NIC timeouts — skip
+// only cycles in which nothing happens.
+func TestFastForwardMatchesFullStepping(t *testing.T) {
+	var skipped int64
+	for name, cfg := range batchMatrix() {
+		cfg.fillDefaults()
+		run := func(wrap func(*batchDriver) engine.Driver) (batchEnd, engine.Outcome) {
+			d := newBatchDriver(&cfg)
+			defer d.net.Close()
+			eo := engine.RunOutcome(engine.Config{Net: d.net, Deadline: cfg.MaxCycles}, wrap(d))
+			e := batchEnd{
+				End: eo.End, Completed: eo.Completed, Res: *d.res, Nodes: d.nodes,
+				LatencySum: d.latencySum, LatencyCnt: d.latencyCnt,
+				Bucket: [3]int64{d.bucketUser, d.bucketKernel, d.bucketStart},
+				Faults: d.net.FaultStats(),
+				Draws:  [3]uint64{d.rng.Uint64(), d.replyRNG.Uint64(), d.net.RNG().Uint64()},
+			}
+			e.Stats[0], e.Stats[1], e.Stats[2], e.Stats[3] = d.net.Stats()
+			return e, eo
+		}
+		fast, eoFast := run(func(d *batchDriver) engine.Driver { return d })
+		full, eoFull := run(func(d *batchDriver) engine.Driver { return neverIdle{d} })
+		if !fast.Completed {
+			t.Fatalf("%s: did not complete", name)
+		}
+		if eoFull.Skipped != 0 {
+			t.Fatalf("%s: the fully stepped side skipped %d cycles", name, eoFull.Skipped)
+		}
+		skipped += eoFast.Skipped
+		if !reflect.DeepEqual(fast, full) {
+			t.Errorf("%s: fast-forwarded and fully stepped runs differ:\nfast: %+v\nfull: %+v", name, fast, full)
+		}
+	}
+	if skipped == 0 {
+		t.Fatal("no case fast-forwarded anything; the comparison compared two stepped runs")
 	}
 }
 

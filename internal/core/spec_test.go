@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -183,6 +184,17 @@ func TestSpecErrorMessages(t *testing.T) {
 // RunContext would fail before simulating, with the same text. The run
 // side gets a cancelled context, so a spec that is runnable stops at the
 // engine's first poll with the context's error instead of simulating.
+// qosSpecBody is an open-loop spec with n equal-share strict-priority
+// classes over n VCs.
+func qosSpecBody(n int) string {
+	classes := make([]string, n)
+	for i := range classes {
+		classes[i] = fmt.Sprintf(`{"name":"c%d","share":%g}`, i, 1/float64(n))
+	}
+	return fmt.Sprintf(`{"kind":"openloop","rate":0.05,"warmup":100,"measure":300,"drainLimit":3000,"network":{"VCs":%d,"ClassArb":"strict","Classes":[%s]}}`,
+		n, strings.Join(classes, ","))
+}
+
 func TestValidateAgreesWithRun(t *testing.T) {
 	cases := []struct {
 		name string
@@ -213,6 +225,11 @@ func TestValidateAgreesWithRun(t *testing.T) {
 			"closedloop: reply L2 latency -20 outside [0, 50000000] (the run's cycle limit)"},
 		{"reply latency overflows", `{"kind":"batch","b":10,"m":1,"reply":{"type":"fixed","latency":9223372036854775807}}`,
 			"closedloop: reply latency 9223372036854775807 outside [0, 50000000] (the run's cycle limit)"},
+
+		// Validated and ran before, and never finished cycle 0: a VC's QoS
+		// class is an int8 and vaOrder's class loop wrapped at 127.
+		{"128 QoS classes", qosSpecBody(128), "router: Classes must be in [0, 127], got 128"},
+		{"127 QoS classes", qosSpecBody(127), ""},
 
 		{"openloop", `{"kind":"openloop","rate":0.1}`, ""},
 		{"sweep", `{"kind":"sweep","rates":[0.1,0.2]}`, ""},

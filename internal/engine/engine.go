@@ -113,10 +113,6 @@ type Config struct {
 	// horizon grows when the run enters its drain phase). Nil means
 	// unknown.
 	Horizon func(now int64) int64
-	// FullScan disables fast-forward, pairing with the network's full-scan
-	// mode to reproduce the legacy cycle loop exactly: the reference
-	// oracle until ROADMAP item 2's event-digest golden replaces it.
-	FullScan bool
 	// OnStall, when non-nil, arms the deadlock watchdog: when the engine
 	// proves the run can never finish — the driver is not done yet idle
 	// with no scheduled event, the network is quiescent, and no internal
@@ -178,7 +174,6 @@ func Run(cfg Config, d Driver) (end int64, completed bool) {
 func RunOutcome(cfg Config, d Driver) Outcome {
 	net := cfg.Net
 	ff, canSkip := net.(FastForwarder)
-	canSkip = canSkip && !cfg.FullScan
 	is, hasInternal := net.(InternalScheduler)
 	// Cross-run engine metrics live in the process-wide registry; with no
 	// default registry installed these are nil and the loop pays only the

@@ -138,22 +138,6 @@ func TestRunNeverSkipsObserverSample(t *testing.T) {
 	}
 }
 
-func TestRunFullScanDisablesSkip(t *testing.T) {
-	net := &fakeNet{quiescent: true, sampleAt: -1}
-	d := &fakeDriver{
-		doneAt: 50,
-		idle:   func(int64) bool { return true },
-		next:   func(int64) int64 { return 50 },
-	}
-	Run(Config{Net: net, FullScan: true}, d)
-	if len(net.skips) != 0 {
-		t.Fatalf("FullScan run skipped: %v", net.skips)
-	}
-	if len(net.stepped) != 50 {
-		t.Fatalf("stepped %d cycles, want 50", len(net.stepped))
-	}
-}
-
 func TestRunIdleWithNoEventRunsToDeadline(t *testing.T) {
 	// Nothing scheduled and nothing in flight: the only future milestone
 	// is the deadline, so the engine jumps straight there.

@@ -8,8 +8,7 @@
 //
 // Everything is driven by the injector's private xoshiro stream, so a
 // faulted run is a pure function of (config, seed): the same configuration
-// replays the same fault sequence under both the activity-tracked and
-// full-scan engines. With a nil or all-zero Params the network layer builds
+// replays the same fault sequence at every shard count. With a nil or all-zero Params the network layer builds
 // no injector at all and the simulation is bit-identical to a fault-free
 // build — enforced by the zero-alloc guard and the golden-figure gate.
 package fault

@@ -1,7 +1,7 @@
 // Package invariants is the fault subsystem's correctness oracle: a set of
 // whole-network conservation checks that must hold at any inter-cycle
-// boundary of any run — fault-free or faulted, activity-tracked or
-// full-scan. The property-based harness in this package's tests runs
+// boundary of any run — fault-free or faulted, sequential or sharded. The
+// property-based harness in this package's tests runs
 // randomized fault configurations through every run mode and calls Check
 // on the final network state; a violation means flits, packets, or credits
 // were silently created or destroyed somewhere in the pipeline.

@@ -2,12 +2,12 @@ package invariants_test
 
 // The property-based harness of the fault subsystem: randomized fault
 // configurations are pushed through every run methodology (open-loop,
-// closed-loop batch and barrier, execution-driven CMP) on both stepping
-// engines (activity-tracked and full-scan), and the invariant oracle
-// checks the final network state of each run. A second set of tests pins
-// the determinism contract (same seed + config => identical results on
-// both engines) and proves the oracle has teeth: a deliberately broken
-// retransmission path must be caught.
+// closed-loop batch and barrier, execution-driven CMP) on the sequential
+// and the sharded cycle loop, and the invariant oracle checks the final
+// network state of each run. A second set of tests pins the determinism
+// contract (same seed + config => identical results at every shard count)
+// and proves the oracle has teeth: a deliberately broken retransmission
+// path must be caught.
 
 import (
 	"encoding/json"
@@ -65,8 +65,16 @@ func randomFault(rng *sim.RNG, topo *topology.Topology) *fault.Params {
 	return p
 }
 
-// trialNet builds the network config of one trial.
+// trialNet builds the network config of one trial. The CI determinism
+// matrix re-runs the whole harness at NOCEVAL_SHARDS 1, 2 and 4; the
+// oracle must hold at any shard count.
 func trialNet(t *testing.T, topoName string, seed uint64, fp *fault.Params) network.Config {
+	t.Helper()
+	return trialNetShards(t, topoName, seed, fp, core.EnvShards())
+}
+
+// trialNetShards is trialNet at an explicit shard count.
+func trialNetShards(t *testing.T, topoName string, seed uint64, fp *fault.Params, shards int) network.Config {
 	t.Helper()
 	topo, err := topology.ByName(topoName)
 	if err != nil {
@@ -78,10 +86,7 @@ func trialNet(t *testing.T, topoName string, seed uint64, fp *fault.Params) netw
 		Router:  router.Config{VCs: 2, BufDepth: 4, Delay: 1},
 		Seed:    seed,
 		Fault:   fp,
-		// The CI determinism matrix re-runs the whole harness at 1, 2 and
-		// 4 shards; the oracle and the determinism pins must hold at any
-		// shard count.
-		Shards: core.EnvShards(),
+		Shards:  shards,
 	}
 	if err := cfg.Validate(); err != nil {
 		t.Fatalf("trial config invalid: %v", err)
@@ -101,8 +106,9 @@ func checkInvariants(t *testing.T, label string) func(*network.Network) {
 }
 
 // TestPropertyRandomizedConfigs is the harness: N random fault configs,
-// each run through open-loop, batch, and barrier on both engines, with the
-// oracle inspecting every final state.
+// each run through open-loop, batch, and barrier on the sequential loop and
+// on a sharded one (NOCEVAL_SHARDS tiles, 2 when that is unset), with the
+// oracle inspecting every final state and the two loops' results compared.
 func TestPropertyRandomizedConfigs(t *testing.T) {
 	trials := 10
 	if testing.Short() {
@@ -118,33 +124,43 @@ func TestPropertyRandomizedConfigs(t *testing.T) {
 		fp := randomFault(rng, topo)
 		seed := rng.Uint64()
 		desc, _ := json.Marshal(fp)
-		for _, fullScan := range []bool{false, true} {
-			label := fmt.Sprintf("trial %d %s fullscan=%v fault=%s", trial, topoName, fullScan, desc)
-			netCfg := trialNet(t, topoName, seed, fp)
+		var results [2][3]any
+		for i, shards := range []int{1, max(core.EnvShards(), 2)} {
+			label := fmt.Sprintf("trial %d %s shards=%d fault=%s", trial, topoName, shards, desc)
+			netCfg := trialNetShards(t, topoName, seed, fp, shards)
 
-			if _, err := openloop.Run(openloop.Config{
+			results[i][0], err = openloop.Run(openloop.Config{
 				Net: netCfg, Pattern: traffic.Uniform{}, Sizes: traffic.FixedSize(1),
 				Rate: 0.1, Warmup: 500, Measure: 1000, DrainLimit: 400_000,
-				Seed: seed, FullScan: fullScan,
+				Seed:    seed,
 				Inspect: checkInvariants(t, label+" openloop"),
-			}); err != nil {
+			})
+			if err != nil {
 				t.Errorf("%s openloop: %v", label, err)
 			}
 
-			if _, err := closedloop.RunBatch(closedloop.BatchConfig{
+			results[i][1], err = closedloop.RunBatch(closedloop.BatchConfig{
 				Net: netCfg, Pattern: traffic.Uniform{}, B: 30, M: 2,
-				MaxCycles: 400_000, Seed: seed, FullScan: fullScan,
+				MaxCycles: 400_000, Seed: seed,
 				Inspect: checkInvariants(t, label+" batch"),
-			}); err != nil {
+			})
+			if err != nil {
 				t.Errorf("%s batch: %v", label, err)
 			}
 
-			if _, err := closedloop.RunBarrier(closedloop.BarrierConfig{
+			results[i][2], err = closedloop.RunBarrier(closedloop.BarrierConfig{
 				Net: netCfg, Pattern: traffic.Uniform{}, B: 20, Phases: 2,
-				MaxCycles: 400_000, Seed: seed, FullScan: fullScan,
+				MaxCycles: 400_000, Seed: seed,
 				Inspect: checkInvariants(t, label+" barrier"),
-			}); err != nil {
+			})
+			if err != nil {
 				t.Errorf("%s barrier: %v", label, err)
+			}
+		}
+		for m, mode := range []string{"openloop", "batch", "barrier"} {
+			if !reflect.DeepEqual(results[0][m], results[1][m]) {
+				t.Errorf("trial %d %s fault=%s: %s diverges across shard counts:\nsequential: %+v\nsharded:    %+v",
+					trial, topoName, desc, mode, results[0][m], results[1][m])
 			}
 		}
 	}
@@ -194,7 +210,8 @@ func TestExecModeInvariants(t *testing.T) {
 
 // TestFaultedRunsDeterministic pins the reproducibility contract: the same
 // seed and fault config produce identical results — counters, latencies,
-// recovery stats — on the activity-tracked and full-scan engines.
+// recovery stats — on the sequential cycle loop and with the network split
+// into 2 and 4 tiles, and again when a run is repeated.
 func TestFaultedRunsDeterministic(t *testing.T) {
 	fp := &fault.Params{
 		CorruptRate: 2e-3, DropRate: 2e-3,
@@ -202,37 +219,42 @@ func TestFaultedRunsDeterministic(t *testing.T) {
 		Kills:   []fault.Kill{{Node: 11, At: 700}},
 		Timeout: 250, MaxRetries: 3, RetryCap: 2, Seed: 42,
 	}
-	runOL := func(fullScan bool) *openloop.Result {
+	runOL := func(shards int) *openloop.Result {
 		res, err := openloop.Run(openloop.Config{
-			Net: trialNet(t, "mesh4x4", 7, fp), Pattern: traffic.Uniform{},
+			Net: trialNetShards(t, "mesh4x4", 7, fp, shards), Pattern: traffic.Uniform{},
 			Sizes: traffic.FixedSize(1), Rate: 0.12,
-			Warmup: 500, Measure: 1500, DrainLimit: 400_000, Seed: 7, FullScan: fullScan,
+			Warmup: 500, Measure: 1500, DrainLimit: 400_000, Seed: 7,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res
 	}
-	if a, b := runOL(false), runOL(true); !reflect.DeepEqual(a, b) {
-		t.Errorf("faulted openloop diverges across engines:\nactiveset: %+v\nfullscan:  %+v", a, b)
-	}
-
-	runBatch := func(fullScan bool) *closedloop.BatchResult {
+	runBatch := func(shards int) *closedloop.BatchResult {
 		res, err := closedloop.RunBatch(closedloop.BatchConfig{
-			Net: trialNet(t, "mesh4x4", 7, fp), Pattern: traffic.Uniform{},
-			B: 40, M: 2, MaxCycles: 400_000, Seed: 7, FullScan: fullScan,
+			Net: trialNetShards(t, "mesh4x4", 7, fp, shards), Pattern: traffic.Uniform{},
+			B: 40, M: 2, MaxCycles: 400_000, Seed: 7,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res
 	}
-	if a, b := runBatch(false), runBatch(true); !reflect.DeepEqual(a, b) {
-		t.Errorf("faulted batch diverges across engines:\nactiveset: %+v\nfullscan:  %+v", a, b)
+	ol, batch := runOL(1), runBatch(1)
+	if ol.Faults.Abandoned == 0 {
+		t.Error("no transaction was abandoned; the comparison does not cover the NIC's give-up path")
+	}
+	for _, shards := range []int{2, 4} {
+		if b := runOL(shards); !reflect.DeepEqual(ol, b) {
+			t.Errorf("faulted openloop diverges at %d shards:\nsequential: %+v\nsharded:    %+v", shards, ol, b)
+		}
+		if b := runBatch(shards); !reflect.DeepEqual(batch, b) {
+			t.Errorf("faulted batch diverges at %d shards:\nsequential: %+v\nsharded:    %+v", shards, batch, b)
+		}
 	}
 
-	// And across repeated runs on the same engine.
-	if a, b := runOL(false), runOL(false); !reflect.DeepEqual(a, b) {
+	// And across repeated runs at one shard count.
+	if b := runOL(1); !reflect.DeepEqual(ol, b) {
 		t.Error("faulted openloop is not reproducible from its seed")
 	}
 }

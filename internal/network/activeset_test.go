@@ -1,7 +1,12 @@
 package network
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
+	"flag"
 	"fmt"
+	"os"
 	"testing"
 
 	"noceval/internal/router"
@@ -51,27 +56,29 @@ func driveBursty(t *testing.T, n *Network, cycles int64, seed uint64, check func
 	return log
 }
 
-// TestActiveSetMatchesFullScan drives two identically seeded networks —
-// one on the legacy full-scan path (network scans and the routers' nested
-// reference loops), one on the activity-tracked mask path — with the same
-// bursty multi-flit load and requires bit-identical behaviour: every
-// delivery at the same cycle, the same aggregate stats, the same network
-// RNG end-state (Valiant draws an intermediate per packet, so a divergence
-// in draw order shows immediately), conservation on both, and the same
-// buffer fill, credit count and ownership of every VC of every router when
-// the load stops mid-flight. The table walks the router's memory layout:
-// power-of-two and odd VC counts (the flat index p*VCs+v), 16 VCs (5x16 >
-// 64: the non-mask fallback; 3x16 on a ring: the mask path at full width),
-// one-slot and four-slot flit rings, dateline and adaptive class ranges,
-// both arbiters, iSLIP iterations and strict-priority partitions.
-func TestActiveSetMatchesFullScan(t *testing.T) {
+var updateSteppingDigests = flag.Bool("update-stepping-digests", false, "rewrite testdata/stepping_digests.json from this tree")
+
+// steppingCase is one row of the stepping matrix.
+type steppingCase struct {
+	topo *topology.Topology
+	alg  routing.Algorithm
+	rc   router.Config
+}
+
+func (c steppingCase) name() string {
+	return fmt.Sprintf("%s/%s/v%d/q%d/%s/sa%d/c%d", c.topo.Name, c.alg.Name(),
+		c.rc.VCs, c.rc.BufDepth, c.rc.Arb, c.rc.SAIterations, c.rc.Classes)
+}
+
+// steppingMatrix walks the router's memory layout: power-of-two and odd VC
+// counts (the flat index p*VCs+v), 16 VCs (5x16 > 64: the nested-loop
+// phases; 3x16 on a ring: the mask path at full width), one-slot and
+// four-slot flit rings, dateline and adaptive class ranges, both arbiters,
+// iSLIP iterations and strict-priority partitions.
+func steppingMatrix() []steppingCase {
 	mesh, torus, ring := topology.NewMesh(8, 8), topology.NewTorus(4, 4), topology.NewRing(8)
 	rr, age := router.RoundRobin, router.AgeBased
-	cases := []struct {
-		topo *topology.Topology
-		alg  routing.Algorithm
-		rc   router.Config
-	}{
+	cases := []steppingCase{
 		{mesh, routing.Valiant{}, router.Config{VCs: 4, BufDepth: 4, Arb: rr}},
 		{mesh, routing.DOR{}, router.Config{VCs: 2, BufDepth: 1, Arb: rr}},
 		{mesh, routing.DOR{}, router.Config{VCs: 3, BufDepth: 4, Arb: age, SAIterations: 2, Classes: 3}},
@@ -89,63 +96,107 @@ func TestActiveSetMatchesFullScan(t *testing.T) {
 		{ring, routing.MinimalAdaptive{}, router.Config{VCs: 3, BufDepth: 4, Arb: rr, SAIterations: 2}},
 		{ring, routing.Valiant{}, router.Config{VCs: 16, BufDepth: 4, Arb: rr, Classes: 3}},
 	}
-	for _, c := range cases {
-		c.rc.Delay = 1
-		name := fmt.Sprintf("%s/%s/v%d/q%d/%s/sa%d/c%d", c.topo.Name, c.alg.Name(),
-			c.rc.VCs, c.rc.BufDepth, c.rc.Arb, c.rc.SAIterations, c.rc.Classes)
-		t.Run(name, func(t *testing.T) {
-			cfg := Config{Topo: c.topo, Routing: c.alg, Router: c.rc, Seed: 7}
-			if err := cfg.Validate(); err != nil {
-				t.Fatal(err)
-			}
-			full, active := New(cfg), New(cfg)
-			full.SetFullScan(true)
+	for i := range cases {
+		cases[i].rc.Delay = 1
+	}
+	return cases
+}
 
-			logFull := driveBursty(t, full, 1480, 99, nil) // stops eight cycles into a burst
-			logActive := driveBursty(t, active, 1480, 99, nil)
+// steppingDigest drives one row with the bursty multi-flit load, the
+// active-set invariant checked after every cycle, and returns the SHA-256
+// over everything the run leaves behind: every delivery with its cycle, the
+// aggregate stats, the network RNG's next draw (Valiant draws an
+// intermediate per packet, so a divergence in draw order shows
+// immediately), and the buffer fill, credit count and ownership of every
+// VC of every router when the load stops mid-flight.
+func steppingDigest(t *testing.T, c steppingCase, shards int) string {
+	t.Helper()
+	cfg := Config{Topo: c.topo, Routing: c.alg, Router: c.rc, Seed: 7, Shards: shards}
+	if err := cfg.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	n := New(cfg)
+	defer n.Close()
+	log := driveBursty(t, n, 1480, 99, func() { checkActiveInvariant(t, n) }) // stops eight cycles into a burst
+	if len(log) == 0 {
+		t.Fatal("no deliveries")
+	}
+	if err := n.CheckConservation(); err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	for _, d := range log {
+		fmt.Fprintln(h, d.cycle, d.src, d.dst, d.size)
+	}
+	sent, arrived, injected, ejected := n.Stats()
+	fmt.Fprintln(h, sent, arrived, injected, ejected)
+	fmt.Fprintln(h, n.RNG().Uint64())
+	inside := 0
+	for id := 0; id < c.topo.N; id++ {
+		r := n.Router(id)
+		for p := 0; p < c.topo.Ports(); p++ {
+			for v := 0; v < c.rc.VCs; v++ {
+				inside += r.InBufLen(p, v)
+				fmt.Fprintln(h, r.InBufLen(p, v), r.OutCredits(p, v), r.OutOwned(p, v))
+			}
+		}
+	}
+	if inside == 0 {
+		t.Fatal("the load stopped on an empty network: the per-VC state digests nothing")
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
 
-			if len(logFull) == 0 || len(logFull) != len(logActive) {
-				t.Fatalf("deliveries: fullscan %d, activeset %d", len(logFull), len(logActive))
-			}
-			for i := range logFull {
-				if logFull[i] != logActive[i] {
-					t.Fatalf("delivery %d differs: fullscan %+v, activeset %+v", i, logFull[i], logActive[i])
-				}
-			}
-			fs, fa, ffi, ffe := full.Stats()
-			as, aa, afi, afe := active.Stats()
-			if fs != as || fa != aa || ffi != afi || ffe != afe {
-				t.Fatalf("stats differ: fullscan (%d %d %d %d), activeset (%d %d %d %d)",
-					fs, fa, ffi, ffe, as, aa, afi, afe)
-			}
-			if g, w := active.RNG().Uint64(), full.RNG().Uint64(); g != w {
-				t.Fatalf("network RNG diverged: activeset next draw %d, fullscan %d", g, w)
-			}
-			for _, n := range []*Network{full, active} {
-				if err := n.CheckConservation(); err != nil {
-					t.Fatal(err)
-				}
-			}
-			inside := 0
-			for id := 0; id < c.topo.N; id++ {
-				rf, ra := full.Router(id), active.Router(id)
-				for p := 0; p < c.topo.Ports(); p++ {
-					for v := 0; v < c.rc.VCs; v++ {
-						inside += ra.InBufLen(p, v)
-						if rf.InBufLen(p, v) != ra.InBufLen(p, v) || rf.OutCredits(p, v) != ra.OutCredits(p, v) ||
-							rf.OutOwned(p, v) != ra.OutOwned(p, v) {
-							t.Fatalf("router %d port %d vc %d: fullscan buf %d credits %d owned %v, activeset buf %d credits %d owned %v",
-								id, p, v, rf.InBufLen(p, v), rf.OutCredits(p, v), rf.OutOwned(p, v),
-								ra.InBufLen(p, v), ra.OutCredits(p, v), ra.OutOwned(p, v))
-						}
-					}
-				}
-			}
-			if inside == 0 {
-				t.Fatal("the load stopped on an empty network: the per-VC comparison compared nothing")
-			}
+// TestActiveSetMatchesFullScan compares every row's steppingDigest with
+// testdata/stepping_digests.json, recorded (-update-stepping-digests) on
+// the last commit that had the full scans — every router stepped, every
+// port polled and every source queue visited each cycle, the routers on
+// their nested-loop phases — from a network running them. Equality is
+// bit-identity of the active-set paths with that reference, across commits;
+// the invariant checked after every cycle is why it holds: an idle router's
+// Step, an empty pipe's PopDelivery and an empty queue's injectNode are
+// no-ops, so visiting exactly the non-idle routers and pending nodes in
+// ascending order is the full scan.
+func TestActiveSetMatchesFullScan(t *testing.T) {
+	got := map[string]string{}
+	for _, c := range steppingMatrix() {
+		t.Run(c.name(), func(t *testing.T) {
+			got[c.name()] = steppingDigest(t, c, 1)
 		})
 	}
+	const golden = "testdata/stepping_digests.json"
+	if *updateSteppingDigests {
+		data, err := json.MarshalIndent(got, "", " ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(golden, append(data, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := steppingDigests(t)
+	if len(want) != len(got) {
+		t.Errorf("%s holds %d digests, the matrix has %d rows", golden, len(want), len(got))
+	}
+	for name, d := range got {
+		if want[name] != d {
+			t.Errorf("%s: digest %s, recorded %s", name, d, want[name])
+		}
+	}
+}
+
+// steppingDigests loads the committed digest file.
+func steppingDigests(t *testing.T) map[string]string {
+	t.Helper()
+	data, err := os.ReadFile("testdata/stepping_digests.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]string{}
+	if err := json.Unmarshal(data, &want); err != nil {
+		t.Fatal(err)
+	}
+	return want
 }
 
 // activeBit reports whether router id is in its tile's active set.

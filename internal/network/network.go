@@ -104,9 +104,9 @@ type Network struct {
 	// and are deregistered by Step's compute sweep the cycle they go idle.
 	// activeCount mirrors the popcount so Quiescent stays O(tiles).
 	// srcPending is the analogous bitset over nodes with a nonempty source
-	// queue. Both are iterated in ascending id order within a tile and
-	// tiles are ascending id ranges, so the active-set paths visit routers
-	// and nodes in exactly the order the full scans do. A sequential
+	// queue. The ordering rule of every per-cycle phase is ascending id
+	// within a tile, tiles in ascending order — tiles are ascending id
+	// ranges, so that is ascending id over the whole network. A sequential
 	// network is the single tile [0, N); sharded networks (see shard.go)
 	// split per-tile so concurrently stepping tiles never share a bitset
 	// word.
@@ -115,13 +115,6 @@ type Network struct {
 	// gang is the resident worker crew stepping tiles concurrently; nil
 	// for a sequential (Shards <= 1) network.
 	gang *par.Gang
-	// fullScan restores the pre-activity-tracking per-cycle full scans of
-	// every router and source queue: the reference oracle of the
-	// determinism regression tests until ROADMAP item 2's event-digest
-	// golden replaces it. The bitsets are still maintained but not
-	// consulted. Full scan also forces the sequential cycle loop, so it
-	// doubles as the reference side of the sharded determinism tests.
-	fullScan bool
 
 	// Conservation accounting. Every packet object handed to Send ends in
 	// exactly one of: arrived, dead (died inside the network), discarded
@@ -292,20 +285,6 @@ func New(cfg Config) *Network {
 
 // Config returns the network's configuration.
 func (n *Network) Config() Config { return n.cfg }
-
-// SetFullScan switches the per-cycle loops between the activity-tracked
-// paths (the default) and the legacy full scans over every router, port,
-// and source queue; it also flips the routers to the matching mode, so a
-// full-scan network runs the reference nested-loop compute phases rather
-// than the state-bitmask ones. Both modes are cycle- and bit-identical;
-// full-scan is the reference oracle of the determinism regression tests
-// until ROADMAP item 2's event-digest golden replaces it.
-func (n *Network) SetFullScan(v bool) {
-	n.fullScan = v
-	for _, r := range n.routers {
-		r.SetLegacyScan(v)
-	}
-}
 
 // markActive inserts router id into its tile's active set. Idempotent:
 // routers wake on every flit or credit arrival, which can happen while the
@@ -501,12 +480,12 @@ func (n *Network) SourceQueueLen(node int) int {
 }
 
 // Step advances the network one cycle. With more than one tile the cycle
-// runs on the gang (shard.go); the full-scan reference mode and an
-// attached tracer force the sequential loop (trace append order is
-// inherently serial), which stays correct with shards because cross-tile
-// credit deferral is behaviour-preserving in either loop.
+// runs on the gang (shard.go); an attached tracer forces the sequential
+// loop (trace append order is inherently serial), which stays correct with
+// shards because cross-tile credit deferral is behaviour-preserving in
+// either loop.
 func (n *Network) Step() {
-	if n.gang != nil && !n.fullScan && n.tracer == nil {
+	if n.gang != nil && n.tracer == nil {
 		n.stepSharded()
 		return
 	}
@@ -523,13 +502,7 @@ func (n *Network) stepSequential() {
 	}
 	n.deliver(now)
 	n.inject(now)
-	if n.fullScan {
-		for _, r := range n.routers {
-			r.Step(now)
-		}
-	} else {
-		n.stepActive(now)
-	}
+	n.stepActive(now)
 	if n.gang != nil {
 		// Routers of a sharded network defer cross-tile credits even on
 		// the sequential loop (the sink is wired at construction); drain
@@ -543,12 +516,12 @@ func (n *Network) stepSequential() {
 }
 
 // stepActive runs the compute phase over the active set only, in ascending
-// router-id order (identical to the full scan's visiting order), and
-// deregisters routers that went idle. Routers woken during this sweep by a
-// returning credit are not re-stepped this cycle if their bit lies behind
-// the cursor or inside the current word snapshot; such credit-only wakeups
-// are provably no-op steps (the credit is never ready before the next
-// cycle), so the resulting state matches the full scan exactly.
+// router-id order, and deregisters routers that went idle. Routers woken
+// during this sweep by a returning credit are not re-stepped this cycle if
+// their bit lies behind the cursor or inside the current word snapshot;
+// such credit-only wakeups are provably no-op steps (the credit is never
+// ready before the next cycle), so the resulting state is what stepping
+// every router in ascending order would leave.
 func (n *Network) stepActive(now int64) {
 	for ti := range n.tiles {
 		n.stepTile(now, ti)
@@ -578,33 +551,19 @@ func (n *Network) stepTile(now int64, ti int) {
 }
 
 // deliver moves flits that completed a router/link pipeline into the next
-// input buffer, and hands fully arrived packets to the receiver. The
-// active-set path visits only routers with pipeline flits, and within a
-// router only the ports whose pipelines are nonempty; routers receiving
-// flits during the sweep gain buffered occupancy only, which deliver
-// skips in both paths, so the visiting order is equivalent.
+// input buffer, and hands fully arrived packets to the receiver. It visits
+// only active routers, in ascending id order, and within a router only the
+// ports whose pipelines are nonempty, in ascending port order; a router
+// receiving flits during the sweep gains buffered occupancy only, which
+// deliver never reads, so joining the set mid-sweep changes nothing.
 func (n *Network) deliver(now int64) {
-	if n.fullScan {
-		t := n.cfg.Topo
-		for id, r := range n.routers {
-			if r.InFlight() == 0 {
-				continue
-			}
-			for p := 0; p < t.Ports(); p++ {
-				if f, ok := r.PopDelivery(now, p); ok {
-					n.handleDelivered(now, id, p, f)
-				}
-			}
-		}
-		return
-	}
 	for ti := range n.tiles {
 		n.deliverTile(now, ti)
 	}
 }
 
-// deliverTile is the active-set deliver phase restricted to one tile,
-// delivering directly (serial semantics). The sharded loop uses
+// deliverTile is the deliver phase restricted to one tile, delivering
+// directly (serial semantics). The sharded loop uses
 // deliverTileBuffered (shard.go) instead, which diverts cross-tile
 // effects into outboxes.
 func (n *Network) deliverTile(now int64, ti int) {
@@ -668,14 +627,8 @@ func (n *Network) ejectFlit(now int64, id int, f router.Flit) {
 }
 
 // inject moves flits from source queues into injection buffers while space
-// remains. The active-set path visits only nodes with queued flits.
+// remains, visiting only nodes with queued flits, in ascending id order.
 func (n *Network) inject(now int64) {
-	if n.fullScan {
-		for node := range n.routers {
-			n.injectNode(now, &n.tiles[n.tileOf[node]], node)
-		}
-		return
-	}
 	for ti := range n.tiles {
 		n.injectTile(now, ti)
 	}
@@ -733,27 +686,14 @@ func (n *Network) injectNode(now int64, t *netTile, node int) {
 }
 
 // Quiescent reports whether no flits remain anywhere: source queues,
-// input buffers, and pipelines are all empty. With activity tracking it
-// is an O(tiles) counter check; the active set is exact between Steps
-// (every Step's compute sweep deregisters routers that went idle that
-// cycle), and cross-tile outboxes drain within each Step, so quiescence of
-// the tiles is quiescence of the network regardless of shard count.
+// input buffers, and pipelines are all empty. It is an O(tiles) counter
+// check: the active set is exact between Steps (every Step's compute sweep
+// deregisters routers that went idle that cycle), and cross-tile outboxes
+// drain within each Step, so quiescence of the tiles is quiescence of the
+// network regardless of shard count.
 func (n *Network) Quiescent() bool {
 	for i := range n.tiles {
-		if n.tiles[i].queuedFlits != 0 {
-			return false
-		}
-	}
-	if !n.fullScan {
-		for i := range n.tiles {
-			if n.tiles[i].activeCount != 0 {
-				return false
-			}
-		}
-		return true
-	}
-	for _, r := range n.routers {
-		if !r.Idle() {
+		if n.tiles[i].queuedFlits != 0 || n.tiles[i].activeCount != 0 {
 			return false
 		}
 	}
@@ -762,7 +702,8 @@ func (n *Network) Quiescent() bool {
 
 // ActiveCount returns the number of routers currently in the active set —
 // an instantaneous load signal for telemetry and for sizing the benefit of
-// activity-tracked stepping. Meaningless (always 0) in full-scan mode.
+// activity-tracked stepping. Between Steps it is exactly the number of
+// non-idle routers.
 func (n *Network) ActiveCount() int {
 	c := 0
 	for i := range n.tiles {

@@ -160,24 +160,18 @@ func TestShardedMatchesSequentialUnderFaults(t *testing.T) {
 	}
 }
 
-// TestShardedFullScanForcesSequential: SetFullScan on a sharded network
-// must fall back to the reference loop (and stay bit-identical), because
-// full scan is the determinism regression's reference side.
-func TestShardedFullScanForcesSequential(t *testing.T) {
-	topo := topology.NewMesh(8, 8)
-	mk := func(s int, full bool) *Network {
-		n := New(Config{
-			Topo:    topo,
-			Routing: routing.Valiant{},
-			Router:  router.Config{VCs: 4, BufDepth: 4, Delay: 1},
-			Seed:    7,
-			Shards:  s,
-		})
-		n.SetFullScan(full)
-		return n
+// TestShardedSteppingDigests holds the sharded cycle loop to the committed
+// stepping digests (see TestActiveSetMatchesFullScan): every row of the
+// matrix at 2 and 4 tiles, active-set invariant checked after every cycle,
+// must leave the deliveries, stats, RNG state and per-VC state the
+// sequential full scans left.
+func TestShardedSteppingDigests(t *testing.T) {
+	want := steppingDigests(t)
+	for _, c := range steppingMatrix() {
+		for _, shards := range []int{2, 4} {
+			if got := steppingDigest(t, c, shards); got != want[c.name()] {
+				t.Errorf("%s shards=%d: digest %s, recorded %s", c.name(), shards, got, want[c.name()])
+			}
+		}
 	}
-	seq := mk(1, false)
-	shdFull := mk(4, true)
-	defer shdFull.Close()
-	compareRuns(t, seq, shdFull, 2000, 99, nil)
 }

@@ -56,8 +56,7 @@ type Record struct {
 	// same SHA-256 the experiment cache addresses results by, so a ledger
 	// line joins against cache entries and across sessions.
 	Spec string `json:"spec,omitempty"`
-	// Engine names the cycle-loop path: "activeset" (default) or
-	// "fullscan".
+	// Engine names the cycle-loop path; "activeset" is the only one.
 	Engine string `json:"engine,omitempty"`
 	// Cached reports whether the experiment cache was consulted; Hit
 	// whether the result came from it (Hit implies Cached).

@@ -65,13 +65,6 @@ type Config struct {
 	// Progress, when non-nil, prints run heartbeats.
 	Progress *obs.Progress
 
-	// FullScan runs the legacy per-cycle full scans over every router and
-	// source queue instead of the activity-tracked engine paths. The two
-	// are bit-identical (the determinism regression test proves it);
-	// FullScan is that test's reference oracle until ROADMAP item 2's
-	// event-digest golden replaces it.
-	FullScan bool
-
 	// Inspect, when non-nil, receives the run's network after the engine
 	// finishes and before Run returns — the invariant harness hooks here to
 	// check conservation on the final state.
@@ -426,7 +419,6 @@ func Run(cfg Config) (*Result, error) {
 		}
 	}
 
-	net.SetFullScan(cfg.FullScan)
 	d := &driver{
 		cfg: &cfg, net: net, rng: rng, proc: proc, n: n,
 		measureFrom: measureFrom, drainFrom: drainFrom,
@@ -457,7 +449,6 @@ func Run(cfg Config) (*Result, error) {
 			}
 			return drainFrom + cfg.DrainLimit
 		},
-		FullScan: cfg.FullScan,
 	}, d)
 	stable := eo.Completed
 	if cfg.OnEngine != nil {

@@ -50,6 +50,10 @@ func (p ClassArbPolicy) String() string {
 	return "strict"
 }
 
+// maxClasses bounds Config.Classes: a VC's QoS class is stored in an int8
+// (inVC.qos, vcQoS, vaReq.qc), part of inVC's 64-byte layout.
+const maxClasses = 127
+
 // ejectionCredits is the effectively infinite credit count of ejection
 // output VCs: terminals are ideal sinks, so ejection is limited only by
 // the one-flit-per-cycle switch bandwidth.
@@ -94,8 +98,8 @@ func (c Config) Validate(t *topology.Topology, alg routing.Algorithm) error {
 		return fmt.Errorf("router: algorithm %s needs %d VC classes on %s but only %d VCs configured",
 			alg.Name(), need, t.Name, c.VCs)
 	}
-	if c.Classes < 0 {
-		return fmt.Errorf("router: Classes must be >= 0, got %d", c.Classes)
+	if c.Classes < 0 || c.Classes > maxClasses {
+		return fmt.Errorf("router: Classes must be in [0, %d], got %d", maxClasses, c.Classes)
 	}
 	if c.Classes > 1 {
 		// Every QoS class's VC slice must still fit the routing
@@ -238,11 +242,10 @@ type Router struct {
 	linkDown uint64
 
 	// maskHot is true when ports*VCs fits in 64 bits, enabling the input-VC
-	// state bitmasks below. The compute phases then iterate only VCs that
-	// can make progress, in the same ascending/rotated order as the full
-	// scans, so the fast path is bit-identical to the fallback. Bit p*VCs+v
-	// denotes input VC (p, v). SetLegacyScan clears it to restore the
-	// pre-mask nested-loop compute phases.
+	// state bitmasks below; fixed at construction. The compute phases then
+	// iterate only VCs that can make progress, in the ascending/rotated
+	// order in which the nested loops of wider routers visit every VC, so
+	// the two are bit-identical. Bit p*VCs+v denotes input VC (p, v).
 	maskHot bool
 	occMask uint64 // input VC holds at least one flit
 	reqMask uint64 // front packet routed but not yet granted an output VC
@@ -494,16 +497,6 @@ func (r *Router) CanAcceptInjectionClass(qc int) bool {
 // the first VC of the class's partition (VC 0 for a single class).
 func (r *Router) InjectionVCClass(qc int) int { return int(r.spans[qc*r.spanStride].lo) }
 
-// SetLegacyScan toggles the reference nested-loop compute paths. With v
-// true the router ignores its state bitmasks and scans every port and VC
-// exactly the way the pre-optimization implementation did; the masks are
-// still maintained, so the mode can be flipped between runs. The
-// network's full-scan mode uses this to keep the legacy path an honest
-// baseline and the determinism tests a reference-vs-optimized oracle.
-func (r *Router) SetLegacyScan(v bool) {
-	r.maskHot = !v && len(r.in) <= 64
-}
-
 // receiveCredit schedules a credit return for output VC (port, vc); it
 // becomes usable after the link delay.
 func (r *Router) receiveCredit(now int64, port, vc int) {
@@ -572,18 +565,13 @@ func (r *Router) Step(now int64) {
 	r.switchAllocate(now)
 }
 
-// drainCredits applies every credit that finished its return path. The mask
-// path touches only ports with credits in flight; the legacy path polls
-// every port.
+// drainCredits applies every credit that finished its return path, touching
+// only ports with credits in flight, in ascending port order.
 func (r *Router) drainCredits(now int64) {
 	if r.pendingCredits == 0 {
 		return
 	}
-	m := r.creditMask
-	if !r.maskHot {
-		m = uint64(1)<<uint(r.ports) - 1
-	}
-	for m &^= r.linkDown; m != 0; m &= m - 1 {
+	for m := r.creditMask &^ r.linkDown; m != 0; m &= m - 1 {
 		p := bits.TrailingZeros64(m)
 		cp := &r.creditPipes[p]
 		for c, ok := cp.popReady(now); ok; c, ok = cp.popReady(now) {
@@ -599,8 +587,8 @@ func (r *Router) drainCredits(now int64) {
 // routeCompute fills in candidates for every input VC whose front flit is
 // an unrouted head. A VC's front packet is unrouted exactly while the VC is
 // in neither reqMask nor gntMask, so the mask path visits just the occupied
-// VCs with routing left to do, in the same ascending (port, vc) order as
-// the full scan.
+// VCs with routing left to do, in the ascending (port, vc) order in which
+// the nested loop visits every VC.
 func (r *Router) routeCompute(now int64) {
 	if r.maskHot {
 		for m := r.occMask &^ (r.reqMask | r.gntMask); m != 0; m &= m - 1 {
@@ -644,7 +632,7 @@ func (r *Router) vcAllocate(now int64) {
 	if r.maskHot && r.cfg.Arb != AgeBased {
 		// Round robin over the request mask: bits >= vaPtr in ascending
 		// order, then the wrap-around below it — exactly the (vaPtr+i)%total
-		// visiting order of the full scan, touching only actual requests.
+		// visiting order of vaOrder, touching only actual requests.
 		// Under strict priority the rotation runs class by class; classes
 		// own disjoint VC partitions, so this changes the service order,
 		// never which output VCs are reachable.
@@ -724,8 +712,9 @@ type vaReq struct {
 	age  int64
 }
 
-// vaOrder returns the order in which VC allocation requests are served on
-// the full-scan path. The returned slice and the age-sort scratch are
+// vaOrder returns the order in which VC allocation requests are served
+// under age-based arbitration and on routers wider than the state masks.
+// The returned slice and the age-sort scratch are
 // router-owned storage sized in New, so a call allocates nothing.
 func (r *Router) vaOrder() []int {
 	total := len(r.in)
@@ -759,9 +748,9 @@ func (r *Router) vaOrder() []int {
 	case r.strict:
 		// Class-major rotation: class 0's requests in (vaPtr+i)%total
 		// order, then class 1's, and so on.
-		for qc := int8(0); int(qc) < r.qos; qc++ {
+		for qc := 0; qc < r.qos; qc++ {
 			for i := 0; i < total; i++ {
-				if flat := (r.vaPtr + i) % total; r.in[flat].qos == qc {
+				if flat := (r.vaPtr + i) % total; int(r.in[flat].qos) == qc {
 					order = append(order, flat)
 				}
 			}
@@ -799,10 +788,9 @@ func (r *Router) switchAllocate(now int64) {
 				r.nominate(p)
 			}
 		}
-		// Stage 2: each output port picks one of the inputs nominating it,
-		// visiting every port in ascending order as the reference
-		// implementation did. Nominations at an already matched output are
-		// dropped.
+		// Stage 2: each output port, in ascending order, picks one of the
+		// inputs nominating it. Nominations at an already matched output
+		// are dropped.
 		progress := false
 		for outP := 0; outP < r.ports; outP++ {
 			nom := r.saNom[outP]
@@ -829,9 +817,9 @@ func (r *Router) switchAllocate(now int64) {
 // matched inputs/outputs in port masks instead of the per-cycle scratch
 // arrays, so stage 1 touches only ports holding a VC grant (gntPorts) and
 // stage 2 only the outputs those nominations target. Both stages visit
-// ports in the same order as the reference scans minus ports that could not
-// match, so matching — and therefore every forward — is bit-identical to
-// the legacy path.
+// ports in ascending order, as switchAllocate's loops do, minus ports that
+// could not match, so matching — and therefore every forward — is
+// bit-identical to them.
 func (r *Router) switchAllocateMask(now int64, iters int) {
 	var inMatched, outMatched uint64
 	for it := 0; it < iters; it++ {

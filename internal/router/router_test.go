@@ -1,6 +1,7 @@
 package router
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -55,6 +56,9 @@ func TestConfigValidateClasses(t *testing.T) {
 		{name: "more classes than VCs", cfg: Config{VCs: 2, BufDepth: 4, Delay: 1, Classes: 3}, topo: mesh, alg: routing.DOR{}, ok: false,
 			errWant: []string{"class 0", "0 of 2 VCs", "short 1"}},
 		{name: "negative classes", cfg: Config{VCs: 2, BufDepth: 4, Delay: 1, Classes: -1}, topo: mesh, alg: routing.DOR{}, ok: false},
+		{name: "127 classes fit the int8 class index", cfg: Config{VCs: 127, BufDepth: 1, Delay: 1, Classes: 127}, topo: mesh, alg: routing.DOR{}, ok: true},
+		{name: "128 classes do not", cfg: Config{VCs: 128, BufDepth: 1, Delay: 1, Classes: 128}, topo: mesh, alg: routing.DOR{}, ok: false,
+			errWant: []string{"router: Classes must be in [0, 127], got 128"}},
 	}
 	for _, c := range cases {
 		err := c.cfg.Validate(c.topo, c.alg)
@@ -295,50 +299,152 @@ func TestClassRangeTableMatchesFormula(t *testing.T) {
 	}
 }
 
-// TestStepAllocatesNothing holds a router at full occupancy and requires
-// zero allocations per Step, harness included, for every allocator flavour:
-// the age order used to build its request list afresh every cycle.
-func TestStepAllocatesNothing(t *testing.T) {
-	const id = 5
-	topo := topology.NewMesh(4, 4)
+// saturate returns a function that runs one cycle of a stand-alone router
+// held at load: every flit leaving a pipeline is acknowledged with a credit,
+// every input VC is topped up with two-flit packets of its own QoS class
+// (every VC every cycle, or under sparse an uneven subset so the state
+// masks keep changing), then the router steps. The harness allocates
+// nothing.
+func saturate(r *Router, topo *topology.Topology, sparse bool) (cycle func()) {
+	pool := make([]Packet, 4096)
+	next, now := 0, int64(0)
+	return func() {
+		for p := 0; p < r.ports; p++ {
+			if f, ok := r.PopDelivery(now, p); ok && p != topo.LocalPort() {
+				r.ReturnCredit(now, p, int(f.VC))
+			}
+			for v := 0; v < r.vcs; v++ {
+				if sparse && (int(now)*31+p*7+v*3)%5 >= 2 {
+					continue
+				}
+				for r.InBufLen(p, v)+2 <= r.cfg.BufDepth { // two-flit packets: heads and tails
+					pkt := &pool[next%len(pool)]
+					next++
+					*pkt = Packet{ID: uint64(next), Src: r.ID, Dst: (next * 7) % topo.N, Size: 2,
+						Class: int(r.vcQoS[v]), CreateTime: now, Route: routing.NewState(-1)}
+					r.AcceptFlit(p, v, Flit{P: pkt, Seq: 0})
+					r.AcceptFlit(p, v, Flit{P: pkt, Seq: 1})
+				}
+			}
+		}
+		r.Step(now)
+		now++
+	}
+}
+
+// allocatorFlavours is every combination of arbiter and class arbitration.
+func allocatorFlavours() []Config {
+	var out []Config
 	for _, arb := range []ArbPolicy{RoundRobin, AgeBased} {
 		for _, qos := range []struct {
 			classes int
 			arb     ClassArbPolicy
 		}{{1, StrictPriority}, {3, StrictPriority}, {3, ClassRoundRobin}} {
-			for _, legacy := range []bool{false, true} {
-				cfg := Config{VCs: 3, BufDepth: 4, Delay: 1, Arb: arb, Classes: qos.classes, ClassArb: qos.arb}
-				r := New(id, topo, routing.DOR{}, cfg)
-				r.SetLegacyScan(legacy)
-				pool := make([]Packet, 4096)
-				next, now := 0, int64(0)
-				cycle := func() {
-					for p := 0; p < r.ports; p++ {
-						if f, ok := r.PopDelivery(now, p); ok && p != topo.LocalPort() {
-							r.ReturnCredit(now, p, int(f.VC))
-						}
-						for v := 0; v < cfg.VCs; v++ {
-							for r.InBufLen(p, v)+2 <= cfg.BufDepth { // two-flit packets: heads and tails
-								pkt := &pool[next%len(pool)]
-								next++
-								*pkt = Packet{ID: uint64(next), Src: id, Dst: (next * 7) % topo.N, Size: 2,
-									Class: int(r.vcQoS[v]), CreateTime: now, Route: routing.NewState(-1)}
-								r.AcceptFlit(p, v, Flit{P: pkt, Seq: 0})
-								r.AcceptFlit(p, v, Flit{P: pkt, Seq: 1})
-							}
-						}
+			out = append(out, Config{VCs: 3, BufDepth: 4, Delay: 1, Arb: arb, Classes: qos.classes, ClassArb: qos.arb})
+		}
+	}
+	return out
+}
+
+// TestStepAllocatesNothing holds a router at full occupancy and requires
+// zero allocations per Step, harness included, for every allocator flavour
+// on both the mask paths and the nested-loop phases of routers wider than
+// 64 VCs: the age order used to build its request list afresh every cycle.
+func TestStepAllocatesNothing(t *testing.T) {
+	topo := topology.NewMesh(4, 4)
+	for _, cfg := range allocatorFlavours() {
+		for _, nested := range []bool{false, true} {
+			r := New(5, topo, routing.DOR{}, cfg)
+			if nested {
+				r.maskHot = false
+			}
+			cycle := saturate(r, topo, false)
+			for i := 0; i < 256; i++ { // every VC has routed once: candidate slices exist
+				cycle()
+			}
+			if r.FlitsRouted == 0 {
+				t.Fatalf("arb=%s classes=%d/%s nested=%v: harness moved no flits", cfg.Arb, cfg.Classes, cfg.ClassArb, nested)
+			}
+			if a := testing.AllocsPerRun(200, cycle); a != 0 {
+				t.Errorf("arb=%s classes=%d/%s nested=%v: %.1f allocs per Step, want 0", cfg.Arb, cfg.Classes, cfg.ClassArb, nested, a)
+			}
+		}
+	}
+}
+
+// dumpState renders everything a Step reads or writes, flits by packet id
+// and sequence number so two routers fed from separate packet pools compare
+// equal.
+func dumpState(r *Router) string {
+	var b strings.Builder
+	flit := func(f Flit) {
+		if f.P != nil {
+			fmt.Fprintf(&b, " %d.%d/%d@%d", f.P.ID, f.Seq, f.VC, f.P.Hops)
+		} else {
+			fmt.Fprintf(&b, " c%d", f.VC)
+		}
+	}
+	fmt.Fprintln(&b, r.FlitsRouted, r.occupancy, r.inFlight, r.pendingCredits, r.occMask, r.reqMask, r.gntMask,
+		r.gntPorts, r.creditMask, r.pipeMask, r.vaPtr, r.saInPtr, r.saOutPtr, r.portFlits)
+	for i := range r.in {
+		v := &r.in[i]
+		fmt.Fprint(&b, i, v.n, v.routed, v.granted, v.out, v.outPort, v.outVC, v.outClass, v.cands, r.out[i])
+		for k := int32(0); k < v.n; k++ {
+			flit(r.slab[v.base+(v.head+k)%int32(r.cfg.BufDepth)])
+		}
+		fmt.Fprintln(&b)
+	}
+	for p := range r.pipes {
+		fmt.Fprint(&b, "pipe ", p)
+		r.pipes[p].each(flit)
+		r.creditPipes[p].each(flit)
+		fmt.Fprintln(&b)
+	}
+	return b.String()
+}
+
+// TestNestedLoopPhasesMatchMaskPaths feeds two routers identically, one of
+// them with maskHot cleared so it runs the nested-loop compute phases that
+// routers wider than 64 VCs always run, and requires identical state after
+// every cycle — buffers, grants, credits, pipelines, arbitration pointers
+// and the state masks themselves, which both keep up to date.
+func TestNestedLoopPhasesMatchMaskPaths(t *testing.T) {
+	mesh, torus := topology.NewMesh(4, 4), topology.NewTorus(4, 4)
+	for _, base := range allocatorFlavours() {
+		for _, c := range []struct {
+			topo  *topology.Topology
+			alg   routing.Algorithm
+			vcs   int
+			depth int
+			iters int
+		}{
+			{mesh, routing.DOR{}, 3, 4, 0},
+			{mesh, routing.MinimalAdaptive{}, 6, 2, 2},
+			{torus, routing.DOR{}, 12, 4, 0}, // 5 ports x 12 VCs: the masks almost full
+			{torus, routing.MinimalAdaptive{}, 9, 2, 2},
+		} {
+			for _, sparse := range []bool{false, true} {
+				cfg := base
+				cfg.VCs, cfg.BufDepth, cfg.SAIterations = c.vcs, c.depth, c.iters
+				name := fmt.Sprintf("%s/%s %+v sparse=%v", c.topo.Name, c.alg.Name(), cfg, sparse)
+				if err := cfg.Validate(c.topo, c.alg); err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				mask, nested := New(5, c.topo, c.alg, cfg), New(5, c.topo, c.alg, cfg)
+				if !mask.maskHot {
+					t.Fatalf("%s: router too wide for the mask paths", name)
+				}
+				nested.maskHot = false
+				stepMask, stepNested := saturate(mask, c.topo, sparse), saturate(nested, c.topo, sparse)
+				for i := 0; i < 150; i++ {
+					stepMask()
+					stepNested()
+					if a, b := dumpState(mask), dumpState(nested); a != b {
+						t.Fatalf("%s: state differs after cycle %d\nmask paths:\n%s\nnested loops:\n%s", name, i, a, b)
 					}
-					r.Step(now)
-					now++
 				}
-				for i := 0; i < 256; i++ { // every VC has routed once: candidate slices exist
-					cycle()
-				}
-				if r.FlitsRouted == 0 {
-					t.Fatalf("arb=%s classes=%d/%s legacy=%v: harness moved no flits", arb, qos.classes, qos.arb, legacy)
-				}
-				if a := testing.AllocsPerRun(200, cycle); a != 0 {
-					t.Errorf("arb=%s classes=%d/%s legacy=%v: %.1f allocs per Step, want 0", arb, qos.classes, qos.arb, legacy, a)
+				if mask.FlitsRouted == 0 {
+					t.Fatalf("%s: harness moved no flits", name)
 				}
 			}
 		}

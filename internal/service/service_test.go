@@ -203,6 +203,12 @@ func TestSubmitRejectsBadSpecs(t *testing.T) {
 			"closedloop: reply L2 latency -20 outside [0, 50000000] (the run's cycle limit)"},
 		{"reply latency overflows", `{"kind":"batch","b":10,"m":1,"reply":{"type":"fixed","latency":9223372036854775807}}`, 400,
 			"closedloop: reply latency 9223372036854775807 outside [0, 50000000] (the run's cycle limit)"},
+		// Was a 202 and a worker that never finished cycle 0 (an int8 class
+		// counter wrapped inside Network.Step, below the engine's Ctx poll),
+		// so cancel and drain could not reclaim it.
+		{"128 QoS classes", `{"kind":"openloop","rate":0.05,"warmup":100,"measure":300,"drainLimit":3000,"network":{"VCs":128,"ClassArb":"strict","Classes":[` +
+			strings.TrimSuffix(strings.Repeat(`{"name":"c","share":0.0078125},`, 128), ",") + `]}}`, 400,
+			"router: Classes must be in [0, 127], got 128"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(tc.body))

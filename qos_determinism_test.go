@@ -3,8 +3,8 @@ package noceval
 // Multi-class determinism matrix: the QoS refactor threads a class
 // dimension through injection, arbitration, and accounting, and every
 // bit-identity guarantee the single-class stack pins must carry over —
-// cross-engine (legacy full scan vs active set) and across shard counts,
-// for both 2- and 3-class mixes. A fault-invariant pass runs the
+// against the committed digests of the full-scan reference and across
+// shard counts, for both 2- and 3-class mixes. A fault-invariant pass runs the
 // conservation oracle with classes and a lossy fabric enabled together,
 // since retransmission clones must preserve the class stamp.
 
@@ -42,9 +42,9 @@ func qosMatrixParams() []core.NetworkParams {
 	return []core.NetworkParams{two, three}
 }
 
-// qosOpenLoop runs one multi-class open-loop measurement on the given
+// qosOpenLoopConfig is one multi-class open-loop measurement on the given
 // network config, with the class list resolved from p.
-func qosOpenLoop(t *testing.T, p core.NetworkParams, cfg network.Config, fullScan bool) (*openloop.Result, *obs.Telemetry) {
+func qosOpenLoopConfig(t *testing.T, p core.NetworkParams, cfg network.Config) openloop.Config {
 	t.Helper()
 	pat, err := p.BuildPattern()
 	if err != nil {
@@ -58,22 +58,28 @@ func qosOpenLoop(t *testing.T, p core.NetworkParams, cfg network.Config, fullSca
 	if err != nil {
 		t.Fatal(err)
 	}
-	o := obs.NewObserver(obs.Options{Metrics: true, SampleEvery: 250})
-	res, err := openloop.Run(openloop.Config{
+	return openloop.Config{
 		Net: cfg, Pattern: pat, Sizes: sizes, Classes: classes, Rate: 0.12,
 		Warmup: 500, Measure: 2000, DrainLimit: 10000, Seed: 42,
-		Obs: o, FullScan: fullScan,
-	})
+	}
+}
+
+// qosOpenLoop runs that measurement with telemetry on.
+func qosOpenLoop(t *testing.T, p core.NetworkParams, cfg network.Config) (*openloop.Result, *obs.Telemetry) {
+	t.Helper()
+	c := qosOpenLoopConfig(t, p, cfg)
+	c.Obs = obs.NewObserver(obs.Options{Metrics: true, SampleEvery: 250})
+	res, err := openloop.Run(c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res, o.Telemetry
+	return res, c.Obs.Telemetry
 }
 
-// TestQoSCrossEngineDeterminism pins the multi-class stack across the two
-// cycle engines: per-class injection order, strict-priority allocation,
-// and per-class accounting must be identical under the legacy full scan
-// and the active-set fast-forward path.
+// TestQoSCrossEngineDeterminism pins the multi-class stack to the
+// full-scan reference's committed digests: per-class injection order,
+// strict-priority allocation and per-class accounting leave the same event
+// stream, result and telemetry.
 func TestQoSCrossEngineDeterminism(t *testing.T) {
 	for _, p := range qosMatrixParams() {
 		p.Shards = core.EnvShards()
@@ -82,18 +88,11 @@ func TestQoSCrossEngineDeterminism(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			resFull, telFull := qosOpenLoop(t, p, cfg, true)
-			resActive, telActive := qosOpenLoop(t, p, cfg, false)
-			if len(resFull.PerClass) != len(p.Classes) {
-				t.Fatalf("expected %d per-class results, got %d", len(p.Classes), len(resFull.PerClass))
+			d, res := openLoopDigest(t, qosOpenLoopConfig(t, p, cfg))
+			if len(res.PerClass) != len(p.Classes) {
+				t.Fatalf("expected %d per-class results, got %d", len(p.Classes), len(res.PerClass))
 			}
-			if !reflect.DeepEqual(resFull, resActive) {
-				t.Errorf("multi-class results diverge:\nfullscan:  %+v\nactiveset: %+v", resFull, resActive)
-			}
-			if !reflect.DeepEqual(telFull, telActive) {
-				t.Errorf("multi-class telemetry diverges: fullscan %d router samples, activeset %d",
-					len(telFull.Routers), len(telActive.Routers))
-			}
+			checkEventDigest(t, d)
 		})
 	}
 }
@@ -116,8 +115,8 @@ func TestQoSShardedDeterminism(t *testing.T) {
 				t.Fatal(err)
 			}
 			t.Run(fmt.Sprintf("classes=%d/shards=%d", len(p.Classes), shards), func(t *testing.T) {
-				resSeq, telSeq := qosOpenLoop(t, p, cfgSeq, false)
-				resSh, telSh := qosOpenLoop(t, p, cfgSh, false)
+				resSeq, telSeq := qosOpenLoop(t, p, cfgSeq)
+				resSh, telSh := qosOpenLoop(t, p, cfgSh)
 				if !reflect.DeepEqual(resSeq, resSh) {
 					t.Errorf("multi-class results diverge:\nsequential: %+v\nsharded:    %+v", resSeq, resSh)
 				}
@@ -133,8 +132,8 @@ func TestQoSShardedDeterminism(t *testing.T) {
 // TestQoSFaultInvariants runs the conservation oracle on a lossy fabric
 // with QoS classes enabled: drops, corruption retries, and NIC
 // retransmission must keep flit/credit conservation intact when the VC
-// space is partitioned and arbitration is strict-priority. Both engines
-// run, and their results must also agree with each other.
+// space is partitioned and arbitration is strict-priority, and the run
+// must match the full-scan reference's committed digest.
 func TestQoSFaultInvariants(t *testing.T) {
 	for _, p := range qosMatrixParams() {
 		p.Shards = core.EnvShards()
@@ -151,28 +150,18 @@ func TestQoSFaultInvariants(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			run := func(fullScan bool) *openloop.Result {
-				res, err := openloop.Run(openloop.Config{
-					Net: cfg, Pattern: traffic.Uniform{}, Sizes: traffic.FixedSize(1),
-					Classes: classes, Rate: 0.1,
-					Warmup: 500, Measure: 1000, DrainLimit: 400_000,
-					Seed: 42, FullScan: fullScan,
-					Inspect: func(n *network.Network) {
-						if err := invariants.Check(n); err != nil {
-							t.Errorf("fullscan=%v: %v", fullScan, err)
-						}
-					},
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				return res
-			}
-			resFull := run(true)
-			resActive := run(false)
-			if !reflect.DeepEqual(resFull, resActive) {
-				t.Errorf("faulted multi-class results diverge:\nfullscan:  %+v\nactiveset: %+v", resFull, resActive)
-			}
+			d, _ := openLoopDigest(t, openloop.Config{
+				Net: cfg, Pattern: traffic.Uniform{}, Sizes: traffic.FixedSize(1),
+				Classes: classes, Rate: 0.1,
+				Warmup: 500, Measure: 1000, DrainLimit: 400_000,
+				Seed: 42,
+				Inspect: func(n *network.Network) {
+					if err := invariants.Check(n); err != nil {
+						t.Error(err)
+					}
+				},
+			})
+			checkEventDigest(t, d)
 		})
 	}
 }
