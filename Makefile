@@ -55,8 +55,9 @@ bench-digest:
 race:
 	$(GO) test -race ./...
 
-# Coverage-guided fuzz smoke: 30s per target over the parsers and the
-# cache-key canonicalization (go fuzzing allows one -fuzz target per
+# Coverage-guided fuzz smoke: 30s per target over the parsers, the
+# cache-key canonicalization and the integer latency sample against the
+# float64 statistics it replaced (go fuzzing allows one -fuzz target per
 # invocation, hence the sequence). FUZZTIME=10s make fuzz-smoke for a
 # quicker local pass.
 FUZZTIME ?= 30s
@@ -66,6 +67,7 @@ fuzz-smoke:
 	$(GO) test ./internal/expcache -fuzz=FuzzKeyConfigSensitivity -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/core -fuzz=FuzzParseSpec -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/core -fuzz=FuzzClassSpec -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/stats -fuzz=FuzzLatencies -fuzztime=$(FUZZTIME)
 
 # Golden-figure regression gate: regenerate the golden subset and compare
 # against the committed CSVs in results/golden (see cmd/figures/golden_test.go).
@@ -84,7 +86,7 @@ golden-update:
 # `go test ./...`; a refactor of the cycle loop must leave them untouched.
 # Review the resulting diff before committing.
 digests-update:
-	$(GO) test -count=1 -run 'TestEventDigests|ActiveSetDeterminism|TestQoSCrossEngineDeterminism|TestQoSFaultInvariants' . -update-event-digests
+	$(GO) test -count=1 -run 'EventDigests|ActiveSetDeterminism|TestQoSCrossEngineDeterminism|TestQoSFaultInvariants' . -update-event-digests
 	$(GO) test -count=1 -run TestActiveSetMatchesFullScan ./internal/network -update-stepping-digests
 	$(GO) test -count=1 -run TestBatchDigestsAcrossCommits ./internal/closedloop -update-batch-digests
 

@@ -27,6 +27,7 @@ import (
 	"noceval/internal/fault"
 	"noceval/internal/obs"
 	"noceval/internal/openloop"
+	"noceval/internal/workload"
 )
 
 var updateEventDigests = flag.Bool("update-event-digests", false, "rewrite testdata/event_digests.json from this tree")
@@ -281,4 +282,36 @@ func TestEventDigests(t *testing.T) {
 		t.Error("no faulted open-loop row abandoned a transaction; the NIC's give-up path is not digested")
 	}
 	checkEventDigests(t, "matrix/", got)
+}
+
+// TestExecEventDigests pins the execution-driven path the same way: the
+// whole cmp.Result of three benchmarks — injection timeline and both
+// traffic matrices included — at router delays 1 and 4, at 3 GHz
+// and at 75 MHz with the timer-interrupt model on, so user code, kernel
+// handlers, coherence traffic and barriers are all inside the hash. The CMP
+// system takes no observer, so its rows hold a ResultSHA only.
+func TestExecEventDigests(t *testing.T) {
+	got := map[string]runDigest{}
+	for _, bench := range []string{"blackscholes", "lu", "canneal"} {
+		for _, tr := range []int64{1, 4} {
+			for _, clock := range []workload.Clock{workload.Clock3GHz, workload.Clock75MHz} {
+				timer := clock == workload.Clock75MHz
+				res, err := core.Exec(core.Table2Network(tr), core.ExecParams{
+					Benchmark: bench, Clock: clock, Timer: timer,
+					SampleInterval: 1000, CollectMatrix: true,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				name := fmt.Sprintf("exec/%s/tr%d/%s/timer=%v", bench, tr, clock, timer)
+				if !res.Completed || len(res.Timeline) == 0 || res.Matrix == nil || res.AppMatrix == nil ||
+					(res.TimerInterrupts > 0) != timer {
+					t.Fatalf("%s: completed %v, %d timeline samples, %d timer interrupts", name,
+						res.Completed, len(res.Timeline), res.TimerInterrupts)
+				}
+				got[name] = runDigest{ResultSHA: hashJSON(t, res)}
+			}
+		}
+	}
+	checkEventDigests(t, "exec/", got)
 }

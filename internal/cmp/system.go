@@ -304,10 +304,12 @@ func (s *System) Cycle(now int64) {
 // after stepping.
 func (s *System) Done(now int64) bool { return now > 0 && s.done() }
 
-// Idle implements engine.Driver. Execution-driven cores always have work
-// in flight until the run completes (a stalled core is waiting on memory
-// traffic, which keeps the fabric non-quiescent), so the system never
-// declares an idle stretch.
+// Idle implements engine.Driver. The system never declares an idle
+// stretch. Not because none exists — a stalled core can be waiting on a
+// home access with the fabric quiescent — but because they are rare: on
+// canneal at 75 MHz every core is blocked over a quiescent fabric in under
+// 2 % of cycles, so skipping them has a ceiling near 3 % (ROADMAP item 1,
+// EXPERIMENTS.md "What the profile said").
 func (s *System) Idle(int64) bool { return false }
 
 // NextEvent implements engine.Driver.

@@ -170,7 +170,12 @@ func (s *ExperimentSpec) Validate() error {
 		return err
 	}
 	switch s.Kind {
+	case "openloop":
+		return openloop.CheckPhases(s.Warmup, s.Measure, s.DrainLimit)
 	case "sweep":
+		if err := openloop.CheckPhases(s.Warmup, s.Measure, s.DrainLimit); err != nil {
+			return err
+		}
 		return openloop.CheckRate(s.Rates...)
 	case "batch":
 		return closedloop.CheckBatch(defaulted(s.B, defaultB), defaulted(s.M, defaultM))

@@ -168,7 +168,17 @@ func TestSpecErrorMessages(t *testing.T) {
 			`core: unknown packet size mix "jumbo"`},
 		{"unknown reply model", `{"kind":"barrier","reply":{"type":"psychic"}}`,
 			`core: unknown reply model "psychic"`},
+		// Passed Validate before; the run then sized its sample buffer from
+		// the window and took the whole process down with "fatal error: out
+		// of memory", which no recover catches. Checked here and by the
+		// service test only: nothing may get as far as running it.
+		{"measure window beyond a 32-bit run", `{"kind":"openloop","rate":0.1,"measure":4000000000000}`,
+			"openloop: warmup 10000 + measure 4000000000000 + drain limit 100000 exceeds 4294967295 cycles, the longest run whose latencies fit their 32-bit samples"},
+		{"negative measure window", `{"kind":"openloop","rate":0.1,"measure":-5}`,
+			"openloop: measure must be >= 0 cycles (0 = default), got -5"},
 		{"valid spec has no error", `{"kind":"openloop","rate":0.1}`,
+			""},
+		{"explicit phases have no error", `{"kind":"openloop","rate":0.1,"warmup":1000,"measure":3000}`,
 			""},
 	}
 	for _, tc := range cases {
@@ -228,6 +238,21 @@ func TestValidateAgreesWithRun(t *testing.T) {
 
 		// Validated and ran before, and never finished cycle 0: a VC's QoS
 		// class is an int8 and vaOrder's class loop wrapped at 127.
+		// All four validated before. The negative windows panicked the
+		// worker ("makeslice: cap out of range": the sample buffer was sized
+		// from the square root of a negative count; inside a sweep it
+		// surfaced as "par: parallel task 0 panicked"), the other two ran
+		// with phase windows that mean nothing.
+		{"openloop negative measure", `{"kind":"openloop","rate":0.1,"measure":-5}`,
+			"openloop: measure must be >= 0 cycles (0 = default), got -5"},
+		{"sweep negative measure", `{"kind":"sweep","rates":[0.1],"measure":-5}`,
+			"openloop: measure must be >= 0 cycles (0 = default), got -5"},
+		{"openloop negative warmup", `{"kind":"openloop","rate":0.1,"warmup":-20000}`,
+			"openloop: warmup must be >= 0 cycles (0 = default), got -20000"},
+		{"openloop negative drain limit", `{"kind":"openloop","rate":0.1,"drainLimit":-1}`,
+			"openloop: drain limit must be >= 0 cycles (0 = default), got -1"},
+		{"openloop explicit phases", `{"kind":"openloop","rate":0.1,"warmup":1000,"measure":3000}`, ""},
+
 		{"128 QoS classes", qosSpecBody(128), "router: Classes must be in [0, 127], got 128"},
 		{"127 QoS classes", qosSpecBody(127), ""},
 

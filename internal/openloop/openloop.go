@@ -85,7 +85,7 @@ const (
 	DefaultDrainLimit = 100000
 )
 
-func (c *Config) fillDefaults() {
+func (c *Config) fillPhaseDefaults() {
 	if c.Warmup == 0 {
 		c.Warmup = DefaultWarmup
 	}
@@ -95,6 +95,10 @@ func (c *Config) fillDefaults() {
 	if c.DrainLimit == 0 {
 		c.DrainLimit = DefaultDrainLimit
 	}
+}
+
+func (c *Config) fillDefaults() {
+	c.fillPhaseDefaults()
 	if c.Sizes == nil {
 		c.Sizes = traffic.FixedSize(1)
 	}
@@ -274,6 +278,40 @@ func sampleHint(prob float64, nodes int, measure int64) int {
 	return int(mean + 4*math.Sqrt(mean) + 1)
 }
 
+// maxPresize caps what a run allocates for latency samples before any
+// packet has arrived; a longer run grows by append, so memory follows the
+// packets that really arrived, never a number in a spec.
+const maxPresize = 1 << 20
+
+// presize is sampleHint under that cap.
+func presize(prob float64, nodes int, measure int64) int {
+	return min(sampleHint(prob, nodes, measure), maxPresize)
+}
+
+// CheckPhases rejects phase lengths no run can use: each must be
+// non-negative (0 selects the default), and the whole run — the engine's
+// deadline, which bounds every packet latency — must fit the 32 bits a
+// latency sample is stored in (stats.Latencies). internal/core applies it
+// to openloop and sweep specs up front.
+func CheckPhases(warmup, measure, drainLimit int64) error {
+	for _, ph := range []struct {
+		name   string
+		cycles int64
+	}{{"warmup", warmup}, {"measure", measure}, {"drain limit", drainLimit}} {
+		if ph.cycles < 0 {
+			return fmt.Errorf("openloop: %s must be >= 0 cycles (0 = default), got %d", ph.name, ph.cycles)
+		}
+	}
+	c := Config{Warmup: warmup, Measure: measure, DrainLimit: drainLimit}
+	c.fillPhaseDefaults()
+	const limit = math.MaxUint32
+	if c.Warmup > limit || c.Measure > limit-c.Warmup || c.DrainLimit > limit-c.Warmup-c.Measure {
+		return fmt.Errorf("openloop: warmup %d + measure %d + drain limit %d exceeds %d cycles, the longest run whose latencies fit their 32-bit samples",
+			c.Warmup, c.Measure, c.DrainLimit, int64(limit))
+	}
+	return nil
+}
+
 // CheckRate rejects offered loads no Bernoulli source can inject at;
 // internal/core applies it to every rate of a sweep spec up front.
 func CheckRate(rates ...float64) error {
@@ -287,6 +325,9 @@ func CheckRate(rates ...float64) error {
 
 // Run executes one open-loop simulation.
 func Run(cfg Config) (*Result, error) {
+	if err := CheckPhases(cfg.Warmup, cfg.Measure, cfg.DrainLimit); err != nil {
+		return nil, err
+	}
 	cfg.fillDefaults()
 	if cfg.Proc == nil {
 		if err := CheckRate(cfg.Rate); err != nil {
@@ -342,16 +383,11 @@ func Run(cfg Config) (*Result, error) {
 		}
 	}
 
-	// A plain Bernoulli process fixes the measured-packet count in advance
-	// (n*Measure draws at a known probability), so the per-packet latency
-	// slice is sized once instead of doubling its way up; any other process
-	// starts empty and grows by append.
-	var hint int
-	if b, ok := proc.(traffic.Bernoulli); ok {
-		hint = sampleHint(b.Rate/b.Sizes.Mean(), n, cfg.Measure)
-	}
 	var (
-		latencies             = make([]float64, 0, hint)
+		// Every measured packet's latency, four bytes each: the run's only
+		// per-packet store (a multi-class run keeps a second sample per
+		// class, so eight).
+		latencies             stats.Latencies
 		perNodeSum            = make([]float64, n)
 		perNodeCnt            = make([]int, n)
 		netLatencySum, hopSum float64 // over the measured packets, in arrival order
@@ -361,12 +397,12 @@ func Run(cfg Config) (*Result, error) {
 
 		// Per-class accounting, allocated only for multi-class runs so the
 		// classic path's receive callback stays unchanged.
-		classLat   [][]float64
+		classLat   []stats.Latencies
 		classEject []int64
 		classDeliv []int64
 	)
 	if C := len(cfg.Classes); C > 0 {
-		classLat = make([][]float64, C)
+		classLat = make([]stats.Latencies, C)
 		classEject = make([]int64, C)
 		classDeliv = make([]int64, C)
 	}
@@ -391,7 +427,7 @@ func Run(cfg Config) (*Result, error) {
 				classDeliv[qc]++
 			}
 			if p.Measured {
-				classLat[qc] = append(classLat[qc], float64(p.Latency()))
+				classLat[qc].Add(p.Latency())
 				if classHists != nil {
 					classHists[qc].Observe(float64(p.Latency()))
 				}
@@ -400,10 +436,11 @@ func Run(cfg Config) (*Result, error) {
 		if !p.Measured {
 			return
 		}
-		l := float64(p.Latency())
+		lat := p.Latency()
+		latencies.Add(lat)
+		l := float64(lat)
 		latencyHist.Observe(l)
 		measuredCtr.Inc()
-		latencies = append(latencies, l)
 		netLatencySum += float64(p.NetworkLatency())
 		hopSum += float64(p.Hops)
 		perNodeSum[p.Src] += l
@@ -425,15 +462,24 @@ func Run(cfg Config) (*Result, error) {
 		outstanding: &outstanding,
 		bernProb:    -1,
 	}
+	// Bernoulli sources fix the measured-packet count in advance (n*Measure
+	// draws at a known probability), so their samples are sized once
+	// instead of growing their way up; any other process starts empty and
+	// grows by append.
 	if len(cfg.Classes) > 0 {
 		d.classes = cfg.Classes
 		d.classProb = make([]float64, len(cfg.Classes))
+		total := 0.0
 		for i, cl := range cfg.Classes {
 			d.classProb[i] = cfg.Rate * cl.Share / cl.Sizes.Mean()
+			classLat[i].Grow(presize(d.classProb[i], n, cfg.Measure))
+			total += d.classProb[i]
 		}
+		latencies.Grow(presize(total, n, cfg.Measure))
 		d.classInjected = make([]int64, len(cfg.Classes))
 	} else if b, ok := proc.(traffic.Bernoulli); ok {
 		d.bernProb = b.Rate / b.Sizes.Mean()
+		latencies.Grow(presize(d.bernProb, n, cfg.Measure))
 	}
 	eo := engine.RunOutcome(engine.Config{
 		Net:      net,
@@ -469,17 +515,18 @@ func Run(cfg Config) (*Result, error) {
 	res := &Result{
 		Rate:            cfg.Rate,
 		Stable:          stable,
-		MeasuredPackets: len(latencies),
+		MeasuredPackets: latencies.Len(),
 		EndCycle:        net.Now(),
 		PerNodeAvg:      make([]float64, n),
 	}
-	if len(latencies) > 0 {
-		sum := stats.Summarize(latencies)
-		res.AvgLatency = sum.Mean
-		res.LatencyCI95 = stats.BatchMeansCI95(latencies, 10)
-		res.P95, res.P99 = sum.P95, sum.P99
-		res.AvgNetLatency = netLatencySum / float64(len(latencies))
-		res.AvgHops = hopSum / float64(len(latencies))
+	if N := latencies.Len(); N > 0 {
+		res.AvgLatency = latencies.Mean()
+		// Batch means read arrival order; Quantiles then sorts in place.
+		res.LatencyCI95 = latencies.BatchMeansCI95(10)
+		q := latencies.Quantiles(0.95, 0.99)
+		res.P95, res.P99 = q[0], q[1]
+		res.AvgNetLatency = netLatencySum / float64(N)
+		res.AvgHops = hopSum / float64(N)
 	}
 	worst := 0.0
 	for i := 0; i < n; i++ {
@@ -496,13 +543,13 @@ func Run(cfg Config) (*Result, error) {
 	}
 	if C := len(cfg.Classes); C > 0 {
 		res.PerClass = make([]ClassResult, C)
-		sums := stats.SummarizeClasses(classLat)
 		for i, cl := range cfg.Classes {
+			q := classLat[i].Quantiles(0.95, 0.99)
 			cr := ClassResult{
 				Name: cl.Name, Share: cl.Share, Rate: cfg.Rate * cl.Share,
 				Injected: d.classInjected[i], Delivered: classDeliv[i],
-				MeasuredPackets: sums[i].N,
-				AvgLatency:      sums[i].Mean, P95: sums[i].P95, P99: sums[i].P99,
+				MeasuredPackets: classLat[i].Len(),
+				AvgLatency:      classLat[i].Mean(), P95: q[0], P99: q[1],
 			}
 			if measureCycles > 0 {
 				cr.Accepted = float64(classEject[i]) / float64(measureCycles) / float64(n)
@@ -519,8 +566,8 @@ func Run(cfg Config) (*Result, error) {
 	}
 	res.LostPackets = lostPackets
 	if fs := net.FaultStats(); fs != nil {
-		if total := len(latencies) + lostPackets; total > 0 {
-			fs.DeliveredFraction = float64(len(latencies)) / float64(total)
+		if total := latencies.Len() + lostPackets; total > 0 {
+			fs.DeliveredFraction = float64(latencies.Len()) / float64(total)
 		}
 		res.Faults = fs
 	}

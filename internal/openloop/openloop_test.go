@@ -2,6 +2,7 @@ package openloop
 
 import (
 	"errors"
+	"math"
 	"testing"
 
 	"noceval/internal/network"
@@ -234,5 +235,44 @@ func TestInvalidConfigRejected(t *testing.T) {
 	bad.Router.VCs = 0
 	if _, err := Run(Config{Net: bad, Rate: 0.1}); err == nil {
 		t.Error("invalid router config should be rejected")
+	}
+}
+
+// TestCheckPhases: a run's phases are non-negative and its deadline fits
+// the 32 bits a latency sample has; Run applies the check before it sizes
+// anything from them.
+func TestCheckPhases(t *testing.T) {
+	for _, tc := range []struct {
+		warmup, measure, drain int64
+		want                   string // "" = accepted
+	}{
+		{0, 0, 0, ""},
+		{1000, 3000, 0, ""},
+		{math.MaxUint32 - DefaultMeasure - DefaultDrainLimit, 0, 0, ""},
+		{-20000, 0, 0, "openloop: warmup must be >= 0 cycles (0 = default), got -20000"},
+		{0, -5, 0, "openloop: measure must be >= 0 cycles (0 = default), got -5"},
+		{0, 0, -1, "openloop: drain limit must be >= 0 cycles (0 = default), got -1"},
+		{0, 4_000_000_000_000, 0, "openloop: warmup 10000 + measure 4000000000000 + drain limit 100000 exceeds 4294967295 cycles, the longest run whose latencies fit their 32-bit samples"},
+		{math.MaxUint32 - DefaultMeasure - DefaultDrainLimit + 1, 0, 0, "openloop: warmup 4294857296 + measure 10000 + drain limit 100000 exceeds 4294967295 cycles, the longest run whose latencies fit their 32-bit samples"},
+		{math.MaxInt64, math.MaxInt64, math.MaxInt64, "openloop: warmup 9223372036854775807 + measure 9223372036854775807 + drain limit 9223372036854775807 exceeds 4294967295 cycles, the longest run whose latencies fit their 32-bit samples"},
+	} {
+		got := ""
+		if err := CheckPhases(tc.warmup, tc.measure, tc.drain); err != nil {
+			got = err.Error()
+		}
+		if got != tc.want {
+			t.Errorf("CheckPhases(%d, %d, %d) = %q, want %q", tc.warmup, tc.measure, tc.drain, got, tc.want)
+		}
+		// Run answers the same, before building a network (there is none here).
+		if tc.want != "" {
+			if _, err := Run(Config{Rate: 0.1, Warmup: tc.warmup, Measure: tc.measure, DrainLimit: tc.drain}); err == nil || err.Error() != tc.want {
+				t.Errorf("Run with phases (%d, %d, %d) = %v, want %q", tc.warmup, tc.measure, tc.drain, err, tc.want)
+			}
+		}
+	}
+	// A spec-sized window never sizes the sample: the presize is capped and
+	// longer runs grow by append.
+	if got := presize(1, 1024, math.MaxUint32); got != maxPresize {
+		t.Errorf("presize of a 2^42-packet window = %d, want the cap %d", got, maxPresize)
 	}
 }

@@ -16,10 +16,10 @@ import (
 
 var updatePresize = flag.Bool("update-presize", false, "rewrite testdata/presize_results.json from this tree")
 
-// presizeCases are the three ways a run reaches its sample slices: a plain
-// Bernoulli process (sized once from the offered load), and an on/off
-// process and a class mix (no hint: the slices start empty, every measured
-// packet exceeds the hint, and they grow by append).
+// presizeCases are the three ways a run reaches its samples: a plain
+// Bernoulli process and a class mix (sized once from the offered load, the
+// mix per class as well), and an on/off process (no hint: the sample starts
+// empty and grows by append).
 func presizeCases() map[string]Config {
 	net := func(rc router.Config) network.Config {
 		return network.Config{Topo: topology.NewMesh(4, 4), Routing: routing.DOR{}, Router: rc, Seed: 11}

@@ -52,7 +52,6 @@ type Packet struct {
 	Src  int
 	Dst  int
 	Size int // length in flits
-	Kind Kind
 	// Aux carries protocol-specific context (e.g. the transaction ID a
 	// reply answers, or a cache-line address in the CMP substrate).
 	Aux uint64
@@ -63,10 +62,6 @@ type Packet struct {
 	CreateTime int64
 	InjectTime int64
 	ArriveTime int64
-
-	// Measured marks packets generated during an open-loop measurement
-	// phase; only these contribute to latency statistics.
-	Measured bool
 
 	// Class is the packet's QoS traffic class, 0-based with 0 the highest
 	// priority. Single-class configurations leave it 0. The router maps
@@ -80,6 +75,17 @@ type Packet struct {
 	// original's FaultTxn so the receiver can acknowledge whichever
 	// incarnation arrives first and discard the rest.
 	FaultTxn uint64
+
+	Route routing.State
+	Hops  int
+
+	// The four one-byte fields sit together so they share one word: a
+	// Packet is 128 bytes, two cache lines and its own allocation size
+	// class (TestPacketSize).
+	Kind Kind
+	// Measured marks packets generated during an open-loop measurement
+	// phase; only these contribute to latency statistics.
+	Measured bool
 	// FaultCorrupt marks a packet whose payload was corrupted on a link; the
 	// destination NIC's checksum rejects it at ejection.
 	FaultCorrupt bool
@@ -87,9 +93,6 @@ type Packet struct {
 	// dropped, flits purged by a router kill, or destination router dead);
 	// its remaining flits are discarded at their next delivery.
 	FaultDead bool
-
-	Route routing.State
-	Hops  int
 }
 
 // Latency returns the packet's total latency including source queueing,

@@ -4,10 +4,22 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"noceval/internal/routing"
 	"noceval/internal/topology"
 )
+
+// TestPacketSize pins the packet's footprint: one is allocated per packet
+// sent, so 128 bytes — the allocator's 128-byte size class and two cache
+// lines — against 144 is an eighth of a saturated run's allocation volume.
+// A new field that breaks this belongs beside the one-byte fields or needs
+// the number re-decided.
+func TestPacketSize(t *testing.T) {
+	if got := unsafe.Sizeof(Packet{}); got > 128 {
+		t.Errorf("unsafe.Sizeof(Packet{}) = %d, want <= 128", got)
+	}
+}
 
 func TestConfigValidate(t *testing.T) {
 	topo := topology.NewTorus(4, 4)

@@ -203,6 +203,19 @@ func TestSubmitRejectsBadSpecs(t *testing.T) {
 			"closedloop: reply L2 latency -20 outside [0, 50000000] (the run's cycle limit)"},
 		{"reply latency overflows", `{"kind":"batch","b":10,"m":1,"reply":{"type":"fixed","latency":9223372036854775807}}`, 400,
 			"closedloop: reply latency 9223372036854775807 outside [0, 50000000] (the run's cycle limit)"},
+		// Open-loop phase lengths were not validated at all, and the sample
+		// buffer was sized from them: the first was a 202 and a panicking
+		// worker, the second a 202 and then "fatal error: out of memory" —
+		// one POST took the whole server down — and the last two ran with
+		// nonsense phase windows.
+		{"negative measure window", `{"kind":"openloop","rate":0.1,"measure":-5}`, 400,
+			"openloop: measure must be >= 0 cycles (0 = default), got -5"},
+		{"measure window beyond a 32-bit run", `{"kind":"openloop","rate":0.1,"measure":4000000000000}`, 400,
+			"openloop: warmup 10000 + measure 4000000000000 + drain limit 100000 exceeds 4294967295 cycles, the longest run whose latencies fit their 32-bit samples"},
+		{"negative warmup", `{"kind":"openloop","rate":0.1,"warmup":-20000}`, 400,
+			"openloop: warmup must be >= 0 cycles (0 = default), got -20000"},
+		{"negative drain limit", `{"kind":"sweep","rates":[0.1],"drainLimit":-1}`, 400,
+			"openloop: drain limit must be >= 0 cycles (0 = default), got -1"},
 		// Was a 202 and a worker that never finished cycle 0 (an int8 class
 		// counter wrapped inside Network.Step, below the engine's Ctx poll),
 		// so cancel and drain could not reclaim it.

@@ -58,39 +58,32 @@ func Summarize(xs []float64) Summary {
 	return s
 }
 
-// SummarizeClasses computes one Summary per traffic class from per-class
-// sample slices (index = class number). Empty classes get zero Summaries,
-// so callers can index the result without guarding against classes that
-// produced no measured packets.
-func SummarizeClasses(byClass [][]float64) []Summary {
-	out := make([]Summary, len(byClass))
-	for i, xs := range byClass {
-		out[i] = Summarize(xs)
-	}
-	return out
-}
-
 // Quantile returns the q-quantile (q in [0,1]) of an ascending-sorted
 // sample using linear interpolation. It panics on an empty sample.
-func Quantile(sorted []float64, q float64) float64 {
+func Quantile(sorted []float64, q float64) float64 { return quantile(sorted, q) }
+
+// quantile is Quantile over either sample representation: Latencies reads
+// its percentiles through the same interpolation expression, on the
+// float64 images of its integers.
+func quantile[T float64 | uint32](sorted []T, q float64) float64 {
 	n := len(sorted)
 	if n == 0 {
 		panic("stats: Quantile of empty sample")
 	}
 	if q <= 0 {
-		return sorted[0]
+		return float64(sorted[0])
 	}
 	if q >= 1 {
-		return sorted[n-1]
+		return float64(sorted[n-1])
 	}
 	pos := q * float64(n-1)
 	lo := int(math.Floor(pos))
 	hi := lo + 1
 	if hi >= n {
-		return sorted[n-1]
+		return float64(sorted[n-1])
 	}
 	frac := pos - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
+	return float64(sorted[lo])*(1-frac) + float64(sorted[hi])*frac
 }
 
 // Mean returns the arithmetic mean of xs, or 0 for an empty sample.
@@ -275,16 +268,23 @@ var tQuantile975 = []float64{
 // whose means are treated as independent observations. It returns 0 when
 // the sample is too small to form at least two batches of two.
 func BatchMeansCI95(xs []float64, batches int) float64 {
+	return batchMeansCI95(len(xs), batches, func(lo, hi int) float64 { return Mean(xs[lo:hi]) })
+}
+
+// batchMeansCI95 is the method of batch means over any sample of n
+// observations whose contiguous ranges can be averaged: it picks the batch
+// boundaries, and turns the batch means into the half-width.
+func batchMeansCI95(n, batches int, mean func(lo, hi int) float64) float64 {
 	if batches < 2 {
 		batches = 10
 	}
-	per := len(xs) / batches
+	per := n / batches
 	if per < 2 {
 		return 0
 	}
 	means := make([]float64, batches)
-	for i := 0; i < batches; i++ {
-		means[i] = Mean(xs[i*per : (i+1)*per])
+	for i := range means {
+		means[i] = mean(i*per, (i+1)*per)
 	}
 	s := Summarize(means)
 	df := batches - 1

@@ -13,7 +13,6 @@ import (
 
 	"noceval/internal/network"
 	"noceval/internal/router"
-	"noceval/internal/stats"
 )
 
 // Event is one captured packet.
@@ -128,19 +127,25 @@ func Replay(t *Trace, cfg network.Config, maxCycles int64) (*ReplayResult, error
 		maxCycles = 50_000_000
 	}
 	net := network.New(cfg)
-	var latencies []float64
+	var latencySum int64
+	var packets int
 	net.OnReceive = func(now int64, p *router.Packet) {
-		latencies = append(latencies, float64(p.Latency()))
+		latencySum += p.Latency()
+		packets++
+	}
+	// Latencies are whole cycles, so a sum and a count give the exact mean.
+	result := func(completed bool) *ReplayResult {
+		res := &ReplayResult{Runtime: net.Now(), Packets: packets, Completed: completed}
+		if packets > 0 {
+			res.AvgLatency = float64(latencySum) / float64(packets)
+		}
+		return res
 	}
 	i := 0
 	for {
 		now := net.Now()
 		if now >= maxCycles {
-			return &ReplayResult{
-				Runtime:    now,
-				AvgLatency: stats.Mean(latencies),
-				Packets:    len(latencies),
-			}, nil
+			return result(false), nil
 		}
 		for i < len(t.Events) && t.Events[i].Time <= now {
 			e := t.Events[i]
@@ -154,10 +159,5 @@ func Replay(t *Trace, cfg network.Config, maxCycles int64) (*ReplayResult, error
 			break
 		}
 	}
-	return &ReplayResult{
-		Runtime:    net.Now(),
-		AvgLatency: stats.Mean(latencies),
-		Packets:    len(latencies),
-		Completed:  true,
-	}, nil
+	return result(true), nil
 }
