@@ -96,13 +96,20 @@ digests-update:
 # results/. -screen is bit-identical by the screen-smoke contract and about
 # halves the wall time; still minutes of simulation, so this is run by hand
 # after touching cmd/figures or the methodology code, not by `check` or CI.
-# RESULTS_FIGS="3 4" make results-check for a subset.
+# RESULTS_FIGS="3 4" make results-check for a subset. RESULTS_IDS are the
+# committed figures that plot internal/analytic's model against simulation
+# (seconds each, unscreened); RESULTS_FIGS= make results-check runs only
+# those, which is what CI's screen-smoke job does.
 RESULTS_FIGS ?= 3 4 5 6 8 9 10 16 17
+RESULTS_IDS ?= analytic-corr qos
 results-check:
 	@tmp="$$(mktemp -d)"; trap 'rm -rf "$$tmp"' EXIT; mkdir "$$tmp/out"; \
 	$(GO) build -o "$$tmp/figures" ./cmd/figures || exit 1; \
 	for n in $(RESULTS_FIGS); do \
 		"$$tmp/figures" -fig $$n -screen -out "$$tmp/out" >/dev/null || exit 1; \
+	done; \
+	for id in $(RESULTS_IDS); do \
+		"$$tmp/figures" -id $$id -out "$$tmp/out" >/dev/null || exit 1; \
 	done; \
 	fail=0; \
 	for f in "$$tmp"/out/*; do \

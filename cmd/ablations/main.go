@@ -120,7 +120,7 @@ func ablationBimodal(w *strings.Builder) error {
 			p := core.Baseline()
 			p.RouterDelay = tr
 			p.Sizes = sizes
-			res, err := core.OpenLoop(p, 0.1)
+			res, err := core.OpenLoopWith(p, 0.1, core.OpenLoopOpts{})
 			if err != nil {
 				return err
 			}
@@ -155,7 +155,7 @@ func ablationArbitration(w *strings.Builder) error {
 	for _, arb := range []string{"rr", "age"} {
 		p := core.Baseline()
 		p.Arb = arb
-		res, err := core.OpenLoop(p, 0.38)
+		res, err := core.OpenLoopWith(p, 0.38, core.OpenLoopOpts{})
 		if err != nil {
 			return err
 		}
@@ -177,7 +177,7 @@ func ablationBarrier(w *strings.Builder) error {
 	if err != nil {
 		return err
 	}
-	ol, err := core.OpenLoop(p, 0.8) // far beyond saturation: accepted = capacity
+	ol, err := core.OpenLoopWith(p, 0.8, core.OpenLoopOpts{}) // far beyond saturation: accepted = capacity
 	if err != nil {
 		return err
 	}
@@ -196,7 +196,7 @@ func ablationVCs(w *strings.Builder) error {
 		p := core.Baseline()
 		p.VCs = tc.vcs
 		p.BufDepth = tc.q
-		res, err := core.OpenLoop(p, 0.40)
+		res, err := core.OpenLoopWith(p, 0.40, core.OpenLoopOpts{})
 		if err != nil {
 			return err
 		}
@@ -268,7 +268,7 @@ func ablationISLIP(w *strings.Builder) error {
 		p.VCs = 4
 		p.BufDepth = 8
 		p.SAIterations = it
-		res, err := core.OpenLoop(p, 0.42)
+		res, err := core.OpenLoopWith(p, 0.42, core.OpenLoopOpts{})
 		if err != nil {
 			return err
 		}
@@ -293,7 +293,7 @@ func ablationAnalytic(w *strings.Builder) error {
 	}
 
 	p := core.Baseline()
-	simT0, err := core.OpenLoop(p, 0.01)
+	simT0, err := core.OpenLoopWith(p, 0.01, core.OpenLoopOpts{})
 	if err != nil {
 		return err
 	}
@@ -307,19 +307,18 @@ func ablationAnalytic(w *strings.Builder) error {
 		Net: cfg, Pattern: pat, Sizes: sizes,
 		Warmup: 2000, Measure: 3000, DrainLimit: 20000, Seed: 1,
 	}
-	var simSat float64
+	// With -screen, seed the bisection with the queueing knee: the search
+	// verifies a narrow band around the prediction first and only widens on
+	// a contradiction, so an accurate knee saves most of the probes.
+	predicted := 0.0
 	if core.ScreeningEnabled() {
-		// Seed the bisection with the queueing knee: the search verifies a
-		// narrow band around the prediction first and only widens on a
-		// contradiction, so an accurate knee saves most of the probes.
-		est, estErr := core.AnalyticEstimator(p)
-		if estErr != nil {
-			return estErr
+		est, err := core.AnalyticEstimator(p)
+		if err != nil {
+			return err
 		}
-		simSat, err = openloop.SaturationScreenedWith(satCfg, 0.1, 0.6, 3, est.Knee(3), openloop.Run)
-	} else {
-		simSat, err = openloop.SaturationWith(satCfg, 0.1, 0.6, 3, openloop.Run)
+		predicted = est.Knee(3)
 	}
+	simSat, err := openloop.SaturationScreenedWith(satCfg, 0.1, 0.6, 3, predicted, openloop.Run)
 	if err != nil {
 		return err
 	}

@@ -47,7 +47,7 @@ func TestAnalyticCorrelationAccuracy(t *testing.T) {
 		t.Errorf("pre-saturation mean relative error %.3f exceeds %.2f", mre, bound)
 		for _, p := range pts {
 			t.Logf("%s rate %.3f: analytic %.2f simulated %.2f (err %.1f%%)",
-				p.config, p.rate, p.predicted, p.simulated, 100*p.relErr())
+				p.series, p.rate, p.predicted, p.simulated, 100*p.relErr())
 		}
 	}
 }

@@ -17,6 +17,7 @@ import (
 	"math"
 
 	"noceval/internal/core"
+	"noceval/internal/openloop"
 	"noceval/internal/stats"
 )
 
@@ -57,60 +58,84 @@ func corrConfigs() []corrConfig {
 // latency curve: from near zero-load to just under the predicted knee.
 var corrFractions = []float64{0.25, 0.5, 0.75, 0.9}
 
-// corrPoint pairs the analytic prediction with the simulated measurement
-// at one offered load of one configuration.
-type corrPoint struct {
-	config    string
+// modelPoint pairs an analytic prediction with the simulated measurement
+// at one offered load of one series: a configuration, or one QoS class of
+// a configuration.
+type modelPoint struct {
+	series    string
 	rate      float64
 	predicted float64
 	simulated float64
 }
 
 // relErr is the point's relative error against the simulation.
-func (p corrPoint) relErr() float64 {
+func (p modelPoint) relErr() float64 {
 	return math.Abs(p.predicted-p.simulated) / p.simulated
 }
 
-// corrPoints simulates each configuration at the given fractions of its
-// predicted saturation knee and pairs the results with the estimator's
-// latency predictions. Unstable points (the prediction overshot the real
-// saturation) are dropped: the comparison is defined pre-saturation only.
-func corrPoints(configs []corrConfig, fractions []float64, opts core.OpenLoopOpts) ([]corrPoint, error) {
-	var out []corrPoint
-	for _, c := range configs {
-		est, err := core.AnalyticEstimator(c.p)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", c.name, err)
+// kneeSweep simulates p at the given fractions of a predicted saturation
+// knee — the one way the model-vs-simulation figures and their gates place
+// their loads, so each sweep covers its configuration's own latency curve.
+func kneeSweep(p core.NetworkParams, knee float64, fractions []float64, opts core.OpenLoopOpts) ([]float64, []*openloop.Result, error) {
+	if knee <= 0 || math.IsInf(knee, 1) {
+		return nil, nil, fmt.Errorf("estimator found no saturation knee")
+	}
+	rates := make([]float64, len(fractions))
+	for i, f := range fractions {
+		rates[i] = f * knee
+	}
+	results, err := core.OpenLoopSweepWith(p, rates, opts)
+	return rates, results, err
+}
+
+// modelPoints runs kneeSweep and pairs every stable point with the model:
+// one point per QoS class (named after the class, predicted by
+// predict(class, rate)) or, for a class-free network, one named series
+// predicted by predict(0, rate). Unstable points (the prediction overshot
+// the real saturation) are dropped: the comparison is defined
+// pre-saturation only.
+func modelPoints(series string, p core.NetworkParams, knee float64, fractions []float64, opts core.OpenLoopOpts,
+	predict func(class int, rate float64) float64) ([]modelPoint, error) {
+	rates, results, err := kneeSweep(p, knee, fractions, opts)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", series, err)
+	}
+	var out []modelPoint
+	for i, r := range results {
+		if !r.Stable {
+			break
 		}
-		knee := est.Knee(3)
-		if knee <= 0 || math.IsInf(knee, 1) {
-			return nil, fmt.Errorf("%s: estimator found no saturation knee", c.name)
+		if len(r.PerClass) == 0 {
+			out = append(out, modelPoint{series, rates[i], predict(0, rates[i]), r.AvgLatency})
 		}
-		rates := make([]float64, len(fractions))
-		for i, f := range fractions {
-			rates[i] = f * knee
-		}
-		results, err := core.OpenLoopSweepWith(c.p, rates, opts)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", c.name, err)
-		}
-		for i, r := range results {
-			if !r.Stable {
-				break
-			}
-			out = append(out, corrPoint{
-				config:    c.name,
-				rate:      rates[i],
-				predicted: est.Latency(rates[i]),
-				simulated: r.AvgLatency,
-			})
+		for c, cr := range r.PerClass {
+			out = append(out, modelPoint{cr.Name, rates[i], predict(c, rates[i]), cr.AvgLatency})
 		}
 	}
 	return out, nil
 }
 
+// corrPoints gathers modelPoints over the configurations, each against its
+// own single-class estimator.
+func corrPoints(configs []corrConfig, fractions []float64, opts core.OpenLoopOpts) ([]modelPoint, error) {
+	var out []modelPoint
+	for _, c := range configs {
+		est, err := core.AnalyticEstimator(c.p)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", c.name, err)
+		}
+		pts, err := modelPoints(c.name, c.p, est.Knee(3), fractions, opts,
+			func(_ int, rate float64) float64 { return est.Latency(rate) })
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, pts...)
+	}
+	return out, nil
+}
+
 // meanRelErr is the mean relative error of the point set.
-func meanRelErr(pts []corrPoint) float64 {
+func meanRelErr(pts []modelPoint) float64 {
 	if len(pts) == 0 {
 		return math.NaN()
 	}
@@ -141,9 +166,9 @@ func analyticCorr(c *ctx) error {
 		"analytic latency (cycles)", "simulated latency (cycles)")
 
 	lo, hi := math.Inf(1), math.Inf(-1)
-	byConfig := map[string][]corrPoint{}
+	byConfig := map[string][]modelPoint{}
 	for _, p := range pts {
-		byConfig[p.config] = append(byConfig[p.config], p)
+		byConfig[p.series] = append(byConfig[p.series], p)
 		lo = min(lo, min(p.predicted, p.simulated))
 		hi = max(hi, max(p.predicted, p.simulated))
 	}

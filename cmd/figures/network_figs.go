@@ -44,7 +44,7 @@ func fig01(c *ctx) error {
 	f := stats.NewFigure("Fig 1: latency vs offered traffic (8x8 mesh, DOR, uniform)",
 		"offered load (flits/cycle/node)", "average latency (cycles)")
 	s := f.AddSeries("avg latency")
-	results, err := core.OpenLoopSweep(p, sweepRates(0.5))
+	results, err := core.OpenLoopSweepWith(p, sweepRates(0.5), core.OpenLoopOpts{})
 	if err != nil {
 		return err
 	}
@@ -184,7 +184,7 @@ func fig05(c *ctx) error {
 		if err != nil {
 			return err
 		}
-		over, err := core.OpenLoop(p, 0.9)
+		over, err := core.OpenLoopWith(p, 0.9, core.OpenLoopOpts{})
 		if err != nil {
 			return err
 		}
@@ -362,7 +362,7 @@ func fig11(c *ctx) error {
 		p.Routing = alg
 		p.VCs = 4
 		p.Pattern = "transpose"
-		ol, err := core.OpenLoop(p, 0.05)
+		ol, err := core.OpenLoopWith(p, 0.05, core.OpenLoopOpts{})
 		if err != nil {
 			return err
 		}

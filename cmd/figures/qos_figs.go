@@ -7,14 +7,14 @@ package main
 // curve stays flat — the VC partition and strict-priority allocators
 // protect it — while the low-priority curve diverges.
 //
-// The same point set backs the accuracy regression test in qos_test.go:
-// the figure is the artifact, the test is the gate.
+// The accuracy regression test in qos_test.go gates the same
+// configuration through the model-vs-simulation harness of
+// analytic_figs.go: the figure is the artifact, the test is the gate.
 
 import (
 	"fmt"
 	"math"
 
-	"noceval/internal/analytic"
 	"noceval/internal/core"
 	"noceval/internal/stats"
 )
@@ -36,73 +36,6 @@ func qosParams() core.NetworkParams {
 	return p
 }
 
-// qosPoint pairs one class's analytic prediction with its simulated
-// measurement at one total offered load.
-type qosPoint struct {
-	class     string
-	rate      float64
-	predicted float64
-	simulated float64
-	p99       float64
-}
-
-// relErr is the point's relative error against the simulation.
-func (p qosPoint) relErr() float64 {
-	return math.Abs(p.predicted-p.simulated) / p.simulated
-}
-
-// qosPoints simulates the configuration at the given fractions of the
-// lowest-priority class's predicted knee and pairs each class's measured
-// latency with the priority estimator's prediction. Unstable points are
-// dropped: the comparison is defined pre-saturation only.
-func qosPoints(p core.NetworkParams, fractions []float64, opts core.OpenLoopOpts) ([]qosPoint, *analytic.PriorityEstimator, error) {
-	est, err := core.AnalyticPriorityEstimator(p)
-	if err != nil {
-		return nil, nil, err
-	}
-	low := est.NumClasses() - 1
-	knee := est.Knee(low, 3)
-	if knee <= 0 || math.IsInf(knee, 1) {
-		return nil, nil, fmt.Errorf("qos: estimator found no low-priority saturation knee")
-	}
-	rates := make([]float64, len(fractions))
-	for i, f := range fractions {
-		rates[i] = f * knee
-	}
-	results, err := core.OpenLoopSweepWith(p, rates, opts)
-	if err != nil {
-		return nil, nil, err
-	}
-	var out []qosPoint
-	for i, r := range results {
-		if !r.Stable {
-			break
-		}
-		for c, cr := range r.PerClass {
-			out = append(out, qosPoint{
-				class:     cr.Name,
-				rate:      rates[i],
-				predicted: est.Latency(c, rates[i]),
-				simulated: cr.AvgLatency,
-				p99:       cr.P99,
-			})
-		}
-	}
-	return out, est, nil
-}
-
-// qosMeanRelErr is the mean relative error of the point set.
-func qosMeanRelErr(pts []qosPoint) float64 {
-	if len(pts) == 0 {
-		return math.NaN()
-	}
-	var sum float64
-	for _, p := range pts {
-		sum += p.relErr()
-	}
-	return sum / float64(len(pts))
-}
-
 // qosFig renders the per-class latency-load curves: simulated and
 // analytic, from near zero load past the low-priority knee, with the
 // priority-protection evidence in the notes.
@@ -118,20 +51,12 @@ func qosFig(c *ctx) error {
 	}
 	low := est.NumClasses() - 1
 	knee := est.Knee(low, 3)
-	if knee <= 0 || math.IsInf(knee, 1) {
-		return fmt.Errorf("qos: estimator found no low-priority saturation knee")
-	}
 	// Past the low-priority knee the sweep's early-stop keeps only the
 	// first unstable point — exactly the saturation evidence the figure
 	// needs.
-	fractions := []float64{0.2, 0.4, 0.6, 0.8, 0.9, 1.0, 1.1}
-	rates := make([]float64, len(fractions))
-	for i, f := range fractions {
-		rates[i] = f * knee
-	}
-	results, err := core.OpenLoopSweepWith(p, rates, opts)
+	rates, results, err := kneeSweep(p, knee, []float64{0.2, 0.4, 0.6, 0.8, 0.9, 1.0, 1.1}, opts)
 	if err != nil {
-		return err
+		return fmt.Errorf("qos: %w", err)
 	}
 	if len(results) == 0 {
 		return fmt.Errorf("qos: sweep produced no points")

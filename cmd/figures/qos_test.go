@@ -21,7 +21,13 @@ func TestQoSPriorityAccuracy(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulates three open-loop points")
 	}
-	pts, _, err := qosPoints(qosParams(), []float64{0.25, 0.5, 0.7}, quickQoSOpts)
+	p := qosParams()
+	est, err := core.AnalyticPriorityEstimator(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Loads are fractions of the lowest-priority class's predicted knee.
+	pts, err := modelPoints("qos", p, est.Knee(est.NumClasses()-1, 3), []float64{0.25, 0.5, 0.7}, quickQoSOpts, est.Latency)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,13 +35,13 @@ func TestQoSPriorityAccuracy(t *testing.T) {
 		t.Fatalf("only %d stable pre-saturation class points, want >= 4", len(pts))
 	}
 	const bound = 0.30
-	mre := qosMeanRelErr(pts)
+	mre := meanRelErr(pts)
 	t.Logf("pre-saturation per-class mean relative error %.3f over %d points (bound %.2f)", mre, len(pts), bound)
 	if mre > bound {
 		t.Errorf("per-class mean relative error %.3f exceeds %.2f", mre, bound)
 		for _, p := range pts {
 			t.Logf("%s rate %.3f: analytic %.2f simulated %.2f (err %.1f%%)",
-				p.class, p.rate, p.predicted, p.simulated, 100*p.relErr())
+				p.series, p.rate, p.predicted, p.simulated, 100*p.relErr())
 		}
 	}
 }
@@ -53,8 +59,7 @@ func TestQoSPriorityProtection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	knee := est.Knee(est.NumClasses()-1, 3)
-	results, err := core.OpenLoopSweepWith(p, []float64{knee}, quickQoSOpts)
+	_, results, err := kneeSweep(p, est.Knee(est.NumClasses()-1, 3), []float64{1}, quickQoSOpts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -106,17 +106,6 @@ func parseReply(spec string) (closedloop.ReplyModel, error) {
 	}
 }
 
-func parseClock(s string) (workload.Clock, error) {
-	switch strings.ToLower(s) {
-	case "", "3ghz":
-		return workload.Clock3GHz, nil
-	case "75mhz":
-		return workload.Clock75MHz, nil
-	default:
-		return 0, fmt.Errorf("unknown clock %q (want 75mhz or 3ghz)", s)
-	}
-}
-
 func main() {
 	if len(os.Args) < 2 {
 		usage()
@@ -263,7 +252,7 @@ func cmdSweep(args []string) error {
 	if err := oo.startProfiling(); err != nil {
 		return err
 	}
-	results, err := core.OpenLoopSweep(*p, sweepRates(*step, *hi))
+	results, err := core.OpenLoopSweepWith(*p, sweepRates(*step, *hi), core.OpenLoopOpts{})
 	if err != nil {
 		return err
 	}
@@ -401,9 +390,9 @@ func cmdExec(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	clock, err := parseClock(*clockStr)
+	clock, err := workload.ParseClock(*clockStr)
 	if err != nil {
-		return err
+		return fmt.Errorf("%v (want 75mhz or 3ghz)", err)
 	}
 	res, err := core.Exec(core.Table2Network(*tr), core.ExecParams{
 		Benchmark: *bench, Clock: clock, Timer: *timer, Ideal: *ideal, Seed: *seed,
@@ -431,9 +420,9 @@ func cmdChar(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	clock, err := parseClock(*clockStr)
+	clock, err := workload.ParseClock(*clockStr)
 	if err != nil {
-		return err
+		return fmt.Errorf("%v (want 75mhz or 3ghz)", err)
 	}
 	m, err := core.Characterize(*bench, clock, *seed)
 	if err != nil {

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"noceval/internal/closedloop"
-	"noceval/internal/workload"
 )
 
 func TestParseReply(t *testing.T) {
@@ -30,24 +29,6 @@ func TestParseReply(t *testing.T) {
 		if _, err := parseReply(bad); err == nil {
 			t.Errorf("bad spec %q accepted", bad)
 		}
-	}
-}
-
-func TestParseClock(t *testing.T) {
-	for s, want := range map[string]workload.Clock{
-		"":      workload.Clock3GHz,
-		"3ghz":  workload.Clock3GHz,
-		"3GHz":  workload.Clock3GHz,
-		"75mhz": workload.Clock75MHz,
-		"75MHz": workload.Clock75MHz,
-	} {
-		got, err := parseClock(s)
-		if err != nil || got != want {
-			t.Errorf("parseClock(%q) = %v, %v", s, got, err)
-		}
-	}
-	if _, err := parseClock("1thz"); err == nil {
-		t.Error("bad clock accepted")
 	}
 }
 

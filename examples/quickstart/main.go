@@ -18,7 +18,7 @@ func main() {
 
 	fmt.Println("== Open-loop: latency vs offered load ==")
 	rates := []float64{0.05, 0.1, 0.2, 0.3, 0.4}
-	results, err := core.OpenLoopSweep(params, rates)
+	results, err := core.OpenLoopSweepWith(params, rates, core.OpenLoopOpts{})
 	if err != nil {
 		log.Fatal(err)
 	}

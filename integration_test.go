@@ -22,7 +22,7 @@ import (
 
 func TestOpenLoopMatchesAnalyticZeroLoad(t *testing.T) {
 	p := core.Baseline()
-	sim, err := core.OpenLoop(p, 0.01)
+	sim, err := core.OpenLoopWith(p, 0.01, core.OpenLoopOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func TestSimulatedSaturationBelowChannelBound(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := core.Baseline()
-	res, err := core.OpenLoop(p, 0.9) // overload: accepted = capacity
+	res, err := core.OpenLoopWith(p, 0.9, core.OpenLoopOpts{}) // overload: accepted = capacity
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestBatchThroughputAtLargeMMatchesCapacity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	over, err := core.OpenLoop(p, 0.9)
+	over, err := core.OpenLoopWith(p, 0.9, core.OpenLoopOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}

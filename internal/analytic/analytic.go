@@ -6,6 +6,13 @@
 // the simulated zero-load latency must approach the analytical bound from
 // above, and the simulated saturation throughput must stay below the
 // channel-load bound.
+//
+// On the same channel loads sits one contention-aware queueing model
+// (PriorityEstimator, priority.go): per-channel M/G/1 priority queues
+// composed along routes, predicting each traffic class's whole
+// latency–load curve and saturation knee. Estimator is its one-class case
+// for networks without QoS classes; sweep screening in internal/core reads
+// that.
 package analytic
 
 import (

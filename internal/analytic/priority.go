@@ -1,23 +1,40 @@
 package analytic
 
-// Priority-queueing extension of the contention-aware estimator: per-class
-// latency–load curves under the strict-priority QoS arbitration of
-// internal/router. Each channel is modeled as an M/G/1 priority queue in
-// which class c's waiting time sees only the load of classes of the same
-// or higher priority (classes j <= c):
+// Contention-aware latency estimation: per-channel M/G/1 waiting times
+// composed along the routes of the channel-load analysis. The model
+// predicts whole latency–load curves in microseconds, which is what the
+// sweep screening in internal/core uses to decide which offered loads are
+// worth simulating at all (see DESIGN.md §13). There is one compiled model,
+// PriorityEstimator; a network without QoS classes is its one-class case
+// (Estimator, queueing.go).
+//
+// The model: a channel of load gamma (expected crossings per injected
+// packet, from routeAnalysis) carries lambda = gamma*N*theta/E[L] packets
+// per cycle when every one of the N nodes offers theta flits/cycle. Each
+// crossing occupies the channel for S = tr + L cycles (router pipeline
+// plus serialization of the L-flit body), so the utilization is
+// rho = lambda*E[S]. Under the strict-priority QoS arbitration of
+// internal/router each channel is an M/G/1 priority queue in which class
+// c's waiting time sees only the load of classes of the same or higher
+// priority (classes j <= c):
 //
 //	W_c = (sum_{j<=c} lambda_j E[S_j^2]) / (2 (1 - sum_{j<=c} rho_j))
 //
 // — the Pollaczek–Khinchine numerator and denominator both truncated at
 // class c. This captures the defining property of strict priority: a
 // high-priority class's latency is independent of lower-priority load, so
-// its curve stays flat while low classes saturate. With a single class the
-// formula reduces term-for-term to Estimator's wait(), and the test suite
-// pins that equivalence.
+// its curve stays flat while low classes saturate.
+//
+// A packet's expected queueing delay is the sum of W over the channels it
+// crosses — in expectation, sum_ch gamma_c(ch) * W_c(ch) — plus the same
+// term for its source injection queue. Added to the zero-load latency T0
+// this gives the predicted average latency T_c(theta), diverging as the
+// busiest channel's cumulative utilization approaches 1.
 //
 // Per-class routes matter: each class has its own traffic pattern, so the
 // per-channel crossing counts gamma are computed per class and aligned on
-// a shared channel index before composing waiting times.
+// a shared channel index, sorted by (router, port), before composing
+// waiting times. Every sum over channels runs in that key order.
 
 import (
 	"math"
@@ -168,7 +185,14 @@ func (e *PriorityEstimator) Latency(c int, rate float64) float64 {
 	if rate <= 0 {
 		return cl.t0
 	}
-	rho := make([]float64, c+1)
+	// The per-class utilizations of one channel: on the stack for any
+	// realistic class count, so the 50 evaluations of a Knee bisection do
+	// not allocate.
+	var scratch [8]float64
+	rho := scratch[:]
+	if c >= len(scratch) {
+		rho = make([]float64, c+1)
+	}
 	// Source injection queue: every class of the node shares the 1
 	// flit/cycle injection channel, served in priority order.
 	for j := 0; j <= c; j++ {
@@ -188,9 +212,9 @@ func (e *PriorityEstimator) Latency(c int, rate float64) float64 {
 }
 
 // Knee returns class c's predicted saturation point under the empirical
-// definition of openloop.SaturationWith: the total offered load at which the
-// class's predicted latency crosses latencyCap times its zero-load latency
-// (latencyCap <= 1 defaults to 3).
+// definition of openloop.SaturationScreenedWith: the total offered load at
+// which the class's predicted latency crosses latencyCap times its
+// zero-load latency (latencyCap <= 1 defaults to 3).
 func (e *PriorityEstimator) Knee(c int, latencyCap float64) float64 {
 	if latencyCap <= 1 {
 		latencyCap = 3

@@ -22,35 +22,6 @@ func twoClassEstimator(t *testing.T) *PriorityEstimator {
 	return e
 }
 
-// TestPrioritySingleClassMatchesEstimator pins the reduction: a one-class
-// priority estimator must reproduce the plain Estimator exactly — same T0,
-// same SatRate, same latency at every load.
-func TestPrioritySingleClassMatchesEstimator(t *testing.T) {
-	m := Model{Topo: topology.NewMesh(8, 8), Routing: routing.DOR{}, RouterDelay: 1}
-	base, err := m.NewEstimator(traffic.Uniform{}, traffic.FixedSize(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	pe, err := m.NewPriorityEstimator([]traffic.Class{
-		{Name: "only", Share: 1, Pattern: traffic.Uniform{}, Sizes: traffic.FixedSize(1)},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := pe.T0(0), base.T0; math.Abs(got-want) > 1e-12 {
-		t.Errorf("T0 = %v, Estimator = %v", got, want)
-	}
-	if got, want := pe.SatRate(0), base.SatRate; math.Abs(got-want) > 1e-12 {
-		t.Errorf("SatRate = %v, Estimator = %v", got, want)
-	}
-	for _, r := range []float64{0, 0.05, 0.1, 0.2, 0.3, 0.35} {
-		got, want := pe.Latency(0, r), base.Latency(r)
-		if math.Abs(got-want) > 1e-9*want {
-			t.Errorf("Latency(0, %g) = %v, Estimator = %v", r, got, want)
-		}
-	}
-}
-
 // TestPriorityProtection checks the defining property of strict priority:
 // the high-priority class's latency stays near its zero-load value at loads
 // where the low-priority class has already diverged.

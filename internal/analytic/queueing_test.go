@@ -2,6 +2,7 @@ package analytic
 
 import (
 	"math"
+	"sort"
 	"testing"
 
 	"noceval/internal/routing"
@@ -142,5 +143,91 @@ func TestEstimatorCurve(t *testing.T) {
 	}
 	if !math.IsInf(pts[2].Latency, 1) {
 		t.Error("curve point beyond SatRate should be +Inf")
+	}
+}
+
+// closedForm is the single-class model written out independently of the
+// compiled one: plain Pollaczek–Khinchine waiting per channel, channels
+// summed in ascending load order (the arithmetic Estimator had before it
+// became a view of PriorityEstimator). It is the reference the one-class
+// reduction is held to, so that reduction is not only compared with itself.
+func closedForm(t *testing.T, m Model, p traffic.Pattern, sizes traffic.SizeDist) (t0, satRate float64, latency func(float64) float64) {
+	t.Helper()
+	loads, avgPathCycles, err := m.routeAnalysis(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gamma := make([]float64, 0, len(loads))
+	for _, g := range loads {
+		gamma = append(gamma, g)
+	}
+	sort.Float64s(gamma)
+	n, tr, meanLen := float64(m.Topo.N), float64(m.RouterDelay), sizes.Mean()
+	sMean := tr + meanLen
+	sSq := tr*tr + 2*tr*meanLen + sizes.(meanSquarer).MeanSquare()
+	wait := func(rho float64) float64 { return rho / sMean * sSq / (2 * (1 - rho)) }
+	t0 = avgPathCycles + tr + meanLen - 1
+	satRate = 1 / (gamma[len(gamma)-1] * n)
+	return t0, satRate, func(rate float64) float64 {
+		lat := t0 + wait(rate)
+		for _, g := range gamma {
+			lat += g * wait(g*n*rate)
+		}
+		return lat
+	}
+}
+
+// TestPrioritySingleClassMatchesEstimator pins the reduction: the
+// one-class priority model behind Estimator reproduces the closed-form
+// single-class estimator — T0 and SatRate exactly, latency to the last few
+// bits (the compiled model sums channels in key order, the closed form in
+// load order) — across topologies, routings and a variable-length size mix.
+func TestPrioritySingleClassMatchesEstimator(t *testing.T) {
+	topos := []*topology.Topology{topology.NewMesh(8, 8), topology.NewTorus(8, 8), topology.NewRing(16)}
+	algs := []routing.Algorithm{routing.DOR{}, routing.Valiant{}}
+	mixes := []traffic.SizeDist{traffic.FixedSize(1), traffic.DefaultBimodal()}
+	for _, topo := range topos {
+		for _, alg := range algs {
+			for _, sizes := range mixes {
+				m := Model{Topo: topo, Routing: alg, RouterDelay: 1, Seed: 7}
+				e, err := m.NewEstimator(traffic.Uniform{}, sizes)
+				if err != nil {
+					t.Fatal(err)
+				}
+				name := topo.Name + "/" + alg.Name() + "/" + sizes.Name()
+				t0, sat, latency := closedForm(t, m, traffic.Uniform{}, sizes)
+				bound, _, err := m.ChannelBound(traffic.Uniform{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if e.T0 != t0 || e.SatRate != sat || e.SatRate != bound {
+					t.Errorf("%s: T0 %v SatRate %v, closed form %v %v, channel bound %v", name, e.T0, e.SatRate, t0, sat, bound)
+				}
+				if fs, ok := sizes.(traffic.FixedSize); ok {
+					if zl, _ := m.ZeroLoadLatency(traffic.Uniform{}, int(fs)); e.T0 != zl {
+						t.Errorf("%s: T0 %v, ZeroLoadLatency %v", name, e.T0, zl)
+					}
+				}
+				ulps := 0.0
+				for _, frac := range []float64{0.1, 0.5, 0.9, 0.99} {
+					r := frac * sat
+					got, want := e.Latency(r), latency(r)
+					if math.Abs(got-want) > 1e-12*want {
+						t.Errorf("%s: Latency(%g) = %v, closed form %v", name, r, got, want)
+					}
+					ulps = max(ulps, math.Abs(float64(int64(math.Float64bits(got))-int64(math.Float64bits(want)))))
+				}
+				t.Logf("%s: latency within %v ulp of the closed form", name, ulps)
+			}
+		}
+	}
+}
+
+// TestEstimatorKneeDoesNotAllocate: the knee bisection evaluates Latency
+// 50 times; the per-channel utilization scratch must stay on the stack.
+func TestEstimatorKneeDoesNotAllocate(t *testing.T) {
+	e := meshEstimator(t)
+	if n := testing.AllocsPerRun(10, func() { e.Knee(3) }); n > 1 {
+		t.Errorf("Knee allocates %v times per call, want <= 1", n)
 	}
 }

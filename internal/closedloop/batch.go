@@ -3,6 +3,7 @@ package closedloop
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/bits"
 	"strings"
 
@@ -25,7 +26,7 @@ type KernelConfig struct {
 	// each node's batch before the run starts (thread creation, syscalls).
 	StaticFraction float64
 	// TimerPeriod is the cycle interval between timer interrupts
-	// (1/Rtimer); zero or negative disables the timer.
+	// (1/Rtimer); zero disables the timer.
 	TimerPeriod int64
 	// TimerBatch is the number of kernel transactions each interrupt adds
 	// to every still-running node.
@@ -505,10 +506,44 @@ func CheckBatch(b, m int) error {
 	return nil
 }
 
+// CheckKernel rejects an OS-traffic model RunBatch cannot run for batch
+// size b: a negative (or NaN) fraction, rate, period or interrupt batch,
+// or kernel work so large that converting it to a node's transaction
+// target overflows — a negative target equals the node's completed count
+// at once, and the run "finishes" on its first reply. The bound is int32:
+// no node completes that many transactions inside any cycle limit.
+// internal/core applies it to a spec before anything simulates. A nil
+// model (no kernel traffic) passes.
+func CheckKernel(k *KernelConfig, b int) error {
+	if k == nil {
+		return nil
+	}
+	if !(k.StaticFraction >= 0) {
+		return fmt.Errorf("closedloop: kernel static fraction must be >= 0, got %g", k.StaticFraction)
+	}
+	if !(k.KernelNAR >= 0) {
+		return fmt.Errorf("closedloop: kernel NAR must be >= 0, got %g", k.KernelNAR)
+	}
+	if k.TimerPeriod < 0 {
+		return fmt.Errorf("closedloop: kernel timer period must be >= 0 cycles (0 = no timer), got %d", k.TimerPeriod)
+	}
+	if k.TimerBatch < 0 || k.TimerBatch > math.MaxInt32 {
+		return fmt.Errorf("closedloop: kernel timer batch %d outside [0, %d]", k.TimerBatch, math.MaxInt32)
+	}
+	if static := k.StaticFraction * float64(b); static > math.MaxInt32 {
+		return fmt.Errorf("closedloop: kernel static fraction %g of batch size %d is %g transactions a node, more than %d",
+			k.StaticFraction, b, static, math.MaxInt32)
+	}
+	return nil
+}
+
 // RunBatch executes one batch-model simulation.
 func RunBatch(cfg BatchConfig) (*BatchResult, error) {
 	cfg.fillDefaults()
 	if err := CheckBatch(cfg.B, cfg.M); err != nil {
+		return nil, err
+	}
+	if err := CheckKernel(cfg.Kernel, cfg.B); err != nil {
 		return nil, err
 	}
 	if err := CheckReply(cfg.Reply, cfg.MaxCycles); err != nil {

@@ -358,6 +358,50 @@ func TestCheckReply(t *testing.T) {
 	}
 }
 
+// TestCheckKernel: RunBatch refuses the OS-traffic models it cannot run,
+// with CheckKernel's text.
+func TestCheckKernel(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		kernel *KernelConfig
+		want   string // "" = accepted
+	}{
+		{"nil", nil, ""},
+		{"zero", &KernelConfig{}, ""},
+		{"static and timer", &KernelConfig{StaticFraction: 0.1, TimerPeriod: 500, TimerBatch: 2, KernelNAR: 0.05}, ""},
+		{"static at the bound", &KernelConfig{StaticFraction: math.MaxInt32 / 10.0}, ""},
+		{"static overflowing", &KernelConfig{StaticFraction: 1e300},
+			"closedloop: kernel static fraction 1e+300 of batch size 10 is 1e+301 transactions a node, more than 2147483647"},
+		{"static negative", &KernelConfig{StaticFraction: -0.5},
+			"closedloop: kernel static fraction must be >= 0, got -0.5"},
+		{"static NaN", &KernelConfig{StaticFraction: math.NaN()},
+			"closedloop: kernel static fraction must be >= 0, got NaN"},
+		{"NAR negative", &KernelConfig{KernelNAR: -0.1},
+			"closedloop: kernel NAR must be >= 0, got -0.1"},
+		{"timer period negative", &KernelConfig{TimerPeriod: -500, TimerBatch: 2},
+			"closedloop: kernel timer period must be >= 0 cycles (0 = no timer), got -500"},
+		{"timer batch negative", &KernelConfig{TimerPeriod: 500, TimerBatch: -3},
+			"closedloop: kernel timer batch -3 outside [0, 2147483647]"},
+		{"timer batch overflowing", &KernelConfig{TimerPeriod: 500, TimerBatch: math.MaxInt32 + 1},
+			"closedloop: kernel timer batch 2147483648 outside [0, 2147483647]"},
+	} {
+		got := ""
+		if err := CheckKernel(tc.kernel, 10); err != nil {
+			got = err.Error()
+		}
+		if got != tc.want {
+			t.Errorf("%s: CheckKernel = %q, want %q", tc.name, got, tc.want)
+		}
+		if tc.want == "" {
+			continue
+		}
+		_, err := RunBatch(BatchConfig{Net: smallMeshConfig(), B: 10, M: 1, Kernel: tc.kernel})
+		if err == nil || err.Error() != tc.want {
+			t.Errorf("%s: RunBatch = %v, want %q", tc.name, err, tc.want)
+		}
+	}
+}
+
 func TestThroughputDefinitionsAgree(t *testing.T) {
 	// With 1-flit requests and replies, total flits = 2*B*N, so the two
 	// throughput definitions coincide.

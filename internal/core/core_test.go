@@ -62,7 +62,7 @@ func TestParamsString(t *testing.T) {
 
 func TestOpenLoopAndBatchRunners(t *testing.T) {
 	p := Baseline()
-	ol, err := OpenLoop(p, 0.1)
+	ol, err := OpenLoopWith(p, 0.1, OpenLoopOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}

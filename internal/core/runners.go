@@ -47,12 +47,6 @@ func execute[T any](kind string, key any, observed bool,
 	return res, err
 }
 
-// OpenLoop runs one open-loop measurement at the given offered load
-// (flits/cycle/node) under the Table I parameters.
-func OpenLoop(p NetworkParams, rate float64) (*openloop.Result, error) {
-	return OpenLoopWith(p, rate, OpenLoopOpts{})
-}
-
 // OpenLoopOpts overrides the phase lengths of an open-loop run; zero
 // fields keep the openloop defaults (10k warmup, 10k measure, 100k drain
 // limit). The golden regression figures use shortened phases so CI can
@@ -69,7 +63,8 @@ type OpenLoopOpts struct {
 	Hooks Hooks
 }
 
-// OpenLoopWith is OpenLoop with explicit options.
+// OpenLoopWith runs one open-loop measurement at the given offered load
+// (flits/cycle/node).
 func OpenLoopWith(p NetworkParams, rate float64, o OpenLoopOpts) (*openloop.Result, error) {
 	cfg, err := openLoopConfig(p, o)
 	if err != nil {
@@ -160,15 +155,11 @@ func UtilizationHeatmap(t *obs.Telemetry, topo *topology.Topology) *stats.Heatma
 	return m
 }
 
-// OpenLoopSweep produces a latency-vs-load curve over the given rates.
-func OpenLoopSweep(p NetworkParams, rates []float64) ([]*openloop.Result, error) {
-	return OpenLoopSweepWith(p, rates, OpenLoopOpts{})
-}
-
-// OpenLoopSweepWith is OpenLoopSweep with explicit phase lengths. Each
-// point goes through the experiment cache individually inside the sweep's
-// parallel waves, so a warm sweep costs only disk reads while a cold one
-// still fans out across cores. With screening enabled (EnableScreening),
+// OpenLoopSweepWith produces a latency-vs-load curve over the given rates:
+// the stable prefix plus the first unstable point. Each point goes through
+// the experiment cache individually inside the sweep's parallel waves, so a
+// warm sweep costs only disk reads while a cold one still fans out across
+// cores. With screening enabled (EnableScreening),
 // predicted deep-saturation rates are kept out of the waves entirely; the
 // reported results are bit-identical either way (see screen.go).
 func OpenLoopSweepWith(p NetworkParams, rates []float64, o OpenLoopOpts) ([]*openloop.Result, error) {
@@ -179,12 +170,12 @@ func OpenLoopSweepWith(p NetworkParams, rates []float64, o OpenLoopOpts) ([]*ope
 	runner := func(c openloop.Config) (*openloop.Result, error) {
 		return openLoopRun(p, c)
 	}
-	if scr := screenPlan(p); scr != nil {
-		res, err := openloop.SweepScreenedWith(cfg, rates, runner, scr)
+	scr := screenPlan(p)
+	res, err := openloop.SweepScreenedWith(cfg, rates, runner, scr)
+	if scr != nil {
 		recordScreen(p, scr.Stats)
-		return res, err
 	}
-	return openloop.SweepWith(cfg, rates, runner)
+	return res, err
 }
 
 // BatchParams are the closed-loop batch-model knobs layered on top of the

@@ -2,13 +2,14 @@ package core
 
 // Analytic sweep screening: when enabled, OpenLoopSweepWith compiles the
 // queueing estimator of internal/analytic for the sweep's parameters and
-// uses its predicted saturation knee as the cut for
-// openloop.SweepScreenedWith — deep-saturation rates are kept out of the
-// speculative parallel waves and only simulated if the sweep genuinely
-// reaches them. Screening decides whether a simulation runs, never what it
-// computes: results are bit-identical to the unscreened sweep, and cache
-// keys are built from the unscreened run configuration alone, so screened
-// and unscreened sessions share the same experiment-cache entries.
+// hands its predicted saturation knee to the sweep loop
+// (openloop.SweepScreenedWith) as the cut — deep-saturation rates are kept
+// out of the speculative parallel waves and only simulated if the sweep
+// genuinely reaches them. With screening off the same loop runs uncut.
+// Screening decides whether a simulation runs, never what it computes:
+// results are bit-identical to the unscreened sweep, and cache keys are
+// built from the unscreened run configuration alone, so screened and
+// unscreened sessions share the same experiment-cache entries.
 //
 // Off by default; cmd/figures, cmd/ablations and cmd/noceval enable it via
 // the -screen flag.
@@ -66,16 +67,27 @@ func ScreeningSummary() ScreenSummary {
 	}
 }
 
+// analyticModel resolves the topology and routing p names into the
+// parameters of internal/analytic's formulas. It fails on an unknown
+// topology or routing name.
+func analyticModel(p NetworkParams) (analytic.Model, error) {
+	topo, err := topology.ByName(p.Topology)
+	if err != nil {
+		return analytic.Model{}, err
+	}
+	alg, err := routing.ByName(p.Routing)
+	if err != nil {
+		return analytic.Model{}, err
+	}
+	return analytic.Model{Topo: topo, Routing: alg, RouterDelay: p.RouterDelay, Seed: p.Seed}, nil
+}
+
 // AnalyticEstimator compiles the contention-aware queueing estimator for
 // the given parameters (see internal/analytic). It fails when the model
 // cannot describe them — an unknown topology or routing name, or a pattern
 // that does not expose destination weights.
 func AnalyticEstimator(p NetworkParams) (*analytic.Estimator, error) {
-	topo, err := topology.ByName(p.Topology)
-	if err != nil {
-		return nil, err
-	}
-	alg, err := routing.ByName(p.Routing)
+	m, err := analyticModel(p)
 	if err != nil {
 		return nil, err
 	}
@@ -87,7 +99,6 @@ func AnalyticEstimator(p NetworkParams) (*analytic.Estimator, error) {
 	if err != nil {
 		return nil, err
 	}
-	m := analytic.Model{Topo: topo, Routing: alg, RouterDelay: p.RouterDelay, Seed: p.Seed}
 	return m.NewEstimator(pat, sizes)
 }
 
@@ -99,11 +110,7 @@ func AnalyticPriorityEstimator(p NetworkParams) (*analytic.PriorityEstimator, er
 	if len(p.Classes) == 0 {
 		return nil, fmt.Errorf("core: priority estimator needs QoS classes, got none")
 	}
-	topo, err := topology.ByName(p.Topology)
-	if err != nil {
-		return nil, err
-	}
-	alg, err := routing.ByName(p.Routing)
+	m, err := analyticModel(p)
 	if err != nil {
 		return nil, err
 	}
@@ -123,7 +130,6 @@ func AnalyticPriorityEstimator(p NetworkParams) (*analytic.PriorityEstimator, er
 			}
 		}
 	}
-	m := analytic.Model{Topo: topo, Routing: alg, RouterDelay: p.RouterDelay, Seed: p.Seed}
 	return m.NewPriorityEstimator(classes)
 }
 
@@ -134,9 +140,9 @@ func AnalyticPriorityEstimator(p NetworkParams) (*analytic.PriorityEstimator, er
 // way — a too-low cut only costs serial refinement).
 const screenCutMargin = 1.1
 
-// screenPlan builds the screening plan for one sweep, or nil when
-// screening is off or the analytic model cannot describe p (the sweep then
-// silently degrades to its unscreened form rather than failing).
+// screenPlan builds the screening plan for one sweep, or nil — the uncut
+// sweep — when screening is off or the analytic model cannot describe p
+// (the sweep then runs unscreened rather than failing).
 func screenPlan(p NetworkParams) *openloop.Screen {
 	if !screenOn.Load() {
 		return nil

@@ -108,18 +108,6 @@ func ParseSpec(data []byte) (*ExperimentSpec, error) {
 	return spec, nil
 }
 
-// clock parses the spec's clock string.
-func (s *ExperimentSpec) clock() (workload.Clock, error) {
-	switch strings.ToLower(s.Clock) {
-	case "", "3ghz":
-		return workload.Clock3GHz, nil
-	case "75mhz":
-		return workload.Clock75MHz, nil
-	default:
-		return 0, fmt.Errorf("core: unknown clock %q", s.Clock)
-	}
-}
-
 // Hash returns the spec's content address: the SHA-256 over the
 // canonical JSON encoding, salted with the cache schema version — the key
 // the experiment service coalesces identical in-flight submissions by and
@@ -153,8 +141,8 @@ func (s *ExperimentSpec) Validate() error {
 		}
 	case "sweep", "batch", "barrier":
 	case "exec", "characterize":
-		if _, err := s.clock(); err != nil {
-			return err
+		if _, err := workload.ParseClock(s.Clock); err != nil {
+			return fmt.Errorf("core: %v", err)
 		}
 		if _, err := workload.ByName(s.Benchmark); err != nil {
 			return err
@@ -178,7 +166,11 @@ func (s *ExperimentSpec) Validate() error {
 		}
 		return openloop.CheckRate(s.Rates...)
 	case "batch":
-		return closedloop.CheckBatch(defaulted(s.B, defaultB), defaulted(s.M, defaultM))
+		b := defaulted(s.B, defaultB)
+		if err := closedloop.CheckBatch(b, defaulted(s.M, defaultM)); err != nil {
+			return err
+		}
+		return closedloop.CheckKernel(s.Kernel, b)
 	case "barrier":
 		return closedloop.CheckBarrier(s.B, s.Phases)
 	case "exec":
@@ -199,7 +191,7 @@ func (s *ExperimentSpec) RunContext(ctx context.Context) (string, error) {
 		return "", err
 	}
 	// Validate has built both already; neither can fail here.
-	clock, _ := s.clock()
+	clock, _ := workload.ParseClock(s.Clock)
 	reply, _ := s.Reply.Build()
 	var b strings.Builder
 	opts := OpenLoopOpts{Warmup: s.Warmup, Measure: s.Measure, DrainLimit: s.DrainLimit, Ctx: ctx}

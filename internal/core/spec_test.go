@@ -176,6 +176,8 @@ func TestSpecErrorMessages(t *testing.T) {
 			"openloop: warmup 10000 + measure 4000000000000 + drain limit 100000 exceeds 4294967295 cycles, the longest run whose latencies fit their 32-bit samples"},
 		{"negative measure window", `{"kind":"openloop","rate":0.1,"measure":-5}`,
 			"openloop: measure must be >= 0 cycles (0 = default), got -5"},
+		{"kernel static fraction overflows", `{"kind":"batch","b":50,"m":2,"kernel":{"StaticFraction":1e300}}`,
+			"closedloop: kernel static fraction 1e+300 of batch size 50 is 5e+301 transactions a node, more than 2147483647"},
 		{"valid spec has no error", `{"kind":"openloop","rate":0.1}`,
 			""},
 		{"explicit phases have no error", `{"kind":"openloop","rate":0.1,"warmup":1000,"measure":3000}`,
@@ -235,6 +237,16 @@ func TestValidateAgreesWithRun(t *testing.T) {
 			"closedloop: reply L2 latency -20 outside [0, 50000000] (the run's cycle limit)"},
 		{"reply latency overflows", `{"kind":"batch","b":10,"m":1,"reply":{"type":"fixed","latency":9223372036854775807}}`,
 			"closedloop: reply latency 9223372036854775807 outside [0, 50000000] (the run's cycle limit)"},
+		// Validated, ran and was cached before, as a run that "completed" in
+		// 49 cycles with 256 packets (6 400 are due): the per-node kernel
+		// target overflowed int and every node finished on its first reply.
+		{"kernel static fraction overflows", `{"kind":"batch","b":50,"m":2,"kernel":{"StaticFraction":1e300}}`,
+			"closedloop: kernel static fraction 1e+300 of batch size 50 is 5e+301 transactions a node, more than 2147483647"},
+		{"kernel negative static fraction", `{"kind":"batch","b":50,"m":2,"kernel":{"StaticFraction":-0.5}}`,
+			"closedloop: kernel static fraction must be >= 0, got -0.5"},
+		{"kernel negative timer batch", `{"kind":"batch","b":50,"m":2,"kernel":{"TimerPeriod":500,"TimerBatch":-3}}`,
+			"closedloop: kernel timer batch -3 outside [0, 2147483647]"},
+		{"batch with a kernel model", `{"kind":"batch","b":50,"m":2,"kernel":{"StaticFraction":0.1,"TimerPeriod":500,"TimerBatch":2}}`, ""},
 
 		// Validated and ran before, and never finished cycle 0: a VC's QoS
 		// class is an int8 and vaOrder's class loop wrapped at 127.

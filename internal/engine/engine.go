@@ -162,14 +162,8 @@ const metricsFlushEvery = 1 << 16
 // boundary.
 const cancelCheckEvery = 1 << 10
 
-// Run drives the network until the driver completes or the deadline
-// passes, returning the final cycle and whether the driver completed.
-func Run(cfg Config, d Driver) (end int64, completed bool) {
-	o := RunOutcome(cfg, d)
-	return o.End, o.Completed
-}
-
-// RunOutcome is Run with the full engine outcome, including the
+// RunOutcome drives the network until the driver completes or the deadline
+// passes, returning the final cycle, whether the driver completed, and the
 // stepped/fast-forwarded cycle split.
 func RunOutcome(cfg Config, d Driver) Outcome {
 	net := cfg.Net

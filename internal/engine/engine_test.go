@@ -66,7 +66,8 @@ func (d *fakeDriver) NextEvent(now int64) int64 {
 func TestRunStopsWhenDone(t *testing.T) {
 	net := &fakeNet{sampleAt: -1}
 	d := &fakeDriver{doneAt: 5}
-	end, completed := Run(Config{Net: net}, d)
+	o := RunOutcome(Config{Net: net}, d)
+	end, completed := o.End, o.Completed
 	if !completed || end != 5 {
 		t.Fatalf("Run = (%d, %v), want (5, true)", end, completed)
 	}
@@ -78,7 +79,8 @@ func TestRunStopsWhenDone(t *testing.T) {
 func TestRunDeadlineAborts(t *testing.T) {
 	net := &fakeNet{sampleAt: -1}
 	d := &fakeDriver{doneAt: -1}
-	end, completed := Run(Config{Net: net, Deadline: 7}, d)
+	o := RunOutcome(Config{Net: net, Deadline: 7}, d)
+	end, completed := o.End, o.Completed
 	if completed || end != 7 {
 		t.Fatalf("Run = (%d, %v), want (7, false)", end, completed)
 	}
@@ -92,7 +94,8 @@ func TestRunDoneCheckedBeforeDeadline(t *testing.T) {
 	// matching the pre-engine loops that tested completion first.
 	net := &fakeNet{sampleAt: -1}
 	d := &fakeDriver{doneAt: 7}
-	end, completed := Run(Config{Net: net, Deadline: 7}, d)
+	o := RunOutcome(Config{Net: net, Deadline: 7}, d)
+	end, completed := o.End, o.Completed
 	if !completed || end != 7 {
 		t.Fatalf("Run = (%d, %v), want (7, true)", end, completed)
 	}
@@ -107,7 +110,8 @@ func TestRunFastForwardsToNextEvent(t *testing.T) {
 		idle:   func(now int64) bool { return now >= 3 && now < 100 },
 		next:   func(int64) int64 { return 100 },
 	}
-	end, completed := Run(Config{Net: net}, d)
+	o := RunOutcome(Config{Net: net}, d)
+	end, completed := o.End, o.Completed
 	if !completed || end != 103 {
 		t.Fatalf("Run = (%d, %v), want (103, true)", end, completed)
 	}
@@ -129,7 +133,7 @@ func TestRunNeverSkipsObserverSample(t *testing.T) {
 		idle:   func(now int64) bool { return now >= 1 && now < 35 },
 		next:   func(int64) int64 { return 35 },
 	}
-	_, completed := Run(Config{Net: net}, d)
+	completed := RunOutcome(Config{Net: net}, d).Completed
 	if !completed {
 		t.Fatal("run did not complete")
 	}
@@ -143,7 +147,8 @@ func TestRunIdleWithNoEventRunsToDeadline(t *testing.T) {
 	// is the deadline, so the engine jumps straight there.
 	net := &fakeNet{quiescent: true, sampleAt: -1}
 	d := &fakeDriver{doneAt: -1, idle: func(int64) bool { return true }}
-	end, completed := Run(Config{Net: net, Deadline: 1000}, d)
+	o := RunOutcome(Config{Net: net, Deadline: 1000}, d)
+	end, completed := o.End, o.Completed
 	if completed || end != 1000 {
 		t.Fatalf("Run = (%d, %v), want (1000, false)", end, completed)
 	}
@@ -157,7 +162,8 @@ func TestRunIdleNoEventNoDeadlineSteps(t *testing.T) {
 	// keep stepping (the driver's Done is then the only way out).
 	net := &fakeNet{quiescent: true, sampleAt: -1}
 	d := &fakeDriver{doneAt: 3, idle: func(int64) bool { return true }}
-	end, completed := Run(Config{Net: net}, d)
+	o := RunOutcome(Config{Net: net}, d)
+	end, completed := o.End, o.Completed
 	if !completed || end != 3 {
 		t.Fatalf("Run = (%d, %v), want (3, true)", end, completed)
 	}
@@ -177,7 +183,8 @@ func (p *plainNet) Quiescent() bool { return true }
 func TestRunNonFastForwardableNetwork(t *testing.T) {
 	net := &plainNet{}
 	d := &fakeDriver{doneAt: 20, idle: func(int64) bool { return true }}
-	end, completed := Run(Config{Net: net}, d)
+	o := RunOutcome(Config{Net: net}, d)
+	end, completed := o.End, o.Completed
 	if !completed || end != 20 {
 		t.Fatalf("Run = (%d, %v), want (20, true)", end, completed)
 	}

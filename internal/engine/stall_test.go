@@ -33,11 +33,12 @@ func TestRunDetectsProvableStall(t *testing.T) {
 	net := &fakeNet{internal: engine.NoEvent}
 	d := &stuckDriver{}
 	var stalledAt int64 = -1
-	end, completed := engine.Run(engine.Config{
+	o := engine.RunOutcome(engine.Config{
 		Net:      net,
 		Deadline: 1_000_000,
 		OnStall:  func(now int64) { stalledAt = now },
 	}, d)
+	end, completed := o.End, o.Completed
 	if completed {
 		t.Fatal("stuck run reported completed")
 	}
@@ -58,13 +59,14 @@ func TestRunHonorsInternalSchedule(t *testing.T) {
 	// The driver stays idle; once the clock passes the internal event the
 	// fabric clears it, and the run stalls then — proving the engine waited.
 	d := &stuckDriver{}
-	end, completed := engine.Run(engine.Config{
+	o := engine.RunOutcome(engine.Config{
 		Net:      net,
 		Deadline: 1_000_000,
 		OnStall: func(now int64) {
 			stalled = true
 		},
 	}, &clearingDriver{stuckDriver: d, net: net})
+	end, completed := o.End, o.Completed
 	if completed {
 		t.Fatal("run reported completed")
 	}

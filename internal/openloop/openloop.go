@@ -16,13 +16,11 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"runtime"
 
 	"noceval/internal/engine"
 	"noceval/internal/fault"
 	"noceval/internal/network"
 	"noceval/internal/obs"
-	"noceval/internal/par"
 	"noceval/internal/router"
 	"noceval/internal/sim"
 	"noceval/internal/stats"
@@ -580,50 +578,14 @@ func Run(cfg Config) (*Result, error) {
 }
 
 // SweepWith runs the load sweep producing a latency-vs-offered-load curve
-// (Fig 1, Fig 3, Fig 6a, Fig 9). It stops early once a load is unstable,
-// since every higher load saturates too. Rates are in flits/cycle/node.
-//
-// Stable-region rates are simulated in waves of GOMAXPROCS parallel runs;
-// the serial early-stop contract is preserved exactly: the returned slice
-// is the ordered prefix of rates up to and including the first unstable
-// point, and every result is identical to what a serial loop would have
-// produced (each run is deterministic given its seed). run simulates one
-// rate: Run itself, or a wrapper layering caching or instrumentation over
-// it (internal/core routes its experiment cache through here).
+// (Fig 1, Fig 3, Fig 6a, Fig 9): the ordered prefix of rates up to and
+// including the first unstable point, since every higher load saturates
+// too. Rates are in flits/cycle/node. run simulates one rate: Run itself,
+// or a wrapper layering caching or instrumentation over it (internal/core
+// routes its experiment cache through here). It is the sweep loop of
+// SweepScreenedWith with no cut: every rate of a wave is launched.
 func SweepWith(cfg Config, rates []float64, run func(Config) (*Result, error)) ([]*Result, error) {
-	var out []*Result
-	wave := runtime.GOMAXPROCS(0)
-	if wave < 1 {
-		wave = 1
-	}
-	for lo := 0; lo < len(rates); lo += wave {
-		hi := min(lo+wave, len(rates))
-		results := make([]*Result, hi-lo)
-		waveErr := par.Parallel(hi-lo, 0, func(i int) error {
-			c := cfg
-			c.Rate = rates[lo+i]
-			res, err := run(c)
-			results[i] = res
-			return err
-		})
-		// Append in rate order up to the first failed or unstable point.
-		// A failure (or instability) at rate i makes any result at a
-		// higher rate unreported, exactly as the serial loop never would
-		// have run it.
-		for _, res := range results {
-			if res == nil {
-				return out, waveErr
-			}
-			out = append(out, res)
-			if !res.Stable {
-				return out, nil
-			}
-		}
-		if waveErr != nil {
-			return out, waveErr
-		}
-	}
-	return out, nil
+	return SweepScreenedWith(cfg, rates, run, nil)
 }
 
 // ZeroLoadWith measures the zero-load latency T0: the average latency at a
@@ -640,62 +602,4 @@ func ZeroLoadWith(cfg Config, run func(Config) (*Result, error)) (float64, error
 		return 0, err
 	}
 	return res.AvgLatency, nil
-}
-
-// SaturationWith estimates the saturation throughput by bisection over the
-// offered load in [lo, hi]: the largest stable load whose average latency
-// stays below latencyCap times the zero-load latency. The paper defines
-// saturation as the load where latency approaches infinity; a finite
-// multiple (conventionally 3x) makes the measurement robust. run is the
-// per-rate runner (see SweepWith).
-func SaturationWith(cfg Config, lo, hi, latencyCap float64, run func(Config) (*Result, error)) (float64, error) {
-	stableAt, err := stableProbe(cfg, latencyCap, run)
-	if err != nil {
-		return 0, err
-	}
-	return bisectSaturation(stableAt, lo, hi)
-}
-
-// stableProbe measures the zero-load latency and returns the bisection
-// predicate: is the given offered load stable with average latency below
-// latencyCap times T0?
-func stableProbe(cfg Config, latencyCap float64, run func(Config) (*Result, error)) (func(float64) (bool, error), error) {
-	if latencyCap <= 1 {
-		latencyCap = 3
-	}
-	t0, err := ZeroLoadWith(cfg, run)
-	if err != nil {
-		return nil, err
-	}
-	limit := latencyCap * t0
-	return func(rate float64) (bool, error) {
-		c := cfg
-		c.Rate = rate
-		res, err := run(c)
-		if err != nil {
-			return false, err
-		}
-		return res.Stable && res.AvgLatency <= limit, nil
-	}, nil
-}
-
-// bisectSaturation runs the standard bisection over [lo, hi]: it returns
-// the largest probed stable load. Degenerate brackets behave as the loop
-// bound implies: lo == hi (or a bracket already narrower than the 0.005
-// resolution) probes nothing and returns lo; an all-stable bracket
-// converges to hi, an all-unstable one stays at lo.
-func bisectSaturation(stableAt func(float64) (bool, error), lo, hi float64) (float64, error) {
-	for i := 0; i < 12 && hi-lo > 0.005; i++ {
-		mid := (lo + hi) / 2
-		ok, err := stableAt(mid)
-		if err != nil {
-			return 0, err
-		}
-		if ok {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return lo, nil
 }

@@ -1,23 +1,27 @@
 package openloop
 
-// Analytic sweep screening. A sweep's parallel waves speculate beyond the
-// saturation point: when the first unstable rate lands mid-wave, every
-// higher rate in that wave has already been launched, and each of those
-// runs burns a full DrainLimit of deeply saturated cycles before being
-// discarded — by far the most expensive points of the sweep. Screening
-// uses an analytic prediction of the saturation point (internal/analytic's
-// queueing estimator, wired up by internal/core) to keep those rates out
-// of the waves in the first place.
+// The sweep loop and the saturation search, each with the one place an
+// analytic prediction enters it.
+//
+// A sweep's parallel waves speculate beyond the saturation point: when the
+// first unstable rate lands mid-wave, every higher rate in that wave has
+// already been launched, and each of those runs burns a full DrainLimit of
+// deeply saturated cycles before being discarded — by far the most
+// expensive points of the sweep. A screened sweep is the same loop with a
+// cut: an analytic prediction of the saturation point (internal/analytic's
+// queueing model, wired up by internal/core) above which a rate is not
+// launched speculatively. An unscreened sweep is the cut at +Inf.
 //
 // Soundness: every result a sweep *reports* — the stable prefix and the
-// first unstable point — is always a genuine simulation; screening only
+// first unstable point — is always a genuine simulation; the cut only
 // decides whether a rate is worth launching speculatively. A deferred rate
 // that the sweep actually reaches (every lower rate was stable) is
-// simulated on demand, exactly as the serial loop would have ("refined"),
-// so a mispredicted cut costs time, never correctness. The returned slice
-// is therefore bit-identical to SweepWith's for every input.
+// simulated on demand, exactly as a serial loop would have ("refined"),
+// so a mispredicted cut costs time, never correctness: the returned slice
+// is the same for every cut.
 
 import (
+	"math"
 	"runtime"
 
 	"noceval/internal/par"
@@ -40,68 +44,49 @@ type ScreenStats struct {
 	Considered int
 	// Simulated counts rates actually run (launched or refined).
 	Simulated int
-	// Screened counts rates a plain SweepWith would have launched
-	// speculatively but screening avoided simulating entirely.
+	// Screened counts rates the sweep would have launched speculatively
+	// without the cut but never simulated.
 	Screened int
 	// Refined counts deferred rates the sweep reached and had to simulate
 	// after all — the analytic cut was below the true saturation point.
 	Refined int
 }
 
-// add accumulates o into s.
-func (s *ScreenStats) add(o ScreenStats) {
-	s.Considered += o.Considered
-	s.Simulated += o.Simulated
-	s.Screened += o.Screened
-	s.Refined += o.Refined
-}
-
-// SweepScreenedWith is SweepWith with analytic screening: rates above
-// scr.Cut are excluded from the parallel waves and simulated only when the
-// sweep genuinely reaches them. The returned results are bit-identical to
-// SweepWith's (see the package comment on soundness); only the set of
-// discarded speculative runs changes. A nil scr (or non-positive Cut)
-// degrades to plain SweepWith.
+// SweepScreenedWith is the sweep loop. Rates are simulated in waves of
+// GOMAXPROCS parallel runs, and the serial early-stop contract is preserved
+// exactly: the returned slice is the ordered prefix of rates up to and
+// including the first unstable point, and every result is identical to
+// what a serial loop would have produced (each run is deterministic given
+// its seed). Rates above scr.Cut are excluded from the waves and simulated
+// only when the sweep genuinely reaches them; a nil scr (or non-positive
+// Cut) excludes none, which is SweepWith.
 func SweepScreenedWith(cfg Config, rates []float64, run func(Config) (*Result, error), scr *Screen) ([]*Result, error) {
-	if scr == nil || scr.Cut <= 0 {
-		return SweepWith(cfg, rates, run)
+	cut := math.Inf(1)
+	if scr != nil && scr.Cut > 0 {
+		cut = scr.Cut
 	}
-	deferred := make([]bool, len(rates))
-	for i, r := range rates {
-		deferred[i] = r > scr.Cut
-	}
-	wave := runtime.GOMAXPROCS(0)
-	if wave < 1 {
-		wave = 1
-	}
+	deferred := func(i int) bool { return rates[i] > cut }
+	wave := max(runtime.GOMAXPROCS(0), 1)
 
-	var st ScreenStats
-	st.Considered = len(rates)
-	lastHi := 0 // upper bound (exclusive) of the last wave entered
-	defer func() {
-		// Screened = deferred rates inside the waves the sweep entered
-		// (those a plain SweepWith would have launched) minus the ones
-		// refinement simulated anyway. Rates beyond lastHi are not counted:
-		// neither variant would have touched them.
-		for i := 0; i < lastHi; i++ {
-			if deferred[i] {
-				st.Screened++
-			}
-		}
-		st.Screened -= st.Refined
-		if scr.Stats != nil {
-			scr.Stats.add(st)
-		}
-	}()
+	st := &ScreenStats{} // counted into the plan's Stats, or dropped
+	if scr != nil && scr.Stats != nil {
+		st = scr.Stats
+	}
+	st.Considered += len(rates)
 
 	var out []*Result
 	for lo := 0; lo < len(rates); lo += wave {
 		hi := min(lo+wave, len(rates))
-		lastHi = hi
 		results := make([]*Result, hi-lo)
 		launched := make([]int, 0, hi-lo)
+		// Screened counts the deferred rates of every wave entered (those
+		// an uncut sweep would have launched) until refinement simulates
+		// one after all. Rates beyond the last wave entered are not
+		// counted: no cut would have touched them.
 		for i := lo; i < hi; i++ {
-			if !deferred[i] {
+			if deferred(i) {
+				st.Screened++
+			} else {
 				launched = append(launched, i)
 			}
 		}
@@ -114,26 +99,29 @@ func SweepScreenedWith(cfg Config, rates []float64, run func(Config) (*Result, e
 			return err
 		})
 		st.Simulated += len(launched)
-		// Walk the wave in rate order, exactly like SweepWith: append up to
-		// the first failed or unstable point. A deferred rate reached here
-		// means every lower rate was stable — the serial loop would have
-		// simulated it, so refine it on demand.
+		// Walk the wave in rate order: append up to the first failed or
+		// unstable point. A failure (or instability) at rate i makes any
+		// result at a higher rate unreported, exactly as the serial loop
+		// never would have run it. A deferred rate reached here means every
+		// lower rate was stable — the serial loop would have simulated it,
+		// so refine it on demand.
 		for i := lo; i < hi; i++ {
 			res := results[i-lo]
-			if res == nil && deferred[i] {
+			if res == nil && deferred(i) {
 				c := cfg
 				c.Rate = rates[i]
 				r, err := run(c)
 				st.Simulated++
 				st.Refined++
+				st.Screened--
 				if err != nil {
 					return out, err
 				}
 				res = r
 			}
 			if res == nil {
-				// A launched run in this wave failed; like SweepWith, report
-				// the prefix before it.
+				// A launched run in this wave failed: report the prefix
+				// before it.
 				return out, waveErr
 			}
 			out = append(out, res)
@@ -148,44 +136,78 @@ func SweepScreenedWith(cfg Config, rates []float64, run func(Config) (*Result, e
 	return out, nil
 }
 
-// SaturationScreenedWith is SaturationWith with an analytic prediction of
-// the saturation point: the bisection bracket is narrowed to a band around
-// predicted before probing, skipping the far-below-saturation probes a
-// full-width bisection spends most of its runs on. Both band edges are
-// verified by simulation; an edge that contradicts the prediction falls
-// back to the corresponding side of the caller's original bracket, so a
-// mispredicted band costs extra probes, never a wrong answer beyond the
-// bisection's own resolution. The probes themselves are never reported to
-// callers, which is why skipping them — unlike sweep points — is sound at
-// any band width. A non-positive predicted value degrades to SaturationWith.
+// SaturationScreenedWith estimates the saturation throughput by bisection
+// over the offered load in [lo, hi]: the largest stable load whose average
+// latency stays below latencyCap times the zero-load latency (latencyCap
+// <= 1 defaults to 3). The paper defines saturation as the load where
+// latency approaches infinity; a finite multiple (conventionally 3x) makes
+// the measurement robust. run is the per-rate runner (see SweepWith).
+//
+// predicted is an analytic prediction of the answer; zero or negative
+// means none, and the search bisects the full bracket. With a prediction
+// the bracket is first narrowed to a band around it, skipping the
+// far-below-saturation probes a full-width bisection spends most of its
+// runs on. Both band edges are verified by simulation; an edge that
+// contradicts the prediction falls back to the corresponding side of the
+// caller's bracket, so a mispredicted band costs extra probes, never a
+// wrong answer beyond the bisection's own resolution. The probes are never
+// reported to callers, which is why skipping them — unlike sweep points —
+// is sound at any band width.
 func SaturationScreenedWith(cfg Config, lo, hi, latencyCap, predicted float64, run func(Config) (*Result, error)) (float64, error) {
+	if latencyCap <= 1 {
+		latencyCap = 3
+	}
+	t0, err := ZeroLoadWith(cfg, run)
+	if err != nil {
+		return 0, err
+	}
+	stableAt := func(rate float64) (bool, error) {
+		c := cfg
+		c.Rate = rate
+		res, err := run(c)
+		if err != nil {
+			return false, err
+		}
+		return res.Stable && res.AvgLatency <= latencyCap*t0, nil
+	}
 	// The band half-width (±15%) trades the two edge-verification probes
 	// against the bisection probes they replace; the edge verification
-	// below makes the exact width a performance knob only.
-	aLo := max(lo, 0.85*predicted)
-	aHi := min(hi, 1.15*predicted)
-	if predicted <= 0 || aLo >= aHi {
-		return SaturationWith(cfg, lo, hi, latencyCap, run)
+	// makes the exact width a performance knob only.
+	if aLo, aHi := max(lo, 0.85*predicted), min(hi, 1.15*predicted); predicted > 0 && aLo < aHi {
+		okLo, err := stableAt(aLo)
+		if err != nil {
+			return 0, err
+		}
+		if !okLo {
+			hi = aLo // saturation lies below the band
+		} else {
+			okHi, err := stableAt(aHi)
+			if err != nil {
+				return 0, err
+			}
+			if okHi {
+				lo = aHi // saturation lies above the band
+			} else {
+				lo, hi = aLo, aHi
+			}
+		}
 	}
-	stableAt, err := stableProbe(cfg, latencyCap, run)
-	if err != nil {
-		return 0, err
+	// Standard bisection, returning the largest probed stable load.
+	// Degenerate brackets behave as the loop bound implies: lo == hi (or a
+	// bracket already narrower than the 0.005 resolution) probes nothing
+	// and returns lo; an all-stable bracket converges to hi, an
+	// all-unstable one stays at lo.
+	for i := 0; i < 12 && hi-lo > 0.005; i++ {
+		mid := (lo + hi) / 2
+		ok, err := stableAt(mid)
+		if err != nil {
+			return 0, err
+		}
+		if ok {
+			lo = mid
+		} else {
+			hi = mid
+		}
 	}
-	okLo, err := stableAt(aLo)
-	if err != nil {
-		return 0, err
-	}
-	if !okLo {
-		// Saturation lies below the band: resume on the caller's lower side.
-		return bisectSaturation(stableAt, lo, aLo)
-	}
-	okHi, err := stableAt(aHi)
-	if err != nil {
-		return 0, err
-	}
-	if okHi {
-		// Saturation lies above the band: resume on the caller's upper side.
-		return bisectSaturation(stableAt, aHi, hi)
-	}
-	return bisectSaturation(stableAt, aLo, aHi)
+	return lo, nil
 }

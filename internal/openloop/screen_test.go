@@ -2,6 +2,8 @@ package openloop
 
 import (
 	"errors"
+	"reflect"
+	"runtime"
 	"sort"
 	"sync"
 	"testing"
@@ -222,7 +224,7 @@ func (s *stepRunner) run(c Config) (*Result, error) {
 
 func TestSaturationWithAllStable(t *testing.T) {
 	r := &stepRunner{sat: 2}
-	got, err := SaturationWith(Config{}, 0.1, 0.6, 3, r.run)
+	got, err := SaturationScreenedWith(Config{}, 0.1, 0.6, 3, 0, r.run)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +236,7 @@ func TestSaturationWithAllStable(t *testing.T) {
 
 func TestSaturationWithAllUnstable(t *testing.T) {
 	r := &stepRunner{sat: 0.01}
-	got, err := SaturationWith(Config{}, 0.1, 0.6, 3, r.run)
+	got, err := SaturationScreenedWith(Config{}, 0.1, 0.6, 3, 0, r.run)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +248,7 @@ func TestSaturationWithAllUnstable(t *testing.T) {
 
 func TestSaturationWithSingleRate(t *testing.T) {
 	r := &stepRunner{sat: 2}
-	got, err := SaturationWith(Config{}, 0.3, 0.3, 3, r.run)
+	got, err := SaturationScreenedWith(Config{}, 0.3, 0.3, 3, 0, r.run)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +263,7 @@ func TestSaturationWithSingleRate(t *testing.T) {
 
 func TestSaturationWithConverges(t *testing.T) {
 	r := &stepRunner{sat: 0.37}
-	got, err := SaturationWith(Config{}, 0.05, 0.7, 3, r.run)
+	got, err := SaturationScreenedWith(Config{}, 0.05, 0.7, 3, 0, r.run)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +274,7 @@ func TestSaturationWithConverges(t *testing.T) {
 
 func TestSaturationScreenedFindsSameAnswer(t *testing.T) {
 	r := &stepRunner{sat: 0.37}
-	plainGot, err := SaturationWith(Config{}, 0.05, 0.7, 3, r.run)
+	plainGot, err := SaturationScreenedWith(Config{}, 0.05, 0.7, 3, 0, r.run)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,9 +284,9 @@ func TestSaturationScreenedFindsSameAnswer(t *testing.T) {
 		name      string
 		predicted float64
 	}{
-		{"accurate", 0.38},
-		{"far-high", 0.65},
-		{"far-low", 0.1},
+		{"accurate", 0.38}, // saturation inside the band
+		{"far-high", 0.65}, // saturation below the band
+		{"far-low", 0.1},   // saturation above the band
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s := &stepRunner{sat: 0.37}
@@ -305,19 +307,85 @@ func TestSaturationScreenedFindsSameAnswer(t *testing.T) {
 	}
 }
 
+// referenceBisect is the full-bracket search written out on its own: what
+// a search with no usable prediction must return, and how many probes
+// (beyond the zero-load one) it may spend.
+func referenceBisect(sat, lo, hi float64) (float64, int) {
+	probes := 0
+	for i := 0; i < 12 && hi-lo > 0.005; i++ {
+		mid := (lo + hi) / 2
+		probes++
+		if mid < sat {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	return lo, probes
+}
+
 func TestSaturationScreenedDegrades(t *testing.T) {
-	a := &stepRunner{sat: 0.37}
-	want, err := SaturationWith(Config{}, 0.05, 0.7, 3, a.run)
+	want, probes := referenceBisect(0.37, 0.05, 0.7)
+	// No prediction, and predictions whose band misses the bracket
+	// entirely, all search the caller's full bracket.
+	for _, predicted := range []float64{0, -1, 0.01, 2} {
+		r := &stepRunner{sat: 0.37}
+		got, err := SaturationScreenedWith(Config{}, 0.05, 0.7, 3, predicted, r.run)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want || r.calls != probes+1 {
+			t.Errorf("predicted=%v: got %v in %d runs, reference bisection %v in %d",
+				predicted, got, r.calls, want, probes+1)
+		}
+	}
+}
+
+// waves splits the runner's launch log into the sweep's waves. Waves run one after
+// another and, with nothing deferred, every wave but the last is full, so
+// consecutive chunks of the wave width are the waves; order inside one is
+// scheduling noise and sorted away.
+func (f *fakeRunner) waves(width int) [][]float64 {
+	var out [][]float64
+	for lo := 0; lo < len(f.rates); lo += width {
+		w := append([]float64(nil), f.rates[lo:min(lo+width, len(f.rates))]...)
+		sort.Float64s(w)
+		out = append(out, w)
+	}
+	return out
+}
+
+// TestSweepWithIsTheZeroCutSweep: SweepWith and a screened sweep with no
+// usable cut are one loop — the same rates launched in the same waves, the
+// same reported prefix, nothing refined.
+func TestSweepWithIsTheZeroCutSweep(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(3))
+	rates := []float64{0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4, 0.45, 0.5}
+	// Unstable from 0.35: the third wave {0.35, 0.4, 0.45} is launched
+	// whole and the fourth never entered.
+	plain := &fakeRunner{unstable: 0.35}
+	want, err := SweepWith(Config{}, rates, plain.run)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := &stepRunner{sat: 0.37}
-	got, err := SaturationScreenedWith(Config{}, 0.05, 0.7, 3, 0, b.run)
-	if err != nil {
-		t.Fatal(err)
+	wantWaves := [][]float64{{0.05, 0.1, 0.15}, {0.2, 0.25, 0.3}, {0.35, 0.4, 0.45}}
+	if !reflect.DeepEqual(plain.waves(3), wantWaves) {
+		t.Fatalf("SweepWith launched %v, want %v", plain.waves(3), wantWaves)
 	}
-	if got != want || b.calls != a.calls {
-		t.Errorf("predicted=0 did not degrade to SaturationWith: got %v (%d calls), want %v (%d calls)",
-			got, b.calls, want, a.calls)
+	for _, scr := range []*Screen{nil, {}, {Cut: -1, Stats: &ScreenStats{}}, {Cut: 1, Stats: &ScreenStats{}}} {
+		cutless := &fakeRunner{unstable: 0.35}
+		got, err := SweepScreenedWith(Config{}, rates, cutless.run, scr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameResults(t, got, want)
+		if !reflect.DeepEqual(cutless.waves(3), wantWaves) {
+			t.Errorf("screen %+v launched %v, SweepWith %v", scr, cutless.waves(3), wantWaves)
+		}
+		if scr != nil && scr.Stats != nil {
+			if want := (ScreenStats{Considered: len(rates), Simulated: 9}); *scr.Stats != want {
+				t.Errorf("screen cut %v stats %+v, want %+v", scr.Cut, *scr.Stats, want)
+			}
+		}
 	}
 }

@@ -203,6 +203,10 @@ func TestSubmitRejectsBadSpecs(t *testing.T) {
 			"closedloop: reply L2 latency -20 outside [0, 50000000] (the run's cycle limit)"},
 		{"reply latency overflows", `{"kind":"batch","b":10,"m":1,"reply":{"type":"fixed","latency":9223372036854775807}}`, 400,
 			"closedloop: reply latency 9223372036854775807 outside [0, 50000000] (the run's cycle limit)"},
+		// Was a 202 whose wrong result (a b=50 run "completed" in 49 cycles)
+		// was reported as completed and cached.
+		{"kernel static fraction overflows", `{"kind":"batch","b":50,"m":2,"kernel":{"StaticFraction":1e300}}`, 400,
+			"closedloop: kernel static fraction 1e+300 of batch size 50 is 5e+301 transactions a node, more than 2147483647"},
 		// Open-loop phase lengths were not validated at all, and the sample
 		// buffer was sized from them: the first was a 202 and a panicking
 		// worker, the second a 202 and then "fatal error: out of memory" —

@@ -16,6 +16,7 @@ package workload
 
 import (
 	"fmt"
+	"strings"
 
 	"noceval/internal/cmp"
 	"noceval/internal/sim"
@@ -39,6 +40,19 @@ func (c Clock) String() string {
 		return "3GHz"
 	}
 	return "75MHz"
+}
+
+// ParseClock maps a clock's name, in any case, to the Clock; the empty name
+// is the 3 GHz default.
+func ParseClock(s string) (Clock, error) {
+	switch strings.ToLower(s) {
+	case "", "3ghz":
+		return Clock3GHz, nil
+	case "75mhz":
+		return Clock75MHz, nil
+	default:
+		return 0, fmt.Errorf("unknown clock %q", s)
+	}
 }
 
 // clockScale is the ratio of cycles per wall-clock interval relative to

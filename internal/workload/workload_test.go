@@ -58,6 +58,24 @@ func TestTimerPeriodScalesWithClock(t *testing.T) {
 	}
 }
 
+func TestParseClock(t *testing.T) {
+	for s, want := range map[string]Clock{
+		"":      Clock3GHz,
+		"3ghz":  Clock3GHz,
+		"3GHz":  Clock3GHz,
+		"75mhz": Clock75MHz,
+		"75MHz": Clock75MHz,
+	} {
+		got, err := ParseClock(s)
+		if err != nil || got != want {
+			t.Errorf("ParseClock(%q) = %v, %v", s, got, err)
+		}
+	}
+	if _, err := ParseClock("1thz"); err == nil || err.Error() != `unknown clock "1thz"` {
+		t.Errorf("bad clock: error %v", err)
+	}
+}
+
 func TestClockStrings(t *testing.T) {
 	if Clock75MHz.String() != "75MHz" || Clock3GHz.String() != "3GHz" {
 		t.Error("clock strings broken")
