@@ -202,12 +202,23 @@ bench-compare:
 # also on failure; the two result files and the verdict table stay in
 # .bench_build/. Minutes long and host-bound, so not part of `check`.
 # `make bench-pair BASE=HEAD` judges uncommitted work against the last commit.
+# BASE_DIR=<an existing checkout> (a git clone or a `git archive` copy)
+# is the base instead of BASE: no worktree is made or removed, and that
+# directory is left in place. Both bench-pair and bench-claim take it.
 BASE ?= HEAD~1
+BASE_DIR ?=
 bench-pair:
 	@out="$(CURDIR)/.bench_build"; base="$$out/base"; mkdir -p "$$out"; \
 	rm -f "$$out/pair-base.json" "$$out/pair-head.json" "$$out/pair-verdict.txt"; \
-	trap 'git worktree remove --force "$$base"' EXIT; trap 'exit 130' INT TERM; \
-	git worktree add --detach "$$base" "$(BASE)" >/dev/null || exit 2; \
+	trap 'exit 130' INT TERM; \
+	if [ -n "$(BASE_DIR)" ]; then \
+		base="$(BASE_DIR)"; [ -f "$$base/bench/run.sh" ] || { echo "bench-pair: BASE_DIR $$base holds no bench/run.sh"; exit 2; }; \
+		rev="$$([ -e "$$base/.git" ] && git -C "$$base" rev-parse --short HEAD || echo not a git checkout)"; \
+		echo "bench-pair: base $$base ($$rev)"; \
+	else \
+		trap 'git worktree remove --force "$$base"' EXIT; \
+		git worktree add --detach "$$base" "$(BASE)" >/dev/null || exit 2; \
+	fi; \
 	(cd "$$base" && bash bench/run.sh -seed 1 -out "$$out/pair-base.json") || [ -s "$$out/pair-base.json" ] || exit 2; \
 	bash bench/run.sh -seed 1 -out "$$out/pair-head.json" || [ -s "$$out/pair-head.json" ] || exit 2; \
 	st=0; bash bench/run.sh -compare "$$out/pair-base.json" "$$out/pair-head.json" > "$$out/pair-verdict.txt" || st=$$?; \
@@ -222,8 +233,8 @@ bench-pair:
 #   make bench-claim WORKLOAD=idle_batch_tail
 PAIRS ?= 10
 bench-claim:
-	@[ -n "$(WORKLOAD)" ] || { echo "usage: make bench-claim WORKLOAD=<a BENCHMARK.json workload> [PAIRS=10] [BASE=HEAD~1]"; exit 2; }
-	./scripts/bench-claim.sh "$(WORKLOAD)" "$(PAIRS)" "$(BASE)"
+	@[ -n "$(WORKLOAD)" ] || { echo "usage: make bench-claim WORKLOAD=<a BENCHMARK.json workload> [PAIRS=10] [BASE=HEAD~1 | BASE_DIR=<checkout>]"; exit 2; }
+	BASE_DIR="$(BASE_DIR)" ./scripts/bench-claim.sh "$(WORKLOAD)" "$(PAIRS)" "$(BASE)"
 
 # Regenerate every paper figure and table into results/.
 figures:

@@ -12,7 +12,7 @@
 //
 //	POST /jobs               submit a spec; identical in-flight specs
 //	                         coalesce onto one job
-//	GET  /jobs               dashboard of all jobs + scheduler state
+//	GET  /jobs               dashboard of retained jobs + scheduler state
 //	GET  /jobs/{id}          job state and result
 //	POST /jobs/{id}/cancel   cancel a queued or running job
 //	GET  /jobs/{id}/events   SSE stream of state transitions
@@ -20,6 +20,13 @@
 //	GET  /metrics.json       metrics snapshot as JSON
 //	GET  /vars, /progress    expvar-style and progress views (obs/export)
 //	GET  /healthz            liveness (503 while draining)
+//
+// Memory does not grow with the jobs served: every queued and running job
+// is kept, and of the finished ones the newest 512 whose result and error
+// text fit in 16 MiB; older ones age out first. The three /jobs/{id}
+// endpoints answer 410 Gone for an aged-out id and 404 for one never
+// issued. Resubmitting an aged-out job's spec starts a new job, which
+// -cache answers from the experiment cache without simulating again.
 //
 // Shutdown is two-stage: the first SIGTERM/SIGINT drains (stop intake,
 // finish accepted jobs), a second signal aborts in-flight jobs through

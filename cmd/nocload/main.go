@@ -8,9 +8,9 @@
 // Specs are POSTed round-robin from the mix, so repeating one spec in the
 // mix (or passing a single spec) exercises the server's single-flight
 // coalescing and experiment cache. -wait blocks until every submitted job
-// reaches a terminal state. -min-rps turns the report into a gate: the
-// exit status is 1 when the achieved request rate falls below it (the CI
-// smoke benchmark).
+// reaches a terminal state (or has aged out of the server's table, 410).
+// -min-rps turns the report into a gate: the exit status is 1 when the
+// achieved request rate falls below it (the CI smoke benchmark).
 package main
 
 import (
@@ -177,7 +177,8 @@ func submit(client *http.Client, addr string, body []byte) (*submitResult, error
 	return &res, nil
 }
 
-// waitJobs polls each job until it reaches a terminal state.
+// waitJobs polls each job until it reaches a terminal state. A 410 is a job
+// that finished and has since aged out of the server's table.
 func waitJobs(client *http.Client, addr string, ids map[string]bool) error {
 	for id := range ids {
 		for {
@@ -187,11 +188,19 @@ func waitJobs(client *http.Client, addr string, ids map[string]bool) error {
 			}
 			var v struct {
 				State string `json:"state"`
+				Error string `json:"error"`
 			}
 			err = json.NewDecoder(resp.Body).Decode(&v)
 			resp.Body.Close()
 			if err != nil {
 				return err
+			}
+			switch resp.StatusCode {
+			case http.StatusOK:
+			case http.StatusGone:
+				goto next
+			default:
+				return fmt.Errorf("GET /jobs/%s: %d: %s", id, resp.StatusCode, v.Error)
 			}
 			switch v.State {
 			case "done", "failed", "canceled":

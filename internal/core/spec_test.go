@@ -125,6 +125,14 @@ func TestSpecKernelConfigRoundTrip(t *testing.T) {
 // experiment service makes at submission time, so these strings are
 // precisely what nocd's HTTP 400 bodies surface to clients. A wording
 // change here is an API change; update deliberately.
+// The texts three network sizes that New cannot allocate fail with, on
+// the 64-node baseline.
+const (
+	hostileVCs      = "network: 8x8 mesh with VCs 1000000000, BufDepth 16, Delay 1 needs 9.78e+04 GiB of router buffers and pipes, over the 1 GiB limit"
+	hostileBufDepth = "network: 8x8 mesh with VCs 2, BufDepth 1000000000, Delay 1 needs 9.54e+03 GiB of router buffers and pipes, over the 1 GiB limit"
+	hostileDelay    = "network: 8x8 mesh with VCs 2, BufDepth 16, Delay 1000000000000 needs 6.44e+06 GiB of router buffers and pipes, over the 1 GiB limit"
+)
+
 func TestSpecErrorMessages(t *testing.T) {
 	// check mirrors service.Submit: parse errors win, then validation.
 	check := func(body string) string {
@@ -178,6 +186,15 @@ func TestSpecErrorMessages(t *testing.T) {
 			"openloop: measure must be >= 0 cycles (0 = default), got -5"},
 		{"kernel static fraction overflows", `{"kind":"batch","b":50,"m":2,"kernel":{"StaticFraction":1e300}}`,
 			"closedloop: kernel static fraction 1e+300 of batch size 50 is 5e+301 transactions a node, more than 2147483647"},
+		// Passed Validate before; network.New then sized its buffers and
+		// pipes from these and ended the process out of memory. Checked by
+		// validation only here, for the same reason as the row above.
+		{"a billion VCs", `{"kind":"openloop","rate":0.1,"network":{"VCs":1000000000}}`,
+			hostileVCs},
+		{"a billion-flit buffer", `{"kind":"openloop","rate":0.1,"network":{"BufDepth":1000000000}}`,
+			hostileBufDepth},
+		{"a trillion-cycle router", `{"kind":"openloop","rate":0.1,"network":{"RouterDelay":1000000000000}}`,
+			hostileDelay},
 		{"valid spec has no error", `{"kind":"openloop","rate":0.1}`,
 			""},
 		{"explicit phases have no error", `{"kind":"openloop","rate":0.1,"warmup":1000,"measure":3000}`,
@@ -264,6 +281,12 @@ func TestValidateAgreesWithRun(t *testing.T) {
 		{"openloop negative drain limit", `{"kind":"openloop","rate":0.1,"drainLimit":-1}`,
 			"openloop: drain limit must be >= 0 cycles (0 = default), got -1"},
 		{"openloop explicit phases", `{"kind":"openloop","rate":0.1,"warmup":1000,"measure":3000}`, ""},
+
+		// Validated before, then ran out of memory inside network.New,
+		// taking the process down; now the run path's Build says so first.
+		{"a billion VCs", `{"kind":"batch","b":10,"m":1,"network":{"VCs":1000000000}}`, hostileVCs},
+		{"a billion-flit buffer", `{"kind":"sweep","rates":[0.1],"network":{"BufDepth":1000000000}}`, hostileBufDepth},
+		{"a trillion-cycle router", `{"kind":"barrier","b":10,"network":{"RouterDelay":1000000000000}}`, hostileDelay},
 
 		{"128 QoS classes", qosSpecBody(128), "router: Classes must be in [0, 127], got 128"},
 		{"127 QoS classes", qosSpecBody(127), ""},

@@ -15,6 +15,7 @@ import (
 	"math/bits"
 	"sort"
 	"strings"
+	"unsafe"
 
 	"noceval/internal/fault"
 	"noceval/internal/obs"
@@ -56,7 +57,45 @@ func (c Config) Validate() error {
 	if err := c.Fault.Validate(c.Topo); err != nil {
 		return err
 	}
-	return c.Router.Validate(c.Topo, c.Routing)
+	if err := c.Router.Validate(c.Topo, c.Routing); err != nil {
+		return err
+	}
+	if b := c.footprint(); b > maxFootprint {
+		return fmt.Errorf("network: %s with VCs %d, BufDepth %d, Delay %d needs %.3g GiB of router buffers and pipes, over the %d GiB limit",
+			c.Topo.Name, c.Router.VCs, c.Router.BufDepth, c.Router.Delay, b/(1<<30), maxFootprint>>30)
+	}
+	return nil
+}
+
+// maxFootprint bounds the bytes New allocates for router buffers and
+// pipes. VCs, BufDepth and Delay come from user specs, and New sizes its
+// slices from them: a hostile value would be a fatal out-of-memory, which
+// no recover catches. The largest configuration the repository runs
+// needs a few MiB.
+const maxFootprint = 1 << 30
+
+// footprint estimates the bytes New allocates for its routers: per input
+// VC 72 B of allocation and credit state (router's inVC and outVC) and
+// BufDepth flit slots; per output port a pipeline ring of Delay + link
+// delay + 1 entries and a credit ring of link delay + 2, an entry being a
+// flit and its due cycle. It is float64 so that hostile sizes cannot
+// overflow; Router.Validate has already checked every factor positive.
+func (c Config) footprint() float64 {
+	const vcState = 64 + 8
+	flit := float64(unsafe.Sizeof(router.Flit{}))
+	entry := flit + 8
+	t, rc := c.Topo, c.Router
+	delay := float64(rc.Delay)
+	total := float64(t.N) * float64(t.Ports()) * float64(rc.VCs) * (vcState + float64(rc.BufDepth)*flit)
+	for i := 0; i < t.N; i++ {
+		total += (delay + 1) * entry // ejection pipe
+		for p := 0; p < t.Radix; p++ {
+			if l := t.LinkAt(i, p); l.Connected() {
+				total += (delay + 2*float64(l.Delay) + 3) * entry
+			}
+		}
+	}
+	return total
 }
 
 // Receiver observes packets arriving at terminals. Arrival means the tail

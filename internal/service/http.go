@@ -89,10 +89,12 @@ type SubmitResponse struct {
 // Handler builds the service's HTTP API:
 //
 //	POST /jobs               submit a spec -> 202 (new) / 200 (coalesced)
-//	GET  /jobs               dashboard: all jobs + scheduler state
+//	GET  /jobs               dashboard: retained jobs + scheduler state
 //	GET  /jobs/{id}          one job's state and result
 //	POST /jobs/{id}/cancel   cancel (idempotent)
 //	GET  /jobs/{id}/events   SSE stream of state transitions
+//	                         (the three answer 410 for an aged-out job,
+//	                         404 for an id never issued)
 //	GET  /metrics, /metrics.json, /vars, /progress
 //	                         the registry, rendered by export.Handler
 //	GET  /healthz            liveness ("draining" while shutting down)
@@ -109,6 +111,18 @@ func (s *Server) Handler() http.Handler {
 	}
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	return mux
+}
+
+// writeMissing answers an id the job table does not hold: 410 for a job
+// that finished and aged out (see retireLocked), 404 for an id never
+// issued.
+func (s *Server) writeMissing(w http.ResponseWriter, id string) {
+	if s.expired(id) {
+		writeError(w, http.StatusGone, "service: job "+id+" expired: finished jobs age out of the server; "+
+			"resubmit its spec (served from the experiment cache when nocd runs with -cache)")
+		return
+	}
+	writeError(w, http.StatusNotFound, "service: unknown job "+id)
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
@@ -146,7 +160,7 @@ func (s *Server) handleList(w http.ResponseWriter, _ *http.Request) {
 func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.Job(r.PathValue("id"))
 	if !ok {
-		writeError(w, http.StatusNotFound, "service: unknown job "+r.PathValue("id"))
+		s.writeMissing(w, r.PathValue("id"))
 		return
 	}
 	writeJSON(w, http.StatusOK, j.View())
@@ -155,7 +169,7 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	view, ok := s.Cancel(r.PathValue("id"))
 	if !ok {
-		writeError(w, http.StatusNotFound, "service: unknown job "+r.PathValue("id"))
+		s.writeMissing(w, r.PathValue("id"))
 		return
 	}
 	writeJSON(w, http.StatusOK, view)
@@ -167,7 +181,7 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.Job(r.PathValue("id"))
 	if !ok {
-		writeError(w, http.StatusNotFound, "service: unknown job "+r.PathValue("id"))
+		s.writeMissing(w, r.PathValue("id"))
 		return
 	}
 	fl, ok := w.(http.Flusher)

@@ -2,6 +2,7 @@ package service
 
 import (
 	"context"
+	"fmt"
 	"sync"
 	"time"
 
@@ -46,8 +47,12 @@ type View struct {
 // and bump the changed channel, so pollers and SSE streams observe every
 // transition without polling loops.
 type Job struct {
+	seq  int64 // submission order; id is jobID(seq)
 	id   string
 	hash string
+	kind string
+	// spec is what the worker runs. The terminal transition drops it: a
+	// finished job keeps only what its View shows.
 	spec *core.ExperimentSpec
 
 	// ctx spans the job's whole life; cancel aborts it with a cause
@@ -70,11 +75,16 @@ type Job struct {
 	stopTimer context.CancelFunc
 }
 
-func newJob(id, hash string, spec *core.ExperimentSpec) *Job {
+// jobID is the id of the seq-th accepted job.
+func jobID(seq int64) string { return fmt.Sprintf("job-%06d", seq) }
+
+func newJob(seq int64, hash string, spec *core.ExperimentSpec) *Job {
 	ctx, cancel := context.WithCancelCause(context.Background())
 	return &Job{
-		id:        id,
+		seq:       seq,
+		id:        jobID(seq),
 		hash:      hash,
+		kind:      spec.Kind,
 		spec:      spec,
 		ctx:       ctx,
 		cancel:    cancel,
@@ -101,7 +111,7 @@ func (j *Job) viewLocked() View {
 	v := View{
 		ID:          j.id,
 		SpecHash:    j.hash,
-		Kind:        j.spec.Kind,
+		Kind:        j.kind,
 		State:       j.state,
 		Coalesced:   j.coalesced,
 		SubmittedAt: j.submitted.UTC().Format(time.RFC3339Nano),
@@ -136,14 +146,15 @@ func (j *Job) coalesce() {
 	j.mu.Unlock()
 }
 
-// start transitions queued -> running and returns the context the run
-// must observe, with the per-job timeout layered on. ok is false when the
-// job was canceled while queued (the worker then skips it entirely).
-func (j *Job) start(timeout time.Duration) (ctx context.Context, ok bool) {
+// start transitions queued -> running and returns the spec to run and the
+// context the run must observe, with the per-job timeout layered on. ok is
+// false when the job was canceled while queued (the worker then skips it
+// entirely).
+func (j *Job) start(timeout time.Duration) (ctx context.Context, spec *core.ExperimentSpec, ok bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.state != StateQueued {
-		return nil, false
+		return nil, nil, false
 	}
 	j.state = StateRunning
 	j.started = time.Now()
@@ -153,7 +164,7 @@ func (j *Job) start(timeout time.Duration) (ctx context.Context, ok bool) {
 			&timeoutError{d: timeout})
 	}
 	j.bump()
-	return ctx, true
+	return ctx, j.spec, true
 }
 
 // finish moves the job to a terminal state. A second call is a no-op, so
@@ -170,6 +181,7 @@ func (j *Job) finish(state, result, errText string) bool {
 		j.stopTimer = nil
 	}
 	j.state = state
+	j.spec = nil
 	j.result = result
 	j.errText = errText
 	j.finished = time.Now()
@@ -194,11 +206,20 @@ func (j *Job) cancelQueued() bool {
 		j.stopTimer = nil
 	}
 	j.state = StateCanceled
+	j.spec = nil
 	j.errText = "service: job canceled while queued"
 	j.finished = time.Now()
 	j.started = j.finished
 	j.bump()
 	return true
+}
+
+// textBytes is the size of the job's result and error text, what the
+// finished-job byte limit counts.
+func (j *Job) textBytes() int {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return len(j.result) + len(j.errText)
 }
 
 // timeoutError is the cancellation cause of an expired per-job timeout.

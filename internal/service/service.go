@@ -14,6 +14,12 @@
 //   - concurrency is bounded by a par.Pool job scheduler with a bounded
 //     queue: saturation degrades into fast HTTP 503s, never unbounded
 //     memory;
+//   - so is what finished jobs leave behind: the server keeps the newest
+//     512 of them whose result and error text fit in 16 MiB, and ages
+//     the oldest out first (the newest is always kept). An aged-out id
+//     answers 410 Gone; its spec, resubmitted, is served from the
+//     experiment cache when one is enabled. Queued and running jobs are
+//     never aged out: Queue and Workers bound them already;
 //   - every job runs under a context threaded into the engine's cycle
 //     loop, so per-job timeouts and client cancellations stop multi-minute
 //     sweeps within ~1k simulated cycles;
@@ -28,6 +34,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sort"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -52,6 +61,15 @@ type Config struct {
 	MaxBodyBytes int64
 }
 
+// Retention of finished jobs (see Server.retireLocked). Deliberately not
+// configurable: they bound memory, not behaviour. A sweep's result text
+// grows by one line per rate, bounded only by the request body limit, so
+// a count alone would not bound bytes.
+const (
+	maxFinished      = 512
+	maxFinishedBytes = 16 << 20
+)
+
 // Server owns the job table and scheduler. Create with New, expose with
 // Handler, shut down with Drain or Abort.
 type Server struct {
@@ -59,10 +77,15 @@ type Server struct {
 	reg  *obs.Registry
 	pool *par.Pool
 
-	mu       sync.Mutex
-	jobs     map[string]*Job // by job id
-	order    []*Job          // submission order, for the dashboard
+	mu sync.Mutex
+	// jobs holds every queued and running job and the retained finished
+	// ones, by job id.
+	jobs     map[string]*Job
 	inflight map[string]*Job // by spec hash; single-flight table
+	// finished lists the retained finished jobs, oldest first, and
+	// finishedBytes sums their result and error text.
+	finished      []*Job
+	finishedBytes int
 
 	seq      int64
 	draining atomic.Bool
@@ -137,18 +160,17 @@ func (s *Server) Submit(data []byte) (View, bool, error) {
 		return j.View(), true, nil
 	}
 	s.seq++
-	j := newJob(fmt.Sprintf("job-%06d", s.seq), hash, spec)
+	j := newJob(s.seq, hash, spec)
 	// Insert before scheduling and keep s.mu across TrySubmit (it never
 	// blocks): a worker that finishes the job instantly then blocks in
 	// release until the tables are consistent, and a refused submission
-	// can roll the insertion back before anyone observed it.
+	// can roll the insertion back before anyone observed it. Rolling seq
+	// back too keeps every id up to seq an accepted job's (see expired).
 	s.jobs[j.id] = j
-	s.order = append(s.order, j)
 	s.inflight[hash] = j
 	if !s.pool.TrySubmit(func() { s.run(j) }) {
 		delete(s.jobs, j.id)
 		delete(s.inflight, hash)
-		s.order = s.order[:len(s.order)-1]
 		s.seq--
 		s.cRejected.Inc()
 		return View{}, false, &submitError{status: 503, msg: "service: job queue full"}
@@ -164,45 +186,68 @@ func (s *Server) run(j *Job) {
 			s.settle(j, "", fmt.Errorf("service: job panicked: %v", v))
 		}
 	}()
-	ctx, ok := j.start(s.cfg.JobTimeout)
+	ctx, spec, ok := j.start(s.cfg.JobTimeout)
 	if !ok {
-		// Canceled while queued; cancelQueued already finished it, only
-		// the single-flight entry remains to clean up.
-		s.release(j)
+		// Canceled while queued; cancelQueued already finished and retired
+		// it, only the single-flight entry may remain to clean up.
+		s.release(j, false)
 		return
 	}
-	out, err := j.spec.RunContext(ctx)
+	out, err := spec.RunContext(ctx)
 	s.settle(j, out, err)
 }
 
 // settle moves a finished run into its terminal state and releases the
 // single-flight entry.
 func (s *Server) settle(j *Job, out string, err error) {
+	var ended bool
 	switch {
 	case err == nil:
-		if j.finish(StateDone, out, "") {
+		if ended = j.finish(StateDone, out, ""); ended {
 			s.cDone.Inc()
 		}
 	case errors.Is(err, context.Canceled):
-		if j.finish(StateCanceled, "", err.Error()) {
+		if ended = j.finish(StateCanceled, "", err.Error()); ended {
 			s.cCanceled.Inc()
 		}
 	default:
-		if j.finish(StateFailed, "", err.Error()) {
+		if ended = j.finish(StateFailed, "", err.Error()); ended {
 			s.cFailed.Inc()
 		}
 	}
-	s.release(j)
+	s.release(j, ended)
 }
 
 // release removes the job's single-flight entry so later identical specs
 // start a fresh job (served from the experiment cache when enabled).
-func (s *Server) release(j *Job) {
+// ended is true only for the caller whose transition ended the job (finish
+// or cancelQueued returned true): release runs twice for a job canceled
+// while queued, and the job must join the finished list once.
+func (s *Server) release(j *Job, ended bool) {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.inflight[j.hash] == j {
 		delete(s.inflight, j.hash)
 	}
-	s.mu.Unlock()
+	if ended {
+		s.retireLocked(j)
+	}
+}
+
+// retireLocked appends a just-ended job to the finished list, then ages
+// the oldest finished jobs out of the table while more than maxFinished
+// are kept or their text exceeds maxFinishedBytes. The newest stays
+// whatever its size, so its submitter can read it. Callers hold s.mu.
+func (s *Server) retireLocked(j *Job) {
+	s.finished = append(s.finished, j)
+	s.finishedBytes += j.textBytes()
+	for len(s.finished) > 1 && (len(s.finished) > maxFinished || s.finishedBytes > maxFinishedBytes) {
+		old := s.finished[0]
+		s.finished[0] = nil // the backing array must not keep it alive
+		s.finished = s.finished[1:]
+		s.finishedBytes -= old.textBytes()
+		delete(s.jobs, old.id)
+	}
 }
 
 // Job looks a job up by id.
@@ -213,22 +258,45 @@ func (s *Server) Job(id string) (*Job, bool) {
 	return j, ok
 }
 
+// expired reports whether id names a job this server accepted and has
+// since aged out of its table. Ids are issued in sequence and a rejected
+// submission takes its id back, so every well-formed id up to seq was a
+// job.
+func (s *Server) expired(id string) bool {
+	digits, ok := strings.CutPrefix(id, "job-")
+	if !ok {
+		return false
+	}
+	seq, err := strconv.ParseInt(digits, 10, 64)
+	if err != nil || seq < 1 || jobID(seq) != id {
+		return false
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	_, kept := s.jobs[id]
+	return !kept && seq <= s.seq
+}
+
 // Cancel aborts a job: a queued job finishes immediately, a running one
 // is stopped through its context (the engine loop notices within ~1k
 // cycles). Canceling a terminal job is a no-op. ok is false when the id
-// is unknown.
+// is unknown or aged out.
 func (s *Server) Cancel(id string) (View, bool) {
 	j, ok := s.Job(id)
 	if !ok {
 		return View{}, false
 	}
+	s.cancel(j)
+	return j.View(), true
+}
+
+func (s *Server) cancel(j *Job) {
 	if j.cancelQueued() {
 		s.cCanceled.Inc()
-		s.release(j)
+		s.release(j, true)
 	} else {
 		j.cancel(context.Canceled)
 	}
-	return j.View(), true
 }
 
 // Dashboard is the GET /jobs payload.
@@ -239,12 +307,23 @@ type Dashboard struct {
 	Counts     map[string]int `json:"counts"`
 }
 
-// Snapshot builds the dashboard view: every job in submission order plus
+// jobsInOrder copies the job table in submission order.
+func (s *Server) jobsInOrder() []*Job {
+	s.mu.Lock()
+	jobs := make([]*Job, 0, len(s.jobs))
+	for _, j := range s.jobs {
+		jobs = append(jobs, j)
+	}
+	s.mu.Unlock()
+	sort.Slice(jobs, func(a, b int) bool { return jobs[a].seq < jobs[b].seq })
+	return jobs
+}
+
+// Snapshot builds the dashboard view: every job the server holds (queued,
+// running and the retained finished ones) in submission order plus
 // scheduler state.
 func (s *Server) Snapshot() Dashboard {
-	s.mu.Lock()
-	jobs := append([]*Job(nil), s.order...)
-	s.mu.Unlock()
+	jobs := s.jobsInOrder()
 	d := Dashboard{
 		Jobs:       make([]View, 0, len(jobs)),
 		QueueDepth: s.pool.QueueDepth(),
@@ -272,16 +351,8 @@ func (s *Server) Drain() {
 // cancellation latency.
 func (s *Server) Abort() {
 	s.draining.Store(true)
-	s.mu.Lock()
-	jobs := append([]*Job(nil), s.order...)
-	s.mu.Unlock()
-	for _, j := range jobs {
-		if j.cancelQueued() {
-			s.cCanceled.Inc()
-			s.release(j)
-		} else {
-			j.cancel(context.Canceled)
-		}
+	for _, j := range s.jobsInOrder() {
+		s.cancel(j)
 	}
 	s.pool.Close()
 }

@@ -226,6 +226,15 @@ func TestSubmitRejectsBadSpecs(t *testing.T) {
 		{"128 QoS classes", `{"kind":"openloop","rate":0.05,"warmup":100,"measure":300,"drainLimit":3000,"network":{"VCs":128,"ClassArb":"strict","Classes":[` +
 			strings.TrimSuffix(strings.Repeat(`{"name":"c","share":0.0078125},`, 128), ",") + `]}}`, 400,
 			"router: Classes must be in [0, 127], got 128"},
+		// Were 202s whose worker sized router buffers and pipes from these
+		// inside network.New: a fatal out-of-memory that ended every
+		// tenant's jobs with the process.
+		{"a billion VCs", `{"kind":"openloop","rate":0.1,"network":{"VCs":1000000000}}`, 400,
+			"network: 8x8 mesh with VCs 1000000000, BufDepth 16, Delay 1 needs 9.78e+04 GiB of router buffers and pipes, over the 1 GiB limit"},
+		{"a billion-flit buffer", `{"kind":"openloop","rate":0.1,"network":{"BufDepth":1000000000}}`, 400,
+			"network: 8x8 mesh with VCs 2, BufDepth 1000000000, Delay 1 needs 9.54e+03 GiB of router buffers and pipes, over the 1 GiB limit"},
+		{"a trillion-cycle router", `{"kind":"openloop","rate":0.1,"network":{"RouterDelay":1000000000000}}`, 400,
+			"network: 8x8 mesh with VCs 2, BufDepth 16, Delay 1000000000000 needs 6.44e+06 GiB of router buffers and pipes, over the 1 GiB limit"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(tc.body))

@@ -5,7 +5,10 @@
 #   scripts/bench-claim.sh WORKLOAD [PAIRS] [BASE]     (make bench-claim WORKLOAD=…)
 #
 # BASE (default HEAD~1) is checked out as a throw-away worktree under
-# .bench_build/base, made and removed exactly as `make bench-pair` does. Both
+# .bench_build/base, made and removed exactly as `make bench-pair` does.
+# With BASE_DIR set in the environment (make bench-claim BASE_DIR=…), that
+# existing checkout, a git clone or a `git archive` copy, is the base
+# instead: no worktree is made or removed, and the directory is kept. Both
 # benchmark binaries are built before anything is timed; then each of PAIRS
 # (default 10) pairs runs one workload of the repo benchmark once per side,
 #   bash bench/run.sh --workload WORKLOAD --seed 100+pair --seconds 10 --trace 0
@@ -33,9 +36,18 @@ base="$out/base"
 report="$out/claim-$workload.txt"
 mkdir -p "$out"
 data=$(mktemp "$out/claim.XXXXXX")
-trap 'rm -f "$data"; git worktree remove --force "$base" || true' EXIT
 trap 'exit 130' INT TERM
-git worktree add --detach "$base" "$base_ref" >/dev/null || exit 2
+if [ -n "${BASE_DIR:-}" ]; then
+	base=$(cd "$BASE_DIR" && pwd) || exit 2
+	[ -f "$base/bench/run.sh" ] || { echo "bench-claim: BASE_DIR $BASE_DIR holds no bench/run.sh" >&2; exit 2; }
+	trap 'rm -f "$data"' EXIT
+	if [ -e "$base/.git" ]; then base_rev=$(git -C "$base" rev-parse --short HEAD); else base_rev="not a git checkout"; fi
+	base_desc="$BASE_DIR ($base_rev)"
+else
+	trap 'rm -f "$data"; git worktree remove --force "$base" || true' EXIT
+	git worktree add --detach "$base" "$base_ref" >/dev/null || exit 2
+	base_desc="$base_ref ($(git -C "$base" rev-parse --short HEAD))"
+fi
 
 # -h makes run.sh build and nocbench print its usage: both binaries exist,
 # and both build caches are warm, before the first timed run.
@@ -62,7 +74,7 @@ run_side() {
 }
 
 {
-	echo "bench-claim $workload: $pairs pairs, base $base_ref ($(git -C "$base" rev-parse --short HEAD)) vs working tree ($(git rev-parse --short HEAD)$(git diff --quiet HEAD 2>/dev/null || echo ' + uncommitted')), seeds 101..$((100 + pairs)), --seconds 10 --trace 0"
+	echo "bench-claim $workload: $pairs pairs, base $base_desc vs working tree ($(git rev-parse --short HEAD)$(git diff --quiet HEAD 2>/dev/null || echo ' + uncommitted')), seeds 101..$((100 + pairs)), --seconds 10 --trace 0"
 	for ((i = 1; i <= pairs; i++)); do
 		seed=$((100 + i))
 		if ((i % 2)); then
