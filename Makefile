@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet fmt-check lint test bench-check bench-digest race fuzz-smoke golden golden-update digests-update results-check check bench bench-compare bench-pair bench-claim obs-smoke screen-smoke qos-smoke serve-smoke figures ablations examples clean
+.PHONY: all build vet fmt-check lint test bench-check bench-digest race fuzz-smoke golden golden-update digests-update results-check check bench bench-compare bench-pair bench-claim obs-smoke screen-smoke qos-smoke serve-smoke figures figures-full ablations examples clean
 
 all: build vet test
 
@@ -90,33 +90,38 @@ digests-update:
 	$(GO) test -count=1 -run TestActiveSetMatchesFullScan ./internal/network -update-stepping-digests
 	$(GO) test -count=1 -run TestBatchDigestsAcrossCommits ./internal/closedloop -update-batch-digests
 
-# Committed-results gate: regenerate the paper figures that go through the
-# shared plotters and core.CorrelateOpenBatch (cmd/figures/plotters.go) into
-# a temp dir and cmp every produced file against its committed copy under
-# results/. -screen is bit-identical by the screen-smoke contract and about
-# halves the wall time; still minutes of simulation, so this is run by hand
-# after touching cmd/figures or the methodology code, not by `check` or CI.
-# RESULTS_FIGS="3 4" make results-check for a subset. RESULTS_IDS are the
-# committed figures that plot internal/analytic's model against simulation
-# (seconds each, unscreened); RESULTS_FIGS= make results-check runs only
-# those, which is what CI's screen-smoke job does.
-RESULTS_FIGS ?= 3 4 5 6 8 9 10 16 17
-RESULTS_IDS ?= analytic-corr qos
+# Committed-results gate: regenerate results/ into a temp dir with
+# `figures -all -screen` (one build, one run) and cmp every file written
+# against its committed copy, then fail on any committed file outside
+# results/golden/ that the run did not write (`git ls-files`, so the
+# untracked results/bench-*.txt are ignored). -screen is result-neutral
+# (screen-smoke) and shortens the run. About 5 minutes of simulation on 2
+# vCPUs; CI's results-check job runs it on every push.
+# RESULTS_IDS="fig03 analytic-corr" make results-check regenerates only
+# those generator ids (seconds to a minute each) and skips the
+# not-written step.
+RESULTS_IDS ?=
 results-check:
 	@tmp="$$(mktemp -d)"; trap 'rm -rf "$$tmp"' EXIT; mkdir "$$tmp/out"; \
 	$(GO) build -o "$$tmp/figures" ./cmd/figures || exit 1; \
-	for n in $(RESULTS_FIGS); do \
-		"$$tmp/figures" -fig $$n -screen -out "$$tmp/out" >/dev/null || exit 1; \
-	done; \
-	for id in $(RESULTS_IDS); do \
-		"$$tmp/figures" -id $$id -out "$$tmp/out" >/dev/null || exit 1; \
-	done; \
+	if [ -z "$(RESULTS_IDS)" ]; then \
+		"$$tmp/figures" -all -screen -out "$$tmp/out" >/dev/null || exit 1; \
+	else \
+		for id in $(RESULTS_IDS); do \
+			"$$tmp/figures" -id $$id -screen -out "$$tmp/out" >/dev/null || exit 1; \
+		done; \
+	fi; \
 	fail=0; \
 	for f in "$$tmp"/out/*; do \
 		name="$$(basename "$$f")"; \
 		if cmp -s "$$f" "results/$$name"; then echo "results-check: $$name identical"; \
 		else echo "results-check: $$name DIFFERS from results/$$name"; fail=1; fi; \
 	done; \
+	if [ -z "$(RESULTS_IDS)" ]; then \
+		for f in $$(git ls-files results | grep -v '^results/golden/'); do \
+			[ -e "$$tmp/out/$${f#results/}" ] || { echo "results-check: $$f is committed but figures -all did not write it"; fail=1; }; \
+		done; \
+	fi; \
 	exit $$fail
 
 # Metrics-endpoint smoke: start the live exporter against a real cached
@@ -125,18 +130,21 @@ results-check:
 obs-smoke:
 	$(GO) test ./internal/obs/export -run TestMetricsEndpointSmoke -count=1 -v
 
-# Screening-soundness smoke: regenerate the golden figure subset twice on
-# this machine — once unscreened, once with analytic screening — and
-# require the outputs to be byte-identical. This is the hard screening
-# contract (screening decides whether a point simulates, never what a
-# simulation computes); the committed goldens are compared separately,
-# with tolerances, by the golden gate.
+# Screening-soundness smoke: regenerate the golden figure subset and the
+# ablations report (whose A6 runs a saturation search) twice on this
+# machine — once unscreened, once with analytic screening — and require
+# the outputs to be byte-identical. This is the hard screening contract
+# (screening decides whether a point simulates, never what a simulation
+# computes); the committed goldens are compared separately, with
+# tolerances, by the golden gate.
 screen-smoke:
 	@rm -rf /tmp/noceval-screen-off /tmp/noceval-screen-on
 	$(GO) run ./cmd/figures -golden -out /tmp/noceval-screen-off
+	$(GO) run ./cmd/figures -id ablations -out /tmp/noceval-screen-off
 	$(GO) run ./cmd/figures -golden -screen -out /tmp/noceval-screen-on
+	$(GO) run ./cmd/figures -id ablations -screen -out /tmp/noceval-screen-on
 	diff -r /tmp/noceval-screen-off /tmp/noceval-screen-on
-	@echo "screen-smoke: screened and unscreened golden figures are byte-identical"
+	@echo "screen-smoke: screened and unscreened golden figures and ablations are byte-identical"
 
 # QoS smoke: the tiny two-class gates — at the low-priority class's
 # saturation knee the high-priority p99 must stay below the low-priority
@@ -245,7 +253,7 @@ figures-full:
 	$(GO) run ./cmd/figures -all -full
 
 ablations:
-	$(GO) run ./cmd/ablations -out results/ablations.txt
+	$(GO) run ./cmd/figures -id ablations
 
 examples:
 	$(GO) run ./examples/quickstart
@@ -255,5 +263,9 @@ examples:
 	$(GO) run ./examples/tracereplay
 	$(GO) run ./examples/telemetry
 
+# Remove untracked build outputs only: the benchmark's build directory
+# and the command binaries `go build ./cmd/<name>` drops in the repo root.
+# results/ is committed (results/golden/ feeds TestGoldenFigures).
 clean:
-	rm -rf results
+	rm -rf .bench_build
+	rm -f figures nocd noceval nocload

@@ -3,6 +3,7 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -35,6 +36,32 @@ func TestGeneratorRegistryComplete(t *testing.T) {
 		if generators[id] == nil {
 			t.Errorf("missing generator %s", id)
 		}
+	}
+	// So must every generator outside that numbering that writes a
+	// committed file under results/.
+	for _, id := range []string{"ablations", "heatmap", "resilience", "qos", "analytic-corr"} {
+		if generators[id] == nil {
+			t.Errorf("missing generator %s", id)
+		}
+	}
+}
+
+// TestAblationTitlesMatchCommittedReport checks the ablation list against
+// the section headers of the committed report, in order, without running
+// a simulation.
+func TestAblationTitlesMatchCommittedReport(t *testing.T) {
+	var want []string
+	for _, line := range strings.Split(read(t, "../../results", "ablations.txt"), "\n") {
+		if title, ok := strings.CutPrefix(line, "== "); ok {
+			want = append(want, strings.TrimSuffix(title, " =="))
+		}
+	}
+	var got []string
+	for _, a := range ablations {
+		got = append(got, a.title)
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("ablation titles %q, committed report headers %q", got, want)
 	}
 }
 

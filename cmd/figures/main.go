@@ -7,6 +7,7 @@
 //	figures -all                # everything (minutes)
 //	figures -fig 5              # one figure
 //	figures -table 3            # one table
+//	figures -id ablations       # the side-claim checks (ablations.txt)
 //	figures -full               # paper-scale parameters (much slower)
 //	figures -all -cache -serve :9500 -ledger runs.jsonl
 //	                            # live metrics + one record per run

@@ -212,7 +212,7 @@ func (e *PriorityEstimator) Latency(c int, rate float64) float64 {
 }
 
 // Knee returns class c's predicted saturation point under the empirical
-// definition of openloop.SaturationScreenedWith: the total offered load at
+// definition of openloop.SaturationWith: the total offered load at
 // which the class's predicted latency crosses latencyCap times its
 // zero-load latency (latencyCap <= 1 defaults to 3).
 func (e *PriorityEstimator) Knee(c int, latencyCap float64) float64 {

@@ -63,7 +63,7 @@ func (e *Estimator) MaxUtilization(rate float64) float64 {
 }
 
 // Knee returns the predicted saturation point under the empirical
-// definition used by openloop.SaturationScreenedWith: the offered load at
+// definition used by openloop.SaturationWith: the offered load at
 // which the predicted latency crosses latencyCap times the zero-load
 // latency (latencyCap <= 1 defaults to 3). The knee always lies below
 // SatRate, where latency diverges.

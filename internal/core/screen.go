@@ -11,8 +11,8 @@ package core
 // built from the unscreened run configuration alone, so screened and
 // unscreened sessions share the same experiment-cache entries.
 //
-// Off by default; cmd/figures, cmd/ablations and cmd/noceval enable it via
-// the -screen flag.
+// Off by default; cmd/figures, cmd/noceval and cmd/nocd enable it via the
+// -screen flag.
 
 import (
 	"fmt"
@@ -48,9 +48,6 @@ func EnableScreening() {
 
 // DisableScreening turns analytic sweep screening off.
 func DisableScreening() { screenOn.Store(false) }
-
-// ScreeningEnabled reports whether sweep screening is on.
-func ScreeningEnabled() bool { return screenOn.Load() }
 
 // ScreenSummary is the cumulative screening outcome since EnableScreening.
 type ScreenSummary struct {

@@ -92,7 +92,7 @@ func TestScreenedSweepWritesLedgerRecord(t *testing.T) {
 }
 
 func TestScreeningOffByDefault(t *testing.T) {
-	if ScreeningEnabled() {
+	if screenOn.Load() {
 		t.Fatal("screening must be off unless explicitly enabled")
 	}
 	if plan := screenPlan(Baseline()); plan != nil {

@@ -49,7 +49,7 @@ func TestSessionOpenClose(t *testing.T) {
 	if want := "run ledger: 1 records appended to " + s.Ledger + "\n"; log.String() != want {
 		t.Errorf("Close log = %q, want %q", log.String(), want)
 	}
-	if _, on := CacheStats(); on || ScreeningEnabled() || LedgerAppends() != 0 {
+	if _, on := CacheStats(); on || screenOn.Load() || LedgerAppends() != 0 {
 		t.Error("Close left the cache, screening or ledger on")
 	}
 }

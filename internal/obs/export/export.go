@@ -5,8 +5,8 @@
 // a small progress summary for watching a sweep converge from another
 // terminal.
 //
-// The server is opt-in (`-serve :9500` on cmd/figures, cmd/ablations and
-// the cmd/noceval subcommands, wired by core.Session) and fully inert when
+// The server is opt-in (`-serve :9500` on cmd/figures and the cmd/noceval
+// subcommands, wired by core.Session) and fully inert when
 // disabled: nothing in this package runs unless Serve or Handler is
 // called, and the instrumented subsystems publish through nil instruments
 // (pure nil checks) until a default registry is installed.

@@ -603,3 +603,39 @@ func ZeroLoadWith(cfg Config, run func(Config) (*Result, error)) (float64, error
 	}
 	return res.AvgLatency, nil
 }
+
+// SaturationWith estimates the saturation throughput by bisection over the
+// offered load in [lo, hi]: the largest stable load whose average latency
+// stays below latencyCap times the zero-load latency (latencyCap <= 1
+// defaults to 3). The paper defines saturation as the load where latency
+// approaches infinity; a finite multiple (conventionally 3x) makes the
+// measurement robust. run is the per-rate runner (see SweepWith).
+//
+// Degenerate brackets behave as the loop bound implies: lo == hi (or a
+// bracket already narrower than the 0.005 resolution) probes nothing and
+// returns lo; an all-stable bracket converges to hi, an all-unstable one
+// stays at lo.
+func SaturationWith(cfg Config, lo, hi, latencyCap float64, run func(Config) (*Result, error)) (float64, error) {
+	if latencyCap <= 1 {
+		latencyCap = 3
+	}
+	t0, err := ZeroLoadWith(cfg, run)
+	if err != nil {
+		return 0, err
+	}
+	for i := 0; i < 12 && hi-lo > 0.005; i++ {
+		mid := (lo + hi) / 2
+		c := cfg
+		c.Rate = mid
+		res, err := run(c)
+		if err != nil {
+			return 0, err
+		}
+		if res.Stable && res.AvgLatency <= latencyCap*t0 {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	return lo, nil
+}

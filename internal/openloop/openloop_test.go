@@ -216,7 +216,7 @@ func TestSaturationEstimateMesh(t *testing.T) {
 		t.Skip("saturation bisection is slow")
 	}
 	cfg := Config{Net: meshConfig(1, 16), Seed: 8, Warmup: 2000, Measure: 3000, DrainLimit: 20000}
-	sat, err := SaturationScreenedWith(cfg, 0.05, 0.7, 3, 0, Run)
+	sat, err := SaturationWith(cfg, 0.05, 0.7, 3, Run)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,6 @@
 package openloop
 
-// The sweep loop and the saturation search, each with the one place an
-// analytic prediction enters it.
+// The sweep loop, and the one place an analytic prediction enters it.
 //
 // A sweep's parallel waves speculate beyond the saturation point: when the
 // first unstable rate lands mid-wave, every higher rate in that wave has
@@ -134,80 +133,4 @@ func SweepScreenedWith(cfg Config, rates []float64, run func(Config) (*Result, e
 		}
 	}
 	return out, nil
-}
-
-// SaturationScreenedWith estimates the saturation throughput by bisection
-// over the offered load in [lo, hi]: the largest stable load whose average
-// latency stays below latencyCap times the zero-load latency (latencyCap
-// <= 1 defaults to 3). The paper defines saturation as the load where
-// latency approaches infinity; a finite multiple (conventionally 3x) makes
-// the measurement robust. run is the per-rate runner (see SweepWith).
-//
-// predicted is an analytic prediction of the answer; zero or negative
-// means none, and the search bisects the full bracket. With a prediction
-// the bracket is first narrowed to a band around it, skipping the
-// far-below-saturation probes a full-width bisection spends most of its
-// runs on. Both band edges are verified by simulation; an edge that
-// contradicts the prediction falls back to the corresponding side of the
-// caller's bracket, so a mispredicted band costs extra probes, never a
-// wrong answer beyond the bisection's own resolution. The probes are never
-// reported to callers, which is why skipping them — unlike sweep points —
-// is sound at any band width.
-func SaturationScreenedWith(cfg Config, lo, hi, latencyCap, predicted float64, run func(Config) (*Result, error)) (float64, error) {
-	if latencyCap <= 1 {
-		latencyCap = 3
-	}
-	t0, err := ZeroLoadWith(cfg, run)
-	if err != nil {
-		return 0, err
-	}
-	stableAt := func(rate float64) (bool, error) {
-		c := cfg
-		c.Rate = rate
-		res, err := run(c)
-		if err != nil {
-			return false, err
-		}
-		return res.Stable && res.AvgLatency <= latencyCap*t0, nil
-	}
-	// The band half-width (±15%) trades the two edge-verification probes
-	// against the bisection probes they replace; the edge verification
-	// makes the exact width a performance knob only.
-	if aLo, aHi := max(lo, 0.85*predicted), min(hi, 1.15*predicted); predicted > 0 && aLo < aHi {
-		okLo, err := stableAt(aLo)
-		if err != nil {
-			return 0, err
-		}
-		if !okLo {
-			hi = aLo // saturation lies below the band
-		} else {
-			okHi, err := stableAt(aHi)
-			if err != nil {
-				return 0, err
-			}
-			if okHi {
-				lo = aHi // saturation lies above the band
-			} else {
-				lo, hi = aLo, aHi
-			}
-		}
-	}
-	// Standard bisection, returning the largest probed stable load.
-	// Degenerate brackets behave as the loop bound implies: lo == hi (or a
-	// bracket already narrower than the 0.005 resolution) probes nothing
-	// and returns lo; an all-stable bracket converges to hi, an
-	// all-unstable one stays at lo.
-	for i := 0; i < 12 && hi-lo > 0.005; i++ {
-		mid := (lo + hi) / 2
-		ok, err := stableAt(mid)
-		if err != nil {
-			return 0, err
-		}
-		if ok {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return lo, nil
 }

@@ -224,7 +224,7 @@ func (s *stepRunner) run(c Config) (*Result, error) {
 
 func TestSaturationWithAllStable(t *testing.T) {
 	r := &stepRunner{sat: 2}
-	got, err := SaturationScreenedWith(Config{}, 0.1, 0.6, 3, 0, r.run)
+	got, err := SaturationWith(Config{}, 0.1, 0.6, 3, r.run)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +236,7 @@ func TestSaturationWithAllStable(t *testing.T) {
 
 func TestSaturationWithAllUnstable(t *testing.T) {
 	r := &stepRunner{sat: 0.01}
-	got, err := SaturationScreenedWith(Config{}, 0.1, 0.6, 3, 0, r.run)
+	got, err := SaturationWith(Config{}, 0.1, 0.6, 3, r.run)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +248,7 @@ func TestSaturationWithAllUnstable(t *testing.T) {
 
 func TestSaturationWithSingleRate(t *testing.T) {
 	r := &stepRunner{sat: 2}
-	got, err := SaturationScreenedWith(Config{}, 0.3, 0.3, 3, 0, r.run)
+	got, err := SaturationWith(Config{}, 0.3, 0.3, 3, r.run)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +263,7 @@ func TestSaturationWithSingleRate(t *testing.T) {
 
 func TestSaturationWithConverges(t *testing.T) {
 	r := &stepRunner{sat: 0.37}
-	got, err := SaturationScreenedWith(Config{}, 0.05, 0.7, 3, 0, r.run)
+	got, err := SaturationWith(Config{}, 0.05, 0.7, 3, r.run)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,44 +272,8 @@ func TestSaturationWithConverges(t *testing.T) {
 	}
 }
 
-func TestSaturationScreenedFindsSameAnswer(t *testing.T) {
-	r := &stepRunner{sat: 0.37}
-	plainGot, err := SaturationScreenedWith(Config{}, 0.05, 0.7, 3, 0, r.run)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plainCalls := r.calls
-
-	for _, tc := range []struct {
-		name      string
-		predicted float64
-	}{
-		{"accurate", 0.38}, // saturation inside the band
-		{"far-high", 0.65}, // saturation below the band
-		{"far-low", 0.1},   // saturation above the band
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			s := &stepRunner{sat: 0.37}
-			got, err := SaturationScreenedWith(Config{}, 0.05, 0.7, 3, tc.predicted, s.run)
-			if err != nil {
-				t.Fatal(err)
-			}
-			// Both searches must land within the bisection's own resolution
-			// of the true threshold; a mispredicted band may cost probes but
-			// never the answer.
-			if diff := got - plainGot; diff < -0.02 || diff > 0.02 {
-				t.Errorf("screened (predicted %v) = %v, unscreened = %v", tc.predicted, got, plainGot)
-			}
-			if tc.name == "accurate" && s.calls >= plainCalls {
-				t.Errorf("accurate prediction made %d probes, unscreened %d — screening saved nothing", s.calls, plainCalls)
-			}
-		})
-	}
-}
-
-// referenceBisect is the full-bracket search written out on its own: what
-// a search with no usable prediction must return, and how many probes
-// (beyond the zero-load one) it may spend.
+// referenceBisect is the bisection written out on its own: what the search
+// must return, and how many probes (beyond the zero-load one) it may spend.
 func referenceBisect(sat, lo, hi float64) (float64, int) {
 	probes := 0
 	for i := 0; i < 12 && hi-lo > 0.005; i++ {
@@ -324,19 +288,21 @@ func referenceBisect(sat, lo, hi float64) (float64, int) {
 	return lo, probes
 }
 
-func TestSaturationScreenedDegrades(t *testing.T) {
-	want, probes := referenceBisect(0.37, 0.05, 0.7)
-	// No prediction, and predictions whose band misses the bracket
-	// entirely, all search the caller's full bracket.
-	for _, predicted := range []float64{0, -1, 0.01, 2} {
-		r := &stepRunner{sat: 0.37}
-		got, err := SaturationScreenedWith(Config{}, 0.05, 0.7, 3, predicted, r.run)
+func TestSaturationWithMatchesReferenceBisect(t *testing.T) {
+	for _, tc := range []struct{ sat, lo, hi float64 }{
+		{0.37, 0.05, 0.7}, // the full 12-probe budget
+		{0.42, 0.1, 0.6},  // A6's bracket
+		{0.2, 0.19, 0.21}, // a bracket a few probes wide
+	} {
+		want, probes := referenceBisect(tc.sat, tc.lo, tc.hi)
+		r := &stepRunner{sat: tc.sat}
+		got, err := SaturationWith(Config{}, tc.lo, tc.hi, 3, r.run)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got != want || r.calls != probes+1 {
-			t.Errorf("predicted=%v: got %v in %d runs, reference bisection %v in %d",
-				predicted, got, r.calls, want, probes+1)
+			t.Errorf("sat=%v in [%v, %v]: got %v in %d runs, reference bisection %v in %d",
+				tc.sat, tc.lo, tc.hi, got, r.calls, want, probes+1)
 		}
 	}
 }
