@@ -56,9 +56,10 @@ race:
 	$(GO) test -race ./...
 
 # Coverage-guided fuzz smoke: 30s per target over the parsers, the
-# cache-key canonicalization and the integer latency sample against the
-# float64 statistics it replaced (go fuzzing allows one -fuzz target per
-# invocation, hence the sequence). FUZZTIME=10s make fuzz-smoke for a
+# cache-key canonicalization, the integer latency sample against the
+# float64 statistics it replaced and the CMP cache against the tick-stamped
+# LRU it replaced (go fuzzing allows one -fuzz target per invocation, hence
+# the sequence). FUZZTIME=10s make fuzz-smoke for a
 # quicker local pass.
 FUZZTIME ?= 30s
 fuzz-smoke:
@@ -68,6 +69,7 @@ fuzz-smoke:
 	$(GO) test ./internal/core -fuzz=FuzzParseSpec -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/core -fuzz=FuzzClassSpec -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/stats -fuzz=FuzzLatencies -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/cmp -fuzz=FuzzCacheMatchesTickLRU -fuzztime=$(FUZZTIME)
 
 # Golden-figure regression gate: regenerate the golden subset and compare
 # against the committed CSVs in results/golden (see cmd/figures/golden_test.go).

@@ -37,27 +37,35 @@ func (s LineState) String() string {
 	}
 }
 
-// line is one cache line's metadata. Data values are not modelled: the
-// synthetic workloads never read values, and coherence traffic depends only
-// on states.
-type line struct {
-	tag   uint64
-	state LineState
-	lru   uint64 // larger is more recent
-}
-
 // Cache is a set-associative cache with true-LRU replacement, tracking
-// line states but not data.
+// line states but not data (the synthetic workloads never read values, and
+// coherence traffic depends only on states).
+//
+// Each way is one word, lineAddr<<2 | state, so line addresses must be
+// below 2^62; the protocol's are below 2^48 (they travel in Aux bits
+// 63..16). The ways of a set are kept in recency order, most recent first:
+// a Lookup hit or an Insert moves its way to the front, and when no way is
+// free the victim is the last one. SetState changes a way in place, so it
+// does not count as a use, and setting Invalid frees the way.
 type Cache struct {
 	sets     int
 	ways     int
 	lineBits uint
-	lines    []line // sets*ways, set-major
-	tick     uint64
+	lines    []uint64 // sets*ways way words, set-major
 
 	Hits   int64
 	Misses int64
 }
+
+// A way word's low stateBits hold its LineState, the rest its line address.
+const (
+	stateBits = 2
+	stateMask = 1<<stateBits - 1
+)
+
+func wayWord(lineAddr uint64, s LineState) uint64 { return lineAddr<<stateBits | uint64(s) }
+
+func wayState(w uint64) LineState { return LineState(w & stateMask) }
 
 // NewCache builds a cache of the given total size with the given
 // associativity and line size (both byte counts); sizes must divide evenly
@@ -85,35 +93,50 @@ func NewCache(sizeBytes, ways, lineBytes int) *Cache {
 		sets:     sets,
 		ways:     ways,
 		lineBits: lb,
-		lines:    make([]line, sets*ways),
+		lines:    make([]uint64, sets*ways),
 	}
 }
 
 // LineAddr converts a byte address to a line address (cache-line number).
 func (c *Cache) LineAddr(addr uint64) uint64 { return addr >> c.lineBits }
 
-// setOf maps a line address to a set with XOR-folded (hashed) indexing, as
-// real shared caches do: without it, workload regions whose bases are
-// multiples of the set count alias into a handful of sets and conflict-miss
-// pathologically.
-func (c *Cache) setOf(lineAddr uint64) int {
+// set returns the ways of the set lineAddr maps to, with XOR-folded
+// (hashed) indexing, as real shared caches do: without it, workload regions
+// whose bases are multiples of the set count alias into a handful of sets
+// and conflict-miss pathologically.
+func (c *Cache) set(lineAddr uint64) []uint64 {
 	h := lineAddr ^ lineAddr>>10 ^ lineAddr>>20 ^ lineAddr>>30 ^ lineAddr>>40
-	return int(h) & (c.sets - 1)
+	base := (int(h) & (c.sets - 1)) * c.ways
+	return c.lines[base : base+c.ways]
+}
+
+// wayOf returns the index of lineAddr's way in set, or -1 when it is not
+// resident.
+func wayOf(set []uint64, lineAddr uint64) int {
+	for i, w := range set {
+		if w>>stateBits == lineAddr && wayState(w) != Invalid {
+			return i
+		}
+	}
+	return -1
+}
+
+// toFront stores w as set's most recent way, in place of set[i]; the ways
+// before i each move back one.
+func toFront(set []uint64, i int, w uint64) {
+	copy(set[1:i+1], set[:i])
+	set[0] = w
 }
 
 // Lookup returns the state of the line containing addr (a line address),
 // updating LRU and hit/miss counters. Invalid means miss.
 func (c *Cache) Lookup(lineAddr uint64) LineState {
-	set := c.setOf(lineAddr)
-	base := set * c.ways
-	for w := 0; w < c.ways; w++ {
-		l := &c.lines[base+w]
-		if l.state != Invalid && l.tag == lineAddr {
-			c.tick++
-			l.lru = c.tick
-			c.Hits++
-			return l.state
-		}
+	set := c.set(lineAddr)
+	if i := wayOf(set, lineAddr); i >= 0 {
+		w := set[i]
+		toFront(set, i, w)
+		c.Hits++
+		return wayState(w)
 	}
 	c.Misses++
 	return Invalid
@@ -122,13 +145,9 @@ func (c *Cache) Lookup(lineAddr uint64) LineState {
 // Probe returns the state without touching LRU or counters (used by
 // coherence message handlers).
 func (c *Cache) Probe(lineAddr uint64) LineState {
-	set := c.setOf(lineAddr)
-	base := set * c.ways
-	for w := 0; w < c.ways; w++ {
-		l := &c.lines[base+w]
-		if l.state != Invalid && l.tag == lineAddr {
-			return l.state
-		}
+	set := c.set(lineAddr)
+	if i := wayOf(set, lineAddr); i >= 0 {
+		return wayState(set[i])
 	}
 	return Invalid
 }
@@ -136,14 +155,9 @@ func (c *Cache) Probe(lineAddr uint64) LineState {
 // SetState changes the state of a resident line; setting Invalid evicts
 // it. It is a no-op when the line is absent.
 func (c *Cache) SetState(lineAddr uint64, s LineState) {
-	set := c.setOf(lineAddr)
-	base := set * c.ways
-	for w := 0; w < c.ways; w++ {
-		l := &c.lines[base+w]
-		if l.state != Invalid && l.tag == lineAddr {
-			l.state = s
-			return
-		}
+	set := c.set(lineAddr)
+	if i := wayOf(set, lineAddr); i >= 0 {
+		set[i] = wayWord(lineAddr, s)
 	}
 }
 
@@ -153,39 +167,26 @@ type Victim struct {
 	State    LineState // Invalid when no eviction happened
 }
 
-// Insert installs lineAddr with the given state, returning the displaced
-// victim (State Invalid if a free or same-tag way was used).
+// Insert installs lineAddr with the given state as the set's most recent
+// line, returning the displaced victim (State Invalid if a free or same-tag
+// way was used).
 func (c *Cache) Insert(lineAddr uint64, s LineState) Victim {
-	set := c.setOf(lineAddr)
-	base := set * c.ways
-	// Reuse the line if already resident.
-	for w := 0; w < c.ways; w++ {
-		l := &c.lines[base+w]
-		if l.state != Invalid && l.tag == lineAddr {
-			c.tick++
-			l.state, l.lru = s, c.tick
-			return Victim{}
+	set := c.set(lineAddr)
+	i := wayOf(set, lineAddr)
+	if i < 0 {
+		for j, w := range set {
+			if wayState(w) == Invalid {
+				i = j
+				break
+			}
 		}
 	}
-	// Free way?
-	for w := 0; w < c.ways; w++ {
-		l := &c.lines[base+w]
-		if l.state == Invalid {
-			c.tick++
-			*l = line{tag: lineAddr, state: s, lru: c.tick}
-			return Victim{}
-		}
+	var v Victim
+	if i < 0 {
+		i = len(set) - 1
+		v = Victim{LineAddr: set[i] >> stateBits, State: wayState(set[i])}
 	}
-	// Evict LRU.
-	victim := base
-	for w := 1; w < c.ways; w++ {
-		if c.lines[base+w].lru < c.lines[victim].lru {
-			victim = base + w
-		}
-	}
-	v := Victim{LineAddr: c.lines[victim].tag, State: c.lines[victim].state}
-	c.tick++
-	c.lines[victim] = line{tag: lineAddr, state: s, lru: c.tick}
+	toFront(set, i, wayWord(lineAddr, s))
 	return v
 }
 

@@ -95,7 +95,7 @@ func TestGetSOnUncachedLine(t *testing.T) {
 		t.Errorf("bad grant: dst=%d grantM=%v size=%d", grant.Dst, m.GrantM, grant.Size)
 	}
 	e := h.entry(testLine)
-	if e.state != dShared || e.sharers != 1<<2 || e.busy {
+	if e.state != dShared || e.sharers != 1<<2 || e.has(dirBusy) {
 		t.Errorf("dir state after GetS: %+v", e)
 	}
 }
@@ -149,7 +149,7 @@ func TestGetMInvalidatesSharers(t *testing.T) {
 	if invs != 2 {
 		t.Fatalf("sent %d invalidations, want 2", invs)
 	}
-	if !e.busy {
+	if !e.has(dirBusy) {
 		t.Fatal("transaction completed before acks")
 	}
 	// Acks from the two sharers complete the transaction.
@@ -216,12 +216,14 @@ func TestDeferredRequestsServedInOrder(t *testing.T) {
 	// Two more requests arrive while the first is fetching from memory.
 	h.handle(Msg{Type: MsgGetS, Line: testLine, Node: 2}, 2)
 	h.handle(Msg{Type: MsgGetM, Line: testLine, Node: 3}, 3)
-	e := h.entry(testLine)
-	if len(e.deferred) != 2 {
-		t.Fatalf("deferred = %d, want 2", len(e.deferred))
+	if q := h.deferred[testLine]; len(q) != 2 || q[0].src != 2 || q[1].src != 3 {
+		t.Fatalf("deferred = %+v, want the requests of 2 then 3", q)
 	}
 	drainEvents(sys) // completes 1, starts 2 (hits L2 now), then 3
 	drainEvents(sys)
+	if len(h.deferred) != 0 {
+		t.Errorf("deferred side table keeps %d lines after every request was served", len(h.deferred))
+	}
 	pkts := fab.take()
 	var grants []*router.Packet
 	for _, p := range pkts {

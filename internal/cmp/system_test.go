@@ -43,7 +43,24 @@ func runSystem(t *testing.T, p workload.Profile, fab cmp.Fabric, cfg cmp.Config)
 	if !res.Completed {
 		t.Fatalf("%s did not complete in %d cycles", p.Name, res.Cycles)
 	}
+	if n := sys.DeferredLines(); n != 0 {
+		t.Errorf("%s: %d lines still hold deferred requests after the run", p.Name, n)
+	}
 	return res
+}
+
+// TestDeferredTableDrainsOnCanneal runs full canneal at 75 MHz, the most
+// contended exec run: every request deferred behind a busy line is served,
+// and the side table that held it is empty again.
+func TestDeferredTableDrainsOnCanneal(t *testing.T) {
+	p, err := workload.ByName("canneal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := cmp.DefaultConfig()
+	cfg.TimerPeriod = p.TimerPeriod(workload.Clock75MHz)
+	cfg.TimerHandlerInsts = p.TimerHandlerInsts
+	runSystem(t, p, table2Net(2, 1), cfg)
 }
 
 func TestAllBenchmarksCompleteOnRealNetwork(t *testing.T) {

@@ -19,7 +19,7 @@ func (s *System) WarmL1(core int, lines []uint64, st LineState) {
 		e := h.entry(l)
 		if st == Modified {
 			e.state = dModified
-			e.owner = core
+			e.owner = int8(core)
 			e.sharers = 1 << uint(core)
 		} else if e.state != dModified {
 			e.state = dShared

@@ -34,12 +34,13 @@ func TestWarmL1SharedAccumulatesSharers(t *testing.T) {
 func TestWarmL2DataOnly(t *testing.T) {
 	sys, _ := protoSystem(t)
 	sys.WarmL2([]uint64{20, 24})
+	h := sys.homes[0]
 	for _, l := range []uint64{20, 24} {
-		if sys.homes[0].l2.Probe(l) == Invalid {
+		if h.l2.Probe(l) == Invalid {
 			t.Errorf("line %d not in L2", l)
 		}
-		if e, ok := sys.homes[0].dir[l]; ok && (e.state != dInvalid || e.sharers != 0) {
-			t.Errorf("warm L2 created directory sharers: %+v", e)
+		if i, ok := h.index[l]; ok && (h.dir[i].state != dInvalid || h.dir[i].sharers != 0) {
+			t.Errorf("warm L2 created directory sharers: %+v", h.dir[i])
 		}
 		for _, tile := range sys.tileArr {
 			if tile.l1.Probe(l) != Invalid {

@@ -298,8 +298,9 @@ func exec(ctx context.Context, p NetworkParams, ep ExecParams) (*cmp.Result, err
 	// A zero seed means the network seed.
 	ep.Seed = defaulted(ep.Seed, p.Seed)
 	key := execKey{Params: p.cacheNorm(), Exec: ep}
-	// The CMP system owns its own engine loop, so exec records carry no
-	// stepped/fast-forwarded split.
+	// An exec run is never observed because ExecParams has no Hooks yet.
+	// cmp.System.Run is an engine.RunOutcome loop like batch and barrier;
+	// nothing hands it runScope.hooks().
 	return execute("exec", key, false,
 		func(*runScope) (*cmp.Result, error) { return execProfile(ctx, p, ep, prof) },
 		func(r *cmp.Result) summary { return summary{cycles: r.Cycles} })

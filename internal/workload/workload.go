@@ -349,40 +349,54 @@ func All() []Profile {
 	}
 }
 
-// WarmSets returns the cache-warming plan for a run of this profile:
-// perCore[c] lists the lines to preload into core c's L1 in Modified state
-// (its private hot set and kernel stack), and l2 lists the lines to preload
-// into the shared L2 (the user and kernel shared regions). This models
-// running from a warmed-up checkpoint (§IV-A).
-func (p Profile) WarmSets(cores int) (perCore [][]uint64, l2 []uint64) {
-	perCore = make([][]uint64, cores)
-	for c := 0; c < cores; c++ {
-		base := privateBase + uint64(c)*coreStride
-		for i := 0; i < p.PrivateLines; i++ {
-			perCore[c] = append(perCore[c], base+uint64(i))
-		}
-		kbase := kStackBase + uint64(c)*coreStride
-		for i := uint64(0); i < 64; i++ {
-			perCore[c] = append(perCore[c], kbase+i)
-		}
-	}
-	for i := 0; i < p.SharedLines; i++ {
-		l2 = append(l2, sharedBase+uint64(i))
-	}
-	for i := 0; i < p.KernelSharedLines; i++ {
-		l2 = append(l2, kSharedBase+uint64(i))
-	}
-	return perCore, l2
+// lineRegion is n consecutive line addresses from base.
+type lineRegion struct {
+	base uint64
+	n    int
 }
 
-// Warm applies the profile's warming plan to a system and resets cache
-// statistics so measurements start from the warmed state.
-func (p Profile) Warm(sys *cmp.System, cores int) {
-	perCore, l2 := p.WarmSets(cores)
-	for c, lines := range perCore {
-		sys.WarmL1(c, lines, cmp.Modified)
+// chunks calls fn on the region's lines in order, at most len(buf) at a
+// time, so a region of any size costs one small buffer.
+func (r lineRegion) chunks(buf []uint64, fn func([]uint64)) {
+	for done := 0; done < r.n; {
+		k := min(r.n-done, len(buf))
+		for i := range buf[:k] {
+			buf[i] = r.base + uint64(done+i)
+		}
+		fn(buf[:k])
+		done += k
 	}
-	sys.WarmL2(l2)
+}
+
+// warmL1 returns the regions preloaded into core c's L1 in Modified state:
+// its private hot set and its kernel stack.
+func (p Profile) warmL1(c int) [2]lineRegion {
+	return [2]lineRegion{
+		{privateBase + uint64(c)*coreStride, p.PrivateLines},
+		{kStackBase + uint64(c)*coreStride, 64},
+	}
+}
+
+// warmL2 returns the regions preloaded into the shared L2: the user and
+// kernel shared regions.
+func (p Profile) warmL2() [2]lineRegion {
+	return [2]lineRegion{{sharedBase, p.SharedLines}, {kSharedBase, p.KernelSharedLines}}
+}
+
+// Warm applies the profile's cache-warming plan (warmL1 for every core, then
+// warmL2) to a system and resets cache statistics so measurements start from
+// the warmed state. This models running from a warmed-up checkpoint
+// (§IV-A). Lines are installed as the regions are walked, never collected.
+func (p Profile) Warm(sys *cmp.System, cores int) {
+	buf := make([]uint64, 512)
+	for c := 0; c < cores; c++ {
+		for _, r := range p.warmL1(c) {
+			r.chunks(buf, func(lines []uint64) { sys.WarmL1(c, lines, cmp.Modified) })
+		}
+	}
+	for _, r := range p.warmL2() {
+		r.chunks(buf, sys.WarmL2)
+	}
 	sys.ResetCacheStats()
 }
 

@@ -207,24 +207,34 @@ func TestKernelStreamNeverDone(t *testing.T) {
 
 func TestWarmSetsCoverRegions(t *testing.T) {
 	p, _ := ByName("fft")
-	perCore, l2 := p.WarmSets(16)
-	if len(perCore) != 16 {
-		t.Fatalf("per-core sets = %d", len(perCore))
+	count := func(rs [2]lineRegion) int { return rs[0].n + rs[1].n }
+	if n := count(p.warmL1(0)); n != p.PrivateLines+64 {
+		t.Errorf("core 0 warm lines = %d, want %d", n, p.PrivateLines+64)
 	}
-	if len(perCore[0]) != p.PrivateLines+64 {
-		t.Errorf("core 0 warm lines = %d, want %d", len(perCore[0]), p.PrivateLines+64)
+	if n := count(p.warmL2()); n != p.SharedLines+p.KernelSharedLines {
+		t.Errorf("l2 warm lines = %d, want %d", n, p.SharedLines+p.KernelSharedLines)
 	}
-	if len(l2) != p.SharedLines+p.KernelSharedLines {
-		t.Errorf("l2 warm lines = %d, want %d", len(l2), p.SharedLines+p.KernelSharedLines)
-	}
-	// Per-core sets must be disjoint.
+	// Per-core sets must be disjoint, and a region walked in chunks yields
+	// each of its lines once, in order.
 	seen := map[uint64]bool{}
-	for _, lines := range perCore {
-		for _, l := range lines {
-			if seen[l] {
-				t.Fatalf("line %#x warmed for two cores", l)
+	for c := 0; c < 16; c++ {
+		for _, r := range p.warmL1(c) {
+			next := r.base
+			r.chunks(make([]uint64, 100), func(lines []uint64) {
+				for _, l := range lines {
+					if l != next {
+						t.Fatalf("core %d region %#x: line %#x, want %#x", c, r.base, l, next)
+					}
+					next++
+					if seen[l] {
+						t.Fatalf("line %#x warmed for two cores", l)
+					}
+					seen[l] = true
+				}
+			})
+			if next != r.base+uint64(r.n) {
+				t.Errorf("core %d region %#x: walked %d lines, want %d", c, r.base, next-r.base, r.n)
 			}
-			seen[l] = true
 		}
 	}
 }
