@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strings"
 	"time"
 
 	"noceval/internal/obs/ledger"
@@ -19,6 +20,7 @@ import (
 // kindAgg accumulates the per-run-mode dashboard row.
 type kindAgg struct {
 	runs, hits, consulted, errs int
+	discarded                   int // runs a sweep cancelled (discardedBySweep)
 	wall                        time.Duration
 	computeWall                 time.Duration // wall time of non-hit runs only
 	cycles                      int64
@@ -59,7 +61,10 @@ func writeReport(w io.Writer, path string) error {
 		} else {
 			a.computeWall += time.Duration(r.WallNS)
 		}
-		if r.Err != "" {
+		switch {
+		case discardedBySweep(r.Err):
+			a.discarded++
+		case r.Err != "":
 			a.errs++
 		}
 		a.wall += time.Duration(r.WallNS)
@@ -71,7 +76,7 @@ func writeReport(w io.Writer, path string) error {
 	sort.Strings(kinds)
 
 	t := stats.NewTable("Run ledger summary",
-		"kind", "runs", "cache hits", "hit rate", "errors",
+		"kind", "runs", "cache hits", "hit rate", "errors", "discarded",
 		"sim cycles", "Mcyc/s", "ff skipped", "wall")
 	for _, k := range kinds {
 		a := byKind[k]
@@ -94,6 +99,7 @@ func writeReport(w io.Writer, path string) error {
 			fmt.Sprintf("%d/%d", a.hits, a.consulted),
 			hitRate,
 			fmt.Sprint(a.errs),
+			fmt.Sprint(a.discarded),
 			fmt.Sprint(a.cycles),
 			mcycs,
 			skip,
@@ -178,3 +184,10 @@ func writeReport(w io.Writer, path string) error {
 	}
 	return nil
 }
+
+// discardedBySweep reports a run the open-loop sweep cancelled because a
+// lower rate of its wave had already proven unstable. The sweep never
+// reports such a rate and a serial sweep would never have started it, so
+// it is not an error; openloop's cancellation cause says "sweep
+// discarded".
+func discardedBySweep(err string) bool { return strings.Contains(err, "sweep discarded") }

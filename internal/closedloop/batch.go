@@ -341,7 +341,7 @@ func (d *batchDriver) sendRequest(node int, kernel bool) {
 		st.sentUser++
 	}
 	d.net.Send(p)
-	d.countInjection(p)
+	d.countInjection(&p)
 	st.pf++
 	d.refresh(node)
 }
@@ -420,7 +420,7 @@ func (d *batchDriver) Cycle(now int64) {
 			p.Aux = auxKernel
 		}
 		d.net.Send(p)
-		d.countInjection(p)
+		d.countInjection(&p)
 	}
 	// Generate requests: kernel work preempts user work, at most one
 	// new request per node per cycle, subject to the MSHR limit and

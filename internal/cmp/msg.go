@@ -126,8 +126,8 @@ func (m MsgType) size() int {
 // benchmark's network access rate (Table III defines NAR as the injection
 // rate under an ideal — fully connected, single-cycle — network).
 type Fabric interface {
-	NewPacket(src, dst, size int, kind router.Kind) *router.Packet
-	Send(p *router.Packet)
+	NewPacket(src, dst, size int, kind router.Kind) router.Packet
+	Send(p router.Packet)
 	Step()
 	Now() int64
 	Quiescent() bool
@@ -154,16 +154,16 @@ type IdealFabric struct {
 func NewIdealFabric() *IdealFabric { return &IdealFabric{} }
 
 // NewPacket implements Fabric.
-func (f *IdealFabric) NewPacket(src, dst, size int, kind router.Kind) *router.Packet {
+func (f *IdealFabric) NewPacket(src, dst, size int, kind router.Kind) router.Packet {
 	f.nextID++
-	return &router.Packet{
+	return router.Packet{
 		ID: f.nextID, Src: src, Dst: dst, Size: size, Kind: kind,
 		CreateTime: f.now, InjectTime: f.now, ArriveTime: -1,
 	}
 }
 
-// Send implements Fabric.
-func (f *IdealFabric) Send(p *router.Packet) { f.pending = append(f.pending, p) }
+// Send implements Fabric; the fabric holds its own copy of p until delivery.
+func (f *IdealFabric) Send(p router.Packet) { f.pending = append(f.pending, &p) }
 
 // Step implements Fabric: a packet sent in cycle c is delivered in cycle
 // c+1. Packets sent from within delivery callbacks wait for the next Step.

@@ -15,11 +15,11 @@ type stubFabric struct {
 	recv   network.Receiver
 }
 
-func (f *stubFabric) NewPacket(src, dst, size int, kind router.Kind) *router.Packet {
+func (f *stubFabric) NewPacket(src, dst, size int, kind router.Kind) router.Packet {
 	f.nextID++
-	return &router.Packet{ID: f.nextID, Src: src, Dst: dst, Size: size, Kind: kind, CreateTime: f.now}
+	return router.Packet{ID: f.nextID, Src: src, Dst: dst, Size: size, Kind: kind, CreateTime: f.now}
 }
-func (f *stubFabric) Send(p *router.Packet)            { f.sent = append(f.sent, p) }
+func (f *stubFabric) Send(p router.Packet)             { f.sent = append(f.sent, &p) }
 func (f *stubFabric) Step()                            { f.now++ }
 func (f *stubFabric) Now() int64                       { return f.now }
 func (f *stubFabric) Quiescent() bool                  { return len(f.sent) == 0 }

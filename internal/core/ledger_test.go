@@ -25,7 +25,10 @@ func TestLedgerMatchesCacheStats(t *testing.T) {
 
 	p := Table2Network(1)
 	rates := []float64{0.05, 0.1}
-	opts := OpenLoopOpts{Warmup: 200, Measure: 300, DrainLimit: 3000}
+	// Both rates are stable with this window, so the sweep reports and
+	// caches both; with a 300-cycle window 0.05 reads unstable and the
+	// sweep may cancel 0.1, which is then neither cached nor error-free.
+	opts := OpenLoopOpts{Warmup: 200, Measure: 1000, DrainLimit: 3000}
 	for pass := 0; pass < 2; pass++ { // cold, then warm
 		if _, err := OpenLoopSweepWith(p, rates, opts); err != nil {
 			t.Fatal(err)

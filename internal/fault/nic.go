@@ -21,16 +21,18 @@ type NICConfig struct {
 	// clone of prev into the network and return it. The clone carries the
 	// same transaction identity, so a late arrival of either incarnation
 	// completes the transaction and the other is discarded as a duplicate.
-	Resend func(now int64, prev *router.Packet) *router.Packet
+	Resend func(now int64, prev *router.Packet) router.Packet
 	// Abandon reports a transaction given up after MaxRetries; the owner
 	// (run mode) uses it to account the loss instead of waiting forever.
 	Abandon func(now int64, p *router.Packet)
 }
 
-// entry is one outstanding transaction: the latest in-flight incarnation,
-// how often it has been retransmitted, and its armed timeout.
+// entry is one outstanding transaction: the NIC's copy of its latest
+// incarnation as sent, how often it has been retransmitted, and its armed
+// timeout. The copy is the NIC's own because the network keeps a packet
+// that has not injected only as a queue record.
 type entry struct {
-	pkt      *router.Packet
+	pkt      router.Packet
 	attempts int
 	deadline int64
 	// queued marks an entry whose first retransmission is waiting for a
@@ -96,12 +98,12 @@ func NewNIC(cfg NICConfig) *NIC {
 	}
 }
 
-// Track starts watching a freshly sent packet, stamping its transaction
-// identity. Retransmitted clones are not re-tracked (Resend inherits the
-// identity).
+// Track starts watching a freshly sent packet: it stamps p's transaction
+// identity and keeps a copy of p. Retransmitted clones are not re-tracked
+// (Resend inherits the identity).
 func (c *NIC) Track(now int64, p *router.Packet) {
 	p.FaultTxn = p.ID
-	c.entries[p.FaultTxn] = &entry{pkt: p, deadline: now + c.cfg.Timeout}
+	c.entries[p.FaultTxn] = &entry{pkt: *p, deadline: now + c.cfg.Timeout}
 	c.push(tmo{at: now + c.cfg.Timeout, txn: p.FaultTxn})
 	c.tracked++
 }
@@ -160,7 +162,7 @@ func (c *NIC) retry(now int64, txn uint64, e *entry) {
 		c.retrying[node]++
 	}
 	e.attempts++
-	e.pkt = c.cfg.Resend(now, e.pkt)
+	e.pkt = c.cfg.Resend(now, &e.pkt)
 	shift := uint(e.attempts)
 	if shift > 16 {
 		shift = 16
@@ -180,7 +182,7 @@ func (c *NIC) abandon(now int64, txn uint64, e *entry) {
 		c.retrying[node]--
 	}
 	if c.cfg.Abandon != nil {
-		c.cfg.Abandon(now, e.pkt)
+		c.cfg.Abandon(now, &e.pkt)
 	}
 	c.drainPending(now, node)
 }

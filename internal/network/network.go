@@ -114,13 +114,14 @@ type Network struct {
 	// (node, class qc) is srcQ[node*classes+qc], held by value. Single-class
 	// networks use srcQ[node] exactly as the classic single queue.
 	classes int
-	srcQ    []sim.FIFO[router.Flit]
+	srcQ    []sourceQueue
 
 	// OnReceive, when non-nil, is invoked for every packet that fully
 	// arrives at its destination terminal.
 	OnReceive Receiver
 	// OnSend, when non-nil, observes every packet handed to Send (used by
-	// the trace recorder).
+	// the trace recorder). It receives a copy that is valid for the call:
+	// the Packet the network routes is built when the head flit injects.
 	OnSend Receiver
 	// OnDeadDrop, when non-nil, is invoked when the recovery NIC abandons a
 	// transaction after exhausting its retries — the run mode's signal to
@@ -155,7 +156,7 @@ type Network struct {
 	// for a sequential (Shards <= 1) network.
 	gang *par.Gang
 
-	// Conservation accounting. Every packet object handed to Send ends in
+	// Conservation accounting. Every packet handed to Send ends in
 	// exactly one of: arrived, dead (died inside the network), discarded
 	// (checksum-rejected at the destination), or dup (redundant incarnation
 	// discarded by receiver dedup) — the invariant harness checks the sum.
@@ -250,7 +251,7 @@ func New(cfg Config) *Network {
 		rng:     sim.NewRNG(cfg.Seed),
 		routers: make([]*router.Router, t.N),
 		classes: classes,
-		srcQ:    make([]sim.FIFO[router.Flit], t.N*classes),
+		srcQ:    make([]sourceQueue, t.N*classes),
 	}
 	parts := t.Partition(max(cfg.Shards, 1))
 	n.tiles = make([]netTile, len(parts))
@@ -297,7 +298,7 @@ func New(cfg Config) *Network {
 				MaxRetries: fp.MaxRetries,
 				RetryCap:   fp.RetryCap,
 				Nodes:      t.N,
-				Resend: func(now int64, prev *router.Packet) *router.Packet {
+				Resend: func(now int64, prev *router.Packet) router.Packet {
 					p := n.NewPacket(prev.Src, prev.Dst, prev.Size, prev.Kind)
 					p.Aux = prev.Aux
 					p.Measured = prev.Measured
@@ -308,7 +309,7 @@ func New(cfg Config) *Network {
 					p.CreateTime = prev.CreateTime
 					p.FaultTxn = prev.FaultTxn
 					n.cFaultRetried.Inc()
-					n.send(p)
+					n.send(&p)
 					return p
 				},
 				Abandon: func(now int64, p *router.Packet) {
@@ -439,13 +440,15 @@ func (n *Network) RNG() *sim.RNG { return n.rng }
 // Nodes returns the number of terminals.
 func (n *Network) Nodes() int { return n.cfg.Topo.N }
 
-// NewPacket allocates a packet from src to dst with the given flit count
-// and kind, stamps its creation time, and prepares its routing state
-// (including the intermediate node for two-phase algorithms).
-func (n *Network) NewPacket(src, dst, size int, kind router.Kind) *router.Packet {
+// NewPacket returns a packet from src to dst with the given flit count and
+// kind: the next packet id, its creation time, and its routing state
+// (including the intermediate node two-phase algorithms draw here). It
+// allocates nothing; the caller sets any further fields and hands the
+// value to Send.
+func (n *Network) NewPacket(src, dst, size int, kind router.Kind) router.Packet {
 	n.nextPacketID++
 	mid := n.cfg.Routing.PickIntermediate(n.cfg.Topo, n.rng, src, dst)
-	p := &router.Packet{
+	p := router.Packet{
 		ID:         n.nextPacketID,
 		Src:        src,
 		Dst:        dst,
@@ -460,20 +463,22 @@ func (n *Network) NewPacket(src, dst, size int, kind router.Kind) *router.Packet
 	return p
 }
 
-// Send queues the packet's flits at its source terminal. The packet will be
-// injected into the router as buffer space allows. When the recovery NIC is
-// armed it starts tracking the packet here; retransmissions re-enter below
-// Send so they are not tracked twice.
-func (n *Network) Send(p *router.Packet) {
+// Send queues p at its source terminal, to be injected into the router as
+// buffer space allows. Send keeps a 48-byte record of p, not p: the Packet
+// the network routes, and OnReceive later sees, is built from the record
+// when the head flit injects, with p's ID and field values. When the
+// recovery NIC is armed it starts tracking the packet here;
+// retransmissions re-enter below Send so they are not tracked twice.
+func (n *Network) Send(p router.Packet) {
 	if n.nic != nil {
-		n.nic.Track(n.clock.Now(), p)
+		n.nic.Track(n.clock.Now(), &p)
 	}
-	n.send(p)
+	n.send(&p)
 }
 
 func (n *Network) send(p *router.Packet) {
 	if n.OnSend != nil {
-		n.OnSend(n.clock.Now(), p)
+		n.onSend(*p)
 	}
 	n.pktsSent++
 	n.cPktSent.Inc()
@@ -481,18 +486,22 @@ func (n *Network) send(p *router.Packet) {
 		// The terminal died with its router: the packet is lost before it
 		// can queue. The NIC (if any) still tracks it, so the loss is
 		// eventually reported through timeout and abandonment.
-		n.notePacketDead(p)
+		n.pktsDead++
 		return
 	}
-	q := &n.srcQ[p.Src*n.classes+n.clampClass(p.Class)]
-	for i := 0; i < p.Size; i++ {
-		q.Push(router.Flit{P: p, Seq: int32(i)})
+	if p.Size <= 0 {
+		return // no flit to queue
 	}
+	n.srcQ[p.Src*n.classes+n.clampClass(p.Class)].push(record(p))
 	t := &n.tiles[n.tileOf[p.Src]]
 	bit := p.Src - t.lo
 	t.srcPending[bit>>6] |= 1 << (uint(bit) & 63)
 	t.queuedFlits += int64(p.Size)
 }
+
+// onSend hands OnSend its own copy of a sent packet, so only a hooked
+// network puts a Packet on the heap at Send.
+func (n *Network) onSend(p router.Packet) { n.OnSend(n.clock.Now(), &p) }
 
 // clampClass maps a packet class onto the configured class range: classes
 // beyond the configured count share the lowest-priority queue, so a
@@ -513,7 +522,7 @@ func (n *Network) Classes() int { return n.classes }
 func (n *Network) SourceQueueLen(node int) int {
 	l := 0
 	for qc := 0; qc < n.classes; qc++ {
-		l += n.srcQ[node*n.classes+qc].Len()
+		l += n.srcQ[node*n.classes+qc].flits
 	}
 	return l
 }
@@ -700,13 +709,10 @@ func (n *Network) injectNode(now int64, t *netTile, node int) {
 	pending := 0
 	for qc := 0; qc < n.classes; qc++ {
 		q := &n.srcQ[node*n.classes+qc]
-		for q.Len() > 0 && r.CanAcceptInjectionClass(qc) {
-			f, _ := q.Pop()
-			if f.Head() {
-				f.P.InjectTime = now
-				if n.tracer != nil {
-					n.tracer.Record(now, f.P.ID, node, obs.PhaseInject)
-				}
+		for q.flits > 0 && r.CanAcceptInjectionClass(qc) {
+			f := q.pop(node, now)
+			if f.Head() && n.tracer != nil {
+				n.tracer.Record(now, f.P.ID, node, obs.PhaseInject)
 			}
 			r.AcceptFlit(n.cfg.Topo.LocalPort(), r.InjectionVCClass(qc), f)
 			t.flitsInjected++
@@ -716,7 +722,7 @@ func (n *Network) injectNode(now int64, t *netTile, node int) {
 				n.cFlitInjected.Inc()
 			}
 		}
-		pending += q.Len()
+		pending += q.flits
 	}
 	if pending == 0 {
 		bit := node - t.lo
@@ -899,10 +905,12 @@ func (n *Network) killRouter(now int64, node int) {
 	t := &n.tiles[n.tileOf[node]]
 	for qc := 0; qc < n.classes; qc++ {
 		q := &n.srcQ[node*n.classes+qc]
-		for f, ok := q.Pop(); ok; f, ok = q.Pop() {
-			t.queuedFlits--
-			n.notePacketDead(f.P)
+		t.queuedFlits -= int64(q.flits)
+		cur, queued := q.purge()
+		if cur != nil {
+			n.notePacketDead(cur)
 		}
+		n.pktsDead += int64(queued) // never injected, never built
 	}
 	bit := node - t.lo
 	t.srcPending[bit>>6] &^= 1 << (uint(bit) & 63)

@@ -31,8 +31,8 @@ func deliverOne(t *testing.T, n *Network, src, dst, size int) *router.Packet {
 	if got == nil {
 		t.Fatalf("packet %d->%d never arrived", src, dst)
 	}
-	if got != p {
-		t.Fatalf("arrived packet is not the sent packet")
+	if got.ID != p.ID {
+		t.Fatalf("arrived packet %d is not the sent packet %d", got.ID, p.ID)
 	}
 	if err := n.CheckConservation(); err != nil {
 		t.Fatal(err)

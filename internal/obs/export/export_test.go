@@ -62,7 +62,10 @@ func TestMetricsEndpointSmoke(t *testing.T) {
 
 	p := core.Table2Network(1)
 	rates := []float64{0.05, 0.1}
-	opts := core.OpenLoopOpts{Warmup: 200, Measure: 300, DrainLimit: 3000}
+	// Both rates are stable with this window, so the sweep reports and
+	// caches both; with a 300-cycle window 0.05 reads unstable and the
+	// sweep may cancel 0.1, which is then never cached.
+	opts := core.OpenLoopOpts{Warmup: 200, Measure: 1000, DrainLimit: 3000}
 	if _, err := core.OpenLoopSweepWith(p, rates, opts); err != nil {
 		t.Fatal(err)
 	}

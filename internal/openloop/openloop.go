@@ -72,6 +72,13 @@ type Config struct {
 	// fast-forwarded cycle split) after the run finishes. The run ledger
 	// hooks here; the outcome never feeds back into results.
 	OnEngine func(engine.Outcome)
+
+	// unstable, when non-nil, is called once the run knows its result is
+	// unstable: at the end of the measurement phase, when the flits the
+	// window accepted already fall short of 90 % of the offered load. The
+	// sweep loop sets it (screen.go); a struct copy carries it through
+	// runners that wrap Run.
+	unstable func()
 }
 
 // Default phase lengths applied when the corresponding Config fields are
@@ -178,6 +185,7 @@ type driver struct {
 
 	measureFrom, drainFrom int64
 	outstanding            *int
+	ejected                *int64 // flits ejected inside the measurement window
 
 	// bernProb, when non-negative, is the memoryless per-cycle injection
 	// probability of a plain Bernoulli process, hoisted out of the
@@ -197,6 +205,10 @@ type driver struct {
 
 // Cycle implements engine.Driver: one injection opportunity per terminal.
 func (d *driver) Cycle(now int64) {
+	if now == d.drainFrom && d.cfg.unstable != nil &&
+		shortfall(accepted(*d.ejected, d.cfg.Measure, d.n), d.cfg.Rate) {
+		d.cfg.unstable()
+	}
 	measured := now >= d.measureFrom && now < d.drainFrom
 	if d.classProb != nil {
 		for node := 0; node < d.n; node++ {
@@ -285,6 +297,20 @@ const maxPresize = 1 << 20
 func presize(prob float64, nodes int, measure int64) int {
 	return min(sampleHint(prob, nodes, measure), maxPresize)
 }
+
+// accepted is a run's measured throughput in flits/cycle/node: the flits
+// ejected inside the measurement window over the window's length.
+func accepted(ejected, measure int64, nodes int) float64 {
+	return float64(ejected) / float64(measure) / float64(nodes)
+}
+
+// shortfall is the instability test on a closed measurement window. Beyond
+// saturation the network cannot accept the offered load: source queues
+// grow without bound even if the tagged packets eventually get through, so
+// a >10% shortfall between accepted and offered throughput is instability.
+// Run applies it to the result, and at the end of the window to decide
+// whether to call Config.unstable, so both read the same expression.
+func shortfall(accepted, rate float64) bool { return accepted < 0.9*rate }
 
 // CheckPhases rejects phase lengths no run can use: each must be
 // non-negative (0 selects the default), and the whole run — the engine's
@@ -458,6 +484,7 @@ func Run(cfg Config) (*Result, error) {
 		cfg: &cfg, net: net, rng: rng, proc: proc, n: n,
 		measureFrom: measureFrom, drainFrom: drainFrom,
 		outstanding: &outstanding,
+		ejected:     &ejectedFlits,
 		bernProb:    -1,
 	}
 	// Bernoulli sources fix the measured-packet count in advance (n*Measure
@@ -537,7 +564,7 @@ func Run(cfg Config) (*Result, error) {
 	}
 	res.WorstLatency = worst
 	if measureCycles > 0 {
-		res.Accepted = float64(ejectedFlits) / float64(measureCycles) / float64(n)
+		res.Accepted = accepted(ejectedFlits, measureCycles, n)
 	}
 	if C := len(cfg.Classes); C > 0 {
 		res.PerClass = make([]ClassResult, C)
@@ -555,11 +582,7 @@ func Run(cfg Config) (*Result, error) {
 			res.PerClass[i] = cr
 		}
 	}
-	// Beyond saturation the network cannot accept the offered load: source
-	// queues grow without bound even if the tagged packets eventually get
-	// through. Treat a >10% shortfall between accepted and offered
-	// throughput as instability.
-	if res.Accepted < 0.9*cfg.Rate {
+	if shortfall(res.Accepted, cfg.Rate) {
 		res.Stable = false
 	}
 	res.LostPackets = lostPackets

@@ -1,12 +1,15 @@
 package openloop
 
 import (
+	"context"
 	"errors"
+	"fmt"
 	"reflect"
 	"runtime"
 	"sort"
 	"sync"
 	"testing"
+	"time"
 )
 
 // fakeRunner records every simulated rate and fakes instability at or
@@ -351,6 +354,119 @@ func TestSweepWithIsTheZeroCutSweep(t *testing.T) {
 		if scr != nil && scr.Stats != nil {
 			if want := (ScreenStats{Considered: len(rates), Simulated: 9}); *scr.Stats != want {
 				t.Errorf("screen cut %v stats %+v, want %+v", scr.Cut, *scr.Stats, want)
+			}
+		}
+	}
+}
+
+// cancelRunner fakes a sweep whose first unstable rate is unstable, with an
+// optional failure at failAt below it. The unstable rate proves itself
+// through the wave's hook, then returns its result, or ownErr when set.
+// Every rate above it waits for its context and records the cause it was
+// cancelled with; one that waits in vain fails the test.
+type cancelRunner struct {
+	unstable, failAt float64 // failAt 0 = no failure
+	failErr, ownErr  error
+
+	mu     sync.Mutex
+	causes map[float64]error
+}
+
+func (f *cancelRunner) run(c Config) (*Result, error) {
+	switch {
+	case c.Rate == f.failAt:
+		return nil, f.failErr
+	case c.Rate < f.unstable:
+		return &Result{Rate: c.Rate, Stable: true}, nil
+	case c.Rate == f.unstable:
+		if c.unstable != nil {
+			c.unstable()
+		}
+		if f.ownErr != nil {
+			return nil, f.ownErr
+		}
+		return &Result{Rate: c.Rate, Stable: false}, nil
+	}
+	select {
+	case <-c.Ctx.Done():
+	case <-time.After(10 * time.Second):
+		return nil, fmt.Errorf("rate %v above the unstable rate was never cancelled", c.Rate)
+	}
+	cause := context.Cause(c.Ctx)
+	f.mu.Lock()
+	f.causes[c.Rate] = cause
+	f.mu.Unlock()
+	return nil, fmt.Errorf("openloop: run canceled: %w", cause)
+}
+
+// serialSweep is the contract every sweep is held to: rates one at a time,
+// stopping at the first error or unstable result.
+func serialSweep(rates []float64, run func(Config) (*Result, error)) ([]*Result, error) {
+	var out []*Result
+	for _, r := range rates {
+		res, err := run(Config{Rate: r})
+		if err != nil {
+			return out, err
+		}
+		out = append(out, res)
+		if !res.Stable {
+			return out, nil
+		}
+	}
+	return out, nil
+}
+
+// TestSweepCancelsRatesAboveUnstable moves the first unstable rate through
+// every position of two four-wide waves, alone, returning its own error,
+// and under a failure at every lower position. The sweep must return the
+// serial loop's slice and error, so the failed or unstable point's own
+// error wins over the cancellation; and every launched rate above the
+// unstable one must have been cancelled with errDiscarded.
+func TestSweepCancelsRatesAboveUnstable(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	const width = 4
+	rates := []float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8}
+	boom, own := errors.New("boom"), errors.New("own")
+	for u := range rates {
+		type variant struct {
+			fail   int // index of the failing rate, -1 = none
+			ownErr error
+		}
+		variants := []variant{{-1, nil}, {-1, own}}
+		for f := 0; f < u; f++ {
+			variants = append(variants, variant{f, nil})
+		}
+		for _, v := range variants {
+			name := fmt.Sprintf("unstable %v fail %d own %v", rates[u], v.fail, v.ownErr)
+			runner := func() *cancelRunner {
+				r := &cancelRunner{unstable: rates[u], failErr: boom, ownErr: v.ownErr, causes: map[float64]error{}}
+				if v.fail >= 0 {
+					r.failAt = rates[v.fail]
+				}
+				return r
+			}
+			want, wantErr := serialSweep(rates, runner().run)
+			r := runner()
+			got, err := SweepWith(Config{}, rates, r.run)
+			if err != wantErr {
+				t.Errorf("%s: error %v, the serial loop's %v", name, err, wantErr)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s: %d results, the serial loop's %d", name, len(got), len(want))
+			}
+			// u's wave is launched unless a failure in an earlier wave ended
+			// the sweep first; then every rate above u in it is cancelled.
+			var cancelled []float64
+			if v.fail < 0 || v.fail/width == u/width {
+				cancelled = rates[u+1 : min(u/width*width+width, len(rates))]
+			}
+			if len(r.causes) != len(cancelled) {
+				t.Errorf("%s: %d rates saw a cancellation, want %v", name, len(r.causes), cancelled)
+			}
+			for _, rate := range cancelled {
+				if cause := r.causes[rate]; !errors.Is(cause, errDiscarded) {
+					t.Errorf("%s: rate %v ended with cause %v, want errDiscarded", name, rate, cause)
+				}
 			}
 		}
 	}

@@ -16,8 +16,11 @@ import (
 )
 
 // Parallel runs n independent task closures across worker goroutines and
-// returns the first error encountered (remaining tasks are still executed;
-// simulations are cheap to finish and results stay index-addressed). Every
+// returns the first error encountered. It never stops a task: an error
+// does not cancel the remaining tasks, and results stay index-addressed. A
+// caller that wants tasks to end early gives them a context and cancels
+// it (the open-loop sweep cancels rates above one already proven
+// unstable). Every
 // simulator in this repository is deterministic given its seed and shares
 // no mutable state across runs, so experiment sweeps parallelize
 // perfectly.

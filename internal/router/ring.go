@@ -45,12 +45,14 @@ func (d *delayRing) grow() {
 }
 
 // popReady removes and returns the oldest entry if its delivery time has
-// been reached at cycle now.
+// been reached at cycle now, clearing the slot's packet pointer as
+// popFront does.
 func (d *delayRing) popReady(now int64) (Flit, bool) {
 	if d.n == 0 || d.buf[d.head].at > now {
 		return Flit{}, false
 	}
 	f := d.buf[d.head].f
+	d.buf[d.head].f.P = nil
 	if d.head++; d.head == len(d.buf) {
 		d.head = 0
 	}

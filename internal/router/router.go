@@ -444,9 +444,12 @@ func (r *Router) classRange(qc, class int) (lo, hi int) {
 // front returns the oldest flit of a non-empty input VC.
 func (r *Router) front(v *inVC) Flit { return r.slab[v.base+v.head] }
 
-// popFront removes and returns the oldest flit of a non-empty input VC.
+// popFront removes and returns the oldest flit of a non-empty input VC. It
+// clears the slot's packet pointer: a stale one would keep the packet, and
+// the whole block its source queue built it in, alive after arrival.
 func (r *Router) popFront(v *inVC) Flit {
 	f := r.slab[v.base+v.head]
+	r.slab[v.base+v.head].P = nil
 	if v.head++; int(v.head) == r.cfg.BufDepth {
 		v.head = 0
 	}
