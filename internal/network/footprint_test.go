@@ -1,6 +1,7 @@
 package network
 
 import (
+	"fmt"
 	"math"
 	"runtime"
 	"strings"
@@ -32,7 +33,7 @@ func TestValidateBoundsFootprint(t *testing.T) {
 		wantError string // "" = valid
 	}{
 		{"mesh8x8", routing.DOR{}, 1_000_000_000, 16, 1,
-			"network: 8x8 mesh with VCs 1000000000, BufDepth 16, Delay 1 needs 9.78e+04 GiB of router buffers and pipes, over the 1 GiB limit"},
+			"network: 8x8 mesh with VCs 1000000000, BufDepth 16, Delay 1 needs 1.14e+05 GiB of router buffers and pipes, over the 1 GiB limit"},
 		{"mesh8x8", routing.DOR{}, 2, 1_000_000_000, 1,
 			"network: 8x8 mesh with VCs 2, BufDepth 1000000000, Delay 1 needs 9.54e+03 GiB of router buffers and pipes, over the 1 GiB limit"},
 		{"mesh8x8", routing.DOR{}, 2, 16, 1_000_000_000_000,
@@ -59,8 +60,7 @@ func TestValidateBoundsFootprint(t *testing.T) {
 }
 
 // TestFootprintBoundary: Validate accepts exactly the buffer depths whose
-// estimate is within maxFootprint, and the estimate is what New really
-// allocates.
+// estimate is within maxFootprint.
 func TestFootprintBoundary(t *testing.T) {
 	topo := mustTopo(t, "mesh4x4")
 	cfg := func(q int) Config { return testConfig(topo, routing.DOR{}, 2, q, 1) }
@@ -82,11 +82,21 @@ func TestFootprintBoundary(t *testing.T) {
 	if err := cfg(hi).Validate(); !strings.Contains(err.Error(), "over the 1 GiB limit") {
 		t.Fatalf("BufDepth %d: %v", hi, err)
 	}
+}
 
+// TestFootprintCoversNew: the estimate Validate bounds is what New really
+// allocates, to within 10 % and never above it, where buffers or pipes
+// dominate and at the sizes the repository runs, where the per-VC
+// candidate slab and the per-router next-hop rows are a visible share.
+func TestFootprintCoversNew(t *testing.T) {
+	mesh4, mesh8, mesh16 := mustTopo(t, "mesh4x4"), mustTopo(t, "mesh8x8"), mustTopo(t, "mesh16x16")
 	for _, c := range []Config{
-		testConfig(topo, routing.DOR{}, 2, 1<<13, 1),  // buffers dominate
-		testConfig(topo, routing.DOR{}, 2, 2, 1<<15),  // pipes dominate
-		testConfig(topo, routing.DOR{}, 64, 64, 1<<8), // both
+		testConfig(mesh4, routing.DOR{}, 2, 1<<13, 1),  // buffers dominate
+		testConfig(mesh4, routing.DOR{}, 2, 2, 1<<15),  // pipes dominate
+		testConfig(mesh4, routing.DOR{}, 64, 64, 1<<8), // both
+		testConfig(mesh8, routing.DOR{}, 2, 16, 1),     // the baseline network
+		testConfig(mesh8, routing.DOR{}, 32, 64, 1),
+		testConfig(mesh16, routing.MinimalAdaptive{}, 2, 16, 1),
 	} {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -94,9 +104,10 @@ func TestFootprintBoundary(t *testing.T) {
 		runtime.ReadMemStats(&after)
 		runtime.KeepAlive(n)
 		alloc := float64(after.TotalAlloc - before.TotalAlloc)
-		t.Logf("VCs %d BufDepth %d Delay %d: estimate %.0f B, New allocated %.0f B", c.Router.VCs, c.Router.BufDepth, c.Router.Delay, c.footprint(), alloc)
+		name := fmt.Sprintf("%s/%s VCs %d BufDepth %d Delay %d", c.Topo.Name, c.Routing.Name(), c.Router.VCs, c.Router.BufDepth, c.Router.Delay)
+		t.Logf("%s: estimate %.0f B, New allocated %.0f B", name, c.footprint(), alloc)
 		if est := c.footprint(); est > alloc || est < 0.9*alloc {
-			t.Errorf("VCs %d BufDepth %d Delay %d: estimate %.0f B, New allocated %.0f B", c.Router.VCs, c.Router.BufDepth, c.Router.Delay, est, alloc)
+			t.Errorf("%s: estimate %.0f B, New allocated %.0f B", name, est, alloc)
 		}
 	}
 }

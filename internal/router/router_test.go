@@ -7,6 +7,7 @@ import (
 	"unsafe"
 
 	"noceval/internal/routing"
+	"noceval/internal/sim"
 	"noceval/internal/topology"
 )
 
@@ -459,6 +460,64 @@ func TestNestedLoopPhasesMatchMaskPaths(t *testing.T) {
 					t.Fatalf("%s: harness moved no flits", name)
 				}
 			}
+		}
+	}
+}
+
+// randomTraffic returns a function that runs one cycle of a stand-alone
+// router under random load: every flit leaving a pipeline is acknowledged
+// with a credit, each input VC receives, with probability one half, a
+// packet of 1..BufDepth flits to a random destination if it has room for
+// all of it, and the router steps. Two routers fed from generators of one
+// seed see the same traffic.
+func randomTraffic(r *Router, topo *topology.Topology, seed uint64) (cycle func()) {
+	rng := sim.NewRNG(seed)
+	var id uint64
+	now := int64(0)
+	return func() {
+		for p := 0; p < r.ports; p++ {
+			if f, ok := r.PopDelivery(now, p); ok && p != topo.LocalPort() {
+				r.ReturnCredit(now, p, int(f.VC))
+			}
+			for v := 0; v < r.vcs; v++ {
+				size := 1 + rng.Intn(r.cfg.BufDepth)
+				if !rng.Bernoulli(0.5) || r.InBufLen(p, v)+size > r.cfg.BufDepth {
+					continue
+				}
+				id++
+				pkt := &Packet{ID: id, Src: r.ID, Dst: rng.Intn(topo.N), Size: size,
+					Class: int(r.vcQoS[v]), CreateTime: now, Route: routing.NewState(-1)}
+				for seq := 0; seq < size; seq++ {
+					r.AcceptFlit(p, v, Flit{P: pkt, Seq: int32(seq)})
+				}
+			}
+		}
+		r.Step(now)
+		now++
+	}
+}
+
+// TestRouterNextHopsMatchCandidates: a router reading its next-hop row
+// and one asking the algorithm per head flit stay in identical state after
+// every cycle of random traffic, under every allocator flavour.
+func TestRouterNextHopsMatchCandidates(t *testing.T) {
+	topo := topology.NewMesh(4, 4)
+	for _, cfg := range allocatorFlavours() {
+		memo, asked := New(5, topo, routing.DOR{}, cfg), New(5, topo, routing.DOR{}, cfg)
+		if memo.hops == nil {
+			t.Fatal("no next-hop row for DOR on a mesh")
+		}
+		asked.hops, asked.hopCands = nil, nil
+		stepMemo, stepAsked := randomTraffic(memo, topo, 7), randomTraffic(asked, topo, 7)
+		for i := 0; i < 2000; i++ {
+			stepMemo()
+			stepAsked()
+			if a, b := dumpState(memo), dumpState(asked); a != b {
+				t.Fatalf("%+v: state differs after cycle %d\nnext-hop row:\n%s\nCandidates:\n%s", cfg, i, a, b)
+			}
+		}
+		if memo.FlitsRouted == 0 {
+			t.Fatalf("%+v: harness moved no flits", cfg)
 		}
 	}
 }

@@ -324,6 +324,42 @@ func (m MinimalAdaptive) Candidates(t *topology.Topology, cur, dst int, st *Stat
 	return append(buf, Candidate{Port: port, Class: class})
 }
 
+// maxNextHopNodes bounds the topologies NextHops memoises: a row is one
+// byte per destination, so a network's rows total at most 1 MiB.
+const maxNextHopNodes = 1024
+
+// NextHops memoises router cur's routes on t, when alg's route there
+// depends only on (router, destination): DOR on a mesh. Entry row[dst]
+// indexes cands, and cands[row[dst]] is the single candidate
+// alg.Candidates returns at cur for a packet headed to dst, the ejection
+// candidate {t.LocalPort(), AnyClass} at dst == cur included. The row is
+// filled by calling Candidates once per destination, so it is a cache of
+// the algorithm, not a second routing implementation. NextHops returns nil
+// for every other algorithm or topology (their routes read per-packet
+// state: dateline, phase, escape commitment) and above maxNextHopNodes
+// nodes; routers then call Candidates per head flit.
+func NextHops(alg Algorithm, t *topology.Topology, cur int) (row []uint8, cands []Candidate) {
+	dor, ok := alg.(DOR)
+	if !ok || t.Kind != topology.MeshKind || t.N > maxNextHopNodes {
+		return nil, nil
+	}
+	row, cands = make([]uint8, t.N), make([]Candidate, 0, t.Ports())
+	var buf [1]Candidate
+	for dst := range row {
+		st := NewState(-1)
+		c := dor.Candidates(t, cur, dst, &st, buf[:0])[0]
+		i := 0
+		for i < len(cands) && cands[i] != c {
+			i++
+		}
+		if i == len(cands) {
+			cands = append(cands, c)
+		}
+		row[dst] = uint8(i)
+	}
+	return row, cands
+}
+
 // ByName returns the built-in algorithm with the given name.
 func ByName(name string) (Algorithm, error) {
 	switch name {

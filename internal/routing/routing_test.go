@@ -269,3 +269,49 @@ func abs(x int) int {
 	}
 	return x
 }
+
+// TestNextHopsMatchCandidates: a memoised row answers exactly what the
+// algorithm does for every (router, destination) pair of the meshes the
+// repository runs, ejection included, and NextHops declines every
+// algorithm or topology whose routes read per-packet state, and every
+// network above the size bound.
+func TestNextHopsMatchCandidates(t *testing.T) {
+	for _, k := range [][2]int{{2, 2}, {4, 4}, {4, 8}, {8, 8}, {16, 16}} {
+		topo := topology.NewMesh(k[0], k[1])
+		for cur := 0; cur < topo.N; cur++ {
+			row, cands := NextHops(DOR{}, topo, cur)
+			if len(row) != topo.N {
+				t.Fatalf("%s: router %d row has %d entries, want %d", topo.Name, cur, len(row), topo.N)
+			}
+			for dst := 0; dst < topo.N; dst++ {
+				st := NewState(-1)
+				want := DOR{}.Candidates(topo, cur, dst, &st, nil)
+				if got := cands[row[dst]]; len(want) != 1 || got != want[0] {
+					t.Fatalf("%s: router %d dst %d: row %+v, Candidates %+v", topo.Name, cur, dst, got, want)
+				}
+			}
+			if got := cands[row[cur]]; got != (Candidate{Port: topo.LocalPort(), Class: AnyClass}) {
+				t.Fatalf("%s: router %d ejects with %+v", topo.Name, cur, got)
+			}
+		}
+	}
+	mesh := topology.NewMesh(4, 4)
+	for _, c := range []struct {
+		topo *topology.Topology
+		alg  Algorithm
+	}{
+		{topology.NewTorus(4, 4), DOR{}},
+		{topology.NewRing(8), DOR{}},
+		{mesh, Valiant{}},
+		{mesh, ROMM{}},
+		{mesh, MinimalAdaptive{}},
+		{topology.NewMesh(32, 33), DOR{}}, // 1056 nodes, above the bound
+	} {
+		if row, cands := NextHops(c.alg, c.topo, 0); row != nil || cands != nil {
+			t.Errorf("%s/%s: NextHops memoised a route that is not (router, destination) only", c.topo.Name, c.alg.Name())
+		}
+	}
+	if row, _ := NextHops(DOR{}, topology.NewMesh(32, 32), 0); len(row) != 1024 {
+		t.Errorf("mesh32x32 (1024 nodes, the bound): row of %d entries, want 1024", len(row))
+	}
+}
