@@ -56,11 +56,12 @@ race:
 	$(GO) test -race ./...
 
 # Coverage-guided fuzz smoke: 30s per target over the parsers, the
-# cache-key canonicalization, the integer latency sample against the
-# float64 statistics it replaced, the CMP cache against the tick-stamped
-# LRU it replaced and the record source queue against the per-flit FIFO it
-# replaced (go fuzzing allows one -fuzz target per invocation, hence
-# the sequence). FUZZTIME=10s make fuzz-smoke for a
+# cache-key canonicalization, the varint latency sample against the
+# sorted []uint32 and float64 statistics it replaced, the register-held
+# Bernoulli scan against the Bernoulli loop, the CMP cache against the
+# tick-stamped LRU it replaced and the record source queue against the
+# per-flit FIFO it replaced (go fuzzing allows one -fuzz target per
+# invocation, hence the sequence). FUZZTIME=10s make fuzz-smoke for a
 # quicker local pass.
 FUZZTIME ?= 30s
 fuzz-smoke:
@@ -70,6 +71,7 @@ fuzz-smoke:
 	$(GO) test ./internal/core -fuzz=FuzzParseSpec -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/core -fuzz=FuzzClassSpec -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/stats -fuzz=FuzzLatencies -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/sim -fuzz=FuzzNextBernoulli -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/cmp -fuzz=FuzzCacheMatchesTickLRU -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/network -fuzz=FuzzSourceQueue -fuzztime=$(FUZZTIME)
 

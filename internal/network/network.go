@@ -169,8 +169,11 @@ type Network struct {
 	tiles  []netTile
 	tileOf []int32
 	// gang is the resident worker crew stepping tiles concurrently; nil
-	// for a sequential (Shards <= 1) network.
-	gang *par.Gang
+	// for a sequential (Shards <= 1) network. cyclePhases is one member's
+	// share of a fault-free sharded cycle, computePhase its inject+compute
+	// part (the whole of a faulted one); both set by wireShards.
+	gang                      *par.Gang
+	cyclePhases, computePhase func(tile int)
 
 	// Conservation accounting. Every packet handed to Send ends in
 	// exactly one of: arrived, dead (died inside the network), discarded

@@ -59,6 +59,24 @@ func (n *Network) wireShards(parts []topology.Tile) {
 		}
 	}
 	n.gang = par.NewGang(len(n.tiles))
+	// The gang's per-cycle work, bound once: a closure made per cycle
+	// would be an allocation per Step. Members read the cycle from the
+	// clock, which only ticks after the wave.
+	n.computePhase = func(ti int) {
+		now := n.clock.Now()
+		n.injectTile(now, ti)
+		n.stepTile(now, ti)
+	}
+	n.cyclePhases = func(ti int) {
+		now := n.clock.Now()
+		n.deliverTileBuffered(now, ti)
+		n.gang.Barrier()
+		if ti == 0 {
+			n.applyCrossDeliveries(now)
+		}
+		n.gang.Barrier()
+		n.computePhase(ti)
+	}
 	obs.Default().Gauge("shard.count").Set(float64(len(n.tiles)))
 }
 
@@ -72,21 +90,9 @@ func (n *Network) stepSharded() {
 	if n.faults != nil {
 		n.faultPreStep(now)
 		n.deliver(now)
-		n.gang.Run(func(ti int) {
-			n.injectTile(now, ti)
-			n.stepTile(now, ti)
-		})
+		n.gang.Run(n.computePhase)
 	} else {
-		n.gang.Run(func(ti int) {
-			n.deliverTileBuffered(now, ti)
-			n.gang.Barrier()
-			if ti == 0 {
-				n.applyCrossDeliveries(now)
-			}
-			n.gang.Barrier()
-			n.injectTile(now, ti)
-			n.stepTile(now, ti)
-		})
+		n.gang.Run(n.cyclePhases)
 	}
 	n.applyCrossCredits(now)
 	if n.obs != nil && n.obs.ShouldSample(now) {

@@ -190,8 +190,10 @@ type driver struct {
 	// bernProb, when non-negative, is the memoryless per-cycle injection
 	// probability of a plain Bernoulli process, hoisted out of the
 	// per-node loop: Cycle makes n draws every cycle of the run, so the
-	// interface dispatch and rate/mean division are worth precomputing.
-	// The RNG draw sequence is identical to calling the process.
+	// interface dispatch and rate/mean division are worth precomputing,
+	// and the draws between two injecting nodes run in one
+	// RNG.NextBernoulli. The RNG draw sequence is identical to calling the
+	// process.
 	bernProb float64
 
 	// classProb, when non-nil, switches the driver to multi-class
@@ -221,10 +223,9 @@ func (d *driver) Cycle(now int64) {
 		return
 	}
 	if d.bernProb >= 0 {
-		for node := 0; node < d.n; node++ {
-			if d.rng.Bernoulli(d.bernProb) {
-				d.emit(node, measured)
-			}
+		p := d.bernProb
+		for node := d.rng.NextBernoulli(p, 0, d.n); node < d.n; node = d.rng.NextBernoulli(p, node+1, d.n) {
+			d.emit(node, measured)
 		}
 		return
 	}
@@ -315,7 +316,7 @@ func shortfall(accepted, rate float64) bool { return accepted < 0.9*rate }
 // CheckPhases rejects phase lengths no run can use: each must be
 // non-negative (0 selects the default), and the whole run — the engine's
 // deadline, which bounds every packet latency — must fit the 32 bits a
-// latency sample is stored in (stats.Latencies). internal/core applies it
+// latency sample holds (stats.Latencies). internal/core applies it
 // to openloop and sweep specs up front.
 func CheckPhases(warmup, measure, drainLimit int64) error {
 	for _, ph := range []struct {
@@ -408,9 +409,9 @@ func Run(cfg Config) (*Result, error) {
 	}
 
 	var (
-		// Every measured packet's latency, four bytes each: the run's only
-		// per-packet store (a multi-class run keeps a second sample per
-		// class, so eight).
+		// Every measured packet's latency, a byte each below 128 cycles:
+		// the run's only per-packet store (a multi-class run keeps a
+		// second sample per class, so two).
 		latencies             stats.Latencies
 		perNodeSum            = make([]float64, n)
 		perNodeCnt            = make([]int, n)
@@ -488,9 +489,9 @@ func Run(cfg Config) (*Result, error) {
 		bernProb:    -1,
 	}
 	// Bernoulli sources fix the measured-packet count in advance (n*Measure
-	// draws at a known probability), so their samples are sized once
-	// instead of growing their way up; any other process starts empty and
-	// grows by append.
+	// draws at a known probability), so their samples are sized once, a
+	// byte a packet, instead of growing their way up; any other process
+	// starts empty and grows by append.
 	if len(cfg.Classes) > 0 {
 		d.classes = cfg.Classes
 		d.classProb = make([]float64, len(cfg.Classes))
@@ -546,7 +547,6 @@ func Run(cfg Config) (*Result, error) {
 	}
 	if N := latencies.Len(); N > 0 {
 		res.AvgLatency = latencies.Mean()
-		// Batch means read arrival order; Quantiles then sorts in place.
 		res.LatencyCI95 = latencies.BatchMeansCI95(10)
 		q := latencies.Quantiles(0.95, 0.99)
 		res.P95, res.P99 = q[0], q[1]

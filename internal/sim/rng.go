@@ -48,18 +48,25 @@ func NewRNG(seed uint64) *RNG {
 
 func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
 
+// xoshiro is one xoshiro256** step: the output of state s0..s3 and the
+// state after it.
+func xoshiro(s0, s1, s2, s3 uint64) (x, n0, n1, n2, n3 uint64) {
+	x = rotl(s1*5, 7) * 9
+	t := s1 << 17
+	s2 ^= s0
+	s3 ^= s1
+	s1 ^= s2
+	s0 ^= s3
+	s2 ^= t
+	s3 = rotl(s3, 45)
+	return x, s0, s1, s2, s3
+}
+
 // Uint64 returns the next 64 uniformly distributed bits.
 func (r *RNG) Uint64() uint64 {
-	s := &r.s
-	result := rotl(s[1]*5, 7) * 9
-	t := s[1] << 17
-	s[2] ^= s[0]
-	s[3] ^= s[1]
-	s[1] ^= s[2]
-	s[0] ^= s[3]
-	s[2] ^= t
-	s[3] = rotl(s[3], 45)
-	return result
+	var x uint64
+	x, r.s[0], r.s[1], r.s[2], r.s[3] = xoshiro(r.s[0], r.s[1], r.s[2], r.s[3])
+	return x
 }
 
 // Intn returns a uniformly distributed integer in [0, n). It panics if
@@ -114,6 +121,35 @@ func (r *RNG) Bernoulli(p float64) bool {
 		return true
 	}
 	return r.Float64() < p
+}
+
+// NextBernoulli makes the draws Bernoulli(p) makes for trials i, i+1, …,
+// n-1 in turn, stops at the first success and returns its index, or n if
+// every trial fails; the generator ends where those calls leave it. It
+// steps the state held in locals, not through r, and compares
+// Uint64()>>11 < ceil(p·2^53), which is Float64() < p exactly: p·2^53 is
+// exact, and the draw is an integer.
+func (r *RNG) NextBernoulli(p float64, i, n int) int {
+	if p <= 0 {
+		return n
+	}
+	if p >= 1 {
+		return min(i, n)
+	}
+	var limit uint64 // stays 0 for NaN p, which every Float64() < p fails
+	if p > 0 {
+		limit = uint64(math.Ceil(p * (1 << 53)))
+	}
+	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
+	for ; i < n; i++ {
+		var x uint64
+		x, s0, s1, s2, s3 = xoshiro(s0, s1, s2, s3)
+		if x>>11 < limit {
+			break
+		}
+	}
+	r.s = [4]uint64{s0, s1, s2, s3}
+	return i
 }
 
 // Exp returns an exponentially distributed value with the given mean.

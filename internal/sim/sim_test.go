@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -285,4 +286,73 @@ func TestClock(t *testing.T) {
 	if c.Now() != 0 {
 		t.Error("reset broken")
 	}
+}
+
+// bernoulliLoop is what NextBernoulli replaces: Bernoulli(p) for trials i,
+// i+1, … < n, stopping at the first success.
+func bernoulliLoop(r *RNG, p float64, i, n int) int {
+	for ; i < n; i++ {
+		if r.Bernoulli(p) {
+			break
+		}
+	}
+	return i
+}
+
+// checkNextBernoulli holds NextBernoulli to the Bernoulli loop on twin
+// generators: the same success indices over n trials, scanned the way the
+// open-loop driver scans its nodes, and a bit-equal state afterwards.
+func checkNextBernoulli(t *testing.T, seed uint64, p float64, n int) {
+	t.Helper()
+	a, b := NewRNG(seed), NewRNG(seed)
+	var got, want []int
+	for i := a.NextBernoulli(p, 0, n); i < n; i = a.NextBernoulli(p, i+1, n) {
+		got = append(got, i)
+		a.Uint64() // a draw between successes, as emit makes
+	}
+	for i := bernoulliLoop(b, p, 0, n); i < n; i = bernoulliLoop(b, p, i+1, n) {
+		want = append(want, i)
+		b.Uint64()
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("p=%v n=%d: successes %v, Bernoulli loop %v", p, n, got, want)
+	}
+	if a.s != b.s {
+		t.Fatalf("p=%v n=%d: state %x after the loop, Bernoulli loop %x", p, n, a.s, b.s)
+	}
+}
+
+func TestNextBernoulliMatchesBernoulli(t *testing.T) {
+	ps := []float64{-1, 0, 0x1p-60, 0x1p-53, 0.02, 0.4, 1 - 0x1p-53, 1, 2, math.NaN()}
+	for _, p := range ps {
+		for _, n := range []int{0, 1, 64, 4096} {
+			for seed := uint64(1); seed <= 20; seed++ {
+				checkNextBernoulli(t, seed, p, n)
+			}
+		}
+	}
+	// Thresholds next to a draw: p just above and at k/2^53 for the draw k
+	// a fresh generator makes first.
+	k := NewRNG(5).Uint64() >> 11
+	for _, p := range []float64{float64(k) / (1 << 53), math.Nextafter(float64(k)/(1<<53), 1)} {
+		checkNextBernoulli(t, 5, p, 1)
+	}
+	// A start at or past n makes no draw.
+	r := NewRNG(9)
+	s := r.s
+	if i := r.NextBernoulli(0.5, 7, 7); i != 7 || r.s != s {
+		t.Errorf("NextBernoulli(0.5, 7, 7) = %d and drew", i)
+	}
+}
+
+// FuzzNextBernoulli is TestNextBernoulliMatchesBernoulli over
+// fuzzer-chosen seeds, probabilities (any float64 bit pattern) and trial
+// counts.
+func FuzzNextBernoulli(f *testing.F) {
+	f.Add(uint64(1), 0.02, uint16(64))
+	f.Add(uint64(2), 0x1p-53, uint16(1000))
+	f.Add(uint64(3), 1-0x1p-53, uint16(3))
+	f.Fuzz(func(t *testing.T, seed uint64, p float64, n uint16) {
+		checkNextBernoulli(t, seed, p, int(n))
+	})
 }

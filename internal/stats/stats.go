@@ -60,30 +60,32 @@ func Summarize(xs []float64) Summary {
 
 // Quantile returns the q-quantile (q in [0,1]) of an ascending-sorted
 // sample using linear interpolation. It panics on an empty sample.
-func Quantile(sorted []float64, q float64) float64 { return quantile(sorted, q) }
+func Quantile(sorted []float64, q float64) float64 {
+	return quantileAt(len(sorted), q, func(r int) float64 { return sorted[r] })
+}
 
-// quantile is Quantile over either sample representation: Latencies reads
-// its percentiles through the same interpolation expression, on the
-// float64 images of its integers.
-func quantile[T float64 | uint32](sorted []T, q float64) float64 {
-	n := len(sorted)
+// quantileAt is Quantile over n ascending values that at reads by rank:
+// Latencies reads its percentiles through the same interpolation
+// expression, on order statistics it selects without sorting. Which ranks
+// are read depends on n and q only.
+func quantileAt(n int, q float64, at func(rank int) float64) float64 {
 	if n == 0 {
 		panic("stats: Quantile of empty sample")
 	}
 	if q <= 0 {
-		return float64(sorted[0])
+		return at(0)
 	}
 	if q >= 1 {
-		return float64(sorted[n-1])
+		return at(n - 1)
 	}
 	pos := q * float64(n-1)
 	lo := int(math.Floor(pos))
 	hi := lo + 1
 	if hi >= n {
-		return float64(sorted[n-1])
+		return at(n - 1)
 	}
 	frac := pos - float64(lo)
-	return float64(sorted[lo])*(1-frac) + float64(sorted[hi])*frac
+	return at(lo)*(1-frac) + at(hi)*frac
 }
 
 // Mean returns the arithmetic mean of xs, or 0 for an empty sample.
@@ -273,7 +275,8 @@ func BatchMeansCI95(xs []float64, batches int) float64 {
 
 // batchMeansCI95 is the method of batch means over any sample of n
 // observations whose contiguous ranges can be averaged: it picks the batch
-// boundaries, and turns the batch means into the half-width.
+// boundaries, and turns the batch means into the half-width. It asks mean
+// for the batches in order, each starting where the last one ended.
 func batchMeansCI95(n, batches int, mean func(lo, hi int) float64) float64 {
 	if batches < 2 {
 		batches = 10
