@@ -173,7 +173,7 @@ serve-smoke:
 
 # Tier-1 gate: everything that must stay green. The golden regression
 # test runs as part of `test` (cmd/figures); `golden` re-runs it verbosely.
-check: build vet fmt-check lint test bench-check bench-digest race obs-smoke screen-smoke qos-smoke serve-smoke
+check: build vet fmt-check lint test bench-check bench-digest race obs-smoke screen-smoke qos-smoke serve-smoke examples
 
 # One testing.B per paper table/figure; each reports its headline metric.
 bench:

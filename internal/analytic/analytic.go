@@ -57,23 +57,6 @@ func trafficWeights(p traffic.Pattern, n int) ([][]float64, error) {
 	return w, nil
 }
 
-// AverageHops returns the mean minimal hop count under the pattern.
-func AverageHops(t *topology.Topology, p traffic.Pattern) (float64, error) {
-	w, err := trafficWeights(p, t.N)
-	if err != nil {
-		return 0, err
-	}
-	sum := 0.0
-	for s := 0; s < t.N; s++ {
-		for d := 0; d < t.N; d++ {
-			if w[s][d] > 0 {
-				sum += w[s][d] * float64(t.Distance(s, d))
-			}
-		}
-	}
-	return sum / float64(t.N), nil
-}
-
 // ZeroLoadLatency estimates the average packet latency at vanishing load:
 // per-hop cost (tr + channel delay) times the average route length, plus
 // the final ejection pipeline (tr) and the serialization latency of the

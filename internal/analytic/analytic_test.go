@@ -10,14 +10,15 @@ import (
 	"noceval/internal/traffic"
 )
 
+// TestAverageHops checks the destination weights the models read: summed
+// against minimal distance they give the known mean route lengths.
 func TestAverageHops(t *testing.T) {
 	mesh := topology.NewMesh(8, 8)
 	if got := mustHops(t, mesh, traffic.Uniform{}); math.Abs(got-5.25) > 0.001 {
 		t.Errorf("uniform mesh avg hops = %v, want 5.25", got)
 	}
-	// Bit complement on a mesh: every packet crosses the full diagonal
-	// distance on average k hops per dimension... compute a known value:
-	// node (x,y) -> (7-x, 7-y); per-dim distance |7-2x| averages 4.
+	// Bit complement on a mesh: node (x,y) -> (7-x, 7-y); the per-dimension
+	// distance |7-2x| averages 4.
 	if got := mustHops(t, mesh, traffic.BitComplement{}); math.Abs(got-8) > 0.001 {
 		t.Errorf("bitcomp mesh avg hops = %v, want 8", got)
 	}
@@ -27,13 +28,20 @@ func TestAverageHops(t *testing.T) {
 	}
 }
 
+// mustHops returns the mean minimal hop count under the pattern's weights.
 func mustHops(t *testing.T, topo *topology.Topology, p traffic.Pattern) float64 {
 	t.Helper()
-	got, err := AverageHops(topo, p)
+	w, err := trafficWeights(p, topo.N)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return got
+	sum := 0.0
+	for s := 0; s < topo.N; s++ {
+		for d := 0; d < topo.N; d++ {
+			sum += w[s][d] * float64(topo.Distance(s, d))
+		}
+	}
+	return sum / float64(topo.N)
 }
 
 // mustZeroLoad and mustBound unwrap the error returns for the formula

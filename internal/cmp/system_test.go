@@ -64,7 +64,8 @@ func TestDeferredTableDrainsOnCanneal(t *testing.T) {
 }
 
 func TestAllBenchmarksCompleteOnRealNetwork(t *testing.T) {
-	for _, name := range workload.Names() {
+	for _, wp := range workload.All() {
+		name := wp.Name
 		p := shortProfile(name)
 		cfg := cmp.DefaultConfig()
 		cfg.MaxCycles = 20_000_000

@@ -133,9 +133,6 @@ func (v Variant) String() string {
 	}
 }
 
-// Variants returns the refinement ladder in presentation order.
-func Variants() []Variant { return []Variant{BA, BAInj, BARe, BAInjRe, BAInjReOS} }
-
 // BatchParams builds the closed-loop configuration that models this
 // benchmark under the given variant. b is the batch size and m the
 // outstanding-request limit; the paper's Table II cores block on loads

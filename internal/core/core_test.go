@@ -215,7 +215,7 @@ func TestCharacterizeProducesUsableModel(t *testing.T) {
 
 	// The derived parameters must produce runnable batch configs for every
 	// variant, with the right knobs enabled.
-	for _, v := range Variants() {
+	for _, v := range []Variant{BA, BAInj, BARe, BAInjRe, BAInjReOS} {
 		bp := m.BatchParams(50, 1, v)
 		switch v {
 		case BA:

@@ -134,10 +134,17 @@ func steppingDigest(t *testing.T, c steppingCase, shards int) string {
 	inside := 0
 	for id := 0; id < c.topo.N; id++ {
 		r := n.Router(id)
+		// An output VC is owned exactly while an input VC holds its grant.
+		owned := map[[2]int]bool{}
+		for _, s := range r.StuckVCs() {
+			if s.Granted {
+				owned[[2]int{s.OutPort, s.OutVC}] = true
+			}
+		}
 		for p := 0; p < c.topo.Ports(); p++ {
 			for v := 0; v < c.rc.VCs; v++ {
 				inside += r.InBufLen(p, v)
-				fmt.Fprintln(h, r.InBufLen(p, v), r.OutCredits(p, v), r.OutOwned(p, v))
+				fmt.Fprintln(h, r.InBufLen(p, v), r.OutCredits(p, v), owned[[2]int{p, v}])
 			}
 		}
 	}

@@ -547,12 +547,13 @@ func (n *Network) SourceQueueLen(node int) int {
 }
 
 // Step advances the network one cycle. With more than one tile the cycle
-// runs on the gang (shard.go); an attached tracer forces the sequential
-// loop (trace append order is inherently serial), which stays correct with
-// shards because cross-tile credit deferral is behaviour-preserving in
-// either loop.
+// runs on the gang (shard.go). Two cases take the sequential loop instead,
+// which stays correct with shards because cross-tile credit deferral is
+// behaviour-preserving in either loop: an attached tracer (trace append
+// order is inherently serial), and a quiescent network, whose near-empty
+// cycle costs far less than waking the gang.
 func (n *Network) Step() {
-	if n.gang != nil && n.tracer == nil {
+	if n.gang != nil && n.tracer == nil && !n.Quiescent() {
 		n.stepSharded()
 		return
 	}
@@ -865,15 +866,6 @@ func (n *Network) ChannelLoads() []ChannelLoad {
 	return out
 }
 
-// MaxChannelUtilization returns the utilization of the busiest channel.
-func (n *Network) MaxChannelUtilization() float64 {
-	loads := n.ChannelLoads()
-	if len(loads) == 0 {
-		return 0
-	}
-	return loads[0].Utilization
-}
-
 // --- Fault injection ------------------------------------------------------
 
 // faultPreStep applies due outage edges and router kills, then fires the
@@ -1086,17 +1078,4 @@ func (n *Network) StuckVCReport() string {
 		return "no stuck VCs: network is empty\n"
 	}
 	return b.String()
-}
-
-// RunUntilQuiescent steps until the network drains or maxCycles elapse,
-// returning the number of cycles stepped and whether it drained.
-func (n *Network) RunUntilQuiescent(maxCycles int64) (int64, bool) {
-	start := n.clock.Now()
-	for !n.Quiescent() {
-		if n.clock.Now()-start >= maxCycles {
-			return n.clock.Now() - start, false
-		}
-		n.Step()
-	}
-	return n.clock.Now() - start, true
 }

@@ -120,7 +120,7 @@ func TestRingRouting(t *testing.T) {
 
 func TestAllAlgorithmsDeliverAllPairs(t *testing.T) {
 	topo := topology.NewMesh(4, 4)
-	for _, alg := range routing.All() {
+	for _, alg := range allAlgorithms {
 		n := New(Config{
 			Topo:    topo,
 			Routing: alg,
@@ -152,7 +152,7 @@ func TestHeavyRandomTrafficConservation(t *testing.T) {
 	// Saturate a small torus with every algorithm and check nothing is
 	// lost, duplicated, or deadlocked.
 	topo := topology.NewTorus(4, 4)
-	for _, alg := range routing.All() {
+	for _, alg := range allAlgorithms {
 		n := New(Config{
 			Topo:    topo,
 			Routing: alg,

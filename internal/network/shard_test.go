@@ -102,6 +102,35 @@ func TestShardedActiveSetInvariant(t *testing.T) {
 	}
 }
 
+// TestQuiescentShardedStepRunsNoWave: a sharded network with nothing in
+// flight steps without waking its gang, and one with a packet in flight
+// runs one wave per Step.
+func TestQuiescentShardedStepRunsNoWave(t *testing.T) {
+	n := New(Config{
+		Topo:    topology.NewMesh(4, 4),
+		Routing: routing.DOR{},
+		Router:  router.Config{VCs: 2, BufDepth: 4, Delay: 1},
+		Seed:    1,
+		Shards:  2,
+	})
+	defer n.Close()
+	shards, before, _ := n.ShardStats()
+	if shards < 2 {
+		t.Fatalf("ShardStats shards = %d, want >= 2", shards)
+	}
+	for i := 0; i < 100; i++ {
+		n.Step()
+	}
+	if _, waves, _ := n.ShardStats(); waves != before {
+		t.Fatalf("100 quiescent Steps ran %d gang waves, want 0", waves-before)
+	}
+	n.Send(n.NewPacket(0, 15, 4, router.KindData))
+	n.Step()
+	if _, waves, _ := n.ShardStats(); waves != before+1 {
+		t.Fatalf("a loaded Step ran %d gang waves, want 1", waves-before)
+	}
+}
+
 // TestShardedOutboxesDrainEachCycle: the cross-tile outboxes must be
 // empty between Steps — a leftover entry would be a flit or credit the
 // barrier schedule lost track of.

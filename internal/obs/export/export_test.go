@@ -124,7 +124,8 @@ func TestMetricsEndpointSmoke(t *testing.T) {
 	// /metrics.json must be the registry snapshot; /vars a flat object;
 	// /healthz alive.
 	mj, _ := scrape(t, srv.Addr(), "/metrics.json")
-	if _, err := obs.ParseMetricsJSON([]byte(mj)); err != nil {
+	var points []obs.MetricPoint
+	if err := json.Unmarshal([]byte(mj), &points); err != nil {
 		t.Errorf("/metrics.json does not parse back: %v", err)
 	}
 	vars, _ := scrape(t, srv.Addr(), "/vars")

@@ -238,14 +238,6 @@ func truncateTornTail(path string) error {
 	return nil
 }
 
-// Path returns the ledger's file path, "" for a nil ledger.
-func (l *Ledger) Path() string {
-	if l == nil {
-		return ""
-	}
-	return l.path
-}
-
 // Appends returns the number of records appended through this handle, 0
 // for a nil ledger.
 func (l *Ledger) Appends() int64 {

@@ -58,15 +58,6 @@ func (p *Progress) Skip(d int64) {
 	p.skippedTotal += d
 }
 
-// SkippedTotal returns the number of fast-forwarded cycles reported so
-// far, 0 for a nil Progress.
-func (p *Progress) SkippedTotal() int64 {
-	if p == nil {
-		return 0
-	}
-	return p.skippedTotal
-}
-
 // Tick reports that the simulation reached the given cycle; total is the
 // expected run length in cycles, or <= 0 when unknown. A nil Progress is a
 // no-op, and between wall-clock checks Tick costs two compares.

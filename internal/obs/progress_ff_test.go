@@ -58,8 +58,8 @@ func TestProgressFastForwardHeartbeat(t *testing.T) {
 	if rate > 5e6+1 {
 		t.Errorf("rate %.3g cycles/s counts fast-forwarded cycles (stepped only 10k over >=2ms)", rate)
 	}
-	if p.SkippedTotal() != 1_000_000 {
-		t.Errorf("SkippedTotal = %d, want 1000000", p.SkippedTotal())
+	if p.skippedTotal != 1_000_000 {
+		t.Errorf("skippedTotal = %d, want 1000000", p.skippedTotal)
 	}
 
 	// The final summary also separates the split.
@@ -71,11 +71,8 @@ func TestProgressFastForwardHeartbeat(t *testing.T) {
 	}
 }
 
-// TestProgressSkipNil checks the nil no-op contract of the new methods.
+// TestProgressSkipNil checks the nil no-op contract of Skip.
 func TestProgressSkipNil(t *testing.T) {
 	var p *Progress
 	p.Skip(100)
-	if p.SkippedTotal() != 0 {
-		t.Fatal("nil SkippedTotal should be 0")
-	}
 }

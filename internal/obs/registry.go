@@ -160,20 +160,6 @@ func (h *Histogram) Mean() float64 {
 	return h.sum / float64(h.count)
 }
 
-// Reset clears the histogram for the next window. A nil histogram is a
-// no-op.
-func (h *Histogram) Reset() {
-	if h == nil {
-		return
-	}
-	h.mu.Lock()
-	h.count, h.sum, h.min, h.max = 0, 0, 0, 0
-	for i := range h.bins {
-		h.bins[i] = 0
-	}
-	h.mu.Unlock()
-}
-
 // Registry holds a set of named metrics. Components create their
 // instruments through the registry; a nil registry hands back nil
 // instruments, which keeps every recording site a nil check away from
@@ -313,16 +299,6 @@ func (r *Registry) JSON() ([]byte, error) {
 		snap = []MetricPoint{}
 	}
 	return json.MarshalIndent(snap, "", "  ")
-}
-
-// ParseMetricsJSON parses the output of Registry.JSON back into metric
-// points, for export round-trip tests and downstream tooling.
-func ParseMetricsJSON(data []byte) ([]MetricPoint, error) {
-	var out []MetricPoint
-	if err := json.Unmarshal(data, &out); err != nil {
-		return nil, fmt.Errorf("obs: parsing metrics JSON: %w", err)
-	}
-	return out, nil
 }
 
 // CSV renders the snapshot as "name,kind,value,count,min,max" rows.

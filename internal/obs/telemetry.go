@@ -3,7 +3,6 @@ package obs
 import (
 	"encoding/json"
 	"fmt"
-	"strconv"
 	"strings"
 )
 
@@ -76,52 +75,6 @@ func (t *Telemetry) RouterCSV() string {
 	return b.String()
 }
 
-// ParseRouterCSV parses RouterCSV output back into samples.
-func ParseRouterCSV(data string) ([]RouterSample, error) {
-	lines := strings.Split(strings.TrimSpace(data), "\n")
-	if len(lines) == 0 || lines[0] != routerCSVHeader {
-		return nil, fmt.Errorf("obs: router CSV header mismatch")
-	}
-	var out []RouterSample
-	for ln, line := range lines[1:] {
-		f := strings.Split(line, ",")
-		if len(f) != 9 {
-			return nil, fmt.Errorf("obs: router CSV line %d: want 9 fields, got %d", ln+2, len(f))
-		}
-		var s RouterSample
-		var err error
-		if s.Cycle, err = strconv.ParseInt(f[0], 10, 64); err != nil {
-			return nil, fmt.Errorf("obs: router CSV line %d: %w", ln+2, err)
-		}
-		if s.Router, err = strconv.Atoi(f[1]); err != nil {
-			return nil, fmt.Errorf("obs: router CSV line %d: %w", ln+2, err)
-		}
-		if s.XbarUtil, err = strconv.ParseFloat(f[2], 64); err != nil {
-			return nil, fmt.Errorf("obs: router CSV line %d: %w", ln+2, err)
-		}
-		if s.LinkUtil, err = strconv.ParseFloat(f[3], 64); err != nil {
-			return nil, fmt.Errorf("obs: router CSV line %d: %w", ln+2, err)
-		}
-		if s.BufOcc, err = strconv.Atoi(f[4]); err != nil {
-			return nil, fmt.Errorf("obs: router CSV line %d: %w", ln+2, err)
-		}
-		if s.AvgVCOcc, err = strconv.ParseFloat(f[5], 64); err != nil {
-			return nil, fmt.Errorf("obs: router CSV line %d: %w", ln+2, err)
-		}
-		if s.MaxVCOcc, err = strconv.Atoi(f[6]); err != nil {
-			return nil, fmt.Errorf("obs: router CSV line %d: %w", ln+2, err)
-		}
-		if s.Injected, err = strconv.ParseInt(f[7], 10, 64); err != nil {
-			return nil, fmt.Errorf("obs: router CSV line %d: %w", ln+2, err)
-		}
-		if s.Ejected, err = strconv.ParseInt(f[8], 10, 64); err != nil {
-			return nil, fmt.Errorf("obs: router CSV line %d: %w", ln+2, err)
-		}
-		out = append(out, s)
-	}
-	return out, nil
-}
-
 // nodeCSVHeader matches the field order written by NodeCSV.
 const nodeCSVHeader = "cycle,node,outstanding"
 
@@ -138,49 +91,12 @@ func (t *Telemetry) NodeCSV() string {
 	return b.String()
 }
 
-// ParseNodeCSV parses NodeCSV output back into samples.
-func ParseNodeCSV(data string) ([]NodeSample, error) {
-	lines := strings.Split(strings.TrimSpace(data), "\n")
-	if len(lines) == 0 || lines[0] != nodeCSVHeader {
-		return nil, fmt.Errorf("obs: node CSV header mismatch")
-	}
-	var out []NodeSample
-	for ln, line := range lines[1:] {
-		f := strings.Split(line, ",")
-		if len(f) != 3 {
-			return nil, fmt.Errorf("obs: node CSV line %d: want 3 fields, got %d", ln+2, len(f))
-		}
-		var s NodeSample
-		var err error
-		if s.Cycle, err = strconv.ParseInt(f[0], 10, 64); err != nil {
-			return nil, fmt.Errorf("obs: node CSV line %d: %w", ln+2, err)
-		}
-		if s.Node, err = strconv.Atoi(f[1]); err != nil {
-			return nil, fmt.Errorf("obs: node CSV line %d: %w", ln+2, err)
-		}
-		if s.Outstanding, err = strconv.Atoi(f[2]); err != nil {
-			return nil, fmt.Errorf("obs: node CSV line %d: %w", ln+2, err)
-		}
-		out = append(out, s)
-	}
-	return out, nil
-}
-
 // JSON renders the full telemetry as indented JSON.
 func (t *Telemetry) JSON() ([]byte, error) {
 	if t == nil {
 		t = &Telemetry{}
 	}
 	return json.MarshalIndent(t, "", "  ")
-}
-
-// ParseTelemetryJSON parses Telemetry.JSON output.
-func ParseTelemetryJSON(data []byte) (*Telemetry, error) {
-	var t Telemetry
-	if err := json.Unmarshal(data, &t); err != nil {
-		return nil, fmt.Errorf("obs: parsing telemetry JSON: %w", err)
-	}
-	return &t, nil
 }
 
 // MeanXbarUtil returns each router's crossbar utilization averaged over

@@ -181,38 +181,3 @@ func (t *Tracer) ChromeJSON() ([]byte, error) {
 	}
 	return json.MarshalIndent(out, "", " ")
 }
-
-// ParseChromeJSON parses a ChromeJSON trace back into lifecycle events
-// (metadata records are skipped), for round-trip tests and tooling.
-func ParseChromeJSON(data []byte) ([]Event, error) {
-	var ct struct {
-		TraceEvents []struct {
-			Ph   string  `json:"ph"`
-			Ts   float64 `json:"ts"`
-			Tid  int     `json:"tid"`
-			Args struct {
-				Packet uint64 `json:"packet"`
-				Phase  string `json:"phase"`
-			} `json:"args"`
-		} `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(data, &ct); err != nil {
-		return nil, fmt.Errorf("obs: parsing chrome trace: %w", err)
-	}
-	phases := map[string]Phase{}
-	for p := PhaseInject; p <= PhaseEject; p++ {
-		phases[p.String()] = p
-	}
-	var out []Event
-	for _, e := range ct.TraceEvents {
-		if e.Ph != "X" {
-			continue
-		}
-		p, ok := phases[e.Args.Phase]
-		if !ok {
-			return nil, fmt.Errorf("obs: chrome trace has unknown phase %q", e.Args.Phase)
-		}
-		out = append(out, Event{Cycle: int64(e.Ts), Packet: e.Args.Packet, Node: int32(e.Tid), Phase: p})
-	}
-	return out, nil
-}

@@ -39,16 +39,12 @@ type Config struct {
 	Ctx context.Context
 	// Rate is the offered load in flits/cycle/node.
 	Rate float64
-	// Proc, when non-nil, replaces the default Bernoulli injection process
-	// (e.g. traffic.OnOff for bursty sources). Rate is ignored when set.
-	Proc traffic.Process
 	// Classes, when non-empty, splits the offered load into QoS traffic
 	// classes: each class injects Bernoulli traffic at Rate*Share with its
 	// own pattern and size distribution (nil fields inherit the top-level
 	// Pattern/Sizes), and its packets carry the class index so the router
-	// maps them onto the class's VC partition. Mutually exclusive with
-	// Proc. Net.Router.Classes should match len(Classes) for the VC
-	// partition to take effect.
+	// maps them onto the class's VC partition. Net.Router.Classes should
+	// match len(Classes) for the VC partition to take effect.
 	Classes []traffic.Class
 	// Warmup and Measure are the phase lengths in cycles; DrainLimit bounds
 	// the drain phase. Zero values select defaults (10k/10k/100k).
@@ -170,30 +166,27 @@ type ClassResult struct {
 }
 
 // driver implements engine.Driver for the open-loop methodology: every
-// cycle each terminal consults its injection process, so the offered
+// cycle each terminal makes a Bernoulli injection draw, so the offered
 // traffic is independent of network state — including during the drain
 // phase, which keeps offering (unmeasured) traffic to hold the network in
 // steady state. Because sources draw from the RNG every cycle, an open-
 // loop run has no skippable cycles; its engine win is the network's
 // activity-tracked stepping.
 type driver struct {
-	cfg  *Config
-	net  *network.Network
-	rng  *sim.RNG
-	proc traffic.Process
-	n    int
+	cfg *Config
+	net *network.Network
+	rng *sim.RNG
+	n   int
 
 	measureFrom, drainFrom int64
 	outstanding            *int
 	ejected                *int64 // flits ejected inside the measurement window
 
-	// bernProb, when non-negative, is the memoryless per-cycle injection
-	// probability of a plain Bernoulli process, hoisted out of the
-	// per-node loop: Cycle makes n draws every cycle of the run, so the
-	// interface dispatch and rate/mean division are worth precomputing,
-	// and the draws between two injecting nodes run in one
-	// RNG.NextBernoulli. The RNG draw sequence is identical to calling the
-	// process.
+	// bernProb is a single-class run's per-cycle, per-node injection
+	// probability, rate/meanLen, so that the offered load in
+	// flits/cycle/node equals the rate. Cycle makes n draws every cycle of
+	// the run; the draws between two injecting nodes run in one
+	// RNG.NextBernoulli.
 	bernProb float64
 
 	// classProb, when non-nil, switches the driver to multi-class
@@ -222,17 +215,9 @@ func (d *driver) Cycle(now int64) {
 		}
 		return
 	}
-	if d.bernProb >= 0 {
-		p := d.bernProb
-		for node := d.rng.NextBernoulli(p, 0, d.n); node < d.n; node = d.rng.NextBernoulli(p, node+1, d.n) {
-			d.emit(node, measured)
-		}
-		return
-	}
-	for node := 0; node < d.n; node++ {
-		if d.proc.ShouldInjectAt(d.rng, node) {
-			d.emit(node, measured)
-		}
+	p := d.bernProb
+	for node := d.rng.NextBernoulli(p, 0, d.n); node < d.n; node = d.rng.NextBernoulli(p, node+1, d.n) {
+		d.emit(node, measured)
 	}
 }
 
@@ -354,17 +339,10 @@ func Run(cfg Config) (*Result, error) {
 		return nil, err
 	}
 	cfg.fillDefaults()
-	if cfg.Proc == nil {
-		if err := CheckRate(cfg.Rate); err != nil {
-			return nil, err
-		}
+	if err := CheckRate(cfg.Rate); err != nil {
+		return nil, err
 	}
-	var proc traffic.Process
-	switch {
-	case len(cfg.Classes) > 0:
-		if cfg.Proc != nil {
-			return nil, fmt.Errorf("openloop: Classes and Proc are mutually exclusive")
-		}
+	if len(cfg.Classes) > 0 {
 		// Copy before filling per-class defaults so the caller's slice is
 		// never mutated.
 		cfg.Classes = append([]traffic.Class(nil), cfg.Classes...)
@@ -379,11 +357,6 @@ func Run(cfg Config) (*Result, error) {
 		if err := traffic.ValidateClasses(cfg.Classes); err != nil {
 			return nil, err
 		}
-	case cfg.Proc != nil:
-		proc = cfg.Proc
-		cfg.Rate = proc.OfferedLoad()
-	default:
-		proc = traffic.Bernoulli{Rate: cfg.Rate, Sizes: cfg.Sizes}
 	}
 	if err := cfg.Net.Validate(); err != nil {
 		return nil, err
@@ -482,16 +455,14 @@ func Run(cfg Config) (*Result, error) {
 	}
 
 	d := &driver{
-		cfg: &cfg, net: net, rng: rng, proc: proc, n: n,
+		cfg: &cfg, net: net, rng: rng, n: n,
 		measureFrom: measureFrom, drainFrom: drainFrom,
 		outstanding: &outstanding,
 		ejected:     &ejectedFlits,
-		bernProb:    -1,
 	}
 	// Bernoulli sources fix the measured-packet count in advance (n*Measure
 	// draws at a known probability), so their samples are sized once, a
-	// byte a packet, instead of growing their way up; any other process
-	// starts empty and grows by append.
+	// byte a packet, instead of growing their way up.
 	if len(cfg.Classes) > 0 {
 		d.classes = cfg.Classes
 		d.classProb = make([]float64, len(cfg.Classes))
@@ -503,8 +474,8 @@ func Run(cfg Config) (*Result, error) {
 		}
 		latencies.Grow(presize(total, n, cfg.Measure))
 		d.classInjected = make([]int64, len(cfg.Classes))
-	} else if b, ok := proc.(traffic.Bernoulli); ok {
-		d.bernProb = b.Rate / b.Sizes.Mean()
+	} else {
+		d.bernProb = cfg.Rate / cfg.Sizes.Mean()
 		latencies.Grow(presize(d.bernProb, n, cfg.Measure))
 	}
 	eo := engine.RunOutcome(engine.Config{

@@ -46,6 +46,27 @@ func TestLowLoadLatencyNearZeroLoad(t *testing.T) {
 	}
 }
 
+// TestOfferedLoadIsFlitsPerCycle pins the unit of Rate: with bimodal
+// packets (mean 2.5 flits) an offered load of 0.25 flits/cycle/node starts
+// a packet at 0.1 per cycle per node, and a stable run accepts the rate.
+func TestOfferedLoadIsFlitsPerCycle(t *testing.T) {
+	cfg := quick(Config{Net: meshConfig(1, 16), Sizes: traffic.DefaultBimodal(), Rate: 0.25, Seed: 5})
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Stable {
+		t.Fatal("0.25 flits/cycle/node should be stable")
+	}
+	pkts := float64(res.MeasuredPackets) / float64(64*cfg.Measure)
+	if pkts < 0.09 || pkts > 0.11 {
+		t.Errorf("packet rate = %.4f per cycle per node, want ~0.1 (0.25 / 2.5)", pkts)
+	}
+	if res.Accepted < 0.23 || res.Accepted > 0.27 {
+		t.Errorf("accepted = %.4f flits/cycle/node, want ~0.25", res.Accepted)
+	}
+}
+
 func TestLatencyRisesWithLoad(t *testing.T) {
 	var prev float64
 	for i, rate := range []float64{0.05, 0.2, 0.35} {

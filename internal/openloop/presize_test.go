@@ -16,10 +16,9 @@ import (
 
 var updatePresize = flag.Bool("update-presize", false, "rewrite testdata/presize_results.json from this tree")
 
-// presizeCases are the three ways a run reaches its samples: a plain
-// Bernoulli process and a class mix (sized once from the offered load, the
-// mix per class as well), and an on/off process (no hint: the sample starts
-// empty and grows by append).
+// presizeCases are the two ways a run reaches its samples: a single
+// Bernoulli class and a class mix, each sized once from the offered load
+// (the mix per class as well).
 func presizeCases() map[string]Config {
 	net := func(rc router.Config) network.Config {
 		return network.Config{Topo: topology.NewMesh(4, 4), Routing: routing.DOR{}, Router: rc, Seed: 11}
@@ -28,15 +27,13 @@ func presizeCases() map[string]Config {
 	sizes := traffic.DefaultBimodal()
 	return map[string]Config{
 		"bernoulli": {Net: net(base), Sizes: sizes, Rate: 0.15, Warmup: 500, Measure: 4000, Seed: 5},
-		"onoff": {Net: net(base), Sizes: sizes, Warmup: 500, Measure: 4000, Seed: 5,
-			Proc: traffic.NewOnOff(16, 0.5, 20, 40, sizes)},
 		"classes": {Net: net(router.Config{VCs: 2, BufDepth: 4, Delay: 1, Classes: 2}), Sizes: sizes,
 			Rate: 0.15, Warmup: 500, Measure: 4000, Seed: 5,
 			Classes: []traffic.Class{{Name: "hi", Share: 0.25}, {Name: "lo", Share: 0.75}}},
 	}
 }
 
-// TestPresizingIsInvisible requires every Result field of the three cases
+// TestPresizingIsInvisible requires every Result field of the two cases
 // to equal what the tree before pre-sizing produced (testdata/
 // presize_results.json was written there), and pins the hint itself: large
 // enough that the Bernoulli run did not grow its slices — so their capacity

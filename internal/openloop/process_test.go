@@ -6,28 +6,6 @@ import (
 	"noceval/internal/traffic"
 )
 
-func TestBurstyProcessRaisesLatencyAtEqualLoad(t *testing.T) {
-	// An on/off source set with the same long-run offered load as a
-	// Bernoulli process must see higher average latency: bursts queue.
-	base := quick(Config{Net: meshConfig(1, 16), Rate: 0.2, Seed: 31})
-	smooth, err := Run(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bursty := base
-	bursty.Proc = traffic.NewOnOff(64, 0.8, 60, 180, traffic.FixedSize(1)) // 0.2 average
-	b, err := Run(bursty)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b.Rate != 0.2 {
-		t.Errorf("bursty offered load recorded as %v", b.Rate)
-	}
-	if b.AvgLatency <= smooth.AvgLatency {
-		t.Errorf("bursty latency %.2f not above smooth %.2f", b.AvgLatency, smooth.AvgLatency)
-	}
-}
-
 func TestHotspotSaturatesEarly(t *testing.T) {
 	// Concentrating 25% of traffic on one node caps throughput at about
 	// 4x the ejection bandwidth of that node: far below uniform capacity.

@@ -1,0 +1,10 @@
+package router
+
+// Flits expands a packet into its flit sequence.
+func Flits(p *Packet) []Flit {
+	fs := make([]Flit, p.Size)
+	for i := range fs {
+		fs[i] = Flit{P: p, Seq: int32(i)}
+	}
+	return fs
+}

@@ -115,12 +115,3 @@ func (f Flit) Head() bool { return f.Seq == 0 }
 
 // Tail reports whether this is the packet's last flit.
 func (f Flit) Tail() bool { return int(f.Seq) == f.P.Size-1 }
-
-// Flits expands a packet into its flit sequence.
-func Flits(p *Packet) []Flit {
-	fs := make([]Flit, p.Size)
-	for i := range fs {
-		fs[i] = Flit{P: p, Seq: int32(i)}
-	}
-	return fs
-}

@@ -498,14 +498,10 @@ func (r *Router) AcceptFlit(port, vc int, f Flit) {
 	r.occMask |= 1 << uint(flat)
 }
 
-// CanAcceptInjection reports whether the injection buffer (local port,
-// VC 0) has space for another flit.
-func (r *Router) CanAcceptInjection() bool { return r.CanAcceptInjectionClass(0) }
-
 // CanAcceptInjectionClass reports whether QoS class qc's injection buffer
 // has space for another flit. Each class injects through the first VC of
 // its own partition, so a backed-up low-priority class never blocks
-// high-priority injection. With one class this is CanAcceptInjection.
+// high-priority injection. With one class it is VC 0's buffer.
 func (r *Router) CanAcceptInjectionClass(qc int) bool {
 	return int(r.in[r.local*r.vcs+r.InjectionVCClass(qc)].n) < r.cfg.BufDepth
 }
@@ -1085,10 +1081,6 @@ func (r *Router) ReturnCredit(now int64, port, vc int) { r.receiveCredit(now, po
 // OutCredits returns the credit count of output VC (p, vc); invariant
 // checking compares it against the downstream buffer state.
 func (r *Router) OutCredits(p, vc int) int { return int(r.out[p*r.vcs+vc].credits) }
-
-// OutOwned reports whether output VC (p, vc) is currently allocated to an
-// in-flight packet.
-func (r *Router) OutOwned(p, vc int) bool { return r.out[p*r.vcs+vc].owned }
 
 // InBufLen returns the number of flits buffered in input VC (p, vc).
 func (r *Router) InBufLen(p, vc int) int { return int(r.in[p*r.vcs+vc].n) }

@@ -262,12 +262,12 @@ func TestInjectionBackpressure(t *testing.T) {
 	p := &Packet{ID: 1, Src: 0, Dst: 15, Size: 4}
 	p.Route = routing.NewState(-1)
 	fs := Flits(p)
-	if !r.CanAcceptInjection() {
+	if !r.CanAcceptInjectionClass(0) {
 		t.Fatal("fresh injection buffer full")
 	}
 	r.AcceptFlit(topo.LocalPort(), 0, fs[0])
 	r.AcceptFlit(topo.LocalPort(), 0, fs[1])
-	if r.CanAcceptInjection() {
+	if r.CanAcceptInjectionClass(0) {
 		t.Error("injection buffer of depth 2 not full after 2 flits")
 	}
 }

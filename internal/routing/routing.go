@@ -375,8 +375,3 @@ func ByName(name string) (Algorithm, error) {
 		return nil, fmt.Errorf("routing: unknown algorithm %q", name)
 	}
 }
-
-// All returns every built-in algorithm in the order the paper lists them.
-func All() []Algorithm {
-	return []Algorithm{DOR{}, Valiant{}, MinimalAdaptive{}, ROMM{}}
-}

@@ -57,7 +57,7 @@ func TestAllAlgorithmsReachAllPairs(t *testing.T) {
 	}
 	rng := sim.NewRNG(1)
 	for _, topo := range topos {
-		for _, alg := range All() {
+		for _, alg := range []Algorithm{DOR{}, Valiant{}, MinimalAdaptive{}, ROMM{}} {
 			for src := 0; src < topo.N; src += 3 {
 				for dst := 0; dst < topo.N; dst += 5 {
 					walk(t, topo, alg, rng, src, dst)

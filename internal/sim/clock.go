@@ -16,9 +16,6 @@ func (c *Clock) Tick() int64 {
 	return c.now
 }
 
-// Reset rewinds the clock to cycle zero.
-func (c *Clock) Reset() { c.now = 0 }
-
 // AdvanceTo jumps the clock forward to cycle t. It is a no-op when t is
 // not in the future; callers (the engine's quiescence fast-forward) are
 // responsible for only skipping cycles in which nothing can happen.

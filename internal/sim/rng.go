@@ -152,16 +152,6 @@ func (r *RNG) NextBernoulli(p float64, i, n int) int {
 	return i
 }
 
-// Exp returns an exponentially distributed value with the given mean.
-func (r *RNG) Exp(mean float64) float64 {
-	u := r.Float64()
-	// Avoid log(0).
-	for u == 0 {
-		u = r.Float64()
-	}
-	return -mean * math.Log(u)
-}
-
 // Geometric returns a geometrically distributed integer >= 1 with success
 // probability p in (0, 1]: the number of Bernoulli(p) trials up to and
 // including the first success. It panics if p <= 0.
@@ -177,19 +167,6 @@ func (r *RNG) Geometric(p float64) int {
 		u = r.Float64()
 	}
 	return 1 + int(math.Log(u)/math.Log(1-p))
-}
-
-// Perm returns a uniformly random permutation of [0, n).
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
 }
 
 // Split returns a new RNG whose stream is independent of r's.

@@ -48,16 +48,8 @@ func (h *Histogram) AddAll(xs []float64) {
 	}
 }
 
-// Total returns the number of recorded samples.
-func (h *Histogram) Total() int64 { return h.total }
-
 // BinWidth returns the width of one bin.
 func (h *Histogram) BinWidth() float64 { return (h.Hi - h.Lo) / float64(len(h.Counts)) }
-
-// BinCenter returns the center value of bin i.
-func (h *Histogram) BinCenter(i int) float64 {
-	return h.Lo + (float64(i)+0.5)*h.BinWidth()
-}
 
 // Fractions returns each bin's share of the total, or all zeros when empty.
 func (h *Histogram) Fractions() []float64 {

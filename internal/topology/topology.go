@@ -82,9 +82,6 @@ func PlusPort(d int) int { return 2 * d }
 // MinusPort returns the output port for the minus direction of dimension d.
 func MinusPort(d int) int { return 2*d + 1 }
 
-// PortDim returns the dimension a network port belongs to.
-func PortDim(port int) int { return port / 2 }
-
 // Coord returns the per-dimension coordinates of a node.
 func (t *Topology) Coord(node int) []int {
 	c := make([]int, t.Dims)
@@ -159,32 +156,6 @@ func (t *Topology) Distance(a, b int) int {
 		total += h
 	}
 	return total
-}
-
-// AverageDistance returns the mean minimal hop count over all ordered node
-// pairs, including self pairs (distance 0), matching the uniform-random
-// traffic model used throughout the paper.
-func (t *Topology) AverageDistance() float64 {
-	sum := 0
-	for a := 0; a < t.N; a++ {
-		for b := 0; b < t.N; b++ {
-			sum += t.Distance(a, b)
-		}
-	}
-	return float64(sum) / float64(t.N*t.N)
-}
-
-// Diameter returns the maximum minimal hop count over all node pairs.
-func (t *Topology) Diameter() int {
-	max := 0
-	for a := 0; a < t.N; a++ {
-		for b := 0; b < t.N; b++ {
-			if d := t.Distance(a, b); d > max {
-				max = d
-			}
-		}
-	}
-	return max
 }
 
 // BisectionChannels returns the number of unidirectional channels crossing

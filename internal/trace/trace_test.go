@@ -38,8 +38,10 @@ func capture(t *testing.T, cfg network.Config, packets int) *Trace {
 		}
 		net.Step()
 	}
-	if _, ok := net.RunUntilQuiescent(100000); !ok {
-		t.Fatal("capture network did not drain")
+	for start := net.Now(); !net.Quiescent(); net.Step() {
+		if net.Now()-start >= 100000 {
+			t.Fatal("capture network did not drain")
+		}
 	}
 	return rec.Trace()
 }

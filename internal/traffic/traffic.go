@@ -405,98 +405,3 @@ func ValidateClasses(classes []Class) error {
 	}
 	return nil
 }
-
-// Process is the temporal side of open-loop traffic: it decides, cycle by
-// cycle and per source, whether a new packet is generated.
-type Process interface {
-	// Name returns the process's short identifier.
-	Name() string
-	// OfferedLoad returns the long-run offered load in flits/cycle/node.
-	OfferedLoad() float64
-	// ShouldInjectAt reports whether the given source generates a packet
-	// this cycle.
-	ShouldInjectAt(rng *sim.RNG, node int) bool
-}
-
-// Bernoulli is the standard open-loop temporal process: each cycle, each
-// source starts a new packet with probability rate/meanLen so that the
-// offered load in flits/cycle/node equals rate.
-type Bernoulli struct {
-	// Rate is the offered load in flits per cycle per node.
-	Rate float64
-	// Sizes draws the packet lengths.
-	Sizes SizeDist
-}
-
-// Name implements Process.
-func (b Bernoulli) Name() string { return "bernoulli" }
-
-// OfferedLoad implements Process.
-func (b Bernoulli) OfferedLoad() float64 { return b.Rate }
-
-// ShouldInject reports whether a new packet is generated this cycle.
-func (b Bernoulli) ShouldInject(rng *sim.RNG) bool {
-	return rng.Bernoulli(b.Rate / b.Sizes.Mean())
-}
-
-// ShouldInjectAt implements Process; Bernoulli sources are memoryless and
-// identical, so the node index is ignored.
-func (b Bernoulli) ShouldInjectAt(rng *sim.RNG, _ int) bool { return b.ShouldInject(rng) }
-
-// OnOff is a two-state Markov-modulated (bursty) injection process in the
-// spirit of Turner's burst-traffic model: each source alternates between
-// an ON state injecting at PeakRate and a silent OFF state, with
-// geometrically distributed sojourn times. The long-run offered load is
-// PeakRate * onFraction.
-type OnOff struct {
-	// PeakRate is the offered load while ON, in flits/cycle/node.
-	PeakRate float64
-	// MeanOn and MeanOff are the expected state sojourn times in cycles.
-	MeanOn, MeanOff float64
-	// Sizes draws packet lengths.
-	Sizes SizeDist
-
-	state []bool // per-node ON flag; lazily initialized
-}
-
-// NewOnOff returns a bursty process for n sources. All sources start OFF
-// at independent random phases.
-func NewOnOff(n int, peak, meanOn, meanOff float64, sizes SizeDist) *OnOff {
-	if meanOn < 1 {
-		meanOn = 1
-	}
-	if meanOff < 1 {
-		meanOff = 1
-	}
-	return &OnOff{
-		PeakRate: peak,
-		MeanOn:   meanOn,
-		MeanOff:  meanOff,
-		Sizes:    sizes,
-		state:    make([]bool, n),
-	}
-}
-
-// Name implements Process.
-func (o *OnOff) Name() string { return "onoff" }
-
-// OfferedLoad implements Process: the long-run average offered load.
-func (o *OnOff) OfferedLoad() float64 {
-	return o.PeakRate * o.MeanOn / (o.MeanOn + o.MeanOff)
-}
-
-// ShouldInjectAt implements Process. State transitions are evaluated per
-// call (one call per node per cycle).
-func (o *OnOff) ShouldInjectAt(rng *sim.RNG, node int) bool {
-	if o.state[node] {
-		if rng.Bernoulli(1 / o.MeanOn) {
-			o.state[node] = false
-		}
-	} else if rng.Bernoulli(1 / o.MeanOff) {
-		o.state[node] = true
-	}
-	if !o.state[node] {
-		return false
-	}
-	return rng.Bernoulli(o.PeakRate / o.Sizes.Mean())
-}

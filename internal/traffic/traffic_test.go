@@ -207,19 +207,23 @@ func TestSizeDists(t *testing.T) {
 	_ = long
 }
 
-func TestBernoulliProcessRate(t *testing.T) {
-	rng := sim.NewRNG(5)
-	// Offered load 0.5 flits/cycle with mean size 2.5 -> packet rate 0.2.
-	proc := Bernoulli{Rate: 0.5, Sizes: DefaultBimodal()}
-	injections := 0
-	const cycles = 100000
-	for i := 0; i < cycles; i++ {
-		if proc.ShouldInject(rng) {
-			injections++
+func TestHotspotSplitsTraffic(t *testing.T) {
+	rng := sim.NewRNG(10)
+	h := Hotspot{Hot: 5, Fraction: 0.3}
+	hot, total := 0, 50000
+	for i := 0; i < total; i++ {
+		if h.Dest(rng, 1, 64) == 5 {
+			hot++
 		}
 	}
-	if f := float64(injections) / cycles; f < 0.18 || f > 0.22 {
-		t.Errorf("packet rate = %.3f, want ~0.2", f)
+	// 30% direct plus 1/64 of the uniform remainder.
+	want := 0.3 + 0.7/64
+	f := float64(hot) / float64(total)
+	if f < want-0.02 || f > want+0.02 {
+		t.Errorf("hotspot fraction = %.3f, want ~%.3f", f, want)
+	}
+	if h.Name() == "" {
+		t.Error("empty name")
 	}
 }
 

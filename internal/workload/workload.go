@@ -399,13 +399,3 @@ func (p Profile) Warm(sys *cmp.System, cores int) {
 	}
 	sys.ResetCacheStats()
 }
-
-// Names returns the benchmark names in evaluation order.
-func Names() []string {
-	ps := All()
-	out := make([]string, len(ps))
-	for i, p := range ps {
-		out[i] = p.Name
-	}
-	return out
-}

@@ -40,8 +40,8 @@ func TestByName(t *testing.T) {
 	if _, err := ByName("doom"); err == nil {
 		t.Error("unknown benchmark accepted")
 	}
-	if got := len(Names()); got != 5 {
-		t.Errorf("Names() returned %d entries", got)
+	if got := len(All()); got != 5 {
+		t.Errorf("All() returned %d entries", got)
 	}
 }
 
