@@ -7,6 +7,7 @@ package noceval
 // visible from `go test -bench`).
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"testing"
@@ -58,6 +59,39 @@ func quickBatch(b *testing.B, p core.NetworkParams, bp core.BatchParams) *closed
 	return res
 }
 
+// correlateOpenBatch runs the Fig 5 procedure at b=150 with the default
+// phases: the batch grid (m-major), then every cell's network offered the
+// throughput its batch run achieved, reduced by core.CorrelateOpenBatch.
+func correlateOpenBatch(b *testing.B, ms []int, labels []string, variants []core.NetworkParams, worstCase bool) core.Correlation {
+	b.Helper()
+	var grid []core.ExperimentSpec
+	for _, m := range ms {
+		for _, p := range variants {
+			grid = append(grid, core.ExperimentSpec{Kind: "batch", Network: p, B: 150, M: m})
+		}
+	}
+	batch, err := core.RunAll(context.Background(), grid)
+	if err != nil {
+		b.Fatal(err)
+	}
+	open := make([]core.ExperimentSpec, len(grid))
+	for i, r := range batch {
+		if !r.Batch.Completed {
+			b.Fatal("batch did not complete")
+		}
+		open[i] = core.ExperimentSpec{Kind: "openloop", Network: grid[i].Network, Rate: r.Batch.Throughput}
+	}
+	ol, err := core.RunAll(context.Background(), open)
+	if err != nil {
+		b.Fatal(err)
+	}
+	corr, err := core.CorrelateOpenBatch(ms, labels, batch, ol, worstCase)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return corr
+}
+
 // BenchmarkFig01 measures one point of the latency/load curve.
 func BenchmarkFig01_LatencyLoadCurve(b *testing.B) {
 	var lat float64
@@ -106,16 +140,12 @@ func BenchmarkFig04_RouterDelayBatch(b *testing.B) {
 func BenchmarkFig05_OpenBatchCorrelation(b *testing.B) {
 	var coeff float64
 	for i := 0; i < b.N; i++ {
-		corr, err := core.CorrelateOpenBatch([]int{1, 4}, []string{"tr=1", "tr=2", "tr=4"},
-			func(j int) core.NetworkParams {
-				p := core.Baseline()
-				p.RouterDelay = []int64{1, 2, 4}[j]
-				return p
-			}, 150, false, core.OpenLoopOpts{})
-		if err != nil {
-			b.Fatal(err)
+		variants := make([]core.NetworkParams, 3)
+		for j, tr := range []int64{1, 2, 4} {
+			variants[j] = core.Baseline()
+			variants[j].RouterDelay = tr
 		}
-		coeff = corr.Coefficient
+		coeff = correlateOpenBatch(b, []int{1, 4}, []string{"tr=1", "tr=2", "tr=4"}, variants, false).Coefficient
 	}
 	b.ReportMetric(coeff, "correlation") // paper: 0.9953
 }
@@ -153,16 +183,12 @@ func BenchmarkFig08_TopologyCorrelation(b *testing.B) {
 	var coeff float64
 	for i := 0; i < b.N; i++ {
 		names := []string{"mesh8x8", "torus8x8", "ring64"}
-		corr, err := core.CorrelateOpenBatch([]int{1, 4}, names,
-			func(j int) core.NetworkParams {
-				p := core.Baseline()
-				p.Topology = names[j]
-				return p
-			}, 150, true, core.OpenLoopOpts{})
-		if err != nil {
-			b.Fatal(err)
+		variants := make([]core.NetworkParams, len(names))
+		for j, topo := range names {
+			variants[j] = core.Baseline()
+			variants[j].Topology = topo
 		}
-		coeff = corr.Coefficient
+		coeff = correlateOpenBatch(b, []int{1, 4}, names, variants, true).Coefficient
 	}
 	b.ReportMetric(coeff, "correlation") // paper: 0.999
 }

@@ -7,9 +7,7 @@ import (
 	"fmt"
 	"strings"
 
-	"noceval/internal/closedloop"
 	"noceval/internal/core"
-	"noceval/internal/par"
 	"noceval/internal/stats"
 	"noceval/internal/workload"
 )
@@ -127,36 +125,22 @@ func fig15(c *ctx) error {
 }
 
 // fig16 evaluates the NAR-enhanced injection model. Its x axis is the
-// NAR, not m, so it fills the [tr][NAR] grid itself and shares only the
-// grid plotter with the m-sweep figures.
+// NAR, not m, so it lists the [tr][NAR] grid itself and shares only the
+// grid panel with the m-sweep figures.
 func fig16(c *ctx) error {
 	b := c.scale(300, 1000)
 	nars := []float64{0.04, 0.12, 0.2, 0.28, 0.36, 1}
-	labels, vary := routerDelayParams(1, 2, 4)
+	labels, trs := routerDelayParams(1, 2, 4)
+	var panels []panel
 	for _, m := range []int{1, 4, 16} {
-		grid := make([][]*core.BatchGridCell, len(labels))
-		for ti := range grid {
-			grid[ti] = make([]*core.BatchGridCell, len(nars))
-		}
-		if err := par.Parallel(len(labels)*len(nars), 0, func(idx int) error {
-			ti, ni := idx/len(nars), idx%len(nars)
-			res, err := core.Batch(vary(ti), core.BatchParams{B: b, M: m, NAR: nars[ni]})
-			if err != nil {
-				return err
-			}
-			grid[ti][ni] = &core.BatchGridCell{Runtime: res.Runtime, Throughput: res.Throughput}
-			return nil
-		}); err != nil {
-			return err
-		}
-		f := plotGrid(fmt.Sprintf("Fig 16 (m=%d): batch model with enhanced injection model", m),
-			"network access rate (NAR)", labels, nars, grid, 0, len(nars)-1) // T / T(tr=1, NAR=1)
-		f.Note("low NAR hides router-delay differences even at large m (paper SIV-C1)")
-		if err := c.writeFigure(fmt.Sprintf("fig16m%d", m), f); err != nil {
-			return err
-		}
+		pn := gridPanel(fmt.Sprintf("fig16m%d", m), fmt.Sprintf("Fig 16 (m=%d): batch model with enhanced injection model", m),
+			"network access rate (NAR)", labels, trs, nars, func(p core.NetworkParams, nar float64) core.ExperimentSpec {
+				return core.ExperimentSpec{Kind: "batch", Network: p, B: b, M: m, NAR: nar}
+			}, 0, len(nars)-1) // T / T(tr=1, NAR=1)
+		pn.note = "low NAR hides router-delay differences even at large m (paper SIV-C1)"
+		panels = append(panels, pn)
 	}
-	return nil
+	return c.writePanels(panels...)
 }
 
 // fig17 evaluates the reply-latency models.
@@ -165,26 +149,22 @@ func fig17(c *ctx) error {
 	models := []struct {
 		suffix string
 		title  string
-		reply  closedloop.ReplyModel
+		reply  *core.ReplySpec
 	}{
-		{"a", "memory latency = 20", closedloop.FixedReply{Latency: 20}},
-		{"b", "memory latency = 50", closedloop.FixedReply{Latency: 50}},
-		{"c", "memory latency = 20 + 0.1*300", closedloop.ProbabilisticReply{L2Latency: 20, MemoryLatency: 300, MissRate: 0.1}},
+		{"a", "memory latency = 20", &core.ReplySpec{Type: "fixed", Latency: 20}},
+		{"b", "memory latency = 50", &core.ReplySpec{Type: "fixed", Latency: 50}},
+		{"c", "memory latency = 20 + 0.1*300", &core.ReplySpec{Type: "probabilistic", L2: 20, Memory: 300, MissRate: 0.1}},
 	}
-	labels, vary := routerDelayParams(1, 2, 4)
+	labels, trs := routerDelayParams(1, 2, 4)
+	var panels []panel
 	for _, mconf := range models {
-		f, err := gridFigure(
+		pn := mGridPanel("fig17"+mconf.suffix,
 			fmt.Sprintf("Fig 17%s: batch model with enhanced reply model (%s)", mconf.suffix, mconf.title),
-			labels, vary, batchMs, core.BatchParams{B: b, Reply: mconf.reply}, 0) // T / T(tr=1, m=1)
-		if err != nil {
-			return err
-		}
-		f.Note("memory latency dominates remote access: router delay impact shrinks (SIV-C2)")
-		if err := c.writeFigure("fig17"+mconf.suffix, f); err != nil {
-			return err
-		}
+			labels, trs, batchMs, core.ExperimentSpec{Kind: "batch", B: b, Reply: mconf.reply}, 0) // T / T(tr=1, m=1)
+		pn.note = "memory latency dominates remote access: router delay impact shrinks (SIV-C2)"
+		panels = append(panels, pn)
 	}
-	return nil
+	return c.writePanels(panels...)
 }
 
 // enhancedBatchNorms computes normalized batch runtimes per benchmark for

@@ -2,11 +2,12 @@ package main
 
 // Golden regression figures: the paper's router-parameter curves (Figs
 // 3a/3b/4a), the topology comparison (Fig 6a) and the open-loop/batch
-// correlation procedure of Fig 5 at golden scale — the same plotters
-// (plotters.go) and the same core.CorrelateOpenBatch the paper generators
-// call, with fewer rates, shorter open-loop phases and a smaller batch, so
-// CI can re-simulate them on every push (~5s of single-core simulation;
-// each point also flows through the experiment cache when -cache is set).
+// correlation procedure of Fig 5 at golden scale — the same spec lists and
+// plotters (plotters.go) and the same core.CorrelateOpenBatch the paper
+// generators call, with fewer rates, shorter open-loop phases and a
+// smaller batch, so CI can re-simulate them on every push (~5s of
+// single-core simulation; each point also flows through the experiment
+// cache when -cache is set).
 // Only the parameter lists below are the gate's own: a change to how the
 // paper figures are simulated, correlated or plotted moves these files.
 //
@@ -20,6 +21,7 @@ package main
 
 import (
 	"fmt"
+	"slices"
 
 	"noceval/internal/core"
 	"noceval/internal/stats"
@@ -51,65 +53,63 @@ func goldenIDs() []string {
 	return []string{"golden_fig03a", "golden_fig03b", "golden_fig04a", "golden_fig06a", "golden_corr"}
 }
 
-// goldenSweep writes one open-loop figure over the golden rates.
-func goldenSweep(c *ctx, id, title string, labels []string, vary func(int) core.NetworkParams) error {
-	f, err := sweepFigure(title, labels, vary, goldenRates, goldenPhases)
-	if err != nil {
-		return err
-	}
-	return c.writeFigure(id, f)
-}
-
 // goldenFig03a is the Fig 3a router-delay curve at golden scale.
 func goldenFig03a(c *ctx) error {
-	labels, vary := routerDelayParams(goldenTrs...)
-	return goldenSweep(c, "golden_fig03a", "Golden Fig 3a: open-loop latency vs load across router delays", labels, vary)
+	labels, trs := routerDelayParams(goldenTrs...)
+	return c.writePanels(sweepPanel("golden_fig03a", "Golden Fig 3a: open-loop latency vs load across router delays",
+		labels, trs, goldenRates, goldenPhases))
 }
 
 // goldenFig03b is the Fig 3b buffer-depth curve at golden scale.
 func goldenFig03b(c *ctx) error {
-	labels, vary := bufDepthParams(4, 16)
-	return goldenSweep(c, "golden_fig03b", "Golden Fig 3b: open-loop latency vs load across buffer depths", labels, vary)
+	labels, qs := bufDepthParams(4, 16)
+	return c.writePanels(sweepPanel("golden_fig03b", "Golden Fig 3b: open-loop latency vs load across buffer depths",
+		labels, qs, goldenRates, goldenPhases))
 }
 
 // goldenFig04a is the Fig 4a batch-model router-delay grid at golden
 // scale: normalized runtime and achieved throughput per m.
 func goldenFig04a(c *ctx) error {
-	labels, vary := routerDelayParams(goldenTrs...)
-	f, err := gridFigure("Golden Fig 4a: batch-model runtime and throughput across router delays",
-		labels, vary, goldenMs, core.BatchParams{B: goldenB}, 0) // T / T(tr=1, m=1)
-	if err != nil {
-		return err
-	}
-	return c.writeFigure("golden_fig04a", f)
+	labels, trs := routerDelayParams(goldenTrs...)
+	return c.writePanels(mGridPanel("golden_fig04a", "Golden Fig 4a: batch-model runtime and throughput across router delays",
+		labels, trs, goldenMs, core.ExperimentSpec{Kind: "batch", B: goldenB}, 0)) // T / T(tr=1, m=1)
 }
 
 // goldenFig06a is the Fig 6a topology comparison at golden scale.
 func goldenFig06a(c *ctx) error {
-	names, vary := topologyParams()
-	return goldenSweep(c, "golden_fig06a", "Golden Fig 6a: open-loop latency vs load across topologies", names, vary)
+	names, topos := topologyParams()
+	return c.writePanels(sweepPanel("golden_fig06a", "Golden Fig 6a: open-loop latency vs load across topologies",
+		names, topos, goldenRates, goldenPhases))
 }
 
 // goldenCorr emits the open-loop/batch correlation table (the Fig 5
-// procedure, core.CorrelateOpenBatch) over the router-delay and
-// buffer-depth sweeps.
+// procedure: openBatchGrid, runOpenBatch, core.CorrelateOpenBatch) over
+// the router-delay and buffer-depth sweeps. tr=1 and q=16 are the same
+// network, so their cells are simulated once.
 func goldenCorr(c *ctx) error {
+	ms := []int{1, 4}
+	trLabels, trs := routerDelayParams(goldenTrs...)
+	qLabels, qs := bufDepthParams(2, 4, 8, 16)
+	grid := slices.Concat(openBatchGrid(ms, trs, goldenB), openBatchGrid(ms, qs, goldenB))
+	batch, open, _, err := runOpenBatch(grid, goldenPhases)
+	if err != nil {
+		return err
+	}
 	t := stats.NewTable("Golden: open-loop vs batch correlation (Fig 5 procedure, golden scale)",
 		"sweep", "points", "pearson", "spearman")
-	row := func(sweep string, labels []string, vary func(int) core.NetworkParams) error {
-		corr, err := core.CorrelateOpenBatch([]int{1, 4}, labels, vary, goldenB, false, goldenPhases)
+	row := func(sweep string, labels []string, batch, open []*core.Result) error {
+		corr, err := core.CorrelateOpenBatch(ms, labels, batch, open, false)
 		if err != nil {
 			return err
 		}
 		t.AddRow(sweep, fmt.Sprint(len(corr.Pairs)), fmt.Sprintf("%.4f", corr.Coefficient), fmt.Sprintf("%.4f", corr.Rank))
 		return nil
 	}
-	labels, vary := routerDelayParams(goldenTrs...)
-	if err := row("router delay", labels, vary); err != nil {
+	nt := len(ms) * len(trs)
+	if err := row("router delay", trLabels, batch[:nt], open[:nt]); err != nil {
 		return err
 	}
-	labels, vary = bufDepthParams(2, 4, 8, 16)
-	if err := row("buffer depth", labels, vary); err != nil {
+	if err := row("buffer depth", qLabels, batch[nt:], open[nt:]); err != nil {
 		return err
 	}
 	return c.writeTable("golden_corr", t)

@@ -6,6 +6,9 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"noceval/internal/core"
+	"noceval/internal/obs/ledger"
 )
 
 // goldenDir is the committed golden-results directory, relative to this
@@ -54,6 +57,48 @@ func TestGoldenFigures(t *testing.T) {
 			}
 			compareCSV(t, name, string(got), string(want), tol.rel, tol.abs)
 		})
+	}
+}
+
+// TestGoldenGeneratorsSimulateEachSpecOnce runs every golden generator
+// with the run ledger on and fails if one simulates the same run twice:
+// no simulation record may repeat its spec hash within a generator (tr=1
+// and q=16 are the same network, for one).
+func TestGoldenGeneratorsSimulateEachSpecOnce(t *testing.T) {
+	if testing.Short() {
+		t.Skip("regenerates the golden subset")
+	}
+	dir := t.TempDir()
+	c := &ctx{out: dir}
+	for _, id := range goldenIDs() {
+		path := filepath.Join(dir, id+".jsonl")
+		if err := core.EnableLedger(path); err != nil {
+			t.Fatal(err)
+		}
+		err := generators[id](c)
+		if cerr := core.DisableLedger(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+		recs, _, err := ledger.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seen := map[string]bool{}
+		for _, r := range recs {
+			switch r.Kind {
+			case "openloop", "batch", "barrier", "exec":
+				if seen[r.Spec] {
+					t.Errorf("%s simulates %s spec %s twice", id, r.Kind, r.Spec)
+				}
+				seen[r.Spec] = true
+			}
+		}
+		if len(seen) == 0 {
+			t.Errorf("%s wrote no simulation records", id)
+		}
 	}
 }
 

@@ -4,11 +4,12 @@ package main
 // §II-B and §III (Figs 1-12).
 
 import (
+	"context"
 	"fmt"
+	"slices"
 	"strings"
 
 	"noceval/internal/core"
-	"noceval/internal/par"
 	"noceval/internal/stats"
 )
 
@@ -40,14 +41,15 @@ func init() {
 
 // fig01 reproduces the canonical latency vs offered traffic curve.
 func fig01(c *ctx) error {
-	p := core.Baseline()
-	f := stats.NewFigure("Fig 1: latency vs offered traffic (8x8 mesh, DOR, uniform)",
-		"offered load (flits/cycle/node)", "average latency (cycles)")
-	s := f.AddSeries("avg latency")
-	results, err := core.OpenLoopSweepWith(p, sweepRates(0.5), core.OpenLoopOpts{})
+	res, err := core.RunAll(context.Background(),
+		[]core.ExperimentSpec{{Kind: "sweep", Network: core.Baseline(), Rates: sweepRates(0.5)}})
 	if err != nil {
 		return err
 	}
+	results := res[0].Sweep
+	f := stats.NewFigure("Fig 1: latency vs offered traffic (8x8 mesh, DOR, uniform)",
+		"offered load (flits/cycle/node)", "average latency (cycles)")
+	s := f.AddSeries("avg latency")
 	var zeroLoad, sat float64
 	if len(results) > 0 {
 		zeroLoad = results[0].AvgLatency
@@ -75,26 +77,20 @@ func fig02(c *ctx) error {
 	if c.full {
 		bs = append(bs, 100000)
 	}
-	vals := make([][]float64, len(batchMs))
-	for i := range vals {
-		vals[i] = make([]float64, len(bs))
-	}
-	err := par.Parallel(len(batchMs)*len(bs), 0, func(idx int) error {
-		mi, bi := idx/len(bs), idx%len(bs)
-		res, err := core.Batch(core.Baseline(), core.BatchParams{B: bs[bi], M: batchMs[mi]})
-		if err != nil {
-			return err
+	var specs []core.ExperimentSpec
+	for _, m := range batchMs {
+		for _, b := range bs {
+			specs = append(specs, core.ExperimentSpec{Kind: "batch", Network: core.Baseline(), B: b, M: m})
 		}
-		vals[mi][bi] = float64(res.Runtime) / float64(bs[bi])
-		return nil
-	})
+	}
+	res, err := core.RunAll(context.Background(), specs)
 	if err != nil {
 		return err
 	}
 	for mi, m := range batchMs {
 		s := f.AddSeries(fmt.Sprintf("m=%d", m))
 		for bi, b := range bs {
-			s.Add(float64(b), vals[mi][bi])
+			s.Add(float64(b), float64(res[mi*len(bs)+bi].Batch.Runtime)/float64(b))
 		}
 	}
 	f.Note("normalized runtime saturates as b grows; higher m overlaps more requests")
@@ -103,46 +99,50 @@ func fig02(c *ctx) error {
 
 // fig03 shows open-loop impact of router delay (a) and buffer depth (b).
 func fig03(c *ctx) error {
-	labels, vary := routerDelayParams(1, 2, 4)
-	fa, err := sweepFigure("Fig 3a: impact of router delay in open-loop", labels, vary, sweepRates(0.5), core.OpenLoopOpts{})
-	if err != nil {
-		return err
-	}
-	if err := c.writeFigure("fig03a", fa); err != nil {
-		return err
-	}
-	labels, vary = bufDepthParams(4, 8, 16, 32)
-	fb, err := sweepFigure("Fig 3b: impact of VC buffer depth in open-loop", labels, vary, sweepRates(0.5), core.OpenLoopOpts{})
-	if err != nil {
-		return err
-	}
-	return c.writeFigure("fig03b", fb)
+	trLabels, trs := routerDelayParams(1, 2, 4)
+	qLabels, qs := bufDepthParams(4, 8, 16, 32)
+	return c.writePanels(
+		sweepPanel("fig03a", "Fig 3a: impact of router delay in open-loop", trLabels, trs, sweepRates(0.5), core.OpenLoopOpts{}),
+		sweepPanel("fig03b", "Fig 3b: impact of VC buffer depth in open-loop", qLabels, qs, sweepRates(0.5), core.OpenLoopOpts{}))
 }
 
 // fig04 shows the same two parameters in the batch model across m.
 func fig04(c *ctx) error {
-	bp := core.BatchParams{B: c.scale(300, 1000)}
-	labels, vary := routerDelayParams(1, 2, 4)
-	fa, err := gridFigure("Fig 4a: impact of router delay in batch model", labels, vary, batchMs, bp, 0) // T / T(tr=1, m=1)
-	if err != nil {
-		return err
-	}
-	if err := c.writeFigure("fig04a", fa); err != nil {
-		return err
-	}
-	labels, vary = bufDepthParams(4, 8, 16, 32)
-	fb, err := gridFigure("Fig 4b: impact of buffer depth in batch model", labels, vary, batchMs, bp, 3) // T / T(q=32, m=1) per the paper
-	if err != nil {
-		return err
-	}
-	return c.writeFigure("fig04b", fb)
+	cell := core.ExperimentSpec{Kind: "batch", B: c.scale(300, 1000)}
+	trLabels, trs := routerDelayParams(1, 2, 4)
+	qLabels, qs := bufDepthParams(4, 8, 16, 32)
+	return c.writePanels(
+		mGridPanel("fig04a", "Fig 4a: impact of router delay in batch model", trLabels, trs, batchMs, cell, 0), // T / T(tr=1, m=1)
+		mGridPanel("fig04b", "Fig 4b: impact of buffer depth in batch model", qLabels, qs, batchMs, cell, 3))   // T / T(q=32, m=1) per the paper
 }
 
 // fig05 correlates open-loop and batch measurements for tr and q sweeps.
 func fig05(c *ctx) error {
 	b := c.scale(300, 1000)
-	write := func(name, param string, labels []string, vary func(int) core.NetworkParams) error {
-		corr, err := core.CorrelateOpenBatch(batchMs, labels, vary, b, false, core.OpenLoopOpts{})
+	trLabels, trs := routerDelayParams(1, 2, 4)
+	// The q sweep reaches down to q=2: with this router's short credit
+	// round trip, buffers of 4+ flits only matter at saturation, so the
+	// correlation signal lives in the small-buffer half of Table I's
+	// {1..32} range.
+	qLabels, qs := bufDepthParams(16, 8, 4, 2)
+	grid := slices.Concat(openBatchGrid(batchMs, trs, b), openBatchGrid(batchMs, qs, b))
+	// Buffer depth is a throughput parameter on this router: the
+	// latency-domain scatter inverts because small-q batch runs
+	// self-throttle below their saturation (see EXPERIMENTS.md), so also
+	// report the throughput-domain correlation: batch achieved throughput
+	// vs open-loop capacity across q.
+	var supplement []core.ExperimentSpec
+	for _, p := range qs {
+		supplement = append(supplement, core.ExperimentSpec{Kind: "batch", Network: p, B: b, M: 16},
+			openLoopSpec(p, 0.9, core.OpenLoopOpts{}))
+	}
+	batch, open, supp, err := runOpenBatch(grid, core.OpenLoopOpts{}, supplement...)
+	if err != nil {
+		return err
+	}
+
+	write := func(name, param string, labels []string, batch, open []*core.Result) error {
+		corr, err := core.CorrelateOpenBatch(batchMs, labels, batch, open, false)
 		if err != nil {
 			return err
 		}
@@ -151,120 +151,75 @@ func fig05(c *ctx) error {
 			"open-loop normalized avg latency", "batch model normalized runtime", corr)
 		f.Note("correlation coefficient (all m) = %.4f +/- %.4f (rank %.4f)", corr.Coefficient, corr.CI95, corr.Rank)
 		// The paper notes poor correlation near saturation (m=16, 32).
-		lowM := []int{1, 2, 4, 8}
-		corrLow, err := core.CorrelateOpenBatch(lowM, labels, vary, b, false, core.OpenLoopOpts{})
+		low := 4 * len(labels) // m in {1, 2, 4, 8}
+		corrLow, err := core.CorrelateOpenBatch(batchMs[:4], labels, batch[:low], open[:low], false)
 		if err != nil {
 			return err
 		}
 		f.Note("correlation coefficient (m<=8) = %.4f +/- %.4f (paper: 0.9953 for tr, 0.9935 for q)", corrLow.Coefficient, corrLow.CI95)
 		return c.writeFigure("fig05"+name, f)
 	}
-	trLabels, trVary := routerDelayParams(1, 2, 4)
-	if err := write("a", "router delay", trLabels, trVary); err != nil {
+	nt := len(batchMs) * len(trs)
+	if err := write("a", "router delay", trLabels, batch[:nt], open[:nt]); err != nil {
 		return err
 	}
-	// The q sweep reaches down to q=2: with this router's short credit
-	// round trip, buffers of 4+ flits only matter at saturation, so the
-	// correlation signal lives in the small-buffer half of Table I's
-	// {1..32} range.
-	qVals := []int{16, 8, 4, 2}
-	qLabels, qVary := bufDepthParams(qVals...)
-	if err := write("b", "buffer depth", qLabels, qVary); err != nil {
+	if err := write("b", "buffer depth", qLabels, batch[nt:], open[nt:]); err != nil {
 		return err
 	}
-	// Buffer depth is a throughput parameter on this router: the
-	// latency-domain scatter above inverts because small-q batch runs
-	// self-throttle below their saturation (see EXPERIMENTS.md), so also
-	// report the throughput-domain correlation: batch achieved throughput
-	// vs open-loop capacity across q.
+
+	extra := stats.NewFigure("Fig 5b (supplement): throughput-domain correlation across buffer depths",
+		"open-loop capacity (flits/cycle/node)", "batch achieved throughput (m=16)")
+	s := extra.AddSeries("q sweep")
 	var batchTheta, olCap []float64
-	for i := range qVals {
-		p := qVary(i)
-		res, err := core.Batch(p, core.BatchParams{B: b, M: 16})
-		if err != nil {
-			return err
-		}
-		over, err := core.OpenLoopWith(p, 0.9, core.OpenLoopOpts{})
-		if err != nil {
-			return err
-		}
-		batchTheta = append(batchTheta, res.Throughput)
-		olCap = append(olCap, over.Accepted)
+	for i := range qs {
+		batchTheta = append(batchTheta, supp[2*i].Batch.Throughput)
+		olCap = append(olCap, supp[2*i+1].OpenLoop.Accepted)
+		s.Add(olCap[i], batchTheta[i])
 	}
 	r, err := stats.Pearson(olCap, batchTheta)
 	if err != nil {
 		return err
-	}
-	extra := stats.NewFigure("Fig 5b (supplement): throughput-domain correlation across buffer depths",
-		"open-loop capacity (flits/cycle/node)", "batch achieved throughput (m=16)")
-	s := extra.AddSeries("q sweep")
-	for i := range qVals {
-		s.Add(olCap[i], batchTheta[i])
 	}
 	extra.Note("throughput correlation coefficient = %.4f", r)
 	return c.writeFigure("fig05b_throughput", extra)
 }
 
 // topologyParams returns the three Fig 6 topologies on 64 nodes.
-func topologyParams() ([]string, func(int) core.NetworkParams) {
-	names := []string{"mesh", "torus", "ring"}
-	topos := []string{"mesh8x8", "torus8x8", "ring64"}
-	return names, func(i int) core.NetworkParams {
-		p := core.Baseline()
-		p.Topology = topos[i]
-		return p
-	}
+func topologyParams() ([]string, []core.NetworkParams) {
+	return baselineVariants([]string{"mesh8x8", "torus8x8", "ring64"},
+		func(topo string) string { return strings.TrimRight(topo, "0123456789x") }, // mesh8x8 -> mesh
+		func(p *core.NetworkParams, topo string) { p.Topology = topo })
 }
 
 // fig06 compares topologies in open-loop (a) and batch model (b).
 func fig06(c *ctx) error {
-	names, vary := topologyParams()
-	fa, err := sweepFigure("Fig 6a: impact of topology in open-loop (uniform random)", names, vary, sweepRates(0.7), core.OpenLoopOpts{})
-	if err != nil {
-		return err
-	}
-	if err := c.writeFigure("fig06a", fa); err != nil {
-		return err
-	}
-	fb, err := gridFigure("Fig 6b: impact of topology in batch model", names, vary, batchMs,
-		core.BatchParams{B: c.scale(300, 1000)}, 0) // T / T(mesh, m=1)
-	if err != nil {
-		return err
-	}
-	return c.writeFigure("fig06b", fb)
+	names, topos := topologyParams()
+	return c.writePanels(
+		sweepPanel("fig06a", "Fig 6a: impact of topology in open-loop (uniform random)", names, topos, sweepRates(0.7), core.OpenLoopOpts{}),
+		mGridPanel("fig06b", "Fig 6b: impact of topology in batch model", names, topos, batchMs,
+			core.ExperimentSpec{Kind: "batch", B: c.scale(300, 1000)}, 0)) // T / T(mesh, m=1)
 }
 
 // fig07 renders the per-node runtime maps of mesh vs torus at m=1.
 func fig07(c *ctx) error {
 	b := c.scale(300, 1000)
+	_, topos := topologyParams()
+	runs, err := core.RunAll(context.Background(), []core.ExperimentSpec{ // mesh, torus
+		{Kind: "batch", Network: topos[0], B: b, M: 1}, {Kind: "batch", Network: topos[1], B: b, M: 1}})
+	if err != nil {
+		return err
+	}
 	var out strings.Builder
 	out.WriteString("# Fig 7: per-node runtime under mesh and torus (batch model, m=1)\n")
 	out.WriteString("# Values are node finish times normalized to the slowest node.\n")
-	for _, topo := range []string{"mesh8x8", "torus8x8"} {
-		p := core.Baseline()
-		p.Topology = topo
-		res, err := core.Batch(p, core.BatchParams{B: b, M: 1})
-		if err != nil {
-			return err
-		}
+	for i, r := range runs {
+		res, topo := r.Batch, topos[i].Topology
 		hm := stats.NewHeatmap(8, 8)
-		var maxT int64 = 1
-		for _, t := range res.NodeFinish {
-			if t > maxT {
-				maxT = t
-			}
-		}
-		minNorm, maxNorm := 2.0, 0.0
+		maxT := float64(max(slices.Max(res.NodeFinish), 1))
 		for i, t := range res.NodeFinish {
-			v := float64(t) / float64(maxT)
-			hm.Set(i/8, i%8, v)
-			if v < minNorm {
-				minNorm = v
-			}
-			if v > maxNorm {
-				maxNorm = v
-			}
+			hm.Set(i/8, i%8, float64(t)/maxT)
 		}
+		minNorm, maxNorm := float64(slices.Min(res.NodeFinish))/maxT, float64(slices.Max(res.NodeFinish))/maxT
 		fmt.Fprintf(&out, "\n## %s (normalized finish time spread: %.3f .. %.3f)\n", topo, minNorm, maxNorm)
 		out.WriteString(hm.String())
 		out.WriteString("\nCSV:\n")
@@ -277,20 +232,24 @@ func fig07(c *ctx) error {
 
 // fig08 correlates topologies using worst-case open-loop latency.
 func fig08(c *ctx) error {
-	b := c.scale(300, 1000)
-	names, vary := topologyParams()
+	names, topos := topologyParams()
 	ms := []int{1, 2, 4, 8}
-	corr, err := core.CorrelateOpenBatch(ms, names, vary, b, true, core.OpenLoopOpts{})
+	batch, open, _, err := runOpenBatch(openBatchGrid(ms, topos, c.scale(300, 1000)), core.OpenLoopOpts{})
+	if err != nil {
+		return err
+	}
+	corr, err := core.CorrelateOpenBatch(ms, names, batch, open, true)
 	if err != nil {
 		return err
 	}
 	f := scatterFigure("Fig 8: open-loop (worst-case latency) vs batch across topologies",
 		"open-loop normalized worst-case latency", "batch model normalized runtime", corr)
 	f.Note("correlation coefficient = %.4f +/- %.4f, rank %.4f (paper: 0.999 using worst-case latency)", corr.Coefficient, corr.CI95, corr.Rank)
-	avg, err := core.CorrelateOpenBatch(ms, names, vary, b, false, core.OpenLoopOpts{})
-	if err == nil {
-		f.Note("with average latency instead: %.4f (mesh/torus inversion at low m)", avg.Coefficient)
+	avg, err := core.CorrelateOpenBatch(ms, names, batch, open, false)
+	if err != nil {
+		return err
 	}
+	f.Note("with average latency instead: %.4f (mesh/torus inversion at low m)", avg.Coefficient)
 	return c.writeFigure("fig08", f)
 }
 
@@ -299,100 +258,71 @@ func fig08(c *ctx) error {
 var routingPanels = []struct{ suffix, pattern string }{{"a", "uniform"}, {"b", "transpose"}}
 
 // routingParams returns the four Table I routing algorithms with 4 VCs.
-func routingParams(pattern string) ([]string, func(int) core.NetworkParams) {
-	algs := []string{"dor", "ma", "romm", "val"}
-	labels := make([]string, len(algs))
-	for i, alg := range algs {
-		labels[i] = strings.ToUpper(alg)
-	}
-	return labels, func(i int) core.NetworkParams {
-		p := core.Baseline()
-		p.Routing = algs[i]
-		p.VCs = 4
-		p.Pattern = pattern
-		return p
-	}
+func routingParams(pattern string) ([]string, []core.NetworkParams) {
+	return baselineVariants([]string{"dor", "ma", "romm", "val"}, strings.ToUpper,
+		func(p *core.NetworkParams, alg string) { p.Routing, p.VCs, p.Pattern = alg, 4, pattern })
 }
 
 // fig09 compares routing algorithms in open-loop under uniform and
 // transpose traffic.
 func fig09(c *ctx) error {
-	for _, panel := range routingPanels {
-		labels, vary := routingParams(panel.pattern)
-		f, err := sweepFigure(
-			fmt.Sprintf("Fig 9%s: routing algorithms in open-loop (%s)", panel.suffix, panel.pattern),
-			labels, vary, sweepRates(0.5), core.OpenLoopOpts{})
-		if err != nil {
-			return err
-		}
-		if err := c.writeFigure("fig09"+panel.suffix, f); err != nil {
-			return err
-		}
+	var panels []panel
+	for _, rp := range routingPanels {
+		labels, variants := routingParams(rp.pattern)
+		panels = append(panels, sweepPanel("fig09"+rp.suffix,
+			fmt.Sprintf("Fig 9%s: routing algorithms in open-loop (%s)", rp.suffix, rp.pattern),
+			labels, variants, sweepRates(0.5), core.OpenLoopOpts{}))
 	}
-	return nil
+	return c.writePanels(panels...)
 }
 
 // fig10 compares routing algorithms in the batch model.
 func fig10(c *ctx) error {
-	bp := core.BatchParams{B: c.scale(300, 1000)}
-	for _, panel := range routingPanels {
-		labels, vary := routingParams(panel.pattern)
-		f, err := gridFigure(
-			fmt.Sprintf("Fig 10%s: routing algorithms in batch model (%s)", panel.suffix, panel.pattern),
-			labels, vary, batchMs, bp, 0) // T / T(dor, m=1)
-		if err != nil {
-			return err
-		}
-		if err := c.writeFigure("fig10"+panel.suffix, f); err != nil {
-			return err
-		}
+	cell := core.ExperimentSpec{Kind: "batch", B: c.scale(300, 1000)}
+	var panels []panel
+	for _, rp := range routingPanels {
+		labels, variants := routingParams(rp.pattern)
+		panels = append(panels, mGridPanel("fig10"+rp.suffix,
+			fmt.Sprintf("Fig 10%s: routing algorithms in batch model (%s)", rp.suffix, rp.pattern),
+			labels, variants, batchMs, cell, 0)) // T / T(dor, m=1)
 	}
-	return nil
+	return c.writePanels(panels...)
 }
 
 // fig11 produces the node distributions of open-loop latency and batch
 // runtime for DOR vs VAL under transpose.
 func fig11(c *ctx) error {
 	b := c.scale(300, 1000)
+	algs := []string{"dor", "val"}
+	_, variants := routingParams("transpose")
+	var specs []core.ExperimentSpec
+	for _, p := range []core.NetworkParams{variants[0], variants[3]} { // DOR, VAL
+		specs = append(specs, openLoopSpec(p, 0.05, core.OpenLoopOpts{}),
+			core.ExperimentSpec{Kind: "batch", Network: p, B: b, M: 1})
+	}
+	runs, err := core.RunAll(context.Background(), specs)
+	if err != nil {
+		return err
+	}
 	var out strings.Builder
 	out.WriteString("# Fig 11: node distributions under transpose traffic, DOR vs VAL\n")
 
-	for _, alg := range []string{"dor", "val"} {
-		p := core.Baseline()
-		p.Routing = alg
-		p.VCs = 4
-		p.Pattern = "transpose"
-		ol, err := core.OpenLoopWith(p, 0.05, core.OpenLoopOpts{})
-		if err != nil {
-			return err
-		}
+	for i, alg := range algs {
+		ol := runs[2*i].OpenLoop
 		h := stats.NewHistogram(0, 40, 8)
 		h.AddAll(ol.PerNodeAvg)
 		fmt.Fprintf(&out, "\n## open-loop per-node average latency, %s (avg %.1f, worst %.1f)\n",
 			strings.ToUpper(alg), ol.AvgLatency, ol.WorstLatency)
 		out.WriteString(h.String())
 	}
-	var worst [2]float64
-	var avg [2]float64
-	for i, alg := range []string{"dor", "val"} {
-		p := core.Baseline()
-		p.Routing = alg
-		p.VCs = 4
-		p.Pattern = "transpose"
-		res, err := core.Batch(p, core.BatchParams{B: b, M: 1})
-		if err != nil {
-			return err
-		}
-		finishes := make([]float64, len(res.NodeFinish))
-		var sum float64
-		for j, t := range res.NodeFinish {
+	var worst, avg [2]float64
+	for i, alg := range algs {
+		nodes := runs[2*i+1].Batch.NodeFinish
+		finishes := make([]float64, len(nodes))
+		for j, t := range nodes {
 			finishes[j] = float64(t)
-			sum += float64(t)
-			if float64(t) > worst[i] {
-				worst[i] = float64(t)
-			}
 		}
-		avg[i] = sum / float64(len(finishes))
+		avg[i], worst[i] = stats.Mean(finishes), stats.Max(finishes)
 		h := stats.NewHistogram(0, worst[i]*1.05, 8)
 		h.AddAll(finishes)
 		fmt.Fprintf(&out, "\n## batch-model per-node runtime, %s (m=1; avg %.0f, worst %.0f)\n",

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"noceval/internal/closedloop"
 	"noceval/internal/core"
 	"noceval/internal/openloop"
 	"noceval/internal/stats"
@@ -61,7 +62,11 @@ func TestPlotSweeps(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			f := plotSweeps("title", tc.labels, tc.sweeps)
+			res := make([]*core.Result, len(tc.sweeps))
+			for i, sweep := range tc.sweeps {
+				res[i] = &core.Result{Sweep: sweep}
+			}
+			f := plotSweeps("title", tc.labels, res)
 			if got := plotted(f); !reflect.DeepEqual(got, tc.want) {
 				t.Errorf("series = %+v\nwant     %+v", got, tc.want)
 			}
@@ -72,14 +77,14 @@ func TestPlotSweeps(t *testing.T) {
 	}
 }
 
-func cell(runtime int64, theta float64) *core.BatchGridCell {
-	return &core.BatchGridCell{Runtime: runtime, Throughput: theta}
+func cell(runtime int64, theta float64) *closedloop.BatchResult {
+	return &closedloop.BatchResult{Runtime: runtime, Throughput: theta}
 }
 
 func TestPlotGrid(t *testing.T) {
-	grid := [][]*core.BatchGridCell{
-		{cell(100, 0.1), cell(50, 0.2), cell(40, 0.3)},
-		{cell(200, 0.05), cell(80, 0.15), cell(60, 0.25)},
+	grid := []*closedloop.BatchResult{ // variant-major, three xs per variant
+		cell(100, 0.1), cell(50, 0.2), cell(40, 0.3),
+		cell(200, 0.05), cell(80, 0.15), cell(60, 0.25),
 	}
 	labels := []string{"tr=1", "tr=2"}
 	cases := []struct {
@@ -142,11 +147,44 @@ func TestRoutingPanelsOrdered(t *testing.T) {
 	if want := []string{"a:uniform", "b:transpose"}; !reflect.DeepEqual(got, want) {
 		t.Errorf("panels = %v, want %v", got, want)
 	}
-	labels, vary := routingParams("transpose")
+	labels, variants := routingParams("transpose")
 	if want := []string{"DOR", "MA", "ROMM", "VAL"}; !reflect.DeepEqual(labels, want) {
 		t.Errorf("labels = %v, want %v", labels, want)
 	}
-	if p := vary(3); p.Routing != "val" || p.VCs != 4 || p.Pattern != "transpose" {
+	if p := variants[3]; p.Routing != "val" || p.VCs != 4 || p.Pattern != "transpose" {
 		t.Errorf("variant 3 = %+v", p)
+	}
+}
+
+// The Fig 5 procedure lists the batch grid m-major and offers each
+// open-loop run the throughput its batch cell achieved, at the caller's
+// phases; a batch cell that hit the cycle limit is an error, not a point.
+func TestOpenBatchGridAndRun(t *testing.T) {
+	variants := []core.NetworkParams{core.Table2Network(1), core.Table2Network(2)}
+	grid := openBatchGrid([]int{1, 4}, variants, 50)
+	if len(grid) != 4 || grid[1].Network.RouterDelay != 2 || grid[2].M != 4 {
+		t.Fatalf("grid is not m-major: %+v", grid)
+	}
+	ph := core.OpenLoopOpts{Warmup: 200, Measure: 1000, DrainLimit: 3000}
+	extra := core.ExperimentSpec{Kind: "openloop", Network: variants[0], Rate: 0.05}
+	batch, open, more, err := runOpenBatch(grid, ph, extra)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(batch) != 4 || len(open) != 4 || len(more) != 1 || more[0].OpenLoop == nil {
+		t.Fatalf("results: %d batch, %d open, %d extra", len(batch), len(open), len(more))
+	}
+	for i, r := range batch {
+		want, err := core.OpenLoopWith(grid[i].Network, r.Batch.Throughput, ph)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(open[i].OpenLoop, want) {
+			t.Errorf("cell %d: open-loop run is not the network at its batch throughput and phases", i)
+		}
+	}
+	stuck := []*core.Result{batch[0], {Batch: &closedloop.BatchResult{}}}
+	if _, err := batches(grid[:2], stuck); err == nil {
+		t.Error("an incomplete batch cell was accepted")
 	}
 }

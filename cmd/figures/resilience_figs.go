@@ -10,12 +10,10 @@ package main
 // while the rate-zero point shares the fault-free baseline's entry.
 
 import (
-	"fmt"
+	"context"
 
 	"noceval/internal/core"
 	"noceval/internal/fault"
-	"noceval/internal/openloop"
-	"noceval/internal/par"
 	"noceval/internal/stats"
 )
 
@@ -54,27 +52,18 @@ func resilienceSweep(c *ctx) error {
 	load := 0.2
 	b := c.scale(goldenB, 1000)
 
-	type point struct {
-		ol *openloop.Result
-		bt float64 // batch runtime
+	n := len(resilienceRates)
+	specs := make([]core.ExperimentSpec, 2*n) // open-loop runs, then batch runs
+	for i, r := range resilienceRates {
+		p := resilienceParams(r)
+		specs[i], specs[n+i] = openLoopSpec(p, load, phases), core.ExperimentSpec{Kind: "batch", Network: p, B: b, M: 4}
 	}
-	pts := make([]point, len(resilienceRates))
-	if err := par.Parallel(len(resilienceRates), 0, func(i int) error {
-		p := resilienceParams(resilienceRates[i])
-		ol, err := core.OpenLoopWith(p, load, phases)
-		if err != nil {
-			return err
-		}
-		br, err := core.Batch(p, core.BatchParams{B: b, M: 4})
-		if err != nil {
-			return err
-		}
-		if !br.Completed {
-			return fmt.Errorf("resilience batch at rate %g did not complete", resilienceRates[i])
-		}
-		pts[i] = point{ol: ol, bt: float64(br.Runtime)}
-		return nil
-	}); err != nil {
+	res, err := core.RunAll(context.Background(), specs)
+	if err != nil {
+		return err
+	}
+	bts, err := batches(specs[n:], res[n:])
+	if err != nil {
 		return err
 	}
 
@@ -83,8 +72,8 @@ func resilienceSweep(c *ctx) error {
 	avg := lat.AddSeries("avg latency")
 	p99 := lat.AddSeries("p99 latency")
 	for i, r := range resilienceRates {
-		avg.Add(r, pts[i].ol.AvgLatency)
-		p99.Add(r, pts[i].ol.P99)
+		avg.Add(r, res[i].OpenLoop.AvgLatency)
+		p99.Add(r, res[i].OpenLoop.P99)
 	}
 	if err := c.writeFigure("resilience_openloop", lat); err != nil {
 		return err
@@ -95,20 +84,17 @@ func resilienceSweep(c *ctx) error {
 	df := deg.AddSeries("delivered fraction (open-loop)")
 	infl := deg.AddSeries("p99 inflation (open-loop)")
 	rt := deg.AddSeries("batch runtime (normalized)")
-	baseP99, baseT := pts[0].ol.P99, pts[0].bt
+	baseP99, baseT := res[0].OpenLoop.P99, float64(bts[0].Runtime)
 	for i, r := range resilienceRates {
 		frac := 1.0
-		if fs := pts[i].ol.Faults; fs != nil {
+		if fs := res[i].OpenLoop.Faults; fs != nil {
 			frac = fs.DeliveredFraction
-			if baseP99 > 0 {
-				fs.P99Inflation = pts[i].ol.P99 / baseP99
-			}
 		}
 		df.Add(r, frac)
 		if baseP99 > 0 {
-			infl.Add(r, pts[i].ol.P99/baseP99)
+			infl.Add(r, res[i].OpenLoop.P99/baseP99)
 		}
-		rt.Add(r, pts[i].bt/baseT)
+		rt.Add(r, float64(bts[i].Runtime)/baseT)
 	}
 	return c.writeFigure("resilience_degradation", deg)
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"encoding/json"
 	"os"
 	"reflect"
@@ -98,19 +99,51 @@ func TestNormalizeGroup(t *testing.T) {
 	}
 }
 
+// correlateOpenBatch runs the Fig 5 procedure as the figure generators
+// do: the batch grid (m-major) through RunAll, then the open-loop run of
+// every cell at the throughput its batch achieved, then the reduction.
+func correlateOpenBatch(t *testing.T, ms []int, labels []string, variants []NetworkParams, b int, worstCase bool, o OpenLoopOpts) Correlation {
+	t.Helper()
+	var batch []ExperimentSpec
+	for _, m := range ms {
+		for _, p := range variants {
+			batch = append(batch, ExperimentSpec{Kind: "batch", Network: p, B: b, M: m})
+		}
+	}
+	bres, err := RunAll(context.Background(), batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	open := make([]ExperimentSpec, len(batch))
+	for i, r := range bres {
+		open[i] = ExperimentSpec{Kind: "openloop", Network: batch[i].Network, Rate: r.Batch.Throughput,
+			Warmup: o.Warmup, Measure: o.Measure, DrainLimit: o.DrainLimit}
+	}
+	ores, err := RunAll(context.Background(), open)
+	if err != nil {
+		t.Fatal(err)
+	}
+	corr, err := CorrelateOpenBatch(ms, labels, bres, ores, worstCase)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return corr
+}
+
+func routerDelays(trs ...int64) []NetworkParams {
+	out := make([]NetworkParams, len(trs))
+	for i, tr := range trs {
+		out[i] = Baseline()
+		out[i].RouterDelay = tr
+	}
+	return out
+}
+
 func TestCorrelateOpenBatchRouterDelay(t *testing.T) {
 	// The paper's central result at small scale: across tr, batch and
 	// open-loop measurements correlate almost perfectly for m <= 8.
 	labels := []string{"tr=1", "tr=2", "tr=4"}
-	vary := func(i int) NetworkParams {
-		p := Baseline()
-		p.RouterDelay = []int64{1, 2, 4}[i]
-		return p
-	}
-	corr, err := CorrelateOpenBatch([]int{1, 4}, labels, vary, 200, false, OpenLoopOpts{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	corr := correlateOpenBatch(t, []int{1, 4}, labels, routerDelays(1, 2, 4), 200, false, OpenLoopOpts{})
 	if len(corr.Pairs) != 6 {
 		t.Fatalf("pairs = %d, want 6", len(corr.Pairs))
 	}
@@ -137,23 +170,16 @@ func TestCorrelateOpenBatchRouterDelay(t *testing.T) {
 // gate's scale must not silently fall back to the defaults.
 func TestCorrelateOpenBatchHonoursOpts(t *testing.T) {
 	labels := []string{"tr=1", "tr=2"}
-	vary := func(i int) NetworkParams {
-		p := Baseline()
-		p.RouterDelay = []int64{1, 2}[i]
-		return p
-	}
+	variants := routerDelays(1, 2)
 	short := OpenLoopOpts{Warmup: 500, Measure: 1000, DrainLimit: 20000}
-	got, err := CorrelateOpenBatch([]int{4}, labels, vary, 100, false, short)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := correlateOpenBatch(t, []int{4}, labels, variants, 100, false, short)
 	var lat [2]float64 // the two cells rerun by hand, open-loop at the short phases
 	for i := range lat {
-		res, err := Batch(vary(i), BatchParams{B: 100, M: 4})
+		res, err := Batch(variants[i], BatchParams{B: 100, M: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
-		ol, err := OpenLoopWith(vary(i), res.Throughput, short)
+		ol, err := OpenLoopWith(variants[i], res.Throughput, short)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -51,58 +51,37 @@ func NormalizeGroup(values []float64) ([]float64, error) {
 	return stats.Normalize(values, 0)
 }
 
-// CorrelateOpenBatch implements the Fig 5 procedure for one parameter
-// sweep: for every m in ms and every parameter variant, a batch run yields
-// runtime T and achieved throughput θ; an open-loop run at offered load θ
-// yields the average latency; both are normalized to the variant at index
-// 0 within each m-group, and the Pearson coefficient is computed over all
-// points. vary(i) must return the network parameters of variant i; labels
-// name the variants. worstCase selects the open-loop worst-case per-node
-// latency instead of the average (the Fig 8 topology methodology). o sets
-// the open-loop phase lengths and cancellation of every cell (zero = the
-// defaults the paper figures use; the golden gate passes shortened
-// phases); like a sweep, the concurrent cells ignore o.Hooks.
-func CorrelateOpenBatch(ms []int, labels []string, vary func(i int) NetworkParams, b int, worstCase bool, o OpenLoopOpts) (Correlation, error) {
-	o.Hooks = Hooks{}
-	nm, nl := len(ms), len(labels)
-	batchRaw := make([]float64, nm*nl)
-	openRaw := make([]float64, nm*nl)
-	// Every (m, variant) cell is an independent pair of simulations; run
-	// them across all cores.
-	err := par.Parallel(nm*nl, 0, func(idx int) error {
-		mi, li := idx/nl, idx%nl
-		p := vary(li)
-		res, err := Batch(p, BatchParams{B: b, M: ms[mi], Ctx: o.Ctx})
-		if err != nil {
-			return fmt.Errorf("core: batch %s m=%d: %w", labels[li], ms[mi], err)
-		}
-		if !res.Completed {
-			return fmt.Errorf("core: batch %s m=%d did not complete", labels[li], ms[mi])
-		}
-		batchRaw[idx] = float64(res.Runtime)
-
-		ol, err := OpenLoopWith(p, res.Throughput, o)
-		if err != nil {
-			return fmt.Errorf("core: open-loop %s m=%d: %w", labels[li], ms[mi], err)
-		}
-		if worstCase {
-			openRaw[idx] = ol.WorstLatency
-		} else {
-			openRaw[idx] = ol.AvgLatency
-		}
-		return nil
-	})
-	if err != nil {
-		return Correlation{}, err
+// CorrelateOpenBatch is the Fig 5 procedure for one parameter sweep,
+// reduced from runs already made: batch[k] and open[k] hold cell
+// (ms[k/len(labels)], labels[k%len(labels)]) — a batch run, yielding
+// runtime T, and an open-loop run of the same network at the throughput
+// that batch run achieved. T and the open-loop average latency (worstCase:
+// the worst per-node latency, the Fig 8 topology methodology) are
+// normalized to the variant at index 0 within each m-group, and the
+// Pearson coefficient is computed over all points. A caller correlates a
+// prefix of its ms by passing the matching prefix of both grids.
+func CorrelateOpenBatch(ms []int, labels []string, batch, open []*Result, worstCase bool) (Correlation, error) {
+	nl := len(labels)
+	if n := len(ms) * nl; len(batch) != n || len(open) != n {
+		return Correlation{}, fmt.Errorf("core: %d batch and %d open-loop results for %d cells", len(batch), len(open), n)
 	}
-
 	var pairs []Pair
 	for mi, m := range ms {
-		bn, err := NormalizeGroup(batchRaw[mi*nl : (mi+1)*nl])
+		batchRaw := make([]float64, nl)
+		openRaw := make([]float64, nl)
+		for li := range labels {
+			batchRaw[li] = float64(batch[mi*nl+li].Batch.Runtime)
+			ol := open[mi*nl+li].OpenLoop
+			openRaw[li] = ol.AvgLatency
+			if worstCase {
+				openRaw[li] = ol.WorstLatency
+			}
+		}
+		bn, err := NormalizeGroup(batchRaw)
 		if err != nil {
 			return Correlation{}, err
 		}
-		on, err := NormalizeGroup(openRaw[mi*nl : (mi+1)*nl])
+		on, err := NormalizeGroup(openRaw)
 		if err != nil {
 			return Correlation{}, err
 		}

@@ -7,8 +7,10 @@ import (
 	"strings"
 
 	"noceval/internal/closedloop"
+	"noceval/internal/cmp"
 	"noceval/internal/expcache"
 	"noceval/internal/openloop"
+	"noceval/internal/par"
 	"noceval/internal/workload"
 )
 
@@ -181,29 +183,64 @@ func (s *ExperimentSpec) Validate() error {
 	return nil
 }
 
-// RunContext executes the experiment and returns a human-readable report.
-// The context (nil = not cancellable) is threaded into the engine's cycle
-// loop, so a cancelled experiment — even a multi-point sweep — returns
-// promptly with an error wrapping the context's cause, and no partial
-// result is cached.
-func (s *ExperimentSpec) RunContext(ctx context.Context) (string, error) {
-	if err := s.Validate(); err != nil {
-		return "", err
+// Result is what one spec's run produced: the field of its kind is set,
+// every other field is nil (Sweep for "sweep", Model for "characterize").
+type Result struct {
+	OpenLoop *openloop.Result
+	Sweep    []*openloop.Result
+	Batch    *closedloop.BatchResult
+	Barrier  *closedloop.BarrierResult
+	Exec     *cmp.Result
+	Model    *BenchmarkModel
+}
+
+// RunAll validates every spec, then simulates each distinct one — by Hash
+// — once, concurrently, and returns the results in input order. Duplicate
+// specs share one *Result, so callers must treat results as read-only. The
+// first error, of a validation or of a run, is returned.
+func RunAll(ctx context.Context, specs []ExperimentSpec) ([]*Result, error) {
+	first := make([]int, len(specs)) // the first spec with the same hash
+	var distinct []int
+	seen := map[string]int{}
+	for i := range specs {
+		if err := specs[i].Validate(); err != nil {
+			return nil, err
+		}
+		h, err := specs[i].Hash()
+		if err != nil {
+			return nil, err
+		}
+		if _, ok := seen[h]; !ok {
+			seen[h] = i
+			distinct = append(distinct, i)
+		}
+		first[i] = seen[h]
 	}
+	out := make([]*Result, len(specs))
+	if err := par.Parallel(len(distinct), 0, func(k int) (err error) {
+		i := distinct[k]
+		out[i], err = specs[i].run(ctx)
+		return err
+	}); err != nil {
+		return nil, err
+	}
+	for i, j := range first {
+		out[i] = out[j]
+	}
+	return out, nil
+}
+
+// run dispatches a validated spec to the runner of its kind.
+func (s *ExperimentSpec) run(ctx context.Context) (*Result, error) {
 	// Validate has built both already; neither can fail here.
 	clock, _ := workload.ParseClock(s.Clock)
 	reply, _ := s.Reply.Build()
-	var b strings.Builder
 	opts := OpenLoopOpts{Warmup: s.Warmup, Measure: s.Measure, DrainLimit: s.DrainLimit, Ctx: ctx}
+	var r Result
+	var err error
 	switch s.Kind {
 	case "openloop":
-		res, err := OpenLoopWith(s.Network, s.Rate, opts)
-		if err != nil {
-			return "", err
-		}
-		fmt.Fprintf(&b, "openloop %s rate=%.3f\n", s.Network, s.Rate)
-		fmt.Fprintf(&b, "avg latency %.2f +/- %.2f, worst %.2f, accepted %.3f, stable %v\n",
-			res.AvgLatency, res.LatencyCI95, res.WorstLatency, res.Accepted, res.Stable)
+		r.OpenLoop, err = OpenLoopWith(s.Network, s.Rate, opts)
 	case "sweep":
 		rates := s.Rates
 		if len(rates) == 0 {
@@ -211,45 +248,66 @@ func (s *ExperimentSpec) RunContext(ctx context.Context) (string, error) {
 				rates = append(rates, r)
 			}
 		}
-		results, err := OpenLoopSweepWith(s.Network, rates, opts)
-		if err != nil {
-			return "", err
-		}
+		r.Sweep, err = OpenLoopSweepWith(s.Network, rates, opts)
+	case "batch":
+		r.Batch, err = Batch(s.Network, BatchParams{B: s.B, M: s.M, NAR: s.NAR, Reply: reply, Kernel: s.Kernel, Ctx: ctx})
+	case "barrier":
+		r.Barrier, err = barrier(ctx, s.Network, s.B, defaulted(s.Phases, 1))
+	case "exec":
+		r.Exec, err = exec(ctx, s.Network, ExecParams{
+			Benchmark: s.Benchmark, Clock: clock, Timer: s.Timer, Ideal: s.Ideal, Seed: s.Seed,
+		})
+	case "characterize":
+		r.Model, err = characterize(ctx, s.Benchmark, clock, s.Seed)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return &r, nil
+}
+
+// RunContext executes the experiment and returns a human-readable report,
+// with the effective value of every defaulted knob. The context (nil = not
+// cancellable) is threaded into the engine's cycle loop, so a cancelled
+// experiment — even a multi-point sweep — returns promptly with an error
+// wrapping the context's cause, and no partial result is cached.
+func (s *ExperimentSpec) RunContext(ctx context.Context) (string, error) {
+	if err := s.Validate(); err != nil {
+		return "", err
+	}
+	res, err := s.run(ctx)
+	if err != nil {
+		return "", err
+	}
+	var b strings.Builder
+	switch s.Kind {
+	case "openloop":
+		r := res.OpenLoop
+		fmt.Fprintf(&b, "openloop %s rate=%.3f\n", s.Network, s.Rate)
+		fmt.Fprintf(&b, "avg latency %.2f +/- %.2f, worst %.2f, accepted %.3f, stable %v\n",
+			r.AvgLatency, r.LatencyCI95, r.WorstLatency, r.Accepted, r.Stable)
+	case "sweep":
 		fmt.Fprintf(&b, "sweep %s\n%10s %12s %8s\n", s.Network, "rate", "latency", "stable")
-		for _, r := range results {
+		for _, r := range res.Sweep {
 			fmt.Fprintf(&b, "%10.3f %12.2f %8v\n", r.Rate, r.AvgLatency, r.Stable)
 		}
 	case "batch":
-		res, err := Batch(s.Network, BatchParams{B: s.B, M: s.M, NAR: s.NAR, Reply: reply, Kernel: s.Kernel, Ctx: ctx})
-		if err != nil {
-			return "", err
-		}
-		fmt.Fprintf(&b, "batch %s b=%d m=%d\n", s.Network, s.B, s.M)
+		r := res.Batch
+		fmt.Fprintf(&b, "batch %s b=%d m=%d\n", s.Network, defaulted(s.B, defaultB), defaulted(s.M, defaultM))
 		fmt.Fprintf(&b, "runtime %d, throughput %.4f, packets %d (kernel %d)\n",
-			res.Runtime, res.Throughput, res.TotalPackets, res.KernelPackets)
+			r.Runtime, r.Throughput, r.TotalPackets, r.KernelPackets)
 	case "barrier":
-		phases := defaulted(s.Phases, 1)
-		res, err := barrier(ctx, s.Network, s.B, phases)
-		if err != nil {
-			return "", err
-		}
-		fmt.Fprintf(&b, "barrier %s b=%d phases=%d\n", s.Network, s.B, phases)
-		fmt.Fprintf(&b, "runtime %d, throughput %.4f\n", res.Runtime, res.Throughput)
+		r := res.Barrier
+		fmt.Fprintf(&b, "barrier %s b=%d phases=%d\n", s.Network, s.B, defaulted(s.Phases, 1))
+		fmt.Fprintf(&b, "runtime %d, throughput %.4f\n", r.Runtime, r.Throughput)
 	case "exec":
-		res, err := exec(ctx, s.Network, ExecParams{
-			Benchmark: s.Benchmark, Clock: clock, Timer: s.Timer, Ideal: s.Ideal, Seed: s.Seed,
-		})
-		if err != nil {
-			return "", err
-		}
+		r := res.Exec
+		clock, _ := workload.ParseClock(s.Clock)
 		fmt.Fprintf(&b, "exec %s on %s (clock %s, timer %v)\n", s.Benchmark, s.Network, clock, s.Timer)
 		fmt.Fprintf(&b, "cycles %d, NAR %.4f (user %.4f kernel %.4f), L2 miss %.3f/%.3f\n",
-			res.Cycles, res.NAR, res.UserNAR, res.KernelNAR, res.L2MissRate[0], res.L2MissRate[1])
+			r.Cycles, r.NAR, r.UserNAR, r.KernelNAR, r.L2MissRate[0], r.L2MissRate[1])
 	case "characterize":
-		m, err := characterize(ctx, s.Benchmark, clock, s.Seed)
-		if err != nil {
-			return "", err
-		}
+		m := res.Model
 		fmt.Fprintf(&b, "characterize %s @ %s\n", m.Name, m.Clock)
 		fmt.Fprintf(&b, "NAR %.4f (user %.4f kernel %.4f), L2 miss %.3f, static kernel %.3f, timer %d x %d\n",
 			m.NAR, m.UserNAR, m.KernelNAR, m.L2Miss, m.StaticKernelFrac, m.TimerPeriod, m.TimerBatch)

@@ -78,6 +78,31 @@ func TestSpecRunBatch(t *testing.T) {
 	}
 }
 
+// The batch report names the b and m the run used, not the zero spellings
+// of the defaults.
+func TestSpecRunBatchReportsEffectiveDefaults(t *testing.T) {
+	spec, err := ParseSpec([]byte(`{"kind":"batch","network":{"topology":"mesh4x4"}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	report, err := spec.RunContext(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(report, " b=1000 m=1\n") {
+		t.Errorf("report = %q, want the effective b=1000 m=1", report)
+	}
+	explicit := *spec
+	explicit.B, explicit.M = 1000, 1
+	want, err := explicit.RunContext(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if report != want {
+		t.Errorf("defaulted report %q differs from the explicit one %q", report, want)
+	}
+}
+
 func TestSpecRunOpenLoopAndErrors(t *testing.T) {
 	spec := &ExperimentSpec{Kind: "openloop", Network: Baseline(), Rate: 0.1}
 	report, err := spec.RunContext(context.Background())

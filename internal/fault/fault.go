@@ -151,9 +151,6 @@ type Stats struct {
 	// DeliveredFraction is the share of workload transactions that
 	// completed; filled in by the run mode (1 when nothing was lost).
 	DeliveredFraction float64 `json:",omitempty"`
-	// P99Inflation is the run mode's p99 latency divided by the fault-free
-	// p99 of the same configuration; filled by sweeps that have both.
-	P99Inflation float64 `json:",omitempty"`
 }
 
 // Injector draws the transient fault decisions and owns the outage/kill

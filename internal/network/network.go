@@ -1009,8 +1009,8 @@ func (n *Network) NextInternalEventAt() int64 {
 }
 
 // FaultStats assembles the run's fault and recovery counters, or nil when
-// fault injection is disabled. DeliveredFraction and P99Inflation are left
-// for the run mode / sweep to fill.
+// fault injection is disabled. DeliveredFraction is left for the run mode
+// to fill.
 func (n *Network) FaultStats() *fault.Stats {
 	if n.faults == nil {
 		return nil
