@@ -101,17 +101,19 @@ digests-update:
 # against its committed copy, then fail on any committed file outside
 # results/golden/ that the run did not write (`git ls-files`, so the
 # untracked results/bench-*.txt are ignored). -screen is result-neutral
-# (screen-smoke) and shortens the run. About 5 minutes of simulation on 2
-# vCPUs; CI's results-check job runs it on every push.
+# (screen-smoke) and shortens the run. The run keeps a ledger, and the
+# gate fails if it simulated any exec spec twice: one invocation runs each
+# distinct spec once. About 5 minutes of simulation on 2 vCPUs; CI's
+# results-check job runs it on every push.
 # RESULTS_IDS="fig03 analytic-corr" make results-check regenerates only
 # those generator ids (seconds to a minute each) and skips the
-# not-written step.
+# not-written and repeated-exec steps.
 RESULTS_IDS ?=
 results-check:
 	@tmp="$$(mktemp -d)"; trap 'rm -rf "$$tmp"' EXIT; mkdir "$$tmp/out"; \
 	$(GO) build -o "$$tmp/figures" ./cmd/figures || exit 1; \
 	if [ -z "$(RESULTS_IDS)" ]; then \
-		"$$tmp/figures" -all -screen -out "$$tmp/out" >/dev/null || exit 1; \
+		"$$tmp/figures" -all -screen -ledger "$$tmp/runs.jsonl" -out "$$tmp/out" >/dev/null || exit 1; \
 	else \
 		for id in $(RESULTS_IDS); do \
 			"$$tmp/figures" -id $$id -screen -out "$$tmp/out" >/dev/null || exit 1; \
@@ -127,6 +129,10 @@ results-check:
 		for f in $$(git ls-files results | grep -v '^results/golden/'); do \
 			[ -e "$$tmp/out/$${f#results/}" ] || { echo "results-check: $$f is committed but figures -all did not write it"; fail=1; }; \
 		done; \
+		n="$$(grep -c '"kind":"exec"' "$$tmp/runs.jsonl")"; \
+		rep="$$(grep '"kind":"exec"' "$$tmp/runs.jsonl" | grep -o '"spec":"[0-9a-f]*"' | sort | uniq -d | wc -l)"; \
+		if [ "$$n" -eq 0 ] || [ "$$rep" -ne 0 ]; then echo "results-check: $$n exec records, $$rep exec specs simulated more than once"; fail=1; \
+		else echo "results-check: $$n exec records, no exec spec simulated twice"; fi; \
 	fi; \
 	exit $$fail
 

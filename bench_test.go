@@ -10,6 +10,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"testing"
 
 	"noceval/internal/closedloop"
@@ -70,7 +71,8 @@ func correlateOpenBatch(b *testing.B, ms []int, labels []string, variants []core
 			grid = append(grid, core.ExperimentSpec{Kind: "batch", Network: p, B: 150, M: m})
 		}
 	}
-	batch, err := core.RunAll(context.Background(), grid)
+	var rs core.RunSet
+	batch, err := rs.RunAll(context.Background(), grid)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -81,7 +83,7 @@ func correlateOpenBatch(b *testing.B, ms []int, labels []string, variants []core
 		}
 		open[i] = core.ExperimentSpec{Kind: "openloop", Network: grid[i].Network, Rate: r.Batch.Throughput}
 	}
-	ol, err := core.RunAll(context.Background(), open)
+	ol, err := rs.RunAll(context.Background(), open)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -265,11 +267,8 @@ func BenchmarkFig13_TrafficMatrix(b *testing.B) {
 func BenchmarkFig14_ExecRouterDelay(b *testing.B) {
 	var ratio float64
 	for i := 0; i < b.N; i++ {
-		norm, err := core.ExecSweep("fft", []int64{1, 8}, core.ExecParams{Seed: 7})
-		if err != nil {
-			b.Fatal(err)
-		}
-		ratio = norm[1]
+		res := runSpecs(b, new(core.RunSet), trGrid(1, []int64{1, 8}, func(int) core.ExperimentSpec { return execSpec("fft", 7) }))
+		ratio = float64(res[1].Exec.Cycles) / float64(res[0].Exec.Cycles)
 	}
 	b.ReportMetric(ratio, "tr8-tr1-exec-ratio") // paper fft: 1.51
 }
@@ -280,23 +279,10 @@ func BenchmarkFig15_BaselineCorrelation(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		benches := []string{"blackscholes", "fft"}
 		trs := []int64{1, 4}
-		execNorm := map[string][]float64{}
-		for _, name := range benches {
-			n, err := core.ExecSweep(name, trs, core.ExecParams{Seed: 7})
-			if err != nil {
-				b.Fatal(err)
-			}
-			execNorm[name] = n
-		}
-		ba, err := core.BatchSweep(trs, core.BatchParams{B: 150, M: 1})
-		if err != nil {
-			b.Fatal(err)
-		}
-		batch := map[string][]float64{}
-		for _, name := range benches {
-			batch[name] = ba
-		}
-		corr, err := core.CorrelateExecBatch(benches, trs, execNorm, batch)
+		exec := trGrid(len(benches), trs, func(i int) core.ExperimentSpec { return execSpec(benches[i], 7) })
+		ba := trGrid(len(benches), trs, func(int) core.ExperimentSpec { return core.ExperimentSpec{Kind: "batch", B: 150, M: 1} })
+		res := runSpecs(b, new(core.RunSet), slices.Concat(exec, ba))
+		corr, err := core.CorrelateExecBatch(benches, trs, res[:len(exec)], res[len(exec):])
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -333,52 +319,61 @@ func BenchmarkFig17_ReplyModel(b *testing.B) {
 	b.ReportMetric(ratio, "tr4-tr1-ratio-with-memory") // << 2.4 (undamped)
 }
 
+// characterizeSpec is the characterization of bench at clock, seed 7.
+func characterizeSpec(bench string, clock workload.Clock) core.ExperimentSpec {
+	return core.ExperimentSpec{Kind: "characterize", Network: core.Baseline(), Benchmark: bench, Clock: clock.SpecName(), Seed: 7}
+}
+
 // BenchmarkFig18 runs one enhanced-variant batch sweep.
 func BenchmarkFig18_EnhancedVariants(b *testing.B) {
-	model, err := core.Characterize("lu", workload.Clock3GHz, 7)
-	if err != nil {
-		b.Fatal(err)
-	}
+	model := runSpecs(b, new(core.RunSet), []core.ExperimentSpec{characterizeSpec("lu", workload.Clock3GHz)})[0].Model
 	var ratio float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		norm, err := core.BatchSweep([]int64{1, 8}, model.BatchParams(150, 1, core.BAInjRe))
-		if err != nil {
-			b.Fatal(err)
-		}
-		ratio = norm[1]
+		res := runSpecs(b, new(core.RunSet), trGrid(1, []int64{1, 8}, func(int) core.ExperimentSpec {
+			return model.BatchSpec(150, 1, core.BAInjRe)
+		}))
+		ratio = float64(res[1].Batch.Runtime) / float64(res[0].Batch.Runtime)
 	}
 	b.ReportMetric(ratio, "tr8-tr1-enhanced-ratio")
+}
+
+// enhancedCorrelations correlates the exec runs of benches over trs with
+// the batch model under each variant, each benchmark modelled by its
+// characterization at clock (timer: exec runs with the timer).
+func enhancedCorrelations(b *testing.B, benches []string, trs []int64, clock workload.Clock, timer bool, variants ...core.Variant) []core.Correlation {
+	b.Helper()
+	var rs core.RunSet
+	exec := trGrid(len(benches), trs, func(i int) core.ExperimentSpec {
+		s := execSpec(benches[i], 7)
+		s.Clock, s.Timer = clock.SpecName(), timer
+		return s
+	})
+	var chars []core.ExperimentSpec
+	for _, name := range benches {
+		chars = append(chars, characterizeSpec(name, clock))
+	}
+	res := runSpecs(b, &rs, slices.Concat(exec, chars))
+	corrs := make([]core.Correlation, len(variants))
+	for k, v := range variants {
+		batch := runSpecs(b, &rs, trGrid(len(benches), trs, func(i int) core.ExperimentSpec {
+			return res[len(exec)+i].Model.BatchSpec(150, 1, v)
+		}))
+		var err error
+		if corrs[k], err = core.CorrelateExecBatch(benches, trs, res[:len(exec)], batch); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return corrs
 }
 
 // BenchmarkFig19 computes an enhanced-model correlation.
 func BenchmarkFig19_EnhancedCorrelation(b *testing.B) {
 	var coeff float64
 	for i := 0; i < b.N; i++ {
-		benches := []string{"blackscholes", "fft"}
-		trs := []int64{1, 4}
-		execNorm := map[string][]float64{}
-		batch := map[string][]float64{}
-		for _, name := range benches {
-			n, err := core.ExecSweep(name, trs, core.ExecParams{Seed: 7})
-			if err != nil {
-				b.Fatal(err)
-			}
-			execNorm[name] = n
-			m, err := core.Characterize(name, workload.Clock3GHz, 7)
-			if err != nil {
-				b.Fatal(err)
-			}
-			bn, err := core.BatchSweep(trs, m.BatchParams(150, 1, core.BAInjRe))
-			if err != nil {
-				b.Fatal(err)
-			}
-			batch[name] = bn
-		}
-		corr, err := core.CorrelateExecBatch(benches, trs, execNorm, batch)
-		if err != nil {
-			b.Fatal(err)
-		}
+		// Without the timer the clock changes no exec number, so the exec
+		// runs share the 3 GHz of the characterization.
+		corr := enhancedCorrelations(b, []string{"blackscholes", "fft"}, []int64{1, 4}, workload.Clock3GHz, false, core.BAInjRe)[0]
 		coeff = corr.Coefficient
 	}
 	b.ReportMetric(coeff, "correlation")
@@ -419,45 +414,8 @@ func BenchmarkFig21_InjectionTimeline(b *testing.B) {
 func BenchmarkFig22_OSModelCorrelation(b *testing.B) {
 	var gain float64
 	for i := 0; i < b.N; i++ {
-		benches := []string{"blackscholes", "lu"}
-		trs := []int64{1, 4}
-		execNorm := map[string][]float64{}
-		withOS := map[string][]float64{}
-		withoutOS := map[string][]float64{}
-		for _, name := range benches {
-			n, err := core.ExecSweep(name, trs, core.ExecParams{
-				Clock: workload.Clock75MHz, Timer: true, Seed: 7,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			execNorm[name] = n
-			m, err := core.Characterize(name, workload.Clock75MHz, 7)
-			if err != nil {
-				b.Fatal(err)
-			}
-			on, err := core.BatchSweep(trs, m.BatchParams(150, 1, core.BAInjReOS))
-			if err != nil {
-				b.Fatal(err)
-			}
-			withOS[name] = on
-			noOS := *m
-			noOS.TimerPeriod, noOS.TimerBatch = 0, 0
-			off, err := core.BatchSweep(trs, noOS.BatchParams(150, 1, core.BAInjRe))
-			if err != nil {
-				b.Fatal(err)
-			}
-			withoutOS[name] = off
-		}
-		cOn, err := core.CorrelateExecBatch(benches, trs, execNorm, withOS)
-		if err != nil {
-			b.Fatal(err)
-		}
-		cOff, err := core.CorrelateExecBatch(benches, trs, execNorm, withoutOS)
-		if err != nil {
-			b.Fatal(err)
-		}
-		gain = cOn.Coefficient - cOff.Coefficient
+		c := enhancedCorrelations(b, []string{"blackscholes", "lu"}, []int64{1, 4}, workload.Clock75MHz, true, core.BAInjReOS, core.BAInjRe)
+		gain = c[0].Coefficient - c[1].Coefficient
 	}
 	b.ReportMetric(gain, "correlation-gain-from-os-model")
 }

@@ -1,10 +1,16 @@
 package main
 
 // Execution-driven figures and tables: the batch-model validation of §IV
-// and the kernel-traffic study of §V (Figs 13-22, Tables I-IV).
+// and the kernel-traffic study of §V (Figs 13-22, Tables I-IV). Figs 13
+// and 21 call core.Exec for the traffic matrix and the timeline, which no
+// spec field asks for; the rest list exec, characterize and batch specs,
+// so Figs 14/15, 18/19 and 20/22 and Tables III/IV share their runs
+// within one invocation.
 
 import (
+	"context"
 	"fmt"
+	"slices"
 	"strings"
 
 	"noceval/internal/core"
@@ -60,41 +66,102 @@ func fig13(c *ctx) error {
 	return c.writeFile("fig13.txt", out.String())
 }
 
-// execNormalizedRuntimes runs each benchmark over the tr sweep.
-func execNormalizedRuntimes(ep core.ExecParams) (map[string][]float64, error) {
-	out := map[string][]float64{}
-	for _, b := range benchOrder {
-		norm, err := core.ExecSweep(b, trSweep, ep)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", b, err)
+// benchGrid lists cell(i), the spec of benchOrder[i], on the Table II
+// network at every delay of trSweep, benchmark-major as
+// core.CorrelateExecBatch reads it.
+func benchGrid(cell func(i int) core.ExperimentSpec) []core.ExperimentSpec {
+	var specs []core.ExperimentSpec
+	for i := range benchOrder {
+		for _, tr := range trSweep {
+			s := cell(i)
+			s.Network = core.Table2Network(tr)
+			specs = append(specs, s)
 		}
-		out[b] = norm
 	}
-	return out, nil
+	return specs
+}
+
+// execGrid is the benchGrid of exec runs at clock, with the timer on or
+// off. Figs 14/15/18/19 run at 75 MHz without the timer, where the clock
+// changes no number but keeps their cache keys.
+func execGrid(clock workload.Clock, timer bool) []core.ExperimentSpec {
+	return benchGrid(func(i int) core.ExperimentSpec {
+		return core.ExperimentSpec{Kind: "exec", Benchmark: benchOrder[i], Clock: clock.SpecName(), Timer: timer, Seed: 7}
+	})
+}
+
+// characterizeSpecs lists the characterization of every benchmark at
+// clock, in benchOrder.
+func characterizeSpecs(clock workload.Clock) []core.ExperimentSpec {
+	specs := make([]core.ExperimentSpec, len(benchOrder))
+	for i, b := range benchOrder {
+		specs[i] = core.ExperimentSpec{Kind: "characterize", Network: core.Baseline(), Benchmark: b, Clock: clock.SpecName(), Seed: 7}
+	}
+	return specs
+}
+
+// versusExec correlates the exec runs of execGrid(clock, timer) with the
+// batch model under each variant. BA is one curve for every benchmark;
+// an enhanced variant models each benchmark by its characterization at
+// modelClock, so its batch runs are a second stage after the
+// characterizations.
+func (c *ctx) versusExec(clock, modelClock workload.Clock, timer bool, variants ...core.Variant) ([]core.Correlation, error) {
+	exec := execGrid(clock, timer)
+	var chars []core.ExperimentSpec
+	if slices.ContainsFunc(variants, func(v core.Variant) bool { return v != core.BA }) {
+		chars = characterizeSpecs(modelClock)
+	}
+	res, err := c.runs.RunAll(context.Background(), slices.Concat(exec, chars))
+	if err != nil {
+		return nil, err
+	}
+	b := c.scale(300, 1000)
+	var grid []core.ExperimentSpec
+	for _, v := range variants {
+		grid = append(grid, benchGrid(func(i int) core.ExperimentSpec {
+			if v == core.BA {
+				return core.ExperimentSpec{Kind: "batch", B: b, M: 1}
+			}
+			return res[len(exec)+i].Model.BatchSpec(b, 1, v)
+		})...)
+	}
+	bres, err := c.runs.RunAll(context.Background(), grid)
+	if err != nil {
+		return nil, err
+	}
+	if _, err := batches(grid, bres); err != nil {
+		return nil, err
+	}
+	corrs := make([]core.Correlation, len(variants))
+	n := len(exec)
+	for i := range variants {
+		corrs[i], err = core.CorrelateExecBatch(benchOrder, trSweep, res[:n], bres[i*n:(i+1)*n])
+		if err != nil {
+			return nil, err
+		}
+	}
+	return corrs, nil
 }
 
 // fig14 compares normalized runtimes of the execution-driven system and
 // the baseline batch model as tr varies.
 func fig14(c *ctx) error {
-	execNorm, err := execNormalizedRuntimes(core.ExecParams{Seed: 7})
+	corrs, err := c.versusExec(workload.Clock75MHz, workload.Clock75MHz, false, core.BA)
 	if err != nil {
 		return err
 	}
-	baNorm, err := core.BatchSweep(trSweep, core.BatchParams{B: c.scale(300, 1000), M: 1})
-	if err != nil {
-		return err
-	}
+	pairs := corrs[0].Pairs // benchmark-major: X exec, Y batch
 	f := stats.NewFigure("Fig 14: normalized runtime of execution-driven system and batch model (BA) vs tr",
 		"router delay (tr)", "runtime normalized to tr=1")
-	for _, b := range benchOrder {
+	for bi, b := range benchOrder {
 		s := f.AddSeries(b)
 		for i, tr := range trSweep {
-			s.Add(float64(tr), execNorm[b][i])
+			s.Add(float64(tr), pairs[bi*len(trSweep)+i].X)
 		}
 	}
 	s := f.AddSeries("BA")
 	for i, tr := range trSweep {
-		s.Add(float64(tr), baNorm[i])
+		s.Add(float64(tr), pairs[i].Y)
 	}
 	f.Note("each benchmark responds differently to tr; BA cannot distinguish them (paper SIV-B)")
 	return c.writeFigure("fig14", f)
@@ -102,22 +169,11 @@ func fig14(c *ctx) error {
 
 // fig15 computes the baseline batch-vs-execution correlation.
 func fig15(c *ctx) error {
-	execNorm, err := execNormalizedRuntimes(core.ExecParams{Seed: 7})
+	corrs, err := c.versusExec(workload.Clock75MHz, workload.Clock75MHz, false, core.BA)
 	if err != nil {
 		return err
 	}
-	baNorm, err := core.BatchSweep(trSweep, core.BatchParams{B: c.scale(300, 1000), M: 1})
-	if err != nil {
-		return err
-	}
-	batchNorm := map[string][]float64{}
-	for _, b := range benchOrder {
-		batchNorm[b] = baNorm
-	}
-	corr, err := core.CorrelateExecBatch(benchOrder, trSweep, execNorm, batchNorm)
-	if err != nil {
-		return err
-	}
+	corr := corrs[0]
 	f := scatterFigure("Fig 15: correlation between execution-driven and baseline batch model",
 		"GEMS-substitute normalized runtime", "batch model normalized runtime", corr)
 	f.Note("correlation coefficient = %.4f +/- %.4f, rank %.4f (paper: 0.829)", corr.Coefficient, corr.CI95, corr.Rank)
@@ -167,61 +223,30 @@ func fig17(c *ctx) error {
 	return c.writePanels(panels...)
 }
 
-// enhancedBatchNorms computes normalized batch runtimes per benchmark for
-// each enhanced variant, using characterization-derived parameters.
-func enhancedBatchNorms(c *ctx, variants []core.Variant, clock workload.Clock, timer bool) (map[core.Variant]map[string][]float64, map[string]*core.BenchmarkModel, error) {
-	models := map[string]*core.BenchmarkModel{}
-	for _, bench := range benchOrder {
-		m, err := core.Characterize(bench, clock, 7)
-		if err != nil {
-			return nil, nil, err
-		}
-		if !timer {
-			m.TimerPeriod = 0
-			m.TimerBatch = 0
-		}
-		models[bench] = m
-	}
-	b := c.scale(300, 1000)
-	out := map[core.Variant]map[string][]float64{}
-	for _, v := range variants {
-		out[v] = map[string][]float64{}
-		for _, bench := range benchOrder {
-			bp := models[bench].BatchParams(b, 1, v)
-			norm, err := core.BatchSweep(trSweep, bp)
-			if err != nil {
-				return nil, nil, fmt.Errorf("%s %s: %w", v, bench, err)
-			}
-			out[v][bench] = norm
-		}
-	}
-	return out, models, nil
-}
+// enhancedVariants are the batch models Figs 18 and 19 compare, built
+// from the 3 GHz characterizations without timer traffic.
+var enhancedVariants = []core.Variant{core.BAInj, core.BARe, core.BAInjRe}
 
 // fig18 compares execution-driven runtimes with the enhanced batch models.
 func fig18(c *ctx) error {
-	execNorm, err := execNormalizedRuntimes(core.ExecParams{Seed: 7})
-	if err != nil {
-		return err
-	}
-	variants := []core.Variant{core.BAInj, core.BARe, core.BAInjRe}
-	batch, _, err := enhancedBatchNorms(c, variants, workload.Clock3GHz, false)
+	corrs, err := c.versusExec(workload.Clock75MHz, workload.Clock3GHz, false, enhancedVariants...)
 	if err != nil {
 		return err
 	}
 	t := stats.NewTable("Fig 18: normalized runtime, execution-driven vs enhanced batch models",
 		"benchmark", "model", "tr=1", "tr=2", "tr=4", "tr=8")
-	for _, bench := range benchOrder {
-		row := func(label string, xs []float64) {
+	nt := len(trSweep)
+	for bi, bench := range benchOrder {
+		row := func(label string, x func(i int) float64) {
 			cells := []string{bench, label}
-			for _, x := range xs {
-				cells = append(cells, fmt.Sprintf("%.3f", x))
+			for i := range trSweep {
+				cells = append(cells, fmt.Sprintf("%.3f", x(bi*nt+i)))
 			}
 			t.AddRow(cells...)
 		}
-		row("exec", execNorm[bench])
-		for _, v := range variants {
-			row(v.String(), batch[v][bench])
+		row("exec", func(i int) float64 { return corrs[0].Pairs[i].X })
+		for vi, v := range enhancedVariants {
+			row(v.String(), func(i int) float64 { return corrs[vi].Pairs[i].Y })
 		}
 	}
 	return c.writeTable("fig18", t)
@@ -229,22 +254,14 @@ func fig18(c *ctx) error {
 
 // fig19 computes the enhanced-model correlations.
 func fig19(c *ctx) error {
-	execNorm, err := execNormalizedRuntimes(core.ExecParams{Seed: 7})
-	if err != nil {
-		return err
-	}
-	variants := []core.Variant{core.BAInj, core.BARe, core.BAInjRe}
-	batch, _, err := enhancedBatchNorms(c, variants, workload.Clock3GHz, false)
+	corrs, err := c.versusExec(workload.Clock75MHz, workload.Clock3GHz, false, enhancedVariants...)
 	if err != nil {
 		return err
 	}
 	f := stats.NewFigure("Fig 19: correlation between execution-driven and enhanced batch models",
 		"GEMS-substitute normalized runtime", "batch model normalized runtime")
-	for _, v := range variants {
-		corr, err := core.CorrelateExecBatch(benchOrder, trSweep, execNorm, batch[v])
-		if err != nil {
-			return err
-		}
+	for vi, v := range enhancedVariants {
+		corr := corrs[vi]
 		s := f.AddSeries(v.String())
 		for _, pt := range corr.Pairs {
 			s.Add(pt.X, pt.Y)
@@ -255,26 +272,32 @@ func fig19(c *ctx) error {
 	return c.writeFigure("fig19", f)
 }
 
+// clocks are the two core clocks of §V, in the order Figs 20-22 plot them.
+var clocks = []workload.Clock{workload.Clock75MHz, workload.Clock3GHz}
+
 // fig20 measures the kernel/user injection-rate split across clocks.
 func fig20(c *ctx) error {
 	f := stats.NewFigure("Fig 20: network injection rate split user/kernel (timer enabled)",
 		"configuration index", "flits/cycle/node")
 	t := stats.NewTable("Fig 20: injection rate of benchmarks as router delay varies",
 		"clock", "benchmark", "tr", "user (flits/cycle/node)", "kernel", "kernel share", "timer interrupts")
-	idx := 0.0
-	for _, clock := range []workload.Clock{workload.Clock75MHz, workload.Clock3GHz} {
+	var specs []core.ExperimentSpec
+	for _, clock := range clocks {
+		specs = append(specs, execGrid(clock, true)...)
+	}
+	runs, err := c.runs.RunAll(context.Background(), specs)
+	if err != nil {
+		return err
+	}
+	idx := 0
+	for _, clock := range clocks {
 		su := f.AddSeries("user " + clock.String())
 		sk := f.AddSeries("kernel " + clock.String())
 		for _, bench := range benchOrder {
 			for _, tr := range trSweep {
-				res, err := core.Exec(core.Table2Network(tr), core.ExecParams{
-					Benchmark: bench, Clock: clock, Timer: true, Seed: 7,
-				})
-				if err != nil {
-					return err
-				}
-				su.Add(idx, res.UserNAR)
-				sk.Add(idx, res.KernelNAR)
+				res := runs[idx].Exec
+				su.Add(float64(idx), res.UserNAR)
+				sk.Add(float64(idx), res.KernelNAR)
 				t.AddRow(clock.String(), bench, fmt.Sprintf("%d", tr),
 					fmt.Sprintf("%.4f", res.UserNAR), fmt.Sprintf("%.4f", res.KernelNAR),
 					fmt.Sprintf("%.2f", float64(res.KernelFlits)/float64(res.TotalFlits)),
@@ -292,7 +315,7 @@ func fig20(c *ctx) error {
 
 // fig21 records the injection-rate timeline of blackscholes at both clocks.
 func fig21(c *ctx) error {
-	for _, clock := range []workload.Clock{workload.Clock75MHz, workload.Clock3GHz} {
+	for _, clock := range clocks {
 		res, err := core.Exec(core.Table2Network(1), core.ExecParams{
 			Benchmark:      "blackscholes",
 			Clock:          clock,
@@ -325,27 +348,12 @@ func fig21(c *ctx) error {
 func fig22(c *ctx) error {
 	f := stats.NewFigure("Fig 22: correlation with/without OS modelling",
 		"GEMS-substitute normalized runtime", "batch model normalized runtime")
-	for _, clock := range []workload.Clock{workload.Clock75MHz, workload.Clock3GHz} {
-		execNorm, err := execNormalizedRuntimes(core.ExecParams{Clock: clock, Timer: true, Seed: 7})
+	for _, clock := range clocks {
+		corrs, err := c.versusExec(clock, clock, true, core.BAInjRe, core.BAInjReOS)
 		if err != nil {
 			return err
 		}
-		withoutOS, _, err := enhancedBatchNorms(c, []core.Variant{core.BAInjRe}, clock, true)
-		if err != nil {
-			return err
-		}
-		withOS, _, err := enhancedBatchNorms(c, []core.Variant{core.BAInjReOS}, clock, true)
-		if err != nil {
-			return err
-		}
-		cw, err := core.CorrelateExecBatch(benchOrder, trSweep, execNorm, withoutOS[core.BAInjRe])
-		if err != nil {
-			return err
-		}
-		co, err := core.CorrelateExecBatch(benchOrder, trSweep, execNorm, withOS[core.BAInjReOS])
-		if err != nil {
-			return err
-		}
+		cw, co := corrs[0], corrs[1]
 		s := f.AddSeries(clock.String() + " with OS model")
 		for _, pt := range co.Pairs {
 			s.Add(pt.X, pt.Y)
@@ -389,12 +397,13 @@ func table2(c *ctx) error {
 func table3(c *ctx) error {
 	t := stats.NewTable("Table III: GEMS-substitute calculation of NAR",
 		"benchmark", "ideal cycle count", "total flits", "NAR (req/cycle/node)", "L2 miss rate")
-	for _, bench := range benchOrder {
-		m, err := core.Characterize(bench, workload.Clock3GHz, 7)
-		if err != nil {
-			return err
-		}
-		t.AddRow(bench,
+	res, err := c.runs.RunAll(context.Background(), characterizeSpecs(workload.Clock3GHz))
+	if err != nil {
+		return err
+	}
+	for _, r := range res {
+		m := r.Model
+		t.AddRow(m.Name,
 			fmt.Sprintf("%d", m.IdealCycles),
 			fmt.Sprintf("%d", m.TotalFlits),
 			fmt.Sprintf("%.4f", m.NAR),
@@ -408,12 +417,13 @@ func table4(c *ctx) error {
 	t := stats.NewTable("Table IV: characteristics of benchmarks (75 MHz, timer enabled)",
 		"benchmark", "NAR user", "NAR OS", "L2 miss user", "L2 miss OS",
 		"static kernel traffic", "timer period (cycles)", "timer batch")
-	for _, bench := range benchOrder {
-		m, err := core.Characterize(bench, workload.Clock75MHz, 7)
-		if err != nil {
-			return err
-		}
-		t.AddRow(bench,
+	res, err := c.runs.RunAll(context.Background(), characterizeSpecs(workload.Clock75MHz))
+	if err != nil {
+		return err
+	}
+	for _, r := range res {
+		m := r.Model
+		t.AddRow(m.Name,
 			fmt.Sprintf("%.4f", m.UserNAR),
 			fmt.Sprintf("%.4f", m.KernelNAR),
 			fmt.Sprintf("%.3f", m.L2Miss),

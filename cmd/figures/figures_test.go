@@ -116,11 +116,11 @@ func TestFig12Generator(t *testing.T) {
 
 func TestScaleHelper(t *testing.T) {
 	c := &ctx{}
-	if c.scale(10, 100) != 10 || c.scale64(10, 100) != 10 {
+	if c.scale(10, 100) != 10 {
 		t.Error("quick scale broken")
 	}
 	c.full = true
-	if c.scale(10, 100) != 100 || c.scale64(10, 100) != 100 {
+	if c.scale(10, 100) != 100 {
 		t.Error("full scale broken")
 	}
 }

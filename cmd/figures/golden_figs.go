@@ -48,11 +48,6 @@ func init() {
 	register("golden_corr", goldenCorr)
 }
 
-// goldenIDs returns the golden generator ids in deterministic order.
-func goldenIDs() []string {
-	return []string{"golden_fig03a", "golden_fig03b", "golden_fig04a", "golden_fig06a", "golden_corr"}
-}
-
 // goldenFig03a is the Fig 3a router-delay curve at golden scale.
 func goldenFig03a(c *ctx) error {
 	labels, trs := routerDelayParams(goldenTrs...)
@@ -91,7 +86,7 @@ func goldenCorr(c *ctx) error {
 	trLabels, trs := routerDelayParams(goldenTrs...)
 	qLabels, qs := bufDepthParams(2, 4, 8, 16)
 	grid := slices.Concat(openBatchGrid(ms, trs, goldenB), openBatchGrid(ms, qs, goldenB))
-	batch, open, _, err := runOpenBatch(grid, goldenPhases)
+	batch, open, _, err := c.runOpenBatch(grid, goldenPhases)
 	if err != nil {
 		return err
 	}

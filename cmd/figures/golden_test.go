@@ -29,6 +29,11 @@ var goldenTol = map[string]struct{ rel, abs float64 }{
 	"golden_corr.csv":   {rel: 0, abs: 0.05},    // correlation coefficients
 }
 
+// goldenIDs returns the golden generator ids in deterministic order.
+func goldenIDs() []string {
+	return []string{"golden_fig03a", "golden_fig03b", "golden_fig04a", "golden_fig06a", "golden_corr"}
+}
+
 // TestGoldenFigures regenerates the golden subset (Figs 3a/3b/4a router-
 // parameter curves, the Fig 6a topology figure, and the Fig 5 correlation
 // table at golden scale) and compares each CSV against results/golden.
@@ -60,44 +65,46 @@ func TestGoldenFigures(t *testing.T) {
 	}
 }
 
-// TestGoldenGeneratorsSimulateEachSpecOnce runs every golden generator
-// with the run ledger on and fails if one simulates the same run twice:
-// no simulation record may repeat its spec hash within a generator (tr=1
-// and q=16 are the same network, for one).
+// TestGoldenGeneratorsSimulateEachSpecOnce runs every golden generator in
+// one ctx, as one `figures -golden` invocation does, with the run ledger
+// on, and fails if a run is simulated twice: no simulation record may
+// repeat its spec hash, within a generator (tr=1 and q=16 are the same
+// network, for one) or across them (golden_fig03a's tr=1 sweep,
+// golden_fig03b's q=16 sweep and golden_fig06a's mesh sweep are one spec).
 func TestGoldenGeneratorsSimulateEachSpecOnce(t *testing.T) {
 	if testing.Short() {
 		t.Skip("regenerates the golden subset")
 	}
-	dir := t.TempDir()
-	c := &ctx{out: dir}
+	c := fastCtx(t)
+	path := filepath.Join(c.out, "runs.jsonl")
+	if err := core.EnableLedger(path); err != nil {
+		t.Fatal(err)
+	}
 	for _, id := range goldenIDs() {
-		path := filepath.Join(dir, id+".jsonl")
-		if err := core.EnableLedger(path); err != nil {
-			t.Fatal(err)
-		}
-		err := generators[id](c)
-		if cerr := core.DisableLedger(); err == nil {
-			err = cerr
-		}
-		if err != nil {
+		before := core.LedgerAppends()
+		if err := generators[id](c); err != nil {
+			core.DisableLedger()
 			t.Fatalf("%s: %v", id, err)
 		}
-		recs, _, err := ledger.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		seen := map[string]bool{}
-		for _, r := range recs {
-			switch r.Kind {
-			case "openloop", "batch", "barrier", "exec":
-				if seen[r.Spec] {
-					t.Errorf("%s simulates %s spec %s twice", id, r.Kind, r.Spec)
-				}
-				seen[r.Spec] = true
-			}
-		}
-		if len(seen) == 0 {
+		if core.LedgerAppends() == before {
 			t.Errorf("%s wrote no simulation records", id)
+		}
+	}
+	if err := core.DisableLedger(); err != nil {
+		t.Fatal(err)
+	}
+	recs, _, err := ledger.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[string]bool{}
+	for _, r := range recs {
+		switch r.Kind {
+		case "openloop", "batch", "barrier", "exec":
+			if seen[r.Spec] {
+				t.Errorf("the golden subset simulates %s spec %s twice", r.Kind, r.Spec)
+			}
+			seen[r.Spec] = true
 		}
 	}
 }

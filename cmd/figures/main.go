@@ -27,21 +27,17 @@ import (
 	"noceval/internal/stats"
 )
 
-// ctx carries shared settings into figure generators.
+// ctx carries shared settings into figure generators, and the one run
+// set every generator of an invocation simulates its specs through: a
+// spec two generators list is simulated once.
 type ctx struct {
 	out  string
 	full bool
+	runs core.RunSet
 }
 
 // scale selects between the quick default and the paper-scale value.
 func (c *ctx) scale(quick, full int) int {
-	if c.full {
-		return full
-	}
-	return quick
-}
-
-func (c *ctx) scale64(quick, full int64) int64 {
 	if c.full {
 		return full
 	}

@@ -41,8 +41,7 @@ func init() {
 
 // fig01 reproduces the canonical latency vs offered traffic curve.
 func fig01(c *ctx) error {
-	res, err := core.RunAll(context.Background(),
-		[]core.ExperimentSpec{{Kind: "sweep", Network: core.Baseline(), Rates: sweepRates(0.5)}})
+	res, err := c.runs.RunAll(context.Background(), []core.ExperimentSpec{{Kind: "sweep", Network: core.Baseline(), Rates: sweepRates(0.5)}})
 	if err != nil {
 		return err
 	}
@@ -83,7 +82,7 @@ func fig02(c *ctx) error {
 			specs = append(specs, core.ExperimentSpec{Kind: "batch", Network: core.Baseline(), B: b, M: m})
 		}
 	}
-	res, err := core.RunAll(context.Background(), specs)
+	res, err := c.runs.RunAll(context.Background(), specs)
 	if err != nil {
 		return err
 	}
@@ -136,7 +135,7 @@ func fig05(c *ctx) error {
 		supplement = append(supplement, core.ExperimentSpec{Kind: "batch", Network: p, B: b, M: 16},
 			openLoopSpec(p, 0.9, core.OpenLoopOpts{}))
 	}
-	batch, open, supp, err := runOpenBatch(grid, core.OpenLoopOpts{}, supplement...)
+	batch, open, supp, err := c.runOpenBatch(grid, core.OpenLoopOpts{}, supplement...)
 	if err != nil {
 		return err
 	}
@@ -204,7 +203,7 @@ func fig06(c *ctx) error {
 func fig07(c *ctx) error {
 	b := c.scale(300, 1000)
 	_, topos := topologyParams()
-	runs, err := core.RunAll(context.Background(), []core.ExperimentSpec{ // mesh, torus
+	runs, err := c.runs.RunAll(context.Background(), []core.ExperimentSpec{ // mesh, torus
 		{Kind: "batch", Network: topos[0], B: b, M: 1}, {Kind: "batch", Network: topos[1], B: b, M: 1}})
 	if err != nil {
 		return err
@@ -234,7 +233,7 @@ func fig07(c *ctx) error {
 func fig08(c *ctx) error {
 	names, topos := topologyParams()
 	ms := []int{1, 2, 4, 8}
-	batch, open, _, err := runOpenBatch(openBatchGrid(ms, topos, c.scale(300, 1000)), core.OpenLoopOpts{})
+	batch, open, _, err := c.runOpenBatch(openBatchGrid(ms, topos, c.scale(300, 1000)), core.OpenLoopOpts{})
 	if err != nil {
 		return err
 	}
@@ -300,7 +299,7 @@ func fig11(c *ctx) error {
 		specs = append(specs, openLoopSpec(p, 0.05, core.OpenLoopOpts{}),
 			core.ExperimentSpec{Kind: "batch", Network: p, B: b, M: 1})
 	}
-	runs, err := core.RunAll(context.Background(), specs)
+	runs, err := c.runs.RunAll(context.Background(), specs)
 	if err != nil {
 		return err
 	}

@@ -2,8 +2,10 @@ package main
 
 // The spec lists and plotters behind the paper's curve, grid and scatter
 // figures. A generator lists the specs of a stage, simulates them with one
-// core.RunAll (each distinct spec once, duplicates sharing a result), and
-// turns the results into files without simulating anything. The paper
+// RunAll on ctx.runs — the invocation's core.RunSet, so each distinct spec
+// is simulated once across every generator and duplicates share a
+// read-only result — and turns the results into files without simulating
+// anything. The paper
 // generators (network_figs.go, exec_figs.go) and the golden regression
 // subset (golden_figs.go) call the same functions, so a change to how a
 // figure is simulated or plotted moves the gate too.
@@ -83,8 +85,8 @@ func openBatchGrid(ms []int, variants []core.NetworkParams, b int) []core.Experi
 // the throughput its batch run achieved, at the phases of ph. It returns
 // the grid's results, the open-loop results in grid order, and the extra
 // specs' results.
-func runOpenBatch(grid []core.ExperimentSpec, ph core.OpenLoopOpts, extra ...core.ExperimentSpec) (batch, open, more []*core.Result, err error) {
-	res, err := core.RunAll(context.Background(), slices.Concat(grid, extra))
+func (c *ctx) runOpenBatch(grid []core.ExperimentSpec, ph core.OpenLoopOpts, extra ...core.ExperimentSpec) (batch, open, more []*core.Result, err error) {
+	res, err := c.runs.RunAll(context.Background(), slices.Concat(grid, extra))
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -97,7 +99,7 @@ func runOpenBatch(grid []core.ExperimentSpec, ph core.OpenLoopOpts, extra ...cor
 	for i, r := range done {
 		specs[i] = openLoopSpec(grid[i].Network, r.Throughput, ph)
 	}
-	open, err = core.RunAll(context.Background(), specs)
+	open, err = c.runs.RunAll(context.Background(), specs)
 	return batch, open, more, err
 }
 
@@ -117,7 +119,7 @@ func (c *ctx) writePanels(panels ...panel) error {
 	for _, p := range panels {
 		specs = append(specs, p.specs...)
 	}
-	res, err := core.RunAll(context.Background(), specs)
+	res, err := c.runs.RunAll(context.Background(), specs)
 	if err != nil {
 		return err
 	}

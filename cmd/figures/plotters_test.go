@@ -167,7 +167,7 @@ func TestOpenBatchGridAndRun(t *testing.T) {
 	}
 	ph := core.OpenLoopOpts{Warmup: 200, Measure: 1000, DrainLimit: 3000}
 	extra := core.ExperimentSpec{Kind: "openloop", Network: variants[0], Rate: 0.05}
-	batch, open, more, err := runOpenBatch(grid, ph, extra)
+	batch, open, more, err := fastCtx(t).runOpenBatch(grid, ph, extra)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,7 +11,6 @@ package main
 
 import (
 	"context"
-
 	"noceval/internal/core"
 	"noceval/internal/fault"
 	"noceval/internal/stats"
@@ -58,7 +57,7 @@ func resilienceSweep(c *ctx) error {
 		p := resilienceParams(r)
 		specs[i], specs[n+i] = openLoopSpec(p, load, phases), core.ExperimentSpec{Kind: "batch", Network: p, B: b, M: 4}
 	}
-	res, err := core.RunAll(context.Background(), specs)
+	res, err := c.runs.RunAll(context.Background(), specs)
 	if err != nil {
 		return err
 	}

@@ -7,8 +7,10 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
+	"slices"
 
 	"noceval/internal/core"
 	"noceval/internal/workload"
@@ -18,53 +20,64 @@ func main() {
 	benchmarks := []string{"blackscholes", "lu", "fft"}
 	trs := []int64{1, 2, 4, 8}
 	clock := workload.Clock3GHz
+	var runs core.RunSet // simulates each distinct spec once
 
-	// 1. Execution-driven runtimes, normalized to tr=1 per benchmark.
-	execNorm := map[string][]float64{}
+	// 1. Execution-driven runs and the baseline batch model (one curve for
+	//    every benchmark) at every router delay, benchmark-major, beside the
+	//    ideal-network characterizations the enhanced model is built from.
+	var exec, baseline, chars []core.ExperimentSpec
 	for _, b := range benchmarks {
-		norm, err := core.ExecSweep(b, trs, core.ExecParams{Clock: clock, Timer: true, Seed: 7})
-		if err != nil {
-			log.Fatal(err)
+		for _, tr := range trs {
+			exec = append(exec, core.ExperimentSpec{Kind: "exec", Network: core.Table2Network(tr),
+				Benchmark: b, Clock: clock.SpecName(), Timer: true, Seed: 7})
+			baseline = append(baseline, core.ExperimentSpec{Kind: "batch", Network: core.Table2Network(tr), B: 300, M: 1})
 		}
-		execNorm[b] = norm
-		fmt.Printf("exec %-14s %v\n", b, fmt.Sprintf("%.2f %.2f %.2f %.2f", norm[0], norm[1], norm[2], norm[3]))
+		chars = append(chars, core.ExperimentSpec{Kind: "characterize", Network: core.Baseline(),
+			Benchmark: b, Clock: clock.SpecName(), Seed: 7})
 	}
-
-	// 2. Baseline batch model: one curve for every benchmark.
-	baNorm, err := core.BatchSweep(trs, core.BatchParams{B: 300, M: 1})
+	res, err := runs.RunAll(context.Background(), slices.Concat(exec, baseline, chars))
 	if err != nil {
 		log.Fatal(err)
 	}
-	baseline := map[string][]float64{}
-	for _, b := range benchmarks {
-		baseline[b] = baNorm
-	}
+	n := len(exec)
+	execRes, baRes, models := res[:n], res[n:2*n], res[2*n:]
 
-	// 3. Enhanced batch model: per-benchmark parameters measured from
-	//    ideal-network characterization runs.
-	enhanced := map[string][]float64{}
-	for _, b := range benchmarks {
-		m, err := core.Characterize(b, clock, 7)
-		if err != nil {
-			log.Fatal(err)
+	// 2. The enhanced batch model, from each benchmark's characterization.
+	var enhanced []core.ExperimentSpec
+	for i := range benchmarks {
+		for _, tr := range trs {
+			s := models[i].Model.BatchSpec(300, 1, core.BAInjReOS)
+			s.Network = core.Table2Network(tr)
+			enhanced = append(enhanced, s)
 		}
-		norm, err := core.BatchSweep(trs, m.BatchParams(300, 1, core.BAInjReOS))
-		if err != nil {
-			log.Fatal(err)
-		}
-		enhanced[b] = norm
-		fmt.Printf("batch(%-12s) NAR=%.4f L2miss=%.3f -> %v\n",
-			b, m.NAR, m.L2Miss, fmt.Sprintf("%.2f %.2f %.2f %.2f", norm[0], norm[1], norm[2], norm[3]))
 	}
-
-	// 4. Correlations.
-	cb, err := core.CorrelateExecBatch(benchmarks, trs, execNorm, baseline)
+	enRes, err := runs.RunAll(context.Background(), enhanced)
 	if err != nil {
 		log.Fatal(err)
 	}
-	ce, err := core.CorrelateExecBatch(benchmarks, trs, execNorm, enhanced)
+	for _, r := range slices.Concat(baRes, enRes) {
+		if !r.Batch.Completed {
+			log.Fatal("a batch run did not complete")
+		}
+	}
+
+	// 3. Correlations. Each pair is one (benchmark, delay) point: the exec
+	//    (X) and batch (Y) runtimes, normalized to tr=1.
+	cb, err := core.CorrelateExecBatch(benchmarks, trs, execRes, baRes)
 	if err != nil {
 		log.Fatal(err)
+	}
+	ce, err := core.CorrelateExecBatch(benchmarks, trs, execRes, enRes)
+	if err != nil {
+		log.Fatal(err)
+	}
+	for i, b := range benchmarks {
+		p := ce.Pairs[i*len(trs):]
+		fmt.Printf("exec %-14s %.2f %.2f %.2f %.2f\n", b, p[0].X, p[1].X, p[2].X, p[3].X)
+	}
+	for i, b := range benchmarks {
+		m, p := models[i].Model, ce.Pairs[i*len(trs):]
+		fmt.Printf("batch(%-12s) NAR=%.4f L2miss=%.3f -> %.2f %.2f %.2f %.2f\n", b, m.NAR, m.L2Miss, p[0].Y, p[1].Y, p[2].Y, p[3].Y)
 	}
 	fmt.Printf("\ncorrelation with execution-driven runtimes:\n")
 	fmt.Printf("  baseline batch model  (BA):           %.4f\n", cb.Coefficient)

@@ -6,6 +6,9 @@ package noceval
 
 import (
 	"bytes"
+	"context"
+	"math"
+	"slices"
 	"testing"
 
 	"noceval/internal/analytic"
@@ -143,71 +146,92 @@ func TestTraceCapturedFromBatchReplaysConsistently(t *testing.T) {
 	}
 }
 
+// trGrid lists cell(i), a spec for benchmark i, on the Table II network
+// at every delay of trs, benchmark-major as core.CorrelateExecBatch reads
+// it; n is the benchmark count.
+func trGrid(n int, trs []int64, cell func(i int) core.ExperimentSpec) []core.ExperimentSpec {
+	var specs []core.ExperimentSpec
+	for i := 0; i < n; i++ {
+		for _, tr := range trs {
+			s := cell(i)
+			s.Network = core.Table2Network(tr)
+			specs = append(specs, s)
+		}
+	}
+	return specs
+}
+
+// execSpec is the exec run of bench at 75 MHz (the zero ExecParams
+// clock), without the timer.
+func execSpec(bench string, seed uint64) core.ExperimentSpec {
+	return core.ExperimentSpec{Kind: "exec", Benchmark: bench, Clock: workload.Clock75MHz.SpecName(), Seed: seed}
+}
+
+// runSpecs simulates specs through rs, failing tb on an error or on a
+// batch run that did not complete.
+func runSpecs(tb testing.TB, rs *core.RunSet, specs []core.ExperimentSpec) []*core.Result {
+	tb.Helper()
+	res, err := rs.RunAll(context.Background(), specs)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for _, r := range res {
+		if r.Batch != nil && !r.Batch.Completed {
+			tb.Fatal("batch did not complete")
+		}
+	}
+	return res
+}
+
 func TestBatchModelPredictsExecDirection(t *testing.T) {
 	// Both methodologies must agree that tr=8 is slower than tr=1.
-	execNorm, err := core.ExecSweep("canneal", []int64{1, 8}, core.ExecParams{Seed: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	batchNorm, err := core.BatchSweep([]int64{1, 8}, core.BatchParams{B: 150, M: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if execNorm[1] <= 1 || batchNorm[1] <= 1 {
-		t.Errorf("tr=8 not slower: exec %.3f, batch %.3f", execNorm[1], batchNorm[1])
+	trs := []int64{1, 8}
+	res := runSpecs(t, new(core.RunSet), slices.Concat(
+		trGrid(1, trs, func(int) core.ExperimentSpec { return execSpec("canneal", 9) }),
+		trGrid(1, trs, func(int) core.ExperimentSpec { return core.ExperimentSpec{Kind: "batch", B: 150, M: 1} })))
+	execNorm := float64(res[1].Exec.Cycles) / float64(res[0].Exec.Cycles)
+	batchNorm := float64(res[3].Batch.Runtime) / float64(res[2].Batch.Runtime)
+	if execNorm <= 1 || batchNorm <= 1 {
+		t.Errorf("tr=8 not slower: exec %.3f, batch %.3f", execNorm, batchNorm)
 	}
 	// The plain batch model overstates the network's influence (the
 	// paper's core observation motivating the enhancements).
-	if batchNorm[1] < execNorm[1] {
+	if batchNorm < execNorm {
 		t.Errorf("baseline batch (%.2fx) should overstate exec slowdown (%.2fx)",
-			batchNorm[1], execNorm[1])
+			batchNorm, execNorm)
 	}
 }
 
 func TestEnhancedModelTracksExecBetterThanBaseline(t *testing.T) {
 	benches := []string{"blackscholes", "fft"}
 	trs := []int64{1, 2, 4, 8}
-	execNorm := map[string][]float64{}
+	var rs core.RunSet
+	exec := trGrid(len(benches), trs, func(i int) core.ExperimentSpec { return execSpec(benches[i], 9) })
+	var chars []core.ExperimentSpec
 	for _, bench := range benches {
-		n, err := core.ExecSweep(bench, trs, core.ExecParams{Seed: 9})
-		if err != nil {
-			t.Fatal(err)
-		}
-		execNorm[bench] = n
+		chars = append(chars, core.ExperimentSpec{Kind: "characterize", Network: core.Baseline(), Benchmark: bench,
+			Clock: workload.Clock3GHz.SpecName(), Seed: 9})
 	}
-	ba, err := core.BatchSweep(trs, core.BatchParams{B: 150, M: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	baseline := map[string][]float64{}
-	enhanced := map[string][]float64{}
-	for _, bench := range benches {
-		baseline[bench] = ba
-		m, err := core.Characterize(bench, workload.Clock3GHz, 9)
-		if err != nil {
-			t.Fatal(err)
-		}
-		en, err := core.BatchSweep(trs, m.BatchParams(150, 1, core.BAInjRe))
-		if err != nil {
-			t.Fatal(err)
-		}
-		enhanced[bench] = en
-	}
+	res := runSpecs(t, &rs, slices.Concat(exec, chars))
+	execRes, models := res[:len(exec)], res[len(exec):]
+	baseline := runSpecs(t, &rs, trGrid(len(benches), trs, func(int) core.ExperimentSpec {
+		return core.ExperimentSpec{Kind: "batch", B: 150, M: 1}
+	}))
+	enhanced := runSpecs(t, &rs, trGrid(len(benches), trs, func(i int) core.ExperimentSpec {
+		return models[i].Model.BatchSpec(150, 1, core.BAInjRe)
+	}))
 	// Mean absolute error of the predictions, which is the quantity the
 	// enhancements actually shrink (correlation is scale-blind).
-	mae := func(pred map[string][]float64) float64 {
-		sum, n := 0.0, 0
-		for _, bench := range benches {
-			for i := range trs {
-				d := pred[bench][i] - execNorm[bench][i]
-				if d < 0 {
-					d = -d
-				}
-				sum += d
-				n++
-			}
+	mae := func(batch []*core.Result) float64 {
+		corr, err := core.CorrelateExecBatch(benches, trs, execRes, batch)
+		if err != nil {
+			t.Fatal(err)
 		}
-		return sum / float64(n)
+		sum := 0.0
+		for _, pt := range corr.Pairs {
+			sum += math.Abs(pt.Y - pt.X)
+		}
+		return sum / float64(len(corr.Pairs))
 	}
 	if mae(enhanced) >= mae(baseline) {
 		t.Errorf("enhanced model MAE %.3f not below baseline %.3f", mae(enhanced), mae(baseline))

@@ -133,32 +133,25 @@ func (v Variant) String() string {
 	}
 }
 
-// BatchParams builds the closed-loop configuration that models this
-// benchmark under the given variant. b is the batch size and m the
+// BatchSpec is the batch spec that models this benchmark under the given
+// variant, on a network the caller sets. b is the batch size and m the
 // outstanding-request limit; the paper's Table II cores block on loads
 // with a small store buffer, which the batch model approximates with a
-// small m.
-func (bm *BenchmarkModel) BatchParams(b, m int, v Variant) BatchParams {
-	bp := BatchParams{B: b, M: m}
+// small m. BatchSpec only reads bm, which a RunSet shares with every
+// reader of the same characterization.
+func (bm *BenchmarkModel) BatchSpec(b, m int, v Variant) ExperimentSpec {
+	s := ExperimentSpec{Kind: "batch", B: b, M: m}
 	if v == BAInj || v == BAInjRe || v == BAInjReOS {
-		bp.NAR = bm.NAR
+		s.NAR = bm.NAR
 	}
 	if v == BARe || v == BAInjRe || v == BAInjReOS {
-		bp.Reply = closedloop.ProbabilisticReply{
-			L2Latency:     20,
-			MemoryLatency: 300,
-			MissRate:      bm.L2Miss,
-		}
+		s.Reply = &ReplySpec{Type: "probabilistic", L2: 20, Memory: 300, MissRate: bm.L2Miss}
 	}
 	if v == BAInjReOS {
-		bp.Kernel = &closedloop.KernelConfig{
-			StaticFraction: bm.StaticKernelFrac,
-			TimerPeriod:    bm.TimerPeriod,
-			TimerBatch:     bm.stableTimerBatch(),
-			KernelNAR:      bm.KernelNAR,
-		}
+		s.Kernel = &closedloop.KernelConfig{StaticFraction: bm.StaticKernelFrac, KernelNAR: bm.KernelNAR,
+			TimerPeriod: bm.TimerPeriod, TimerBatch: bm.stableTimerBatch()}
 	}
-	return bp
+	return s
 }
 
 // stableTimerBatch caps the per-interrupt kernel work so that at most

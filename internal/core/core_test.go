@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"noceval/internal/closedloop"
+	"noceval/internal/cmp"
 	"noceval/internal/workload"
 )
 
@@ -110,7 +111,8 @@ func correlateOpenBatch(t *testing.T, ms []int, labels []string, variants []Netw
 			batch = append(batch, ExperimentSpec{Kind: "batch", Network: p, B: b, M: m})
 		}
 	}
-	bres, err := RunAll(context.Background(), batch)
+	var rs RunSet
+	bres, err := rs.RunAll(context.Background(), batch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +121,7 @@ func correlateOpenBatch(t *testing.T, ms []int, labels []string, variants []Netw
 		open[i] = ExperimentSpec{Kind: "openloop", Network: batch[i].Network, Rate: r.Batch.Throughput,
 			Warmup: o.Warmup, Measure: o.Measure, DrainLimit: o.DrainLimit}
 	}
-	ores, err := RunAll(context.Background(), open)
+	ores, err := rs.RunAll(context.Background(), open)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,27 +241,33 @@ func TestCharacterizeProducesUsableModel(t *testing.T) {
 		t.Errorf("timer model: period %d batch %d", m.TimerPeriod, m.TimerBatch)
 	}
 
-	// The derived parameters must produce runnable batch configs for every
-	// variant, with the right knobs enabled.
+	// The derived parameters must produce runnable batch specs for every
+	// variant, with the right knobs enabled, and building them must leave
+	// the model as it was (a RunSet shares it between readers).
+	before := *m
 	for _, v := range []Variant{BA, BAInj, BARe, BAInjRe, BAInjReOS} {
-		bp := m.BatchParams(50, 1, v)
+		s := m.BatchSpec(50, 1, v)
 		switch v {
 		case BA:
-			if bp.NAR != 0 || bp.Reply != nil || bp.Kernel != nil {
-				t.Errorf("BA has extras enabled: %+v", bp)
+			if s.NAR != 0 || s.Reply != nil || s.Kernel != nil {
+				t.Errorf("BA has extras enabled: %+v", s)
 			}
 		case BAInjReOS:
-			if bp.NAR == 0 || bp.Reply == nil || bp.Kernel == nil {
-				t.Errorf("BA_inj+re+OS missing pieces: %+v", bp)
+			if s.NAR == 0 || s.Reply == nil || s.Kernel == nil {
+				t.Errorf("BA_inj+re+OS missing pieces: %+v", s)
 			}
 		}
-		res, err := Batch(Table2Network(1), bp)
+		s.Network = Table2Network(1)
+		res, err := new(RunSet).RunAll(context.Background(), []ExperimentSpec{s})
 		if err != nil {
 			t.Fatalf("%s: %v", v, err)
 		}
-		if !res.Completed {
+		if !res[0].Batch.Completed {
 			t.Errorf("%s batch did not complete", v)
 		}
+	}
+	if !reflect.DeepEqual(*m, before) {
+		t.Errorf("building batch specs changed the model: %+v, was %+v", *m, before)
 	}
 }
 
@@ -277,26 +285,37 @@ func TestVariantStrings(t *testing.T) {
 
 func TestExecAndBatchSweepsNormalize(t *testing.T) {
 	trs := []int64{1, 4}
-	en, err := ExecSweep("fft", trs, ExecParams{Seed: 3})
+	var specs []ExperimentSpec
+	for _, tr := range trs {
+		specs = append(specs, ExperimentSpec{Kind: "exec", Network: Table2Network(tr), Benchmark: "fft",
+			Clock: workload.Clock75MHz.SpecName(), Seed: 3})
+	}
+	for _, tr := range trs {
+		specs = append(specs, ExperimentSpec{Kind: "batch", Network: Table2Network(tr), B: 100, M: 1})
+	}
+	res, err := new(RunSet).RunAll(context.Background(), specs)
 	if err != nil {
 		t.Fatal(err)
 	}
+	corr, err := CorrelateExecBatch([]string{"fft"}, trs, res[:2], res[2:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	en := []float64{corr.Pairs[0].X, corr.Pairs[1].X}
 	if en[0] != 1 || en[1] <= 1 {
 		t.Errorf("exec sweep = %v: want normalized rising runtimes", en)
 	}
-	bn, err := BatchSweep(trs, BatchParams{B: 100, M: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	bn := []float64{corr.Pairs[0].Y, corr.Pairs[1].Y}
 	if bn[0] != 1 || bn[1] <= 1.5 {
 		t.Errorf("batch sweep = %v: m=1 should track zero-load scaling", bn)
 	}
 }
 
 func TestCorrelateExecBatchValidation(t *testing.T) {
+	exec := &Result{Exec: &cmp.Result{Cycles: 100}}
+	batch := &Result{Batch: &closedloop.BatchResult{Runtime: 100}}
 	_, err := CorrelateExecBatch([]string{"x"}, []int64{1, 2},
-		map[string][]float64{"x": {1}},
-		map[string][]float64{"x": {1, 2}})
+		[]*Result{exec}, []*Result{batch, batch})
 	if err == nil {
 		t.Error("length mismatch accepted")
 	}
@@ -304,10 +323,13 @@ func TestCorrelateExecBatchValidation(t *testing.T) {
 
 func TestBatchParamsUseMeasuredReplyModel(t *testing.T) {
 	m := &BenchmarkModel{Name: "x", NAR: 0.1, L2Miss: 0.25}
-	bp := m.BatchParams(100, 2, BARe)
-	pr, ok := bp.Reply.(closedloop.ProbabilisticReply)
+	reply, err := m.BatchSpec(100, 2, BARe).Reply.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pr, ok := reply.(closedloop.ProbabilisticReply)
 	if !ok {
-		t.Fatalf("reply model is %T", bp.Reply)
+		t.Fatalf("reply model is %T", reply)
 	}
 	if pr.MissRate != 0.25 || pr.L2Latency != 20 || pr.MemoryLatency != 300 {
 		t.Errorf("reply model = %+v", pr)

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"noceval/internal/par"
 	"noceval/internal/stats"
 )
 
@@ -26,12 +25,38 @@ type Correlation struct {
 	Rank        float64
 }
 
-// correlate computes the correlation statistics over the pairs.
-func correlate(pairs []Pair) (Correlation, error) {
-	xs := make([]float64, len(pairs))
-	ys := make([]float64, len(pairs))
-	for i, p := range pairs {
-		xs[i], ys[i] = p.X, p.Y
+// NormalizeGroup scales each group's values so its first element is 1
+// (the paper normalizes every m-group and every benchmark to the baseline
+// parameter value, footnote 2).
+func NormalizeGroup(values []float64) ([]float64, error) {
+	return stats.Normalize(values, 0)
+}
+
+// correlateGroups correlates x against y over len(groups) groups of
+// len(labels) cells, cell k being (groups[k/len(labels)],
+// labels[k%len(labels)]): both are normalized to the group's first cell
+// and the statistics are computed over all points.
+func correlateGroups(groups, labels []string, x, y func(k int) float64) (Correlation, error) {
+	nl := len(labels)
+	var pairs []Pair
+	var xs, ys []float64
+	for gi, g := range groups {
+		gx, gy := make([]float64, nl), make([]float64, nl)
+		for li := range labels {
+			gx[li], gy[li] = x(gi*nl+li), y(gi*nl+li)
+		}
+		xn, err := NormalizeGroup(gx)
+		if err != nil {
+			return Correlation{}, err
+		}
+		yn, err := NormalizeGroup(gy)
+		if err != nil {
+			return Correlation{}, err
+		}
+		for li, l := range labels {
+			pairs = append(pairs, Pair{Group: g, Label: l, X: xn[li], Y: yn[li]})
+		}
+		xs, ys = append(xs, xn...), append(ys, yn...)
 	}
 	r, ci, err := stats.JackknifeCorrCI(xs, ys)
 	if err != nil {
@@ -44,13 +69,6 @@ func correlate(pairs []Pair) (Correlation, error) {
 	return Correlation{Pairs: pairs, Coefficient: r, CI95: ci, Rank: rank}, nil
 }
 
-// NormalizeGroup scales each group's values so its first element is 1
-// (the paper normalizes every m-group and every benchmark to the baseline
-// parameter value, footnote 2).
-func NormalizeGroup(values []float64) ([]float64, error) {
-	return stats.Normalize(values, 0)
-}
-
 // CorrelateOpenBatch is the Fig 5 procedure for one parameter sweep,
 // reduced from runs already made: batch[k] and open[k] hold cell
 // (ms[k/len(labels)], labels[k%len(labels)]) — a batch run, yielding
@@ -61,105 +79,36 @@ func NormalizeGroup(values []float64) ([]float64, error) {
 // Pearson coefficient is computed over all points. A caller correlates a
 // prefix of its ms by passing the matching prefix of both grids.
 func CorrelateOpenBatch(ms []int, labels []string, batch, open []*Result, worstCase bool) (Correlation, error) {
-	nl := len(labels)
-	if n := len(ms) * nl; len(batch) != n || len(open) != n {
+	if n := len(ms) * len(labels); len(batch) != n || len(open) != n {
 		return Correlation{}, fmt.Errorf("core: %d batch and %d open-loop results for %d cells", len(batch), len(open), n)
 	}
-	var pairs []Pair
-	for mi, m := range ms {
-		batchRaw := make([]float64, nl)
-		openRaw := make([]float64, nl)
-		for li := range labels {
-			batchRaw[li] = float64(batch[mi*nl+li].Batch.Runtime)
-			ol := open[mi*nl+li].OpenLoop
-			openRaw[li] = ol.AvgLatency
-			if worstCase {
-				openRaw[li] = ol.WorstLatency
-			}
-		}
-		bn, err := NormalizeGroup(batchRaw)
-		if err != nil {
-			return Correlation{}, err
-		}
-		on, err := NormalizeGroup(openRaw)
-		if err != nil {
-			return Correlation{}, err
-		}
-		for li := range labels {
-			pairs = append(pairs, Pair{
-				Group: fmt.Sprintf("m=%d", m),
-				Label: labels[li],
-				X:     on[li],
-				Y:     bn[li],
-			})
-		}
+	groups := make([]string, len(ms))
+	for i, m := range ms {
+		groups[i] = fmt.Sprintf("m=%d", m)
 	}
-	return correlate(pairs)
-}
-
-// ExecSweep runs one benchmark across router delays on the Table II system
-// (in parallel — each delay is an independent simulation) and returns its
-// normalized runtimes (normalized to the first delay).
-func ExecSweep(bench string, trs []int64, ep ExecParams) ([]float64, error) {
-	runtimes := make([]float64, len(trs))
-	err := par.Parallel(len(trs), 0, func(i int) error {
-		e := ep
-		e.Benchmark = bench
-		res, err := Exec(Table2Network(trs[i]), e)
-		if err != nil {
-			return err
+	return correlateGroups(groups, labels, func(k int) float64 {
+		if worstCase {
+			return open[k].OpenLoop.WorstLatency
 		}
-		runtimes[i] = float64(res.Cycles)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return NormalizeGroup(runtimes)
-}
-
-// BatchSweep runs the batch model across router delays on the Table II
-// network and returns normalized runtimes.
-func BatchSweep(trs []int64, bp BatchParams) ([]float64, error) {
-	runtimes := make([]float64, len(trs))
-	err := par.Parallel(len(trs), 0, func(i int) error {
-		res, err := Batch(Table2Network(trs[i]), bp)
-		if err != nil {
-			return err
-		}
-		if !res.Completed {
-			return fmt.Errorf("core: batch sweep tr=%d did not complete", trs[i])
-		}
-		runtimes[i] = float64(res.Runtime)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return NormalizeGroup(runtimes)
+		return open[k].OpenLoop.AvgLatency
+	}, func(k int) float64 { return float64(batch[k].Batch.Runtime) })
 }
 
 // CorrelateExecBatch compares execution-driven runtimes against a batch-
-// model variant across the router-delay sweep (the Figs 15/19/22
-// methodology): execNorm[bench] and batchNorm[bench] must hold runtimes
-// normalized to the first delay. The coefficient is computed over all
+// model variant across a router-delay sweep (the Figs 15/19/22
+// methodology), reduced from runs already made: exec[k] and batch[k] hold
+// cell (benchmarks[k/len(trs)], trs[k%len(trs)]) — an exec run and a
+// batch run of the same delay. Both runtimes are normalized to the first
+// delay within each benchmark, and the coefficient is computed over all
 // (benchmark, delay) points.
-func CorrelateExecBatch(benchmarks []string, trs []int64, execNorm, batchNorm map[string][]float64) (Correlation, error) {
-	var pairs []Pair
-	for _, b := range benchmarks {
-		en, bn := execNorm[b], batchNorm[b]
-		if len(en) != len(trs) || len(bn) != len(trs) {
-			return Correlation{}, fmt.Errorf("core: %s has %d exec and %d batch points for %d delays",
-				b, len(en), len(bn), len(trs))
-		}
-		for i, tr := range trs {
-			pairs = append(pairs, Pair{
-				Group: b,
-				Label: fmt.Sprintf("tr=%d", tr),
-				X:     en[i],
-				Y:     bn[i],
-			})
-		}
+func CorrelateExecBatch(benchmarks []string, trs []int64, exec, batch []*Result) (Correlation, error) {
+	if n := len(benchmarks) * len(trs); len(exec) != n || len(batch) != n {
+		return Correlation{}, fmt.Errorf("core: %d exec and %d batch results for %d cells", len(exec), len(batch), n)
 	}
-	return correlate(pairs)
+	labels := make([]string, len(trs))
+	for i, tr := range trs {
+		labels[i] = fmt.Sprintf("tr=%d", tr)
+	}
+	return correlateGroups(benchmarks, labels, func(k int) float64 { return float64(exec[k].Exec.Cycles) },
+		func(k int) float64 { return float64(batch[k].Batch.Runtime) })
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"time"
 
 	"noceval/internal/closedloop"
 	"noceval/internal/cmp"
@@ -171,9 +172,10 @@ func OpenLoopSweepWith(p NetworkParams, rates []float64, o OpenLoopOpts) ([]*ope
 		return openLoopRun(p, c)
 	}
 	scr := screenPlan(p)
+	start := time.Now()
 	res, err := openloop.SweepScreenedWith(cfg, rates, runner, scr)
 	if scr != nil {
-		recordScreen(p, scr.Stats)
+		recordScreen(p, scr.Stats, start)
 	}
 	return res, err
 }
@@ -270,7 +272,9 @@ func barrier(ctx context.Context, p NetworkParams, b, phases int) (*closedloop.B
 // ExecParams configure one execution-driven run.
 type ExecParams struct {
 	Benchmark string
-	Clock     workload.Clock
+	// Clock sets the timer period; the zero value is 75 MHz, while a spec
+	// with no clock runs at 3 GHz (see ExperimentSpec.Clock).
+	Clock workload.Clock
 	// Timer enables the periodic timer-interrupt model.
 	Timer bool
 	// Ideal runs on the ideal network instead of the configured one

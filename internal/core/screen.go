@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"math"
 	"sync/atomic"
+	"time"
 
 	"noceval/internal/analytic"
 	"noceval/internal/expcache"
@@ -157,8 +158,9 @@ func screenPlan(p NetworkParams) *openloop.Screen {
 
 // recordScreen folds one screened sweep's outcome into the process totals,
 // the metrics registry, and (when enabled) the run ledger as one
-// kind="sweep" record keyed by the parameter hash.
-func recordScreen(p NetworkParams, st *openloop.ScreenStats) {
+// kind="sweep" record keyed by the parameter hash and stamped with the
+// sweep's start, as a run's record is with the run's.
+func recordScreen(p NetworkParams, st *openloop.ScreenStats, start time.Time) {
 	screenTotals.considered.Add(int64(st.Considered))
 	screenTotals.simulated.Add(int64(st.Simulated))
 	screenTotals.skipped.Add(int64(st.Screened))
@@ -173,6 +175,7 @@ func recordScreen(p NetworkParams, st *openloop.ScreenStats) {
 		return
 	}
 	rec := ledger.Record{
+		Time:             start.UTC().Format(time.RFC3339Nano),
 		Kind:             "sweep",
 		Engine:           "activeset",
 		ScreenConsidered: st.Considered,

@@ -3,6 +3,7 @@ package core
 import (
 	"path/filepath"
 	"testing"
+	"time"
 
 	"noceval/internal/obs/ledger"
 )
@@ -88,6 +89,17 @@ func TestScreenedSweepWritesLedgerRecord(t *testing.T) {
 	}
 	if sweep.Spec == "" {
 		t.Error("sweep record missing spec hash")
+	}
+	// Stamped with the sweep's start, as a run's record is with the run's:
+	// no later than any point it simulated.
+	start, err := time.Parse(time.RFC3339Nano, sweep.Time)
+	if err != nil {
+		t.Fatalf("sweep record time %q: %v", sweep.Time, err)
+	}
+	for _, r := range recs {
+		if at, err := time.Parse(time.RFC3339Nano, r.Time); err != nil || at.Before(start) {
+			t.Errorf("%s record time %q is not after the sweep's %q", r.Kind, r.Time, sweep.Time)
+		}
 	}
 }
 

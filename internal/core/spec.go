@@ -47,10 +47,14 @@ type ExperimentSpec struct {
 
 	// Execution-driven settings.
 	Benchmark string `json:"benchmark,omitempty"`
-	Clock     string `json:"clock,omitempty"` // "75mhz" or "3ghz"
-	Timer     bool   `json:"timer,omitempty"`
-	Ideal     bool   `json:"ideal,omitempty"`
-	Seed      uint64 `json:"seed,omitempty"`
+	// Clock is "75mhz" or "3ghz", in any case; empty is 3 GHz, while the
+	// zero ExecParams.Clock is 75 MHz. The spelling enters Hash, so
+	// programs spell it with workload.Clock.SpecName: equal runs then get
+	// equal hashes.
+	Clock string `json:"clock,omitempty"`
+	Timer bool   `json:"timer,omitempty"`
+	Ideal bool   `json:"ideal,omitempty"`
+	Seed  uint64 `json:"seed,omitempty"`
 }
 
 // ReplySpec is the JSON form of a reply-latency model.
@@ -194,14 +198,23 @@ type Result struct {
 	Model    *BenchmarkModel
 }
 
-// RunAll validates every spec, then simulates each distinct one — by Hash
-// — once, concurrently, and returns the results in input order. Duplicate
-// specs share one *Result, so callers must treat results as read-only. The
-// first error, of a validation or of a run, is returned.
-func RunAll(ctx context.Context, specs []ExperimentSpec) ([]*Result, error) {
-	first := make([]int, len(specs)) // the first spec with the same hash
-	var distinct []int
-	seen := map[string]int{}
+// RunSet simulates each distinct spec — by Hash — once over its life:
+// every RunAll call on a set reuses the results of the calls before it,
+// so duplicate specs, in one call or across calls, share one *Result, and
+// callers must treat results as read-only. The zero value is an empty
+// set. A RunSet is not safe for concurrent use.
+type RunSet struct {
+	done map[string]*Result
+}
+
+// RunAll validates every spec, then simulates, concurrently, each
+// distinct one the set has not run yet, and returns the results in input
+// order. The first error, of a validation or of a run, is returned, and
+// the set keeps no result of that call.
+func (rs *RunSet) RunAll(ctx context.Context, specs []ExperimentSpec) ([]*Result, error) {
+	hashes := make([]string, len(specs))
+	var todo []int // the first spec of each hash the set has not run
+	queued := map[string]bool{}
 	for i := range specs {
 		if err := specs[i].Validate(); err != nil {
 			return nil, err
@@ -210,22 +223,28 @@ func RunAll(ctx context.Context, specs []ExperimentSpec) ([]*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		if _, ok := seen[h]; !ok {
-			seen[h] = i
-			distinct = append(distinct, i)
+		hashes[i] = h
+		if _, ok := rs.done[h]; !ok && !queued[h] {
+			queued[h] = true
+			todo = append(todo, i)
 		}
-		first[i] = seen[h]
 	}
-	out := make([]*Result, len(specs))
-	if err := par.Parallel(len(distinct), 0, func(k int) (err error) {
-		i := distinct[k]
-		out[i], err = specs[i].run(ctx)
+	res := make([]*Result, len(todo))
+	if err := par.Parallel(len(todo), 0, func(k int) (err error) {
+		res[k], err = specs[todo[k]].run(ctx)
 		return err
 	}); err != nil {
 		return nil, err
 	}
-	for i, j := range first {
-		out[i] = out[j]
+	if rs.done == nil {
+		rs.done = map[string]*Result{}
+	}
+	for k, i := range todo {
+		rs.done[hashes[i]] = res[k]
+	}
+	out := make([]*Result, len(specs))
+	for i, h := range hashes {
+		out[i] = rs.done[h]
 	}
 	return out, nil
 }

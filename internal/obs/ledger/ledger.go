@@ -48,13 +48,18 @@ type Record struct {
 	// Schema is the record schema version (the package Schema constant at
 	// write time).
 	Schema int `json:"schema"`
-	// Time is the wall-clock append time, RFC3339Nano.
+	// Time is the wall-clock time the run (or the screened sweep) started,
+	// RFC3339Nano, in UTC.
 	Time string `json:"time,omitempty"`
-	// Kind is the run mode: "openloop", "batch", "barrier" or "exec".
+	// Kind is the run mode of a simulation record — "openloop", "batch",
+	// "barrier" or "exec" — or "sweep" for the one record a screened
+	// sweep appends beside its points' records (Screen* fields, no
+	// simulation of its own).
 	Kind string `json:"kind"`
 	// Spec is the content hash of the full experiment configuration — the
 	// same SHA-256 the experiment cache addresses results by, so a ledger
-	// line joins against cache entries and across sessions.
+	// line joins against cache entries and across sessions. A sweep
+	// record hashes the swept network's parameters.
 	Spec string `json:"spec,omitempty"`
 	// Engine names the cycle-loop path; "activeset" is the only one.
 	Engine string `json:"engine,omitempty"`

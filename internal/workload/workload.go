@@ -42,6 +42,12 @@ func (c Clock) String() string {
 	return "75MHz"
 }
 
+// SpecName is the clock's spelling in an experiment spec: the lowercase
+// name ParseClock reads back.
+func (c Clock) SpecName() string {
+	return strings.ToLower(c.String())
+}
+
 // ParseClock maps a clock's name, in any case, to the Clock; the empty name
 // is the 3 GHz default.
 func ParseClock(s string) (Clock, error) {

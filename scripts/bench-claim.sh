@@ -22,8 +22,10 @@
 # seed) and its 95 % percentile-bootstrap interval: 10 000 resamples of the
 # pairs with replacement, drawn from a Park-Miller generator seeded with 1,
 # whose products stay exact in double precision, so every awk draws the
-# same resamples and a report re-computes to the same interval. The report
-# is also left in
+# same resamples and a report re-computes to the same interval. It ends
+# with one BENCH_TRAJECTORY.json record per metric: paste the claimed
+# metric's, with "pr" filled in and "met" set to the verdict the claim's
+# own rule gives (here: the section-8 rule). The report is also left in
 # .bench_build/claim-WORKLOAD.txt. Only bench/run.sh is called; run length is
 # the benchmark's own (BENCHMARK.json run_seconds).
 #
@@ -52,7 +54,8 @@ if [ -n "${BASE_DIR:-}" ]; then
 else
 	trap 'rm -f "$data"; git worktree remove --force "$base" || true' EXIT
 	git worktree add --detach "$base" "$base_ref" >/dev/null || exit 2
-	base_desc="$base_ref ($(git -C "$base" rev-parse --short HEAD))"
+	base_rev=$(git -C "$base" rev-parse --short HEAD)
+	base_desc="$base_ref ($base_rev)"
 fi
 
 # -h makes run.sh build and nocbench print its usage: both binaries exist,
@@ -96,7 +99,7 @@ run_side() {
 
 	echo
 	echo "summary: head = working tree; a win is a pair in which head read better, ties count for neither"
-	awk -v pairs="$pairs" -v order="$metrics" '
+	awk -v pairs="$pairs" -v order="$metrics" -v workload="$workload" -v base_rev="$base_rev" '
 	function quantile(a, n, q,    pos, i) { # bench/measure.go quantile
 		if (n == 0) return 0
 		pos = q * (n - 1); i = int(pos)
@@ -142,6 +145,8 @@ run_side() {
 			gap = higher ? hmed - bmed : bmed - hmed
 			rule = (n == pairs && wins >= 0.9 * pairs && gap > bq3 - bq1) ? "gain" : "no gain shown"
 			if (pairs < 10) rule = "needs ten pairs"
+			rec[m] = sprintf("{\"pr\": null, \"workload\": \"%s\", \"metric\": \"%s\", \"base_median\": %.5g, \"head_median\": %.5g, ", workload, m, bmed, hmed)
+			tail[m] = sprintf("\"pairs\": %d, \"wins\": %d, \"seeds\": \"101-%d\", \"base_rev\": \"%s\", \"met\": %s}", n, wins, 100 + pairs, base_rev, rule == "gain" ? "true" : "false")
 			printf "%-18s %-6s %-6s %-38s %-38s %-8s %s (medians %.4g apart, base IQR %.4g)\n", m, higher ? "higher" : "lower", wins "/" n,
 				sprintf("%.5g / %.5g / %.5g", bq1, bmed, bq3), sprintf("%.5g / %.5g / %.5g", hq1, hmed, hq3),
 				bmed ? sprintf("%.3f", hmed / bmed) : "-", rule, gap, bq3 - bq1
@@ -155,7 +160,11 @@ run_side() {
 			if (n == 0) { printf "%-18s -\n", m; continue }
 			med = bootstrap(r, n)
 			printf "%-18s %.3f [%.3f, %.3f] over %d pairs%s\n", m, med, lo, hi, n, (lo <= 1 && 1 <= hi) ? ", 1.000 inside" : ", 1.000 outside"
+			ratio[m] = sprintf("\"ratio\": %.3f, \"interval\": [%.3f, %.3f], ", med, lo, hi)
 		}
+		print ""
+		print "BENCH_TRAJECTORY.json records (paste the claimed metric'"'"'s; set \"pr\", and \"met\" by the claim'"'"'s rule)"
+		for (k = 1; k <= nm; k++) if (ms[k] in ratio) print "    " rec[ms[k]] ratio[ms[k]] tail[ms[k]] ","
 	}' "$data"
 } | tee "$report"
 ! grep -q '^FAILED' "$data"
