@@ -101,13 +101,17 @@ digests-update:
 # against its committed copy, then fail on any committed file outside
 # results/golden/ that the run did not write (`git ls-files`, so the
 # untracked results/bench-*.txt are ignored). -screen is result-neutral
-# (screen-smoke) and shortens the run. The run keeps a ledger, and the
-# gate fails if it simulated any exec spec twice: one invocation runs each
-# distinct spec once. About 5 minutes of simulation on 2 vCPUs; CI's
+# (screen-smoke) and shortens the run. The run keeps a ledger; the gate
+# prints its completed simulation runs per kind and fails if it holds no
+# exec run or if a completed run that was not a cache hit repeats a run
+# key: one invocation simulates each distinct run once. The one exception
+# is the heatmap's observed batch run, which re-simulates a run of the
+# ablations to sample telemetry; its key is read from a ledger of
+# `figures -id heatmap`. About 4 minutes of simulation on 2 vCPUs; CI's
 # results-check job runs it on every push.
 # RESULTS_IDS="fig03 analytic-corr" make results-check regenerates only
 # those generator ids (seconds to a minute each) and skips the
-# not-written and repeated-exec steps.
+# not-written and repeated-run steps.
 RESULTS_IDS ?=
 results-check:
 	@tmp="$$(mktemp -d)"; trap 'rm -rf "$$tmp"' EXIT; mkdir "$$tmp/out"; \
@@ -129,10 +133,14 @@ results-check:
 		for f in $$(git ls-files results | grep -v '^results/golden/'); do \
 			[ -e "$$tmp/out/$${f#results/}" ] || { echo "results-check: $$f is committed but figures -all did not write it"; fail=1; }; \
 		done; \
-		n="$$(grep -c '"kind":"exec"' "$$tmp/runs.jsonl")"; \
-		rep="$$(grep '"kind":"exec"' "$$tmp/runs.jsonl" | grep -o '"spec":"[0-9a-f]*"' | sort | uniq -d | wc -l)"; \
-		if [ "$$n" -eq 0 ] || [ "$$rep" -ne 0 ]; then echo "results-check: $$n exec records, $$rep exec specs simulated more than once"; fail=1; \
-		else echo "results-check: $$n exec records, no exec spec simulated twice"; fi; \
+		"$$tmp/figures" -id heatmap -ledger "$$tmp/observed.jsonl" -out "$$tmp/heat" >/dev/null || exit 1; \
+		grep -o '"spec":"[0-9a-f]*"' "$$tmp/observed.jsonl" > "$$tmp/observed.keys"; \
+		grep -v -e '"kind":"sweep"' -e '"err":' -e '"hit":true' "$$tmp/runs.jsonl" > "$$tmp/done.jsonl"; \
+		counts=""; for k in openloop batch barrier exec; do counts="$$counts $$k $$(grep -c "\"kind\":\"$$k\"" "$$tmp/done.jsonl")"; done; \
+		n="$$(grep -c '"kind":"exec"' "$$tmp/done.jsonl")"; \
+		rep="$$(grep -o '"spec":"[0-9a-f]*"' "$$tmp/done.jsonl" | sort | uniq -d | grep -vxF -f "$$tmp/observed.keys" | wc -l)"; \
+		echo "results-check: completed runs:$$counts; $$rep run keys simulated more than once (heatmap's observed run excepted)"; \
+		if [ "$$n" -eq 0 ] || [ "$$rep" -ne 0 ]; then fail=1; fi; \
 	fi; \
 	exit $$fail
 

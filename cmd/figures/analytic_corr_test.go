@@ -27,7 +27,7 @@ func TestAnalyticCorrelationAccuracy(t *testing.T) {
 	if len(configs) != 2 {
 		t.Fatalf("expected mesh and torus configs, got %d", len(configs))
 	}
-	pts, err := corrPoints(configs, []float64{0.25, 0.5, 0.7},
+	pts, err := fastCtx(t).corrPoints(configs, []float64{0.25, 0.5, 0.7},
 		core.OpenLoopOpts{Warmup: 1000, Measure: 2000, DrainLimit: 16000})
 	if err != nil {
 		t.Fatal(err)

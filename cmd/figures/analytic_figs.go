@@ -13,9 +13,11 @@ package main
 // analytic_corr_test.go: the figure is the artifact, the test is the gate.
 
 import (
+	"context"
 	"fmt"
 	"math"
 
+	"noceval/internal/analytic"
 	"noceval/internal/core"
 	"noceval/internal/openloop"
 	"noceval/internal/stats"
@@ -73,63 +75,68 @@ func (p modelPoint) relErr() float64 {
 	return math.Abs(p.predicted-p.simulated) / p.simulated
 }
 
-// kneeSweep simulates p at the given fractions of a predicted saturation
-// knee — the one way the model-vs-simulation figures and their gates place
-// their loads, so each sweep covers its configuration's own latency curve.
-func kneeSweep(p core.NetworkParams, knee float64, fractions []float64, opts core.OpenLoopOpts) ([]float64, []*openloop.Result, error) {
+// kneeSweep is the sweep spec of p at the given fractions of a predicted
+// saturation knee — the one way the model-vs-simulation figures and their
+// gates place their loads, so each sweep covers its configuration's own
+// latency curve.
+func kneeSweep(p core.NetworkParams, knee float64, fractions []float64, ph core.OpenLoopOpts) (core.ExperimentSpec, error) {
 	if knee <= 0 || math.IsInf(knee, 1) {
-		return nil, nil, fmt.Errorf("estimator found no saturation knee")
+		return core.ExperimentSpec{}, fmt.Errorf("estimator found no saturation knee")
 	}
-	rates := make([]float64, len(fractions))
-	for i, f := range fractions {
-		rates[i] = f * knee
+	s := openLoopSpec(p, 0, ph)
+	s.Kind = "sweep"
+	for _, f := range fractions {
+		s.Rates = append(s.Rates, f*knee)
 	}
-	results, err := core.OpenLoopSweepWith(p, rates, opts)
-	return rates, results, err
+	return s, nil
 }
 
-// modelPoints runs kneeSweep and pairs every stable point with the model:
-// one point per QoS class (named after the class, predicted by
+// modelPoints pairs every stable point of a sweep with the model: one
+// point per QoS class (named after the class, predicted by
 // predict(class, rate)) or, for a class-free network, one named series
-// predicted by predict(0, rate). Unstable points (the prediction overshot
-// the real saturation) are dropped: the comparison is defined
+// predicted by predict(0, rate). Unstable points (the prediction
+// overshot the real saturation) are dropped: the comparison is defined
 // pre-saturation only.
-func modelPoints(series string, p core.NetworkParams, knee float64, fractions []float64, opts core.OpenLoopOpts,
-	predict func(class int, rate float64) float64) ([]modelPoint, error) {
-	rates, results, err := kneeSweep(p, knee, fractions, opts)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", series, err)
-	}
+func modelPoints(series string, sweep []*openloop.Result, predict func(class int, rate float64) float64) []modelPoint {
 	var out []modelPoint
-	for i, r := range results {
+	for _, r := range sweep {
 		if !r.Stable {
 			break
 		}
 		if len(r.PerClass) == 0 {
-			out = append(out, modelPoint{series, rates[i], predict(0, rates[i]), r.AvgLatency})
+			out = append(out, modelPoint{series, r.Rate, predict(0, r.Rate), r.AvgLatency})
 		}
 		for c, cr := range r.PerClass {
-			out = append(out, modelPoint{cr.Name, rates[i], predict(c, rates[i]), cr.AvgLatency})
+			out = append(out, modelPoint{cr.Name, r.Rate, predict(c, r.Rate), cr.AvgLatency})
 		}
 	}
-	return out, nil
+	return out
 }
 
-// corrPoints gathers modelPoints over the configurations, each against its
-// own single-class estimator.
-func corrPoints(configs []corrConfig, fractions []float64, opts core.OpenLoopOpts) ([]modelPoint, error) {
+// corrPoints sweeps every configuration at the fractions of its own
+// single-class estimator's knee, all in one RunAll, and gathers the
+// modelPoints of each against that estimator.
+func (c *ctx) corrPoints(configs []corrConfig, fractions []float64, ph core.OpenLoopOpts) ([]modelPoint, error) {
+	ests := make([]*analytic.Estimator, len(configs))
+	specs := make([]core.ExperimentSpec, len(configs))
+	for i, cfg := range configs {
+		est, err := core.AnalyticEstimator(cfg.p)
+		if err == nil {
+			specs[i], err = kneeSweep(cfg.p, est.Knee(3), fractions, ph)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", cfg.name, err)
+		}
+		ests[i] = est
+	}
+	res, err := c.runs.RunAll(context.Background(), specs)
+	if err != nil {
+		return nil, err
+	}
 	var out []modelPoint
-	for _, c := range configs {
-		est, err := core.AnalyticEstimator(c.p)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", c.name, err)
-		}
-		pts, err := modelPoints(c.name, c.p, est.Knee(3), fractions, opts,
-			func(_ int, rate float64) float64 { return est.Latency(rate) })
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, pts...)
+	for i, cfg := range configs {
+		out = append(out, modelPoints(cfg.name, res[i].Sweep,
+			func(_ int, rate float64) float64 { return ests[i].Latency(rate) })...)
 	}
 	return out, nil
 }
@@ -149,12 +156,8 @@ func meanRelErr(pts []modelPoint) float64 {
 // analyticCorr renders the correlation scatter and the per-configuration
 // accuracy notes.
 func analyticCorr(c *ctx) error {
-	opts := core.OpenLoopOpts{Warmup: 2000, Measure: 3000, DrainLimit: 20000}
-	if c.full {
-		opts = core.OpenLoopOpts{} // paper-scale phases
-	}
 	configs := corrConfigs()
-	pts, err := corrPoints(configs, corrFractions, opts)
+	pts, err := c.corrPoints(configs, corrFractions, c.phases())
 	if err != nil {
 		return err
 	}

@@ -65,12 +65,13 @@ func TestGoldenFigures(t *testing.T) {
 	}
 }
 
-// TestGoldenGeneratorsSimulateEachSpecOnce runs every golden generator in
-// one ctx, as one `figures -golden` invocation does, with the run ledger
-// on, and fails if a run is simulated twice: no simulation record may
-// repeat its spec hash, within a generator (tr=1 and q=16 are the same
-// network, for one) or across them (golden_fig03a's tr=1 sweep,
-// golden_fig03b's q=16 sweep and golden_fig06a's mesh sweep are one spec).
+// TestGoldenGeneratorsSimulateEachSpecOnce runs every golden generator,
+// then qos and analytic-corr, in one ctx, as one `figures` invocation
+// does, with the run ledger on. Each generator must append records, and
+// no completed run may repeat its run key, within a generator (tr=1 and
+// q=16 are the same network, for one) or across them (golden_fig03a's
+// tr=1 sweep, golden_fig03b's q=16 sweep and golden_fig06a's mesh sweep
+// are one spec).
 func TestGoldenGeneratorsSimulateEachSpecOnce(t *testing.T) {
 	if testing.Short() {
 		t.Skip("regenerates the golden subset")
@@ -80,7 +81,7 @@ func TestGoldenGeneratorsSimulateEachSpecOnce(t *testing.T) {
 	if err := core.EnableLedger(path); err != nil {
 		t.Fatal(err)
 	}
-	for _, id := range goldenIDs() {
+	for _, id := range append(goldenIDs(), "qos", "analytic-corr") {
 		before := core.LedgerAppends()
 		if err := generators[id](c); err != nil {
 			core.DisableLedger()
@@ -99,13 +100,13 @@ func TestGoldenGeneratorsSimulateEachSpecOnce(t *testing.T) {
 	}
 	seen := map[string]bool{}
 	for _, r := range recs {
-		switch r.Kind {
-		case "openloop", "batch", "barrier", "exec":
-			if seen[r.Spec] {
-				t.Errorf("the golden subset simulates %s spec %s twice", r.Kind, r.Spec)
-			}
-			seen[r.Spec] = true
+		if r.Kind == "sweep" || r.Err != "" {
+			continue
 		}
+		if seen[r.Spec] {
+			t.Errorf("%s run %s simulated twice", r.Kind, r.Spec)
+		}
+		seen[r.Spec] = true
 	}
 }
 

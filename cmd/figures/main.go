@@ -44,6 +44,15 @@ func (c *ctx) scale(quick, full int) int {
 	return quick
 }
 
+// phases are the open-loop phases of the figures that run at golden
+// scale by default: goldenPhases, or the paper defaults under -full.
+func (c *ctx) phases() core.OpenLoopOpts {
+	if c.full {
+		return core.OpenLoopOpts{}
+	}
+	return goldenPhases
+}
+
 // writeFile writes content under the output directory.
 func (c *ctx) writeFile(name, content string) error {
 	path := filepath.Join(c.out, name)
@@ -114,19 +123,12 @@ func main() {
 
 	var ids []string
 	switch {
-	case *all:
-		// The golden subset is excluded: it is the same generators' code
-		// at golden scale, and its output belongs under results/golden
-		// (see -golden / make golden-update).
+	case *all, *golden:
+		// -all excludes the golden subset: it is the same generators'
+		// code at golden scale, and its output belongs under
+		// results/golden (see -golden / make golden-update).
 		for id := range generators {
-			if !strings.HasPrefix(id, "golden") {
-				ids = append(ids, id)
-			}
-		}
-		sort.Strings(ids)
-	case *golden:
-		for id := range generators {
-			if strings.HasPrefix(id, "golden") {
+			if strings.HasPrefix(id, "golden") == *golden {
 				ids = append(ids, id)
 			}
 		}

@@ -4,6 +4,8 @@ package main
 // §II-B and §III (Figs 1-12).
 
 import (
+	"bytes"
+	"cmp"
 	"context"
 	"fmt"
 	"slices"
@@ -341,51 +343,35 @@ func fig12(c *ctx) error {
 	out.WriteString("# Fig 12: example routing of the corner transpose pair on an 8x8 mesh\n")
 	out.WriteString("# S = source (7,0), D = destination (0,7), I = VAL intermediate, * = path\n")
 
-	// DOR path from node 7 (x=7,y=0) to node 56 (x=0,y=7).
+	// render walks DOR (x first, then y) between consecutive waypoints.
 	render := func(title string, waypoints [][2]int) {
 		grid := [8][8]byte{}
-		for y := 0; y < 8; y++ {
-			for x := 0; x < 8; x++ {
-				grid[y][x] = '.'
-			}
+		for y := range grid {
+			grid[y] = [8]byte(bytes.Repeat([]byte{'.'}, 8))
 		}
-		mark := func(x, y int, ch byte) {
-			if grid[y][x] == '.' || ch != '*' {
-				grid[y][x] = ch
-			}
-		}
-		// Walk DOR (x first, then y) between consecutive waypoints.
 		for i := 0; i+1 < len(waypoints); i++ {
 			x, y := waypoints[i][0], waypoints[i][1]
 			tx, ty := waypoints[i+1][0], waypoints[i+1][1]
-			for x != tx {
-				mark(x, y, '*')
-				if tx > x {
-					x++
-				} else {
-					x--
+			for x != tx || y != ty {
+				if grid[y][x] == '.' {
+					grid[y][x] = '*'
 				}
-			}
-			for y != ty {
-				mark(x, y, '*')
-				if ty > y {
-					y++
+				if x != tx {
+					x += cmp.Compare(tx, x)
 				} else {
-					y--
+					y += cmp.Compare(ty, y)
 				}
 			}
 		}
 		s, d := waypoints[0], waypoints[len(waypoints)-1]
-		grid[s[1]][s[0]] = 'S'
-		grid[d[1]][d[0]] = 'D'
+		grid[s[1]][s[0]], grid[d[1]][d[0]] = 'S', 'D'
 		if len(waypoints) == 3 {
-			m := waypoints[1]
-			grid[m[1]][m[0]] = 'I'
+			grid[waypoints[1][1]][waypoints[1][0]] = 'I'
 		}
 		fmt.Fprintf(&out, "\n## %s\n", title)
-		for y := 0; y < 8; y++ {
-			for x := 0; x < 8; x++ {
-				out.WriteByte(grid[y][x])
+		for _, row := range grid {
+			for _, ch := range row {
+				out.WriteByte(ch)
 				out.WriteByte(' ')
 			}
 			out.WriteByte('\n')

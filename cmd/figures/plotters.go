@@ -2,10 +2,9 @@ package main
 
 // The spec lists and plotters behind the paper's curve, grid and scatter
 // figures. A generator lists the specs of a stage, simulates them with one
-// RunAll on ctx.runs — the invocation's core.RunSet, so each distinct spec
-// is simulated once across every generator and duplicates share a
-// read-only result — and turns the results into files without simulating
-// anything. The paper
+// RunAll on ctx.runs — the invocation's core.RunSet, so each distinct run
+// is simulated once across every generator and shared read-only — and
+// turns the results into files without simulating anything. The paper
 // generators (network_figs.go, exec_figs.go) and the golden regression
 // subset (golden_figs.go) call the same functions, so a change to how a
 // figure is simulated or plotted moves the gate too.

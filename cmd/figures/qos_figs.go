@@ -8,10 +8,11 @@ package main
 // protect it — while the low-priority curve diverges.
 //
 // The accuracy regression test in qos_test.go gates the same
-// configuration through the model-vs-simulation harness of
+// configuration through the knee sweeps and modelPoints of
 // analytic_figs.go: the figure is the artifact, the test is the gate.
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -40,10 +41,6 @@ func qosParams() core.NetworkParams {
 // analytic, from near zero load past the low-priority knee, with the
 // priority-protection evidence in the notes.
 func qosFig(c *ctx) error {
-	opts := core.OpenLoopOpts{Warmup: 2000, Measure: 3000, DrainLimit: 20000}
-	if c.full {
-		opts = core.OpenLoopOpts{} // paper-scale phases
-	}
 	p := qosParams()
 	est, err := core.AnalyticPriorityEstimator(p)
 	if err != nil {
@@ -54,13 +51,15 @@ func qosFig(c *ctx) error {
 	// Past the low-priority knee the sweep's early-stop keeps only the
 	// first unstable point — exactly the saturation evidence the figure
 	// needs.
-	rates, results, err := kneeSweep(p, knee, []float64{0.2, 0.4, 0.6, 0.8, 0.9, 1.0, 1.1}, opts)
+	spec, err := kneeSweep(p, knee, []float64{0.2, 0.4, 0.6, 0.8, 0.9, 1.0, 1.1}, c.phases())
 	if err != nil {
 		return fmt.Errorf("qos: %w", err)
 	}
-	if len(results) == 0 {
-		return fmt.Errorf("qos: sweep produced no points")
+	res, err := c.runs.RunAll(context.Background(), []core.ExperimentSpec{spec})
+	if err != nil {
+		return fmt.Errorf("qos: %w", err)
 	}
+	results := res[0].Sweep
 
 	f := stats.NewFigure("QoS classes under strict priority: per-class latency vs offered load",
 		"offered load (flits/cycle/node)", "avg latency (cycles)")
@@ -70,11 +69,11 @@ func qosFig(c *ctx) error {
 		series[cls] = f.AddSeries(est.ClassName(cls))
 		model[cls] = f.AddSeries(est.ClassName(cls) + " (analytic)")
 	}
-	for i, r := range results {
+	for _, r := range results {
 		for cls, cr := range r.PerClass {
-			series[cls].Add(rates[i], cr.AvgLatency)
-			if pred := est.Latency(cls, rates[i]); !math.IsInf(pred, 1) {
-				model[cls].Add(rates[i], pred)
+			series[cls].Add(r.Rate, cr.AvgLatency)
+			if pred := est.Latency(cls, r.Rate); !math.IsInf(pred, 1) {
+				model[cls].Add(r.Rate, pred)
 			}
 		}
 	}

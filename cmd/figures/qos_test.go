@@ -1,14 +1,38 @@
 package main
 
 import (
+	"context"
 	"testing"
 
+	"noceval/internal/analytic"
 	"noceval/internal/core"
+	"noceval/internal/openloop"
 )
 
 // quickQoSOpts are the shortened phases the QoS gates simulate with (same
 // scale as the analytic-corr gate).
 var quickQoSOpts = core.OpenLoopOpts{Warmup: 2000, Measure: 3000, DrainLimit: 20000}
+
+// qosKneeSweep runs the QoS configuration at the given fractions of the
+// low-priority class's predicted knee through a ctx, as the qos figure
+// does.
+func qosKneeSweep(t *testing.T, fractions []float64) ([]*openloop.Result, *analytic.PriorityEstimator) {
+	t.Helper()
+	p := qosParams()
+	est, err := core.AnalyticPriorityEstimator(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, err := kneeSweep(p, est.Knee(est.NumClasses()-1, 3), fractions, quickQoSOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := fastCtx(t).runs.RunAll(context.Background(), []core.ExperimentSpec{spec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res[0].Sweep, est
+}
 
 // TestQoSPriorityAccuracy is the accuracy gate behind the qos figure: the
 // priority-queueing estimator must track the simulated per-class latencies
@@ -21,16 +45,9 @@ func TestQoSPriorityAccuracy(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulates three open-loop points")
 	}
-	p := qosParams()
-	est, err := core.AnalyticPriorityEstimator(p)
-	if err != nil {
-		t.Fatal(err)
-	}
 	// Loads are fractions of the lowest-priority class's predicted knee.
-	pts, err := modelPoints("qos", p, est.Knee(est.NumClasses()-1, 3), []float64{0.25, 0.5, 0.7}, quickQoSOpts, est.Latency)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sweep, est := qosKneeSweep(t, []float64{0.25, 0.5, 0.7})
+	pts := modelPoints("qos", sweep, est.Latency)
 	if len(pts) < 4 {
 		t.Fatalf("only %d stable pre-saturation class points, want >= 4", len(pts))
 	}
@@ -54,15 +71,7 @@ func TestQoSPriorityProtection(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulates one open-loop point at saturation")
 	}
-	p := qosParams()
-	est, err := core.AnalyticPriorityEstimator(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, results, err := kneeSweep(p, est.Knee(est.NumClasses()-1, 3), []float64{1}, quickQoSOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	results, _ := qosKneeSweep(t, []float64{1})
 	if len(results) == 0 {
 		t.Fatal("no results at the low-priority knee")
 	}

@@ -44,10 +44,6 @@ func resilienceParams(rate float64) core.NetworkParams {
 }
 
 func resilienceSweep(c *ctx) error {
-	phases := goldenPhases
-	if c.full {
-		phases = core.OpenLoopOpts{}
-	}
 	load := 0.2
 	b := c.scale(goldenB, 1000)
 
@@ -55,7 +51,7 @@ func resilienceSweep(c *ctx) error {
 	specs := make([]core.ExperimentSpec, 2*n) // open-loop runs, then batch runs
 	for i, r := range resilienceRates {
 		p := resilienceParams(r)
-		specs[i], specs[n+i] = openLoopSpec(p, load, phases), core.ExperimentSpec{Kind: "batch", Network: p, B: b, M: 4}
+		specs[i], specs[n+i] = openLoopSpec(p, load, c.phases()), core.ExperimentSpec{Kind: "batch", Network: p, B: b, M: 4}
 	}
 	res, err := c.runs.RunAll(context.Background(), specs)
 	if err != nil {

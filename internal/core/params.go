@@ -32,8 +32,9 @@ type NetworkParams struct {
 	Arb         string // "rr" or "age"
 	Pattern     string // traffic pattern name
 	Sizes       string // "single" or "bimodal"
-	// SAIterations selects iSLIP-style multi-pass switch allocation
-	// (0/1 = classic single pass).
+	// SAIterations must be 0 or 1: the router allocates its switch in one
+	// separable pass. The field stays because it is part of every cache
+	// key and spec hash.
 	SAIterations int
 	Seed         uint64
 	// Fault, when non-nil, enables fault injection and recovery (see
@@ -154,6 +155,9 @@ func (p NetworkParams) Build() (network.Config, error) {
 	default:
 		return network.Config{}, fmt.Errorf("core: unknown arbitration %q", p.Arb)
 	}
+	if p.SAIterations != 0 && p.SAIterations != 1 {
+		return network.Config{}, fmt.Errorf("core: SAIterations must be 0 or 1 (switch allocation is single-pass), got %d", p.SAIterations)
+	}
 	classArb := router.StrictPriority
 	switch p.ClassArb {
 	case "", "strict":
@@ -166,13 +170,12 @@ func (p NetworkParams) Build() (network.Config, error) {
 		Topo:    topo,
 		Routing: alg,
 		Router: router.Config{
-			VCs:          p.VCs,
-			BufDepth:     p.BufDepth,
-			Delay:        p.RouterDelay,
-			Arb:          arb,
-			SAIterations: p.SAIterations,
-			Classes:      len(p.Classes),
-			ClassArb:     classArb,
+			VCs:      p.VCs,
+			BufDepth: p.BufDepth,
+			Delay:    p.RouterDelay,
+			Arb:      arb,
+			Classes:  len(p.Classes),
+			ClassArb: classArb,
 		},
 		Seed:   p.Seed,
 		Fault:  p.Fault,

@@ -2,10 +2,14 @@ package core
 
 import (
 	"context"
+	"errors"
 	"path/filepath"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 
+	"noceval/internal/obs/ledger"
 	"noceval/internal/workload"
 )
 
@@ -70,12 +74,12 @@ func TestRunAllPropagatesErrors(t *testing.T) {
 	if _, err := rs.RunAll(context.Background(), specs); err == nil {
 		t.Error("a batch that cannot build was accepted")
 	}
-	if len(rs.done) != 0 {
-		t.Errorf("the set keeps %d results of a failed call", len(rs.done))
+	if len(rs.runs) != 0 {
+		t.Errorf("the set ran %d runs of a call that failed validation", len(rs.runs))
 	}
 }
 
-// A spec listed twice is simulated once: one ledger record, one shared
+// A run listed twice is simulated once: one ledger record, one shared
 // result, also when a later call on the same set lists it again.
 func TestRunAllSimulatesDuplicatesOnce(t *testing.T) {
 	if err := EnableLedger(filepath.Join(t.TempDir(), "runs.jsonl")); err != nil {
@@ -101,7 +105,7 @@ func TestRunAllSimulatesDuplicatesOnce(t *testing.T) {
 	if n := LedgerAppends(); n != 2 {
 		t.Errorf("ledger records = %d, want 2", n)
 	}
-	if res[0] != res[1] || later[1] != res[0] {
+	if res[0].Batch != res[1].Batch || later[1].Batch != res[0].Batch {
 		t.Error("duplicate specs got distinct results")
 	}
 }
@@ -155,8 +159,9 @@ func TestRunAllHitsDirectlyWarmedCache(t *testing.T) {
 	if misses, writes := after.Misses-before.Misses, after.Puts-before.Puts; misses != 0 || writes != 0 {
 		t.Errorf("specs cost %d misses and %d writes on a warm cache, want 0 and 0", misses, writes)
 	}
-	if hits := after.Hits - before.Hits; hits != int64(4+len(rates)) {
-		t.Errorf("hits = %d, want %d", hits, 4+len(rates))
+	// The openloop spec and the sweep's 0.1 point are one run of the set.
+	if hits := after.Hits - before.Hits; hits != int64(4+len(rates)-1) {
+		t.Errorf("hits = %d, want %d", hits, 4+len(rates)-1)
 	}
 	clockless := specs[len(specs)-1]
 	clockless.Clock = ""
@@ -165,5 +170,170 @@ func TestRunAllHitsDirectlyWarmedCache(t *testing.T) {
 	}
 	if last, _ := CacheStats(); last.Misses-after.Misses != 1 {
 		t.Errorf("a clock-less exec spec missed %d times, want 1 (it runs at 3 GHz)", last.Misses-after.Misses)
+	}
+}
+
+// A sweep point is one run whoever needs it: in one call, a sweep, a
+// second sweep whose rates extend the first's (the shape of Fig 1 beside
+// Fig 6a's mesh curve) and an openloop spec at one of their rates append
+// one ledger record per distinct point, and each gets what a direct run
+// returns.
+func TestRunAllSharesSweepPoints(t *testing.T) {
+	p := Baseline()
+	short := OpenLoopOpts{Warmup: 500, Measure: 1000, DrainLimit: 20000}
+	first := []float64{0.05, 0.1, 0.15}
+	extended := []float64{0.05, 0.1, 0.15, 0.2, 0.25}
+	specs := []ExperimentSpec{
+		{Kind: "sweep", Network: p, Rates: first, Warmup: 500, Measure: 1000, DrainLimit: 20000},
+		{Kind: "sweep", Network: p, Rates: extended, Warmup: 500, Measure: 1000, DrainLimit: 20000},
+		{Kind: "openloop", Network: p, Rate: 0.1, Warmup: 500, Measure: 1000, DrainLimit: 20000},
+	}
+	path := filepath.Join(t.TempDir(), "runs.jsonl")
+	if err := EnableLedger(path); err != nil {
+		t.Fatal(err)
+	}
+	got, err := new(RunSet).RunAll(context.Background(), specs)
+	if cerr := DisableLedger(); cerr != nil {
+		t.Fatal(cerr)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, _, err := ledger.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[string]bool{}
+	for _, r := range recs {
+		if seen[r.Spec] {
+			t.Errorf("%s run %s simulated twice", r.Kind, r.Spec)
+		}
+		seen[r.Spec] = true
+	}
+	if len(recs) != len(extended) {
+		t.Errorf("ledger records = %d, want %d (one per distinct point)", len(recs), len(extended))
+	}
+	for i, rates := range [][]float64{first, extended} {
+		want, err := OpenLoopSweepWith(p, rates, short)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got[i].Sweep, want) {
+			t.Errorf("sweep over %v differs from the direct sweep", rates)
+		}
+	}
+	want, err := OpenLoopWith(p, 0.1, short)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got[2].OpenLoop, want) {
+		t.Errorf("openloop 0.1: RunAll %+v, direct %+v", got[2].OpenLoop, want)
+	}
+}
+
+// A point a sweep's wave discards is not handed on: at GOMAXPROCS 2 the
+// transpose sweep launches {0.21, 0.28} together and cancels 0.28 once
+// 0.21 proves unstable, while an openloop spec of the same call needs 0.28.
+// Whichever of the two starts 0.28 first — the sweep, whose run is then
+// discarded and re-run for the openloop spec, or the openloop spec, whose
+// run the sweep's cancelled point stops waiting for — 0.28 completes once,
+// the openloop spec gets a result equal to a direct run, and the sweep its
+// direct curve. TestRunSetShareRerunsFailedRuns pins the first order.
+func TestRunAllRerunsDiscardedPoints(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	p := Baseline()
+	p.Pattern = "transpose"
+	short := OpenLoopOpts{Warmup: 500, Measure: 2000, DrainLimit: 5000}
+	rates := []float64{0.07, 0.14, 0.21, 0.28}
+	specs := []ExperimentSpec{
+		{Kind: "sweep", Network: p, Rates: rates, Warmup: 500, Measure: 2000, DrainLimit: 5000},
+		{Kind: "openloop", Network: p, Rate: 0.28, Warmup: 500, Measure: 2000, DrainLimit: 5000},
+	}
+	path := filepath.Join(t.TempDir(), "runs.jsonl")
+	if err := EnableLedger(path); err != nil {
+		t.Fatal(err)
+	}
+	got, err := new(RunSet).RunAll(context.Background(), specs)
+	if cerr := DisableLedger(); cerr != nil {
+		t.Fatal(cerr)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, _, err := ledger.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	completed, discarded := map[string]int{}, 0
+	for _, r := range recs {
+		if r.Err == "" {
+			completed[r.Spec]++
+		} else if strings.Contains(r.Err, "sweep discarded") {
+			discarded++
+		}
+	}
+	t.Logf("%d ledger records, %d of them discarded by the sweep", len(recs), discarded)
+	for key, n := range completed {
+		if n != 1 {
+			t.Errorf("run %s completed %d times, want once", key, n)
+		}
+	}
+	sweep, err := OpenLoopSweepWith(p, rates, short)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(sweep) != 3 || sweep[2].Stable {
+		t.Fatalf("the direct sweep reported %d points; want 0.21 as the first unstable one", len(sweep))
+	}
+	if !reflect.DeepEqual(got[0].Sweep, sweep) {
+		t.Error("the sweep differs from the direct sweep")
+	}
+	want, err := OpenLoopWith(p, 0.28, short)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got[1].OpenLoop, want) {
+		t.Errorf("openloop 0.28: RunAll %+v, direct %+v", got[1].OpenLoop, want)
+	}
+}
+
+// share drops a failed run, so a caller waiting on it runs it again, and a
+// waiter whose context ends stops waiting.
+func TestRunSetShareRerunsFailedRuns(t *testing.T) {
+	var rs RunSet
+	started, fail := make(chan struct{}), make(chan struct{})
+	discarded := errors.New("discarded")
+	ownerErr := make(chan error)
+	go func() {
+		_, err := rs.share(context.Background(), "k", func() (any, error) {
+			close(started)
+			<-fail
+			return nil, discarded
+		})
+		ownerErr <- err
+	}()
+	<-started
+	waiter := make(chan any)
+	go func() {
+		v, err := rs.share(context.Background(), "k", func() (any, error) { return 42, nil })
+		if err != nil {
+			t.Error(err)
+		}
+		waiter <- v
+	}()
+	stopped, stop := context.WithCancelCause(context.Background())
+	stop(discarded)
+	if _, err := rs.share(stopped, "k", func() (any, error) { return nil, nil }); err != discarded {
+		t.Errorf("a cancelled waiter returned %v, want its context's cause", err)
+	}
+	close(fail)
+	if err := <-ownerErr; err != discarded {
+		t.Errorf("the owner returned %v, want its own error", err)
+	}
+	if v := <-waiter; v != 42 {
+		t.Errorf("the waiter got %v, want the result of its own run", v)
+	}
+	if v, err := rs.share(context.Background(), "k", func() (any, error) { return 0, nil }); v != 42 || err != nil {
+		t.Errorf("a later call got %v, %v; want the kept result 42", v, err)
 	}
 }

@@ -7,6 +7,7 @@ import (
 
 	"noceval/internal/closedloop"
 	"noceval/internal/cmp"
+	"noceval/internal/expcache"
 	"noceval/internal/network"
 	"noceval/internal/obs"
 	"noceval/internal/openloop"
@@ -28,9 +29,19 @@ type Hooks struct {
 // experiment cache under (kind, key) unless the run is observed — and
 // writes the one ledger record. compute receives the scope to wire its
 // OnEngine/Inspect hooks from; summarize is only called on a non-nil
-// result.
-func execute[T any](kind string, key any, observed bool,
+// result. Under a RunAll, an unobserved run goes through the RunSet in
+// ctx under that hash, so the set simulates it once.
+func execute[T any](ctx context.Context, kind string, key any, observed bool,
 	compute func(*runScope) (*T, error), summarize func(*T) summary) (*T, error) {
+	if ctx != nil && !observed {
+		if rs, _ := ctx.Value(runSetKey{}).(*RunSet); rs != nil {
+			if k, err := expcache.KeyFor(CacheSchemaVersion, kind, key); err == nil {
+				v, err := rs.share(ctx, k.Hash(), func() (any, error) { return execute(nil, kind, key, false, compute, summarize) })
+				res, _ := v.(*T)
+				return res, err
+			}
+		}
+	}
 	s := beginRun(kind, key)
 	var res *T
 	var consulted, hit bool
@@ -121,7 +132,7 @@ func openLoopRun(p NetworkParams, cfg openloop.Config) (*openloop.Result, error)
 		Measure: defaulted(cfg.Measure, openloop.DefaultMeasure),
 		Drain:   defaulted(cfg.DrainLimit, openloop.DefaultDrainLimit),
 	}
-	return execute("openloop", key, cfg.Obs != nil || cfg.Progress != nil,
+	return execute(cfg.Ctx, "openloop", key, cfg.Obs != nil || cfg.Progress != nil,
 		func(s *runScope) (*openloop.Result, error) {
 			cfg.OnEngine, cfg.Inspect = s.hooks()
 			return openloop.Run(cfg)
@@ -213,7 +224,7 @@ func Batch(p NetworkParams, bp BatchParams) (*closedloop.BatchResult, error) {
 		reply = bp.Reply.Name()
 	}
 	key := batchKey{Params: p.cacheNorm(), B: bp.B, M: bp.M, NAR: bp.NAR, Reply: reply, Kernel: bp.Kernel}
-	return execute("batch", key, bp.Hooks != (Hooks{}),
+	return execute(bp.Ctx, "batch", key, bp.Hooks != (Hooks{}),
 		func(s *runScope) (*closedloop.BatchResult, error) {
 			cfg := closedloop.BatchConfig{
 				Net:      built.Net,
@@ -250,7 +261,7 @@ func barrier(ctx context.Context, p NetworkParams, b, phases int) (*closedloop.B
 		return nil, err
 	}
 	key := barrierKey{Params: p.cacheNorm(), B: b, Phases: phases}
-	return execute("barrier", key, false,
+	return execute(ctx, "barrier", key, false,
 		func(s *runScope) (*closedloop.BarrierResult, error) {
 			cfg := closedloop.BarrierConfig{
 				Net:     built.Net,
@@ -305,7 +316,7 @@ func exec(ctx context.Context, p NetworkParams, ep ExecParams) (*cmp.Result, err
 	// An exec run is never observed because ExecParams has no Hooks yet.
 	// cmp.System.Run is an engine.RunOutcome loop like batch and barrier;
 	// nothing hands it runScope.hooks().
-	return execute("exec", key, false,
+	return execute(ctx, "exec", key, false,
 		func(*runScope) (*cmp.Result, error) { return execProfile(ctx, p, ep, prof) },
 		func(r *cmp.Result) summary { return summary{cycles: r.Cycles} })
 }

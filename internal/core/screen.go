@@ -32,7 +32,7 @@ import (
 var screenOn atomic.Bool
 
 // screenTotals accumulates the process-wide screening outcome across every
-// screened sweep since EnableScreening.
+// screened sweep since EnableScreening; Session.Close prints it.
 var screenTotals struct {
 	considered, simulated, skipped, refined atomic.Int64
 }
@@ -49,21 +49,6 @@ func EnableScreening() {
 
 // DisableScreening turns analytic sweep screening off.
 func DisableScreening() { screenOn.Store(false) }
-
-// ScreenSummary is the cumulative screening outcome since EnableScreening.
-type ScreenSummary struct {
-	Considered, Simulated, Skipped, Refined int64
-}
-
-// ScreeningSummary returns the cumulative screening counters.
-func ScreeningSummary() ScreenSummary {
-	return ScreenSummary{
-		Considered: screenTotals.considered.Load(),
-		Simulated:  screenTotals.simulated.Load(),
-		Skipped:    screenTotals.skipped.Load(),
-		Refined:    screenTotals.refined.Load(),
-	}
-}
 
 // analyticModel resolves the topology and routing p names into the
 // parameters of internal/analytic's formulas. It fails on an unknown

@@ -38,7 +38,8 @@ func TestScreenedCoreSweepBitIdentical(t *testing.T) {
 		}
 	}
 
-	sum := ScreeningSummary()
+	sum := struct{ Considered, Simulated, Skipped int64 }{
+		screenTotals.considered.Load(), screenTotals.simulated.Load(), screenTotals.skipped.Load()}
 	if sum.Considered != int64(len(rates)) {
 		t.Errorf("considered = %d, want %d", sum.Considered, len(rates))
 	}

@@ -71,9 +71,9 @@ func (s *Session) Close(w io.Writer) error {
 		fmt.Fprintf(w, "experiment cache: %s\n", st)
 	}
 	if s.Screen {
-		sum := ScreeningSummary()
+		st := &screenTotals
 		fmt.Fprintf(w, "screening: simulated %d of %d sweep points (skipped %d, refined %d)\n",
-			sum.Simulated, sum.Considered, sum.Skipped, sum.Refined)
+			st.simulated.Load(), st.considered.Load(), st.skipped.Load(), st.refined.Load())
 	}
 	if s.Ledger != "" {
 		fmt.Fprintf(s.Log, "run ledger: %d records appended to %s\n", LedgerAppends(), s.Ledger)

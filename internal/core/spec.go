@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"strings"
+	"sync"
 
 	"noceval/internal/closedloop"
 	"noceval/internal/cmp"
@@ -198,55 +199,81 @@ type Result struct {
 	Model    *BenchmarkModel
 }
 
-// RunSet simulates each distinct spec — by Hash — once over its life:
-// every RunAll call on a set reuses the results of the calls before it,
-// so duplicate specs, in one call or across calls, share one *Result, and
-// callers must treat results as read-only. The zero value is an empty
-// set. A RunSet is not safe for concurrent use.
+// RunSet simulates each distinct run once over its life, by the run key
+// the experiment cache and the ledger address it by: a batch cell, or a
+// sweep point that another sweep or an openloop spec also needs, runs once
+// per set, and every spec that needs it shares its read-only result. A
+// failed run, a point its sweep's wave discards included, is not kept: a
+// spec waiting on it runs it again. Observed runs are never shared. The
+// zero value is an empty set.
 type RunSet struct {
-	done map[string]*Result
+	mu   sync.Mutex
+	runs map[string]*sharedRun
 }
 
-// RunAll validates every spec, then simulates, concurrently, each
-// distinct one the set has not run yet, and returns the results in input
-// order. The first error, of a validation or of a run, is returned, and
-// the set keeps no result of that call.
+// sharedRun is one run of a RunSet; done closes once res and err are set.
+type sharedRun struct {
+	done chan struct{}
+	res  any
+	err  error
+}
+
+// runSetKey keys the RunSet that RunAll hands to the run path in ctx.
+type runSetKey struct{}
+
+// RunAll validates every spec, then simulates them concurrently through
+// the set and returns the results in input order. The first error, of a
+// validation or of a run, is returned.
 func (rs *RunSet) RunAll(ctx context.Context, specs []ExperimentSpec) ([]*Result, error) {
-	hashes := make([]string, len(specs))
-	var todo []int // the first spec of each hash the set has not run
-	queued := map[string]bool{}
 	for i := range specs {
 		if err := specs[i].Validate(); err != nil {
 			return nil, err
 		}
-		h, err := specs[i].Hash()
-		if err != nil {
-			return nil, err
-		}
-		hashes[i] = h
-		if _, ok := rs.done[h]; !ok && !queued[h] {
-			queued[h] = true
-			todo = append(todo, i)
-		}
 	}
-	res := make([]*Result, len(todo))
-	if err := par.Parallel(len(todo), 0, func(k int) (err error) {
-		res[k], err = specs[todo[k]].run(ctx)
+	ctx = context.WithValue(ctx, runSetKey{}, rs)
+	out := make([]*Result, len(specs))
+	if err := par.Parallel(len(specs), 0, func(i int) (err error) {
+		out[i], err = specs[i].run(ctx)
 		return err
 	}); err != nil {
 		return nil, err
 	}
-	if rs.done == nil {
-		rs.done = map[string]*Result{}
-	}
-	for k, i := range todo {
-		rs.done[hashes[i]] = res[k]
-	}
-	out := make([]*Result, len(specs))
-	for i, h := range hashes {
-		out[i] = rs.done[h]
-	}
 	return out, nil
+}
+
+// share returns the set's result for key: it runs compute when no run of
+// key has completed or is in flight, and otherwise waits for the run in
+// flight. A failed run is dropped and its waiters try again; a waiter
+// whose ctx ends first returns the context's cause.
+func (rs *RunSet) share(ctx context.Context, key string, compute func() (any, error)) (any, error) {
+	rs.mu.Lock()
+	r, wait := rs.runs[key]
+	if !wait {
+		r = &sharedRun{done: make(chan struct{})}
+		if rs.runs == nil {
+			rs.runs = map[string]*sharedRun{}
+		}
+		rs.runs[key] = r
+	}
+	rs.mu.Unlock()
+	if wait {
+		select {
+		case <-ctx.Done():
+			return nil, context.Cause(ctx)
+		case <-r.done:
+		}
+		if r.err != nil {
+			return rs.share(ctx, key, compute)
+		}
+		return r.res, nil
+	}
+	if r.res, r.err = compute(); r.err != nil {
+		rs.mu.Lock()
+		delete(rs.runs, key)
+		rs.mu.Unlock()
+	}
+	close(r.done)
+	return r.res, r.err
 }
 
 // run dispatches a validated spec to the runner of its kind.

@@ -313,6 +313,12 @@ func TestValidateAgreesWithRun(t *testing.T) {
 		{"a billion-flit buffer", `{"kind":"sweep","rates":[0.1],"network":{"BufDepth":1000000000}}`, hostileBufDepth},
 		{"a trillion-cycle router", `{"kind":"barrier","b":10,"network":{"RouterDelay":1000000000000}}`, hostileDelay},
 
+		// Validated and ran before as the single-pass allocator: a second
+		// pass re-nominated the VCs that lost the first and matched nothing.
+		{"two switch-allocation passes", `{"kind":"openloop","rate":0.1,"network":{"SAIterations":2}}`,
+			"core: SAIterations must be 0 or 1 (switch allocation is single-pass), got 2"},
+		{"one switch-allocation pass", `{"kind":"batch","b":10,"m":1,"network":{"SAIterations":1}}`, ""},
+
 		{"128 QoS classes", qosSpecBody(128), "router: Classes must be in [0, 127], got 128"},
 		{"127 QoS classes", qosSpecBody(127), ""},
 

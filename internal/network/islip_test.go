@@ -8,49 +8,15 @@ import (
 	"noceval/internal/topology"
 )
 
-// measureAccepted runs uniform traffic at the given offered packet rate
-// and returns accepted flits/cycle/node.
-func measureAccepted(t *testing.T, saIters int, rate float64) float64 {
-	t.Helper()
-	topo := topology.NewMesh(8, 8)
-	n := New(Config{
-		Topo:    topo,
-		Routing: routing.DOR{},
-		Router:  router.Config{VCs: 4, BufDepth: 4, Delay: 1, SAIterations: saIters},
-		Seed:    55,
-	})
-	rng := n.RNG()
-	var ejected int64
-	n.OnReceive = func(now int64, p *router.Packet) { ejected += int64(p.Size) }
-	const cycles = 4000
-	for c := 0; c < cycles; c++ {
-		for node := 0; node < topo.N; node++ {
-			if rng.Bernoulli(rate) {
-				n.Send(n.NewPacket(node, rng.Intn(topo.N), 1, router.KindData))
-			}
-		}
-		n.Step()
-	}
-	return float64(ejected) / float64(cycles) / float64(topo.N)
-}
-
-func TestISLIPIterationsDoNotHurtThroughput(t *testing.T) {
-	// Multi-pass allocation can only add matches: accepted throughput at
-	// overload must be >= the single-pass allocator's.
-	one := measureAccepted(t, 1, 0.8)
-	three := measureAccepted(t, 3, 0.8)
-	if three < one*0.98 {
-		t.Errorf("3-iteration SA accepted %.4f, below single-pass %.4f", three, one)
-	}
-	t.Logf("accepted at overload: 1 iter %.4f, 3 iters %.4f", one, three)
-}
-
+// TestISLIPConservation drives a torus under ROMM with multi-flit packets
+// near saturation — the scenario that once exercised multi-pass switch
+// allocation — and requires every packet sent to arrive.
 func TestISLIPConservation(t *testing.T) {
 	topo := topology.NewTorus(4, 4)
 	n := New(Config{
 		Topo:    topo,
 		Routing: routing.ROMM{},
-		Router:  router.Config{VCs: 4, BufDepth: 2, Delay: 2, SAIterations: 4},
+		Router:  router.Config{VCs: 4, BufDepth: 2, Delay: 2},
 		Seed:    56,
 	})
 	rng := n.RNG()
@@ -66,7 +32,7 @@ func TestISLIPConservation(t *testing.T) {
 		n.Step()
 	}
 	if _, ok := n.RunUntilQuiescent(1000000); !ok {
-		t.Fatal("iSLIP network did not drain")
+		t.Fatal("network did not drain")
 	}
 	if arrived != sent {
 		t.Errorf("arrived %d, sent %d", arrived, sent)

@@ -65,11 +65,6 @@ type Config struct {
 	BufDepth int       // flit buffer depth per VC (q)
 	Delay    int64     // router pipeline latency in cycles (tr)
 	Arb      ArbPolicy // allocator arbitration policy
-	// SAIterations is the number of separable switch-allocation passes
-	// per cycle (iSLIP-style): after the first input/output matching,
-	// further iterations match the ports left unpaired, improving crossbar
-	// utilization near saturation. 0 or 1 selects the classic single pass.
-	SAIterations int
 	// Classes is the number of QoS traffic classes the VC space is
 	// partitioned across. 0 or 1 selects the classic single-class router:
 	// every code path is then exactly the pre-QoS implementation. With
@@ -278,14 +273,12 @@ type Router struct {
 	saOutPtr []int
 
 	// Per-cycle scratch, allocated in New and never grown.
-	saInWin []int // per input port: the VC nominated this SA iteration
+	saInWin []int // per input port: the VC nominated this cycle
 	// saNom[o] has bit p set while input port p's live nomination targets
 	// output port o; stage 2 consumes (and zeroes) it.
-	saNom      []uint64
-	saInMatch  []bool
-	saOutMatch []bool
-	vaScratch  []int
-	vaReqs     []vaReq
+	saNom     []uint64
+	vaScratch []int
+	vaReqs    []vaReq
 
 	// Stats.
 	FlitsRouted int64
@@ -331,8 +324,6 @@ func New(id int, t *topology.Topology, alg routing.Algorithm, cfg Config) *Route
 		saOutPtr:    make([]int, ports),
 		saInWin:     make([]int, ports),
 		saNom:       make([]uint64, ports),
-		saInMatch:   make([]bool, ports),
-		saOutMatch:  make([]bool, ports),
 		vaScratch:   make([]int, 0, total),
 		portFlits:   make([]int64, ports),
 	}
@@ -783,91 +774,46 @@ func (r *Router) vaOrder() []int {
 	return order
 }
 
-// switchAllocate performs the two-stage separable switch allocation and
-// forwards the winning flits into the output pipelines. With SAIterations
-// > 1, unmatched ports get further matching passes (iSLIP).
+// switchAllocate performs one pass of two-stage separable switch
+// allocation and forwards the winning flits into the output pipelines.
+// A second pass would match nothing: an input that lost in stage 2
+// re-nominates the same VC, whose output is already matched.
 func (r *Router) switchAllocate(now int64) {
-	if r.maskHot && r.gntMask == 0 {
-		// No input VC holds an output grant, so no port can nominate: the
-		// full allocation would match nothing and change no state.
-		return
-	}
-	iters := max(r.cfg.SAIterations, 1)
 	if r.maskHot {
-		r.switchAllocateMask(now, iters)
+		r.switchAllocateMask(now)
 		return
 	}
+	// Stage 1: each input port nominates one ready VC.
 	for p := 0; p < r.ports; p++ {
-		r.saInMatch[p] = false
-		r.saOutMatch[p] = false
+		r.nominate(p)
 	}
-	for it := 0; it < iters; it++ {
-		// Stage 1: each unmatched input port nominates one ready VC.
-		for p := 0; p < r.ports; p++ {
-			if !r.saInMatch[p] {
-				r.nominate(p)
-			}
-		}
-		// Stage 2: each output port, in ascending order, picks one of the
-		// inputs nominating it. Nominations at an already matched output
-		// are dropped.
-		progress := false
-		for outP := 0; outP < r.ports; outP++ {
-			nom := r.saNom[outP]
-			r.saNom[outP] = 0
-			if r.saOutMatch[outP] {
-				continue
-			}
-			win := r.pickInputPort(outP, nom)
-			if win < 0 {
-				continue
-			}
+	// Stage 2: each output port, in ascending order, picks one of the
+	// inputs nominating it.
+	for outP := 0; outP < r.ports; outP++ {
+		nom := r.saNom[outP]
+		r.saNom[outP] = 0
+		if win := r.pickInputPort(outP, nom); win >= 0 {
 			r.forward(now, win, r.saInWin[win])
-			r.saInMatch[win] = true
-			r.saOutMatch[outP] = true
-			progress = true
-		}
-		if !progress {
-			break
 		}
 	}
 }
 
-// switchAllocateMask is the bitmask fast path of switchAllocate. It tracks
-// matched inputs/outputs in port masks instead of the per-cycle scratch
-// arrays, so stage 1 touches only ports holding a VC grant (gntPorts) and
-// stage 2 only the outputs those nominations target. Both stages visit
-// ports in ascending order, as switchAllocate's loops do, minus ports that
-// could not match, so matching — and therefore every forward — is
-// bit-identical to them.
-func (r *Router) switchAllocateMask(now int64, iters int) {
-	var inMatched, outMatched uint64
-	for it := 0; it < iters; it++ {
-		// Stage 1: each unmatched input port with a granted VC nominates
-		// one ready VC.
-		var targets uint64
-		for m := r.gntPorts &^ inMatched; m != 0; m &= m - 1 {
-			targets |= r.nominate(bits.TrailingZeros64(m))
-		}
-		// Stage 2: each targeted output picks one nominating input, in
-		// ascending output-port order.
-		progress := false
-		for t := targets; t != 0; t &= t - 1 {
-			outP := bits.TrailingZeros64(t)
-			nom := r.saNom[outP]
-			r.saNom[outP] = 0
-			if outMatched&(1<<uint(outP)) != 0 {
-				continue
-			}
-			win := r.pickInputPort(outP, nom)
-			r.forward(now, win, r.saInWin[win])
-			inMatched |= 1 << uint(win)
-			outMatched |= 1 << uint(outP)
-			progress = true
-		}
-		if !progress {
-			break
-		}
+// switchAllocateMask is the bitmask fast path of switchAllocate: stage 1
+// touches only ports holding a VC grant (gntPorts) and stage 2 only the
+// outputs those nominations target. Both stages visit ports in ascending
+// order, as switchAllocate's loops do, minus ports that could not match,
+// so matching — and therefore every forward — is bit-identical to them.
+func (r *Router) switchAllocateMask(now int64) {
+	var targets uint64
+	for m := r.gntPorts; m != 0; m &= m - 1 {
+		targets |= r.nominate(bits.TrailingZeros64(m))
+	}
+	for t := targets; t != 0; t &= t - 1 {
+		outP := bits.TrailingZeros64(t)
+		nom := r.saNom[outP]
+		r.saNom[outP] = 0
+		win := r.pickInputPort(outP, nom)
+		r.forward(now, win, r.saInWin[win])
 	}
 }
 

@@ -429,16 +429,15 @@ func TestNestedLoopPhasesMatchMaskPaths(t *testing.T) {
 			alg   routing.Algorithm
 			vcs   int
 			depth int
-			iters int
 		}{
-			{mesh, routing.DOR{}, 3, 4, 0},
-			{mesh, routing.MinimalAdaptive{}, 6, 2, 2},
-			{torus, routing.DOR{}, 12, 4, 0}, // 5 ports x 12 VCs: the masks almost full
-			{torus, routing.MinimalAdaptive{}, 9, 2, 2},
+			{mesh, routing.DOR{}, 3, 4},
+			{mesh, routing.MinimalAdaptive{}, 6, 2},
+			{torus, routing.DOR{}, 12, 4}, // 5 ports x 12 VCs: the masks almost full
+			{torus, routing.MinimalAdaptive{}, 9, 2},
 		} {
 			for _, sparse := range []bool{false, true} {
 				cfg := base
-				cfg.VCs, cfg.BufDepth, cfg.SAIterations = c.vcs, c.depth, c.iters
+				cfg.VCs, cfg.BufDepth = c.vcs, c.depth
 				name := fmt.Sprintf("%s/%s %+v sparse=%v", c.topo.Name, c.alg.Name(), cfg, sparse)
 				if err := cfg.Validate(c.topo, c.alg); err != nil {
 					t.Fatalf("%s: %v", name, err)
