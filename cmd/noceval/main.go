@@ -27,7 +27,8 @@
 //	-fault-retries 4      max retransmissions   -fault-retry-cap 8  MSHR cap
 //	-fault-seed 0         fault RNG seed (0 = derived from -seed)
 //
-// Observability flags (openloop and batch; sweep takes the last three):
+// Observability flags (openloop and batch; sweep takes the last four, exec
+// only -cpuprofile and -memprofile):
 //
 //	-metrics            collect metrics + per-router telemetry, write under -obs-out
 //	-trace              record flit lifecycles, write a Chrome trace (chrome://tracing)
@@ -387,6 +388,7 @@ func cmdExec(args []string) error {
 	timer := fs.Bool("timer", false, "enable timer interrupts")
 	ideal := fs.Bool("ideal", false, "use the ideal network")
 	seed := fs.Uint64("seed", 7, "random seed")
+	oo := profileFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -394,9 +396,15 @@ func cmdExec(args []string) error {
 	if err != nil {
 		return fmt.Errorf("%v (want 75mhz or 3ghz)", err)
 	}
+	if err := oo.startProfiling(); err != nil {
+		return err
+	}
 	res, err := core.Exec(core.Table2Network(*tr), core.ExecParams{
 		Benchmark: *bench, Clock: clock, Timer: *timer, Ideal: *ideal, Seed: *seed,
 	})
+	if err == nil {
+		err = oo.stopProfiling()
+	}
 	if err != nil {
 		return err
 	}

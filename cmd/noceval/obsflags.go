@@ -35,7 +35,7 @@ type obsOpts struct {
 // When full is false only the progress/profiling flags are registered
 // (used by sweep-style commands that run many short simulations).
 func obsFlags(fs *flag.FlagSet, full bool) *obsOpts {
-	o := &obsOpts{}
+	o := profileFlags(fs)
 	if full {
 		fs.BoolVar(&o.metrics, "metrics", false, "collect metrics + per-router telemetry and write them under -obs-out")
 		fs.BoolVar(&o.trace, "trace", false, "record flit-lifecycle events and write a Chrome trace under -obs-out")
@@ -43,10 +43,18 @@ func obsFlags(fs *flag.FlagSet, full bool) *obsOpts {
 		fs.StringVar(&o.out, "obs-out", "results/telemetry", "output directory for metrics/telemetry/trace files")
 	}
 	fs.BoolVar(&o.progress, "progress", false, "print a heartbeat (cycles/sec, ETA) to stderr during the run")
-	fs.StringVar(&o.cpuprofile, "cpuprofile", "", "write a CPU profile to this file")
-	fs.StringVar(&o.memprofile, "memprofile", "", "write a heap profile to this file on exit")
 	fs.StringVar(&o.sess.Ledger, "ledger", "", "append one JSONL record per experiment run to this file")
 	fs.StringVar(&o.sess.Serve, "serve", "", "serve live metrics on this address (e.g. :9500) during the run")
+	return o
+}
+
+// profileFlags registers only the profiling pair, -cpuprofile and
+// -memprofile: the whole of obsFlags for a subcommand whose runs take no
+// observer hooks (exec).
+func profileFlags(fs *flag.FlagSet) *obsOpts {
+	o := &obsOpts{}
+	fs.StringVar(&o.cpuprofile, "cpuprofile", "", "write a CPU profile to this file")
+	fs.StringVar(&o.memprofile, "memprofile", "", "write a heap profile to this file on exit")
 	return o
 }
 

@@ -50,12 +50,12 @@ func Check(n *network.Network) error {
 // CheckCredits verifies per-VC credit conservation on every directed
 // network link:
 //
-//	sender.OutCredits + sender.CreditsInFlight + sender.PipeFlits +
+//	sender.OutCredits + credits in flight + flits in flight +
 //	receiver.InBufLen == BufDepth
 //
 // Every credit is exactly one of: available at the sender, traveling back
-// up the credit pipe, or held by a flit that occupies the channel pipeline
-// or the downstream input buffer. Links whose sender was hard-killed are
+// on a credit line, or held by a flit that is on the link's delay line (or
+// held there by an outage) or in the downstream input buffer. Links whose sender was hard-killed are
 // skipped — a killed router's credit state is deliberately forfeit (its
 // counters are frozen and credits returned to it vanish); links INTO a
 // dead router still conserve, because discarded deliveries bounce their
@@ -63,6 +63,7 @@ func Check(n *network.Network) error {
 func CheckCredits(n *network.Network) error {
 	cfg := n.Config()
 	topo, depth, vcs := cfg.Topo, cfg.Router.BufDepth, cfg.Router.VCs
+	flits, credits := n.InFlightByVC()
 	for node := 0; node < topo.N; node++ {
 		from := n.Router(node)
 		if from.Dead() {
@@ -76,8 +77,8 @@ func CheckCredits(n *network.Network) error {
 			to := n.Router(link.To)
 			for vc := 0; vc < vcs; vc++ {
 				avail := from.OutCredits(port, vc)
-				inFlight := from.CreditsInFlight(port, vc)
-				pipe := from.PipeFlitsVC(port, vc)
+				i := (node*topo.Ports()+port)*vcs + vc
+				inFlight, pipe := credits[i], flits[i]
 				buf := 0
 				if !to.Dead() { // a killed receiver's buffers were purged with credit bounce
 					buf = to.InBufLen(link.ToPort, vc)

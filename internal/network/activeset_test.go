@@ -163,10 +163,11 @@ func steppingDigest(t *testing.T, c steppingCase, shards int) string {
 // port polled and every source queue visited each cycle, the routers on
 // their nested-loop phases — from a network running them. Equality is
 // bit-identity of the active-set paths with that reference, across commits;
-// the invariant checked after every cycle is why it holds: an idle router's
-// Step, an empty pipe's PopDelivery and an empty queue's injectNode are
-// no-ops, so visiting exactly the non-idle routers and pending nodes in
-// ascending order is the full scan.
+// the invariant checked after every cycle is why it holds: an empty
+// router's Step and an empty queue's injectNode are no-ops, and a delay line
+// holds nothing that is not yet due, so popping what is due and visiting
+// exactly the routers that buffer flits and the pending nodes in ascending
+// order is the full scan.
 func TestActiveSetMatchesFullScan(t *testing.T) {
 	got := map[string]string{}
 	for _, c := range steppingMatrix() {
@@ -217,8 +218,8 @@ func (n *Network) activeBit(id int) bool {
 }
 
 // checkActiveInvariant asserts the invariant the active-set optimization
-// rests on, across however many tiles the network has: every non-idle
-// router is in its tile's active set, the per-tile counts match the
+// rests on, across however many tiles the network has: every router that
+// buffers flits is in its tile's active set, the per-tile counts match the
 // bitmaps, and every node with a non-empty source queue has its
 // srcPending bit set.
 func checkActiveInvariant(t *testing.T, n *Network) {
@@ -230,8 +231,7 @@ func checkActiveInvariant(t *testing.T, n *Network) {
 			count++
 		}
 		if !r.Idle() && !bit {
-			t.Fatalf("cycle %d: router %d busy (occ=%d inflight=%d credits pending) but not in active set",
-				n.Now(), i, r.Occupancy(), r.InFlight())
+			t.Fatalf("cycle %d: router %d buffers %d flits but is not in the active set", n.Now(), i, r.Occupancy())
 		}
 	}
 	if count != n.ActiveCount() {
@@ -247,8 +247,8 @@ func checkActiveInvariant(t *testing.T, n *Network) {
 }
 
 // TestActiveSetInvariant checks, after every cycle, the invariant the
-// active-set optimization rests on: every router with buffered flits,
-// pipeline flits, or pending credits is in the active set, and every node
+// active-set optimization rests on: every router with buffered flits is in
+// the active set, and every node
 // with a non-empty source queue has its srcPending bit set. A violated
 // invariant means a router could make progress while being skipped.
 func TestActiveSetInvariant(t *testing.T) {

@@ -37,9 +37,9 @@ func TestValidateBoundsFootprint(t *testing.T) {
 		{"mesh8x8", routing.DOR{}, 2, 1_000_000_000, 1,
 			"network: 8x8 mesh with VCs 2, BufDepth 1000000000, Delay 1 needs 9.54e+03 GiB of router buffers and pipes, over the 1 GiB limit"},
 		{"mesh8x8", routing.DOR{}, 2, 16, 1_000_000_000_000,
-			"network: 8x8 mesh with VCs 2, BufDepth 16, Delay 1000000000000 needs 6.44e+06 GiB of router buffers and pipes, over the 1 GiB limit"},
+			"network: 8x8 mesh with VCs 2, BufDepth 16, Delay 1000000000000 needs 8.58e+06 GiB of router buffers and pipes, over the 1 GiB limit"},
 		{"mesh4x4", routing.DOR{}, 2, 16, math.MaxInt64,
-			"network: 4x4 mesh with VCs 2, BufDepth 16, Delay 9223372036854775807 needs 1.32e+13 GiB of router buffers and pipes, over the 1 GiB limit"},
+			"network: 4x4 mesh with VCs 2, BufDepth 16, Delay 9223372036854775807 needs 1.76e+13 GiB of router buffers and pipes, over the 1 GiB limit"},
 		{"mesh4x4", routing.DOR{}, math.MaxInt, math.MaxInt, 1,
 			"network: 4x4 mesh with VCs 9223372036854775807, BufDepth 9223372036854775807, Delay 1 needs 1.01e+32 GiB of router buffers and pipes, over the 1 GiB limit"},
 		{"mesh8x8", routing.DOR{}, 2, 16, 1, ""},

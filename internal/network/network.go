@@ -3,16 +3,26 @@
 // "infinite source queue" model), packet-level send/receive hooks for
 // closed-loop protocols, and conservation accounting.
 //
-// The network advances in whole cycles: each Step first delivers flits and
-// credits that finished their pipelines (deliver phase), then lets every
-// router compute one RC/VA/SA cycle (compute phase). Terminals inject
-// between the two phases, so a flit injected in cycle c can be switched in
-// cycle c at the earliest.
+// The network advances in whole cycles: each Step first delivers the flits
+// and credits that came due on its delay lines (deliver phase), then lets
+// every router that buffers flits compute one RC/VA/SA cycle (compute
+// phase). Terminals inject between the two phases, so a flit injected in
+// cycle c can be switched in cycle c at the earliest.
+//
+// Everything in flight lives on network-owned delay lines (sim.DelayLine),
+// one per latency per spatial tile: ejection (tr), link (tr + link delay)
+// and credit return (link delay + 1). A router's switch winners and the
+// credits for the slots they free are pushed onto its tile's lines in cycle
+// order, so every line is a FIFO sorted by due cycle: the deliver phase pops
+// exactly what is due, and nothing is visited before it is due. A router is
+// in the active set only while it buffers flits.
 package network
 
 import (
+	"cmp"
 	"fmt"
 	"math/bits"
+	"slices"
 	"sort"
 	"strings"
 	"unsafe"
@@ -74,28 +84,32 @@ func (c Config) Validate() error {
 // needs a few MiB.
 const maxFootprint = 1 << 30
 
-// footprint estimates the bytes New allocates for its routers. Per router:
-// the Router block and, where routing.NextHops memoises the algorithm, its
-// next-hop row. Per port: the router's two ring headers, upstream
-// reference, arbitration pointers and flit counter. Per input VC: 80 B of allocation, credit and VC-allocator
-// state, a Dims+1-entry candidate window and BufDepth flit slots. Per output
-// port: a pipeline ring of Delay + link delay + 1 entries and a credit ring
-// of link delay + 2, an entry being a flit and its due cycle. Per node: the
-// source queues. It is float64 so that hostile sizes cannot overflow;
-// Router.Validate has already checked every factor positive.
+// footprint estimates the bytes New allocates for its routers and delay
+// lines. Per router: the Router block and, where routing.NextHops memoises
+// the algorithm, its next-hop row, and the private lines New gives it and
+// the network replaces. Per port: two private line headers, a line pointer,
+// an upstream reference, arbitration pointers and a flit counter. Per input
+// VC: 80 B of allocation, credit and VC-allocator state, a Dims+1-entry
+// candidate window and BufDepth flit slots. Per output port, on the tile's
+// lines: Delay (+ link delay) flits in transit and link delay + 1 credits,
+// each with its due cycle. Per node: the source queues. It is float64 so
+// that hostile sizes cannot overflow; Router.Validate has already checked
+// every factor positive.
 func (c Config) footprint() float64 {
 	const (
 		vcState = 64 + 8 + 8 // inVC, outVC, a vaScratch slot
-		// Two 48-byte ring headers, a 24-byte upstream reference, five
-		// 8-byte per-port words (SA pointers, nomination, flit count) and
-		// two match flags.
-		portState = 2*48 + 24 + 5*8 + 2
+		// Two 48-byte private line headers, an 8-byte line pointer, a
+		// 16-byte upstream reference, five 8-byte per-port words (SA
+		// pointers, nomination, flit count) and two match flags.
+		portState = 2*48 + 8 + 16 + 5*8 + 2
+		ownLines  = 48 // the private lines' header block
 	)
 	flit := float64(unsafe.Sizeof(router.Flit{}))
-	entry := flit + 8
+	transit := float64(unsafe.Sizeof(router.Transit{})) + 8
+	credit := float64(unsafe.Sizeof(router.Credit{})) + 8
 	cand := float64(unsafe.Sizeof(routing.Candidate{}))
 	t, rc := c.Topo, c.Router
-	perRouter := float64(unsafe.Sizeof(router.Router{})) + float64(t.Ports())*portState +
+	perRouter := float64(unsafe.Sizeof(router.Router{})) + ownLines + float64(t.Ports())*portState +
 		float64(max(rc.Classes, 1))*float64(unsafe.Sizeof(sourceQueue{}))
 	if row, cands := routing.NextHops(c.Routing, t, 0); row != nil {
 		perRouter += float64(len(row)) + float64(cap(cands))*cand
@@ -104,10 +118,10 @@ func (c Config) footprint() float64 {
 	delay := float64(rc.Delay)
 	total := float64(t.N) * (perRouter + float64(t.Ports())*float64(rc.VCs)*perVC)
 	for i := 0; i < t.N; i++ {
-		total += (delay + 1) * entry // ejection pipe
+		total += delay * transit // ejection line
 		for p := 0; p < t.Radix; p++ {
 			if l := t.LinkAt(i, p); l.Connected() {
-				total += (delay + 2*float64(l.Delay) + 3) * entry
+				total += (delay+float64(l.Delay))*transit + float64(l.Delay+1)*credit
 			}
 		}
 	}
@@ -151,14 +165,17 @@ type Network struct {
 	faults *fault.Injector
 	nic    *fault.NIC
 
+	// outages holds the output ports Fault.Outages names, ascending by
+	// (node, port); nil unless the fault schedule has outages.
+	outages []outagePort
+
 	nextPacketID uint64
 
 	// Activity tracking, kept per spatial tile. Each tile owns a bitset
 	// over its contiguous router range with bit b set exactly when router
-	// lo+b is not idle (it holds buffered flits, in-flight pipeline flits,
-	// or pending credits) — routers register through their wake callback
-	// and are deregistered by Step's compute sweep the cycle they go idle.
-	// activeCount mirrors the popcount so Quiescent stays O(tiles).
+	// lo+b buffers flits — routers register through their wake callback
+	// when a flit arrives and are deregistered by Step's compute sweep the
+	// cycle they empty. activeCount mirrors the popcount.
 	// srcPending is the analogous bitset over nodes with a nonempty source
 	// queue. The ordering rule of every per-cycle phase is ascending id
 	// within a tile, tiles in ascending order — tiles are ascending id
@@ -216,11 +233,11 @@ type Network struct {
 }
 
 // netTile is the per-shard slice of the network's mutable bookkeeping: a
-// contiguous router range with its own activity bitsets and the counters
-// the inject phase mutates, plus the outboxes the sharded cycle loop
-// buffers cross-tile effects in (drained serially at phase boundaries;
-// always empty between Steps). Bit b of the bitsets denotes router/node
-// lo+b.
+// contiguous router range with its own activity bitsets, the counters the
+// inject phase mutates and the delay lines its routers push onto, plus the
+// outboxes the deliver phase collects ejections and cross-tile flits in
+// (drained serially before the compute phase; always empty between Steps).
+// Bit b of the bitsets denotes router/node lo+b.
 type netTile struct {
 	lo, hi        int
 	active        []uint64
@@ -229,29 +246,33 @@ type netTile struct {
 	queuedFlits   int64 // flits waiting in this tile's source queues
 	flitsInjected int64 // flits that entered this tile's injection buffers
 
-	// Deliver-phase outboxes (sharded fault-free path only): terminal
-	// ejections and flits bound for another tile's input buffer, applied
-	// serially between the deliver and compute phases.
-	ejectOut []ejectedFlit
-	flitOut  []crossFlit
-	// Compute-phase outbox: credits owed to upstream routers in other
-	// tiles, applied serially after the compute phase.
-	creditOut []crossCredit
+	// The tile's delay lines. Each router pushes only onto its own tile's:
+	// its ejections onto eject (latency tr), its link flits onto link
+	// (tr + the link delay) and, for each slot it frees, a credit for its
+	// upstream router onto credit (the link delay + 1).
+	eject, link sim.DelayLine[router.Transit]
+	credit      sim.DelayLine[router.Credit]
+
+	// Deliver-phase outboxes: terminal ejections, and flits bound for
+	// another tile's input buffer. due is the outage path's scratch.
+	ejectOut []router.Transit
+	flitOut  []router.Transit
+	due      []router.Transit
 }
 
-type ejectedFlit struct {
-	id int
-	f  router.Flit
-}
+// inFlight returns the number of flits and credits on the tile's lines.
+func (t *netTile) inFlight() int { return t.eject.Len() + t.link.Len() + t.credit.Len() }
 
-type crossFlit struct {
-	to, toPort int
-	f          router.Flit
-}
-
-type crossCredit struct {
-	up       *router.Router
-	port, vc int
+// outagePort is one output port that the fault schedule takes down. While
+// down it delivers no flits and applies no credits: flits that come due
+// join flits, behind which later ones queue until the port, up again,
+// delivers them one per cycle in order; credits that come due join credits,
+// applied all at once when the port comes up.
+type outagePort struct {
+	node, port int
+	down       bool
+	flits      sim.FIFO[router.Transit]
+	credits    []router.Credit
 }
 
 // New builds a network. It panics on invalid configuration; use
@@ -292,15 +313,7 @@ func New(cfg Config) *Network {
 		id := i
 		n.routers[i].SetWake(func() { n.markActive(id) })
 	}
-	// Wire upstream references for credit return.
-	for i := 0; i < t.N; i++ {
-		for p := 0; p < t.Radix; p++ {
-			link := t.LinkAt(i, p)
-			if link.Connected() {
-				n.routers[link.To].SetUpstream(link.ToPort, n.routers[i], p)
-			}
-		}
-	}
+	n.wireLines()
 	if len(n.tiles) > 1 {
 		n.wireShards(parts)
 	}
@@ -311,6 +324,7 @@ func New(cfg Config) *Network {
 			seed = cfg.Seed ^ 0x8f1bbcdc9a3f7d21
 		}
 		n.faults = fault.NewInjector(fp, seed)
+		n.wireOutages(fp.Outages)
 		if fp.Timeout > 0 {
 			n.nic = fault.NewNIC(fault.NICConfig{
 				Timeout:    fp.Timeout,
@@ -345,9 +359,57 @@ func New(cfg Config) *Network {
 // Config returns the network's configuration.
 func (n *Network) Config() Config { return n.cfg }
 
-// markActive inserts router id into its tile's active set. Idempotent:
-// routers wake on every flit or credit arrival, which can happen while the
-// router is still awaiting its deregistration sweep. During parallel
+// wireLines gives every tile its delay lines and moves each router onto its
+// tile's: its output ports onto the ejection and link lines, and the credits
+// it returns upstream onto the credit line, so that under sharding a tile's
+// worker pushes only onto lines it owns. Every link of a topology has one
+// delay (topology.newKAryNCube), so one link line and one credit line per
+// tile carry every link's traffic. A line is sized for its steady state, one
+// push per port per cycle for as many cycles as its latency, and grows only
+// when an outage or a kill piles entries up.
+func (n *Network) wireLines() {
+	t, tr := n.cfg.Topo, n.cfg.Router.Delay
+	d := int64(-1)
+	links := make([]int, len(n.tiles)) // connected output ports per tile
+	for i := 0; i < t.N; i++ {
+		for p := 0; p < t.Radix; p++ {
+			if l := t.LinkAt(i, p); l.Connected() {
+				if d >= 0 && l.Delay != d {
+					panic(fmt.Sprintf("network: %s has links of delay %d and %d", t.Name, d, l.Delay))
+				}
+				d = l.Delay
+				links[n.tileOf[i]]++
+			}
+		}
+	}
+	for ti := range n.tiles {
+		tl := &n.tiles[ti]
+		tl.eject = sim.NewDelayLine[router.Transit](tr)
+		tl.eject.Grow(int(tr) * (tl.hi - tl.lo))
+		tl.link = sim.NewDelayLine[router.Transit](tr + d)
+		tl.link.Grow(links[ti] * int(tr+d))
+		// Links are reciprocal, so a tile's input ports number its output
+		// ports.
+		tl.credit = sim.NewDelayLine[router.Credit](d + 1)
+		tl.credit.Grow(links[ti] * int(d+1))
+	}
+	for i := 0; i < t.N; i++ {
+		tl := &n.tiles[n.tileOf[i]]
+		n.routers[i].SetLine(t.LocalPort(), &tl.eject)
+		for p := 0; p < t.Radix; p++ {
+			if link := t.LinkAt(i, p); link.Connected() {
+				n.routers[i].SetLine(p, &tl.link)
+				// The downstream router returns this link's credits on
+				// its own tile's credit line.
+				n.routers[link.To].SetUpstream(link.ToPort, i, p, &n.tiles[n.tileOf[link.To]].credit)
+			}
+		}
+	}
+}
+
+// markActive inserts router id into its tile's active set; it is
+// idempotent. A router calls it through its wake callback when a flit
+// arrives while it is deregistered. During parallel
 // phases only the tile's own worker (or the serial apply sections) reaches
 // a tile's bitset, so no locking is needed.
 func (n *Network) markActive(id int) {
@@ -548,10 +610,9 @@ func (n *Network) SourceQueueLen(node int) int {
 
 // Step advances the network one cycle. With more than one tile the cycle
 // runs on the gang (shard.go). Two cases take the sequential loop instead,
-// which stays correct with shards because cross-tile credit deferral is
-// behaviour-preserving in either loop: an attached tracer (trace append
-// order is inherently serial), and a quiescent network, whose near-empty
-// cycle costs far less than waking the gang.
+// which runs the same phases over the same lines tile by tile: an attached
+// tracer (trace append order is inherently serial), and a quiescent
+// network, whose near-empty cycle costs far less than waking the gang.
 func (n *Network) Step() {
 	if n.gang != nil && n.tracer == nil && !n.Quiescent() {
 		n.stepSharded()
@@ -571,12 +632,6 @@ func (n *Network) stepSequential() {
 	n.deliver(now)
 	n.inject(now)
 	n.stepActive(now)
-	if n.gang != nil {
-		// Routers of a sharded network defer cross-tile credits even on
-		// the sequential loop (the sink is wired at construction); drain
-		// them exactly where the sharded loop does.
-		n.applyCrossCredits(now)
-	}
 	if n.obs != nil && n.obs.ShouldSample(now) {
 		n.sample(now)
 	}
@@ -584,12 +639,9 @@ func (n *Network) stepSequential() {
 }
 
 // stepActive runs the compute phase over the active set only, in ascending
-// router-id order, and deregisters routers that went idle. Routers woken
-// during this sweep by a returning credit are not re-stepped this cycle if
-// their bit lies behind the cursor or inside the current word snapshot;
-// such credit-only wakeups are provably no-op steps (the credit is never
-// ready before the next cycle), so the resulting state is what stepping
-// every router in ascending order would leave.
+// router-id order, and deregisters routers that emptied. Nothing joins the
+// set during the sweep: a router's switch winners and credits go onto delay
+// lines, and only the deliver and inject phases land flits in buffers.
 func (n *Network) stepActive(now int64) {
 	for ti := range n.tiles {
 		n.stepTile(now, ti)
@@ -597,9 +649,8 @@ func (n *Network) stepActive(now int64) {
 }
 
 // stepTile is stepActive restricted to one tile. On the sharded path each
-// gang member runs its own tile; tiles share no mutable state here —
-// cross-tile credits go through the routers' credit sink into the tile's
-// outbox.
+// gang member runs its own tile; tiles share no mutable state here: a
+// router pushes only onto its own tile's lines.
 func (n *Network) stepTile(now int64, ti int) {
 	t := &n.tiles[ti]
 	for w := range t.active {
@@ -618,60 +669,100 @@ func (n *Network) stepTile(now int64, ti int) {
 	}
 }
 
-// deliver moves flits that completed a router/link pipeline into the next
-// input buffer, and hands fully arrived packets to the receiver. It visits
-// only active routers, in ascending id order, and within a router only the
-// ports whose pipelines are nonempty, in ascending port order; a router
-// receiving flits during the sweep gains buffered occupancy only, which
-// deliver never reads, so joining the set mid-sweep changes nothing.
+// deliver is the deliver phase on one goroutine: every tile's lines, then
+// the ejections and cross-tile flits they collected.
 func (n *Network) deliver(now int64) {
 	for ti := range n.tiles {
 		n.deliverTile(now, ti)
 	}
+	n.applyDeliveries(now)
 }
 
-// deliverTile is the deliver phase restricted to one tile, delivering
-// directly (serial semantics). The sharded loop uses
-// deliverTileBuffered (shard.go) instead, which diverts cross-tile
-// effects into outboxes.
+// deliverTile pops everything due at cycle now on tile ti's lines. Credits
+// are applied in place. Ejections go to the tile's outbox, for
+// applyDeliveries to hand to the terminals in ascending router order. Link
+// flits land in their downstream input buffer, or in the tile's flit outbox
+// when that router belongs to another tile. The sequential, sharded and
+// faulted cycles all deliver through here; on the sharded path tiles run it
+// concurrently, which is safe because a due credit is the only write into
+// another tile's router (its own output VC's counter, which nothing else
+// touches in this phase).
+//
+// Order: every line's due entries were pushed in one compute sweep, in
+// ascending (router, port) order, so each line pops in that order. Only the
+// fault layer's draws observe
+// the order among link deliveries; ejections (OnReceive callbacks, their
+// RNG draws and sends) are observable in their own order, which
+// applyDeliveries keeps ascending. A packet's tail cannot eject while
+// another of its flits crosses a link, so the two kinds commute.
 func (n *Network) deliverTile(now int64, ti int) {
 	t := &n.tiles[ti]
-	for w := range t.active {
-		word := t.active[w]
-		for word != 0 {
-			id := t.lo + w<<6 + bits.TrailingZeros64(word)
-			word &= word - 1
-			r := n.routers[id]
-			for m := r.PipeMask(); m != 0; m &= m - 1 {
-				p := bits.TrailingZeros64(m)
-				if f, ok := r.PopDelivery(now, p); ok {
-					n.handleDelivered(now, id, p, f)
-				}
-			}
+	for c, ok := t.credit.PopReady(now); ok; c, ok = t.credit.PopReady(now) {
+		if n.outages != nil && n.holdCredit(c) {
+			continue
 		}
+		n.routers[c.Node].Credit(int(c.Out))
+	}
+	for e, ok := t.eject.PopReady(now); ok; e, ok = t.eject.PopReady(now) {
+		t.ejectOut = append(t.ejectOut, e)
+	}
+	if n.outages != nil {
+		n.deliverAroundOutages(now, ti)
+		return
+	}
+	for e, ok := t.link.PopReady(now); ok; e, ok = t.link.PopReady(now) {
+		n.land(now, ti, e)
 	}
 }
 
-// handleDelivered routes one flit emerging from router id's output port p:
-// ejection to the terminal (with arrival bookkeeping) or link traversal
-// into the downstream router's input buffer.
-func (n *Network) handleDelivered(now int64, id, p int, f router.Flit) {
-	t := n.cfg.Topo
-	if p == t.LocalPort() {
-		n.ejectFlit(now, id, f)
+// land delivers link flit e into its downstream router's input buffer, after
+// the fault layer's verdict; a downstream router in another tile gets it
+// through t's flit outbox.
+func (n *Network) land(now int64, ti int, e router.Transit) {
+	link := n.cfg.Topo.LinkAt(int(e.Node), int(e.Port))
+	if n.faults != nil && n.faultOnLinkDelivery(now, e, link) {
 		return
 	}
-	link := t.LinkAt(id, p)
-	if n.faults != nil && n.faultOnLinkDelivery(now, id, p, f, link) {
+	if n.tileOf[link.To] != int32(ti) {
+		t := &n.tiles[ti]
+		t.flitOut = append(t.flitOut, e)
 		return
 	}
-	n.routers[link.To].AcceptFlit(link.ToPort, int(f.VC), f)
+	n.routers[link.To].AcceptFlit(link.ToPort, int(e.F.VC), e.F)
+}
+
+// applyDeliveries empties every tile's deliver-phase outboxes on one
+// goroutine. Ejections go first, in tile order: tiles are ascending id
+// ranges, each outbox was filled in ascending id order and a router ejects
+// at most one flit a cycle, so OnReceive callbacks (and any RNG draws they
+// make through NewPacket) fire in ascending router order at every shard
+// count. Cross-tile flits then land; at most one flit arrives per (router,
+// input port) per cycle, so they touch disjoint buffer slots.
+func (n *Network) applyDeliveries(now int64) {
+	for ti := range n.tiles {
+		t := &n.tiles[ti]
+		for _, e := range t.ejectOut {
+			n.ejectFlit(now, int(e.Node), e.F)
+		}
+		// Cleared, not just truncated: a stale packet pointer would keep
+		// the packet's source-queue block alive.
+		clear(t.ejectOut)
+		t.ejectOut = t.ejectOut[:0]
+	}
+	for ti := range n.tiles {
+		t := &n.tiles[ti]
+		for _, e := range t.flitOut {
+			link := n.cfg.Topo.LinkAt(int(e.Node), int(e.Port))
+			n.routers[link.To].AcceptFlit(link.ToPort, int(e.F.VC), e.F)
+		}
+		clear(t.flitOut)
+		t.flitOut = t.flitOut[:0]
+	}
 }
 
 // ejectFlit performs the terminal-arrival bookkeeping for one flit leaving
 // router id's local port. It mutates only global (serial-phase) state, so
-// the sharded loop calls it exclusively from the serial apply section, in
-// the same ascending-id order the sequential deliver sweep would.
+// it runs only in applyDeliveries.
 func (n *Network) ejectFlit(now int64, id int, f router.Flit) {
 	n.flitsEjected++
 	if n.obs != nil {
@@ -750,15 +841,21 @@ func (n *Network) injectNode(now int64, t *netTile, node int) {
 	}
 }
 
-// Quiescent reports whether no flits remain anywhere: source queues,
-// input buffers, and pipelines are all empty. It is an O(tiles) counter
-// check: the active set is exact between Steps (every Step's compute sweep
-// deregisters routers that went idle that cycle), and cross-tile outboxes
-// drain within each Step, so quiescence of the tiles is quiescence of the
-// network regardless of shard count.
+// Quiescent reports whether nothing remains anywhere: source queues, input
+// buffers, delay lines (flits and credits) and outage holds are all empty.
+// It is a check of counters and line lengths per tile: the active set is
+// exact between Steps (every Step's compute sweep deregisters routers that
+// emptied that cycle), and the outboxes drain within each Step, so
+// quiescence of the tiles is quiescence of the network regardless of shard
+// count.
 func (n *Network) Quiescent() bool {
 	for i := range n.tiles {
-		if n.tiles[i].queuedFlits != 0 || n.tiles[i].activeCount != 0 {
+		if t := &n.tiles[i]; t.queuedFlits != 0 || t.activeCount != 0 || t.inFlight() != 0 {
+			return false
+		}
+	}
+	for i := range n.outages {
+		if o := &n.outages[i]; o.flits.Len() != 0 || len(o.credits) != 0 {
 			return false
 		}
 	}
@@ -768,7 +865,7 @@ func (n *Network) Quiescent() bool {
 // ActiveCount returns the number of routers currently in the active set —
 // an instantaneous load signal for telemetry and for sizing the benefit of
 // activity-tracked stepping. Between Steps it is exactly the number of
-// non-idle routers.
+// routers that buffer flits.
 func (n *Network) ActiveCount() int {
 	c := 0
 	for i := range n.tiles {
@@ -816,8 +913,9 @@ func (n *Network) flitsInjectedTotal() int64 {
 func (n *Network) CheckConservation() error {
 	inside := int64(0)
 	for _, r := range n.routers {
-		inside += int64(r.Occupancy() + r.InFlight())
+		inside += int64(r.Occupancy())
 	}
+	n.eachInFlight(func(router.Transit) { inside++ }, nil)
 	injected := n.flitsInjectedTotal()
 	if injected-n.flitsEjected-n.flitsDeadDropped != inside {
 		return fmt.Errorf("network: flit conservation violated: injected %d, ejected %d, dead-dropped %d, inside %d",
@@ -886,13 +984,22 @@ func (n *Network) faultPreStep(now int64) {
 // so it stays exact when the engine fast-forwards the clock across
 // boundaries: transitions on an idle network have no observable effect, and
 // the state seen at the next real cycle is identical either way.
+//
+// Each outage entry sets its port's state in list order, so a port named by
+// several entries takes the state of the last one: of two disjoint windows
+// on one port, only the later takes effect (a known defect, open on the
+// ROADMAP). A port that ends the evaluation up applies the credits it held.
 func (n *Network) applyFaultSchedule(now int64) {
 	p := n.faults.Params()
 	for _, o := range p.Outages {
-		r := n.routers[o.Node]
-		down := fault.OutageActive(o, now)
-		if r.LinkIsDown(o.Port) != down {
-			r.SetLinkDown(o.Port, down)
+		n.outage(int32(o.Node), int32(o.Port)).down = fault.OutageActive(o, now)
+	}
+	for i := range n.outages {
+		if o := &n.outages[i]; !o.down && len(o.credits) > 0 {
+			for _, c := range o.credits {
+				n.routers[c.Node].Credit(int(c.Out))
+			}
+			o.credits = o.credits[:0]
 		}
 	}
 	for _, k := range p.Kills {
@@ -903,16 +1010,114 @@ func (n *Network) applyFaultSchedule(now int64) {
 	n.faults.AdvanceSchedule(now)
 }
 
-// killRouter hard-fails one router: its flits are purged (counted as
-// dead-dropped, their packets marked dead) and its terminal's source queue
-// is emptied — packets that never injected die without flit accounting.
+// wireOutages sets up the hold state of every output port an outage names.
+func (n *Network) wireOutages(outages []fault.Outage) {
+	for _, o := range outages {
+		if n.outage(int32(o.Node), int32(o.Port)) == nil {
+			n.outages = append(n.outages, outagePort{node: o.Node, port: o.Port})
+		}
+	}
+	slices.SortFunc(n.outages, func(a, b outagePort) int {
+		return cmp.Or(cmp.Compare(a.node, b.node), cmp.Compare(a.port, b.port))
+	})
+}
+
+// outage returns the hold state of router node's output port, or nil when
+// no outage names the port. A fault schedule names a handful of ports.
+func (n *Network) outage(node, port int32) *outagePort {
+	for i := range n.outages {
+		if o := &n.outages[i]; o.node == int(node) && o.port == int(port) {
+			return o
+		}
+	}
+	return nil
+}
+
+// holdCredit keeps a due credit whose output port is down until the port
+// comes up, reporting whether it did.
+func (n *Network) holdCredit(c router.Credit) bool {
+	o := n.outage(c.Node, c.Out/int32(n.cfg.Router.VCs))
+	if o == nil || !o.down {
+		return false
+	}
+	o.credits = append(o.credits, c)
+	return true
+}
+
+// deliverAroundOutages is deliverTile's link phase on a network with
+// outages. A due flit whose port is down, or still holds earlier flits,
+// joins the port's hold; each port that is up releases the oldest flit it
+// holds. A port thus delivers at most one flit a cycle, in the order its
+// flits came due, as its own line would. The cycle's deliveries then land
+// in ascending (router, port) order, the order the fault draws take.
+func (n *Network) deliverAroundOutages(now int64, ti int) {
+	t := &n.tiles[ti]
+	due := t.due[:0]
+	for e, ok := t.link.PopReady(now); ok; e, ok = t.link.PopReady(now) {
+		if o := n.outage(e.Node, e.Port); o != nil && (o.down || o.flits.Len() > 0) {
+			o.flits.Push(e)
+			continue
+		}
+		due = append(due, e)
+	}
+	for i := range n.outages {
+		o := &n.outages[i]
+		if o.down || o.flits.Len() == 0 || n.tileOf[o.node] != int32(ti) {
+			continue
+		}
+		e, _ := o.flits.Pop()
+		due = append(due, e)
+	}
+	slices.SortFunc(due, func(a, b router.Transit) int {
+		return cmp.Or(cmp.Compare(a.Node, b.Node), cmp.Compare(a.Port, b.Port))
+	})
+	for _, e := range due {
+		n.land(now, ti, e)
+	}
+	clear(due)
+	t.due = due[:0]
+}
+
+// killRouter hard-fails one router: its flits, buffered, in transit or held
+// by an outage, are purged (counted as dead-dropped, their packets marked
+// dead), credits on their way to it are dropped, the routers it fed stop
+// returning credits to it, and its terminal's source queue is emptied —
+// packets that never injected die without flit accounting.
 func (n *Network) killRouter(now int64, node int) {
 	r := n.routers[node]
-	r.Kill(now, func(f router.Flit) {
+	dead := func(f router.Flit) {
 		n.flitsDeadDropped++
 		n.cFaultDeadDropped.Inc()
 		n.notePacketDead(f.P)
-	})
+	}
+	r.Kill(now, dead)
+	id := int32(node)
+	for ti := range n.tiles {
+		tl := &n.tiles[ti]
+		purge := func(e router.Transit) bool {
+			if e.Node == id {
+				dead(e.F)
+			}
+			return e.Node == id
+		}
+		tl.eject.Purge(purge)
+		tl.link.Purge(purge)
+		tl.credit.Purge(func(c router.Credit) bool { return c.Node == id })
+	}
+	for i := range n.outages {
+		if o := &n.outages[i]; o.node == node {
+			for e, ok := o.flits.Pop(); ok; e, ok = o.flits.Pop() {
+				dead(e.F)
+			}
+			o.credits = o.credits[:0]
+		}
+	}
+	topo := n.cfg.Topo
+	for p := 0; p < topo.Radix; p++ {
+		if link := topo.LinkAt(node, p); link.Connected() {
+			n.routers[link.To].SetUpstream(link.ToPort, node, p, nil)
+		}
+	}
 	t := &n.tiles[n.tileOf[node]]
 	for qc := 0; qc < n.classes; qc++ {
 		q := &n.srcQ[node*n.classes+qc]
@@ -943,22 +1148,23 @@ func (n *Network) notePacketDead(p *router.Packet) {
 // bounce their credit straight back to the sender — the checksum logic at
 // the link receiver rejects the flit without buffering it, so the slot it
 // would have used is immediately free.
-func (n *Network) faultOnLinkDelivery(now int64, id, p int, f router.Flit, link topology.Link) bool {
+func (n *Network) faultOnLinkDelivery(now int64, e router.Transit, link topology.Link) bool {
+	f := e.F
 	if f.P.FaultDead {
 		// Trailing flit of a packet that already died: the wormhole drains
 		// here, keeping downstream state consistent.
-		n.discardFlit(now, id, p, f)
+		n.discardFlit(now, e, link)
 		return true
 	}
 	if n.routers[link.To].Dead() {
 		n.notePacketDead(f.P)
-		n.discardFlit(now, id, p, f)
+		n.discardFlit(now, e, link)
 		return true
 	}
 	if f.Head() && n.faults.DrawDrop() {
 		n.cFaultInjected.Inc()
 		n.notePacketDead(f.P)
-		n.discardFlit(now, id, p, f)
+		n.discardFlit(now, e, link)
 		return true
 	}
 	if n.faults.DrawCorrupt() {
@@ -969,11 +1175,52 @@ func (n *Network) faultOnLinkDelivery(now int64, id, p int, f router.Flit, link 
 }
 
 // discardFlit accounts one fault-discarded flit and bounces its credit to
-// the sending router.
-func (n *Network) discardFlit(now int64, id, p int, f router.Flit) {
+// the sending router, on the line the link's credits return on.
+func (n *Network) discardFlit(now int64, e router.Transit, link topology.Link) {
 	n.flitsDeadDropped++
 	n.cFaultDeadDropped.Inc()
-	n.routers[id].ReturnCredit(now, p, int(f.VC))
+	n.tiles[n.tileOf[link.To]].credit.Push(now, router.Credit{Node: e.Node, Out: e.Port*int32(n.cfg.Router.VCs) + e.F.VC})
+}
+
+// eachInFlight visits every flit (flit) and credit (credit) in flight: on
+// the delay lines and held by outages. Either may be nil. It walks every
+// line, so it is for checks and reports, not the per-cycle path.
+func (n *Network) eachInFlight(flit func(router.Transit), credit func(router.Credit)) {
+	for ti := range n.tiles {
+		t := &n.tiles[ti]
+		if flit != nil {
+			t.eject.Each(flit)
+			t.link.Each(flit)
+		}
+		if credit != nil {
+			t.credit.Each(credit)
+		}
+	}
+	for i := range n.outages {
+		o := &n.outages[i]
+		for j := 0; flit != nil && j < o.flits.Len(); j++ {
+			flit(o.flits.At(j))
+		}
+		for j := 0; credit != nil && j < len(o.credits); j++ {
+			credit(o.credits[j])
+		}
+	}
+}
+
+// InFlightByVC counts what is in flight per output VC: flits[i] the flits
+// that left output VC i, credits[i] the credits on their way back to it,
+// where i = (node*Ports + port)*VCs + vc. The fault invariant harness
+// balances them against buffers and credit counters.
+func (n *Network) InFlightByVC() (flits, credits []int) {
+	ports, vcs := n.cfg.Topo.Ports(), n.cfg.Router.VCs
+	flits = make([]int, n.cfg.Topo.N*ports*vcs)
+	credits = make([]int, len(flits))
+	n.eachInFlight(func(e router.Transit) {
+		flits[(int(e.Node)*ports+int(e.Port))*vcs+int(e.F.VC)]++
+	}, func(c router.Credit) {
+		credits[int(c.Node)*ports*vcs+int(c.Out)]++
+	})
+	return flits, credits
 }
 
 // acceptAtDest applies destination-side fault handling to a fully arrived
@@ -1044,11 +1291,13 @@ func (n *Network) StuckVCReport() string {
 	var b strings.Builder
 	const maxLines = 64
 	lines := 0
+	inFlight, pending := make([]int, len(n.routers)), make([]int, len(n.routers))
+	n.eachInFlight(func(e router.Transit) { inFlight[e.Node]++ }, func(c router.Credit) { pending[c.Node]++ })
 	for id, r := range n.routers {
 		stuck := r.StuckVCs()
 		// Dead routers are always listed: after a kill purge they hold
 		// nothing, but they are usually why everyone else is stuck.
-		if len(stuck) == 0 && r.InFlight() == 0 && r.PendingCredits() == 0 && !r.Dead() {
+		if len(stuck) == 0 && inFlight[id] == 0 && pending[id] == 0 && !r.Dead() {
 			continue
 		}
 		if lines >= maxLines {
@@ -1060,7 +1309,7 @@ func (n *Network) StuckVCReport() string {
 			state = " DEAD"
 		}
 		fmt.Fprintf(&b, "router %d%s: occ %d inflight %d pendingCredits %d\n",
-			id, state, r.Occupancy(), r.InFlight(), r.PendingCredits())
+			id, state, r.Occupancy(), inFlight[id], pending[id])
 		lines++
 		for _, s := range stuck {
 			if lines >= maxLines {

@@ -131,8 +131,8 @@ func TestQuiescentShardedStepRunsNoWave(t *testing.T) {
 	}
 }
 
-// TestShardedOutboxesDrainEachCycle: the cross-tile outboxes must be
-// empty between Steps — a leftover entry would be a flit or credit the
+// TestShardedOutboxesDrainEachCycle: the deliver-phase outboxes must be
+// empty between Steps — a leftover entry would be an ejection or a flit the
 // barrier schedule lost track of.
 func TestShardedOutboxesDrainEachCycle(t *testing.T) {
 	n := New(Config{
@@ -146,9 +146,9 @@ func TestShardedOutboxesDrainEachCycle(t *testing.T) {
 	driveBursty(t, n, 1500, 21, func() {
 		for ti := range n.tiles {
 			tl := &n.tiles[ti]
-			if len(tl.ejectOut) != 0 || len(tl.flitOut) != 0 || len(tl.creditOut) != 0 {
-				t.Fatalf("cycle %d tile %d: outboxes not drained (eject %d, flit %d, credit %d)",
-					n.Now(), ti, len(tl.ejectOut), len(tl.flitOut), len(tl.creditOut))
+			if len(tl.ejectOut) != 0 || len(tl.flitOut) != 0 {
+				t.Fatalf("cycle %d tile %d: outboxes not drained (eject %d, flit %d)",
+					n.Now(), ti, len(tl.ejectOut), len(tl.flitOut))
 			}
 		}
 	})

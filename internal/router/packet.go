@@ -6,9 +6,18 @@
 //
 // The timing contract is the one §III-B of the paper relies on: a flit that
 // wins switch allocation in cycle c becomes visible at the downstream input
-// buffer in cycle c + tr + linkDelay, so a hop costs tr + linkDelay at zero
-// load and raising tr from 1 to 2 to 4 scales zero-load latency by 1.5x and
-// 2.5x on 1-cycle links.
+// buffer in cycle c + tr + linkDelay (at the terminal in cycle c + tr), so a
+// hop costs tr + linkDelay at zero load and raising tr from 1 to 2 to 4
+// scales zero-load latency by 1.5x and 2.5x on 1-cycle links. The credit
+// for the buffer slot a flit frees in cycle c is usable upstream from cycle
+// c + linkDelay + 1.
+//
+// A router holds only what it computes on: its input buffers and allocation
+// state. Switch winners and returned credits travel on delay lines
+// (sim.DelayLine), which the router pushes onto and its owner drains. A
+// router built by New alone runs on private per-port lines, which
+// PopDelivery, ReturnCredit and Step drain under the contract above;
+// network.New moves every router onto the network's shared lines.
 package router
 
 import "noceval/internal/routing"

@@ -6,6 +6,7 @@ import (
 
 	"noceval/internal/obs"
 	"noceval/internal/routing"
+	"noceval/internal/sim"
 	"noceval/internal/topology"
 )
 
@@ -149,16 +150,38 @@ type outVC struct {
 // vcSpan is a half-open VC index range [lo, hi).
 type vcSpan struct{ lo, hi int32 }
 
-// upstreamRef identifies who to send credits to when a flit leaves one of
-// our input buffers.
+// Transit is a flit in flight on a delay line: F left output port Port of
+// router Node, and is delivered (ejected, or landed in the downstream input
+// buffer) when the line's latency has passed.
+type Transit struct {
+	Node, Port int32
+	F          Flit
+}
+
+// Credit is a credit in flight on a delay line: when it is due, output VC
+// Out (port*VCs+vc) of router Node regains the buffer slot a downstream
+// router freed.
+type Credit struct {
+	Node, Out int32
+}
+
+// upstreamRef is where the credit for a slot freed in one of our input
+// buffers goes: onto line, for output VC base out (port*VCs) of router node.
+// line is nil for the injection port (the terminal is co-located), for an
+// unconnected port, and once the upstream router is killed.
 type upstreamRef struct {
-	r    *Router // nil for the injection port (the terminal is co-located)
-	port int     // upstream output port feeding our input port
-	// cross marks an upstream router living in a different shard tile:
-	// credits to it are handed to the network's credit sink instead of
-	// applied in place, so concurrently stepping tiles never write each
-	// other's state (see Network.Step's sharded path).
-	cross bool
+	line      *sim.DelayLine[Credit]
+	node, out int32
+}
+
+// ownLines are a router's private delay lines, one per port: flits[p]
+// carries what output port p forwards and credits[p] the credits returning
+// to it. A router outside a network runs on them;
+// network.New moves every router onto the network's shared lines and drops
+// these.
+type ownLines struct {
+	flits   []sim.DelayLine[Transit]
+	credits []sim.DelayLine[Credit]
 }
 
 // Router is one cycle-accurate virtual-channel router.
@@ -209,27 +232,25 @@ type Router struct {
 	out  []outVC
 	slab []Flit
 
-	// pipes[p] models the router pipeline plus the outgoing link of output
-	// port p: SA winners land here and emerge tr+linkDelay cycles later
-	// (tr only, for the ejection port). creditPipes[p] carries credits
-	// returning from the downstream router attached to output port p.
-	// Unconnected ports keep empty rings that are never pushed.
-	pipes       []delayRing
-	creditPipes []delayRing
+	// lines[p] is the delay line output port p's switch winners travel on:
+	// the router pipeline plus the outgoing link, tr+linkDelay cycles (tr
+	// for the ejection port). It is nil for an unconnected port, which is
+	// never forwarded to. own backs the lines of a router outside a network;
+	// it is nil once a network wires the router onto the network's lines.
+	lines []*sim.DelayLine[Transit]
+	own   *ownLines
 
 	up []upstreamRef
 
-	// occupancy counts flits held in input buffers; inFlight counts flits
-	// inside pipes. A router with both zero and no pending credits can be
-	// skipped entirely.
-	occupancy      int
-	inFlight       int
-	pendingCredits int
+	// occupancy counts flits held in input buffers. A router with none has
+	// nothing to compute and is not stepped: flits and credits in flight
+	// live on delay lines, not in the router.
+	occupancy int
 
 	// wake, when non-nil, is invoked whenever the router transitions from
-	// idle to non-idle (a flit or a credit arrives at an idle router). The
-	// network uses it to maintain the active-router set so Step and deliver
-	// touch only routers with work. It must be idempotent.
+	// idle to non-idle (a flit arrives at an empty router). The network uses
+	// it to maintain the active-router set so Step touches only routers
+	// holding flits. It must be idempotent.
 	wake func()
 	// awake mirrors the router's membership in the network's active set:
 	// raised when wake fires, lowered by ClearAwake when the network
@@ -238,12 +259,9 @@ type Router struct {
 	awake bool
 
 	// dead marks a hard-killed router: its state has been purged and it
-	// accepts neither flits nor credits. linkDown has bit p set while output
-	// port p's channel is in an outage window: the port delivers no flits
-	// and drains no credits. Both stay zero outside fault-injection runs, so
-	// the fault checks on the hot paths never divert.
-	dead     bool
-	linkDown uint64
+	// accepts neither flits nor credits. It stays false outside
+	// fault-injection runs, so the fault checks never divert.
+	dead bool
 
 	// maskHot is true when ports*VCs fits in 64 bits, enabling the input-VC
 	// state bitmasks below; fixed at construction. The compute phases then
@@ -258,14 +276,6 @@ type Router struct {
 	// input port p holds a grant. Switch allocation's stage 1 nominates
 	// only from these ports.
 	gntPorts uint64
-	// creditMask has bit p set while output port p's credit pipe is
-	// non-empty, so drainCredits touches only ports with credits in
-	// flight. Indexed by port, not by VC, so it needs only ports <= 64.
-	creditMask uint64
-	// pipeMask has bit p set while output port p's pipeline holds at least
-	// one flit, so the deliver phase visits only ports with in-flight work.
-	// Router radix is bounded well below 64 for every supported topology.
-	pipeMask uint64
 
 	// Arbitration state.
 	vaPtr    int
@@ -289,43 +299,40 @@ type Router struct {
 	// tracer, when non-nil, records head-flit lifecycle events
 	// (route/VC-alloc/switch); nil keeps the hot path untouched.
 	tracer *obs.Tracer
-
-	// creditSink, when non-nil, receives credits destined for cross-tile
-	// upstream routers (see upstreamRef.cross) instead of their being
-	// applied in place; the sharded network drains the sink serially after
-	// the parallel compute phase. Deferral is behaviour-preserving: a
-	// credit pushed at cycle c is never ready before c+2 (link delay >= 1
-	// plus the processing cycle), so applying it before or after the
-	// upstream's own compute step yields the identical end-of-cycle state.
-	creditSink func(up *Router, port, vc int)
 }
 
-// New constructs the router for node id of the given topology. Callers must
-// have validated cfg. Upstream references are wired afterwards by the
-// network via SetUpstream.
+// New constructs the router for node id of the given topology, on private
+// per-port delay lines: a flit that wins switch allocation at cycle c comes
+// out of PopDelivery at c+tr (ejection) or c+tr+linkDelay, and a credit
+// handed to ReturnCredit at cycle c is usable from Step(c+linkDelay+1).
+// Callers must have validated cfg. network.New replaces the private lines
+// with its own (SetLine) and wires upstream references (SetUpstream).
 func New(id int, t *topology.Topology, alg routing.Algorithm, cfg Config) *Router {
 	ports := t.Ports()
 	total := ports * cfg.VCs
 	r := &Router{
-		ID:          id,
-		topo:        t,
-		alg:         alg,
-		cfg:         cfg,
-		ports:       ports,
-		vcs:         cfg.VCs,
-		local:       t.LocalPort(),
-		in:          make([]inVC, total),
-		out:         make([]outVC, total),
-		slab:        make([]Flit, total*cfg.BufDepth),
-		pipes:       make([]delayRing, ports),
-		creditPipes: make([]delayRing, ports),
-		up:          make([]upstreamRef, ports),
-		saInPtr:     make([]int, ports),
-		saOutPtr:    make([]int, ports),
-		saInWin:     make([]int, ports),
-		saNom:       make([]uint64, ports),
-		vaScratch:   make([]int, 0, total),
-		portFlits:   make([]int64, ports),
+		ID:    id,
+		topo:  t,
+		alg:   alg,
+		cfg:   cfg,
+		ports: ports,
+		vcs:   cfg.VCs,
+		local: t.LocalPort(),
+		in:    make([]inVC, total),
+		out:   make([]outVC, total),
+		slab:  make([]Flit, total*cfg.BufDepth),
+		lines: make([]*sim.DelayLine[Transit], ports),
+		own: &ownLines{
+			flits:   make([]sim.DelayLine[Transit], ports),
+			credits: make([]sim.DelayLine[Credit], ports),
+		},
+		up:        make([]upstreamRef, ports),
+		saInPtr:   make([]int, ports),
+		saOutPtr:  make([]int, ports),
+		saInWin:   make([]int, ports),
+		saNom:     make([]uint64, ports),
+		vaScratch: make([]int, 0, total),
+		portFlits: make([]int64, ports),
 	}
 	r.maskHot = total <= 64
 	r.hops, r.hopCands = routing.NextHops(alg, t, id)
@@ -358,13 +365,15 @@ func New(id int, t *topology.Topology, alg routing.Algorithm, cfg Config) *Route
 		var credits int32
 		if p == r.local {
 			credits = ejectionCredits
-			r.pipes[p] = newDelayRing(cfg.Delay)
+			r.own.flits[p] = sim.NewDelayLine[Transit](cfg.Delay)
+			r.lines[p] = &r.own.flits[p]
 		} else if link := t.LinkAt(id, p); link.Connected() {
 			credits = int32(cfg.BufDepth)
-			r.pipes[p] = newDelayRing(cfg.Delay + link.Delay)
+			r.own.flits[p] = sim.NewDelayLine[Transit](cfg.Delay + link.Delay)
+			r.lines[p] = &r.own.flits[p]
 			// Credits pay the reverse link plus one credit-processing
 			// cycle at the receiving router.
-			r.creditPipes[p] = newDelayRing(link.Delay + 1)
+			r.own.credits[p] = sim.NewDelayLine[Credit](link.Delay + 1)
 		}
 		for v := 0; v < cfg.VCs; v++ {
 			flat := p*cfg.VCs + v
@@ -377,28 +386,28 @@ func New(id int, t *topology.Topology, alg routing.Algorithm, cfg Config) *Route
 	return r
 }
 
-// SetUpstream records that our input port is fed by the given upstream
-// router's output port, so credits can be returned.
-func (r *Router) SetUpstream(inPort int, up *Router, upPort int) {
-	r.up[inPort] = upstreamRef{r: up, port: upPort}
+// SetLine moves output port p onto l, a delay line whose owner delivers
+// what it carries. The router's private lines are dropped: from then on its
+// owner delivers its flits and applies its returning credits (Credit), and
+// PopDelivery and ReturnCredit no longer apply. Wiring-time only.
+func (r *Router) SetLine(p int, l *sim.DelayLine[Transit]) {
+	r.lines[p] = l
+	r.own = nil
 }
 
-// SetUpstreamCross marks input port inPort's upstream router as belonging
-// to a different shard tile, routing its credits through the credit sink.
-// Wiring-time only.
-func (r *Router) SetUpstreamCross(inPort int) { r.up[inPort].cross = true }
-
-// SetCreditSink installs the deferred-credit hook for cross-tile upstream
-// references. Nil (the default) applies every credit in place. Wiring-time
-// only.
-func (r *Router) SetCreditSink(f func(up *Router, port, vc int)) { r.creditSink = f }
+// SetUpstream records that input port inPort is fed by output port upPort of
+// router upNode: each slot freed in inPort's buffers puts a credit for that
+// output VC on line. A nil line returns no credits (the upstream router was
+// killed). Wiring-time and fault-injection only.
+func (r *Router) SetUpstream(inPort, upNode, upPort int, line *sim.DelayLine[Credit]) {
+	r.up[inPort] = upstreamRef{line: line, node: int32(upNode), out: int32(upPort * r.vcs)}
+}
 
 // SetTracer attaches a flit-lifecycle tracer (nil detaches it).
 func (r *Router) SetTracer(t *obs.Tracer) { r.tracer = t }
 
 // ClearAwake is called by the network when it removes the router from the
-// active set; the next flit or credit arrival fires the wake callback
-// again. Callers must only clear an Idle router, or arrivals would
+// active set; the next flit arrival fires the wake callback again. Callers must only clear an Idle router, or arrivals would
 // re-register a router that is already registered — harmless (markActive
 // is idempotent) but wasted work.
 func (r *Router) ClearAwake() { r.awake = false }
@@ -501,66 +510,47 @@ func (r *Router) CanAcceptInjectionClass(qc int) bool {
 // the first VC of the class's partition (VC 0 for a single class).
 func (r *Router) InjectionVCClass(qc int) int { return int(r.spans[qc*r.spanStride].lo) }
 
-// receiveCredit schedules a credit return for output VC (port, vc); it
-// becomes usable after the link delay.
-func (r *Router) receiveCredit(now int64, port, vc int) {
-	if r.dead {
-		// Credits sent to a killed router vanish with it; accepting them
-		// would leave it permanently non-idle.
-		return
+// Credit gives output VC out (port*VCs+vc) back the downstream buffer slot
+// a due credit stands for. A killed router drops it.
+func (r *Router) Credit(out int) {
+	if !r.dead {
+		r.out[out].credits++
 	}
-	if !r.awake && r.wake != nil {
-		r.awake = true
-		r.wake()
-	}
-	r.creditPipes[port].push(now, Flit{VC: int32(vc)})
-	r.pendingCredits++
-	r.creditMask |= 1 << uint(port)
 }
 
-// PopDelivery removes the flit, if any, emerging from output port p's
-// pipeline at cycle now.
+// PopDelivery removes the flit, if any, that output port p's private line
+// delivers at cycle now. It is for a router outside a network (see New).
 func (r *Router) PopDelivery(now int64, p int) (Flit, bool) {
-	if r.linkDown&(1<<uint(p)) != 0 {
-		return Flit{}, false
-	}
-	f, ok := r.pipes[p].popReady(now)
-	if ok {
-		r.inFlight--
-		if r.pipes[p].n == 0 {
-			r.pipeMask &^= 1 << uint(p)
-		}
-	}
-	return f, ok
+	e, ok := r.own.flits[p].PopReady(now)
+	return e.F, ok
 }
 
-// PipeMask returns the bitmask of output ports whose pipelines currently
-// hold in-flight flits; the deliver phase iterates only these ports.
-func (r *Router) PipeMask() uint64 { return r.pipeMask }
+// ReturnCredit puts a credit for output VC (port, vc) on the port's private
+// credit line at cycle now, as the downstream router would after freeing the
+// slot; Step applies it once the link delay plus one cycle has passed. It
+// is for a router outside a network (see New).
+func (r *Router) ReturnCredit(now int64, port, vc int) {
+	r.own.credits[port].Push(now, Credit{Node: int32(r.ID), Out: int32(port*r.vcs + vc)})
+}
 
 // PortFlits returns the number of flits forwarded through output port p
 // since construction.
 func (r *Router) PortFlits(p int) int64 { return r.portFlits[p] }
 
-// Idle reports whether the router holds no flits and no pending credits.
-func (r *Router) Idle() bool {
-	return r.occupancy == 0 && r.inFlight == 0 && r.pendingCredits == 0
-}
+// Idle reports whether the router buffers no flits, so that Step has
+// nothing to do.
+func (r *Router) Idle() bool { return r.occupancy == 0 }
 
 // Occupancy returns the number of flits buffered in input VCs.
 func (r *Router) Occupancy() int { return r.occupancy }
 
-// InFlight returns the number of flits inside the router/link pipelines.
-func (r *Router) InFlight() int { return r.inFlight }
-
-// Step performs one compute cycle: credit intake, route computation, VC
-// allocation and switch allocation. Flit movement between routers is
-// handled by the network's deliver phase.
+// Step performs one compute cycle: route computation, VC allocation and
+// switch allocation. A router on private lines first applies its due
+// credits; in a network the deliver phase has applied them already.
 func (r *Router) Step(now int64) {
-	if r.Idle() {
-		return
+	if r.own != nil {
+		r.drainOwnCredits(now)
 	}
-	r.drainCredits(now)
 	if r.occupancy == 0 {
 		return
 	}
@@ -569,21 +559,13 @@ func (r *Router) Step(now int64) {
 	r.switchAllocate(now)
 }
 
-// drainCredits applies every credit that finished its return path, touching
-// only ports with credits in flight, in ascending port order.
-func (r *Router) drainCredits(now int64) {
-	if r.pendingCredits == 0 {
-		return
-	}
-	for m := r.creditMask &^ r.linkDown; m != 0; m &= m - 1 {
-		p := bits.TrailingZeros64(m)
-		cp := &r.creditPipes[p]
-		for c, ok := cp.popReady(now); ok; c, ok = cp.popReady(now) {
-			r.out[p*r.vcs+int(c.VC)].credits++
-			r.pendingCredits--
-		}
-		if cp.n == 0 {
-			r.creditMask &^= 1 << uint(p)
+// drainOwnCredits applies every credit on the private lines that finished
+// its return path.
+func (r *Router) drainOwnCredits(now int64) {
+	for p := range r.own.credits {
+		l := &r.own.credits[p]
+		for c, ok := l.PopReady(now); ok; c, ok = l.PopReady(now) {
+			r.Credit(int(c.Out))
 		}
 	}
 }
@@ -897,8 +879,9 @@ func (r *Router) arbKey(ivc *inVC) (key int64) {
 	return key
 }
 
-// forward moves the winning flit from input (p, v) into its output
-// pipeline, maintaining credits, ownership and routing state.
+// forward moves the winning flit from input (p, v) onto its output port's
+// delay line, with the credit for the freed slot onto the upstream router's
+// credit line, maintaining credits, ownership and routing state.
 func (r *Router) forward(now int64, p, v int) {
 	flat := p*r.vcs + v
 	ivc := &r.in[flat]
@@ -919,24 +902,13 @@ func (r *Router) forward(now int64, p, v int) {
 		}
 	}
 	f.VC = ivc.outVC
-	r.pipes[outP].push(now, f)
-	r.inFlight++
-	r.pipeMask |= 1 << uint(outP)
+	r.lines[outP].Push(now, Transit{Node: int32(r.ID), Port: int32(outP), F: f})
 	r.portFlits[outP]++
 	if r.tracer != nil && f.Head() {
 		r.tracer.Record(now, f.P.ID, r.ID, obs.PhaseSwitch)
 	}
-
-	// Return a credit for the buffer slot we just freed. Cross-tile
-	// credits are deferred through the sink so parallel tile steps never
-	// touch another tile's router; each input port forwards at most one
-	// flit per cycle, so deferral cannot reorder credits within a pipe.
-	if up := r.up[p]; up.r != nil {
-		if up.cross && r.creditSink != nil {
-			r.creditSink(up.r, up.port, v)
-		} else {
-			up.r.receiveCredit(now, up.port, v)
-		}
+	if up := &r.up[p]; up.line != nil {
+		up.line.Push(now, Credit{Node: up.node, Out: up.out + int32(v)})
 	}
 
 	if f.Tail() {
@@ -963,36 +935,21 @@ func (r *Router) forward(now int64, p, v int) {
 // --- Fault-injection support ----------------------------------------------
 //
 // The methods below exist for internal/fault and its invariant harness.
-// None of them is called on fault-free runs, and the two flags they set
-// (dead, linkDown) cost the hot paths only the always-false checks wired in
-// above.
+// None of them is called on fault-free runs, and the flag they set (dead)
+// costs the hot paths only the always-false check wired in above. Outage
+// windows are the network's: they hold a port's flits and credits on its
+// side of the delay lines.
 
 // Dead reports whether the router has been hard-killed.
 func (r *Router) Dead() bool { return r.dead }
 
-// LinkIsDown reports whether output port p is inside an outage window.
-func (r *Router) LinkIsDown(p int) bool { return r.linkDown&(1<<uint(p)) != 0 }
-
-// SetLinkDown opens or closes an outage window on output port p: a down
-// port delivers no flits and drains no returning credits, freezing the
-// channel's contents in place. Flow control stays intact — forwarding into
-// the down channel stops once its credits exhaust, and everything frozen
-// resumes when the window closes.
-func (r *Router) SetLinkDown(p int, down bool) {
-	if down {
-		r.linkDown |= 1 << uint(p)
-	} else {
-		r.linkDown &^= 1 << uint(p)
-	}
-}
-
-// Kill hard-fails the router at cycle now: every buffered flit, in-flight
-// pipeline flit and queued credit is purged, with onFlit invoked for each
-// discarded flit so the network can account the loss. Credits for purged
-// input-buffer flits are bounced upstream (the buffer slots are gone with
-// the router, but the upstream's credit counters must stay conserved for
-// the surviving fabric). A dead router accepts neither flits nor credits;
-// deliveries into it are discarded by the network.
+// Kill hard-fails the router at cycle now: every buffered flit is purged,
+// with onFlit invoked for each so the network can account the loss, and its
+// credit is bounced upstream (the buffer slots are gone with the router, but
+// the upstream's credit counters must stay conserved for the surviving
+// fabric). A dead router accepts neither flits nor credits; the owner of the
+// lines purges the router's flits and credits in flight and discards
+// deliveries into it.
 func (r *Router) Kill(now int64, onFlit func(f Flit)) {
 	if r.dead {
 		return
@@ -1002,27 +959,16 @@ func (r *Router) Kill(now int64, onFlit func(f Flit)) {
 		ivc := &r.in[flat]
 		for ivc.n > 0 {
 			onFlit(r.popFront(ivc))
-			if up := r.up[ivc.port]; up.r != nil {
-				up.r.receiveCredit(now, up.port, flat%r.vcs)
+			if up := &r.up[ivc.port]; up.line != nil {
+				up.line.Push(now, Credit{Node: up.node, Out: up.out + int32(flat%r.vcs)})
 			}
 		}
 		ivc.reset()
 		r.out[flat].owned = false
 	}
-	for p := range r.pipes {
-		r.pipes[p].each(onFlit)
-		r.pipes[p].n, r.creditPipes[p].n = 0, 0
-	}
-	r.occupancy, r.inFlight, r.pendingCredits = 0, 0, 0
+	r.occupancy = 0
 	r.occMask, r.reqMask, r.gntMask, r.gntPorts = 0, 0, 0, 0
-	r.creditMask, r.pipeMask = 0, 0
 }
-
-// ReturnCredit bounces a credit for output VC (port, vc) back to this
-// router, as if the discarded flit had been accepted downstream and
-// instantly forwarded. The fault layer uses it when a delivery is discarded
-// (drop, dead packet, dead destination) so sender-side credits never leak.
-func (r *Router) ReturnCredit(now int64, port, vc int) { r.receiveCredit(now, port, vc) }
 
 // OutCredits returns the credit count of output VC (p, vc); invariant
 // checking compares it against the downstream buffer state.
@@ -1030,28 +976,6 @@ func (r *Router) OutCredits(p, vc int) int { return int(r.out[p*r.vcs+vc].credit
 
 // InBufLen returns the number of flits buffered in input VC (p, vc).
 func (r *Router) InBufLen(p, vc int) int { return int(r.in[p*r.vcs+vc].n) }
-
-// PipeFlitsVC counts the flits in output port p's pipeline traveling on
-// VC vc.
-func (r *Router) PipeFlitsVC(p, vc int) int { return countVC(&r.pipes[p], vc) }
-
-// CreditsInFlight counts the credits for VC vc queued in output port p's
-// credit pipe.
-func (r *Router) CreditsInFlight(p, vc int) int { return countVC(&r.creditPipes[p], vc) }
-
-// countVC counts the ring's entries traveling on (or crediting) VC vc.
-func countVC(d *delayRing, vc int) (n int) {
-	d.each(func(f Flit) {
-		if int(f.VC) == vc {
-			n++
-		}
-	})
-	return n
-}
-
-// PendingCredits returns the number of credits queued in this router's
-// credit pipes (for stuck-state dumps).
-func (r *Router) PendingCredits() int { return r.pendingCredits }
 
 // StuckVCs summarizes every input VC holding flits or an unreleased grant,
 // for the deadlock watchdog's dump. Each entry reports the VC, its buffer

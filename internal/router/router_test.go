@@ -390,15 +390,9 @@ func TestStepAllocatesNothing(t *testing.T) {
 // equal.
 func dumpState(r *Router) string {
 	var b strings.Builder
-	flit := func(f Flit) {
-		if f.P != nil {
-			fmt.Fprintf(&b, " %d.%d/%d@%d", f.P.ID, f.Seq, f.VC, f.P.Hops)
-		} else {
-			fmt.Fprintf(&b, " c%d", f.VC)
-		}
-	}
-	fmt.Fprintln(&b, r.FlitsRouted, r.occupancy, r.inFlight, r.pendingCredits, r.occMask, r.reqMask, r.gntMask,
-		r.gntPorts, r.creditMask, r.pipeMask, r.vaPtr, r.saInPtr, r.saOutPtr, r.portFlits)
+	flit := func(f Flit) { fmt.Fprintf(&b, " %d.%d/%d@%d", f.P.ID, f.Seq, f.VC, f.P.Hops) }
+	fmt.Fprintln(&b, r.FlitsRouted, r.occupancy, r.occMask, r.reqMask, r.gntMask,
+		r.gntPorts, r.vaPtr, r.saInPtr, r.saOutPtr, r.portFlits)
 	for i := range r.in {
 		v := &r.in[i]
 		fmt.Fprint(&b, i, v.n, v.routed, v.granted, v.out, v.outPort, v.outVC, v.outClass, v.cands, r.out[i])
@@ -407,10 +401,10 @@ func dumpState(r *Router) string {
 		}
 		fmt.Fprintln(&b)
 	}
-	for p := range r.pipes {
-		fmt.Fprint(&b, "pipe ", p)
-		r.pipes[p].each(flit)
-		r.creditPipes[p].each(flit)
+	for p := range r.own.flits {
+		fmt.Fprint(&b, "line ", p)
+		r.own.flits[p].Each(func(e Transit) { flit(e.F) })
+		r.own.credits[p].Each(func(c Credit) { fmt.Fprintf(&b, " c%d", c.Out) })
 		fmt.Fprintln(&b)
 	}
 	return b.String()

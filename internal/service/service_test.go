@@ -234,7 +234,7 @@ func TestSubmitRejectsBadSpecs(t *testing.T) {
 		{"a billion-flit buffer", `{"kind":"openloop","rate":0.1,"network":{"BufDepth":1000000000}}`, 400,
 			"network: 8x8 mesh with VCs 2, BufDepth 1000000000, Delay 1 needs 9.54e+03 GiB of router buffers and pipes, over the 1 GiB limit"},
 		{"a trillion-cycle router", `{"kind":"openloop","rate":0.1,"network":{"RouterDelay":1000000000000}}`, 400,
-			"network: 8x8 mesh with VCs 2, BufDepth 16, Delay 1000000000000 needs 6.44e+06 GiB of router buffers and pipes, over the 1 GiB limit"},
+			"network: 8x8 mesh with VCs 2, BufDepth 16, Delay 1000000000000 needs 8.58e+06 GiB of router buffers and pipes, over the 1 GiB limit"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(tc.body))

@@ -90,18 +90,20 @@ func (q *FIFO[T]) Clear() {
 	q.head, q.n = 0, 0
 }
 
-// DelayLine models a fixed-latency pipeline: items pushed at cycle c become
-// visible exactly c+delay cycles later. A zero delay makes items visible
-// the same cycle they are pushed. The router keeps its own inline rings
-// (internal/router/ring.go); this generic form is what the repo benchmark's
-// sim.delayline_ns_per_op times.
+// DelayLine is a fixed-latency pipeline: an item pushed at cycle c becomes
+// poppable at c+delay, and items leave in push order. Pushes come in
+// nondecreasing cycle order, so the line is a FIFO sorted by due cycle and
+// PopReady looks only at its head: nothing is examined before it is due. A
+// zero delay makes items visible the same cycle they are pushed.
+//
+// The ring is held by value, so lines can sit inline in a slice or struct;
+// copying a DelayLine aliases its buffer. It allocates on its first push (or
+// Grow) and doubles when full, never shrinking. The network moves every flit
+// and credit in flight on these lines (internal/network).
 type DelayLine[T any] struct {
-	delay int64
-	q     *FIFO[delayed[T]]
-	// headAt caches the delivery time of the head item (meaningless while
-	// empty), so polling a not-yet-ready line is a comparison rather than
-	// a queue peek.
-	headAt int64
+	buf     []delayed[T]
+	head, n int
+	delay   int64
 }
 
 type delayed[T any] struct {
@@ -109,39 +111,86 @@ type delayed[T any] struct {
 	v  T
 }
 
-// NewDelayLine returns a delay line with the given latency in cycles.
-// Negative delays are treated as zero.
-func NewDelayLine[T any](delay int64) *DelayLine[T] {
-	if delay < 0 {
-		delay = 0
-	}
-	return &DelayLine[T]{delay: delay, q: NewFIFO[delayed[T]](8)}
+// NewDelayLine returns an empty delay line with the given latency in cycles.
+// Negative delays are treated as zero. It allocates nothing.
+func NewDelayLine[T any](delay int64) DelayLine[T] {
+	return DelayLine[T]{delay: max(delay, 0)}
 }
 
 // Delay returns the line's latency in cycles.
 func (d *DelayLine[T]) Delay() int64 { return d.delay }
 
 // Len returns the number of items in flight.
-func (d *DelayLine[T]) Len() int { return d.q.Len() }
+func (d *DelayLine[T]) Len() int { return d.n }
+
+// Grow makes room for n more items than the line holds, so that many pushes
+// allocate nothing.
+func (d *DelayLine[T]) Grow(n int) {
+	if need := d.n + n; need > len(d.buf) {
+		d.resize(need)
+	}
+}
 
 // Push inserts an item at cycle now; it becomes ready at now+delay.
 func (d *DelayLine[T]) Push(now int64, v T) {
-	if d.q.Len() == 0 {
-		d.headAt = now + d.delay
+	if d.n == len(d.buf) {
+		d.resize(max(2*len(d.buf), int(d.delay)+1, 4))
 	}
-	d.q.Push(delayed[T]{at: now + d.delay, v: v})
+	// head < len and n < len, so a compare-and-subtract wraps the index.
+	i := d.head + d.n
+	if i >= len(d.buf) {
+		i -= len(d.buf)
+	}
+	d.buf[i] = delayed[T]{at: now + d.delay, v: v}
+	d.n++
 }
 
-// PopReady removes and returns the next item whose delivery time has been
-// reached at cycle now. ok is false when nothing is ready.
+func (d *DelayLine[T]) resize(size int) {
+	nb := make([]delayed[T], size)
+	for i := range nb[:d.n] {
+		nb[i] = d.buf[(d.head+i)%len(d.buf)]
+	}
+	d.buf, d.head = nb, 0
+}
+
+// PopReady removes and returns the oldest item if it is due at cycle now.
+// ok is false when the line is empty or its oldest item is not yet due. The
+// vacated slot is cleared, so the line keeps no pointer alive.
 func (d *DelayLine[T]) PopReady(now int64) (v T, ok bool) {
-	if d.q.Len() == 0 || d.headAt > now {
-		var zero T
-		return zero, false
+	if d.n == 0 || d.buf[d.head].at > now {
+		return v, false
 	}
-	head, _ := d.q.Pop()
-	if next, ok := d.q.Peek(); ok {
-		d.headAt = next.at
+	v = d.buf[d.head].v
+	d.buf[d.head] = delayed[T]{}
+	if d.head++; d.head == len(d.buf) {
+		d.head = 0
 	}
-	return head.v, true
+	d.n--
+	return v, true
+}
+
+// Each visits every item in flight, oldest first, without removing any. It
+// is for inspection, not the per-cycle path.
+func (d *DelayLine[T]) Each(fn func(T)) {
+	for i := 0; i < d.n; i++ {
+		fn(d.buf[(d.head+i)%len(d.buf)].v)
+	}
+}
+
+// Purge removes every item for which drop reports true, keeping the others
+// in order with their due cycles. It is for rare events (a router kill), not
+// the per-cycle path.
+func (d *DelayLine[T]) Purge(drop func(T) bool) {
+	kept := 0
+	for i := 0; i < d.n; i++ {
+		e := d.buf[(d.head+i)%len(d.buf)]
+		if !drop(e.v) {
+			d.buf[(d.head+kept)%len(d.buf)] = e
+			kept++
+		}
+	}
+	for i := kept; i < d.n; i++ {
+		d.buf[(d.head+i)%len(d.buf)] = delayed[T]{}
+	}
+	d.n = kept
 }

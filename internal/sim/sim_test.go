@@ -217,6 +217,35 @@ func TestDelayLineFIFOOrder(t *testing.T) {
 	}
 }
 
+// TestDelayLineWrapGrowPurge: a line that grows while its ring has wrapped
+// keeps order and due cycles, and Purge drops only what it is asked to.
+func TestDelayLineWrapGrowPurge(t *testing.T) {
+	d := NewDelayLine[int](2)
+	d.Grow(3)
+	for now := int64(0); now < 3; now++ {
+		d.Push(now, int(now))
+	}
+	if v, ok := d.PopReady(2); !ok || v != 0 {
+		t.Fatalf("pop at 2 = %v ok=%v, want 0", v, ok)
+	}
+	for now := int64(3); now < 8; now++ { // wraps, then grows
+		d.Push(now, int(now))
+	}
+	d.Purge(func(v int) bool { return v%2 == 0 })
+	if d.Len() != 4 {
+		t.Fatalf("Len after purge = %d, want 4", d.Len())
+	}
+	for _, want := range []int{1, 3, 5, 7} {
+		due := int64(want) + 2
+		if _, ok := d.PopReady(due - 1); ok {
+			t.Fatalf("%d ready before its due cycle %d", want, due)
+		}
+		if v, ok := d.PopReady(due); !ok || v != want {
+			t.Fatalf("pop at %d = %v ok=%v, want %d", due, v, ok, want)
+		}
+	}
+}
+
 func TestTicker(t *testing.T) {
 	tk := NewTicker(10, 10)
 	fires := 0
