@@ -153,7 +153,7 @@ func TestSpecKernelConfigRoundTrip(t *testing.T) {
 // The texts three network sizes that New cannot allocate fail with, on
 // the 64-node baseline.
 const (
-	hostileVCs      = "network: 8x8 mesh with VCs 1000000000, BufDepth 16, Delay 1 needs 1.14e+05 GiB of router buffers and pipes, over the 1 GiB limit"
+	hostileVCs      = "network: 8x8 mesh with VCs 1000000000, BufDepth 16, Delay 1 needs 1e+05 GiB of router buffers and pipes, over the 1 GiB limit"
 	hostileBufDepth = "network: 8x8 mesh with VCs 2, BufDepth 1000000000, Delay 1 needs 9.54e+03 GiB of router buffers and pipes, over the 1 GiB limit"
 	hostileDelay    = "network: 8x8 mesh with VCs 2, BufDepth 16, Delay 1000000000000 needs 8.58e+06 GiB of router buffers and pipes, over the 1 GiB limit"
 )

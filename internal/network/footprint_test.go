@@ -33,7 +33,7 @@ func TestValidateBoundsFootprint(t *testing.T) {
 		wantError string // "" = valid
 	}{
 		{"mesh8x8", routing.DOR{}, 1_000_000_000, 16, 1,
-			"network: 8x8 mesh with VCs 1000000000, BufDepth 16, Delay 1 needs 1.14e+05 GiB of router buffers and pipes, over the 1 GiB limit"},
+			"network: 8x8 mesh with VCs 1000000000, BufDepth 16, Delay 1 needs 1e+05 GiB of router buffers and pipes, over the 1 GiB limit"},
 		{"mesh8x8", routing.DOR{}, 2, 1_000_000_000, 1,
 			"network: 8x8 mesh with VCs 2, BufDepth 1000000000, Delay 1 needs 9.54e+03 GiB of router buffers and pipes, over the 1 GiB limit"},
 		{"mesh8x8", routing.DOR{}, 2, 16, 1_000_000_000_000,

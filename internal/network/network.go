@@ -86,11 +86,13 @@ const maxFootprint = 1 << 30
 
 // footprint estimates the bytes New allocates for its routers and delay
 // lines. Per router: the Router block and, where routing.NextHops memoises
-// the algorithm, its next-hop row, and the private lines New gives it and
-// the network replaces. Per port: two private line headers, a line pointer,
-// an upstream reference, arbitration pointers and a flit counter. Per input
-// VC: 80 B of allocation, credit and VC-allocator state, a Dims+1-entry
-// candidate window and BufDepth flit slots. Per output port, on the tile's
+// the algorithm, its next-hop row and candidates and the router's hop
+// entries, one per candidate per QoS class, and the private lines New gives
+// it and the network replaces. Per port: two private line headers, a line
+// pointer, an upstream reference, arbitration pointers and a flit counter.
+// Per input VC: 80 B of allocation, credit and VC-allocator state, a
+// Dims+1-entry candidate window unless the routes are memoised, and
+// BufDepth flit slots. Per output port, on the tile's
 // lines: Delay (+ link delay) flits in transit and link delay + 1 credits,
 // each with its due cycle. Per node: the source queues. It is float64 so
 // that hostile sizes cannot overflow; Router.Validate has already checked
@@ -103,6 +105,7 @@ func (c Config) footprint() float64 {
 		// pointers, nomination, flit count) and two match flags.
 		portState = 2*48 + 8 + 16 + 5*8 + 2
 		ownLines  = 48 // the private lines' header block
+		hopEntry  = 16 // four int32: the output-VC range, port and class
 	)
 	flit := float64(unsafe.Sizeof(router.Flit{}))
 	transit := float64(unsafe.Sizeof(router.Transit{})) + 8
@@ -111,10 +114,13 @@ func (c Config) footprint() float64 {
 	t, rc := c.Topo, c.Router
 	perRouter := float64(unsafe.Sizeof(router.Router{})) + ownLines + float64(t.Ports())*portState +
 		float64(max(rc.Classes, 1))*float64(unsafe.Sizeof(sourceQueue{}))
+	perVC := vcState + float64(rc.BufDepth)*flit
 	if row, cands := routing.NextHops(c.Routing, t, 0); row != nil {
-		perRouter += float64(len(row)) + float64(cap(cands))*cand
+		perRouter += float64(len(row)) + float64(cap(cands))*cand +
+			float64(len(cands)*max(rc.Classes, 1))*hopEntry
+	} else {
+		perVC += float64(t.Dims+1) * cand
 	}
-	perVC := vcState + float64(t.Dims+1)*cand + float64(rc.BufDepth)*flit
 	delay := float64(rc.Delay)
 	total := float64(t.N) * (perRouter + float64(t.Ports())*float64(rc.VCs)*perVC)
 	for i := 0; i < t.N; i++ {
@@ -173,9 +179,9 @@ type Network struct {
 
 	// Activity tracking, kept per spatial tile. Each tile owns a bitset
 	// over its contiguous router range with bit b set exactly when router
-	// lo+b buffers flits — routers register through their wake callback
-	// when a flit arrives and are deregistered by Step's compute sweep the
-	// cycle they empty. activeCount mirrors the popcount.
+	// lo+b buffers flits — a router is registered when a flit arrives while
+	// it is idle and deregistered by Step's compute sweep the cycle it
+	// empties. activeCount mirrors the popcount.
 	// srcPending is the analogous bitset over nodes with a nonempty source
 	// queue. The ordering rule of every per-cycle phase is ascending id
 	// within a tile, tiles in ascending order — tiles are ascending id
@@ -310,8 +316,6 @@ func New(cfg Config) *Network {
 	}
 	for i := 0; i < t.N; i++ {
 		n.routers[i] = router.New(i, t, cfg.Routing, cfg.Router)
-		id := i
-		n.routers[i].SetWake(func() { n.markActive(id) })
 	}
 	n.wireLines()
 	if len(n.tiles) > 1 {
@@ -408,10 +412,10 @@ func (n *Network) wireLines() {
 }
 
 // markActive inserts router id into its tile's active set; it is
-// idempotent. A router calls it through its wake callback when a flit
-// arrives while it is deregistered. During parallel
-// phases only the tile's own worker (or the serial apply sections) reaches
-// a tile's bitset, so no locking is needed.
+// idempotent. The deliver and inject phases call it when AcceptFlit reports
+// that a flit arrived at an idle router. During parallel phases only the
+// tile's own worker (or the serial apply sections) reaches a tile's bitset,
+// so no locking is needed.
 func (n *Network) markActive(id int) {
 	t := &n.tiles[n.tileOf[id]]
 	bit := id - t.lo
@@ -663,7 +667,6 @@ func (n *Network) stepTile(now int64, ti int) {
 			if r.Idle() {
 				t.active[w] &^= 1 << uint(i)
 				t.activeCount--
-				r.ClearAwake()
 			}
 		}
 	}
@@ -728,7 +731,9 @@ func (n *Network) land(now int64, ti int, e router.Transit) {
 		t.flitOut = append(t.flitOut, e)
 		return
 	}
-	n.routers[link.To].AcceptFlit(link.ToPort, int(e.F.VC), e.F)
+	if n.routers[link.To].AcceptFlit(link.ToPort, int(e.F.VC), e.F) {
+		n.markActive(link.To)
+	}
 }
 
 // applyDeliveries empties every tile's deliver-phase outboxes on one
@@ -753,7 +758,9 @@ func (n *Network) applyDeliveries(now int64) {
 		t := &n.tiles[ti]
 		for _, e := range t.flitOut {
 			link := n.cfg.Topo.LinkAt(int(e.Node), int(e.Port))
-			n.routers[link.To].AcceptFlit(link.ToPort, int(e.F.VC), e.F)
+			if n.routers[link.To].AcceptFlit(link.ToPort, int(e.F.VC), e.F) {
+				n.markActive(link.To)
+			}
 		}
 		clear(t.flitOut)
 		t.flitOut = t.flitOut[:0]
@@ -825,7 +832,9 @@ func (n *Network) injectNode(now int64, t *netTile, node int) {
 			if f.Head() && n.tracer != nil {
 				n.tracer.Record(now, f.P.ID, node, obs.PhaseInject)
 			}
-			r.AcceptFlit(n.cfg.Topo.LocalPort(), r.InjectionVCClass(qc), f)
+			if r.AcceptFlit(n.cfg.Topo.LocalPort(), r.InjectionVCClass(qc), f) {
+				n.markActive(node)
+			}
 			t.flitsInjected++
 			t.queuedFlits--
 			if n.obs != nil {
@@ -985,14 +994,18 @@ func (n *Network) faultPreStep(now int64) {
 // boundaries: transitions on an idle network have no observable effect, and
 // the state seen at the next real cycle is identical either way.
 //
-// Each outage entry sets its port's state in list order, so a port named by
-// several entries takes the state of the last one: of two disjoint windows
-// on one port, only the later takes effect (a known defect, open on the
-// ROADMAP). A port that ends the evaluation up applies the credits it held.
+// A port is down while any outage entry naming it covers now, so one port
+// can have several windows. A port that ends the evaluation up applies the
+// credits it held.
 func (n *Network) applyFaultSchedule(now int64) {
 	p := n.faults.Params()
+	for i := range n.outages {
+		n.outages[i].down = false
+	}
 	for _, o := range p.Outages {
-		n.outage(int32(o.Node), int32(o.Port)).down = fault.OutageActive(o, now)
+		if fault.OutageActive(o, now) {
+			n.outage(int32(o.Node), int32(o.Port)).down = true
+		}
 	}
 	for i := range n.outages {
 		if o := &n.outages[i]; !o.down && len(o.credits) > 0 {

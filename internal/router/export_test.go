@@ -8,3 +8,7 @@ func Flits(p *Packet) []Flit {
 	}
 	return fs
 }
+
+// generalPathOnly keeps r off the one-VC path: it steps through the general
+// compute phases whatever its occupancy.
+func (r *Router) generalPathOnly() { r.generalOnly = true }

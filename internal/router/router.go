@@ -124,12 +124,16 @@ type inVC struct {
 	outVC         int32
 	outClass      int32 // routing class of the granted output VC
 	out           int32 // flat index outPort*VCs+outVC into Router.out
-	qos           int8  // QoS class of the VC's partition (see vcQoS)
-	routed        bool
-	granted       bool
-	// cands is the front packet's routing candidates, in the VC's
-	// Dims+1-entry window of the router's candidate slab (the most any
-	// built-in algorithm returns); only a larger answer reallocates.
+	// hop is the routed front packet's entry in Router.hopEnts, on a router
+	// that memoises its routes.
+	hop     int32
+	qos     int8 // QoS class of the VC's partition (see vcQoS)
+	routed  bool
+	granted bool
+	// cands is the front packet's routing candidates on a router that asks
+	// the algorithm per head flit, in the VC's Dims+1-entry window of the
+	// router's candidate slab (the most any built-in algorithm returns);
+	// only a larger answer reallocates.
 	cands []routing.Candidate
 }
 
@@ -149,6 +153,14 @@ type outVC struct {
 
 // vcSpan is a half-open VC index range [lo, hi).
 type vcSpan struct{ lo, hi int32 }
+
+// hopEntry is one memoised route out of a router for packets of one QoS
+// class: the output port and routing class of the algorithm's candidate, and
+// the output VCs [lo, hi) it may be granted, as flat indices port*VCs+v.
+type hopEntry struct {
+	lo, hi      int32
+	port, class int32
+}
 
 // Transit is a flit in flight on a delay line: F left output port Port of
 // router Node, and is delivered (ejected, or landed in the downstream input
@@ -193,12 +205,13 @@ type Router struct {
 	ports int
 	vcs   int // cfg.VCs
 	local int // topo.LocalPort()
-	// hops and hopCands memoise the routing algorithm at this router when
-	// routing.NextHops can: hopCands[hops[dst]] is the one candidate
-	// alg.Candidates returns for destination dst. Nil otherwise, and
-	// routeVC then asks the algorithm per head flit.
-	hops     []uint8
-	hopCands []routing.Candidate
+	// hops and hopEnts memoise the routing algorithm at this router when
+	// routing.NextHops can: for destination dst and QoS class qc,
+	// hopEnts[hops[dst]*qos+qc] is the one candidate alg.Candidates returns,
+	// with the output VCs it may be granted. Nil otherwise, and routeVC then
+	// asks the algorithm per head flit.
+	hops    []uint8
+	hopEnts []hopEntry
 	// numClasses caches alg.NumClasses(topo), the routing VC class count.
 	numClasses int
 	// spans is the (QoS class, routing class) -> VC range table, built once
@@ -247,21 +260,14 @@ type Router struct {
 	// live on delay lines, not in the router.
 	occupancy int
 
-	// wake, when non-nil, is invoked whenever the router transitions from
-	// idle to non-idle (a flit arrives at an empty router). The network uses
-	// it to maintain the active-router set so Step touches only routers
-	// holding flits. It must be idempotent.
-	wake func()
-	// awake mirrors the router's membership in the network's active set:
-	// raised when wake fires, lowered by ClearAwake when the network
-	// deregisters the router. It turns the per-arrival idle-transition
-	// check into a single flag test.
-	awake bool
-
 	// dead marks a hard-killed router: its state has been purged and it
 	// accepts neither flits nor credits. It stays false outside
 	// fault-injection runs, so the fault checks never divert.
 	dead bool
+
+	// generalOnly keeps the router off stepOne, on the general compute
+	// phases, whatever its occupancy. Only the test comparing the two sets it.
+	generalOnly bool
 
 	// maskHot is true when ports*VCs fits in 64 bits, enabling the input-VC
 	// state bitmasks below; fixed at construction. The compute phases then
@@ -335,9 +341,6 @@ func New(id int, t *topology.Topology, alg routing.Algorithm, cfg Config) *Route
 		portFlits: make([]int64, ports),
 	}
 	r.maskHot = total <= 64
-	r.hops, r.hopCands = routing.NextHops(alg, t, id)
-	candsPerVC := t.Dims + 1
-	candSlab := make([]routing.Candidate, total*candsPerVC)
 	r.numClasses = alg.NumClasses(t)
 	r.qos = max(cfg.Classes, 1)
 	r.strict = r.qos > 1 && cfg.ClassArb == StrictPriority
@@ -358,6 +361,18 @@ func New(id int, t *topology.Topology, alg routing.Algorithm, cfg Config) *Route
 			}
 		}
 	}
+	hops, cands := routing.NextHops(alg, t, id)
+	candsPerVC := t.Dims + 1
+	if hops != nil {
+		r.hops, r.hopEnts, candsPerVC = hops, make([]hopEntry, 0, len(cands)*r.qos), 0
+		for _, c := range cands {
+			for qc := 0; qc < r.qos; qc++ {
+				span, base := r.spans[qc*r.spanStride+c.Class+1], int32(c.Port*cfg.VCs)
+				r.hopEnts = append(r.hopEnts, hopEntry{base + span.lo, base + span.hi, int32(c.Port), int32(c.Class)})
+			}
+		}
+	}
+	candSlab := make([]routing.Candidate, total*candsPerVC)
 	if cfg.Arb == AgeBased {
 		r.vaReqs = make([]vaReq, 0, total)
 	}
@@ -405,16 +420,6 @@ func (r *Router) SetUpstream(inPort, upNode, upPort int, line *sim.DelayLine[Cre
 
 // SetTracer attaches a flit-lifecycle tracer (nil detaches it).
 func (r *Router) SetTracer(t *obs.Tracer) { r.tracer = t }
-
-// ClearAwake is called by the network when it removes the router from the
-// active set; the next flit arrival fires the wake callback again. Callers must only clear an Idle router, or arrivals would
-// re-register a router that is already registered — harmless (markActive
-// is idempotent) but wasted work.
-func (r *Router) ClearAwake() { r.awake = false }
-
-// SetWake registers the idle-to-active notification callback (nil, the
-// default, disables notification; direct router tests need no network).
-func (r *Router) SetWake(f func()) { r.wake = f }
 
 // SampleVCOccupancy returns the average and maximum buffer occupancy in
 // flits across every input VC. It walks all buffers, so it is meant for
@@ -471,16 +476,14 @@ func (r *Router) popFront(v *inVC) Flit {
 	return f
 }
 
-// AcceptFlit places a delivered flit into the input buffer (port, vc). It
-// panics if the buffer is full: credit-based flow control guarantees space,
-// so overflow indicates a simulator bug.
-func (r *Router) AcceptFlit(port, vc int, f Flit) {
+// AcceptFlit places a delivered flit into the input buffer (port, vc) and
+// reports whether it is the only flit the router buffers: the router went
+// from idle to active, and the network adds it to its active set. It panics
+// if the buffer is full: credit-based flow control guarantees space, so
+// overflow indicates a simulator bug.
+func (r *Router) AcceptFlit(port, vc int, f Flit) bool {
 	if f.Head() {
 		f.P.Route.ArriveAt(r.ID)
-	}
-	if !r.awake && r.wake != nil {
-		r.awake = true
-		r.wake()
 	}
 	flat := port*r.vcs + vc
 	v := &r.in[flat]
@@ -496,6 +499,7 @@ func (r *Router) AcceptFlit(port, vc int, f Flit) {
 	v.n++
 	r.occupancy++
 	r.occMask |= 1 << uint(flat)
+	return r.occupancy == 1
 }
 
 // CanAcceptInjectionClass reports whether QoS class qc's injection buffer
@@ -554,9 +558,38 @@ func (r *Router) Step(now int64) {
 	if r.occupancy == 0 {
 		return
 	}
+	if r.oneVC() {
+		r.stepOne(now, bits.TrailingZeros64(r.occMask))
+		return
+	}
 	r.routeCompute(now)
 	r.vcAllocate(now)
 	r.switchAllocate(now)
+}
+
+// oneVC reports whether exactly one input VC of a router that buffers flits
+// holds them, on a router whose state masks are exact.
+func (r *Router) oneVC() bool {
+	return r.maskHot && r.occMask&(r.occMask-1) == 0 && !r.generalOnly
+}
+
+// stepOne is Step for a router whose only occupied input VC is flat: the
+// three phases in one straight pass over it, ending in the general path's
+// state. Every arbitration has one contender, since the phases consider
+// only occupied VCs, and round-robin, age and class keys only order
+// contenders; vaPtr advances once, as in every vcAllocate branch, and
+// forward moves the switch pointers. The nomination scratch (saInWin,
+// saNom) is written before it is read in every general step.
+func (r *Router) stepOne(now int64, flat int) {
+	ivc := &r.in[flat]
+	r.routeVC(now, flat)
+	r.vaTryGrant(now, flat)
+	if r.vaPtr++; r.vaPtr == len(r.in) {
+		r.vaPtr = 0
+	}
+	if ivc.granted && r.out[ivc.out].credits > 0 {
+		r.forward(now, int(ivc.port), flat-int(ivc.port)*r.vcs)
+	}
 }
 
 // drainOwnCredits applies every credit on the private lines that finished
@@ -599,15 +632,12 @@ func (r *Router) routeVC(now int64, flat int) {
 		return
 	}
 	if r.hops != nil {
-		// Reslicing and appending in place write no pointer, so they need
-		// no GC write barrier.
-		ivc.cands = ivc.cands[:0]
-		ivc.cands = append(ivc.cands, r.hopCands[r.hops[f.P.Dst]])
+		ivc.hop = int32(int(r.hops[f.P.Dst])*r.qos + int(ivc.qos))
 	} else {
 		ivc.cands = r.alg.Candidates(r.topo, r.ID, f.P.Dst, &f.P.Route, ivc.cands[:0])
-	}
-	if len(ivc.cands) == 0 {
-		panic(fmt.Sprintf("router %d: no route for packet %d (dst %d)", r.ID, f.P.ID, f.P.Dst))
+		if len(ivc.cands) == 0 {
+			panic(fmt.Sprintf("router %d: no route for packet %d (dst %d)", r.ID, f.P.ID, f.P.Dst))
+		}
 	}
 	ivc.routed = true
 	r.reqMask |= 1 << uint(flat)
@@ -669,17 +699,27 @@ func (r *Router) vaTryGrant(now int64, flat int) {
 	if !ivc.routed || ivc.granted {
 		return
 	}
-	// The packet's QoS class is static per input VC (see vcQoS); its
-	// output-VC candidates come from the matching partition downstream.
-	row := int(ivc.qos)*r.spanStride + 1
 	best, bestCred := -1, int32(-1)
-	var bestCand routing.Candidate
-	for _, c := range ivc.cands {
-		span := r.spans[row+c.Class]
-		base := c.Port * r.vcs
-		for o := base + int(span.lo); o < base+int(span.hi); o++ {
+	var port, class int32
+	if r.hopEnts != nil {
+		e := &r.hopEnts[ivc.hop]
+		for o := e.lo; o < e.hi; o++ {
 			if ov := &r.out[o]; !ov.owned && ov.credits > bestCred {
-				best, bestCred, bestCand = o, ov.credits, c
+				best, bestCred = int(o), ov.credits
+			}
+		}
+		port, class = e.port, e.class
+	} else {
+		// The packet's QoS class is static per input VC (see vcQoS); its
+		// output-VC candidates come from the matching partition downstream.
+		row := int(ivc.qos)*r.spanStride + 1
+		for _, c := range ivc.cands {
+			span := r.spans[row+c.Class]
+			base := c.Port * r.vcs
+			for o := base + int(span.lo); o < base+int(span.hi); o++ {
+				if ov := &r.out[o]; !ov.owned && ov.credits > bestCred {
+					best, bestCred, port, class = o, ov.credits, int32(c.Port), int32(c.Class)
+				}
 			}
 		}
 	}
@@ -687,8 +727,8 @@ func (r *Router) vaTryGrant(now int64, flat int) {
 		return
 	}
 	ivc.granted = true
-	ivc.out, ivc.outPort, ivc.outClass = int32(best), int32(bestCand.Port), int32(bestCand.Class)
-	ivc.outVC = int32(best - bestCand.Port*r.vcs)
+	ivc.out, ivc.outPort, ivc.outClass = int32(best), port, class
+	ivc.outVC = int32(best) - port*int32(r.vcs)
 	r.out[best].owned = true
 	r.reqMask &^= 1 << uint(flat)
 	r.gntMask |= 1 << uint(flat)

@@ -312,22 +312,49 @@ func TestClassRangeTableMatchesFormula(t *testing.T) {
 	}
 }
 
+// Which input VCs saturate tops up.
+const (
+	fillAll    = iota // every VC every cycle
+	fillSparse        // an uneven subset, so the state masks keep changing
+	fillOne           // one VC, in rotation, whenever the router is empty
+)
+
+// The path a Step takes.
+const (
+	pathIdle    = iota // nothing buffered
+	pathGeneral        // route, VC and switch allocation over every VC
+	pathOneVC          // stepOne
+)
+
+// stepPath returns the path r's next Step takes.
+func stepPath(r *Router) int {
+	switch {
+	case r.Idle():
+		return pathIdle
+	case r.oneVC():
+		return pathOneVC
+	}
+	return pathGeneral
+}
+
 // saturate returns a function that runs one cycle of a stand-alone router
 // held at load: every flit leaving a pipeline is acknowledged with a credit,
-// every input VC is topped up with two-flit packets of its own QoS class
-// (every VC every cycle, or under sparse an uneven subset so the state
-// masks keep changing), then the router steps. The harness allocates
-// nothing.
-func saturate(r *Router, topo *topology.Topology, sparse bool) (cycle func()) {
+// the input VCs fill selects are topped up with two-flit packets of their own
+// QoS class, then the router steps. cycle returns the path the step took.
+// The harness allocates nothing.
+func saturate(r *Router, topo *topology.Topology, fill int) (cycle func() int) {
 	pool := make([]Packet, 4096)
 	next, now := 0, int64(0)
-	return func() {
+	return func() int {
+		empty := r.Idle()
 		for p := 0; p < r.ports; p++ {
 			if f, ok := r.PopDelivery(now, p); ok && p != topo.LocalPort() {
 				r.ReturnCredit(now, p, int(f.VC))
 			}
 			for v := 0; v < r.vcs; v++ {
-				if sparse && (int(now)*31+p*7+v*3)%5 >= 2 {
+				switch {
+				case fill == fillSparse && (int(now)*31+p*7+v*3)%5 >= 2,
+					fill == fillOne && (!empty || (p*r.vcs+v) != int(now)%len(r.in)):
 					continue
 				}
 				for r.InBufLen(p, v)+2 <= r.cfg.BufDepth { // two-flit packets: heads and tails
@@ -340,8 +367,10 @@ func saturate(r *Router, topo *topology.Topology, sparse bool) (cycle func()) {
 				}
 			}
 		}
+		path := stepPath(r)
 		r.Step(now)
 		now++
+		return path
 	}
 }
 
@@ -359,27 +388,38 @@ func allocatorFlavours() []Config {
 	return out
 }
 
-// TestStepAllocatesNothing holds a router at full occupancy and requires
-// zero allocations per Step, harness included, for every allocator flavour
-// on both the mask paths and the nested-loop phases of routers wider than
-// 64 VCs: the age order used to build its request list afresh every cycle.
+// TestStepAllocatesNothing holds a router at load and requires zero
+// allocations per Step, harness included, for every allocator flavour on
+// the mask paths, on the nested-loop phases of routers wider than 64 VCs
+// (the age order used to build its request list afresh every cycle) and,
+// with one VC filled at a time, on the one-VC path.
 func TestStepAllocatesNothing(t *testing.T) {
 	topo := topology.NewMesh(4, 4)
 	for _, cfg := range allocatorFlavours() {
-		for _, nested := range []bool{false, true} {
+		for _, row := range []struct {
+			name   string
+			nested bool
+			fill   int
+		}{{"mask", false, fillAll}, {"nested", true, fillAll}, {"one-VC", false, fillOne}} {
+			name := fmt.Sprintf("arb=%s classes=%d/%s %s", cfg.Arb, cfg.Classes, cfg.ClassArb, row.name)
 			r := New(5, topo, routing.DOR{}, cfg)
-			if nested {
+			if row.nested {
 				r.maskHot = false
 			}
-			cycle := saturate(r, topo, false)
+			cycle, oneVC := saturate(r, topo, row.fill), 0
 			for i := 0; i < 256; i++ { // every VC has routed once: candidate slices exist
-				cycle()
+				if cycle() == pathOneVC {
+					oneVC++
+				}
 			}
 			if r.FlitsRouted == 0 {
-				t.Fatalf("arb=%s classes=%d/%s nested=%v: harness moved no flits", cfg.Arb, cfg.Classes, cfg.ClassArb, nested)
+				t.Fatalf("%s: harness moved no flits", name)
 			}
-			if a := testing.AllocsPerRun(200, cycle); a != 0 {
-				t.Errorf("arb=%s classes=%d/%s nested=%v: %.1f allocs per Step, want 0", cfg.Arb, cfg.Classes, cfg.ClassArb, nested, a)
+			if (row.fill == fillOne) != (oneVC > 0) {
+				t.Fatalf("%s: %d of 256 steps took the one-VC path", name, oneVC)
+			}
+			if a := testing.AllocsPerRun(200, func() { cycle() }); a != 0 {
+				t.Errorf("%s: %.1f allocs per Step, want 0", name, a)
 			}
 		}
 	}
@@ -391,11 +431,29 @@ func TestStepAllocatesNothing(t *testing.T) {
 func dumpState(r *Router) string {
 	var b strings.Builder
 	flit := func(f Flit) { fmt.Fprintf(&b, " %d.%d/%d@%d", f.P.ID, f.Seq, f.VC, f.P.Hops) }
+	// A routed VC's route prints as port/class[lo,hi) per candidate: its hop
+	// entry on a router that memoises routes, its candidates with the
+	// output-VC range the span table gives them otherwise.
+	route := func(v *inVC) {
+		switch {
+		case !v.routed:
+			fmt.Fprint(&b, " -")
+		case r.hopEnts != nil:
+			e := r.hopEnts[v.hop]
+			fmt.Fprintf(&b, " %d/%d[%d,%d)", e.port, e.class, e.lo, e.hi)
+		default:
+			for _, c := range v.cands {
+				span, base := r.spans[int(v.qos)*r.spanStride+1+c.Class], int32(c.Port*r.vcs)
+				fmt.Fprintf(&b, " %d/%d[%d,%d)", c.Port, c.Class, base+span.lo, base+span.hi)
+			}
+		}
+	}
 	fmt.Fprintln(&b, r.FlitsRouted, r.occupancy, r.occMask, r.reqMask, r.gntMask,
 		r.gntPorts, r.vaPtr, r.saInPtr, r.saOutPtr, r.portFlits)
 	for i := range r.in {
 		v := &r.in[i]
-		fmt.Fprint(&b, i, v.n, v.routed, v.granted, v.out, v.outPort, v.outVC, v.outClass, v.cands, r.out[i])
+		fmt.Fprint(&b, i, v.n, v.routed, v.granted, v.out, v.outPort, v.outVC, v.outClass, r.out[i])
+		route(v)
 		for k := int32(0); k < v.n; k++ {
 			flit(r.slab[v.base+(v.head+k)%int32(r.cfg.BufDepth)])
 		}
@@ -429,10 +487,10 @@ func TestNestedLoopPhasesMatchMaskPaths(t *testing.T) {
 			{torus, routing.DOR{}, 12, 4}, // 5 ports x 12 VCs: the masks almost full
 			{torus, routing.MinimalAdaptive{}, 9, 2},
 		} {
-			for _, sparse := range []bool{false, true} {
+			for _, fill := range []int{fillAll, fillSparse} {
 				cfg := base
 				cfg.VCs, cfg.BufDepth = c.vcs, c.depth
-				name := fmt.Sprintf("%s/%s %+v sparse=%v", c.topo.Name, c.alg.Name(), cfg, sparse)
+				name := fmt.Sprintf("%s/%s %+v fill=%d", c.topo.Name, c.alg.Name(), cfg, fill)
 				if err := cfg.Validate(c.topo, c.alg); err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
@@ -441,7 +499,7 @@ func TestNestedLoopPhasesMatchMaskPaths(t *testing.T) {
 					t.Fatalf("%s: router too wide for the mask paths", name)
 				}
 				nested.maskHot = false
-				stepMask, stepNested := saturate(mask, c.topo, sparse), saturate(nested, c.topo, sparse)
+				stepMask, stepNested := saturate(mask, c.topo, fill), saturate(nested, c.topo, fill)
 				for i := 0; i < 150; i++ {
 					stepMask()
 					stepNested()
@@ -459,22 +517,22 @@ func TestNestedLoopPhasesMatchMaskPaths(t *testing.T) {
 
 // randomTraffic returns a function that runs one cycle of a stand-alone
 // router under random load: every flit leaving a pipeline is acknowledged
-// with a credit, each input VC receives, with probability one half, a
-// packet of 1..BufDepth flits to a random destination if it has room for
-// all of it, and the router steps. Two routers fed from generators of one
-// seed see the same traffic.
-func randomTraffic(r *Router, topo *topology.Topology, seed uint64) (cycle func()) {
+// with a credit, each input VC receives, with probability rate, a packet of
+// 1..BufDepth flits to a random destination if it has room for all of it,
+// and the router steps. cycle returns the path the step took. Two routers
+// fed from generators of one seed see the same traffic.
+func randomTraffic(r *Router, topo *topology.Topology, seed uint64, rate float64) (cycle func() int) {
 	rng := sim.NewRNG(seed)
 	var id uint64
 	now := int64(0)
-	return func() {
+	return func() int {
 		for p := 0; p < r.ports; p++ {
 			if f, ok := r.PopDelivery(now, p); ok && p != topo.LocalPort() {
 				r.ReturnCredit(now, p, int(f.VC))
 			}
 			for v := 0; v < r.vcs; v++ {
 				size := 1 + rng.Intn(r.cfg.BufDepth)
-				if !rng.Bernoulli(0.5) || r.InBufLen(p, v)+size > r.cfg.BufDepth {
+				if !rng.Bernoulli(rate) || r.InBufLen(p, v)+size > r.cfg.BufDepth {
 					continue
 				}
 				id++
@@ -485,8 +543,10 @@ func randomTraffic(r *Router, topo *topology.Topology, seed uint64) (cycle func(
 				}
 			}
 		}
+		path := stepPath(r)
 		r.Step(now)
 		now++
+		return path
 	}
 }
 
@@ -500,8 +560,8 @@ func TestRouterNextHopsMatchCandidates(t *testing.T) {
 		if memo.hops == nil {
 			t.Fatal("no next-hop row for DOR on a mesh")
 		}
-		asked.hops, asked.hopCands = nil, nil
-		stepMemo, stepAsked := randomTraffic(memo, topo, 7), randomTraffic(asked, topo, 7)
+		asked.hops, asked.hopEnts = nil, nil
+		stepMemo, stepAsked := randomTraffic(memo, topo, 7, 0.5), randomTraffic(asked, topo, 7, 0.5)
 		for i := 0; i < 2000; i++ {
 			stepMemo()
 			stepAsked()
@@ -511,6 +571,58 @@ func TestRouterNextHopsMatchCandidates(t *testing.T) {
 		}
 		if memo.FlitsRouted == 0 {
 			t.Fatalf("%+v: harness moved no flits", cfg)
+		}
+	}
+}
+
+// TestOneVCPathMatchesGeneralPath feeds two routers identically, one of
+// them kept on the general compute phases, and requires identical state
+// after every cycle, under every allocator flavour, VC count and buffer
+// depth, with routes memoised (DOR) and asked per head flit (minimal
+// adaptive, several candidates), single-flit and multi-flit packets, at
+// loads where a router mostly holds one VC and where it mostly holds many.
+// Both paths must have run, or the test would compare one with itself.
+func TestOneVCPathMatchesGeneralPath(t *testing.T) {
+	topo := topology.NewMesh(4, 4)
+	for _, alg := range []routing.Algorithm{routing.DOR{}, routing.MinimalAdaptive{}} {
+		for _, base := range allocatorFlavours() {
+			for _, vcs := range []int{2, 3, 6} {
+				for _, depth := range []int{1, 4} {
+					cfg := base
+					cfg.VCs, cfg.BufDepth = vcs, depth
+					name := fmt.Sprintf("%s %+v", alg.Name(), cfg)
+					if cfg.Validate(topo, alg) != nil {
+						continue // too few VCs for the QoS partition and the algorithm's classes
+					}
+					var paths [3]int // steps of the router under test, by path
+					for _, h := range []struct {
+						name  string
+						cycle func(r *Router) func() int
+					}{
+						{"random 0.02", func(r *Router) func() int { return randomTraffic(r, topo, 11, 0.02) }},
+						{"random 0.5", func(r *Router) func() int { return randomTraffic(r, topo, 11, 0.5) }},
+						{"one VC", func(r *Router) func() int { return saturate(r, topo, fillOne) }},
+						{"sparse", func(r *Router) func() int { return saturate(r, topo, fillSparse) }},
+					} {
+						fast, general := New(5, topo, alg, cfg), New(5, topo, alg, cfg)
+						general.generalPathOnly()
+						stepFast, stepGeneral := h.cycle(fast), h.cycle(general)
+						for i := 0; i < 300; i++ {
+							paths[stepFast()]++
+							if stepGeneral() == pathOneVC {
+								t.Fatalf("%s %s: the router kept on the general path took the one-VC path", name, h.name)
+							}
+							if a, b := dumpState(fast), dumpState(general); a != b {
+								t.Fatalf("%s %s: state differs after cycle %d\none-VC path:\n%s\ngeneral path:\n%s", name, h.name, i, a, b)
+							}
+						}
+					}
+					if paths[pathGeneral] == 0 || paths[pathOneVC] == 0 {
+						t.Fatalf("%s: %d steps on the general path, %d on the one-VC path; both must run",
+							name, paths[pathGeneral], paths[pathOneVC])
+					}
+				}
+			}
 		}
 	}
 }

@@ -230,7 +230,7 @@ func TestSubmitRejectsBadSpecs(t *testing.T) {
 		// inside network.New: a fatal out-of-memory that ended every
 		// tenant's jobs with the process.
 		{"a billion VCs", `{"kind":"openloop","rate":0.1,"network":{"VCs":1000000000}}`, 400,
-			"network: 8x8 mesh with VCs 1000000000, BufDepth 16, Delay 1 needs 1.14e+05 GiB of router buffers and pipes, over the 1 GiB limit"},
+			"network: 8x8 mesh with VCs 1000000000, BufDepth 16, Delay 1 needs 1e+05 GiB of router buffers and pipes, over the 1 GiB limit"},
 		{"a billion-flit buffer", `{"kind":"openloop","rate":0.1,"network":{"BufDepth":1000000000}}`, 400,
 			"network: 8x8 mesh with VCs 2, BufDepth 1000000000, Delay 1 needs 9.54e+03 GiB of router buffers and pipes, over the 1 GiB limit"},
 		{"a trillion-cycle router", `{"kind":"openloop","rate":0.1,"network":{"RouterDelay":1000000000000}}`, 400,
