@@ -275,6 +275,8 @@ figures-full:
 ablations:
 	$(GO) run ./cmd/figures -id ablations
 
+# The example programs, then every JSON spec under examples/specs through
+# `noceval run` (one build; a few seconds in all).
 examples:
 	$(GO) run ./examples/quickstart
 	$(GO) run ./examples/designspace
@@ -282,6 +284,10 @@ examples:
 	$(GO) run ./examples/correlation
 	$(GO) run ./examples/tracereplay
 	$(GO) run ./examples/telemetry
+	@for f in examples/specs/*.json; do \
+		echo "$(GO) run ./cmd/noceval run -config $$f"; \
+		$(GO) run ./cmd/noceval run -config "$$f" || exit 1; \
+	done
 
 # Remove untracked build outputs only: the benchmark's build directory
 # and the command binaries `go build ./cmd/<name>` drops in the repo root.

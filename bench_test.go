@@ -45,19 +45,14 @@ func quickOpenLoop(b *testing.B, p core.NetworkParams, rate float64) *openloop.R
 	return res
 }
 
-func quickBatch(b *testing.B, p core.NetworkParams, bp core.BatchParams) *closedloop.BatchResult {
+// quickBatch runs s as a batch spec, at b=150 unless s sets B.
+func quickBatch(b *testing.B, s core.ExperimentSpec) *closedloop.BatchResult {
 	b.Helper()
-	if bp.B == 0 {
-		bp.B = 150
+	s.Kind = "batch"
+	if s.B == 0 {
+		s.B = 150
 	}
-	res, err := core.Batch(p, bp)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if !res.Completed {
-		b.Fatal("batch did not complete")
-	}
-	return res
+	return runSpecs(b, new(core.RunSet), []core.ExperimentSpec{s})[0].Batch
 }
 
 // correlateOpenBatch runs the Fig 5 procedure at b=150 with the default
@@ -107,7 +102,7 @@ func BenchmarkFig01_LatencyLoadCurve(b *testing.B) {
 func BenchmarkFig02_BatchSizeScaling(b *testing.B) {
 	var norm float64
 	for i := 0; i < b.N; i++ {
-		res := quickBatch(b, core.Baseline(), core.BatchParams{B: 1000, M: 4})
+		res := quickBatch(b, core.ExperimentSpec{Network: core.Baseline(), B: 1000, M: 4})
 		norm = float64(res.Runtime) / 1000
 	}
 	b.ReportMetric(norm, "runtime-per-request")
@@ -131,8 +126,8 @@ func BenchmarkFig04_RouterDelayBatch(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		p2 := core.Baseline()
 		p2.RouterDelay = 2
-		r1 := quickBatch(b, core.Baseline(), core.BatchParams{M: 1})
-		r2 := quickBatch(b, p2, core.BatchParams{M: 1})
+		r1 := quickBatch(b, core.ExperimentSpec{Network: core.Baseline(), M: 1})
+		r2 := quickBatch(b, core.ExperimentSpec{Network: p2, M: 1})
 		ratio = float64(r2.Runtime) / float64(r1.Runtime)
 	}
 	b.ReportMetric(ratio, "tr2-tr1-runtime-ratio") // paper: ~1.45
@@ -159,8 +154,8 @@ func BenchmarkFig06_TopologyBatch(b *testing.B) {
 		mesh := core.Baseline()
 		ring := core.Baseline()
 		ring.Topology = "ring64"
-		rm := quickBatch(b, mesh, core.BatchParams{M: 8})
-		rr := quickBatch(b, ring, core.BatchParams{M: 8})
+		rm := quickBatch(b, core.ExperimentSpec{Network: mesh, M: 8})
+		rr := quickBatch(b, core.ExperimentSpec{Network: ring, M: 8})
 		ringOverMesh = float64(rr.Runtime) / float64(rm.Runtime)
 	}
 	b.ReportMetric(ringOverMesh, "ring-mesh-runtime-ratio") // > 1
@@ -170,7 +165,7 @@ func BenchmarkFig06_TopologyBatch(b *testing.B) {
 func BenchmarkFig07_PerNodeRuntime(b *testing.B) {
 	var skew float64
 	for i := 0; i < b.N; i++ {
-		res := quickBatch(b, core.Baseline(), core.BatchParams{M: 1})
+		res := quickBatch(b, core.ExperimentSpec{Network: core.Baseline(), M: 1})
 		finishes := make([]float64, len(res.NodeFinish))
 		for j, t := range res.NodeFinish {
 			finishes[j] = float64(t)
@@ -217,8 +212,8 @@ func BenchmarkFig10_RoutingBatch(b *testing.B) {
 		dor.Pattern = "transpose"
 		val := dor
 		val.Routing = "val"
-		rd := quickBatch(b, dor, core.BatchParams{M: 1})
-		rv := quickBatch(b, val, core.BatchParams{M: 1})
+		rd := quickBatch(b, core.ExperimentSpec{Network: dor, M: 1})
+		rv := quickBatch(b, core.ExperimentSpec{Network: val, M: 1})
 		ratio = float64(rv.Runtime) / float64(rd.Runtime)
 	}
 	// Paper: only ~1.7% difference — worst-case nodes route minimally
@@ -233,7 +228,7 @@ func BenchmarkFig11_NodeDistributions(b *testing.B) {
 		p := core.Baseline()
 		p.VCs = 4
 		p.Pattern = "transpose"
-		res := quickBatch(b, p, core.BatchParams{M: 1})
+		res := quickBatch(b, core.ExperimentSpec{Network: p, M: 1})
 		finishes := make([]float64, len(res.NodeFinish))
 		for j, t := range res.NodeFinish {
 			finishes[j] = float64(t)
@@ -297,8 +292,8 @@ func BenchmarkFig16_NARInjectionModel(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		p4 := core.Baseline()
 		p4.RouterDelay = 4
-		slow := quickBatch(b, p4, core.BatchParams{M: 16, NAR: 0.04})
-		fast := quickBatch(b, core.Baseline(), core.BatchParams{M: 16, NAR: 0.04})
+		slow := quickBatch(b, core.ExperimentSpec{Network: p4, M: 16, NAR: 0.04})
+		fast := quickBatch(b, core.ExperimentSpec{Network: core.Baseline(), M: 16, NAR: 0.04})
 		ratio = float64(slow.Runtime) / float64(fast.Runtime)
 	}
 	b.ReportMetric(ratio, "tr4-tr1-ratio-at-low-nar") // ~1: NAR hides tr
@@ -308,12 +303,12 @@ func BenchmarkFig16_NARInjectionModel(b *testing.B) {
 // effect.
 func BenchmarkFig17_ReplyModel(b *testing.B) {
 	var ratio float64
-	reply := closedloop.ProbabilisticReply{L2Latency: 20, MemoryLatency: 300, MissRate: 0.1}
+	reply := &core.ReplySpec{Type: "probabilistic", L2: 20, Memory: 300, MissRate: 0.1}
 	for i := 0; i < b.N; i++ {
 		p4 := core.Baseline()
 		p4.RouterDelay = 4
-		slow := quickBatch(b, p4, core.BatchParams{M: 1, Reply: reply})
-		fast := quickBatch(b, core.Baseline(), core.BatchParams{M: 1, Reply: reply})
+		slow := quickBatch(b, core.ExperimentSpec{Network: p4, M: 1, Reply: reply})
+		fast := quickBatch(b, core.ExperimentSpec{Network: core.Baseline(), M: 1, Reply: reply})
 		ratio = float64(slow.Runtime) / float64(fast.Runtime)
 	}
 	b.ReportMetric(ratio, "tr4-tr1-ratio-with-memory") // << 2.4 (undamped)

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -175,11 +176,12 @@ func TestOpenBatchGridAndRun(t *testing.T) {
 		t.Fatalf("results: %d batch, %d open, %d extra", len(batch), len(open), len(more))
 	}
 	for i, r := range batch {
-		want, err := core.OpenLoopWith(grid[i].Network, r.Batch.Throughput, ph)
+		want, err := new(core.RunSet).RunAll(context.Background(), []core.ExperimentSpec{{Kind: "openloop",
+			Network: grid[i].Network, Rate: r.Batch.Throughput, Warmup: ph.Warmup, Measure: ph.Measure, DrainLimit: ph.DrainLimit}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(open[i].OpenLoop, want) {
+		if !reflect.DeepEqual(open[i].OpenLoop, want[0].OpenLoop) {
 			t.Errorf("cell %d: open-loop run is not the network at its batch throughput and phases", i)
 		}
 	}

@@ -7,7 +7,6 @@ import (
 	"strings"
 
 	"noceval/internal/core"
-	"noceval/internal/openloop"
 	"noceval/internal/traffic"
 	"noceval/internal/workload"
 )
@@ -90,17 +89,4 @@ func (o *classOpts) apply(p *core.NetworkParams) error {
 	p.Classes = o.classes
 	p.ClassArb = o.arb
 	return nil
-}
-
-// printPerClass renders the per-class results of a multi-class run.
-func printPerClass(per []openloop.ClassResult) {
-	if len(per) == 0 {
-		return
-	}
-	fmt.Printf("%12s %7s %12s %8s %8s %10s %9s %9s\n",
-		"class", "share", "avg latency", "p95", "p99", "accepted", "injected", "delivered")
-	for _, cr := range per {
-		fmt.Printf("%12s %7.2f %12.2f %8.1f %8.1f %10.3f %9d %9d\n",
-			cr.Name, cr.Share, cr.AvgLatency, cr.P95, cr.P99, cr.Accepted, cr.Injected, cr.Delivered)
-	}
 }

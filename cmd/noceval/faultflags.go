@@ -69,17 +69,3 @@ func (o *faultOpts) build() *fault.Params {
 	}
 	return p
 }
-
-// printFaultStats renders the fault/recovery counters of a faulted run.
-func printFaultStats(fs *fault.Stats) {
-	if fs == nil {
-		return
-	}
-	fmt.Printf("faults: injected %d corrupt + %d drop, detected %d, dead flits %d, dead packets %d\n",
-		fs.CorruptInjected, fs.DropInjected, fs.Detected, fs.DeadFlits, fs.DeadPackets)
-	if fs.Tracked > 0 {
-		fmt.Printf("recovery: tracked %d, acked %d, retried %d, abandoned %d, dup %d, outstanding %d\n",
-			fs.Tracked, fs.Acked, fs.Retried, fs.Abandoned, fs.Duplicates, fs.Outstanding)
-	}
-	fmt.Printf("delivered fraction %.4f\n", fs.DeliveredFraction)
-}

@@ -1,7 +1,9 @@
 // Command noceval runs a single experiment of the on-chip network
 // evaluation framework from the command line.
 //
-// Subcommands:
+// Each subcommand turns its flags into one core.ExperimentSpec and runs it
+// the way `noceval run` runs a spec file: the same run path, and the same
+// report of its kind that nocd returns for the spec.
 //
 //	noceval openloop -rate 0.2 [-topo mesh8x8] [-routing dor] ...
 //	noceval sweep    -hi 0.5 [net flags]            # latency/load curve
@@ -9,6 +11,7 @@
 //	noceval barrier  -b 1000 [-phases 1]
 //	noceval exec     -bench lu [-tr 1] [-clock 75mhz|3ghz] [-timer]
 //	noceval char     -bench lu [-clock 3ghz]        # Table III/IV characterization
+//	noceval run      -config exp.json               # a JSON experiment spec
 //
 // Network flags shared by all network subcommands:
 //
@@ -27,8 +30,9 @@
 //	-fault-retries 4      max retransmissions   -fault-retry-cap 8  MSHR cap
 //	-fault-seed 0         fault RNG seed (0 = derived from -seed)
 //
-// Observability flags (openloop and batch; sweep takes the last four, exec
-// only -cpuprofile and -memprofile):
+// Observability flags. The observed kinds, openloop and batch, take them
+// all: the first five set the spec's Hooks. sweep and barrier take the
+// last three, exec only the profiling pair:
 //
 //	-metrics            collect metrics + per-router telemetry, write under -obs-out
 //	-trace              record flit lifecycles, write a Chrome trace (chrome://tracing)
@@ -42,19 +46,105 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
-	"math"
+	"io"
 	"os"
 	"strconv"
 	"strings"
 
 	"noceval/internal/closedloop"
 	"noceval/internal/core"
+	"noceval/internal/openloop"
 	"noceval/internal/workload"
 )
 
-func netFlags(fs *flag.FlagSet) *core.NetworkParams {
+// A subcommand registers its flags on fs, and o's that apply to it, and
+// returns the builder of its spec, called once fs is parsed.
+type subcommand func(fs *flag.FlagSet, o *obsOpts) func() (*core.ExperimentSpec, error)
+
+var subcommands = map[string]subcommand{
+	"openloop": openLoopCmd,
+	"sweep":    sweepCmd,
+	"batch":    batchCmd,
+	"barrier":  barrierCmd,
+	"exec":     execCmd,
+	"char":     charCmd,
+	"run":      runCmd,
+}
+
+var errUsage = errors.New("usage: noceval <openloop|sweep|batch|barrier|exec|char|run> [flags]")
+
+func main() {
+	if len(os.Args) < 2 {
+		usage()
+	}
+	if err := run(os.Stdout, os.Args[1], os.Args[2:]); err != nil {
+		if errors.Is(err, errUsage) {
+			usage()
+		}
+		fmt.Fprintln(os.Stderr, "noceval:", err)
+		os.Exit(1)
+	}
+}
+
+func usage() {
+	fmt.Fprintln(os.Stderr, errUsage)
+	os.Exit(2)
+}
+
+// parse builds the spec the flag line args of subcommand name describes,
+// and the run options its flags set.
+func parse(name string, args []string) (*core.ExperimentSpec, *obsOpts, error) {
+	cmd, ok := subcommands[name]
+	if !ok {
+		return nil, nil, errUsage
+	}
+	fs := flag.NewFlagSet(name, flag.ExitOnError)
+	o := &obsOpts{}
+	build := cmd(fs, o)
+	if err := fs.Parse(args); err != nil {
+		return nil, nil, err
+	}
+	spec, err := build()
+	return spec, o, err
+}
+
+// run is the one path of every subcommand: build the spec, open the
+// session, profile, run the spec, write what the observer collected and
+// print the report to w, then the session summary.
+func run(w io.Writer, name string, args []string) error {
+	spec, o, err := parse(name, args)
+	if err != nil {
+		return err
+	}
+	if err := o.sess.Open(); err != nil {
+		return err
+	}
+	defer o.teardown(w)
+	if err := o.startProfiling(); err != nil {
+		return err
+	}
+	spec.Hooks = o.hooks()
+	report, err := spec.RunContext(context.Background())
+	if err != nil {
+		return err
+	}
+	if err := o.writeOutputs(spec.Hooks, spec.Network.Topology); err != nil {
+		return err
+	}
+	if err := o.stopProfiling(); err != nil {
+		return err
+	}
+	_, err = io.WriteString(w, report)
+	return err
+}
+
+// netFlags registers the network and fault-injection flags, and the QoS
+// class flags when classes is set; the builder returns the parameters
+// they select.
+func netFlags(fs *flag.FlagSet, classes bool) func() (core.NetworkParams, error) {
 	p := core.Baseline()
 	fs.StringVar(&p.Topology, "topo", p.Topology, "topology (mesh8x8, torus8x8, ring64, ...)")
 	fs.StringVar(&p.Routing, "routing", p.Routing, "routing algorithm (dor, val, ma, romm)")
@@ -67,14 +157,85 @@ func netFlags(fs *flag.FlagSet) *core.NetworkParams {
 	fs.Uint64Var(&p.Seed, "seed", p.Seed, "random seed")
 	fs.IntVar(&p.Shards, "shards", core.EnvShards(),
 		"spatial tiles stepped concurrently per cycle (0/1 sequential; bit-identical at any count; default $NOCEVAL_SHARDS)")
-	return &p
+	fo := faultFlags(fs)
+	var co *classOpts
+	if classes {
+		co = classFlags(fs)
+	}
+	return func() (core.NetworkParams, error) {
+		p.Fault = fo.build()
+		if co != nil {
+			if err := co.apply(&p); err != nil {
+				return p, err
+			}
+		}
+		return p, nil
+	}
 }
 
-func parseReply(spec string) (closedloop.ReplyModel, error) {
-	if spec == "" {
+func openLoopCmd(fs *flag.FlagSet, o *obsOpts) func() (*core.ExperimentSpec, error) {
+	net := netFlags(fs, true)
+	rate := fs.Float64("rate", 0.1, "offered load in flits/cycle/node")
+	o.observeFlags(fs)
+	return func() (*core.ExperimentSpec, error) {
+		p, err := net()
+		return &core.ExperimentSpec{Kind: "openloop", Network: p, Rate: *rate}, err
+	}
+}
+
+func sweepCmd(fs *flag.FlagSet, o *obsOpts) func() (*core.ExperimentSpec, error) {
+	net := netFlags(fs, true)
+	hi := fs.Float64("hi", 0.5, "highest offered load")
+	step := fs.Float64("step", 0.02, "load step")
+	o.sessionFlags(fs)
+	fs.BoolVar(&o.sess.Screen, "screen", false, "analytically screen the sweep: skip predicted deep-saturation simulations (output is bit-identical)")
+	return func() (*core.ExperimentSpec, error) {
+		p, err := net()
+		rates := openloop.Rates(*step, *hi)
+		if err == nil && len(rates) == 0 {
+			err = fmt.Errorf("sweep: no offered load in (0, %g] at step %g", *hi, *step)
+		}
+		return &core.ExperimentSpec{Kind: "sweep", Network: p, Rates: rates}, err
+	}
+}
+
+func batchCmd(fs *flag.FlagSet, o *obsOpts) func() (*core.ExperimentSpec, error) {
+	net := netFlags(fs, false)
+	b := fs.Int("b", 1000, "batch size per node")
+	m := fs.Int("m", 1, "max outstanding requests per node")
+	nar := fs.Float64("nar", 0, "network access rate (0 or 1 = baseline)")
+	reply := fs.String("reply", "", "reply model: fixed:<lat> or prob:<l2>:<mem>:<missrate>")
+	kernelStatic := fs.Float64("kstatic", 0, "kernel static traffic fraction")
+	kernelPeriod := fs.Int64("kperiod", 0, "kernel timer period in cycles")
+	kernelBatch := fs.Int("kbatch", 0, "kernel transactions per timer interrupt")
+	o.observeFlags(fs)
+	return func() (*core.ExperimentSpec, error) {
+		p, err := net()
+		if err != nil {
+			return nil, err
+		}
+		spec := &core.ExperimentSpec{Kind: "batch", Network: p, B: *b, M: *m, NAR: *nar}
+		if spec.Reply, err = parseReply(*reply); err != nil {
+			return nil, err
+		}
+		if *kernelStatic > 0 || *kernelPeriod > 0 {
+			spec.Kernel = &closedloop.KernelConfig{
+				StaticFraction: *kernelStatic,
+				TimerPeriod:    *kernelPeriod,
+				TimerBatch:     *kernelBatch,
+			}
+		}
+		return spec, nil
+	}
+}
+
+// parseReply reads the -reply flag: "" (the immediate reply),
+// fixed:<latency> or prob:<l2>:<mem>:<missrate>.
+func parseReply(s string) (*core.ReplySpec, error) {
+	if s == "" {
 		return nil, nil
 	}
-	parts := strings.Split(spec, ":")
+	parts := strings.Split(s, ":")
 	switch parts[0] {
 	case "fixed":
 		if len(parts) != 2 {
@@ -84,7 +245,7 @@ func parseReply(spec string) (closedloop.ReplyModel, error) {
 		if err != nil {
 			return nil, err
 		}
-		return closedloop.FixedReply{Latency: lat}, nil
+		return &core.ReplySpec{Type: "fixed", Latency: lat}, nil
 	case "prob":
 		if len(parts) != 4 {
 			return nil, fmt.Errorf("reply spec: want prob:<l2>:<mem>:<missrate>")
@@ -101,346 +262,73 @@ func parseReply(spec string) (closedloop.ReplyModel, error) {
 		if err != nil {
 			return nil, err
 		}
-		return closedloop.ProbabilisticReply{L2Latency: l2, MemoryLatency: mem, MissRate: mr}, nil
+		return &core.ReplySpec{Type: "probabilistic", L2: l2, Memory: mem, MissRate: mr}, nil
 	default:
 		return nil, fmt.Errorf("reply spec: unknown model %q", parts[0])
 	}
 }
 
-func main() {
-	if len(os.Args) < 2 {
-		usage()
-	}
-	var err error
-	switch os.Args[1] {
-	case "openloop":
-		err = cmdOpenLoop(os.Args[2:])
-	case "sweep":
-		err = cmdSweep(os.Args[2:])
-	case "batch":
-		err = cmdBatch(os.Args[2:])
-	case "barrier":
-		err = cmdBarrier(os.Args[2:])
-	case "exec":
-		err = cmdExec(os.Args[2:])
-	case "char":
-		err = cmdChar(os.Args[2:])
-	case "run":
-		err = cmdRun(os.Args[2:])
-	default:
-		usage()
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "noceval:", err)
-		os.Exit(1)
-	}
-}
-
-func usage() {
-	fmt.Fprintln(os.Stderr, "usage: noceval <openloop|sweep|batch|barrier|exec|char|run> [flags]")
-	os.Exit(2)
-}
-
-// cmdRun executes a declarative JSON experiment spec.
-func cmdRun(args []string) error {
-	fs := flag.NewFlagSet("run", flag.ExitOnError)
-	path := fs.String("config", "", "path to a JSON experiment spec")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if *path == "" {
-		return fmt.Errorf("run: -config is required")
-	}
-	data, err := os.ReadFile(*path)
-	if err != nil {
-		return err
-	}
-	spec, err := core.ParseSpec(data)
-	if err != nil {
-		return err
-	}
-	report, err := spec.RunContext(context.Background())
-	if err != nil {
-		return err
-	}
-	fmt.Print(report)
-	return nil
-}
-
-func cmdOpenLoop(args []string) error {
-	fs := flag.NewFlagSet("openloop", flag.ExitOnError)
-	p := netFlags(fs)
-	rate := fs.Float64("rate", 0.1, "offered load in flits/cycle/node")
-	fo := faultFlags(fs)
-	co := classFlags(fs)
-	oo := obsFlags(fs, true)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	p.Fault = fo.build()
-	if err := co.apply(p); err != nil {
-		return err
-	}
-	if err := oo.sess.Open(); err != nil {
-		return err
-	}
-	defer oo.teardown()
-	if err := oo.startProfiling(); err != nil {
-		return err
-	}
-	h := oo.hooks()
-	res, err := core.OpenLoopWith(*p, *rate, core.OpenLoopOpts{Hooks: h})
-	if err != nil {
-		return err
-	}
-	if err := oo.writeOutputs(h, p.Topology); err != nil {
-		return err
-	}
-	if err := oo.stopProfiling(); err != nil {
-		return err
-	}
-	fmt.Printf("config: %s\n", p)
-	fmt.Printf("offered %.3f accepted %.3f stable %v\n", res.Rate, res.Accepted, res.Stable)
-	fmt.Printf("avg latency %.2f cycles (p95 %.1f, p99 %.1f), worst per-node avg %.2f\n",
-		res.AvgLatency, res.P95, res.P99, res.WorstLatency)
-	fmt.Printf("avg hops %.2f, measured packets %d\n", res.AvgHops, res.MeasuredPackets)
-	if res.LostPackets > 0 {
-		fmt.Printf("lost packets %d\n", res.LostPackets)
-	}
-	printPerClass(res.PerClass)
-	printFaultStats(res.Faults)
-	return nil
-}
-
-// sweepRates lists the offered loads step, 2*step, ... up to and
-// including hi. Each rate derives from its index, rounded to 1e-9:
-// accumulating step drifts (0.02 x 24 = 0.48000000000000015), which
-// dropped the hi point itself.
-func sweepRates(step, hi float64) []float64 {
-	if step <= 0 {
-		return nil
-	}
-	var rates []float64
-	for i := 1; ; i++ {
-		r := math.Round(float64(i)*step*1e9) / 1e9
-		if r > hi {
-			return rates
-		}
-		rates = append(rates, r)
-	}
-}
-
-func cmdSweep(args []string) error {
-	fs := flag.NewFlagSet("sweep", flag.ExitOnError)
-	p := netFlags(fs)
-	hi := fs.Float64("hi", 0.5, "highest offered load")
-	step := fs.Float64("step", 0.02, "load step")
-	fo := faultFlags(fs)
-	co := classFlags(fs)
-	oo := obsFlags(fs, false)
-	fs.BoolVar(&oo.sess.Screen, "screen", false, "analytically screen the sweep: skip predicted deep-saturation simulations (output is bit-identical)")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	p.Fault = fo.build()
-	if err := co.apply(p); err != nil {
-		return err
-	}
-	if err := oo.sess.Open(); err != nil {
-		return err
-	}
-	defer oo.teardown()
-	if err := oo.startProfiling(); err != nil {
-		return err
-	}
-	results, err := core.OpenLoopSweepWith(*p, sweepRates(*step, *hi), core.OpenLoopOpts{})
-	if err != nil {
-		return err
-	}
-	if err := oo.stopProfiling(); err != nil {
-		return err
-	}
-	fmt.Printf("config: %s\n", p)
-	fmt.Printf("%10s %12s %12s %8s\n", "offered", "avg latency", "accepted", "stable")
-	for _, r := range results {
-		fmt.Printf("%10.3f %12.2f %12.3f %8v\n", r.Rate, r.AvgLatency, r.Accepted, r.Stable)
-	}
-	if len(results) > 0 && len(results[0].PerClass) > 0 {
-		fmt.Printf("\nper-class avg latency (cycles)\n%10s", "offered")
-		for _, cr := range results[0].PerClass {
-			fmt.Printf(" %12s", cr.Name)
-		}
-		fmt.Println()
-		for _, r := range results {
-			fmt.Printf("%10.3f", r.Rate)
-			for _, cr := range r.PerClass {
-				fmt.Printf(" %12.2f", cr.AvgLatency)
-			}
-			fmt.Println()
-		}
-	}
-	return nil
-}
-
-func cmdBatch(args []string) error {
-	fs := flag.NewFlagSet("batch", flag.ExitOnError)
-	p := netFlags(fs)
-	b := fs.Int("b", 1000, "batch size per node")
-	m := fs.Int("m", 1, "max outstanding requests per node")
-	nar := fs.Float64("nar", 0, "network access rate (0 or 1 = baseline)")
-	replySpec := fs.String("reply", "", "reply model: fixed:<lat> or prob:<l2>:<mem>:<missrate>")
-	kernelStatic := fs.Float64("kstatic", 0, "kernel static traffic fraction")
-	kernelPeriod := fs.Int64("kperiod", 0, "kernel timer period in cycles")
-	kernelBatch := fs.Int("kbatch", 0, "kernel transactions per timer interrupt")
-	fo := faultFlags(fs)
-	oo := obsFlags(fs, true)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	p.Fault = fo.build()
-	reply, err := parseReply(*replySpec)
-	if err != nil {
-		return err
-	}
-	if err := oo.sess.Open(); err != nil {
-		return err
-	}
-	defer oo.teardown()
-	if err := oo.startProfiling(); err != nil {
-		return err
-	}
-	h := oo.hooks()
-	bp := core.BatchParams{B: *b, M: *m, NAR: *nar, Reply: reply, Hooks: h}
-	if *kernelStatic > 0 || *kernelPeriod > 0 {
-		bp.Kernel = &closedloop.KernelConfig{
-			StaticFraction: *kernelStatic,
-			TimerPeriod:    *kernelPeriod,
-			TimerBatch:     *kernelBatch,
-		}
-	}
-	res, err := core.Batch(*p, bp)
-	if err != nil {
-		return err
-	}
-	if err := oo.writeOutputs(h, p.Topology); err != nil {
-		return err
-	}
-	if err := oo.stopProfiling(); err != nil {
-		return err
-	}
-	fmt.Printf("config: %s  b=%d m=%d nar=%g\n", p, *b, *m, *nar)
-	fmt.Printf("runtime T = %d cycles (completed %v)\n", res.Runtime, res.Completed)
-	fmt.Printf("achieved throughput theta = %.4f flits/cycle/node\n", res.Throughput)
-	fmt.Printf("packets %d (kernel %d), avg packet latency %.2f\n",
-		res.TotalPackets, res.KernelPackets, res.AvgPacketLatency)
-	if res.FailedTransactions > 0 {
-		fmt.Printf("failed transactions %d\n", res.FailedTransactions)
-	}
-	if res.Stalled {
-		fmt.Printf("RUN STALLED (deadlock watchdog):\n%s", res.StallDump)
-	}
-	printFaultStats(res.Faults)
-	return nil
-}
-
-func cmdBarrier(args []string) error {
-	fs := flag.NewFlagSet("barrier", flag.ExitOnError)
-	p := netFlags(fs)
+func barrierCmd(fs *flag.FlagSet, o *obsOpts) func() (*core.ExperimentSpec, error) {
+	net := netFlags(fs, false)
 	b := fs.Int("b", 1000, "packets per node per phase")
 	phases := fs.Int("phases", 1, "barrier phases")
-	fo := faultFlags(fs)
-	oo := obsFlags(fs, false)
-	if err := fs.Parse(args); err != nil {
-		return err
+	o.sessionFlags(fs)
+	return func() (*core.ExperimentSpec, error) {
+		p, err := net()
+		return &core.ExperimentSpec{Kind: "barrier", Network: p, B: *b, Phases: *phases}, err
 	}
-	p.Fault = fo.build()
-	if err := oo.sess.Open(); err != nil {
-		return err
-	}
-	defer oo.teardown()
-	if err := oo.startProfiling(); err != nil {
-		return err
-	}
-	res, err := core.Barrier(*p, *b, *phases)
-	if err == nil {
-		err = oo.stopProfiling()
-	}
-	if err != nil {
-		return err
-	}
-	fmt.Printf("config: %s  b=%d phases=%d\n", p, *b, *phases)
-	fmt.Printf("runtime %d cycles, throughput %.4f flits/cycle/node\n", res.Runtime, res.Throughput)
-	for i, pt := range res.PhaseRuntime {
-		fmt.Printf("  phase %d: %d cycles\n", i, pt)
-	}
-	if res.FailedPackets > 0 {
-		fmt.Printf("failed packets %d\n", res.FailedPackets)
-	}
-	printFaultStats(res.Faults)
-	return nil
 }
 
-func cmdExec(args []string) error {
-	fs := flag.NewFlagSet("exec", flag.ExitOnError)
+// clockFlag registers -clock; its parser returns the clock's spelling in a
+// spec.
+func clockFlag(fs *flag.FlagSet, usage string) func() (string, error) {
+	s := fs.String("clock", "3ghz", usage)
+	return func() (string, error) {
+		clock, err := workload.ParseClock(*s)
+		if err != nil {
+			return "", fmt.Errorf("%v (want 75mhz or 3ghz)", err)
+		}
+		return clock.SpecName(), nil
+	}
+}
+
+func execCmd(fs *flag.FlagSet, o *obsOpts) func() (*core.ExperimentSpec, error) {
 	bench := fs.String("bench", "blackscholes", "benchmark (blackscholes, lu, canneal, fft, barnes)")
 	tr := fs.Int64("tr", 1, "router delay")
-	clockStr := fs.String("clock", "3ghz", "core clock (75mhz, 3ghz)")
+	clock := clockFlag(fs, "core clock (75mhz, 3ghz)")
 	timer := fs.Bool("timer", false, "enable timer interrupts")
 	ideal := fs.Bool("ideal", false, "use the ideal network")
 	seed := fs.Uint64("seed", 7, "random seed")
-	oo := profileFlags(fs)
-	if err := fs.Parse(args); err != nil {
-		return err
+	o.profileFlags(fs)
+	return func() (*core.ExperimentSpec, error) {
+		c, err := clock()
+		return &core.ExperimentSpec{Kind: "exec", Network: core.Table2Network(*tr), Benchmark: *bench,
+			Clock: c, Timer: *timer, Ideal: *ideal, Seed: *seed}, err
 	}
-	clock, err := workload.ParseClock(*clockStr)
-	if err != nil {
-		return fmt.Errorf("%v (want 75mhz or 3ghz)", err)
-	}
-	if err := oo.startProfiling(); err != nil {
-		return err
-	}
-	res, err := core.Exec(core.Table2Network(*tr), core.ExecParams{
-		Benchmark: *bench, Clock: clock, Timer: *timer, Ideal: *ideal, Seed: *seed,
-	})
-	if err == nil {
-		err = oo.stopProfiling()
-	}
-	if err != nil {
-		return err
-	}
-	fmt.Printf("benchmark %s on %s network, tr=%d, clock %s, timer %v\n",
-		*bench, map[bool]string{true: "ideal", false: "4x4 mesh"}[*ideal], *tr, clock, *timer)
-	fmt.Printf("runtime %d cycles, %d user + %d kernel instructions\n",
-		res.Cycles, res.UserInsts, res.KernelInsts)
-	fmt.Printf("flits %d (kernel %d, %.1f%%), NAR %.4f (user %.4f, kernel %.4f)\n",
-		res.TotalFlits, res.KernelFlits, 100*float64(res.KernelFlits)/float64(res.TotalFlits),
-		res.NAR, res.UserNAR, res.KernelNAR)
-	fmt.Printf("L1 miss %.3f/%.3f (user/kernel), L2 miss %.3f/%.3f, timer interrupts %d\n",
-		res.L1MissRate[0], res.L1MissRate[1], res.L2MissRate[0], res.L2MissRate[1], res.TimerInterrupts)
-	return nil
 }
 
-func cmdChar(args []string) error {
-	fs := flag.NewFlagSet("char", flag.ExitOnError)
+func charCmd(fs *flag.FlagSet, _ *obsOpts) func() (*core.ExperimentSpec, error) {
 	bench := fs.String("bench", "blackscholes", "benchmark")
-	clockStr := fs.String("clock", "3ghz", "core clock")
+	clock := clockFlag(fs, "core clock")
 	seed := fs.Uint64("seed", 7, "random seed")
-	if err := fs.Parse(args); err != nil {
-		return err
+	return func() (*core.ExperimentSpec, error) {
+		c, err := clock()
+		return &core.ExperimentSpec{Kind: "characterize", Network: core.Baseline(), Benchmark: *bench,
+			Clock: c, Seed: *seed}, err
 	}
-	clock, err := workload.ParseClock(*clockStr)
-	if err != nil {
-		return fmt.Errorf("%v (want 75mhz or 3ghz)", err)
+}
+
+// runCmd reads a declarative JSON experiment spec.
+func runCmd(fs *flag.FlagSet, _ *obsOpts) func() (*core.ExperimentSpec, error) {
+	path := fs.String("config", "", "path to a JSON experiment spec")
+	return func() (*core.ExperimentSpec, error) {
+		if *path == "" {
+			return nil, fmt.Errorf("run: -config is required")
+		}
+		data, err := os.ReadFile(*path)
+		if err != nil {
+			return nil, err
+		}
+		return core.ParseSpec(data)
 	}
-	m, err := core.Characterize(*bench, clock, *seed)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("benchmark %s @ %s\n", m.Name, m.Clock)
-	fmt.Printf("ideal cycles %d, total flits %d\n", m.IdealCycles, m.TotalFlits)
-	fmt.Printf("NAR %.4f (user %.4f, kernel %.4f)\n", m.NAR, m.UserNAR, m.KernelNAR)
-	fmt.Printf("L2 miss %.3f (kernel %.3f)\n", m.L2Miss, m.KernelL2Miss)
-	fmt.Printf("static kernel fraction %.3f, timer period %d cycles, timer batch %d\n",
-		m.StaticKernelFrac, m.TimerPeriod, m.TimerBatch)
-	return nil
 }

@@ -3,6 +3,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -14,8 +15,8 @@ import (
 	"noceval/internal/topology"
 )
 
-// obsOpts gathers the run-level observability and profiling flags shared
-// by the network subcommands.
+// obsOpts gathers the run-level observability and profiling flags of a
+// subcommand.
 type obsOpts struct {
 	metrics     bool
 	trace       bool
@@ -31,44 +32,43 @@ type obsOpts struct {
 	cpuFile *os.File
 }
 
-// obsFlags registers the observability flags on a subcommand's flag set.
-// When full is false only the progress/profiling flags are registered
-// (used by sweep-style commands that run many short simulations).
-func obsFlags(fs *flag.FlagSet, full bool) *obsOpts {
-	o := profileFlags(fs)
-	if full {
-		fs.BoolVar(&o.metrics, "metrics", false, "collect metrics + per-router telemetry and write them under -obs-out")
-		fs.BoolVar(&o.trace, "trace", false, "record flit-lifecycle events and write a Chrome trace under -obs-out")
-		fs.Int64Var(&o.sampleEvery, "sample-every", 100, "telemetry sampling period in cycles")
-		fs.StringVar(&o.out, "obs-out", "results/telemetry", "output directory for metrics/telemetry/trace files")
-	}
-	fs.BoolVar(&o.progress, "progress", false, "print a heartbeat (cycles/sec, ETA) to stderr during the run")
-	fs.StringVar(&o.sess.Ledger, "ledger", "", "append one JSONL record per experiment run to this file")
-	fs.StringVar(&o.sess.Serve, "serve", "", "serve live metrics on this address (e.g. :9500) during the run")
-	return o
-}
-
-// profileFlags registers only the profiling pair, -cpuprofile and
-// -memprofile: the whole of obsFlags for a subcommand whose runs take no
-// observer hooks (exec).
-func profileFlags(fs *flag.FlagSet) *obsOpts {
-	o := &obsOpts{}
+// profileFlags registers the profiling pair, -cpuprofile and -memprofile:
+// exec's observability flags.
+func (o *obsOpts) profileFlags(fs *flag.FlagSet) {
 	fs.StringVar(&o.cpuprofile, "cpuprofile", "", "write a CPU profile to this file")
 	fs.StringVar(&o.memprofile, "memprofile", "", "write a heap profile to this file on exit")
-	return o
 }
 
-// teardown prints the session summary and closes the session opened with
-// sess.Open.
-func (o *obsOpts) teardown() {
-	if err := o.sess.Close(os.Stdout); err != nil {
+// sessionFlags registers the profiling pair, -ledger and -serve: the
+// observability flags of a kind that takes no hooks (sweep, barrier).
+func (o *obsOpts) sessionFlags(fs *flag.FlagSet) {
+	o.profileFlags(fs)
+	fs.StringVar(&o.sess.Ledger, "ledger", "", "append one JSONL record per experiment run to this file")
+	fs.StringVar(&o.sess.Serve, "serve", "", "serve live metrics on this address (e.g. :9500) during the run")
+}
+
+// observeFlags registers every observability flag: sessionFlags plus the
+// ones that set the spec's hooks (openloop, batch).
+func (o *obsOpts) observeFlags(fs *flag.FlagSet) {
+	o.sessionFlags(fs)
+	fs.BoolVar(&o.metrics, "metrics", false, "collect metrics + per-router telemetry and write them under -obs-out")
+	fs.BoolVar(&o.trace, "trace", false, "record flit-lifecycle events and write a Chrome trace under -obs-out")
+	fs.Int64Var(&o.sampleEvery, "sample-every", 100, "telemetry sampling period in cycles")
+	fs.StringVar(&o.out, "obs-out", "results/telemetry", "output directory for metrics/telemetry/trace files")
+	fs.BoolVar(&o.progress, "progress", false, "print a heartbeat (cycles/sec, ETA) to stderr during the run")
+}
+
+// teardown writes the session summary to w and closes the session opened
+// with sess.Open.
+func (o *obsOpts) teardown(w io.Writer) {
+	if err := o.sess.Close(w); err != nil {
 		fmt.Fprintln(os.Stderr, "noceval:", err)
 	}
 }
 
-// hooks builds the run attachments selected by the flags. The observer is
-// nil — the zero-overhead disabled path — unless -metrics or -trace was
-// given.
+// hooks builds the spec's hooks from the flags. The observer is nil —
+// the zero-overhead disabled path — unless -metrics or -trace was given,
+// so a kind without those flags gets no hooks.
 func (o *obsOpts) hooks() core.Hooks {
 	h := core.Hooks{
 		Obs: obs.NewObserver(obs.Options{Metrics: o.metrics, Trace: o.trace, SampleEvery: o.sampleEvery}),

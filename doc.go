@@ -22,8 +22,9 @@
 // (counters, gauges, histograms), cycle-sampled per-router telemetry with
 // CSV/JSON export and congestion heatmaps, a flit-lifecycle tracer with
 // Chrome trace-event export, and progress/profiling hooks. It attaches to
-// a run through core.Hooks (OpenLoopOpts.Hooks, BatchParams.Hooks) and the
-// -metrics/-trace/-progress flags of cmd/noceval. The layer is opt-in and nil-safe: with no observer
-// attached the per-cycle hot path pays a nil check and performs zero heap
-// allocations (obs_guard_test.go pins this).
+// an openloop or batch experiment spec through ExperimentSpec.Hooks, which
+// the -metrics/-trace/-progress flags of cmd/noceval set. The layer is
+// opt-in and nil-safe: with no observer attached the per-cycle hot path
+// pays a nil check and performs zero heap allocations (obs_guard_test.go
+// pins this).
 package noceval

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -20,11 +21,8 @@ func main() {
 		"ring64":   {"dor"},
 	}
 
-	fmt.Println("Design-space sweep: batch model, b=500, uniform random traffic")
-	fmt.Printf("%-10s %-6s %6s %12s %14s\n", "topology", "alg", "m", "runtime", "throughput")
-	type key struct{ topo, alg string }
-	best := map[int]key{}
-	bestT := map[int]int64{}
+	// The design space as a list of specs, simulated by one run set.
+	var specs []core.ExperimentSpec
 	for _, topo := range topologies {
 		for _, alg := range routings[topo] {
 			for _, m := range []int{1, 8} {
@@ -32,16 +30,27 @@ func main() {
 				p.Topology = topo
 				p.Routing = alg
 				p.VCs = 4 // enough VC classes for every algorithm
-				res, err := core.Batch(p, core.BatchParams{B: 500, M: m})
-				if err != nil {
-					log.Fatal(err)
-				}
-				fmt.Printf("%-10s %-6s %6d %12d %14.4f\n", topo, alg, m, res.Runtime, res.Throughput)
-				if t, ok := bestT[m]; !ok || res.Runtime < t {
-					bestT[m] = res.Runtime
-					best[m] = key{topo, alg}
-				}
+				specs = append(specs, core.ExperimentSpec{Kind: "batch", Network: p, B: 500, M: m})
 			}
+		}
+	}
+	res, err := new(core.RunSet).RunAll(context.Background(), specs)
+	if err != nil {
+		log.Fatal(err)
+	}
+
+	fmt.Println("Design-space sweep: batch model, b=500, uniform random traffic")
+	fmt.Printf("%-10s %-6s %6s %12s %14s\n", "topology", "alg", "m", "runtime", "throughput")
+	type key struct{ topo, alg string }
+	best := map[int]key{}
+	bestT := map[int]int64{}
+	for i, s := range specs {
+		r, m := res[i].Batch, s.M
+		topo, alg := s.Network.Topology, s.Network.Routing
+		fmt.Printf("%-10s %-6s %6d %12d %14.4f\n", topo, alg, m, r.Runtime, r.Throughput)
+		if t, ok := bestT[m]; !ok || r.Runtime < t {
+			bestT[m] = r.Runtime
+			best[m] = key{topo, alg}
 		}
 	}
 	for _, m := range []int{1, 8} {

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -19,32 +20,33 @@ func main() {
 	fmt.Printf("Execution-driven simulation of %s on the Table II CMP\n", bench)
 	fmt.Printf("(16 in-order cores, MSI directory over a 4x4 mesh, 75 MHz clock, timer on)\n\n")
 
-	fmt.Printf("%6s %12s %16s %14s %10s\n", "tr", "cycles", "slowdown vs tr=1", "kernel share", "L2 miss")
-	var base int64
-	for _, tr := range []int64{1, 2, 4, 8} {
-		res, err := core.Exec(core.Table2Network(tr), core.ExecParams{
-			Benchmark: bench,
-			Clock:     workload.Clock75MHz,
-			Timer:     true,
-			Seed:      7,
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		if base == 0 {
-			base = res.Cycles
-		}
-		fmt.Printf("%6d %12d %16.2fx %13.1f%% %10.3f\n",
-			tr, res.Cycles, float64(res.Cycles)/float64(base),
-			100*float64(res.KernelFlits)/float64(res.TotalFlits),
-			res.L2MissRate[0])
+	// The four router delays and the characterization, as specs of one run set.
+	trs := []int64{1, 2, 4, 8}
+	clock := workload.Clock75MHz.SpecName()
+	var specs []core.ExperimentSpec
+	for _, tr := range trs {
+		specs = append(specs, core.ExperimentSpec{Kind: "exec", Network: core.Table2Network(tr),
+			Benchmark: bench, Clock: clock, Timer: true, Seed: 7})
 	}
-
-	fmt.Println("\nCharacterization (the Table III/IV procedure):")
-	m, err := core.Characterize(bench, workload.Clock75MHz, 7)
+	specs = append(specs, core.ExperimentSpec{Kind: "characterize", Network: core.Baseline(),
+		Benchmark: bench, Clock: clock, Seed: 7})
+	res, err := new(core.RunSet).RunAll(context.Background(), specs)
 	if err != nil {
 		log.Fatal(err)
 	}
+
+	fmt.Printf("%6s %12s %16s %14s %10s\n", "tr", "cycles", "slowdown vs tr=1", "kernel share", "L2 miss")
+	base := res[0].Exec.Cycles
+	for i, tr := range trs {
+		r := res[i].Exec
+		fmt.Printf("%6d %12d %16.2fx %13.1f%% %10.3f\n",
+			tr, r.Cycles, float64(r.Cycles)/float64(base),
+			100*float64(r.KernelFlits)/float64(r.TotalFlits),
+			r.L2MissRate[0])
+	}
+
+	fmt.Println("\nCharacterization (the Table III/IV procedure):")
+	m := res[len(trs)].Model
 	fmt.Printf("  NAR %.4f (user %.4f, kernel %.4f)\n", m.NAR, m.UserNAR, m.KernelNAR)
 	fmt.Printf("  L2 miss rate %.3f, static kernel fraction %.3f\n", m.L2Miss, m.StaticKernelFrac)
 	fmt.Printf("  timer: every %d cycles, ~%d extra transactions/node/interrupt\n",

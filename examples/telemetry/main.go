@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -26,24 +27,27 @@ func main() {
 		log.Fatal(err)
 	}
 
+	// One observed batch spec per m, each with a fresh observer (nil would
+	// be the zero-overhead path) and a progress heartbeat.
+	ms := []int{1, 4, 16}
+	observers := make([]*obs.Observer, len(ms))
+	specs := make([]core.ExperimentSpec, len(ms))
+	for i, m := range ms {
+		observers[i] = obs.NewObserver(obs.Options{Metrics: true, SampleEvery: 50})
+		specs[i] = core.ExperimentSpec{Kind: "batch", Network: params, B: 400, M: m,
+			Hooks: core.Hooks{
+				Obs:      observers[i],
+				Progress: obs.NewProgress(os.Stderr, 500*time.Millisecond),
+			}}
+	}
+	res, err := new(core.RunSet).RunAll(context.Background(), specs)
+	if err != nil {
+		log.Fatal(err)
+	}
+
 	fmt.Println("== Batch-model sweep with telemetry attached ==")
 	fmt.Printf("%6s %12s %18s %20s\n", "m", "runtime", "mean latency", "peak xbar util")
-
-	var last *obs.Observer
-	for _, m := range []int{1, 4, 16} {
-		// A fresh observer per run; nil would be the zero-overhead path.
-		o := obs.NewObserver(obs.Options{Metrics: true, SampleEvery: 50})
-		res, err := core.Batch(params, core.BatchParams{
-			B: 400, M: m,
-			Hooks: core.Hooks{
-				Obs:      o,
-				Progress: obs.NewProgress(os.Stderr, 500*time.Millisecond),
-			},
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-
+	for i, o := range observers {
 		// Pull the headline numbers back out of the metrics snapshot.
 		var meanLat float64
 		for _, p := range o.Registry.Snapshot() {
@@ -57,9 +61,9 @@ func main() {
 				peak = u
 			}
 		}
-		fmt.Printf("%6d %12d %18.2f %20.4f\n", m, res.Runtime, meanLat, peak)
-		last = o
+		fmt.Printf("%6d %12d %18.2f %20.4f\n", ms[i], res[i].Batch.Runtime, meanLat, peak)
 	}
+	last := observers[len(observers)-1]
 
 	fmt.Println("\n== Congestion heatmap (m=16 run, mean crossbar utilization) ==")
 	hm := core.UtilizationHeatmap(last.Telemetry, topo)

@@ -12,7 +12,6 @@ import (
 	"testing"
 
 	"noceval/internal/analytic"
-	"noceval/internal/closedloop"
 	"noceval/internal/core"
 	"noceval/internal/network"
 	"noceval/internal/router"
@@ -24,11 +23,7 @@ import (
 )
 
 func TestOpenLoopMatchesAnalyticZeroLoad(t *testing.T) {
-	p := core.Baseline()
-	sim, err := core.OpenLoopWith(p, 0.01, core.OpenLoopOpts{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	sim := runSpecs(t, new(core.RunSet), []core.ExperimentSpec{{Kind: "openloop", Network: core.Baseline(), Rate: 0.01}})[0].OpenLoop
 	model := analytic.Model{Topo: topology.NewMesh(8, 8), Routing: routing.DOR{}, RouterDelay: 1}
 	want, err := model.ZeroLoadLatency(traffic.Uniform{}, 1)
 	if err != nil {
@@ -46,11 +41,8 @@ func TestSimulatedSaturationBelowChannelBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := core.Baseline()
-	res, err := core.OpenLoopWith(p, 0.9, core.OpenLoopOpts{}) // overload: accepted = capacity
-	if err != nil {
-		t.Fatal(err)
-	}
+	// overload: accepted = capacity
+	res := runSpecs(t, new(core.RunSet), []core.ExperimentSpec{{Kind: "openloop", Network: core.Baseline(), Rate: 0.9}})[0].OpenLoop
 	if res.Accepted > bound*1.02 {
 		t.Errorf("accepted %.3f exceeds channel bound %.3f", res.Accepted, bound)
 	}
@@ -61,14 +53,11 @@ func TestSimulatedSaturationBelowChannelBound(t *testing.T) {
 
 func TestBatchThroughputAtLargeMMatchesCapacity(t *testing.T) {
 	p := core.Baseline()
-	bat, err := core.Batch(p, core.BatchParams{B: 400, M: 32})
-	if err != nil {
-		t.Fatal(err)
-	}
-	over, err := core.OpenLoopWith(p, 0.9, core.OpenLoopOpts{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runSpecs(t, new(core.RunSet), []core.ExperimentSpec{
+		{Kind: "batch", Network: p, B: 400, M: 32},
+		{Kind: "openloop", Network: p, Rate: 0.9},
+	})
+	bat, over := res[0].Batch, res[1].OpenLoop
 	ratio := bat.Throughput / over.Accepted
 	if ratio < 0.85 || ratio > 1.15 {
 		t.Errorf("batch m=32 throughput %.3f vs open-loop capacity %.3f (ratio %.2f)",
@@ -257,14 +246,11 @@ func TestKernelShareGrowsAtLowClock(t *testing.T) {
 
 func TestBarrierAndBatchAgreeOnThroughput(t *testing.T) {
 	netCfg := core.Baseline()
-	bar, err := core.Barrier(netCfg, 300, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bat, err := core.Batch(netCfg, core.BatchParams{B: 300, M: 32})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runSpecs(t, new(core.RunSet), []core.ExperimentSpec{
+		{Kind: "barrier", Network: netCfg, B: 300, Phases: 1},
+		{Kind: "batch", Network: netCfg, B: 300, M: 32},
+	})
+	bar, bat := res[0].Barrier, res[1].Batch
 	ratio := bar.Throughput / bat.Throughput
 	if ratio < 0.85 || ratio > 1.15 {
 		t.Errorf("barrier %.3f vs batch m=32 %.3f (ratio %.2f)", bar.Throughput, bat.Throughput, ratio)
@@ -273,17 +259,12 @@ func TestBarrierAndBatchAgreeOnThroughput(t *testing.T) {
 
 func TestReplyModelShiftsBatchTowardMemoryBound(t *testing.T) {
 	p := core.Baseline()
-	noMem, err := core.Batch(p, core.BatchParams{B: 150, M: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	withMem, err := core.Batch(p, core.BatchParams{
-		B: 150, M: 1,
-		Reply: closedloop.ProbabilisticReply{L2Latency: 20, MemoryLatency: 300, MissRate: 0.1},
+	res := runSpecs(t, new(core.RunSet), []core.ExperimentSpec{
+		{Kind: "batch", Network: p, B: 150, M: 1},
+		{Kind: "batch", Network: p, B: 150, M: 1,
+			Reply: &core.ReplySpec{Type: "probabilistic", L2: 20, Memory: 300, MissRate: 0.1}},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	noMem, withMem := res[0].Batch, res[1].Batch
 	// Mean added delay is 50 cycles per transaction; runtime grows by
 	// roughly B * 50 per node.
 	added := withMem.Runtime - noMem.Runtime

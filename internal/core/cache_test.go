@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -24,6 +25,21 @@ func fastParams() NetworkParams {
 }
 
 var fastOpts = OpenLoopOpts{Warmup: 300, Measure: 500, DrainLimit: 5000}
+
+// openLoopSpec is the spec of one open-loop point at o's phases.
+func openLoopSpec(p NetworkParams, rate float64, o OpenLoopOpts) ExperimentSpec {
+	return ExperimentSpec{Kind: "openloop", Network: p, Rate: rate,
+		Warmup: o.Warmup, Measure: o.Measure, DrainLimit: o.DrainLimit}
+}
+
+// runSpec validates s and runs it under ctx outside any run set: the
+// path RunContext takes, returning the result instead of the report.
+func runSpec(ctx context.Context, s ExperimentSpec) (*Result, error) {
+	if err := s.Validate(); err != nil {
+		return nil, err
+	}
+	return s.run(ctx)
+}
 
 // withCache enables a fresh cache for the test and disables it on cleanup.
 func withCache(t *testing.T) string {
@@ -50,7 +66,7 @@ func asJSON(t *testing.T, v any) string {
 func TestCacheHitMissRoundTrip(t *testing.T) {
 	withCache(t)
 
-	cold, err := OpenLoopWith(fastParams(), 0.1, fastOpts)
+	cold, err := runSpec(context.Background(), openLoopSpec(fastParams(), 0.1, fastOpts))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +75,7 @@ func TestCacheHitMissRoundTrip(t *testing.T) {
 		t.Fatalf("after cold run: stats %+v, want 1 miss / 1 put", s)
 	}
 
-	warm, err := OpenLoopWith(fastParams(), 0.1, fastOpts)
+	warm, err := runSpec(context.Background(), openLoopSpec(fastParams(), 0.1, fastOpts))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +89,7 @@ func TestCacheHitMissRoundTrip(t *testing.T) {
 	// A different seed is a different experiment: no false hit.
 	p2 := fastParams()
 	p2.Seed = 2
-	other, err := OpenLoopWith(p2, 0.1, fastOpts)
+	other, err := runSpec(context.Background(), openLoopSpec(p2, 0.1, fastOpts))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +104,7 @@ func TestCacheHitMissRoundTrip(t *testing.T) {
 func TestCacheCorruptedEntryFallsBackToRecompute(t *testing.T) {
 	dir := withCache(t)
 
-	first, err := Batch(fastParams(), BatchParams{B: 20, M: 2})
+	first, err := runSpec(context.Background(), ExperimentSpec{Kind: "batch", Network: fastParams(), B: 20, M: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +124,7 @@ func TestCacheCorruptedEntryFallsBackToRecompute(t *testing.T) {
 		}
 	}
 
-	second, err := Batch(fastParams(), BatchParams{B: 20, M: 2})
+	second, err := runSpec(context.Background(), ExperimentSpec{Kind: "batch", Network: fastParams(), B: 20, M: 2})
 	if err != nil {
 		t.Fatalf("corrupted cache entry surfaced as error: %v", err)
 	}
@@ -120,7 +136,7 @@ func TestCacheCorruptedEntryFallsBackToRecompute(t *testing.T) {
 	}
 
 	// And the recomputed value must be re-stored and hittable.
-	if _, err := Batch(fastParams(), BatchParams{B: 20, M: 2}); err != nil {
+	if _, err := runSpec(context.Background(), ExperimentSpec{Kind: "batch", Network: fastParams(), B: 20, M: 2}); err != nil {
 		t.Fatal(err)
 	}
 	if s, _ := CacheStats(); s.Hits == 0 {
@@ -134,11 +150,11 @@ func TestCacheCorruptedEntryFallsBackToRecompute(t *testing.T) {
 func TestCachedMatchesUncached(t *testing.T) {
 	p := fastParams()
 	DisableCache()
-	olBase, err := OpenLoopWith(p, 0.15, fastOpts)
+	olBase, err := runSpec(context.Background(), openLoopSpec(p, 0.15, fastOpts))
 	if err != nil {
 		t.Fatal(err)
 	}
-	batchBase, err := Batch(p, BatchParams{B: 30, M: 4})
+	batchBase, err := runSpec(context.Background(), ExperimentSpec{Kind: "batch", Network: p, B: 30, M: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,11 +165,11 @@ func TestCachedMatchesUncached(t *testing.T) {
 
 	withCache(t)
 	for _, pass := range []string{"cold", "warm"} {
-		ol, err := OpenLoopWith(p, 0.15, fastOpts)
+		ol, err := runSpec(context.Background(), openLoopSpec(p, 0.15, fastOpts))
 		if err != nil {
 			t.Fatal(err)
 		}
-		ba, err := Batch(p, BatchParams{B: 30, M: 4})
+		ba, err := runSpec(context.Background(), ExperimentSpec{Kind: "batch", Network: p, B: 30, M: 4})
 		if err != nil {
 			t.Fatal(err)
 		}

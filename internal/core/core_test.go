@@ -64,18 +64,18 @@ func TestParamsString(t *testing.T) {
 
 func TestOpenLoopAndBatchRunners(t *testing.T) {
 	p := Baseline()
-	ol, err := OpenLoopWith(p, 0.1, OpenLoopOpts{})
+	res, err := runSpec(context.Background(), ExperimentSpec{Kind: "openloop", Network: p, Rate: 0.1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !ol.Stable || ol.AvgLatency < 10 {
+	if ol := res.OpenLoop; !ol.Stable || ol.AvgLatency < 10 {
 		t.Errorf("open-loop runner: %+v", ol)
 	}
-	ba, err := Batch(p, BatchParams{B: 100, M: 4})
+	res, err = runSpec(context.Background(), ExperimentSpec{Kind: "batch", Network: p, B: 100, M: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !ba.Completed {
+	if !res.Batch.Completed {
 		t.Error("batch runner did not complete")
 	}
 	bar, err := Barrier(p, 100, 1)
@@ -177,15 +177,15 @@ func TestCorrelateOpenBatchHonoursOpts(t *testing.T) {
 	got := correlateOpenBatch(t, []int{4}, labels, variants, 100, false, short)
 	var lat [2]float64 // the two cells rerun by hand, open-loop at the short phases
 	for i := range lat {
-		res, err := Batch(variants[i], BatchParams{B: 100, M: 4})
+		res, err := runSpec(context.Background(), ExperimentSpec{Kind: "batch", Network: variants[i], B: 100, M: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
-		ol, err := OpenLoopWith(variants[i], res.Throughput, short)
+		ol, err := runSpec(context.Background(), openLoopSpec(variants[i], res.Batch.Throughput, short))
 		if err != nil {
 			t.Fatal(err)
 		}
-		lat[i] = ol.AvgLatency
+		lat[i] = ol.OpenLoop.AvgLatency
 	}
 	if want := lat[1] / lat[0]; got.Pairs[1].X != want {
 		t.Errorf("tr=2 normalized latency = %v, want %v from the short-phase runs", got.Pairs[1].X, want)

@@ -9,6 +9,7 @@ import (
 	"noceval/internal/expcache"
 	"noceval/internal/obs"
 	"noceval/internal/obs/ledger"
+	"noceval/internal/workload"
 )
 
 // withLedger enables a fresh run ledger for the test and returns a reader
@@ -33,30 +34,16 @@ func withLedger(t *testing.T) func() []ledger.Record {
 	}
 }
 
-// runKinds is one small run per cached kind, each taking the context its
-// spec-driven entry point threads through.
+// runKinds is one small spec per cached kind.
 var runKinds = []struct {
 	kind string
-	run  func(ctx context.Context) error
+	spec ExperimentSpec
 }{
-	{"openloop", func(ctx context.Context) error {
-		o := fastOpts
-		o.Ctx = ctx
-		_, err := OpenLoopWith(fastParams(), 0.1, o)
-		return err
-	}},
-	{"batch", func(ctx context.Context) error {
-		_, err := Batch(fastParams(), BatchParams{B: 20, M: 2, Ctx: ctx})
-		return err
-	}},
-	{"barrier", func(ctx context.Context) error {
-		_, err := barrier(ctx, fastParams(), 20, 2)
-		return err
-	}},
-	{"exec", func(ctx context.Context) error {
-		_, err := exec(ctx, Table2Network(1), ExecParams{Benchmark: "blackscholes", Seed: 3})
-		return err
-	}},
+	{"openloop", openLoopSpec(fastParams(), 0.1, fastOpts)},
+	{"batch", ExperimentSpec{Kind: "batch", Network: fastParams(), B: 20, M: 2}},
+	{"barrier", ExperimentSpec{Kind: "barrier", Network: fastParams(), B: 20, Phases: 2}},
+	{"exec", ExperimentSpec{Kind: "exec", Network: Table2Network(1), Benchmark: "blackscholes",
+		Clock: workload.Clock75MHz.SpecName(), Seed: 3}},
 }
 
 // TestExecuteOneRecordPerRun pins the single run path: whatever the kind
@@ -70,12 +57,12 @@ func TestExecuteOneRecordPerRun(t *testing.T) {
 			t.Cleanup(func() { obs.SetDefault(nil) })
 			read := withLedger(t)
 
-			if err := rk.run(nil); err != nil { // cache off
+			if _, err := runSpec(context.Background(), rk.spec); err != nil { // cache off
 				t.Fatal(err)
 			}
 			withCache(t)
 			for pass := 0; pass < 2; pass++ { // cold, warm
-				if err := rk.run(nil); err != nil {
+				if _, err := runSpec(context.Background(), rk.spec); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -117,7 +104,7 @@ func TestCanceledRunsNeverCached(t *testing.T) {
 		t.Run(rk.kind, func(t *testing.T) {
 			withCache(t)
 			read := withLedger(t)
-			if err := rk.run(ctx); !errors.Is(err, context.Canceled) {
+			if _, err := runSpec(ctx, rk.spec); !errors.Is(err, context.Canceled) {
 				t.Fatalf("error = %v, want context.Canceled in its chain", err)
 			}
 			if st, _ := CacheStats(); st.Puts != 0 || st.Misses != 1 {
@@ -136,30 +123,24 @@ func TestCanceledRunsNeverCached(t *testing.T) {
 func TestObservedRunsBypassCache(t *testing.T) {
 	runs := []struct {
 		kind string
-		run  func(Hooks) error
+		spec ExperimentSpec
 	}{
-		{"openloop", func(h Hooks) error {
-			o := fastOpts
-			o.Hooks = h
-			_, err := OpenLoopWith(fastParams(), 0.1, o)
-			return err
-		}},
-		{"batch", func(h Hooks) error {
-			_, err := Batch(fastParams(), BatchParams{B: 20, M: 2, Hooks: h})
-			return err
-		}},
+		{"openloop", openLoopSpec(fastParams(), 0.1, fastOpts)},
+		{"batch", ExperimentSpec{Kind: "batch", Network: fastParams(), B: 20, M: 2}},
 	}
 	for _, r := range runs {
 		t.Run(r.kind, func(t *testing.T) {
 			withCache(t)
 			read := withLedger(t)
-			if err := r.run(Hooks{Obs: obs.NewObserver(obs.Options{Metrics: true})}); err != nil {
+			observed := r.spec
+			observed.Hooks = Hooks{Obs: obs.NewObserver(obs.Options{Metrics: true})}
+			if _, err := runSpec(context.Background(), observed); err != nil {
 				t.Fatal(err)
 			}
 			if st, _ := CacheStats(); st != (expcache.Stats{}) {
 				t.Fatalf("observed run touched the cache: %+v", st)
 			}
-			if err := r.run(Hooks{}); err != nil {
+			if _, err := runSpec(context.Background(), r.spec); err != nil {
 				t.Fatal(err)
 			}
 			if st, _ := CacheStats(); st.Puts != 1 {

@@ -13,8 +13,8 @@ import (
 	"noceval/internal/workload"
 )
 
-// RunAll's results are bit-identical to the direct runner calls, in input
-// order, for every kind the figures list.
+// RunAll's results are bit-identical to lone runs of the same specs
+// outside any set, in input order, for every kind the figures list.
 func TestRunAllMatchesDirectRuns(t *testing.T) {
 	variants := routerDelays(1, 2)
 	ms := []int{1, 4}
@@ -36,21 +36,21 @@ func TestRunAllMatchesDirectRuns(t *testing.T) {
 	k := 0
 	for _, p := range variants {
 		for _, m := range ms {
-			want, err := Batch(p, BatchParams{B: 100, M: m})
+			want, err := runSpec(context.Background(), specs[k])
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(got[k], &Result{Batch: want}) {
-				t.Errorf("%s m=%d: RunAll %+v, direct %+v", p, m, got[k].Batch, want)
+			if !reflect.DeepEqual(got[k], want) {
+				t.Errorf("%s m=%d: RunAll %+v, lone %+v", p, m, got[k].Batch, want.Batch)
 			}
 			k++
 		}
-		ol, err := OpenLoopWith(p, 0.1, short)
+		ol, err := runSpec(context.Background(), specs[k])
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(got[k], &Result{OpenLoop: ol}) {
-			t.Errorf("%s openloop: RunAll %+v, direct %+v", p, got[k].OpenLoop, ol)
+		if !reflect.DeepEqual(got[k], ol) {
+			t.Errorf("%s openloop: RunAll %+v, lone %+v", p, got[k].OpenLoop, ol.OpenLoop)
 		}
 		sweep, err := OpenLoopSweepWith(p, rates, short)
 		if err != nil {
@@ -110,9 +110,9 @@ func TestRunAllSimulatesDuplicatesOnce(t *testing.T) {
 	}
 }
 
-// Specs reach the cache entries the direct runners write: a cache warmed
-// by Batch, OpenLoopWith, OpenLoopSweepWith and Exec serves the equivalent
-// specs without a miss or a write. The exec entry is keyed the way Figs
+// Specs reach the cache entries the runners write: a cache warmed by lone
+// batch and openloop specs, OpenLoopSweepWith and Exec serves the
+// equivalent specs of a set without a miss or a write. The exec entry is keyed the way Figs
 // 14/15/18/19 key theirs, with ExecParams{Seed: 7}, whose zero clock is
 // 75 MHz: a spec that spells Clock75MHz.SpecName() hits it, and a spec
 // with no clock runs at 3 GHz and misses.
@@ -125,17 +125,13 @@ func TestRunAllHitsDirectlyWarmedCache(t *testing.T) {
 	short := OpenLoopOpts{Warmup: 200, Measure: 1000, DrainLimit: 3000}
 	rates := []float64{0.05, 0.1}
 	reply := &ReplySpec{Type: "fixed", Latency: 20}
-	model, err := reply.Build()
-	if err != nil {
+	if _, err := runSpec(context.Background(), ExperimentSpec{Kind: "batch", Network: p, B: 50, M: 2, Reply: reply}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Batch(p, BatchParams{B: 50, M: 2, Reply: model}); err != nil {
+	if _, err := runSpec(context.Background(), ExperimentSpec{Kind: "batch", Network: p, B: 50, NAR: 0.2}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Batch(p, BatchParams{B: 50, NAR: 0.2}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := OpenLoopWith(p, 0.1, short); err != nil {
+	if _, err := runSpec(context.Background(), openLoopSpec(p, 0.1, short)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := OpenLoopSweepWith(p, rates, short); err != nil {
@@ -222,12 +218,12 @@ func TestRunAllSharesSweepPoints(t *testing.T) {
 			t.Errorf("sweep over %v differs from the direct sweep", rates)
 		}
 	}
-	want, err := OpenLoopWith(p, 0.1, short)
+	want, err := runSpec(context.Background(), specs[2])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got[2].OpenLoop, want) {
-		t.Errorf("openloop 0.1: RunAll %+v, direct %+v", got[2].OpenLoop, want)
+	if !reflect.DeepEqual(got[2], want) {
+		t.Errorf("openloop 0.1: RunAll %+v, lone %+v", got[2].OpenLoop, want.OpenLoop)
 	}
 }
 
@@ -288,12 +284,12 @@ func TestRunAllRerunsDiscardedPoints(t *testing.T) {
 	if !reflect.DeepEqual(got[0].Sweep, sweep) {
 		t.Error("the sweep differs from the direct sweep")
 	}
-	want, err := OpenLoopWith(p, 0.28, short)
+	want, err := runSpec(context.Background(), specs[1])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got[1].OpenLoop, want) {
-		t.Errorf("openloop 0.28: RunAll %+v, direct %+v", got[1].OpenLoop, want)
+	if !reflect.DeepEqual(got[1], want) {
+		t.Errorf("openloop 0.28: RunAll %+v, lone %+v", got[1].OpenLoop, want.OpenLoop)
 	}
 }
 

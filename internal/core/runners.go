@@ -16,9 +16,10 @@ import (
 	"noceval/internal/workload"
 )
 
-// Hooks carries the optional observability attachments of a run. A run
-// with any hook set is observed and bypasses the experiment cache: its
-// value is the metric, telemetry and trace side effects a hit would skip.
+// Hooks carries the optional observability attachments of a run, set on
+// an openloop or batch spec (ExperimentSpec.Hooks). A run with any hook
+// set is observed and bypasses the experiment cache: its value is the
+// metric, telemetry and trace side effects a hit would skip.
 type Hooks struct {
 	Obs      *obs.Observer
 	Progress *obs.Progress
@@ -70,26 +71,23 @@ type OpenLoopOpts struct {
 	// with an error wrapping the context's cause, and nothing is cached.
 	// Never part of the experiment-cache key.
 	Ctx context.Context
-	// Hooks attaches the observability layer to a single run; sweeps,
-	// whose points run concurrently, ignore it.
-	Hooks Hooks
 }
 
-// OpenLoopWith runs one open-loop measurement at the given offered load
-// (flits/cycle/node).
-func OpenLoopWith(p NetworkParams, rate float64, o OpenLoopOpts) (*openloop.Result, error) {
+// openLoop runs one open-loop measurement at the given offered load
+// (flits/cycle/node), observed through h.
+func openLoop(p NetworkParams, rate float64, o OpenLoopOpts, h Hooks) (*openloop.Result, error) {
 	cfg, err := openLoopConfig(p, o)
 	if err != nil {
 		return nil, err
 	}
 	cfg.Rate = rate
-	cfg.Obs = o.Hooks.Obs
-	cfg.Progress = o.Hooks.Progress
+	cfg.Obs = h.Obs
+	cfg.Progress = h.Progress
 	return openLoopRun(p, cfg)
 }
 
 // openLoopConfig materializes everything p names into an openloop
-// configuration (without a rate, which sweeps fill per point); Batch and
+// configuration (without a rate, which sweeps fill per point); batch and
 // barrier take its network, pattern and sizes, Validate fails where it does.
 func openLoopConfig(p NetworkParams, o OpenLoopOpts) (openloop.Config, error) {
 	netCfg, err := p.Build()
@@ -191,55 +189,42 @@ func OpenLoopSweepWith(p NetworkParams, rates []float64, o OpenLoopOpts) ([]*ope
 	return res, err
 }
 
-// BatchParams are the closed-loop batch-model knobs layered on top of the
-// network parameters.
-type BatchParams struct {
-	B   int // batch size b (default 1000, the paper's steady-state choice)
-	M   int // max outstanding requests m
-	NAR float64
-	// Reply selects the reply-latency model; nil keeps the baseline
-	// immediate reply.
-	Reply closedloop.ReplyModel
-	// Kernel enables the OS-traffic model.
-	Kernel *closedloop.KernelConfig
-	// Hooks attaches the observability layer.
-	Hooks Hooks
-	// Ctx, when non-nil, makes the run cancellable (see OpenLoopOpts.Ctx).
-	// Never part of the experiment-cache key.
-	Ctx context.Context
-}
-
-// Batch's values for a zero B and M.
+// The batch size and outstanding limit of a batch spec with zero B and M.
 const defaultB, defaultM = 1000, 1
 
-// Batch runs one closed-loop batch-model measurement.
-func Batch(p NetworkParams, bp BatchParams) (*closedloop.BatchResult, error) {
-	built, err := openLoopConfig(p, OpenLoopOpts{})
+// batch runs one closed-loop batch-model measurement of the batch spec s
+// under ctx (nil = not cancellable), observed through s.Hooks.
+func batch(ctx context.Context, s *ExperimentSpec) (*closedloop.BatchResult, error) {
+	built, err := openLoopConfig(s.Network, OpenLoopOpts{})
 	if err != nil {
 		return nil, err
 	}
-	bp.B, bp.M = defaulted(bp.B, defaultB), defaulted(bp.M, defaultM)
-	reply := ""
-	if bp.Reply != nil {
-		reply = bp.Reply.Name()
+	reply, err := s.Reply.Build()
+	if err != nil {
+		return nil, err
 	}
-	key := batchKey{Params: p.cacheNorm(), B: bp.B, M: bp.M, NAR: bp.NAR, Reply: reply, Kernel: bp.Kernel}
-	return execute(bp.Ctx, "batch", key, bp.Hooks != (Hooks{}),
-		func(s *runScope) (*closedloop.BatchResult, error) {
+	b, m := defaulted(s.B, defaultB), defaulted(s.M, defaultM)
+	replyName := ""
+	if reply != nil {
+		replyName = reply.Name()
+	}
+	key := batchKey{Params: s.Network.cacheNorm(), B: b, M: m, NAR: s.NAR, Reply: replyName, Kernel: s.Kernel}
+	return execute(ctx, "batch", key, s.Hooks != (Hooks{}),
+		func(sc *runScope) (*closedloop.BatchResult, error) {
 			cfg := closedloop.BatchConfig{
 				Net:      built.Net,
 				Pattern:  built.Pattern,
-				B:        bp.B,
-				M:        bp.M,
-				NAR:      bp.NAR,
-				Reply:    bp.Reply,
-				Kernel:   bp.Kernel,
-				Seed:     p.Seed,
-				Obs:      bp.Hooks.Obs,
-				Progress: bp.Hooks.Progress,
-				Ctx:      bp.Ctx,
+				B:        b,
+				M:        m,
+				NAR:      s.NAR,
+				Reply:    reply,
+				Kernel:   s.Kernel,
+				Seed:     s.Network.Seed,
+				Obs:      s.Hooks.Obs,
+				Progress: s.Hooks.Progress,
+				Ctx:      ctx,
 			}
-			cfg.OnEngine, cfg.Inspect = s.hooks()
+			cfg.OnEngine, cfg.Inspect = sc.hooks()
 			return closedloop.RunBatch(cfg)
 		},
 		func(r *closedloop.BatchResult) summary {

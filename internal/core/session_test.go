@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -31,7 +32,7 @@ func TestSessionOpenClose(t *testing.T) {
 	if !strings.HasPrefix(log.String(), "serving live metrics on http://127.0.0.1:") {
 		t.Errorf("Open announced %q", log.String())
 	}
-	if _, err := OpenLoopWith(fastParams(), 0.1, fastOpts); err != nil {
+	if _, err := runSpec(context.Background(), openLoopSpec(fastParams(), 0.1, fastOpts)); err != nil {
 		t.Fatal(err)
 	}
 	if got := obs.Default().Counter("expcache.misses").Value(); got != 1 {

@@ -10,6 +10,7 @@ import (
 	"noceval/internal/closedloop"
 	"noceval/internal/cmp"
 	"noceval/internal/expcache"
+	"noceval/internal/fault"
 	"noceval/internal/openloop"
 	"noceval/internal/par"
 	"noceval/internal/workload"
@@ -56,6 +57,11 @@ type ExperimentSpec struct {
 	Timer bool   `json:"timer,omitempty"`
 	Ideal bool   `json:"ideal,omitempty"`
 	Seed  uint64 `json:"seed,omitempty"`
+
+	// Hooks attaches the observability layer to an openloop or batch run;
+	// Validate rejects them on every other kind. They are not part of the
+	// experiment: outside JSON, Hash and every cache and run key.
+	Hooks Hooks `json:"-"`
 }
 
 // ReplySpec is the JSON form of a reply-latency model.
@@ -156,6 +162,9 @@ func (s *ExperimentSpec) Validate() error {
 		}
 	default:
 		return fmt.Errorf("core: unknown experiment kind %q", s.Kind)
+	}
+	if s.Hooks != (Hooks{}) && s.Kind != "openloop" && s.Kind != "batch" {
+		return fmt.Errorf("core: %s specs cannot be observed: hooks attach to openloop and batch runs only", s.Kind)
 	}
 	cfg, err := openLoopConfig(s.Network, OpenLoopOpts{})
 	if err != nil {
@@ -278,25 +287,22 @@ func (rs *RunSet) share(ctx context.Context, key string, compute func() (any, er
 
 // run dispatches a validated spec to the runner of its kind.
 func (s *ExperimentSpec) run(ctx context.Context) (*Result, error) {
-	// Validate has built both already; neither can fail here.
+	// Validate has parsed it already; it cannot fail here.
 	clock, _ := workload.ParseClock(s.Clock)
-	reply, _ := s.Reply.Build()
 	opts := OpenLoopOpts{Warmup: s.Warmup, Measure: s.Measure, DrainLimit: s.DrainLimit, Ctx: ctx}
 	var r Result
 	var err error
 	switch s.Kind {
 	case "openloop":
-		r.OpenLoop, err = OpenLoopWith(s.Network, s.Rate, opts)
+		r.OpenLoop, err = openLoop(s.Network, s.Rate, opts, s.Hooks)
 	case "sweep":
 		rates := s.Rates
-		if len(rates) == 0 {
-			for r := 0.05; r <= 0.5; r += 0.05 {
-				rates = append(rates, r)
-			}
+		if len(rates) == 0 { // 0.05, 0.1, ..., 0.5
+			rates = openloop.Rates(0.05, 0.5)
 		}
 		r.Sweep, err = OpenLoopSweepWith(s.Network, rates, opts)
 	case "batch":
-		r.Batch, err = Batch(s.Network, BatchParams{B: s.B, M: s.M, NAR: s.NAR, Reply: reply, Kernel: s.Kernel, Ctx: ctx})
+		r.Batch, err = batch(ctx, s)
 	case "barrier":
 		r.Barrier, err = barrier(ctx, s.Network, s.B, defaulted(s.Phases, 1))
 	case "exec":
@@ -312,8 +318,9 @@ func (s *ExperimentSpec) run(ctx context.Context) (*Result, error) {
 	return &r, nil
 }
 
-// RunContext executes the experiment and returns a human-readable report,
-// with the effective value of every defaulted knob. The context (nil = not
+// RunContext executes the experiment and returns its report, the one
+// rendering of each kind that noceval, `noceval run` and nocd print, with
+// the effective value of every defaulted knob. The context (nil = not
 // cancellable) is threaded into the engine's cycle loop, so a cancelled
 // experiment — even a multi-point sweep — returns promptly with an error
 // wrapping the context's cause, and no partial result is cached.
@@ -330,33 +337,111 @@ func (s *ExperimentSpec) RunContext(ctx context.Context) (string, error) {
 	case "openloop":
 		r := res.OpenLoop
 		fmt.Fprintf(&b, "openloop %s rate=%.3f\n", s.Network, s.Rate)
-		fmt.Fprintf(&b, "avg latency %.2f +/- %.2f, worst %.2f, accepted %.3f, stable %v\n",
-			r.AvgLatency, r.LatencyCI95, r.WorstLatency, r.Accepted, r.Stable)
+		fmt.Fprintf(&b, "accepted %.3f, stable %v\n", r.Accepted, r.Stable)
+		fmt.Fprintf(&b, "avg latency %.2f +/- %.2f cycles (p95 %.1f, p99 %.1f), worst per-node avg %.2f\n",
+			r.AvgLatency, r.LatencyCI95, r.P95, r.P99, r.WorstLatency)
+		fmt.Fprintf(&b, "avg hops %.2f, measured packets %d\n", r.AvgHops, r.MeasuredPackets)
+		if r.LostPackets > 0 {
+			fmt.Fprintf(&b, "lost packets %d\n", r.LostPackets)
+		}
+		writePerClass(&b, r.PerClass)
+		writeFaults(&b, r.Faults)
 	case "sweep":
-		fmt.Fprintf(&b, "sweep %s\n%10s %12s %8s\n", s.Network, "rate", "latency", "stable")
+		fmt.Fprintf(&b, "sweep %s\n%10s %12s %12s %8s\n", s.Network, "offered", "avg latency", "accepted", "stable")
 		for _, r := range res.Sweep {
-			fmt.Fprintf(&b, "%10.3f %12.2f %8v\n", r.Rate, r.AvgLatency, r.Stable)
+			fmt.Fprintf(&b, "%10.3f %12.2f %12.3f %8v\n", r.Rate, r.AvgLatency, r.Accepted, r.Stable)
+		}
+		if len(res.Sweep) > 0 && len(res.Sweep[0].PerClass) > 0 {
+			fmt.Fprintf(&b, "\nper-class avg latency (cycles)\n%10s", "offered")
+			for _, cr := range res.Sweep[0].PerClass {
+				fmt.Fprintf(&b, " %12s", cr.Name)
+			}
+			b.WriteByte('\n')
+			for _, r := range res.Sweep {
+				fmt.Fprintf(&b, "%10.3f", r.Rate)
+				for _, cr := range r.PerClass {
+					fmt.Fprintf(&b, " %12.2f", cr.AvgLatency)
+				}
+				b.WriteByte('\n')
+			}
 		}
 	case "batch":
+		// bench/'s service_mix reads the number after the first "runtime ".
 		r := res.Batch
-		fmt.Fprintf(&b, "batch %s b=%d m=%d\n", s.Network, defaulted(s.B, defaultB), defaulted(s.M, defaultM))
-		fmt.Fprintf(&b, "runtime %d, throughput %.4f, packets %d (kernel %d)\n",
-			r.Runtime, r.Throughput, r.TotalPackets, r.KernelPackets)
+		fmt.Fprintf(&b, "batch %s b=%d m=%d", s.Network, defaulted(s.B, defaultB), defaulted(s.M, defaultM))
+		if s.NAR != 0 {
+			fmt.Fprintf(&b, " nar=%g", s.NAR)
+		}
+		fmt.Fprintf(&b, "\nruntime %d cycles (completed %v), throughput %.4f flits/cycle/node\n",
+			r.Runtime, r.Completed, r.Throughput)
+		fmt.Fprintf(&b, "packets %d (kernel %d), avg packet latency %.2f\n",
+			r.TotalPackets, r.KernelPackets, r.AvgPacketLatency)
+		if r.FailedTransactions > 0 {
+			fmt.Fprintf(&b, "failed transactions %d\n", r.FailedTransactions)
+		}
+		if r.Stalled {
+			fmt.Fprintf(&b, "RUN STALLED (deadlock watchdog):\n%s", r.StallDump)
+		}
+		writeFaults(&b, r.Faults)
 	case "barrier":
 		r := res.Barrier
 		fmt.Fprintf(&b, "barrier %s b=%d phases=%d\n", s.Network, s.B, defaulted(s.Phases, 1))
-		fmt.Fprintf(&b, "runtime %d, throughput %.4f\n", r.Runtime, r.Throughput)
+		fmt.Fprintf(&b, "runtime %d cycles, throughput %.4f flits/cycle/node\n", r.Runtime, r.Throughput)
+		for i, pt := range r.PhaseRuntime {
+			fmt.Fprintf(&b, "  phase %d: %d cycles\n", i, pt)
+		}
+		if r.FailedPackets > 0 {
+			fmt.Fprintf(&b, "failed packets %d\n", r.FailedPackets)
+		}
+		writeFaults(&b, r.Faults)
 	case "exec":
 		r := res.Exec
 		clock, _ := workload.ParseClock(s.Clock)
-		fmt.Fprintf(&b, "exec %s on %s (clock %s, timer %v)\n", s.Benchmark, s.Network, clock, s.Timer)
-		fmt.Fprintf(&b, "cycles %d, NAR %.4f (user %.4f kernel %.4f), L2 miss %.3f/%.3f\n",
-			r.Cycles, r.NAR, r.UserNAR, r.KernelNAR, r.L2MissRate[0], r.L2MissRate[1])
+		net := s.Network.String()
+		if s.Ideal {
+			net = "the ideal network"
+		}
+		fmt.Fprintf(&b, "exec %s on %s (clock %s, timer %v)\n", s.Benchmark, net, clock, s.Timer)
+		fmt.Fprintf(&b, "runtime %d cycles, %d user + %d kernel instructions\n", r.Cycles, r.UserInsts, r.KernelInsts)
+		fmt.Fprintf(&b, "flits %d (kernel %d, %.1f%%), NAR %.4f (user %.4f, kernel %.4f)\n",
+			r.TotalFlits, r.KernelFlits, 100*float64(r.KernelFlits)/float64(r.TotalFlits), r.NAR, r.UserNAR, r.KernelNAR)
+		fmt.Fprintf(&b, "L1 miss %.3f/%.3f (user/kernel), L2 miss %.3f/%.3f, timer interrupts %d\n",
+			r.L1MissRate[0], r.L1MissRate[1], r.L2MissRate[0], r.L2MissRate[1], r.TimerInterrupts)
 	case "characterize":
 		m := res.Model
 		fmt.Fprintf(&b, "characterize %s @ %s\n", m.Name, m.Clock)
-		fmt.Fprintf(&b, "NAR %.4f (user %.4f kernel %.4f), L2 miss %.3f, static kernel %.3f, timer %d x %d\n",
-			m.NAR, m.UserNAR, m.KernelNAR, m.L2Miss, m.StaticKernelFrac, m.TimerPeriod, m.TimerBatch)
+		fmt.Fprintf(&b, "ideal cycles %d, total flits %d\n", m.IdealCycles, m.TotalFlits)
+		fmt.Fprintf(&b, "NAR %.4f (user %.4f, kernel %.4f)\n", m.NAR, m.UserNAR, m.KernelNAR)
+		fmt.Fprintf(&b, "L2 miss %.3f (kernel %.3f)\n", m.L2Miss, m.KernelL2Miss)
+		fmt.Fprintf(&b, "static kernel fraction %.3f, timer period %d cycles, timer batch %d\n",
+			m.StaticKernelFrac, m.TimerPeriod, m.TimerBatch)
 	}
 	return b.String(), nil
+}
+
+// writePerClass renders the per-class results of a multi-class run.
+func writePerClass(b *strings.Builder, per []openloop.ClassResult) {
+	if len(per) == 0 {
+		return
+	}
+	fmt.Fprintf(b, "%12s %7s %12s %8s %8s %10s %9s %9s\n",
+		"class", "share", "avg latency", "p95", "p99", "accepted", "injected", "delivered")
+	for _, cr := range per {
+		fmt.Fprintf(b, "%12s %7.2f %12.2f %8.1f %8.1f %10.3f %9d %9d\n",
+			cr.Name, cr.Share, cr.AvgLatency, cr.P95, cr.P99, cr.Accepted, cr.Injected, cr.Delivered)
+	}
+}
+
+// writeFaults renders the fault and recovery counters of a faulted run.
+func writeFaults(b *strings.Builder, fs *fault.Stats) {
+	if fs == nil {
+		return
+	}
+	fmt.Fprintf(b, "faults: injected %d corrupt + %d drop, detected %d, dead flits %d, dead packets %d\n",
+		fs.CorruptInjected, fs.DropInjected, fs.Detected, fs.DeadFlits, fs.DeadPackets)
+	if fs.Tracked > 0 {
+		fmt.Fprintf(b, "recovery: tracked %d, acked %d, retried %d, abandoned %d, dup %d, outstanding %d\n",
+			fs.Tracked, fs.Acked, fs.Retried, fs.Abandoned, fs.Duplicates, fs.Outstanding)
+	}
+	fmt.Fprintf(b, "delivered fraction %.4f\n", fs.DeliveredFraction)
 }

@@ -4,10 +4,14 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
 	"noceval/internal/closedloop"
+	"noceval/internal/obs"
 )
 
 func TestParseSpecDefaults(t *testing.T) {
@@ -120,6 +124,85 @@ func TestSpecRunOpenLoopAndErrors(t *testing.T) {
 	}
 	if _, err := (&ExperimentSpec{Kind: "exec", Network: Baseline(), Clock: "9ghz"}).RunContext(context.Background()); err == nil {
 		t.Error("unknown clock accepted")
+	}
+}
+
+// Hooks observe openloop and batch runs only: on any other kind Validate
+// (and so RunContext) fails and names the kind, instead of running it
+// unobserved.
+func TestValidateRejectsHooksOnUnobservedKinds(t *testing.T) {
+	hooks := Hooks{Obs: obs.NewObserver(obs.Options{Metrics: true})}
+	cases := []struct {
+		spec ExperimentSpec
+		want string // "" = observable
+	}{
+		{ExperimentSpec{Kind: "openloop", Rate: 0.1}, ""},
+		{ExperimentSpec{Kind: "batch"}, ""},
+		{ExperimentSpec{Kind: "sweep", Rates: []float64{0.1}},
+			"core: sweep specs cannot be observed: hooks attach to openloop and batch runs only"},
+		{ExperimentSpec{Kind: "barrier", B: 10},
+			"core: barrier specs cannot be observed: hooks attach to openloop and batch runs only"},
+		{ExperimentSpec{Kind: "exec", Benchmark: "lu", Ideal: true},
+			"core: exec specs cannot be observed: hooks attach to openloop and batch runs only"},
+		{ExperimentSpec{Kind: "characterize", Benchmark: "lu"},
+			"core: characterize specs cannot be observed: hooks attach to openloop and batch runs only"},
+	}
+	for _, tc := range cases {
+		tc.spec.Network = Baseline()
+		if err := tc.spec.Validate(); err != nil {
+			t.Fatalf("%s without hooks: %v", tc.spec.Kind, err)
+		}
+		tc.spec.Hooks = hooks
+		got := ""
+		if err := tc.spec.Validate(); err != nil {
+			got = err.Error()
+		}
+		if got != tc.want {
+			t.Errorf("%s with hooks: Validate = %q, want %q", tc.spec.Kind, got, tc.want)
+		}
+	}
+}
+
+// A sweep spec without rates sweeps exactly 0.05, 0.1, ..., 0.5: each
+// rate derived from its index, not accumulated (0.15000000000000002, ...).
+func TestSweepSpecDefaultRates(t *testing.T) {
+	spec := &ExperimentSpec{Kind: "sweep", Network: Baseline(), Warmup: 100, Measure: 300, DrainLimit: 3000}
+	spec.Network.Topology = "mesh4x4"
+	res, err := runSpec(context.Background(), *spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []float64{0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4, 0.45, 0.5}
+	var got []float64
+	for _, r := range res.Sweep {
+		got = append(got, r.Rate)
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("default sweep rates = %v, want exactly %v", got, want)
+	}
+}
+
+// Every committed example spec parses and validates, and its file name
+// starts with its kind (make examples runs each through noceval run).
+func TestExampleSpecsValidate(t *testing.T) {
+	files, err := filepath.Glob("../../examples/specs/*.json")
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no example specs found (err %v)", err)
+	}
+	for _, f := range files {
+		data, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec, err := ParseSpec(data)
+		if err == nil {
+			err = spec.Validate()
+		}
+		if err != nil {
+			t.Errorf("%s: %v", f, err)
+		} else if name := filepath.Base(f); !strings.HasPrefix(name, spec.Kind) {
+			t.Errorf("%s holds a %s spec: its name should start with the kind", name, spec.Kind)
+		}
 	}
 }
 

@@ -333,6 +333,24 @@ func CheckRate(rates ...float64) error {
 	return nil
 }
 
+// Rates lists the offered loads step, 2*step, ... up to and including hi.
+// Each rate derives from its index, rounded to 1e-9: accumulating step
+// drifts (0.02 x 24 = 0.48000000000000015, 0.05 x 3 = 0.15000000000000002),
+// which dropped the hi point itself.
+func Rates(step, hi float64) []float64 {
+	if step <= 0 {
+		return nil
+	}
+	var rates []float64
+	for i := 1; ; i++ {
+		r := math.Round(float64(i)*step*1e9) / 1e9
+		if r > hi {
+			return rates
+		}
+		rates = append(rates, r)
+	}
+}
+
 // Run executes one open-loop simulation.
 func Run(cfg Config) (*Result, error) {
 	if err := CheckPhases(cfg.Warmup, cfg.Measure, cfg.DrainLimit); err != nil {
