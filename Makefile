@@ -59,8 +59,10 @@ race:
 # cache-key canonicalization, the varint latency sample against the
 # sorted []uint32 and float64 statistics it replaced, the register-held
 # Bernoulli scan against the Bernoulli loop, the CMP cache against the
-# tick-stamped LRU it replaced and the record source queue against the
-# per-flit FIFO it replaced (go fuzzing allows one -fuzz target per
+# tick-stamped LRU it replaced, the record source queue against the
+# per-flit FIFO it replaced and the router's one-VC path (its lone pass
+# included) against the general compute phases over fuzzed VCs, depths,
+# arbiters, classes, rates and packet sizes (go fuzzing allows one -fuzz target per
 # invocation, hence the sequence). FUZZTIME=10s make fuzz-smoke for a
 # quicker local pass.
 FUZZTIME ?= 30s
@@ -74,6 +76,7 @@ fuzz-smoke:
 	$(GO) test ./internal/sim -fuzz=FuzzNextBernoulli -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/cmp -fuzz=FuzzCacheMatchesTickLRU -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/network -fuzz=FuzzSourceQueue -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/router -fuzz=FuzzOneVCPathMatchesGeneralPath -fuzztime=$(FUZZTIME)
 
 # Golden-figure regression gate: regenerate the golden subset and compare
 # against the committed CSVs in results/golden (see cmd/figures/golden_test.go).

@@ -333,3 +333,45 @@ func TestRunSetShareRerunsFailedRuns(t *testing.T) {
 		t.Errorf("a later call got %v, %v; want the kept result 42", v, err)
 	}
 }
+
+// A barrier of 0 phases runs one phase, so Barrier(p, b, 0) and barrier
+// specs of 0 and 1 phases are one run: one run key, and a set simulates
+// the specs once.
+func TestBarrierPhasesZeroIsOneRun(t *testing.T) {
+	read := withLedger(t)
+	p := Baseline()
+	p.Topology = "mesh4x4"
+	if _, err := Barrier(p, 20, 0); err != nil {
+		t.Fatal(err)
+	}
+	specs := []ExperimentSpec{{Kind: "barrier", Network: p, B: 20}, {Kind: "barrier", Network: p, B: 20, Phases: 1}}
+	if _, err := new(RunSet).RunAll(context.Background(), specs); err != nil {
+		t.Fatal(err)
+	}
+	recs := read()
+	if len(recs) != 2 {
+		t.Fatalf("ledger records = %d, want 2: the lone run and one run for both specs", len(recs))
+	}
+	if recs[0].Spec == "" || recs[1].Spec != recs[0].Spec {
+		t.Errorf("run keys %q and %q, want one", recs[0].Spec, recs[1].Spec)
+	}
+}
+
+// An ideal exec run never builds its network, so ideal specs on two
+// networks with one seed are one run: one run key, simulated once.
+func TestIdealExecKeyIgnoresNetwork(t *testing.T) {
+	read := withLedger(t)
+	spec := func(tr int64) ExperimentSpec {
+		return ExperimentSpec{Kind: "exec", Network: Table2Network(tr), Benchmark: "blackscholes", Ideal: true, Seed: 3}
+	}
+	res, err := new(RunSet).RunAll(context.Background(), []ExperimentSpec{spec(1), spec(2)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if recs := read(); len(recs) != 1 || recs[0].Spec == "" {
+		t.Fatalf("ledger records %+v, want one run", recs)
+	}
+	if res[0].Exec != res[1].Exec {
+		t.Error("the two ideal specs got distinct results")
+	}
+}

@@ -239,8 +239,10 @@ func Barrier(p NetworkParams, b, phases int) (*closedloop.BarrierResult, error) 
 
 // barrier is Barrier under RunContext's cancellation context (nil = not
 // cancellable): a cancelled run returns promptly with an error wrapping
-// the context's cause, and nothing is cached.
+// the context's cause, and nothing is cached. Phases 0 runs one phase, as
+// closedloop.RunBarrier does, and is keyed as 1: one run, one key.
 func barrier(ctx context.Context, p NetworkParams, b, phases int) (*closedloop.BarrierResult, error) {
+	phases = defaulted(phases, 1)
 	built, err := openLoopConfig(p, OpenLoopOpts{})
 	if err != nil {
 		return nil, err
@@ -295,9 +297,13 @@ func exec(ctx context.Context, p NetworkParams, ep ExecParams) (*cmp.Result, err
 	if err != nil {
 		return nil, err
 	}
-	// A zero seed means the network seed.
+	// A zero seed means the network seed. An ideal run never builds the
+	// network, so it is keyed without one, as characterize's runs are.
 	ep.Seed = defaulted(ep.Seed, p.Seed)
 	key := execKey{Params: p.cacheNorm(), Exec: ep}
+	if ep.Ideal {
+		key.Params = NetworkParams{}
+	}
 	// An exec run is never observed because ExecParams has no Hooks yet.
 	// cmp.System.Run is an engine.RunOutcome loop like batch and barrier;
 	// nothing hands it runScope.hooks().

@@ -304,7 +304,7 @@ func (s *ExperimentSpec) run(ctx context.Context) (*Result, error) {
 	case "batch":
 		r.Batch, err = batch(ctx, s)
 	case "barrier":
-		r.Barrier, err = barrier(ctx, s.Network, s.B, defaulted(s.Phases, 1))
+		r.Barrier, err = barrier(ctx, s.Network, s.B, s.Phases)
 	case "exec":
 		r.Exec, err = exec(ctx, s.Network, ExecParams{
 			Benchmark: s.Benchmark, Clock: clock, Timer: s.Timer, Ideal: s.Ideal, Seed: s.Seed,

@@ -17,3 +17,9 @@ func (n *Network) RunUntilQuiescent(maxCycles int64) (int64, bool) {
 	}
 	return n.clock.Now() - start, true
 }
+
+// PerHeadRouting wraps a routing algorithm so that routing.NextHops, which
+// memoises only routing.DOR itself, declines it: every router of a network
+// built with it has no hop memo, updates each packet's routing state and
+// asks the algorithm per head flit. Answers are the wrapped algorithm's.
+type PerHeadRouting struct{ routing.Algorithm }

@@ -76,21 +76,13 @@ func (q *sourceQueue) pop(src int, now int64) router.Flit {
 		}
 		p := &q.pkts[0]
 		q.pkts = q.pkts[1:]
-		*p = router.Packet{
-			ID:         r.id,
-			Src:        src,
-			Dst:        int(r.dst),
-			Size:       int(r.size),
-			Aux:        r.aux,
-			CreateTime: r.create,
-			InjectTime: now,
-			ArriveTime: -1,
-			Class:      int(r.class),
-			FaultTxn:   r.txn,
-			Route:      routing.NewState(int(r.mid)),
-			Kind:       r.kind,
-			Measured:   r.meas,
-		}
+		// The slot is zero and used once, so the fields are stored one by
+		// one, not copied in from a composite literal.
+		p.ID, p.Src, p.Dst, p.Size = r.id, src, int(r.dst), int(r.size)
+		p.Aux, p.FaultTxn = r.aux, r.txn
+		p.CreateTime, p.InjectTime, p.ArriveTime = r.create, now, -1
+		p.Class, p.Kind, p.Measured = int(r.class), r.kind, r.meas
+		p.Route = routing.NewState(int(r.mid))
 		p.Route.ArriveAt(src) // an intermediate equal to the source is a no-op phase
 		q.cur = p
 	}

@@ -482,8 +482,8 @@ func (r *Router) popFront(v *inVC) Flit {
 // if the buffer is full: credit-based flow control guarantees space, so
 // overflow indicates a simulator bug.
 func (r *Router) AcceptFlit(port, vc int, f Flit) bool {
-	if f.Head() {
-		f.P.Route.ArriveAt(r.ID)
+	if r.hops == nil && f.Head() {
+		f.P.Route.ArriveAt(r.ID) // a memoised route never reads it
 	}
 	flat := port*r.vcs + vc
 	v := &r.in[flat]
@@ -579,9 +579,14 @@ func (r *Router) oneVC() bool {
 // only occupied VCs, and round-robin, age and class keys only order
 // contenders; vaPtr advances once, as in every vcAllocate branch, and
 // forward moves the switch pointers. The nomination scratch (saInWin,
-// saNom) is written before it is read in every general step.
+// saNom) is written before it is read in every general step. An unrouted
+// single-flit packet on a router that memoises its routes and traces
+// nothing first tries lonePass.
 func (r *Router) stepOne(now int64, flat int) {
 	ivc := &r.in[flat]
+	if !ivc.routed && r.hops != nil && r.tracer == nil && r.lonePass(now, flat) {
+		return
+	}
 	r.routeVC(now, flat)
 	r.vaTryGrant(now, flat)
 	if r.vaPtr++; r.vaPtr == len(r.in) {
@@ -590,6 +595,37 @@ func (r *Router) stepOne(now int64, flat int) {
 	if ivc.granted && r.out[ivc.out].credits > 0 {
 		r.forward(now, int(ivc.port), flat-int(ivc.port)*r.vcs)
 	}
+}
+
+// lonePass is stepOne for an unrouted front packet of one flit on a router
+// that memoises its routes and traces nothing: route, VC allocation and
+// switch allocation in one pass, in which the flit leaves if it can. It
+// reports whether it did; if not, nothing has changed and stepOne runs its
+// phases. A departing single flit is both head and tail, so the general
+// path would set routed, granted, owned and the reqMask, gntMask and
+// gntPorts bits for it and clear them again in the same step; the pass
+// skips that and writes only what the general path leaves behind: the
+// VC's route and grant fields, vaPtr and the forward.
+func (r *Router) lonePass(now int64, flat int) bool {
+	ivc := &r.in[flat]
+	f := r.front(ivc)
+	if f.P.Size != 1 {
+		return false
+	}
+	hop := int32(int(r.hops[f.P.Dst])*r.qos + int(ivc.qos))
+	e := &r.hopEnts[hop]
+	best, bestCred := r.freest(e)
+	if bestCred <= 0 {
+		return false // no free output VC, or none with a credit
+	}
+	ivc.hop, ivc.out, ivc.outPort, ivc.outClass = hop, best, e.port, e.class
+	ivc.outVC = best - e.port*int32(r.vcs)
+	if r.vaPtr++; r.vaPtr == len(r.in) {
+		r.vaPtr = 0
+	}
+	p := int(ivc.port)
+	r.send(now, ivc, p, flat-p*r.vcs)
+	return true
 }
 
 // drainOwnCredits applies every credit on the private lines that finished
@@ -703,12 +739,8 @@ func (r *Router) vaTryGrant(now int64, flat int) {
 	var port, class int32
 	if r.hopEnts != nil {
 		e := &r.hopEnts[ivc.hop]
-		for o := e.lo; o < e.hi; o++ {
-			if ov := &r.out[o]; !ov.owned && ov.credits > bestCred {
-				best, bestCred = int(o), ov.credits
-			}
-		}
-		port, class = e.port, e.class
+		o, _ := r.freest(e)
+		best, port, class = int(o), e.port, e.class
 	} else {
 		// The packet's QoS class is static per input VC (see vcQoS); its
 		// output-VC candidates come from the matching partition downstream.
@@ -736,6 +768,19 @@ func (r *Router) vaTryGrant(now int64, flat int) {
 	if r.tracer != nil {
 		r.tracer.Record(now, r.front(ivc).P.ID, r.ID, obs.PhaseVCAlloc)
 	}
+}
+
+// freest returns the output VC of hop entry e that is free and has the
+// most credits, the first of equals, and its credits: -1, -1 if every VC
+// of the entry is owned.
+func (r *Router) freest(e *hopEntry) (best, credits int32) {
+	best, credits = -1, -1
+	for o := e.lo; o < e.hi; o++ {
+		if ov := &r.out[o]; !ov.owned && ov.credits > credits {
+			best, credits = o, ov.credits
+		}
+	}
+	return best, credits
 }
 
 // vaReq is one age-ordered VC allocation request (see vaOrder).
@@ -920,15 +965,33 @@ func (r *Router) arbKey(ivc *inVC) (key int64) {
 }
 
 // forward moves the winning flit from input (p, v) onto its output port's
-// delay line, with the credit for the freed slot onto the upstream router's
-// credit line, maintaining credits, ownership and routing state.
+// delay line (send) and, once the packet's tail has left, releases the
+// output VC and the input VC's allocation.
 func (r *Router) forward(now int64, p, v int) {
 	flat := p*r.vcs + v
 	ivc := &r.in[flat]
+	if f := r.send(now, ivc, p, v); f.Tail() {
+		r.out[ivc.out].owned = false
+		ivc.reset()
+		r.gntMask &^= 1 << uint(flat)
+		if r.gntMask>>uint(p*r.vcs)&(uint64(1)<<uint(r.vcs)-1) == 0 {
+			r.gntPorts &^= 1 << uint(p)
+		}
+	}
+}
+
+// send pops the front flit of input VC (p, v), ivc, and sends it through
+// the output VC the VC holds: onto the output port's delay line, with the
+// credit for the freed slot onto the upstream router's credit line. It
+// maintains the buffer counts, credits, hop count and arbitration
+// pointers, and returns the flit. Only a router that asks the algorithm
+// per head flit updates the packet's routing state: a memoised route
+// never reads it (see routing.NextHops).
+func (r *Router) send(now int64, ivc *inVC, p, v int) Flit {
 	f := r.popFront(ivc)
 	r.occupancy--
 	if ivc.n == 0 {
-		r.occMask &^= 1 << uint(flat)
+		r.occMask &^= 1 << uint(p*r.vcs+v)
 	}
 	r.FlitsRouted++
 	outP := int(ivc.outPort)
@@ -936,8 +999,10 @@ func (r *Router) forward(now int64, p, v int) {
 	if outP != r.local {
 		r.out[ivc.out].credits--
 		if f.Head() {
-			r.alg.Committed(r.topo, &f.P.Route, int(ivc.outClass))
-			f.P.Route.Traverse(r.topo.LinkAt(r.ID, outP))
+			if r.hops == nil {
+				r.alg.Committed(r.topo, &f.P.Route, int(ivc.outClass))
+				f.P.Route.Traverse(r.topo.LinkAt(r.ID, outP))
+			}
 			f.P.Hops++
 		}
 	}
@@ -950,15 +1015,6 @@ func (r *Router) forward(now int64, p, v int) {
 	if up := &r.up[p]; up.line != nil {
 		up.line.Push(now, Credit{Node: up.node, Out: up.out + int32(v)})
 	}
-
-	if f.Tail() {
-		r.out[ivc.out].owned = false
-		ivc.reset()
-		r.gntMask &^= 1 << uint(flat)
-		if r.gntMask>>uint(p*r.vcs)&(uint64(1)<<uint(r.vcs)-1) == 0 {
-			r.gntPorts &^= 1 << uint(p)
-		}
-	}
 	// Advance round-robin pointers past the winners.
 	if v+1 == r.vcs {
 		r.saInPtr[p] = 0
@@ -970,6 +1026,7 @@ func (r *Router) forward(now int64, p, v int) {
 	} else {
 		r.saOutPtr[outP] = p + 1
 	}
+	return f
 }
 
 // --- Fault-injection support ----------------------------------------------

@@ -2,6 +2,7 @@ package router
 
 import (
 	"fmt"
+	"math/bits"
 	"strings"
 	"testing"
 	"unsafe"
@@ -323,26 +324,40 @@ const (
 const (
 	pathIdle    = iota // nothing buffered
 	pathGeneral        // route, VC and switch allocation over every VC
-	pathOneVC          // stepOne
+	pathOneVC          // stepOne's phases
+	pathLone           // stepOne's lone pass: a single flit routed and sent at once
 )
 
-// stepPath returns the path r's next Step takes.
-func stepPath(r *Router) int {
+// step runs r.Step(now) and returns the path it took. A one-VC step whose
+// VC fronts an unrouted single-flit packet on a router that memoises its
+// routes and traces nothing took the lone pass exactly when the flit left:
+// when the pass declines, stepOne's phases can grant the flit but not
+// send it, since the pass declines only for want of a free output VC with
+// a credit.
+func step(r *Router, now int64) int {
+	path, lone := pathGeneral, false
 	switch {
 	case r.Idle():
-		return pathIdle
+		path = pathIdle
 	case r.oneVC():
-		return pathOneVC
+		path = pathOneVC
+		v := &r.in[bits.TrailingZeros64(r.occMask)]
+		lone = !v.routed && r.hops != nil && r.tracer == nil && r.front(v).P.Size == 1
 	}
-	return pathGeneral
+	routed := r.FlitsRouted
+	r.Step(now)
+	if lone && r.FlitsRouted > routed {
+		path = pathLone
+	}
+	return path
 }
 
 // saturate returns a function that runs one cycle of a stand-alone router
 // held at load: every flit leaving a pipeline is acknowledged with a credit,
-// the input VCs fill selects are topped up with two-flit packets of their own
-// QoS class, then the router steps. cycle returns the path the step took.
-// The harness allocates nothing.
-func saturate(r *Router, topo *topology.Topology, fill int) (cycle func() int) {
+// the input VCs fill selects are topped up with packets of size flits and
+// their own QoS class, then the router steps. cycle returns the path the
+// step took. The harness allocates nothing.
+func saturate(r *Router, topo *topology.Topology, fill, size int) (cycle func() int) {
 	pool := make([]Packet, 4096)
 	next, now := 0, int64(0)
 	return func() int {
@@ -357,18 +372,18 @@ func saturate(r *Router, topo *topology.Topology, fill int) (cycle func() int) {
 					fill == fillOne && (!empty || (p*r.vcs+v) != int(now)%len(r.in)):
 					continue
 				}
-				for r.InBufLen(p, v)+2 <= r.cfg.BufDepth { // two-flit packets: heads and tails
+				for r.InBufLen(p, v)+size <= r.cfg.BufDepth {
 					pkt := &pool[next%len(pool)]
 					next++
-					*pkt = Packet{ID: uint64(next), Src: r.ID, Dst: (next * 7) % topo.N, Size: 2,
+					*pkt = Packet{ID: uint64(next), Src: r.ID, Dst: (next * 7) % topo.N, Size: size,
 						Class: int(r.vcQoS[v]), CreateTime: now, Route: routing.NewState(-1)}
-					r.AcceptFlit(p, v, Flit{P: pkt, Seq: 0})
-					r.AcceptFlit(p, v, Flit{P: pkt, Seq: 1})
+					for seq := 0; seq < size; seq++ {
+						r.AcceptFlit(p, v, Flit{P: pkt, Seq: int32(seq)})
+					}
 				}
 			}
 		}
-		path := stepPath(r)
-		r.Step(now)
+		path := step(r, now)
 		now++
 		return path
 	}
@@ -392,7 +407,8 @@ func allocatorFlavours() []Config {
 // allocations per Step, harness included, for every allocator flavour on
 // the mask paths, on the nested-loop phases of routers wider than 64 VCs
 // (the age order used to build its request list afresh every cycle) and,
-// with one VC filled at a time, on the one-VC path.
+// with one VC filled at a time, on the one-VC path: stepOne's phases with
+// two-flit packets, its lone pass with single flits.
 func TestStepAllocatesNothing(t *testing.T) {
 	topo := topology.NewMesh(4, 4)
 	for _, cfg := range allocatorFlavours() {
@@ -400,23 +416,32 @@ func TestStepAllocatesNothing(t *testing.T) {
 			name   string
 			nested bool
 			fill   int
-		}{{"mask", false, fillAll}, {"nested", true, fillAll}, {"one-VC", false, fillOne}} {
+			size   int
+			path   int // a path that must run, or pathIdle for none
+		}{
+			{"mask", false, fillAll, 2, pathIdle},
+			{"nested", true, fillAll, 2, pathIdle},
+			{"one-VC", false, fillOne, 2, pathOneVC},
+			{"lone", false, fillOne, 1, pathLone},
+		} {
 			name := fmt.Sprintf("arb=%s classes=%d/%s %s", cfg.Arb, cfg.Classes, cfg.ClassArb, row.name)
 			r := New(5, topo, routing.DOR{}, cfg)
 			if row.nested {
 				r.maskHot = false
 			}
-			cycle, oneVC := saturate(r, topo, row.fill), 0
+			cycle := saturate(r, topo, row.fill, row.size)
+			var paths [4]int
 			for i := 0; i < 256; i++ { // every VC has routed once: candidate slices exist
-				if cycle() == pathOneVC {
-					oneVC++
-				}
+				paths[cycle()]++
 			}
 			if r.FlitsRouted == 0 {
 				t.Fatalf("%s: harness moved no flits", name)
 			}
-			if (row.fill == fillOne) != (oneVC > 0) {
+			if oneVC := paths[pathOneVC] + paths[pathLone]; (row.fill == fillOne) != (oneVC > 0) {
 				t.Fatalf("%s: %d of 256 steps took the one-VC path", name, oneVC)
+			}
+			if row.path != pathIdle && paths[row.path] == 0 {
+				t.Fatalf("%s: no step took path %d (steps by path %v)", name, row.path, paths)
 			}
 			if a := testing.AllocsPerRun(200, func() { cycle() }); a != 0 {
 				t.Errorf("%s: %.1f allocs per Step, want 0", name, a)
@@ -499,7 +524,7 @@ func TestNestedLoopPhasesMatchMaskPaths(t *testing.T) {
 					t.Fatalf("%s: router too wide for the mask paths", name)
 				}
 				nested.maskHot = false
-				stepMask, stepNested := saturate(mask, c.topo, fill), saturate(nested, c.topo, fill)
+				stepMask, stepNested := saturate(mask, c.topo, fill, 2), saturate(nested, c.topo, fill, 2)
 				for i := 0; i < 150; i++ {
 					stepMask()
 					stepNested()
@@ -515,36 +540,62 @@ func TestNestedLoopPhasesMatchMaskPaths(t *testing.T) {
 	}
 }
 
+// load is what randomTraffic offers a router.
+type load struct {
+	rate float64 // chance per cycle that an input VC with room receives a packet
+	size int     // packet length in flits; 0 draws 1..BufDepth per packet
+	dst  int     // every packet's destination; -1 draws one per packet
+	// credit is the chance per cycle that the credits withheld so far
+	// return; 1 returns each as its flit leaves the pipeline. Below 1 a
+	// router runs out of credits and its lone pass falls back.
+	credit float64
+}
+
 // randomTraffic returns a function that runs one cycle of a stand-alone
-// router under random load: every flit leaving a pipeline is acknowledged
-// with a credit, each input VC receives, with probability rate, a packet of
-// 1..BufDepth flits to a random destination if it has room for all of it,
-// and the router steps. cycle returns the path the step took. Two routers
-// fed from generators of one seed see the same traffic.
-func randomTraffic(r *Router, topo *topology.Topology, seed uint64, rate float64) (cycle func() int) {
+// router under random load l: every flit leaving a pipeline is acknowledged
+// with a credit, at once or when l.credit releases the withheld ones, each
+// input VC with room receives a packet with probability l.rate, and the
+// router steps. cycle returns the path the step took. Two routers fed from
+// generators of one seed see the same traffic.
+func randomTraffic(r *Router, topo *topology.Topology, seed uint64, l load) (cycle func() int) {
 	rng := sim.NewRNG(seed)
 	var id uint64
+	var withheld [][2]int // (port, VC) of credits not yet returned
 	now := int64(0)
 	return func() int {
 		for p := 0; p < r.ports; p++ {
 			if f, ok := r.PopDelivery(now, p); ok && p != topo.LocalPort() {
-				r.ReturnCredit(now, p, int(f.VC))
+				withheld = append(withheld, [2]int{p, int(f.VC)})
 			}
+		}
+		if l.credit >= 1 || rng.Bernoulli(l.credit) {
+			for _, c := range withheld {
+				r.ReturnCredit(now, c[0], c[1])
+			}
+			withheld = withheld[:0]
+		}
+		for p := 0; p < r.ports; p++ {
 			for v := 0; v < r.vcs; v++ {
-				size := 1 + rng.Intn(r.cfg.BufDepth)
-				if !rng.Bernoulli(rate) || r.InBufLen(p, v)+size > r.cfg.BufDepth {
+				size := l.size
+				if size == 0 {
+					size = 1 + rng.Intn(r.cfg.BufDepth)
+				}
+				if !rng.Bernoulli(l.rate) || r.InBufLen(p, v)+size > r.cfg.BufDepth {
 					continue
 				}
+				dst := l.dst
+				if dst < 0 {
+					dst = rng.Intn(topo.N)
+				}
 				id++
-				pkt := &Packet{ID: id, Src: r.ID, Dst: rng.Intn(topo.N), Size: size,
+				pkt := &Packet{ID: id, Src: r.ID, Dst: dst, Size: size,
 					Class: int(r.vcQoS[v]), CreateTime: now, Route: routing.NewState(-1)}
 				for seq := 0; seq < size; seq++ {
 					r.AcceptFlit(p, v, Flit{P: pkt, Seq: int32(seq)})
 				}
 			}
 		}
-		path := stepPath(r)
-		r.Step(now)
+		path := step(r, now)
 		now++
 		return path
 	}
@@ -561,7 +612,8 @@ func TestRouterNextHopsMatchCandidates(t *testing.T) {
 			t.Fatal("no next-hop row for DOR on a mesh")
 		}
 		asked.hops, asked.hopEnts = nil, nil
-		stepMemo, stepAsked := randomTraffic(memo, topo, 7, 0.5), randomTraffic(asked, topo, 7, 0.5)
+		l := load{rate: 0.5, dst: -1, credit: 1}
+		stepMemo, stepAsked := randomTraffic(memo, topo, 7, l), randomTraffic(asked, topo, 7, l)
 		for i := 0; i < 2000; i++ {
 			stepMemo()
 			stepAsked()
@@ -575,54 +627,123 @@ func TestRouterNextHopsMatchCandidates(t *testing.T) {
 	}
 }
 
+// oneVCHarness is one load TestOneVCPathMatchesGeneralPath and
+// FuzzOneVCPathMatchesGeneralPath drive a router and its general-path twin
+// with.
+type oneVCHarness struct {
+	name  string
+	cycle func(r *Router) func() int
+}
+
+// compareOneVCPath steps a router and a twin kept on the general compute
+// phases under h for cycles cycles, fails if their states ever differ, and
+// adds the steps of the router under test to paths, by path.
+func compareOneVCPath(t testing.TB, topo *topology.Topology, alg routing.Algorithm, cfg Config, h oneVCHarness, cycles int, paths *[4]int) {
+	t.Helper()
+	name := fmt.Sprintf("%s %+v %s", alg.Name(), cfg, h.name)
+	fast, general := New(5, topo, alg, cfg), New(5, topo, alg, cfg)
+	general.generalPathOnly()
+	stepFast, stepGeneral := h.cycle(fast), h.cycle(general)
+	for i := 0; i < cycles; i++ {
+		paths[stepFast()]++
+		if p := stepGeneral(); p == pathOneVC || p == pathLone {
+			t.Fatalf("%s: the router kept on the general path took the one-VC path", name)
+		}
+		if a, b := dumpState(fast), dumpState(general); a != b {
+			t.Fatalf("%s: state differs after cycle %d\none-VC path:\n%s\ngeneral path:\n%s", name, i, a, b)
+		}
+		// dumpState prints an unrouted VC's route as "-"; the hop entry it
+		// last held must match too, as must the ring cursor.
+		for k := range fast.in {
+			if a, b := &fast.in[k], &general.in[k]; a.hop != b.hop || a.head != b.head {
+				t.Fatalf("%s: input VC %d after cycle %d: hop %d head %d on the one-VC path, hop %d head %d on the general path",
+					name, k, i, a.hop, a.head, b.hop, b.head)
+			}
+		}
+	}
+}
+
 // TestOneVCPathMatchesGeneralPath feeds two routers identically, one of
 // them kept on the general compute phases, and requires identical state
-// after every cycle, under every allocator flavour, VC count and buffer
-// depth, with routes memoised (DOR) and asked per head flit (minimal
-// adaptive, several candidates), single-flit and multi-flit packets, at
-// loads where a router mostly holds one VC and where it mostly holds many.
-// Both paths must have run, or the test would compare one with itself.
+// after every cycle, under every allocator flavour and two QoS classes,
+// VC count and buffer depth, with routes memoised (DOR) and asked per head
+// flit (minimal adaptive, several candidates), single-flit and multi-flit
+// packets, at loads where a router mostly holds one VC and where it mostly
+// holds many, with credits held back so the lone pass falls back, and with
+// every packet ejecting. Every path must have run, or the test would
+// compare one with itself: the general phases, stepOne's phases and, where
+// routes are memoised, its lone pass.
 func TestOneVCPathMatchesGeneralPath(t *testing.T) {
 	topo := topology.NewMesh(4, 4)
+	random := func(name string, l load) oneVCHarness {
+		return oneVCHarness{name, func(r *Router) func() int { return randomTraffic(r, topo, 11, l) }}
+	}
+	harnesses := []oneVCHarness{
+		random("random 0.02", load{rate: 0.02, dst: -1, credit: 1}),
+		random("random 0.5", load{rate: 0.5, dst: -1, credit: 1}),
+		random("single flits 0.05", load{rate: 0.05, size: 1, dst: -1, credit: 1}),
+		// Every packet heads for neighbour 6, so one output port runs out of credits.
+		random("credit-starved", load{rate: 0.02, size: 1, dst: 6, credit: 0.1}),
+		random("ejection", load{rate: 0.05, dst: 5, credit: 1}),
+		{"one VC", func(r *Router) func() int { return saturate(r, topo, fillOne, 2) }},
+		{"sparse", func(r *Router) func() int { return saturate(r, topo, fillSparse, 2) }},
+	}
+	flavours := allocatorFlavours()
+	for _, arb := range []ClassArbPolicy{StrictPriority, ClassRoundRobin} {
+		flavours = append(flavours, Config{VCs: 2, BufDepth: 4, Delay: 1, Classes: 2, ClassArb: arb})
+	}
 	for _, alg := range []routing.Algorithm{routing.DOR{}, routing.MinimalAdaptive{}} {
-		for _, base := range allocatorFlavours() {
+		for _, base := range flavours {
 			for _, vcs := range []int{2, 3, 6} {
 				for _, depth := range []int{1, 4} {
 					cfg := base
 					cfg.VCs, cfg.BufDepth = vcs, depth
-					name := fmt.Sprintf("%s %+v", alg.Name(), cfg)
 					if cfg.Validate(topo, alg) != nil {
 						continue // too few VCs for the QoS partition and the algorithm's classes
 					}
-					var paths [3]int // steps of the router under test, by path
-					for _, h := range []struct {
-						name  string
-						cycle func(r *Router) func() int
-					}{
-						{"random 0.02", func(r *Router) func() int { return randomTraffic(r, topo, 11, 0.02) }},
-						{"random 0.5", func(r *Router) func() int { return randomTraffic(r, topo, 11, 0.5) }},
-						{"one VC", func(r *Router) func() int { return saturate(r, topo, fillOne) }},
-						{"sparse", func(r *Router) func() int { return saturate(r, topo, fillSparse) }},
-					} {
-						fast, general := New(5, topo, alg, cfg), New(5, topo, alg, cfg)
-						general.generalPathOnly()
-						stepFast, stepGeneral := h.cycle(fast), h.cycle(general)
-						for i := 0; i < 300; i++ {
-							paths[stepFast()]++
-							if stepGeneral() == pathOneVC {
-								t.Fatalf("%s %s: the router kept on the general path took the one-VC path", name, h.name)
-							}
-							if a, b := dumpState(fast), dumpState(general); a != b {
-								t.Fatalf("%s %s: state differs after cycle %d\none-VC path:\n%s\ngeneral path:\n%s", name, h.name, i, a, b)
-							}
-						}
+					var paths [4]int // steps of the router under test, by path
+					for _, h := range harnesses {
+						compareOneVCPath(t, topo, alg, cfg, h, 300, &paths)
 					}
-					if paths[pathGeneral] == 0 || paths[pathOneVC] == 0 {
-						t.Fatalf("%s: %d steps on the general path, %d on the one-VC path; both must run",
-							name, paths[pathGeneral], paths[pathOneVC])
+					lone := paths[pathLone] > 0
+					if _, memo := alg.(routing.DOR); paths[pathGeneral] == 0 || paths[pathOneVC] == 0 || lone != memo {
+						t.Fatalf("%s %+v: steps by path (idle, general, one-VC, lone) %v; general and one-VC must run, and lone exactly where routes are memoised",
+							alg.Name(), cfg, paths)
 					}
 				}
 			}
 		}
 	}
+}
+
+// FuzzOneVCPathMatchesGeneralPath is TestOneVCPathMatchesGeneralPath over
+// fuzzed configurations and loads: seed, VC count, buffer depth, arbiter,
+// QoS classes and their arbitration, algorithm, rate, packet size (0 for
+// 1..BufDepth at random) and how readily credits return.
+func FuzzOneVCPathMatchesGeneralPath(f *testing.F) {
+	f.Add(uint64(1), uint8(2), uint8(1), false, uint8(0), false, false, uint8(5), uint8(1), uint8(255))
+	f.Add(uint64(2), uint8(3), uint8(4), true, uint8(3), false, false, uint8(128), uint8(0), uint8(255))
+	f.Add(uint64(3), uint8(2), uint8(4), false, uint8(2), true, false, uint8(10), uint8(1), uint8(20))
+	f.Add(uint64(4), uint8(6), uint8(2), true, uint8(0), false, true, uint8(30), uint8(0), uint8(100))
+	topo := topology.NewMesh(4, 4)
+	f.Fuzz(func(t *testing.T, seed uint64, vcs, depth uint8, age bool, classes uint8, classRR, ma bool, rate, size, credit uint8) {
+		cfg := Config{VCs: 1 + int(vcs%8), BufDepth: 1 + int(depth%6), Delay: 1, Classes: int(classes % 4)}
+		if age {
+			cfg.Arb = AgeBased
+		}
+		if classRR {
+			cfg.ClassArb = ClassRoundRobin
+		}
+		var alg routing.Algorithm = routing.DOR{}
+		if ma {
+			alg = routing.MinimalAdaptive{}
+		}
+		if cfg.Validate(topo, alg) != nil {
+			t.Skip()
+		}
+		l := load{rate: float64(rate) / 255, size: int(size) % (cfg.BufDepth + 1), dst: -1, credit: float64(credit) / 255}
+		h := oneVCHarness{"fuzz", func(r *Router) func() int { return randomTraffic(r, topo, seed, l) }}
+		var paths [4]int
+		compareOneVCPath(t, topo, alg, cfg, h, 200, &paths)
+	})
 }

@@ -23,7 +23,10 @@ const AnyClass = -1
 
 // State is the per-packet routing state carried by the head flit. It is
 // mutated by ArriveAt when the packet reaches a router and by Traverse when
-// it crosses a link.
+// it crosses a link, on the routers that read it: those that ask the
+// algorithm per head flit. A router whose routes NextHops memoises never
+// reads it, so from injection on it neither updates it nor keeps it
+// current.
 type State struct {
 	// Intermediate is the mid-point node for two-phase algorithms, or -1.
 	Intermediate int
