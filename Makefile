@@ -60,10 +60,12 @@ race:
 # sorted []uint32 and float64 statistics it replaced, the register-held
 # Bernoulli scan against the Bernoulli loop, the CMP cache against the
 # tick-stamped LRU it replaced, the record source queue against the
-# per-flit FIFO it replaced and the router's one-VC path (its lone pass
+# per-flit FIFO it replaced, the router's one-VC path (its lone pass
 # included) against the general compute phases over fuzzed VCs, depths,
-# arbiters, classes, rates and packet sizes (go fuzzing allows one -fuzz target per
-# invocation, hence the sequence). FUZZTIME=10s make fuzz-smoke for a
+# arbiters, classes, rates and packet sizes, and the engine-driven trace
+# replay against the stepped loop it replaced over fuzzed event gaps, packet
+# sizes, router delays and cycle limits (go fuzzing allows one -fuzz target
+# per invocation, hence the sequence). FUZZTIME=10s make fuzz-smoke for a
 # quicker local pass.
 FUZZTIME ?= 30s
 fuzz-smoke:
@@ -77,6 +79,7 @@ fuzz-smoke:
 	$(GO) test ./internal/cmp -fuzz=FuzzCacheMatchesTickLRU -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/network -fuzz=FuzzSourceQueue -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/router -fuzz=FuzzOneVCPathMatchesGeneralPath -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/trace -fuzz=FuzzReplayMatchesSteppedLoop -fuzztime=$(FUZZTIME)
 
 # Golden-figure regression gate: regenerate the golden subset and compare
 # against the committed CSVs in results/golden (see cmd/figures/golden_test.go).

@@ -8,86 +8,45 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
-	"noceval/internal/closedloop"
 	"noceval/internal/core"
-	"noceval/internal/network"
-	"noceval/internal/router"
-	"noceval/internal/trace"
 )
 
-func buildNet(tr int64) network.Config {
-	p := core.Baseline()
-	p.RouterDelay = tr
-	cfg, err := p.Build()
+func main() {
+	const b, m = 100, 2
+	trs := []int64{1, 2, 4}
+
+	// The closed-loop runtime on each network: one batch spec per router
+	// delay, run as one set.
+	capture := core.Baseline()
+	var specs []core.ExperimentSpec
+	for _, tr := range trs {
+		p := capture
+		p.RouterDelay = tr
+		specs = append(specs, core.ExperimentSpec{Kind: "batch", Network: p, B: b, M: m})
+	}
+	closed, err := new(core.RunSet).RunAll(context.Background(), specs)
 	if err != nil {
 		log.Fatal(err)
 	}
-	return cfg
-}
 
-func main() {
-	// 1. Capture a trace from a closed-loop batch run on the tr=1 network.
-	//    The recorder observes every packet the batch protocol injects.
-	capCfg := buildNet(1)
-	net := network.New(capCfg)
-	rec := trace.NewRecorder(capCfg.Topo.N)
-	rec.Attach(net)
-
-	// Drive the same request/reply protocol the batch model uses.
-	const b, m = 100, 2
-	type state struct{ sent, done, pf int }
-	nodes := make([]state, capCfg.Topo.N)
-	rng := net.RNG()
-	net.OnReceive = func(now int64, p *router.Packet) {
-		switch p.Kind {
-		case router.KindRequest:
-			net.Send(net.NewPacket(p.Dst, p.Src, 1, router.KindReply))
-		case router.KindReply:
-			nodes[p.Dst].pf--
-			nodes[p.Dst].done++
+	// A trace captured from the batch run on the tr=1 network, replayed on
+	// each network. The capture is the tr=1 batch spec's run, recorded.
+	replays := make([]*core.TraceResult, len(trs))
+	for i := range trs {
+		if replays[i], err = core.CaptureAndReplay(capture, specs[i].Network, b, m); err != nil {
+			log.Fatal(err)
 		}
 	}
-	for {
-		finished := 0
-		for i := range nodes {
-			if nodes[i].sent < b && nodes[i].pf < m {
-				net.Send(net.NewPacket(i, rng.Intn(len(nodes)), 1, router.KindRequest))
-				nodes[i].sent++
-				nodes[i].pf++
-			}
-			if nodes[i].done >= b {
-				finished++
-			}
-		}
-		if finished == len(nodes) {
-			break
-		}
-		net.Step()
-	}
-	tr := rec.Trace()
 	fmt.Printf("captured %d packets over %d cycles from a closed-loop run (tr=1)\n",
-		len(tr.Events), net.Now())
+		len(replays[0].Trace.Events), replays[0].CaptureRuntime)
 
-	// 2. Replay on slower networks, and compare with real closed-loop runs.
 	fmt.Printf("\n%6s %18s %18s\n", "tr", "replay runtime", "closed-loop runtime")
-	for _, rd := range []int64{1, 2, 4} {
-		rep, err := trace.Replay(tr, buildNet(rd), 0)
-		if err != nil {
-			log.Fatal(err)
-		}
-		p := core.Baseline()
-		p.RouterDelay = rd
-		closed, err := closedloop.RunBatch(closedloop.BatchConfig{
-			Net: func() network.Config { c, _ := p.Build(); return c }(),
-			B:   b, M: m, Seed: 1,
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("%6d %18d %18d\n", rd, rep.Runtime, closed.Runtime)
+	for i, tr := range trs {
+		fmt.Printf("%6d %18d %18d\n", tr, replays[i].Replay.Runtime, closed[i].Batch.Runtime)
 	}
 	fmt.Println("\nThe replayed runtimes barely grow with tr: fixed timestamps cannot")
 	fmt.Println("model the injection slowdown that network feedback causes in the")

@@ -13,8 +13,6 @@ import (
 
 	"noceval/internal/analytic"
 	"noceval/internal/core"
-	"noceval/internal/network"
-	"noceval/internal/router"
 	"noceval/internal/routing"
 	"noceval/internal/topology"
 	"noceval/internal/trace"
@@ -67,71 +65,43 @@ func TestBatchThroughputAtLargeMMatchesCapacity(t *testing.T) {
 
 func TestTraceCapturedFromBatchReplaysConsistently(t *testing.T) {
 	// Capture a batch-model run, serialize the trace, replay it on the
-	// same network: the replay must deliver every packet in a comparable
-	// time (it has no request/reply dependencies, so it can only be
-	// faster or equal in the aggregate).
-	netCfg := network.Config{
-		Topo:    topology.NewMesh(4, 4),
-		Routing: routing.DOR{},
-		Router:  router.Config{VCs: 2, BufDepth: 8, Delay: 1},
-		Seed:    31,
-	}
-	net := network.New(netCfg)
-	rec := trace.NewRecorder(16)
-	rec.Attach(net)
-
-	// Drive a miniature batch workload by hand on the recorded network.
-	rng := net.RNG()
-	type nodeState struct{ sent, done, pf int }
-	nodes := make([]nodeState, 16)
-	net.OnReceive = func(now int64, pkt *router.Packet) {
-		if pkt.Kind == router.KindRequest {
-			reply := net.NewPacket(pkt.Dst, pkt.Src, 1, router.KindReply)
-			net.Send(reply)
-		} else if pkt.Kind == router.KindReply {
-			nodes[pkt.Dst].pf--
-			nodes[pkt.Dst].done++
-		}
-	}
+	// same network: the replay must deliver every packet, and with the
+	// timestamps of the run that produced them it reproduces that run's
+	// runtime.
+	p := core.Baseline()
+	p.Topology, p.BufDepth, p.Seed = "mesh4x4", 8, 31
 	const b, m = 60, 2
-	for done := 0; done < 16; {
-		done = 0
-		for i := range nodes {
-			st := &nodes[i]
-			if st.sent < b && st.pf < m {
-				net.Send(net.NewPacket(i, rng.Intn(16), 1, router.KindRequest))
-				st.sent++
-				st.pf++
-			}
-			if st.done >= b {
-				done++
-			}
-		}
-		net.Step()
+	res, err := core.CaptureAndReplay(p, p, b, m)
+	if err != nil {
+		t.Fatal(err)
 	}
-	captured := rec.Trace()
 	wantPackets := 16 * b * 2
-	if len(captured.Events) != wantPackets {
-		t.Fatalf("captured %d events, want %d", len(captured.Events), wantPackets)
+	if len(res.Trace.Events) != wantPackets {
+		t.Fatalf("captured %d events, want %d", len(res.Trace.Events), wantPackets)
 	}
 
 	var buf bytes.Buffer
-	if err := captured.Write(&buf); err != nil {
+	if err := res.Trace.Write(&buf); err != nil {
 		t.Fatal(err)
 	}
 	loaded, err := trace.Read(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := trace.Replay(loaded, netCfg, 0)
+	netCfg, err := p.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Completed || res.Packets != wantPackets {
-		t.Fatalf("replay delivered %d/%d packets", res.Packets, wantPackets)
+	rep, err := trace.Replay(loaded, netCfg, 0)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if res.Runtime > net.Now()*2 {
-		t.Errorf("replay runtime %d far beyond closed-loop runtime %d", res.Runtime, net.Now())
+	if !rep.Completed || rep.Packets != wantPackets {
+		t.Fatalf("replay delivered %d/%d packets", rep.Packets, wantPackets)
+	}
+	if *rep != *res.Replay || rep.Runtime != res.CaptureRuntime {
+		t.Errorf("replay of the read-back trace %+v, of the captured one %+v; capture runtime %d",
+			*rep, *res.Replay, res.CaptureRuntime)
 	}
 }
 

@@ -260,13 +260,17 @@ func (s *System) done() bool {
 // Run executes the system to completion (or MaxCycles) and returns the
 // result summary. System itself implements engine.Driver: the cores are
 // the injection process, and the run ends when every core retires its
-// program and the memory system drains.
+// program and the memory system drains. Run closes a fabric that has a
+// Close method (a sharded network's workers), so a system runs once.
 func (s *System) Run() *Result {
 	eo := engine.RunOutcome(engine.Config{
 		Net:      s.fabric,
 		Ctx:      s.cfg.Ctx,
 		Deadline: s.cfg.MaxCycles,
 	}, s)
+	if c, ok := s.fabric.(interface{ Close() }); ok {
+		c.Close()
+	}
 	res := s.result(eo.Completed)
 	res.Canceled = eo.Canceled
 	return res

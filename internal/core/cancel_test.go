@@ -79,3 +79,24 @@ func TestSpecRunContextCancel(t *testing.T) {
 		t.Fatalf("pre-cancelled RunContext took %v", d)
 	}
 }
+
+// TestShardedExecLeavesNoWorkers runs an exec spec on a sharded network and
+// requires its gang's workers to exit when the run returns, with no GC to
+// run the gang's finalizer: the run closes its network, as every run mode
+// does.
+func TestShardedExecLeavesNoWorkers(t *testing.T) {
+	p := Table2Network(1)
+	p.Shards = 2
+	before := runtime.NumGoroutine()
+	if _, err := Exec(p, ExecParams{Benchmark: "blackscholes", Seed: 3}); err != nil {
+		t.Fatal(err)
+	}
+	// Close ends the workers, but each exits on its own schedule: poll.
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines = %d, %d before the run: the network's workers leaked", runtime.NumGoroutine(), before)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}

@@ -1,9 +1,9 @@
 package core
 
 import (
-	"noceval/internal/network"
-	"noceval/internal/router"
-	"noceval/internal/sim"
+	"fmt"
+
+	"noceval/internal/closedloop"
 	"noceval/internal/trace"
 )
 
@@ -22,62 +22,44 @@ type TraceResult struct {
 // Replay.Runtime against a direct closed-loop run on the replay network
 // quantifies the causality the trace lost (§II).
 func CaptureAndReplay(capture, replay NetworkParams, b, m int) (*TraceResult, error) {
-	capCfg, err := capture.Build()
-	if err != nil {
-		return nil, err
-	}
-	pattern, err := capture.BuildPattern()
-	if err != nil {
-		return nil, err
-	}
-	net := network.New(capCfg)
-	rec := trace.NewRecorder(capCfg.Topo.N)
-	rec.Attach(net)
-
-	// Drive the batch request/reply protocol directly on the recorded
-	// network.
-	type state struct{ sent, done, pf int }
-	nodes := make([]state, capCfg.Topo.N)
-	rng := sim.NewRNG(capture.Seed ^ 0x6a09e667f3bcc908)
-	net.OnReceive = func(now int64, p *router.Packet) {
-		switch p.Kind {
-		case router.KindRequest:
-			net.Send(net.NewPacket(p.Dst, p.Src, 1, router.KindReply))
-		case router.KindReply:
-			nodes[p.Dst].pf--
-			nodes[p.Dst].done++
-		}
-	}
-	for {
-		finished := 0
-		for i := range nodes {
-			if nodes[i].sent < b && nodes[i].pf < m {
-				dst := pattern.Dest(rng, i, len(nodes))
-				net.Send(net.NewPacket(i, dst, 1, router.KindRequest))
-				nodes[i].sent++
-				nodes[i].pf++
-			}
-			if nodes[i].done >= b {
-				finished++
-			}
-		}
-		if finished == len(nodes) {
-			break
-		}
-		net.Step()
-	}
-
 	repCfg, err := replay.Build()
 	if err != nil {
 		return nil, err
 	}
-	rep, err := trace.Replay(rec.Trace(), repCfg, 0)
+	res, tr, err := captureBatch(capture, b, m)
 	if err != nil {
 		return nil, err
 	}
-	return &TraceResult{
-		Trace:          rec.Trace(),
-		CaptureRuntime: net.Now(),
-		Replay:         rep,
-	}, nil
+	rep, err := trace.Replay(tr, repCfg, 0)
+	if err != nil {
+		return nil, err
+	}
+	return &TraceResult{Trace: tr, CaptureRuntime: res.Runtime, Replay: rep}, nil
+}
+
+// captureBatch runs the batch spec of p, b and m — its pattern, its seed,
+// and its defaults for a zero b or m — with every packet handed to Send
+// recorded. Recording does not perturb the run: the result equals the batch
+// spec's. A run that does not complete fails the capture.
+func captureBatch(p NetworkParams, b, m int) (*closedloop.BatchResult, *trace.Trace, error) {
+	built, err := openLoopConfig(p, OpenLoopOpts{})
+	if err != nil {
+		return nil, nil, err
+	}
+	tr := &trace.Trace{Nodes: built.Net.Topo.N}
+	built.Net.OnSend = tr.Record
+	res, err := closedloop.RunBatch(closedloop.BatchConfig{
+		Net:     built.Net,
+		Pattern: built.Pattern,
+		B:       defaulted(b, defaultB),
+		M:       defaulted(m, defaultM),
+		Seed:    p.Seed,
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	if !res.Completed {
+		return nil, nil, fmt.Errorf("core: trace capture on %s did not complete by cycle %d", p.Topology, res.Runtime)
+	}
+	return res, tr, nil
 }

@@ -1,20 +1,21 @@
-// Package engine owns the cycle loop shared by every run mode. The paper's
+// Package engine owns the cycle loop of every run mode. The paper's
 // central claim is that one network model serves open-loop, closed-loop
-// (batch and barrier), and execution-driven evaluation; this package makes
-// that literal: each methodology implements Driver (per-cycle injection,
-// a stop condition, and idle scheduling hints) and Run drives the network,
-// so the four previously hand-rolled `for { inject; net.Step() }` loops
-// share one engine.
+// (batch and barrier), trace-driven and execution-driven evaluation; this
+// package makes that literal: each methodology implements Driver (per-cycle
+// injection, a stop condition, and idle scheduling hints) — openloop, the
+// batch and barrier models of closedloop, trace replay and the cmp system —
+// and RunOutcome drives the network. No other code steps a network.
 //
 // The engine also owns the simulator's biggest idle-time optimization:
-// when the driver declares itself idle and the network is quiescent, Run
-// fast-forwards the clock to the next scheduled wakeup (a reply-latency
-// completion, a batch timer tick, a telemetry sampling point) instead of
-// ticking empty cycles. Fast-forward is exact, not approximate: a cycle is
-// skipped only when neither the driver (no injections, no RNG draws) nor
-// the network (no flits anywhere) nor the observer (no sample due) would
-// do anything in it, so results are bit-identical to full stepping — the
-// determinism regression tests and the golden-figure gate enforce this.
+// when the driver declares itself idle and the network is quiescent, the
+// loop fast-forwards the clock to the next scheduled wakeup (a
+// reply-latency completion, a batch timer tick, the next trace event, a
+// telemetry sampling point) instead of ticking empty cycles. Fast-forward
+// is exact, not approximate: a cycle is skipped only when neither the
+// driver (no injections, no RNG draws) nor the network (no flits anywhere)
+// nor the observer (no sample due) would do anything in it, so results are
+// bit-identical to full stepping — the determinism regression tests and
+// the golden-figure gate enforce this.
 package engine
 
 import (

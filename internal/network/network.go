@@ -51,6 +51,11 @@ type Config struct {
 	// 0 or 1 keeps the sequential cycle loop; any value is bit-identical to
 	// it — sharding is purely a wall-clock optimization. See DESIGN §12.
 	Shards int
+	// OnSend, when non-nil, observes every packet handed to Send (a trace
+	// capture records through it). NIC retransmissions re-enter below Send
+	// and are not shown. It receives a copy that is valid for the call: the
+	// Packet the network routes is built when the head flit injects.
+	OnSend Receiver
 }
 
 // Validate reports configuration errors.
@@ -155,10 +160,6 @@ type Network struct {
 	// OnReceive, when non-nil, is invoked for every packet that fully
 	// arrives at its destination terminal.
 	OnReceive Receiver
-	// OnSend, when non-nil, observes every packet handed to Send (used by
-	// the trace recorder). It receives a copy that is valid for the call:
-	// the Packet the network routes is built when the head flit injects.
-	OnSend Receiver
 	// OnDeadDrop, when non-nil, is invoked when the recovery NIC abandons a
 	// transaction after exhausting its retries — the run mode's signal to
 	// account the loss. Without a NIC, losses are silent (the run mode sees
@@ -553,18 +554,19 @@ func (n *Network) NewPacket(src, dst, size int, kind router.Kind) router.Packet 
 // the network routes, and OnReceive later sees, is built from the record
 // when the head flit injects, with p's ID and field values. When the
 // recovery NIC is armed it starts tracking the packet here;
-// retransmissions re-enter below Send so they are not tracked twice.
+// retransmissions re-enter below Send so they are neither tracked nor
+// shown to Config.OnSend twice.
 func (n *Network) Send(p router.Packet) {
 	if n.nic != nil {
 		n.nic.Track(n.clock.Now(), &p)
+	}
+	if n.cfg.OnSend != nil {
+		n.onSend(p)
 	}
 	n.send(&p)
 }
 
 func (n *Network) send(p *router.Packet) {
-	if n.OnSend != nil {
-		n.onSend(*p)
-	}
 	n.pktsSent++
 	n.cPktSent.Inc()
 	if n.faults != nil && n.routers[p.Src].Dead() {
@@ -584,9 +586,9 @@ func (n *Network) send(p *router.Packet) {
 	t.queuedFlits += int64(p.Size)
 }
 
-// onSend hands OnSend its own copy of a sent packet, so only a hooked
-// network puts a Packet on the heap at Send.
-func (n *Network) onSend(p router.Packet) { n.OnSend(n.clock.Now(), &p) }
+// onSend hands Config.OnSend its own copy of a sent packet, so only a
+// hooked network puts a Packet on the heap at Send.
+func (n *Network) onSend(p router.Packet) { n.cfg.OnSend(n.clock.Now(), &p) }
 
 // clampClass maps a packet class onto the configured class range: classes
 // beyond the configured count share the lowest-priority queue, so a

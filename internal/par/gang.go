@@ -46,9 +46,11 @@ const spinBudget = 1 << 18
 // calling goroutine wrapped in a TaskPanic, exactly like Parallel.
 //
 // The resident workers reference only the Gang's internal state, never the
-// Gang itself, so an abandoned Gang is collectable: a finalizer closes the
-// dispatch channels and the workers exit. Explicit Close is still
-// preferred — run modes close their network when they finish.
+// Gang itself, and that state drops each wave's function when the wave
+// ends, so an abandoned Gang is collectable even when the function
+// referenced it: a finalizer closes the dispatch channels and the workers
+// exit. Explicit Close is still preferred — every run mode closes its
+// network when it finishes.
 type Gang struct {
 	s *gangState
 }
@@ -155,6 +157,10 @@ func (g *Gang) Run(fn func(member int)) {
 		s.broken = true
 		panic(tp)
 	}
+	// Every member has returned from fn. Dropping it keeps the resident
+	// workers, which reference s, from keeping whatever fn references alive
+	// (a network's wave closure references the network, which holds g).
+	s.fn = nil
 	if s.sampling {
 		s.recordSample()
 	}

@@ -1,8 +1,10 @@
 package par
 
 import (
+	"runtime"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // TestGangRunsEveryMember checks that each Run executes the function
@@ -129,5 +131,24 @@ func TestGangImbalanceSampling(t *testing.T) {
 	}
 	if _, imb := g.Stats(); imb <= 1 || imb > n {
 		t.Errorf("imbalance = %v, want in (1, %d]", imb, n)
+	}
+}
+
+// TestAbandonedGangIsReclaimed drops a gang whose last wave's function
+// references the gang: the gang must still become garbage, so that its
+// finalizer closes it and its resident workers exit.
+func TestAbandonedGangIsReclaimed(t *testing.T) {
+	before := runtime.NumGoroutine()
+	func() {
+		g := NewGang(3)
+		g.Run(func(int) { g.Barrier() })
+	}()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines, %d before the gang: its workers never exited", runtime.NumGoroutine(), before)
+		}
+		runtime.GC()
+		time.Sleep(10 * time.Millisecond)
 	}
 }

@@ -9,14 +9,6 @@ type FIFO[T any] struct {
 	n    int
 }
 
-// NewFIFO returns a FIFO with the given initial capacity hint.
-func NewFIFO[T any](hint int) *FIFO[T] {
-	if hint < 4 {
-		hint = 4
-	}
-	return &FIFO[T]{buf: make([]T, hint)}
-}
-
 // Len returns the number of queued items.
 func (q *FIFO[T]) Len() int { return q.n }
 
@@ -58,14 +50,6 @@ func (q *FIFO[T]) Pop() (v T, ok bool) {
 	}
 	q.n--
 	return v, true
-}
-
-// Peek returns the oldest item without removing it. ok is false when empty.
-func (q *FIFO[T]) Peek() (v T, ok bool) {
-	if q.n == 0 {
-		return v, false
-	}
-	return q.buf[q.head], true
 }
 
 // At returns the i-th oldest item (0 = front). It panics when out of range.

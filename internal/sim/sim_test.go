@@ -134,7 +134,7 @@ func TestSplitIndependence(t *testing.T) {
 }
 
 func TestFIFOOrdering(t *testing.T) {
-	q := NewFIFO[int](2)
+	var q FIFO[int]
 	for i := 0; i < 100; i++ {
 		q.Push(i)
 	}
@@ -153,7 +153,7 @@ func TestFIFOOrdering(t *testing.T) {
 }
 
 func TestFIFOInterleavedPushPop(t *testing.T) {
-	q := NewFIFO[int](4)
+	var q FIFO[int]
 	next, expect := 0, 0
 	r := NewRNG(6)
 	for i := 0; i < 10000; i++ {
@@ -169,12 +169,12 @@ func TestFIFOInterleavedPushPop(t *testing.T) {
 	}
 }
 
-func TestFIFOPeekAtClear(t *testing.T) {
-	q := NewFIFO[string](4)
+func TestFIFOAtClear(t *testing.T) {
+	var q FIFO[string]
 	q.Push("a")
 	q.Push("b")
-	if v, _ := q.Peek(); v != "a" {
-		t.Errorf("peek = %q", v)
+	if q.At(0) != "a" {
+		t.Errorf("At(0) = %q", q.At(0))
 	}
 	if q.At(1) != "b" {
 		t.Errorf("At(1) = %q", q.At(1))

@@ -232,30 +232,6 @@ func JackknifeCorrCI(xs, ys []float64) (r, halfWidth float64, err error) {
 	return r, 1.96 * math.Sqrt(variance), nil
 }
 
-// LinearFit returns slope and intercept of the least-squares line y = a*x+b.
-// It returns an error under the same conditions as Pearson.
-func LinearFit(xs, ys []float64) (slope, intercept float64, err error) {
-	if len(xs) != len(ys) {
-		return 0, 0, fmt.Errorf("stats: LinearFit sample length mismatch: %d vs %d", len(xs), len(ys))
-	}
-	if len(xs) < 2 {
-		return 0, 0, fmt.Errorf("stats: LinearFit needs at least 2 pairs, got %d", len(xs))
-	}
-	mx, my := Mean(xs), Mean(ys)
-	var sxy, sxx float64
-	for i := range xs {
-		dx := xs[i] - mx
-		sxy += dx * (ys[i] - my)
-		sxx += dx * dx
-	}
-	if sxx == 0 {
-		return 0, 0, fmt.Errorf("stats: LinearFit undefined for zero-variance x")
-	}
-	slope = sxy / sxx
-	intercept = my - slope*mx
-	return slope, intercept, nil
-}
-
 // tQuantile975 holds two-sided 95% Student-t critical values for small
 // degrees of freedom; beyond the table the normal value 1.96 applies.
 var tQuantile975 = []float64{

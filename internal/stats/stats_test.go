@@ -94,15 +94,6 @@ func TestPearsonBounds(t *testing.T) {
 	}
 }
 
-func TestLinearFit(t *testing.T) {
-	xs := []float64{0, 1, 2, 3}
-	ys := []float64{1, 3, 5, 7} // y = 2x + 1
-	slope, intercept, err := LinearFit(xs, ys)
-	if err != nil || !almost(slope, 2) || !almost(intercept, 1) {
-		t.Errorf("fit = %v, %v, err %v", slope, intercept, err)
-	}
-}
-
 func TestNormalize(t *testing.T) {
 	out, err := Normalize([]float64{2, 4, 6}, 0)
 	if err != nil || !almost(out[0], 1) || !almost(out[1], 2) || !almost(out[2], 3) {

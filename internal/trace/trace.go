@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"io"
 
+	"noceval/internal/engine"
 	"noceval/internal/network"
 	"noceval/internal/router"
 )
@@ -30,38 +31,13 @@ type Trace struct {
 	Events []Event
 }
 
-// Recorder captures packets injected into a network. Attach it before the
-// run and read Trace afterwards.
-type Recorder struct {
-	trace Trace
-}
-
-// NewRecorder returns a recorder for a network with the given node count.
-func NewRecorder(nodes int) *Recorder {
-	return &Recorder{trace: Trace{Nodes: nodes}}
-}
-
-// Attach hooks the recorder into a network's send path, chaining any
-// existing hook.
-func (r *Recorder) Attach(n *network.Network) {
-	prev := n.OnSend
-	n.OnSend = func(now int64, p *router.Packet) {
-		if prev != nil {
-			prev(now, p)
-		}
-		r.Record(now, p)
-	}
-}
-
-// Record logs one packet.
-func (r *Recorder) Record(now int64, p *router.Packet) {
-	r.trace.Events = append(r.trace.Events, Event{
+// Record appends one packet to the trace. As a network.Config.OnSend hook
+// it captures every packet a run hands to Send.
+func (t *Trace) Record(now int64, p *router.Packet) {
+	t.Events = append(t.Events, Event{
 		Time: now, Src: p.Src, Dst: p.Dst, Size: p.Size, Kind: p.Kind,
 	})
 }
-
-// Trace returns the captured trace.
-func (r *Recorder) Trace() *Trace { return &r.trace }
 
 // Write serializes the trace as one text line per event:
 // "time src dst size kind".
@@ -113,51 +89,82 @@ type ReplayResult struct {
 }
 
 // Replay injects the trace into the given network at the recorded
-// timestamps and runs until everything drains. If the network is slower
-// than the one the trace was captured on, source queues absorb the excess
-// (injection times never adapt — the methodology's known limitation).
+// timestamps and runs until everything drains, or until maxCycles
+// (default 50M). If the network is slower than the one the trace was
+// captured on, source queues absorb the excess (injection times never
+// adapt — the methodology's known limitation).
 func Replay(t *Trace, cfg network.Config, maxCycles int64) (*ReplayResult, error) {
+	res, _, err := replay(t, cfg, maxCycles)
+	return res, err
+}
+
+// replay is Replay, also returning the engine's outcome: the engine
+// fast-forwards over the gaps between events while the network is empty.
+func replay(t *Trace, cfg network.Config, maxCycles int64) (*ReplayResult, engine.Outcome, error) {
 	if err := cfg.Validate(); err != nil {
-		return nil, err
+		return nil, engine.Outcome{}, err
 	}
 	if cfg.Topo.N < t.Nodes {
-		return nil, fmt.Errorf("trace: network has %d nodes, trace needs %d", cfg.Topo.N, t.Nodes)
+		return nil, engine.Outcome{}, fmt.Errorf("trace: network has %d nodes, trace needs %d", cfg.Topo.N, t.Nodes)
 	}
 	if maxCycles <= 0 {
 		maxCycles = 50_000_000
 	}
 	net := network.New(cfg)
-	var latencySum int64
-	var packets int
-	net.OnReceive = func(now int64, p *router.Packet) {
-		latencySum += p.Latency()
-		packets++
+	d := &replayer{events: t.Events, net: net}
+	net.OnReceive = d.onReceive
+	eo := engine.RunOutcome(engine.Config{Net: net, Deadline: maxCycles}, d)
+	net.Close()
+	res := d.res // a copy: a pointer into d would keep the network alive
+	res.Completed = eo.Completed
+	if res.Packets > 0 {
+		// Latencies are whole cycles, so a sum and a count give the exact mean.
+		res.AvgLatency = float64(d.latencySum) / float64(res.Packets)
 	}
-	// Latencies are whole cycles, so a sum and a count give the exact mean.
-	result := func(completed bool) *ReplayResult {
-		res := &ReplayResult{Runtime: net.Now(), Packets: packets, Completed: completed}
-		if packets > 0 {
-			res.AvgLatency = float64(latencySum) / float64(packets)
-		}
-		return res
+	return &res, eo, nil
+}
+
+// replayer is the engine.Driver of a replay: each cycle it sends the
+// events that are due, and between events it is idle, so the engine skips
+// to the next timestamp whenever the network is empty.
+type replayer struct {
+	events     []Event
+	next       int // events[next] is the first not yet sent
+	net        *network.Network
+	latencySum int64
+	res        ReplayResult
+}
+
+func (d *replayer) onReceive(now int64, p *router.Packet) {
+	d.latencySum += p.Latency()
+	d.res.Packets++
+	d.res.Runtime = now
+}
+
+// Cycle implements engine.Driver: send every event due by now, each
+// stamped with its recorded time.
+func (d *replayer) Cycle(now int64) {
+	for ; d.next < len(d.events) && d.events[d.next].Time <= now; d.next++ {
+		e := d.events[d.next]
+		p := d.net.NewPacket(e.Src, e.Dst, e.Size, e.Kind)
+		p.CreateTime = e.Time
+		d.net.Send(p)
 	}
-	i := 0
-	for {
-		now := net.Now()
-		if now >= maxCycles {
-			return result(false), nil
-		}
-		for i < len(t.Events) && t.Events[i].Time <= now {
-			e := t.Events[i]
-			p := net.NewPacket(e.Src, e.Dst, e.Size, e.Kind)
-			p.CreateTime = e.Time
-			net.Send(p)
-			i++
-		}
-		net.Step()
-		if i == len(t.Events) && net.Quiescent() {
-			break
-		}
+}
+
+// Done implements engine.Driver: every event is sent and the network
+// holds nothing.
+func (d *replayer) Done(int64) bool { return d.next == len(d.events) && d.net.Quiescent() }
+
+// Idle implements engine.Driver: no event is due yet.
+func (d *replayer) Idle(now int64) bool {
+	return d.next == len(d.events) || d.events[d.next].Time > now
+}
+
+// NextEvent implements engine.Driver: the next event's timestamp.
+func (d *replayer) NextEvent(int64) int64 {
+	if d.next == len(d.events) {
+		return engine.NoEvent
 	}
-	return result(true), nil
+	return d.events[d.next].Time
 }

@@ -2,9 +2,11 @@ package trace
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 
+	"noceval/internal/engine"
 	"noceval/internal/network"
 	"noceval/internal/router"
 	"noceval/internal/routing"
@@ -21,12 +23,12 @@ func meshCfg(tr int64) network.Config {
 	}
 }
 
-// capture runs random traffic on a network with a recorder attached.
+// capture runs random traffic on a network that records every send.
 func capture(t *testing.T, cfg network.Config, packets int) *Trace {
 	t.Helper()
+	tr := &Trace{Nodes: cfg.Topo.N}
+	cfg.OnSend = tr.Record
 	net := network.New(cfg)
-	rec := NewRecorder(cfg.Topo.N)
-	rec.Attach(net)
 	rng := sim.NewRNG(3)
 	sent := 0
 	for sent < packets {
@@ -43,10 +45,10 @@ func capture(t *testing.T, cfg network.Config, packets int) *Trace {
 			t.Fatal("capture network did not drain")
 		}
 	}
-	return rec.Trace()
+	return tr
 }
 
-func TestRecorderCapturesEverything(t *testing.T) {
+func TestOnSendCapturesEverything(t *testing.T) {
 	tr := capture(t, meshCfg(1), 500)
 	if len(tr.Events) != 500 {
 		t.Fatalf("captured %d events, want 500", len(tr.Events))
@@ -134,4 +136,116 @@ func TestReplayValidation(t *testing.T) {
 	if _, err := Replay(tr, meshCfg(1), 0); err == nil {
 		t.Error("node-count mismatch accepted")
 	}
+}
+
+// steppedReplay is the replay loop the engine driver replaced, kept as the
+// reference: it steps every cycle, gaps included. Its Runtime is the last
+// arrival, as Replay's is; the loop itself runs until the network drains.
+func steppedReplay(t *Trace, cfg network.Config, maxCycles int64) *ReplayResult {
+	if maxCycles <= 0 {
+		maxCycles = 50_000_000
+	}
+	net := network.New(cfg)
+	defer net.Close()
+	var latencySum int64
+	res := &ReplayResult{}
+	net.OnReceive = func(now int64, p *router.Packet) {
+		latencySum += p.Latency()
+		res.Packets++
+		res.Runtime = now
+	}
+	i := 0
+	for {
+		now := net.Now()
+		if now >= maxCycles {
+			break
+		}
+		for i < len(t.Events) && t.Events[i].Time <= now {
+			e := t.Events[i]
+			p := net.NewPacket(e.Src, e.Dst, e.Size, e.Kind)
+			p.CreateTime = e.Time
+			net.Send(p)
+			i++
+		}
+		net.Step()
+		if i == len(t.Events) && net.Quiescent() {
+			res.Completed = true
+			break
+		}
+	}
+	if res.Packets > 0 {
+		res.AvgLatency = float64(latencySum) / float64(res.Packets)
+	}
+	return res
+}
+
+// gappyTrace draws n events on 16 nodes: each follows the previous one by
+// a gap in [0, maxGap), and has 1..maxSize flits.
+func gappyTrace(seed uint64, n, maxGap, maxSize int) *Trace {
+	rng := sim.NewRNG(seed)
+	tr := &Trace{Nodes: 16}
+	var now int64
+	for i := 0; i < n; i++ {
+		now += int64(rng.Intn(maxGap))
+		tr.Events = append(tr.Events, Event{Time: now, Src: rng.Intn(16), Dst: rng.Intn(16), Size: 1 + rng.Intn(maxSize), Kind: router.KindData})
+	}
+	return tr
+}
+
+// compareWithSteppedLoop replays tr through Replay and the reference loop
+// and fails unless both send the same packets at the same cycles and
+// report the same result. It returns Replay's engine outcome.
+func compareWithSteppedLoop(t *testing.T, tr *Trace, cfg network.Config, maxCycles int64) engine.Outcome {
+	t.Helper()
+	var sends [2]Trace
+	cfg.OnSend = sends[0].Record
+	got, eo, err := replay(tr, cfg, maxCycles)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.OnSend = sends[1].Record
+	want := steppedReplay(tr, cfg, maxCycles)
+	if *got != *want {
+		t.Fatalf("engine replay %+v, stepped loop %+v", *got, *want)
+	}
+	if !slices.Equal(sends[0].Events, sends[1].Events) {
+		t.Fatalf("engine replay sent %d packets, stepped loop %d, or at other cycles",
+			len(sends[0].Events), len(sends[1].Events))
+	}
+	return eo
+}
+
+func TestReplayFastForwardsGaps(t *testing.T) {
+	tr := gappyTrace(5, 300, 400, 4)
+	eo := compareWithSteppedLoop(t, tr, meshCfg(2), 0)
+	if !eo.Completed || eo.Skipped == 0 {
+		t.Fatalf("outcome %+v: want a completed replay that skipped the gaps", eo)
+	}
+	if eo.End != eo.Stepped+eo.Skipped {
+		t.Fatalf("outcome %+v: stepped and skipped cycles do not add up to the end", eo)
+	}
+}
+
+func TestReplayEmptyTrace(t *testing.T) {
+	res, eo, err := replay(&Trace{Nodes: 16}, meshCfg(1), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if *res != (ReplayResult{Completed: true}) || eo.End != 0 {
+		t.Fatalf("empty replay %+v ended at %d, want a completed zero result at cycle 0", *res, eo.End)
+	}
+}
+
+// FuzzReplayMatchesSteppedLoop checks the engine-driven replay against the
+// stepped loop over fuzzed event gaps, packet sizes, router delays and
+// cycle limits, a limit that cuts the replay short included.
+func FuzzReplayMatchesSteppedLoop(f *testing.F) {
+	f.Add(uint64(1), uint8(40), uint16(0), uint8(4), uint8(1), uint16(0))
+	f.Add(uint64(2), uint8(100), uint16(3000), uint8(8), uint8(3), uint16(0))
+	f.Add(uint64(3), uint8(200), uint16(50), uint8(2), uint8(2), uint16(700))
+	f.Add(uint64(4), uint8(0), uint16(10), uint8(1), uint8(1), uint16(0))
+	f.Fuzz(func(t *testing.T, seed uint64, n uint8, gap uint16, size, delay uint8, limit uint16) {
+		tr := gappyTrace(seed, int(n), 1+int(gap%5000), 1+int(size%8))
+		compareWithSteppedLoop(t, tr, meshCfg(1+int64(delay%4)), int64(limit))
+	})
 }
