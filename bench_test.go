@@ -9,6 +9,7 @@ package noceval
 import (
 	"context"
 	"fmt"
+	"io"
 	"runtime"
 	"slices"
 	"testing"
@@ -609,19 +610,17 @@ func benchSweepScreening(b *testing.B, screened bool) {
 	p := core.Baseline()
 	p.Topology = "ring64"
 	rates := []float64{0.02, 0.04, 0.06, 0.08, 0.3, 0.4, 0.5, 0.6}
-	if screened {
-		core.EnableScreening()
-		defer core.DisableScreening()
+	sess := &core.Session{Screen: screened}
+	if err := sess.Open(); err != nil {
+		b.Fatal(err)
 	}
-	opts := core.OpenLoopOpts{Warmup: 500, Measure: 1000, DrainLimit: 8000}
+	defer sess.Close(io.Discard)
+	spec := core.ExperimentSpec{Kind: "sweep", Network: p, Rates: rates, Warmup: 500, Measure: 1000, DrainLimit: 8000}
 	b.ResetTimer()
 	var pts int
 	for i := 0; i < b.N; i++ {
-		res, err := core.OpenLoopSweepWith(p, rates, opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		pts = len(res)
+		res := runSpecs(b, &core.RunSet{Session: sess}, []core.ExperimentSpec{spec})
+		pts = len(res[0].Sweep)
 	}
 	b.ReportMetric(float64(pts), "reported-points")
 }

@@ -1,11 +1,11 @@
 package main
 
 // Execution-driven figures and tables: the batch-model validation of §IV
-// and the kernel-traffic study of §V (Figs 13-22, Tables I-IV). Figs 13
-// and 21 call core.Exec for the traffic matrix and the timeline, which no
-// spec field asks for; the rest list exec, characterize and batch specs,
-// so Figs 14/15, 18/19 and 20/22 and Tables III/IV share their runs
-// within one invocation.
+// and the kernel-traffic study of §V (Figs 13-22, Tables I-IV). Every
+// generator lists exec, characterize and batch specs — Fig 13 asks its
+// exec run for the traffic matrix, Fig 21 for the timeline — so Figs
+// 14/15, 18/19 and 20/22 and Tables III/IV share their runs within one
+// invocation.
 
 import (
 	"context"
@@ -43,14 +43,14 @@ var benchOrder = []string{"blackscholes", "lu", "canneal", "fft", "barnes"}
 // fig13 contrasts lu's application-level communication pattern with the
 // traffic actually injected into the network.
 func fig13(c *ctx) error {
-	res, err := core.Exec(core.Table2Network(1), core.ExecParams{
-		Benchmark:     "lu",
-		CollectMatrix: true,
-		Seed:          7,
-	})
+	runs, err := c.runs.RunAll(context.Background(), []core.ExperimentSpec{{
+		Kind: "exec", Network: core.Table2Network(1), Benchmark: "lu",
+		Clock: workload.Clock75MHz.SpecName(), Matrix: true, Seed: 7,
+	}})
 	if err != nil {
 		return err
 	}
+	res := runs[0].Exec
 	var out strings.Builder
 	out.WriteString("# Fig 13: lu communication pattern (16 tiles)\n")
 	out.WriteString("# (a) application communication: user request messages only\n")
@@ -315,17 +315,17 @@ func fig20(c *ctx) error {
 
 // fig21 records the injection-rate timeline of blackscholes at both clocks.
 func fig21(c *ctx) error {
-	for _, clock := range clocks {
-		res, err := core.Exec(core.Table2Network(1), core.ExecParams{
-			Benchmark:      "blackscholes",
-			Clock:          clock,
-			Timer:          true,
-			SampleInterval: 1000,
-			Seed:           7,
-		})
-		if err != nil {
-			return err
-		}
+	specs := make([]core.ExperimentSpec, len(clocks))
+	for i, clock := range clocks {
+		specs[i] = core.ExperimentSpec{Kind: "exec", Network: core.Table2Network(1), Benchmark: "blackscholes",
+			Clock: clock.SpecName(), Timer: true, SampleInterval: 1000, Seed: 7}
+	}
+	runs, err := c.runs.RunAll(context.Background(), specs)
+	if err != nil {
+		return err
+	}
+	for i, clock := range clocks {
+		res := runs[i].Exec
 		f := stats.NewFigure(
 			fmt.Sprintf("Fig 21 (%s): injection rate of blackscholes over time", clock),
 			"time (cycles)", "flits/cycle (16 cores)")

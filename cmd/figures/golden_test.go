@@ -1,6 +1,7 @@
 package main
 
 import (
+	"io"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -77,24 +78,32 @@ func TestGoldenGeneratorsSimulateEachSpecOnce(t *testing.T) {
 		t.Skip("regenerates the golden subset")
 	}
 	c := fastCtx(t)
-	path := filepath.Join(c.out, "runs.jsonl")
-	if err := core.EnableLedger(path); err != nil {
+	sess := &core.Session{Ledger: filepath.Join(c.out, "runs.jsonl"), Log: io.Discard}
+	if err := sess.Open(); err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { sess.Close(io.Discard) })
+	c.runs.Session = sess
+	records := func() int {
+		recs, _, err := ledger.ReadFile(sess.Ledger)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(recs)
+	}
 	for _, id := range append(goldenIDs(), "qos", "analytic-corr") {
-		before := core.LedgerAppends()
+		before := records()
 		if err := generators[id](c); err != nil {
-			core.DisableLedger()
 			t.Fatalf("%s: %v", id, err)
 		}
-		if core.LedgerAppends() == before {
+		if records() == before {
 			t.Errorf("%s wrote no simulation records", id)
 		}
 	}
-	if err := core.DisableLedger(); err != nil {
+	if err := sess.Close(io.Discard); err != nil {
 		t.Fatal(err)
 	}
-	recs, _, err := ledger.ReadFile(path)
+	recs, _, err := ledger.ReadFile(sess.Ledger)
 	if err != nil {
 		t.Fatal(err)
 	}

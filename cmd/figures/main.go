@@ -119,7 +119,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	c := &ctx{out: *out, full: *full}
+	c := &ctx{out: *out, full: *full, runs: core.RunSet{Session: &sess}}
 
 	var ids []string
 	switch {

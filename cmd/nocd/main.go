@@ -71,6 +71,7 @@ func main() {
 		Workers:    *workers,
 		Queue:      *queue,
 		JobTimeout: *jobTimeout,
+		Session:    &sess,
 	})
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {

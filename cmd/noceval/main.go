@@ -127,7 +127,7 @@ func run(w io.Writer, name string, args []string) error {
 		return err
 	}
 	spec.Hooks = o.hooks()
-	report, err := spec.RunContext(context.Background())
+	report, err := o.sess.Run(context.Background(), spec)
 	if err != nil {
 		return err
 	}

@@ -3,14 +3,12 @@ package core
 // The experiment cache: every runner in this package is a pure function
 // of its parameter structs and seed, so results are memoized on disk and
 // reused across figure regenerations, ablation runs, and CI jobs. Lookups
-// happen per run inside execute, which is where par.Parallel workers land
-// — a warm sweep stays parallel (all workers hit), and a cold sweep still
-// fans its misses out across cores. Observed runs (Hooks set) skip the
-// cache in that same function.
+// happen per run inside execute, in the run's Session's cache, which is
+// where par.Parallel workers land — a warm sweep stays parallel (all
+// workers hit), and a cold sweep still fans its misses out across cores.
+// Observed runs (Hooks set) skip the cache in that same function.
 
 import (
-	"sync/atomic"
-
 	"noceval/internal/closedloop"
 	"noceval/internal/expcache"
 	"noceval/internal/obs"
@@ -22,49 +20,43 @@ import (
 // unreachable at once and sweeps recompute from scratch.
 const CacheSchemaVersion = "noceval-core-v1"
 
-// expCache is the process-wide result cache; nil means caching is off.
-// It is an atomic pointer because lookups happen concurrently inside
-// par.Parallel workers while tests enable and disable caching around them.
-var expCache atomic.Pointer[expcache.Cache]
-
-// EnableCache turns on experiment-result caching for OpenLoop, Batch,
-// Barrier, and Exec runs (and therefore for every sweep and grid built on
-// them), backed by the given directory.
-func EnableCache(dir string) error {
+// openCache opens s's cache under dir. Its traffic publishes into the
+// process-wide registry when one is installed, so commands that serve
+// live metrics install the registry first.
+func (s *Session) openCache(dir string) error {
 	c, err := expcache.Open(dir, CacheSchemaVersion)
 	if err != nil {
 		return err
 	}
-	// Publish cache traffic into the process-wide registry when one is
-	// installed (a nil registry detaches the instruments). Commands that
-	// serve live metrics install the registry before enabling the cache.
 	c.SetMetrics(obs.Default())
-	expCache.Store(c)
+	s.exp.Store(c)
 	return nil
 }
 
-// DisableCache turns caching back off. Entries on disk are kept.
-func DisableCache() {
-	expCache.Store(nil)
-}
+// EnableCache turns on experiment-result caching in the default session,
+// backed by the given directory.
+func EnableCache(dir string) error { return defaultSession.openCache(dir) }
 
-// CacheStats reports cache traffic since EnableCache; ok is false when
-// caching is off.
+// DisableCache turns the default session's caching back off. Entries on
+// disk are kept.
+func DisableCache() { defaultSession.exp.Store(nil) }
+
+// CacheStats reports the default session's cache traffic since
+// EnableCache; ok is false when caching is off.
 func CacheStats() (s expcache.Stats, ok bool) {
-	c := expCache.Load()
+	c := defaultSession.exp.Load()
 	if c == nil {
 		return expcache.Stats{}, false
 	}
 	return c.Stats(), true
 }
 
-// cachedInfo memoizes compute under (kind, cfg) when the cache is enabled.
-// Results are only stored on success, and a failed store never fails the
-// run — the cache can only trade disk for compute, not correctness.
-// consulted reports whether an enabled cache was actually keyed and
-// queried, hit whether it served the result (both feed the run ledger).
-func cachedInfo[T any](kind string, cfg any, compute func() (*T, error)) (res *T, consulted, hit bool, err error) {
-	c := expCache.Load()
+// cachedInfo memoizes compute under (kind, cfg) in c, if not nil. Results
+// are only stored on success, and a failed store never fails the run — the
+// cache can only trade disk for compute, not correctness. consulted
+// reports whether c was actually keyed and queried, hit whether it served
+// the result (both feed the run ledger).
+func cachedInfo[T any](c *expcache.Cache, kind string, cfg any, compute func() (*T, error)) (res *T, consulted, hit bool, err error) {
 	if c == nil {
 		res, err = compute()
 		return res, false, false, err

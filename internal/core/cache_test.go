@@ -41,7 +41,8 @@ func runSpec(ctx context.Context, s ExperimentSpec) (*Result, error) {
 	return s.run(ctx)
 }
 
-// withCache enables a fresh cache for the test and disables it on cleanup.
+// withCache enables a fresh cache in the default session for the test and
+// disables it on cleanup.
 func withCache(t *testing.T) string {
 	t.Helper()
 	dir := filepath.Join(t.TempDir(), "cache")

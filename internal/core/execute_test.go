@@ -12,25 +12,24 @@ import (
 	"noceval/internal/workload"
 )
 
-// withLedger enables a fresh run ledger for the test and returns a reader
-// that closes it and decodes everything appended.
+// withLedger opens a fresh run ledger in the default session for the test
+// and returns a reader that closes it and decodes everything appended.
 func withLedger(t *testing.T) func() []ledger.Record {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "runs.jsonl")
-	if err := EnableLedger(path); err != nil {
+	l, err := ledger.Open(path)
+	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { DisableLedger() })
+	defaultSession.led.Store(l)
+	t.Cleanup(func() { defaultSession.led.CompareAndSwap(l, nil); l.Close() })
 	return func() []ledger.Record {
 		t.Helper()
-		if err := DisableLedger(); err != nil {
+		defaultSession.led.CompareAndSwap(l, nil)
+		if err := l.Close(); err != nil {
 			t.Fatal(err)
 		}
-		recs, dropped, err := ledger.ReadFile(path)
-		if err != nil || dropped != 0 {
-			t.Fatalf("reading ledger: %v (%d dropped lines)", err, dropped)
-		}
-		return recs
+		return readLedger(t, path)
 	}
 }
 

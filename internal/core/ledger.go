@@ -2,14 +2,13 @@ package core
 
 // The run ledger: execute appends one structured record per run — spec
 // hash, cache outcome, wall time, simulated cycles, the engine's
-// stepped/fast-forwarded split, and fault counters — when a ledger is
-// enabled. The same scope also maintains the core.runs_started/finished
-// counters in the process-wide registry, so the live export endpoint can
-// show sweep progress even with the ledger off.
+// stepped/fast-forwarded split, and fault counters — when the run's
+// Session has a ledger. The same scope also maintains the
+// core.runs_started/finished counters in the process-wide registry, so
+// the live export endpoint can show sweep progress even with it off.
 
 import (
 	"runtime"
-	"sync/atomic"
 	"time"
 
 	"noceval/internal/engine"
@@ -20,37 +19,6 @@ import (
 	"noceval/internal/obs/ledger"
 	"noceval/internal/openloop"
 )
-
-// runLedger is the process-wide run ledger; nil means recording is off. It
-// is an atomic pointer for the same reason expCache is: runners append
-// from Parallel workers while tests enable and disable it around them.
-var runLedger atomic.Pointer[ledger.Ledger]
-
-// EnableLedger opens (creating if needed) the append-only run ledger at
-// path; every subsequent run — observed or not — appends one record
-// carrying its spec hash. A torn final line from a crashed process is
-// recovered on open.
-func EnableLedger(path string) error {
-	l, err := ledger.Open(path)
-	if err != nil {
-		return err
-	}
-	if prev := runLedger.Swap(l); prev != nil {
-		prev.Close()
-	}
-	return nil
-}
-
-// DisableLedger stops recording and closes the ledger file.
-func DisableLedger() error {
-	return runLedger.Swap(nil).Close()
-}
-
-// LedgerAppends reports the records appended since EnableLedger, 0 when
-// the ledger is off.
-func LedgerAppends() int64 {
-	return runLedger.Load().Appends()
-}
 
 // runScope collects one run's telemetry for execute. A nil scope (nothing
 // is observing: no ledger, no default registry) is a no-op on every
@@ -70,18 +38,18 @@ type summary struct {
 }
 
 // beginRun opens a scope for one run of the given mode, or nil when
-// neither a ledger nor a default registry is installed. The record is
+// neither s has a ledger nor a default registry is installed. The record is
 // stamped with the content hash of key — the same hash the experiment
 // cache addresses results by, so ledger lines join against cache entries —
 // but only when a ledger will actually store it.
-func beginRun(kind string, key any) *runScope {
-	led := runLedger.Load()
+func (s *Session) beginRun(kind string, key any) *runScope {
+	led := s.led.Load()
 	reg := obs.Default()
 	if led == nil && reg == nil {
 		return nil
 	}
 	reg.Counter("core.runs_started").Inc()
-	s := &runScope{
+	sc := &runScope{
 		led:   led,
 		reg:   reg,
 		start: time.Now(),
@@ -89,10 +57,10 @@ func beginRun(kind string, key any) *runScope {
 	}
 	if led != nil {
 		if k, err := expcache.KeyFor(CacheSchemaVersion, kind, key); err == nil {
-			s.rec.Spec = k.Hash()
+			sc.rec.Spec = k.Hash()
 		}
 	}
-	return s
+	return sc
 }
 
 // hooks returns the scope's OnEngine and Inspect hooks for a run config,

@@ -1,10 +1,9 @@
 package core
 
 import (
+	"io"
 	"path/filepath"
 	"testing"
-
-	"noceval/internal/obs/ledger"
 )
 
 // TestLedgerMatchesCacheStats runs the same sweep cold and warm with both
@@ -13,42 +12,26 @@ import (
 // counters, and the engine split must appear only on computed runs.
 func TestLedgerMatchesCacheStats(t *testing.T) {
 	dir := t.TempDir()
-	path := filepath.Join(dir, "runs.jsonl")
-	if err := EnableLedger(path); err != nil {
-		t.Fatal(err)
-	}
-	defer DisableLedger()
-	if err := EnableCache(filepath.Join(dir, "cache")); err != nil {
-		t.Fatal(err)
-	}
-	defer DisableCache()
+	sess := &Session{Ledger: filepath.Join(dir, "runs.jsonl"), Cache: true, CacheDir: filepath.Join(dir, "cache")}
+	ctx := openSession(t, sess)
 
 	p := Table2Network(1)
 	rates := []float64{0.05, 0.1}
 	// Both rates are stable with this window, so the sweep reports and
 	// caches both; with a 300-cycle window 0.05 reads unstable and the
 	// sweep may cancel 0.1, which is then neither cached nor error-free.
-	opts := OpenLoopOpts{Warmup: 200, Measure: 1000, DrainLimit: 3000}
+	opts := OpenLoopOpts{Warmup: 200, Measure: 1000, DrainLimit: 3000, Ctx: ctx}
 	for pass := 0; pass < 2; pass++ { // cold, then warm
 		if _, err := OpenLoopSweepWith(p, rates, opts); err != nil {
 			t.Fatal(err)
 		}
 	}
 
-	stats, ok := CacheStats()
-	if !ok {
-		t.Fatal("cache stats unavailable with cache enabled")
-	}
-	if err := DisableLedger(); err != nil {
+	stats := sess.exp.Load().Stats()
+	if err := sess.Close(io.Discard); err != nil {
 		t.Fatal(err)
 	}
-	recs, dropped, err := ledger.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dropped != 0 {
-		t.Fatalf("ledger dropped %d lines", dropped)
-	}
+	recs := readLedger(t, sess.Ledger)
 	if want := 2 * len(rates); len(recs) != want {
 		t.Fatalf("ledger has %d records, want %d (cold + warm sweep)", len(recs), want)
 	}
@@ -104,10 +87,10 @@ func TestLedgerMatchesCacheStats(t *testing.T) {
 	}
 }
 
-// TestLedgerDisabledIsFree checks that with no ledger and no default
-// registry installed, beginRun short-circuits to nil.
+// TestLedgerDisabledIsFree checks that with no ledger in the session and
+// no default registry installed, beginRun short-circuits to nil.
 func TestLedgerDisabledIsFree(t *testing.T) {
-	if s := beginRun("openloop", struct{}{}); s != nil {
+	if s := defaultSession.beginRun("openloop", struct{}{}); s != nil {
 		t.Fatal("beginRun should return nil with ledger and registry both off")
 	}
 	// And the nil scope is a no-op end to end.
@@ -116,7 +99,7 @@ func TestLedgerDisabledIsFree(t *testing.T) {
 		t.Fatal("nil scope handed out run hooks")
 	}
 	s.finish(summary{cycles: 123}, true, true, nil)
-	if LedgerAppends() != 0 {
+	if defaultSession.led.Load().Appends() != 0 {
 		t.Fatal("nil scope appended to a ledger")
 	}
 }

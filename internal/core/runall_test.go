@@ -3,13 +3,13 @@ package core
 import (
 	"context"
 	"errors"
+	"io"
 	"path/filepath"
 	"reflect"
 	"runtime"
 	"strings"
 	"testing"
 
-	"noceval/internal/obs/ledger"
 	"noceval/internal/workload"
 )
 
@@ -82,10 +82,8 @@ func TestRunAllPropagatesErrors(t *testing.T) {
 // A run listed twice is simulated once: one ledger record, one shared
 // result, also when a later call on the same set lists it again.
 func TestRunAllSimulatesDuplicatesOnce(t *testing.T) {
-	if err := EnableLedger(filepath.Join(t.TempDir(), "runs.jsonl")); err != nil {
-		t.Fatal(err)
-	}
-	defer DisableLedger()
+	sess := &Session{Ledger: filepath.Join(t.TempDir(), "runs.jsonl")}
+	openSession(t, sess)
 	tr1 := Baseline()
 	q16 := Baseline()
 	q16.BufDepth = 16 // the baseline's own depth: the same network
@@ -93,7 +91,7 @@ func TestRunAllSimulatesDuplicatesOnce(t *testing.T) {
 		{Kind: "batch", Network: tr1, B: 50, M: 2},
 		{Kind: "batch", Network: q16, B: 50, M: 2},
 	}
-	var rs RunSet
+	rs := RunSet{Session: sess}
 	res, err := rs.RunAll(context.Background(), specs)
 	if err != nil {
 		t.Fatal(err)
@@ -102,7 +100,7 @@ func TestRunAllSimulatesDuplicatesOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := LedgerAppends(); n != 2 {
+	if n := sess.led.Load().Appends(); n != 2 {
 		t.Errorf("ledger records = %d, want 2", n)
 	}
 	if res[0].Batch != res[1].Batch || later[1].Batch != res[0].Batch {
@@ -184,21 +182,16 @@ func TestRunAllSharesSweepPoints(t *testing.T) {
 		{Kind: "sweep", Network: p, Rates: extended, Warmup: 500, Measure: 1000, DrainLimit: 20000},
 		{Kind: "openloop", Network: p, Rate: 0.1, Warmup: 500, Measure: 1000, DrainLimit: 20000},
 	}
-	path := filepath.Join(t.TempDir(), "runs.jsonl")
-	if err := EnableLedger(path); err != nil {
-		t.Fatal(err)
-	}
-	got, err := new(RunSet).RunAll(context.Background(), specs)
-	if cerr := DisableLedger(); cerr != nil {
+	sess := &Session{Ledger: filepath.Join(t.TempDir(), "runs.jsonl")}
+	openSession(t, sess)
+	got, err := (&RunSet{Session: sess}).RunAll(context.Background(), specs)
+	if cerr := sess.Close(io.Discard); cerr != nil {
 		t.Fatal(cerr)
 	}
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs, _, err := ledger.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	recs := readLedger(t, sess.Ledger)
 	seen := map[string]bool{}
 	for _, r := range recs {
 		if seen[r.Spec] {
@@ -245,21 +238,16 @@ func TestRunAllRerunsDiscardedPoints(t *testing.T) {
 		{Kind: "sweep", Network: p, Rates: rates, Warmup: 500, Measure: 2000, DrainLimit: 5000},
 		{Kind: "openloop", Network: p, Rate: 0.28, Warmup: 500, Measure: 2000, DrainLimit: 5000},
 	}
-	path := filepath.Join(t.TempDir(), "runs.jsonl")
-	if err := EnableLedger(path); err != nil {
-		t.Fatal(err)
-	}
-	got, err := new(RunSet).RunAll(context.Background(), specs)
-	if cerr := DisableLedger(); cerr != nil {
+	sess := &Session{Ledger: filepath.Join(t.TempDir(), "runs.jsonl")}
+	openSession(t, sess)
+	got, err := (&RunSet{Session: sess}).RunAll(context.Background(), specs)
+	if cerr := sess.Close(io.Discard); cerr != nil {
 		t.Fatal(cerr)
 	}
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs, _, err := ledger.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	recs := readLedger(t, sess.Ledger)
 	completed, discarded := map[string]int{}, 0
 	for _, r := range recs {
 		if r.Err == "" {

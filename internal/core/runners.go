@@ -25,32 +25,33 @@ type Hooks struct {
 	Progress *obs.Progress
 }
 
-// execute is the one run path every run mode goes through: it opens the
-// run scope under key's content hash, runs compute — through the
-// experiment cache under (kind, key) unless the run is observed — and
-// writes the one ledger record. compute receives the scope to wire its
-// OnEngine/Inspect hooks from; summarize is only called on a non-nil
-// result. Under a RunAll, an unobserved run goes through the RunSet in
-// ctx under that hash, so the set simulates it once.
+// execute is the one run path every run mode goes through, in the session
+// of ctx: it opens the run scope under key's content hash, runs compute —
+// through the experiment cache under (kind, key) unless the run is
+// observed — and writes the one ledger record. compute receives the scope
+// to wire its OnEngine/Inspect hooks from; summarize is only called on a
+// non-nil result. Under a RunAll, an unobserved run goes through the
+// RunSet in ctx under that hash, so the set simulates it once.
 func execute[T any](ctx context.Context, kind string, key any, observed bool,
 	compute func(*runScope) (*T, error), summarize func(*T) summary) (*T, error) {
+	sess := sessionOf(ctx)
 	if ctx != nil && !observed {
 		if rs, _ := ctx.Value(runSetKey{}).(*RunSet); rs != nil {
 			if k, err := expcache.KeyFor(CacheSchemaVersion, kind, key); err == nil {
-				v, err := rs.share(ctx, k.Hash(), func() (any, error) { return execute(nil, kind, key, false, compute, summarize) })
+				v, err := rs.share(ctx, k.Hash(), func() (any, error) { return execute(sess.bind(nil), kind, key, false, compute, summarize) })
 				res, _ := v.(*T)
 				return res, err
 			}
 		}
 	}
-	s := beginRun(kind, key)
+	s := sess.beginRun(kind, key)
 	var res *T
 	var consulted, hit bool
 	var err error
 	if observed {
 		res, err = compute(s)
 	} else {
-		res, consulted, hit, err = cachedInfo(kind, key, func() (*T, error) { return compute(s) })
+		res, consulted, hit, err = cachedInfo(sess.exp.Load(), kind, key, func() (*T, error) { return compute(s) })
 	}
 	var sum summary
 	if res != nil {
@@ -169,9 +170,9 @@ func UtilizationHeatmap(t *obs.Telemetry, topo *topology.Topology) *stats.Heatma
 // the stable prefix plus the first unstable point. Each point goes through
 // the experiment cache individually inside the sweep's parallel waves, so a
 // warm sweep costs only disk reads while a cold one still fans out across
-// cores. With screening enabled (EnableScreening),
-// predicted deep-saturation rates are kept out of the waves entirely; the
-// reported results are bit-identical either way (see screen.go).
+// cores. In a session that screens (that of o.Ctx), predicted
+// deep-saturation rates are kept out of the waves entirely; the reported
+// results are bit-identical either way (see screen.go).
 func OpenLoopSweepWith(p NetworkParams, rates []float64, o OpenLoopOpts) ([]*openloop.Result, error) {
 	cfg, err := openLoopConfig(p, o)
 	if err != nil {
@@ -180,11 +181,12 @@ func OpenLoopSweepWith(p NetworkParams, rates []float64, o OpenLoopOpts) ([]*ope
 	runner := func(c openloop.Config) (*openloop.Result, error) {
 		return openLoopRun(p, c)
 	}
-	scr := screenPlan(p)
+	sess := sessionOf(o.Ctx)
+	scr := sess.screenPlan(p)
 	start := time.Now()
 	res, err := openloop.SweepScreenedWith(cfg, rates, runner, scr)
 	if scr != nil {
-		recordScreen(p, scr.Stats, start)
+		sess.recordScreen(p, scr.Stats, start)
 	}
 	return res, err
 }
@@ -237,9 +239,9 @@ func Barrier(p NetworkParams, b, phases int) (*closedloop.BarrierResult, error) 
 	return barrier(nil, p, b, phases)
 }
 
-// barrier is Barrier under RunContext's cancellation context (nil = not
-// cancellable): a cancelled run returns promptly with an error wrapping
-// the context's cause, and nothing is cached. Phases 0 runs one phase, as
+// barrier is Barrier under a run's context (nil = not cancellable): a
+// cancelled run returns promptly with an error wrapping the context's
+// cause, and nothing is cached. Phases 0 runs one phase, as
 // closedloop.RunBarrier does, and is keyed as 1: one run, one key.
 func barrier(ctx context.Context, p NetworkParams, b, phases int) (*closedloop.BarrierResult, error) {
 	phases = defaulted(phases, 1)

@@ -1,8 +1,8 @@
 package core
 
-// Analytic sweep screening: when enabled, OpenLoopSweepWith compiles the
-// queueing estimator of internal/analytic for the sweep's parameters and
-// hands its predicted saturation knee to the sweep loop
+// Analytic sweep screening: in a session that screens (Session.Screen),
+// every sweep compiles the queueing estimator of internal/analytic for the
+// sweep's parameters and hands its predicted saturation knee to the sweep loop
 // (openloop.SweepScreenedWith) as the cut — deep-saturation rates are kept
 // out of the speculative parallel waves and only simulated if the sweep
 // genuinely reaches them. With screening off the same loop runs uncut.
@@ -11,8 +11,9 @@ package core
 // built from the unscreened run configuration alone, so screened and
 // unscreened sessions share the same experiment-cache entries.
 //
-// Off by default; cmd/figures, cmd/noceval and cmd/nocd enable it via the
-// -screen flag.
+// Off in the default session; cmd/figures, cmd/noceval and cmd/nocd turn
+// it on in their own sessions via the -screen flag, and each session's
+// Close reports its own sweeps' totals.
 
 import (
 	"fmt"
@@ -29,26 +30,12 @@ import (
 	"noceval/internal/topology"
 )
 
-var screenOn atomic.Bool
+// screenTally sums a session's screened sweeps; Session.Close prints it.
+type screenTally struct{ considered, simulated, skipped, refined atomic.Int64 }
 
-// screenTotals accumulates the process-wide screening outcome across every
-// screened sweep since EnableScreening; Session.Close prints it.
-var screenTotals struct {
-	considered, simulated, skipped, refined atomic.Int64
-}
-
-// EnableScreening turns analytic sweep screening on and resets the
-// screening counters; DisableScreening turns it off.
-func EnableScreening() {
-	screenTotals.considered.Store(0)
-	screenTotals.simulated.Store(0)
-	screenTotals.skipped.Store(0)
-	screenTotals.refined.Store(0)
-	screenOn.Store(true)
-}
-
-// DisableScreening turns analytic sweep screening off.
-func DisableScreening() { screenOn.Store(false) }
+// DisableScreening turns analytic sweep screening off in the default
+// session.
+func DisableScreening() { defaultSession.screen.Store(nil) }
 
 // analyticModel resolves the topology and routing p names into the
 // parameters of internal/analytic's formulas. It fails on an unknown
@@ -123,11 +110,11 @@ func AnalyticPriorityEstimator(p NetworkParams) (*analytic.PriorityEstimator, er
 // way — a too-low cut only costs serial refinement).
 const screenCutMargin = 1.1
 
-// screenPlan builds the screening plan for one sweep, or nil — the uncut
-// sweep — when screening is off or the analytic model cannot describe p
-// (the sweep then runs unscreened rather than failing).
-func screenPlan(p NetworkParams) *openloop.Screen {
-	if !screenOn.Load() {
+// screenPlan builds the screening plan for one sweep in s, or nil — the
+// uncut sweep — when s does not screen or the analytic model cannot
+// describe p (the sweep then runs unscreened rather than failing).
+func (s *Session) screenPlan(p NetworkParams) *openloop.Screen {
+	if s.screen.Load() == nil {
 		return nil
 	}
 	est, err := AnalyticEstimator(p)
@@ -141,21 +128,23 @@ func screenPlan(p NetworkParams) *openloop.Screen {
 	return &openloop.Screen{Cut: knee * screenCutMargin, Stats: &openloop.ScreenStats{}}
 }
 
-// recordScreen folds one screened sweep's outcome into the process totals,
-// the metrics registry, and (when enabled) the run ledger as one
+// recordScreen folds one screened sweep's outcome into s's totals, the
+// metrics registry, and (when s has one) s's run ledger as one
 // kind="sweep" record keyed by the parameter hash and stamped with the
 // sweep's start, as a run's record is with the run's.
-func recordScreen(p NetworkParams, st *openloop.ScreenStats, start time.Time) {
-	screenTotals.considered.Add(int64(st.Considered))
-	screenTotals.simulated.Add(int64(st.Simulated))
-	screenTotals.skipped.Add(int64(st.Screened))
-	screenTotals.refined.Add(int64(st.Refined))
+func (s *Session) recordScreen(p NetworkParams, st *openloop.ScreenStats, start time.Time) {
+	if tot := s.screen.Load(); tot != nil {
+		tot.considered.Add(int64(st.Considered))
+		tot.simulated.Add(int64(st.Simulated))
+		tot.skipped.Add(int64(st.Screened))
+		tot.refined.Add(int64(st.Refined))
+	}
 	reg := obs.Default()
 	reg.Counter("screen.considered").Add(int64(st.Considered))
 	reg.Counter("screen.simulated").Add(int64(st.Simulated))
 	reg.Counter("screen.skipped").Add(int64(st.Screened))
 	reg.Counter("screen.refined").Add(int64(st.Refined))
-	led := runLedger.Load()
+	led := s.led.Load()
 	if led == nil {
 		return
 	}

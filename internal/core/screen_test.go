@@ -1,6 +1,7 @@
 package core
 
 import (
+	"io"
 	"path/filepath"
 	"testing"
 	"time"
@@ -22,9 +23,10 @@ func TestScreenedCoreSweepBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	EnableScreening()
-	defer DisableScreening()
-	got, err := OpenLoopSweepWith(p, rates, quickPhases)
+	sess := &Session{Screen: true}
+	o := quickPhases
+	o.Ctx = openSession(t, sess)
+	got, err := OpenLoopSweepWith(p, rates, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +41,7 @@ func TestScreenedCoreSweepBitIdentical(t *testing.T) {
 	}
 
 	sum := struct{ Considered, Simulated, Skipped int64 }{
-		screenTotals.considered.Load(), screenTotals.simulated.Load(), screenTotals.skipped.Load()}
+		sess.screen.Load().considered.Load(), sess.screen.Load().simulated.Load(), sess.screen.Load().skipped.Load()}
 	if sum.Considered != int64(len(rates)) {
 		t.Errorf("considered = %d, want %d", sum.Considered, len(rates))
 	}
@@ -53,26 +55,17 @@ func TestScreenedCoreSweepBitIdentical(t *testing.T) {
 }
 
 func TestScreenedSweepWritesLedgerRecord(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "runs.jsonl")
-	if err := EnableLedger(path); err != nil {
-		t.Fatal(err)
-	}
-	EnableScreening()
-	defer DisableScreening()
+	sess := &Session{Ledger: filepath.Join(t.TempDir(), "runs.jsonl"), Screen: true}
+	o := quickPhases
+	o.Ctx = openSession(t, sess)
 	rates := []float64{0.1, 0.7}
-	if _, err := OpenLoopSweepWith(Baseline(), rates, quickPhases); err != nil {
+	if _, err := OpenLoopSweepWith(Baseline(), rates, o); err != nil {
 		t.Fatal(err)
 	}
-	if err := DisableLedger(); err != nil {
+	if err := sess.Close(io.Discard); err != nil {
 		t.Fatal(err)
 	}
-	recs, dropped, err := ledger.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dropped != 0 {
-		t.Errorf("%d undecodable ledger lines", dropped)
-	}
+	recs := readLedger(t, sess.Ledger)
 	var sweep *ledger.Record
 	for i := range recs {
 		if recs[i].Kind == "sweep" {
@@ -105,10 +98,10 @@ func TestScreenedSweepWritesLedgerRecord(t *testing.T) {
 }
 
 func TestScreeningOffByDefault(t *testing.T) {
-	if screenOn.Load() {
+	if defaultSession.screen.Load() != nil {
 		t.Fatal("screening must be off unless explicitly enabled")
 	}
-	if plan := screenPlan(Baseline()); plan != nil {
+	if plan := defaultSession.screenPlan(Baseline()); plan != nil {
 		t.Error("screenPlan returned a plan with screening disabled")
 	}
 }

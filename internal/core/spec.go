@@ -57,6 +57,10 @@ type ExperimentSpec struct {
 	Timer bool   `json:"timer,omitempty"`
 	Ideal bool   `json:"ideal,omitempty"`
 	Seed  uint64 `json:"seed,omitempty"`
+	// Matrix collects the traffic matrices, and a positive SampleInterval
+	// samples the injection-rate timeline every that many cycles (exec only).
+	Matrix         bool  `json:"matrix,omitempty"`
+	SampleInterval int64 `json:"sampleInterval,omitempty"`
 
 	// Hooks attaches the observability layer to an openloop or batch run;
 	// Validate rejects them on every other kind. They are not part of the
@@ -144,7 +148,7 @@ func (s *ExperimentSpec) Hash() (string, error) {
 // Validate materializes everything the spec names — kind, network,
 // pattern, sizes, QoS classes, reply model, clock, benchmark — and applies
 // the runners' own validators to the per-kind numbers, without running
-// anything. RunContext starts with it, so its error is exactly a run's; the
+// anything. Session.Run starts with it, so its error is exactly a run's; the
 // experiment service calls it so a bad spec is a synchronous 400, not a job.
 func (s *ExperimentSpec) Validate() error {
 	switch s.Kind {
@@ -165,6 +169,12 @@ func (s *ExperimentSpec) Validate() error {
 	}
 	if s.Hooks != (Hooks{}) && s.Kind != "openloop" && s.Kind != "batch" {
 		return fmt.Errorf("core: %s specs cannot be observed: hooks attach to openloop and batch runs only", s.Kind)
+	}
+	if (s.Matrix || s.SampleInterval != 0) && s.Kind != "exec" {
+		return fmt.Errorf("core: %s specs take no matrix or sampleInterval: they select exec outputs", s.Kind)
+	}
+	if s.SampleInterval < 0 || s.SampleInterval > 0 && s.SampleInterval < minSampleInterval {
+		return fmt.Errorf("core: sampleInterval %d: want 0 (no timeline) or at least %d cycles", s.SampleInterval, minSampleInterval)
 	}
 	cfg, err := openLoopConfig(s.Network, OpenLoopOpts{})
 	if err != nil {
@@ -197,6 +207,10 @@ func (s *ExperimentSpec) Validate() error {
 	return nil
 }
 
+// minSampleInterval is the shortest timeline sampling interval a spec may
+// ask for: a run up to cmp's cycle cap then holds at most 200k samples.
+const minSampleInterval = 1000
+
 // Result is what one spec's run produced: the field of its kind is set,
 // every other field is nil (Sweep for "sweep", Model for "characterize").
 type Result struct {
@@ -216,6 +230,8 @@ type Result struct {
 // spec waiting on it runs it again. Observed runs are never shared. The
 // zero value is an empty set.
 type RunSet struct {
+	Session *Session // the session its runs execute in; nil = the default
+
 	mu   sync.Mutex
 	runs map[string]*sharedRun
 }
@@ -239,7 +255,7 @@ func (rs *RunSet) RunAll(ctx context.Context, specs []ExperimentSpec) ([]*Result
 			return nil, err
 		}
 	}
-	ctx = context.WithValue(ctx, runSetKey{}, rs)
+	ctx = rs.Session.bind(context.WithValue(ctx, runSetKey{}, rs))
 	out := make([]*Result, len(specs))
 	if err := par.Parallel(len(specs), 0, func(i int) (err error) {
 		out[i], err = specs[i].run(ctx)
@@ -307,7 +323,8 @@ func (s *ExperimentSpec) run(ctx context.Context) (*Result, error) {
 		r.Barrier, err = barrier(ctx, s.Network, s.B, s.Phases)
 	case "exec":
 		r.Exec, err = exec(ctx, s.Network, ExecParams{
-			Benchmark: s.Benchmark, Clock: clock, Timer: s.Timer, Ideal: s.Ideal, Seed: s.Seed,
+			Benchmark: s.Benchmark, Clock: clock, Timer: s.Timer, Ideal: s.Ideal,
+			SampleInterval: s.SampleInterval, CollectMatrix: s.Matrix, Seed: s.Seed,
 		})
 	case "characterize":
 		r.Model, err = characterize(ctx, s.Benchmark, clock, s.Seed)
@@ -318,17 +335,23 @@ func (s *ExperimentSpec) run(ctx context.Context) (*Result, error) {
 	return &r, nil
 }
 
-// RunContext executes the experiment and returns its report, the one
-// rendering of each kind that noceval, `noceval run` and nocd print, with
-// the effective value of every defaulted knob. The context (nil = not
-// cancellable) is threaded into the engine's cycle loop, so a cancelled
-// experiment — even a multi-point sweep — returns promptly with an error
-// wrapping the context's cause, and no partial result is cached.
+// RunContext is Session.Run in the default session.
 func (s *ExperimentSpec) RunContext(ctx context.Context) (string, error) {
+	return defaultSession.Run(ctx, s)
+}
+
+// Run validates s and runs it in sess, returning its report: the one
+// rendering of each kind that noceval, `noceval run` and nocd print, with
+// the effective value of every defaulted knob. A nil sess is the default
+// session. The context (nil = not cancellable) is threaded into the
+// engine's cycle loop, so a cancelled experiment — even a multi-point
+// sweep — returns promptly with an error wrapping the context's cause, and
+// no partial result is cached.
+func (sess *Session) Run(ctx context.Context, s *ExperimentSpec) (string, error) {
 	if err := s.Validate(); err != nil {
 		return "", err
 	}
-	res, err := s.run(ctx)
+	res, err := s.run(sess.bind(ctx))
 	if err != nil {
 		return "", err
 	}

@@ -6,12 +6,14 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
 
 	"noceval/internal/closedloop"
 	"noceval/internal/obs"
+	"noceval/internal/workload"
 )
 
 func TestParseSpecDefaults(t *testing.T) {
@@ -303,6 +305,18 @@ func TestSpecErrorMessages(t *testing.T) {
 			hostileBufDepth},
 		{"a trillion-cycle router", `{"kind":"openloop","rate":0.1,"network":{"RouterDelay":1000000000000}}`,
 			hostileDelay},
+		// The exec outputs a spec selects: Fig 13's traffic matrix and Fig
+		// 21's timeline. An interval of 1 would keep a sample a cycle.
+		{"matrix on a batch spec", `{"kind":"batch","matrix":true}`,
+			"core: batch specs take no matrix or sampleInterval: they select exec outputs"},
+		{"sample interval on a characterize spec", `{"kind":"characterize","benchmark":"lu","sampleInterval":1000}`,
+			"core: characterize specs take no matrix or sampleInterval: they select exec outputs"},
+		{"negative sample interval", `{"kind":"exec","benchmark":"lu","sampleInterval":-1000}`,
+			"core: sampleInterval -1000: want 0 (no timeline) or at least 1000 cycles"},
+		{"sample interval below the limit", `{"kind":"exec","benchmark":"lu","sampleInterval":1}`,
+			"core: sampleInterval 1: want 0 (no timeline) or at least 1000 cycles"},
+		{"exec outputs have no error", `{"kind":"exec","benchmark":"lu","clock":"75mhz","matrix":true,"sampleInterval":1000,"network":{"Topology":"mesh4x4"}}`,
+			""},
 		{"valid spec has no error", `{"kind":"openloop","rate":0.1}`,
 			""},
 		{"explicit phases have no error", `{"kind":"openloop","rate":0.1,"warmup":1000,"measure":3000}`,
@@ -479,5 +493,30 @@ func TestSpecHashIgnoresShards(t *testing.T) {
 	spec, _ := ParseSpec([]byte(body))
 	if _, err := spec.Hash(); err != nil || spec.Network.Shards != 2 {
 		t.Errorf("Hash changed the spec: Shards = %d (err %v), want 2", spec.Network.Shards, err)
+	}
+}
+
+// An exec spec's matrix and sampleInterval reach the run: the result
+// equals Exec's with CollectMatrix and SampleInterval, under one run key.
+func TestExecSpecOutputs(t *testing.T) {
+	read := withLedger(t)
+	spec := ExperimentSpec{Kind: "exec", Network: Table2Network(1), Benchmark: "blackscholes",
+		Clock: workload.Clock75MHz.SpecName(), Matrix: true, SampleInterval: 1000, Seed: 3}
+	got, err := runSpec(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := Exec(Table2Network(1), ExecParams{Benchmark: "blackscholes", CollectMatrix: true, SampleInterval: 1000, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Exec.Matrix == nil || got.Exec.AppMatrix == nil || len(got.Exec.Timeline) == 0 {
+		t.Fatal("the spec's run collected no matrix or no timeline")
+	}
+	if !reflect.DeepEqual(got.Exec, want) {
+		t.Error("the spec's run differs from Exec's")
+	}
+	if recs := read(); len(recs) != 2 || recs[0].Spec != recs[1].Spec {
+		t.Errorf("ledger records %+v, want two runs under one key", recs)
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"io"
 	"path/filepath"
 	"reflect"
 	"runtime"
@@ -15,25 +16,18 @@ import (
 // kneeSweeps runs the two sweeps of the repo benchmark's sweep_knee
 // workload (mesh8x8, DOR, seed 1, phases 1000/3000/10000; uniform on a
 // 0.05 grid, transpose on a 0.07 grid, ten rates each) at the given
-// GOMAXPROCS with a fresh experiment cache and ledger. It returns the
+// GOMAXPROCS in a session with a fresh experiment cache and ledger. It returns the
 // curves, and the cache entry and ledger records of transpose 0.28.
 func kneeSweeps(t *testing.T, procs int) (curves [][]*openloop.Result, cached bool, recs []ledger.Record) {
 	t.Helper()
 	dir := t.TempDir()
-	path := filepath.Join(dir, "runs.jsonl")
-	if err := EnableLedger(path); err != nil {
-		t.Fatal(err)
-	}
-	defer DisableLedger()
-	if err := EnableCache(filepath.Join(dir, "cache")); err != nil {
-		t.Fatal(err)
-	}
-	defer DisableCache()
+	sess := &Session{Ledger: filepath.Join(dir, "runs.jsonl"), Cache: true, CacheDir: filepath.Join(dir, "cache")}
+	ctx := openSession(t, sess)
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 
 	p := Baseline()
 	p.Shards = 0
-	opts := OpenLoopOpts{Warmup: 1000, Measure: 3000, DrainLimit: 10000}
+	opts := OpenLoopOpts{Warmup: 1000, Measure: 3000, DrainLimit: 10000, Ctx: ctx}
 	var key openLoopKey
 	for _, sw := range []struct {
 		pattern string
@@ -57,16 +51,11 @@ func kneeSweeps(t *testing.T, procs int) (curves [][]*openloop.Result, cached bo
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := expCache.Load()
-	cached = c.Get(k, new(openloop.Result))
-	if err := DisableLedger(); err != nil {
+	cached = sess.exp.Load().Get(k, new(openloop.Result))
+	if err := sess.Close(io.Discard); err != nil {
 		t.Fatal(err)
 	}
-	all, _, err := ledger.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range all {
+	for _, r := range readLedger(t, sess.Ledger) {
 		if r.Spec == k.Hash() {
 			recs = append(recs, r)
 		}

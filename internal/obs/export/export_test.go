@@ -1,6 +1,7 @@
 package export_test
 
 import (
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -53,20 +54,22 @@ func TestMetricsEndpointSmoke(t *testing.T) {
 	}
 	defer srv.Close()
 
-	// The registry must be installed before the cache opens so the cache's
-	// instruments attach (mirroring the commands' -serve then -cache order).
-	if err := core.EnableCache(t.TempDir()); err != nil {
+	// The registry must be installed before the session opens its cache so
+	// the cache's instruments attach (mirroring the commands' -serve then
+	// -cache order).
+	sess := &core.Session{Cache: true, CacheDir: t.TempDir()}
+	if err := sess.Open(); err != nil {
 		t.Fatal(err)
 	}
-	defer core.DisableCache()
+	defer sess.Close(io.Discard)
 
-	p := core.Table2Network(1)
 	rates := []float64{0.05, 0.1}
 	// Both rates are stable with this window, so the sweep reports and
 	// caches both; with a 300-cycle window 0.05 reads unstable and the
 	// sweep may cancel 0.1, which is then never cached.
-	opts := core.OpenLoopOpts{Warmup: 200, Measure: 1000, DrainLimit: 3000}
-	if _, err := core.OpenLoopSweepWith(p, rates, opts); err != nil {
+	sweep := &core.ExperimentSpec{Kind: "sweep", Network: core.Table2Network(1), Rates: rates,
+		Warmup: 200, Measure: 1000, DrainLimit: 3000}
+	if _, err := sess.Run(context.Background(), sweep); err != nil {
 		t.Fatal(err)
 	}
 
@@ -141,7 +144,7 @@ func TestMetricsEndpointSmoke(t *testing.T) {
 	}
 
 	// Warm rerun: every point must now be served by the cache and counted.
-	if _, err := core.OpenLoopSweepWith(p, rates, opts); err != nil {
+	if _, err := sess.Run(context.Background(), sweep); err != nil {
 		t.Fatal(err)
 	}
 	if v := reg.Counter("expcache.hits").Value(); v < int64(len(rates)) {

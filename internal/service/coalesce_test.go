@@ -1,6 +1,8 @@
 package service
 
 import (
+	"io"
+	"io/fs"
 	"net/http"
 	"path/filepath"
 	"strings"
@@ -9,6 +11,7 @@ import (
 	"time"
 
 	"noceval/internal/core"
+	"noceval/internal/obs/ledger"
 )
 
 // TestCoalescingSingleFlight is the tentpole proof: 32 concurrent
@@ -18,13 +21,13 @@ import (
 // on one job id whose result bytes they share.
 func TestCoalescingSingleFlight(t *testing.T) {
 	reg := withObs(t)
-	ledgerPath := filepath.Join(t.TempDir(), "runs.jsonl")
-	if err := core.EnableLedger(ledgerPath); err != nil {
+	sess := &core.Session{Ledger: filepath.Join(t.TempDir(), "runs.jsonl"), Log: io.Discard}
+	if err := sess.Open(); err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { core.DisableLedger() })
+	t.Cleanup(func() { sess.Close(io.Discard) })
 
-	_, ts := newTestServer(t, Config{Workers: 4})
+	_, ts := newTestServer(t, Config{Workers: 4, Session: sess})
 	// Long enough (1M measured cycles) that the job is still in flight
 	// while all 32 submissions land, short enough to finish in-test.
 	spec := specJSON(0.1, 7, 1_000_000)
@@ -107,8 +110,11 @@ func TestCoalescingSingleFlight(t *testing.T) {
 	}
 
 	// Exactly one simulation ran: one ledger record, one runner start.
-	if got := core.LedgerAppends(); got != 1 {
-		t.Fatalf("ledger run records = %d, want 1", got)
+	if err := sess.Close(io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	if recs, _, err := ledger.ReadFile(sess.Ledger); err != nil || len(recs) != 1 {
+		t.Fatalf("ledger run records = %d (%v), want 1", len(recs), err)
 	}
 	if got := reg.Counter("core.runs_started").Value(); got != 1 {
 		t.Fatalf("core.runs_started = %d, want 1", got)
@@ -149,16 +155,11 @@ func TestShardedTwinCoalesces(t *testing.T) {
 // TestRepeatServedFromCache covers the second half of dedup: once the
 // first job completes (so the single-flight entry is gone), resubmitting
 // the identical spec starts a fresh job whose simulation is answered by
-// the content-addressed experiment cache — same result bytes, cache hit
-// counted, no second engine run.
+// the content-addressed experiment cache of the server's session — same
+// result bytes, cache hit counted, no second engine run.
 func TestRepeatServedFromCache(t *testing.T) {
 	reg := withObs(t)
-	if err := core.EnableCache(t.TempDir()); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(core.DisableCache)
-
-	_, ts := newTestServer(t, Config{Workers: 2})
+	_, ts := newTestServer(t, Config{Workers: 2, Session: withCache(t)})
 	spec := quickSpec(8)
 
 	_, first := postSpec(t, ts.URL, spec)
@@ -190,5 +191,78 @@ func TestRepeatServedFromCache(t *testing.T) {
 	// it.
 	if runs := reg.Counter("engine.runs").Value(); runs != 1 {
 		t.Fatalf("engine.runs = %d, want 1 (cache hit must not simulate)", runs)
+	}
+}
+
+// runOnce submits spec to the server at url and returns its done view.
+func runOnce(t *testing.T, url, spec string) View {
+	t.Helper()
+	_, sr := postSpec(t, url, spec)
+	v := waitTerminal(t, url, sr.ID, 30*time.Second)
+	if v.State != StateDone {
+		t.Fatalf("job ended %q (error %q)", v.State, v.Error)
+	}
+	return v
+}
+
+// cacheEntries counts the result entries stored under an experiment
+// cache directory.
+func cacheEntries(t *testing.T, dir string) int {
+	t.Helper()
+	n := 0
+	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err == nil && !d.IsDir() && strings.HasSuffix(path, ".json") {
+			n++
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n
+}
+
+// TestServersKeepTheirOwnCaches: two servers in one process, each in its
+// own session with its own cache directory. A spec run on A and then on B
+// is a miss on B, and each directory holds only its own entry.
+func TestServersKeepTheirOwnCaches(t *testing.T) {
+	withObs(t)
+	sa, sb := withCache(t), withCache(t)
+	_, a := newTestServer(t, Config{Workers: 1, Session: sa})
+	_, b := newTestServer(t, Config{Workers: 1, Session: sb})
+	spec := quickSpec(12)
+	if runOnce(t, a.URL, spec).Result != runOnce(t, b.URL, spec).Result {
+		t.Fatal("the two servers returned different results for one spec")
+	}
+	for name, sess := range map[string]*core.Session{"A": sa, "B": sb} {
+		var out strings.Builder
+		if err := sess.Close(&out); err != nil {
+			t.Fatal(err)
+		}
+		if want := "experiment cache: 0 hits, 1 misses, 1 writes, 0 dropped entries\n"; out.String() != want {
+			t.Errorf("server %s's session summary = %q, want %q", name, out.String(), want)
+		}
+		if n := cacheEntries(t, sess.CacheDir); n != 1 {
+			t.Errorf("server %s's cache directory holds %d entries, want 1", name, n)
+		}
+	}
+}
+
+// TestNilSessionServesDefaultCache: a server with no Session runs in the
+// default session, so it serves a repeat from the cache core.EnableCache
+// opened.
+func TestNilSessionServesDefaultCache(t *testing.T) {
+	withObs(t)
+	if err := core.EnableCache(t.TempDir()); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(core.DisableCache)
+	_, ts := newTestServer(t, Config{Workers: 1})
+	spec := quickSpec(13)
+	if runOnce(t, ts.URL, spec).Result != runOnce(t, ts.URL, spec).Result {
+		t.Fatal("the cache-served repeat differs")
+	}
+	if st, _ := core.CacheStats(); st.Hits != 1 || st.Misses != 1 || st.Puts != 1 {
+		t.Errorf("default cache stats %+v, want 1 miss, 1 put and 1 hit", st)
 	}
 }

@@ -3,6 +3,7 @@ package service
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"runtime"
 	"strings"
@@ -47,14 +48,16 @@ func finishOne(t *testing.T, s *Server, spec []byte) View {
 	}
 }
 
-// withCache turns the experiment cache on for one test, so a repeated
-// spec is an instant job.
-func withCache(t *testing.T) {
+// withCache opens a session with an experiment cache for one test, so a
+// repeated spec is an instant job on a server that runs in it.
+func withCache(t *testing.T) *core.Session {
 	t.Helper()
-	if err := core.EnableCache(t.TempDir()); err != nil {
+	sess := &core.Session{Cache: true, CacheDir: t.TempDir()}
+	if err := sess.Open(); err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(core.DisableCache)
+	t.Cleanup(func() { sess.Close(io.Discard) })
+	return sess
 }
 
 // addFinished puts a job that ended with this result into s's table as a
@@ -86,14 +89,16 @@ func snapshotIDs(s *Server) []string {
 // oldest age out, and the dashboard lists the newest in submission order.
 func TestRetentionKeepsNewestFinished(t *testing.T) {
 	withObs(t)
-	withCache(t)
-	s := New(Config{Workers: 1})
+	s := New(Config{Workers: 1, Session: withCache(t)})
 	t.Cleanup(s.Abort)
 	spec := []byte(quickSpec(40))
 	var ids []string
 	for i := 0; i < maxFinished+16; i++ {
 		ids = append(ids, finishOne(t, s, spec).ID)
 	}
+	// The last job is terminal before its worker retires it; Drain waits
+	// for the worker, so the table below is the settled one.
+	s.Drain()
 	want := ids[len(ids)-maxFinished:]
 	if got := snapshotIDs(s); strings.Join(got, ",") != strings.Join(want, ",") {
 		t.Fatalf("dashboard holds %d jobs %s … %s, want the newest %d, %s … %s",
@@ -248,8 +253,7 @@ func TestCoalescingSurvivesEviction(t *testing.T) {
 // ≈ 1.1 KB a job here, 2.2 MB over the 2048 in between.
 func TestFinishedJobsHeapFlat(t *testing.T) {
 	withObs(t)
-	withCache(t)
-	s := New(Config{Workers: 1})
+	s := New(Config{Workers: 1, Session: withCache(t)})
 	t.Cleanup(s.Abort)
 	spec := []byte(quickSpec(46))
 	heapAfter := func(jobs int) uint64 {

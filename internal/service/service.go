@@ -8,9 +8,9 @@
 //     single-flight table keyed by the spec's content hash (the same
 //     SHA-256 family the experiment cache and run ledger use), so a burst
 //     of duplicate submissions costs one engine run;
-//   - repeated specs are served from the content-addressed experiment
-//     cache when one is enabled (core.EnableCache), making warm repeats
-//     disk-read cheap;
+//   - jobs run in the server's core.Session: repeated specs are served
+//     from its content-addressed experiment cache when it has one, making
+//     warm repeats disk-read cheap;
 //   - concurrency is bounded by a par.Pool job scheduler with a bounded
 //     queue: saturation degrades into fast HTTP 503s, never unbounded
 //     memory;
@@ -18,8 +18,8 @@
 //     512 of them whose result and error text fit in 16 MiB, and ages
 //     the oldest out first (the newest is always kept). An aged-out id
 //     answers 410 Gone; its spec, resubmitted, is served from the
-//     experiment cache when one is enabled. Queued and running jobs are
-//     never aged out: Queue and Workers bound them already;
+//     experiment cache when the session has one. Queued and running jobs
+//     are never aged out: Queue and Workers bound them already;
 //   - every job runs under a context threaded into the engine's cycle
 //     loop, so per-job timeouts and client cancellations stop multi-minute
 //     sweeps within ~1k simulated cycles;
@@ -59,6 +59,9 @@ type Config struct {
 	JobTimeout time.Duration
 	// MaxBodyBytes bounds a submission body (default 1 MiB).
 	MaxBodyBytes int64
+	// Session is the session every job runs in; nil is core's default
+	// session, the one core.EnableCache opens a cache in.
+	Session *core.Session
 }
 
 // Retention of finished jobs (see Server.retireLocked). Deliberately not
@@ -193,7 +196,7 @@ func (s *Server) run(j *Job) {
 		s.release(j, false)
 		return
 	}
-	out, err := spec.RunContext(ctx)
+	out, err := s.cfg.Session.Run(ctx, spec)
 	s.settle(j, out, err)
 }
 

@@ -226,6 +226,14 @@ func TestSubmitRejectsBadSpecs(t *testing.T) {
 		{"128 QoS classes", `{"kind":"openloop","rate":0.05,"warmup":100,"measure":300,"drainLimit":3000,"network":{"VCs":128,"ClassArb":"strict","Classes":[` +
 			strings.TrimSuffix(strings.Repeat(`{"name":"c","share":0.0078125},`, 128), ",") + `]}}`, 400,
 			"router: Classes must be in [0, 127], got 128"},
+		// A timeline sampled every cycle of a 200M-cycle exec run would
+		// hold 200M samples in the server.
+		{"sample interval below the limit", `{"kind":"exec","benchmark":"lu","sampleInterval":1}`, 400,
+			"core: sampleInterval 1: want 0 (no timeline) or at least 1000 cycles"},
+		{"negative sample interval", `{"kind":"exec","benchmark":"lu","sampleInterval":-5}`, 400,
+			"core: sampleInterval -5: want 0 (no timeline) or at least 1000 cycles"},
+		{"matrix on an openloop spec", `{"kind":"openloop","rate":0.1,"matrix":true}`, 400,
+			"core: openloop specs take no matrix or sampleInterval: they select exec outputs"},
 		// Were 202s whose worker sized router buffers and pipes from these
 		// inside network.New: a fatal out-of-memory that ended every
 		// tenant's jobs with the process.

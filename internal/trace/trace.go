@@ -54,13 +54,20 @@ func (t *Trace) Write(w io.Writer) error {
 	return bw.Flush()
 }
 
-// Read parses a trace written by Write.
+// Read parses a trace written by Write. It rejects a trace that Replay
+// could not inject: fewer than one node, an endpoint outside [0, Nodes), a
+// size below one flit, a negative time, or a time earlier than the event
+// before it (a Trace is an ordered log).
 func Read(r io.Reader) (*Trace, error) {
 	br := bufio.NewReader(r)
 	t := &Trace{}
 	if _, err := fmt.Fscanf(br, "nodes %d\n", &t.Nodes); err != nil {
 		return nil, fmt.Errorf("trace: bad header: %w", err)
 	}
+	if t.Nodes < 1 {
+		return nil, fmt.Errorf("trace: %d nodes, want at least 1", t.Nodes)
+	}
+	var prev int64
 	for {
 		var e Event
 		var kind int
@@ -71,6 +78,15 @@ func Read(r io.Reader) (*Trace, error) {
 		if err != nil {
 			return nil, fmt.Errorf("trace: bad event after %d entries: %w", len(t.Events), err)
 		}
+		switch n := len(t.Events); {
+		case e.Src < 0 || e.Src >= t.Nodes || e.Dst < 0 || e.Dst >= t.Nodes:
+			return nil, fmt.Errorf("trace: event %d: %d -> %d outside the %d nodes", n, e.Src, e.Dst, t.Nodes)
+		case e.Size < 1:
+			return nil, fmt.Errorf("trace: event %d: size %d, want at least 1 flit", n, e.Size)
+		case e.Time < prev:
+			return nil, fmt.Errorf("trace: event %d: time %d is before %d", n, e.Time, prev)
+		}
+		prev = e.Time
 		e.Kind = router.Kind(kind)
 		t.Events = append(t.Events, e)
 	}

@@ -94,6 +94,33 @@ func TestReadRejectsGarbage(t *testing.T) {
 	}
 }
 
+// Read rejects every trace Replay could not inject, each of which it
+// once accepted: Replay of the first out-of-range source panicked.
+func TestReadRejectsMalformedTraces(t *testing.T) {
+	for _, tc := range []struct{ name, text string }{
+		{"no nodes", "nodes 0\n"},
+		{"negative nodes", "nodes -4\n"},
+		{"source far out of range", "nodes 16\n0 99 3 1 0\n"},
+		{"source is nodes", "nodes 16\n0 16 3 1 0\n"},
+		{"negative source", "nodes 16\n0 -1 3 1 0\n"},
+		{"destination out of range", "nodes 16\n0 1 99 1 0\n"},
+		{"destination is nodes", "nodes 16\n0 1 16 1 0\n"},
+		{"negative destination", "nodes 16\n0 1 -3 1 0\n"},
+		{"zero size", "nodes 16\n0 1 3 0 0\n"},
+		{"negative size", "nodes 16\n0 1 3 -2 0\n"},
+		{"negative time", "nodes 16\n-1 1 3 1 0\n"},
+		{"time out of order", "nodes 16\n5 1 3 1 0\n4 2 3 1 0\n"},
+	} {
+		if tr, err := Read(strings.NewReader(tc.text)); err == nil {
+			t.Errorf("%s: Read accepted %+v", tc.name, tr)
+		}
+	}
+	ok := "nodes 16\n0 1 3 1 0\n0 15 0 4 1\n7 2 3 1 0\n"
+	if _, err := Read(strings.NewReader(ok)); err != nil {
+		t.Errorf("well-formed trace rejected: %v", err)
+	}
+}
+
 func TestReplayDeliversAllPackets(t *testing.T) {
 	tr := capture(t, meshCfg(1), 400)
 	res, err := Replay(tr, meshCfg(1), 0)
