@@ -156,6 +156,10 @@ type Network struct {
 	// networks use srcQ[node] exactly as the classic single queue.
 	classes int
 	srcQ    []sourceQueue
+	// memoRoutes is set when every router memoises its routes
+	// (routing.Memoises): nothing reads a packet's routing state, so
+	// NewPacket and the source queues leave it zero.
+	memoRoutes bool
 
 	// OnReceive, when non-nil, is invoked for every packet that fully
 	// arrives at its destination terminal.
@@ -299,6 +303,8 @@ func New(cfg Config) *Network {
 		routers: make([]*router.Router, t.N),
 		classes: classes,
 		srcQ:    make([]sourceQueue, t.N*classes),
+
+		memoRoutes: routing.Memoises(cfg.Routing, t),
 	}
 	parts := t.Partition(max(cfg.Shards, 1))
 	n.tiles = make([]netTile, len(parts))
@@ -527,13 +533,12 @@ func (n *Network) RNG() *sim.RNG { return n.rng }
 func (n *Network) Nodes() int { return n.cfg.Topo.N }
 
 // NewPacket returns a packet from src to dst with the given flit count and
-// kind: the next packet id, its creation time, and its routing state
-// (including the intermediate node two-phase algorithms draw here). It
-// allocates nothing; the caller sets any further fields and hands the
-// value to Send.
+// kind: the next packet id, its creation time, and, where routers read it,
+// its routing state (including the intermediate node two-phase algorithms
+// draw here; a memoised algorithm draws none). It allocates nothing; the
+// caller sets any further fields and hands the value to Send.
 func (n *Network) NewPacket(src, dst, size int, kind router.Kind) router.Packet {
 	n.nextPacketID++
-	mid := n.cfg.Routing.PickIntermediate(n.cfg.Topo, n.rng, src, dst)
 	p := router.Packet{
 		ID:         n.nextPacketID,
 		Src:        src,
@@ -543,9 +548,11 @@ func (n *Network) NewPacket(src, dst, size int, kind router.Kind) router.Packet 
 		CreateTime: n.clock.Now(),
 		InjectTime: -1,
 		ArriveTime: -1,
-		Route:      routing.NewState(mid),
 	}
-	p.Route.ArriveAt(src) // an intermediate equal to the source is a no-op phase
+	if !n.memoRoutes {
+		p.Route = routing.NewState(n.cfg.Routing.PickIntermediate(n.cfg.Topo, n.rng, src, dst))
+		p.Route.ArriveAt(src) // an intermediate equal to the source is a no-op phase
+	}
 	return p
 }
 
@@ -830,7 +837,7 @@ func (n *Network) injectNode(now int64, t *netTile, node int) {
 	for qc := 0; qc < n.classes; qc++ {
 		q := &n.srcQ[node*n.classes+qc]
 		for q.flits > 0 && r.CanAcceptInjectionClass(qc) {
-			f := q.pop(node, now)
+			f := q.pop(node, now, !n.memoRoutes)
 			if f.Head() && n.tracer != nil {
 				n.tracer.Record(now, f.P.ID, node, obs.PhaseInject)
 			}

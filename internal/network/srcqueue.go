@@ -18,7 +18,7 @@ type queuedPacket struct {
 	aux    uint64
 	txn    uint64
 	dst    int32
-	mid    int32 // routing intermediate, -1 for single-phase algorithms
+	mid    int32 // routing intermediate, -1 for single-phase algorithms; unused on memoised routes
 	size   int32
 	class  int16
 	kind   router.Kind
@@ -67,8 +67,10 @@ func (q *sourceQueue) push(r queuedPacket) {
 
 // pop removes the queue's next flit; the queue must hold one. A head flit
 // builds its packet from the record at cycle now, in the queue's packet
-// block: the values NewPacket set, with InjectTime now.
-func (q *sourceQueue) pop(src int, now int64) router.Flit {
+// block: the values NewPacket set, with InjectTime now, and the routing
+// state only when route is set (routers that memoise their routes never
+// read it).
+func (q *sourceQueue) pop(src int, now int64, route bool) router.Flit {
 	if q.cur == nil {
 		r, _ := q.recs.Pop()
 		if len(q.pkts) == 0 {
@@ -82,8 +84,10 @@ func (q *sourceQueue) pop(src int, now int64) router.Flit {
 		p.Aux, p.FaultTxn = r.aux, r.txn
 		p.CreateTime, p.InjectTime, p.ArriveTime = r.create, now, -1
 		p.Class, p.Kind, p.Measured = int(r.class), r.kind, r.meas
-		p.Route = routing.NewState(int(r.mid))
-		p.Route.ArriveAt(src) // an intermediate equal to the source is a no-op phase
+		if route {
+			p.Route = routing.NewState(int(r.mid))
+			p.Route.ArriveAt(src) // an intermediate equal to the source is a no-op phase
+		}
 		q.cur = p
 	}
 	f := router.Flit{P: q.cur, Seq: q.seq}

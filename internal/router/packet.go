@@ -57,8 +57,8 @@ func (k Kind) String() string {
 // Packet is one network transaction. Flits of the packet share a single
 // Packet instance. On routers that ask the routing algorithm per head
 // flit, the head flit's arrival at each router and its departure over each
-// link update Route; routers whose routes are memoised (routing.NextHops)
-// never read it and leave it as injection set it.
+// link update Route; routers whose routes are memoised (routing.Memoises)
+// never read it, and the network leaves it zero.
 type Packet struct {
 	ID   uint64
 	Src  int

@@ -342,10 +342,10 @@ const maxNextHopNodes = 1024
 // state: dateline, phase, escape commitment) and above maxNextHopNodes
 // nodes; routers then call Candidates per head flit.
 func NextHops(alg Algorithm, t *topology.Topology, cur int) (row []uint8, cands []Candidate) {
-	dor, ok := alg.(DOR)
-	if !ok || t.Kind != topology.MeshKind || t.N > maxNextHopNodes {
+	if !Memoises(alg, t) {
 		return nil, nil
 	}
+	dor := alg.(DOR)
 	row, cands = make([]uint8, t.N), make([]Candidate, 0, t.Ports())
 	var buf [1]Candidate
 	for dst := range row {
@@ -361,6 +361,13 @@ func NextHops(alg Algorithm, t *topology.Topology, cur int) (row []uint8, cands 
 		row[dst] = uint8(i)
 	}
 	return row, cands
+}
+
+// Memoises reports whether NextHops memoises alg's routes on t. Routers
+// whose routes are memoised never read a packet's routing state.
+func Memoises(alg Algorithm, t *topology.Topology) bool {
+	_, ok := alg.(DOR)
+	return ok && t.Kind == topology.MeshKind && t.N <= maxNextHopNodes
 }
 
 // ByName returns the built-in algorithm with the given name.
